@@ -3,11 +3,24 @@
 For matrices with identity shape of size M and scale I/N, the joint centered
 moment of a product of trace blocks is a sum over color-preserving pairings
 that join every block to another one, each weighted by
-q^crossings * M^(cycles) * N^(contraction cycles - n).  As N grows with
-M/N -> lambda, only pairings whose diagram splits the blocks into genus-zero
-pairs survive, contributing q^crossings * lambda^cycles; everything else is
-O(1/N).  Moments of polynomial statistics expand multilinearly into these
-block moments.
+q^crossings * M^(cycles) * N^(contraction cycles - n).  The finite moment is
+computed by enumerating those pairings.
+
+As N grows with M/N -> lambda, only pairings whose diagram splits the blocks
+into genus-zero pairs survive, contributing q^crossings * lambda^cycles;
+everything else is O(1/N).  The limit is therefore built by block-pair
+composition instead of enumeration: it sums over the perfect matchings of
+the blocks, and for each matched pair (A, B) over its connectors, the planar
+two-block diagrams (annular non-crossing pairings) of the spec (w_A, w_B)
+with at least one edge between A and B.  The cycle counts add over the
+pairs.  The crossings add too, plus e_AB * e_CD for every two matched pairs
+that interleave as A < C < B < D, where e_AB counts the edges between A and
+B: blocks are contiguous position intervals, so an edge inside one block
+crosses nothing outside its pair, and every A-B edge crosses every C-D edge
+exactly when the pairs interleave.
+
+Moments of polynomial statistics expand multilinearly into these block
+moments.
 """
 
 from __future__ import annotations
@@ -28,6 +41,12 @@ from .pairings import (
     block_pairing,
 )
 from .polynomials import MomentPolynomial, Rational
+
+# Entries kept by each memo cache below.  The caches are keyed by spec, word
+# pair or word tuple, so this bounds a long-lived process that walks through
+# many statistics; 2048 still holds all 1365 specs of degree <= 6 in two
+# colors.
+_CACHE_SIZE = 2048
 
 
 @dataclass(frozen=True)
@@ -83,7 +102,7 @@ class LimitMoment:
             raise ValueError(f"limit moment contains finite-size symbols {sorted(bad)}")
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_CACHE_SIZE)
 def _centered_counts(
     spec: MonomialSpec, *, allow_large: bool = False
 ) -> tuple[dict[tuple[int, int, int], int], dict[tuple[int, int], int]]:
@@ -93,7 +112,8 @@ def _centered_counts(
     contraction); limit keys are (crossings, cycles), kept only when the
     blocks are joined in pairs and every joined pair has genus defect zero,
     which for pair components is equivalent to the two cycle counts summing
-    to n.
+    to n.  The limit tally is what ``_limit_counts`` builds by composition;
+    this filter stays as its reference.
     """
     n = spec.n
     _check_bound(n, allow_large)
@@ -143,6 +163,81 @@ def _centered_counts(
     return finite, limit
 
 
+@lru_cache(maxsize=_CACHE_SIZE)
+def _connector_counts(
+    word_a: tuple[int, ...], word_b: tuple[int, ...]
+) -> dict[tuple[int, int, int], int]:
+    """Planar connectors of two trace blocks, keyed by (crossings, cycles, e_AB).
+
+    A connector is a color-preserving pairing of the two-block spec
+    (word_a, word_b) that has e_AB >= 1 edges between the blocks and whose
+    two cycle counts sum to the degree, i.e. a genus-zero pair component.
+    """
+    n_a = len(word_a)
+    n = n_a + len(word_b)
+    pos_colors = MonomialSpec((word_a, word_b)).coloring().position_colors()
+    top = block_pairing([n_a, len(word_b)]).table
+    split = 2 * n_a
+    counts: dict[tuple[int, int, int], int] = {}
+    for table, cr in _iter_tables(n, pos_colors):
+        between = sum(1 for p in range(split) if table[p] >= split)
+        if not between:
+            continue
+        c_gamma = _cycle_count(table)
+        if c_gamma + _cycle_count(_brauer_table(top, table)) != n:
+            continue
+        key = (cr, c_gamma, between)
+        counts[key] = counts.get(key, 0) + 1
+    return counts
+
+
+def _block_matchings(blocks: tuple[int, ...]):
+    """Perfect matchings of the block indices, as lists of ascending pairs.
+
+    An odd number of blocks has none, so its limit is zero before any
+    connector is enumerated.
+    """
+    if not blocks:
+        yield []
+        return
+    first = blocks[0]
+    for k in range(1, len(blocks)):
+        rest = blocks[1:k] + blocks[k + 1 :]
+        for matching in _block_matchings(rest):
+            yield [(first, blocks[k])] + matching
+
+
+@lru_cache(maxsize=_CACHE_SIZE)
+def _limit_counts(spec: MonomialSpec) -> dict[tuple[int, int], int]:
+    """Limit tally keyed by (crossings, cycles), by block-pair composition.
+
+    Equals the limit part of ``_centered_counts`` without visiting the
+    pairings that do not survive.
+    """
+    words = spec.cycle_words
+    limit: dict[tuple[int, int], int] = {}
+    for matching in _block_matchings(tuple(range(len(words)))):
+        tallies = [_connector_counts(words[a], words[b]).items() for a, b in matching]
+        interleaved = [
+            (i, j)
+            for i, (a, b) in enumerate(matching)
+            for j, (c, d) in enumerate(matching)
+            if a < c < b < d
+        ]
+        for combo in iter_product(*tallies):
+            cr = c_gamma = 0
+            count = 1
+            for (cr_pair, c_pair, _), k in combo:
+                cr += cr_pair
+                c_gamma += c_pair
+                count *= k
+            for i, j in interleaved:
+                cr += combo[i][0][2] * combo[j][0][2]
+            key = (cr, c_gamma)
+            limit[key] = limit.get(key, 0) + count
+    return limit
+
+
 def centered_trace_moment(
     spec: MonomialSpec,
     q="q",
@@ -160,8 +255,8 @@ def centered_trace_moment_limit(
     spec: MonomialSpec, q="q", *, allow_large: bool = False
 ) -> LimitMoment:
     """Large-N limit of the centered moment with M/N -> lambda."""
-    _, limit = _centered_counts(spec, allow_large=allow_large)
-    return LimitMoment(_assemble_limit(limit, q))
+    _check_bound(spec.n, allow_large)
+    return LimitMoment(_assemble_limit(_limit_counts(spec), q))
 
 
 def centered_finite_and_limit(
@@ -170,11 +265,16 @@ def centered_finite_and_limit(
     *,
     allow_large: bool = False,
 ) -> tuple[MomentPolynomial, LimitMoment]:
-    """Both values from a single enumeration pass."""
-    finite, limit = _centered_counts(spec, allow_large=allow_large)
+    """Finite centered moment (in M, N) and its limit, by independent paths.
+
+    The finite value enumerates every block-connecting pairing; the limit is
+    composed from block-pair connectors, so comparing the rescaled finite
+    value with the limit checks one path against the other.
+    """
+    finite, _ = _centered_counts(spec, allow_large=allow_large)
     return (
         _assemble_finite(finite, spec.n, q, "M", "N"),
-        LimitMoment(_assemble_limit(limit, q)),
+        centered_trace_moment_limit(spec, q, allow_large=allow_large),
     )
 
 
@@ -202,7 +302,7 @@ def _assemble_limit(counts, q):
     return poly
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_CACHE_SIZE)
 def _limit_value(words: tuple[tuple[int, ...], ...], q) -> MomentPolynomial:
     return centered_trace_moment_limit(MonomialSpec(words), q).value
 

@@ -122,8 +122,24 @@ def _is_symmetric(rows, rel_tol=1e-12) -> bool:
 
 
 def _is_positive_definite(rows) -> bool:
-    eigs = jacobi_eigenvalues([[float(x) for x in row] for row in rows])
-    return min(eigs) > 0
+    """Float rows: smallest Jacobi eigenvalue; exact rows: LDL' pivots.
+
+    A symmetric matrix is positive definite exactly when every pivot of
+    elimination without row exchanges is positive (Sylvester's criterion),
+    so rational input gets an exact decision.
+    """
+    if any(isinstance(x, float) for row in rows for x in row):
+        return min(jacobi_eigenvalues(rows)) > 0
+    a = [list(row) for row in rows]
+    for k, pivot_row in enumerate(a):
+        pivot = pivot_row[k]
+        if pivot <= 0:
+            return False
+        for row in a[k + 1 :]:
+            factor = row[k] / pivot
+            for j in range(k + 1, len(row)):
+                row[j] -= factor * pivot_row[j]
+    return True
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,11 @@
+import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from qwishart import fluctuations
 from qwishart.fluctuations import (
     LimitMoment,
     PolynomialStatistic,
@@ -87,6 +91,108 @@ class TestCenteredLimit:
     def test_limit_moment_rejects_finite_symbols(self):
         with pytest.raises(ValueError):
             LimitMoment(M * lam)
+
+
+def _split(colors, cuts):
+    """Spec whose words cut the color sequence after every flagged point."""
+    ends = [j + 1 for j, cut in enumerate(cuts) if cut] + [len(colors)]
+    return MonomialSpec.from_words(
+        [colors[start:end] for start, end in zip([0] + ends, ends)]
+    )
+
+
+def _two_color_specs(n):
+    """Acceptance 10's specs of degree n: all word splits, first color 1."""
+    for cuts in itertools.product((False, True), repeat=n - 1):
+        for bits in itertools.product((1, 2), repeat=n - 1):
+            yield _split((1,) + bits, cuts)
+
+
+def _order_four_block_specs(statistic):
+    for combo in itertools.product(statistic.terms, repeat=4):
+        yield MonomialSpec(tuple(word for _, word in combo))
+
+
+# degree-8 block specs: acceptance 06's order-4 statistic (one color) and
+# acceptance 07's order-4 products of X - Y and X + Y for X = tr(W1 W2)
+_DEGREE_EIGHT_SPECS = sorted(
+    {
+        spec
+        for stat in (
+            PolynomialStatistic.from_terms([(1, (1, 1)), (-1, (1,))]),
+            PolynomialStatistic.from_terms([(1, (1, 2)), (1, (3, 4))]),
+        )
+        for spec in _order_four_block_specs(stat)
+        if spec.n == 8
+    },
+    key=lambda spec: spec.cycle_words,
+)
+
+
+def _filter_limit(spec):
+    # the enumerate-and-filter tally, the reference for block-pair
+    # composition; called as the finite path calls it, so both share a cache
+    return fluctuations._centered_counts(spec, allow_large=False)[1]
+
+
+class TestBlockPairComposition:
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_matches_filter_on_two_color_specs(self, n):
+        for spec in _two_color_specs(n):
+            assert fluctuations._limit_counts(spec) == _filter_limit(spec), spec
+
+    @pytest.mark.parametrize(
+        "spec", _DEGREE_EIGHT_SPECS, ids=lambda spec: str(spec.cycle_words)
+    )
+    def test_matches_filter_at_degree_eight(self, spec):
+        assert fluctuations._limit_counts(spec) == _filter_limit(spec)
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_filter_on_random_specs(self, data):
+        n = data.draw(st.integers(1, 6))
+        s = data.draw(st.integers(1, 3))
+        colors = data.draw(st.lists(st.integers(1, s), min_size=n, max_size=n))
+        cuts = data.draw(st.lists(st.booleans(), min_size=n - 1, max_size=n - 1))
+        spec = _split(colors, cuts)
+        assert fluctuations._limit_counts(spec) == _filter_limit(spec)
+
+    @given(
+        st.lists(st.lists(st.integers(1, 2), min_size=1, max_size=3), min_size=2, max_size=6)
+        .filter(lambda words: sum(map(len, words)) <= 8),
+        st.randoms(use_true_random=False),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_block_permutation_invariance_at_q_one(self, words, rng):
+        # at q = 1 the crossings drop out, so the order of the blocks cannot
+        # matter; at general q the interleaving term moves with them
+        spec = MonomialSpec.from_words(words)
+        permuted = MonomialSpec.from_words(rng.sample(words, len(words)))
+        assert (
+            centered_trace_moment_limit(permuted, q=1).value
+            == centered_trace_moment_limit(spec, q=1).value
+        )
+
+    def test_odd_block_count_visits_nothing(self):
+        fluctuations._limit_counts.cache_clear()
+        fluctuations._connector_counts.cache_clear()
+        assert fluctuations._limit_counts(MonomialSpec(((1,),) * 7)) == {}
+        assert fluctuations._connector_counts.cache_info().currsize == 0
+
+    def test_beyond_enumeration_bound(self):
+        spec = MonomialSpec(((1,),) * 10)
+        with pytest.raises(ValueError):
+            centered_trace_moment_limit(spec)
+        # Gaussian tenth moment at q = 1: 9!! * (2 lambda)^5
+        got = centered_trace_moment_limit(spec, q=1, allow_large=True).value
+        assert got == 945 * (2 * lam) ** 5
+
+    @pytest.mark.parametrize(
+        "cached",
+        ["_centered_counts", "_connector_counts", "_limit_counts", "_limit_value"],
+    )
+    def test_caches_are_bounded(self, cached):
+        assert getattr(fluctuations, cached).cache_info().maxsize is not None
 
 
 class TestLimitFiniteConsistency:

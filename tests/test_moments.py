@@ -311,6 +311,33 @@ class TestInvariances:
             swapped, swapped_bindings
         )
 
+    @given(
+        st.lists(
+            st.lists(st.integers(1, 2), min_size=1, max_size=3), min_size=1, max_size=3
+        ).filter(lambda words: sum(map(len, words)) <= 5),
+        st.randoms(use_true_random=False),
+        st.lists(
+            st.fractions(min_value=Fraction(-2), max_value=Fraction(2), max_denominator=3),
+            min_size=6,
+            max_size=6,
+        ),
+    )
+    @settings(max_examples=20, deadline=None)
+    def test_symmetric_word_invariances(self, words, rng, entries):
+        # W is symmetric, so tr is invariant under rotating or reversing a
+        # word, and the product of traces under reordering the words
+        b1 = [[entries[0], entries[1]], [entries[1], entries[2]]]
+        b2 = [[entries[3], entries[4]], [entries[4], entries[5]]]
+        bindings = MatrixBindings.numeric([(b1, PD2), (b2, PD2B)])
+        base = real_wishart_moment(MonomialSpec.from_words(words), bindings)
+        permuted = rng.sample(words, len(words))
+        k = rng.randrange(len(words))
+        shift = rng.randrange(len(words[k]))
+        rotated = [w[shift:] + w[:shift] if i == k else w for i, w in enumerate(words)]
+        reversed_ = [w[::-1] if i == k else w for i, w in enumerate(words)]
+        for variant in (permuted, rotated, reversed_):
+            assert real_wishart_moment(MonomialSpec.from_words(variant), bindings) == base
+
     def test_threads_match_serial(self):
         spec = MonomialSpec(((1, 2), (1, 2)))
         serial = real_wishart_moment(spec)
@@ -331,6 +358,16 @@ class TestValidation:
     def test_rejects_indefinite_sigma(self):
         with pytest.raises(ValueError):
             MatrixBindings.numeric([(I2, [[1, 2], [2, 1]])])
+
+    def test_accepts_nearly_singular_exact_sigma(self):
+        # det = 2e-20 - 1e-40 > 0: exact input needs an exact decision
+        off = 1 - Fraction(1, 10**20)
+        bindings = MatrixBindings.numeric([(I2, [[1, off], [off, 1]])])
+        assert bindings.scales[0][0][1] == off
+
+    def test_rejects_singular_exact_sigma(self):
+        with pytest.raises(ValueError):
+            MatrixBindings.numeric([(I2, [[1, 1], [1, 1]])])
 
     def test_rejects_mismatched_scale_dims(self):
         with pytest.raises(ValueError):
