@@ -8,7 +8,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
+from collections import Counter
 from fractions import Fraction
 
 from . import fluctuations, moments, montecarlo, mp, pairings
@@ -205,22 +207,29 @@ def _emit_json(out, payload) -> None:
 
 
 def _cmd_enumerate(args, out) -> int:
+    """Stream the JSON; the count is the closed form prod_c (2k_c - 1)!!."""
+    if args.coloring is not None:
+        coloring = _parse_coloring("--coloring", args.coloring)
+        if coloring.n != args.n:
+            raise CliInputError("--coloring", "coloring length must equal --n")
+        stream = pairings.color_preserving_pairings(coloring, allow_large=args.allow_large_n)
+        colors = list(coloring.colors)
+        sizes = Counter(colors).values()
+    else:
+        stream = pairings.all_pairings(args.n, allow_large=args.allow_large_n)
+        colors = None
+        sizes = [args.n]
     try:
-        if args.coloring is not None:
-            coloring = _parse_coloring("--coloring", args.coloring)
-            if coloring.n != args.n:
-                raise CliInputError("--coloring", "coloring length must equal --n")
-            stream = pairings.color_preserving_pairings(
-                coloring, allow_large=args.allow_large_n
-            )
-            colors = list(coloring.colors)
-        else:
-            stream = pairings.all_pairings(args.n, allow_large=args.allow_large_n)
-            colors = None
-        items = [[list(pair) for pair in pp.pairs()] for pp in stream]
+        pairings._check_bound(args.n, args.allow_large_n)
     except ValueError as exc:
         raise CliInputError("--n", str(exc)) from exc
-    _emit_json(out, {"n": args.n, "coloring": colors, "count": len(items), "pairings": items})
+    count = math.prod(moments._double_factorial(2 * k - 1) for k in sizes) if args.n > 0 else 0
+    compact = {"separators": (",", ":")}
+    out.write(f'{{"n":{args.n},"coloring":{json.dumps(colors, **compact)},')
+    out.write(f'"count":{count},"pairings":[')
+    for i, pp in enumerate(stream):
+        out.write(("," if i else "") + json.dumps([list(pair) for pair in pp.pairs()], **compact))
+    out.write("]}\n")
     return 0
 
 
@@ -249,8 +258,7 @@ def _moment_common(args, q, out) -> int:
         coloring = _parse_coloring("--coloring", args.coloring)
         try:
             result = moments.real_wishart_moment_general(
-                sigma, coloring, bindings,
-                allow_large=args.allow_large_n, threads=args.threads,
+                sigma, coloring, bindings, allow_large=args.allow_large_n
             )
         except ValueError as exc:
             raise CliInputError("--sigma", str(exc)) from exc
@@ -265,12 +273,11 @@ def _moment_common(args, q, out) -> int:
         try:
             if q is None:
                 result = moments.real_wishart_moment(
-                    spec, bindings, allow_large=args.allow_large_n, threads=args.threads
+                    spec, bindings, allow_large=args.allow_large_n
                 )
             else:
                 result = moments.q_wishart_moment(
-                    spec, bindings, q,
-                    allow_large=args.allow_large_n, threads=args.threads,
+                    spec, bindings, q, allow_large=args.allow_large_n
                 )
         except ValueError as exc:
             raise CliInputError("--spec", str(exc)) from exc
@@ -434,7 +441,7 @@ def _cmd_table1(args, out) -> int:
     for gamma in pairings.color_preserving_pairings(coloring):
         product = pairings.brauer(sigma, gamma)
         induced = pairings.induced_coloring(sigma, gamma, coloring)
-        term = _single_pairing_contribution(sigma, coloring, gamma)
+        term = moments.pairing_term(sigma.table, coloring.colors, gamma.table, True)
         payload_rows.append(
             {
                 "gamma": [list(p) for p in gamma.pairs()],
@@ -442,29 +449,11 @@ def _cmd_table1(args, out) -> int:
                 "pi_gamma": [list(c) for c in pairings.traverse(gamma).cycles()],
                 "pi_sigma_gamma": [list(c) for c in pairings.traverse(product).cycles()],
                 "induced_coloring": list(induced.colors),
-                "contribution": poly_to_json(term),
+                "contribution": poly_to_json(MomentPolynomial({term: 1})),
             }
         )
     _emit_json(out, {"rows": payload_rows})
     return 0
-
-
-def _single_pairing_contribution(sigma, coloring, gamma) -> MomentPolynomial:
-    from .polynomials import TraceAtom
-
-    trav = pairings.traverse(gamma)
-    powers: dict = {}
-    for cyc in trav.cycles():
-        word = tuple((coloring.colors[j - 1], trav.signs[j - 1] == 1) for j in cyc)
-        atom = TraceAtom.make("shape", word)
-        powers[atom] = powers.get(atom, 0) + 1
-    product = pairings.brauer(sigma, gamma)
-    induced = pairings.induced_coloring(sigma, gamma, coloring)
-    for cyc in pairings.traverse(product).cycles():
-        word = tuple((induced.colors[j - 1], False) for j in cyc)
-        atom = TraceAtom.make("scale", word)
-        powers[atom] = powers.get(atom, 0) + 1
-    return MomentPolynomial.monomial(1, powers)
 
 
 # ---------------------------------------------------------------------------
@@ -488,7 +477,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--symbolic", action="store_true", help="keep trace atoms symbolic")
         if with_q:
             p.add_argument("--q", default="sym", help="rational q or 'sym'")
-        p.add_argument("--threads", type=int, default=1)
         p.add_argument("--allow-large-n", dest="allow_large_n", action="store_true")
         p.add_argument("--format", choices=("json", "csv"), default="json")
 

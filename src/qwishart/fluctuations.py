@@ -104,7 +104,7 @@ class LimitMoment:
 
 @lru_cache(maxsize=_CACHE_SIZE)
 def _centered_counts(
-    spec: MonomialSpec, *, allow_large: bool = False
+    spec: MonomialSpec,
 ) -> tuple[dict[tuple[int, int, int], int], dict[tuple[int, int], int]]:
     """Weight tallies over block-connecting pairings, finite and limit.
 
@@ -113,10 +113,10 @@ def _centered_counts(
     blocks are joined in pairs and every joined pair has genus defect zero,
     which for pair components is equivalent to the two cycle counts summing
     to n.  The limit tally is what ``_limit_counts`` builds by composition;
-    this filter stays as its reference.
+    this filter stays as its reference.  Callers check the enumeration bound
+    first, so the cache key is the spec alone.
     """
     n = spec.n
-    _check_bound(n, allow_large)
     coloring = spec.coloring()
     pos_colors = coloring.position_colors()
     top = block_pairing([len(w) for w in spec.cycle_words]).table
@@ -247,7 +247,8 @@ def centered_trace_moment(
     allow_large: bool = False,
 ):
     """Joint centered moment of the spec's trace blocks at finite size."""
-    finite, _ = _centered_counts(spec, allow_large=allow_large)
+    _check_bound(spec.n, allow_large)
+    finite, _ = _centered_counts(spec)
     return _assemble_finite(finite, spec.n, q, shape_size, scale_dim)
 
 
@@ -271,7 +272,8 @@ def centered_finite_and_limit(
     composed from block-pair connectors, so comparing the rescaled finite
     value with the limit checks one path against the other.
     """
-    finite, _ = _centered_counts(spec, allow_large=allow_large)
+    _check_bound(spec.n, allow_large)
+    finite, _ = _centered_counts(spec)
     return (
         _assemble_finite(finite, spec.n, q, "M", "N"),
         centered_trace_moment_limit(spec, q, allow_large=allow_large),

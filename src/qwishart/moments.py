@@ -6,8 +6,15 @@ q-Gaussian entries whose covariance factorizes as [B] x [Sigma].  Mixed
 moments of products of traces expand as sums over color-preserving pair
 partitions: each partition contributes a shape-side trace monomial in the
 B matrices, a scale-side trace monomial in the Sigma matrices read off the
-Brauer contraction with its inherited coloring, and (in the q case) the
-weight q^crossings.
+Brauer contraction with its inherited coloring (``pairing_term``), and (in
+the q case) the weight q^crossings.
+
+The engine enumerates the pairings once per (spec, use_eps) into a bounded
+cached tally of (crossings, trace monomial) -> count.  Every result is a
+substitution into that tally: symbolic mode keeps the atoms, numeric mode
+evaluates each distinct atom once on the bound matrices, scalar mode sends
+a shape atom to its color's size and a scale atom to N, and q enters as
+q^crossings, symbolically or as an exact rational.
 
 An independent brute-force oracle expands every trace into matrix entries
 and applies the q-Wick rule over all pairings of the 2n entry letters; it
@@ -17,12 +24,14 @@ formula path.
 
 from __future__ import annotations
 
+import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product as iter_product
-from typing import Sequence, Union
+from typing import Callable, Sequence, Union
 
-from ._jacobi import jacobi_eigenvalues
 from .pairings import (
     Coloring,
     IntegerPartition,
@@ -44,7 +53,6 @@ from .polynomials import (
     Rational,
     TraceAtom,
     _make_monomial,
-    _merge_monomials,
     evaluate_atom,
 )
 
@@ -122,14 +130,18 @@ def _is_symmetric(rows, rel_tol=1e-12) -> bool:
 
 
 def _is_positive_definite(rows) -> bool:
-    """Float rows: smallest Jacobi eigenvalue; exact rows: LDL' pivots.
+    """Float rows: smallest eigenvalue; exact rows: LDL' pivots.
 
     A symmetric matrix is positive definite exactly when every pivot of
     elimination without row exchanges is positive (Sylvester's criterion),
     so rational input gets an exact decision.
     """
     if any(isinstance(x, float) for row in rows for x in row):
-        return min(jacobi_eigenvalues(rows)) > 0
+        # a local import lets numpy load after the other package modules;
+        # loading it first raises the peak RSS of a run by about 1 MB
+        import numpy as np
+
+        return np.linalg.eigvalsh(np.array(rows, dtype=float))[0] > 0
     a = [list(row) for row in rows]
     for k, pivot_row in enumerate(a):
         pivot = pivot_row[k]
@@ -200,175 +212,124 @@ class MatrixBindings:
 
 
 # ---------------------------------------------------------------------------
-# the pairing-sum engine
+# the pairing-sum engine: one kernel, one tally, one substitution step
+
+# Tallies kept by ``_tally``; one per (top pairing, coloring, use_eps), so a
+# spec queried in several binding modes is enumerated once.
+_TALLY_CACHE_SIZE = 256
 
 
-class _Accumulator:
-    """Sums per (crossing number, symbolic fragment); Kahan in float mode."""
+def _pairing_words(top_table, colors, pos_colors, table, use_eps):
+    """Raw (kind, word) pairs of one pairing's atoms, before canonicalisation."""
+    cycles, signs = _traverse_table(table)
+    words = [
+        ("shape", tuple((colors[j - 1], use_eps and signs[j - 1] == 1) for j in cyc))
+        for cyc in cycles
+    ]
+    g = _brauer_table(top_table, table)
+    induced = _induced_colors_table(top_table, table, pos_colors, g)
+    words.extend(
+        ("scale", tuple((induced[j - 1], False) for j in cyc))
+        for cyc in _traverse_table(g)[0]
+    )
+    return words
 
-    def __init__(self) -> None:
-        self.exact: dict[tuple[int, Monomial], Fraction] = {}
-        self.floats: dict[int, list[float]] = {}
 
-    def add(self, cr: int, frag: Monomial, value) -> None:
+def pairing_term(
+    top_table: Sequence[int], colors: Sequence[int], table: Sequence[int], use_eps: bool
+) -> Monomial:
+    """Trace monomial contributed by one color-preserving pairing ``table``.
+
+    Its shape atoms are the traversal cycles of ``table`` over the point
+    colors, with transpose flags from the traversal signs when ``use_eps``;
+    its scale atoms are the cycles of the Brauer contraction with the
+    top-to-bottom ``top_table``, colored by inheritance.  In a q-moment the
+    term carries the weight q^crossings(table).
+    """
+    pos_colors = Coloring.from_colors(colors).position_colors()
+    words = _pairing_words(top_table, colors, pos_colors, table, use_eps)
+    return _make_monomial(Counter(TraceAtom.make(kind, word) for kind, word in words))
+
+
+@lru_cache(maxsize=_TALLY_CACHE_SIZE)
+def _tally(
+    top_table: tuple[int, ...], colors: tuple[int, ...], use_eps: bool
+) -> tuple[tuple[tuple[int, Monomial], int], ...]:
+    """Counts of ``(crossings, pairing_term)`` over the color-preserving pairings.
+
+    Callers check the enumeration bound first.  Each table is keyed by
+    integer ids of its raw words, so every distinct word is canonicalised
+    once per tally rather than once per table.
+    """
+    pos_colors = Coloring.from_colors(colors).position_colors()
+    ids: dict[tuple, int] = {}
+    counts: dict[tuple[int, tuple[int, ...]], int] = {}
+    for table, cr in _iter_tables(len(colors), pos_colors):
+        words = _pairing_words(top_table, colors, pos_colors, table, use_eps)
+        key = (cr, tuple(sorted(ids.setdefault(w, len(ids)) for w in words)))
+        counts[key] = counts.get(key, 0) + 1
+    atoms = [TraceAtom.make(kind, word) for kind, word in ids]
+    tally: dict[tuple[int, Monomial], int] = {}
+    for (cr, word_ids), count in counts.items():
+        key = (cr, _make_monomial(Counter(atoms[i] for i in word_ids)))
+        tally[key] = tally.get(key, 0) + count
+    return tuple(tally.items())
+
+
+def _substitute(tally, atom_value: Callable[[TraceAtom], object], q, const):
+    """Sum a tally after substituting every atom and q; exact or float.
+
+    ``atom_value`` maps an atom to a number, to a symbol name, or to the atom
+    itself to keep it; it is called once per distinct atom.  Float cells are
+    summed per crossing number with ``math.fsum``.
+    """
+    values: dict[TraceAtom, object] = {}
+    exact: dict[Monomial, Fraction] = {}
+    floats: dict[int, list[float]] = {}
+    q_value = None if isinstance(q, str) else Fraction(q)
+    for (cr, mono), count in tally:
+        value: object = count
+        powers: dict[Key, int] = {}
+        for atom, e in mono:
+            v = values.get(atom)
+            if v is None:
+                v = values[atom] = atom_value(atom)
+            if isinstance(v, (str, TraceAtom)):
+                powers[v] = powers.get(v, 0) + e
+            else:
+                value = value * v**e
         if isinstance(value, float):
-            if frag:
+            if powers:
                 raise ValueError("float matrices cannot feed a symbolic result")
-            cell = self.floats.setdefault(cr, [0.0, 0.0])
-            y = value - cell[1]
-            t = cell[0] + y
-            cell[1] = (t - cell[0]) - y
-            cell[0] = t
+            floats.setdefault(cr, []).append(value)
+            continue
+        if q_value is None:
+            powers["q"] = cr
         else:
-            key = (cr, frag)
-            self.exact[key] = self.exact.get(key, Fraction(0)) + value
-
-    def merge(self, other: "_Accumulator") -> None:
-        for key, value in other.exact.items():
-            self.exact[key] = self.exact.get(key, Fraction(0)) + value
-        for cr, cell in other.floats.items():
-            self.add(cr, (), cell[0])
-
-
-def _assemble(acc: _Accumulator, q, const):
-    """Combine accumulated sums into a polynomial or a plain number."""
-    q_symbolic = isinstance(q, str)
-    if acc.floats:
-        assert not acc.exact
-        if q_symbolic:
+            value = value * q_value**cr
+        mono = _make_monomial(powers)
+        exact[mono] = exact.get(mono, 0) + value
+    if floats:
+        assert not exact
+        if q_value is None:
             raise ValueError("float matrices require a numeric q")
-        total = sum(cell[0] * float(q) ** cr for cr, cell in sorted(acc.floats.items()))
         if isinstance(const, MomentPolynomial):
             raise ValueError("float matrices cannot be combined with symbolic factors")
+        total = sum(math.fsum(cell) * float(q) ** cr for cr, cell in sorted(floats.items()))
         return total * float(const)
-    terms: dict[Monomial, Fraction] = {}
-    for (cr, frag), value in acc.exact.items():
-        if q_symbolic:
-            mono = _merge_monomials(frag, _make_monomial({"q": cr}))
-            coeff = value
-        else:
-            mono = frag
-            coeff = value * Fraction(q) ** cr
-        terms[mono] = terms.get(mono, Fraction(0)) + coeff
-    poly = MomentPolynomial(terms)
+    poly = MomentPolynomial(exact)
     poly = poly * const if isinstance(const, MomentPolynomial) else poly * Fraction(const)
     if not poly.symbols() and all(not mono for mono, _ in poly.terms()):
         return poly.constant_value()
     return poly
 
 
-def _shape_numeric_mats(shapes) -> dict[int, tuple]:
-    return {j + 1: rows for j, rows in enumerate(shapes)}
-
-
-def _pairing_sum(
-    top_table: Sequence[int],
-    coloring: Coloring,
-    *,
-    q,
-    shape_mode: tuple,
-    scale_mode: tuple,
-    use_eps: bool,
-    const=Fraction(1),
-    allow_large: bool = False,
-    threads: int = 1,
-):
-    n = coloring.n
-    _check_bound(n, allow_large)
+def _moment(top_table, coloring: Coloring, use_eps: bool, atom_value, q, const, allow_large):
+    _check_bound(coloring.n, allow_large)
     if isinstance(q, str) and q != "q":
         raise ValueError("q must be the symbol 'q' or a rational number")
-    pos_colors = coloring.position_colors()
-    t = coloring.colors
-    word_cache: dict[TraceAtom, object] = {}
-
-    def eval_word(atom: TraceAtom, mats) -> object:
-        value = word_cache.get(atom)
-        if value is None:
-            value = evaluate_atom(atom, mats)
-            word_cache[atom] = value
-        return value
-
-    def process(first_partners, acc: _Accumulator) -> None:
-        streams = (
-            [_iter_tables(n, pos_colors)]
-            if first_partners is None
-            else [_iter_tables(n, pos_colors, fp) for fp in first_partners]
-        )
-        for stream in streams:
-            for table, cr in stream:
-                value: object = Fraction(1)
-                frag_powers: dict[Key, int] = {}
-
-                cycles, signs = _traverse_table(table)
-                if shape_mode[0] == "atoms":
-                    for cyc in cycles:
-                        word = tuple(
-                            (t[j - 1], use_eps and signs[j - 1] == 1) for j in cyc
-                        )
-                        atom = TraceAtom.make("shape", word)
-                        frag_powers[atom] = frag_powers.get(atom, 0) + 1
-                elif shape_mode[0] == "numeric":
-                    mats = shape_mode[1]
-                    for cyc in cycles:
-                        word = tuple(
-                            (t[j - 1], use_eps and signs[j - 1] == 1) for j in cyc
-                        )
-                        value = value * eval_word(TraceAtom.make("shape", word), mats)
-                else:  # identity blocks of per-color sizes
-                    sizes = shape_mode[1]
-                    for cyc in cycles:
-                        size = sizes[t[cyc[0] - 1] - 1]
-                        if isinstance(size, str):
-                            frag_powers[size] = frag_powers.get(size, 0) + 1
-                        else:
-                            value = value * size
-
-                g = _brauer_table(top_table, table)
-                if scale_mode[0] == "scaled_identity":
-                    count = _cycle_count(g)
-                    dim = scale_mode[1]
-                    if isinstance(dim, str):
-                        frag_powers[dim] = frag_powers.get(dim, 0) + count
-                    else:
-                        value = value * Fraction(dim) ** count
-                else:
-                    induced = _induced_colors_table(top_table, table, pos_colors, g)
-                    g_cycles, _ = _traverse_table(g)
-                    if scale_mode[0] == "atoms":
-                        for cyc in g_cycles:
-                            word = tuple((induced[j - 1], False) for j in cyc)
-                            atom = TraceAtom.make("scale", word)
-                            frag_powers[atom] = frag_powers.get(atom, 0) + 1
-                    else:
-                        mats = scale_mode[1]
-                        for cyc in g_cycles:
-                            word = tuple((induced[j - 1], False) for j in cyc)
-                            value = value * eval_word(
-                                TraceAtom.make("scale", word), mats
-                            )
-
-                acc.add(cr, _make_monomial(frag_powers), value)
-
-    acc = _Accumulator()
-    if threads <= 1:
-        process(None, acc)
-    else:
-        from concurrent.futures import ThreadPoolExecutor
-
-        partners = [
-            p
-            for p in range(1, 2 * n)
-            if pos_colors[p] == pos_colors[0]
-        ]
-        buckets: list[list[int]] = [[] for _ in range(min(threads, len(partners)))]
-        for i, p in enumerate(partners):
-            buckets[i % len(buckets)].append(p)
-        parts = [_Accumulator() for _ in buckets]
-        with ThreadPoolExecutor(max_workers=len(buckets)) as pool:
-            list(pool.map(lambda bp: process(bp[0], bp[1]), zip(buckets, parts)))
-        for part in parts:
-            acc.merge(part)
-    return _assemble(acc, q, const)
+    tally = _tally(tuple(top_table), coloring.colors, use_eps)
+    return _substitute(tally, atom_value, q, const)
 
 
 def _scalar_const(bindings: MatrixBindings, coloring: Coloring):
@@ -380,22 +341,27 @@ def _scalar_const(bindings: MatrixBindings, coloring: Coloring):
     return const
 
 
-def _modes_from_bindings(bindings: MatrixBindings | None, coloring: Coloring):
+def _substitution(bindings: MatrixBindings | None, coloring: Coloring):
+    """Atom substitution and constant factor that realise ``bindings``.
+
+    Scalar bindings (B_j = I of size M_j, Sigma_j = c_j I_N) send a shape
+    atom, which is monochromatic, to its color's size and a scale atom to N,
+    and collect the c_j in the constant.
+    """
     if bindings is None:
-        return ("atoms",), ("atoms",), Fraction(1)
+        return (lambda atom: atom), Fraction(1)
     if bindings.num_colors < coloring.s:
         raise ValueError(f"bindings cover {bindings.num_colors} colors, spec needs {coloring.s}")
     if bindings.mode == "numeric":
-        return (
-            ("numeric", _shape_numeric_mats(bindings.shapes)),
-            ("numeric", _shape_numeric_mats(bindings.scales)),
-            Fraction(1),
-        )
+        mats = {
+            "shape": dict(enumerate(bindings.shapes, start=1)),
+            "scale": dict(enumerate(bindings.scales, start=1)),
+        }
+        return (lambda atom: evaluate_atom(atom, mats[atom.kind])), Fraction(1)
+    sizes, n_dim = bindings.shapes, bindings.n_dim
     return (
-        ("sizes", bindings.shapes),
-        ("scaled_identity", bindings.n_dim),
-        _scalar_const(bindings, coloring),
-    )
+        lambda atom: sizes[atom.word[0][0] - 1] if atom.kind == "shape" else n_dim
+    ), _scalar_const(bindings, coloring)
 
 
 # ---------------------------------------------------------------------------
@@ -408,7 +374,6 @@ def real_wishart_moment_general(
     bindings: MatrixBindings | None = None,
     *,
     allow_large: bool = False,
-    threads: int = 1,
 ):
     """Expected product of traces for independent real Wishart matrices.
 
@@ -420,18 +385,8 @@ def real_wishart_moment_general(
         raise ValueError("pairing and coloring sizes differ")
     if not _is_top_to_bottom_table(sigma.table):
         raise ValueError("sigma must be a top-to-bottom pairing")
-    shape, scale, const = _modes_from_bindings(bindings, coloring)
-    return _pairing_sum(
-        sigma.table,
-        coloring,
-        q=1,
-        shape_mode=shape,
-        scale_mode=scale,
-        use_eps=True,
-        const=const,
-        allow_large=allow_large,
-        threads=threads,
-    )
+    atom_value, const = _substitution(bindings, coloring)
+    return _moment(sigma.table, coloring, True, atom_value, 1, const, allow_large)
 
 
 def real_wishart_moment(
@@ -439,10 +394,9 @@ def real_wishart_moment(
     bindings: MatrixBindings | None = None,
     *,
     allow_large: bool = False,
-    threads: int = 1,
 ):
     return real_wishart_moment_general(
-        spec.pairing(), spec.coloring(), bindings, allow_large=allow_large, threads=threads
+        spec.pairing(), spec.coloring(), bindings, allow_large=allow_large
     )
 
 
@@ -452,7 +406,6 @@ def q_wishart_moment(
     q="q",
     *,
     allow_large: bool = False,
-    threads: int = 1,
 ):
     """Tracial moment for q-orthogonal q-Wishart matrices, weight q^crossings.
 
@@ -465,18 +418,8 @@ def q_wishart_moment(
             if not _is_symmetric(rows):
                 raise ValueError(f"B for color {j + 1} must be symmetric")
     coloring = spec.coloring()
-    shape, scale, const = _modes_from_bindings(bindings, coloring)
-    return _pairing_sum(
-        spec.pairing().table,
-        coloring,
-        q=q,
-        shape_mode=shape,
-        scale_mode=scale,
-        use_eps=False,
-        const=const,
-        allow_large=allow_large,
-        threads=threads,
-    )
+    atom_value, const = _substitution(bindings, coloring)
+    return _moment(spec.pairing().table, coloring, False, atom_value, q, const, allow_large)
 
 
 def identity_shape_moment(
@@ -495,21 +438,20 @@ def identity_shape_moment(
     coloring = spec.coloring()
     if len(shape_sizes) < coloring.s:
         raise ValueError("need one shape size per color")
-    if sigmas is None:
-        scale_mode: tuple = ("atoms",)
-    else:
+    scales = None
+    if sigmas is not None:
         rows = [_to_rows(m) for m in sigmas]
         if len({len(r) for r in rows}) > 1:
             raise ValueError("all Sigma must share one dimension")
-        scale_mode = ("numeric", _shape_numeric_mats(tuple(rows)))
-    return _pairing_sum(
-        spec.pairing().table,
-        coloring,
-        q=1,
-        shape_mode=("sizes", tuple(shape_sizes)),
-        scale_mode=scale_mode,
-        use_eps=True,
-        allow_large=allow_large,
+        scales = dict(enumerate(rows, start=1))
+
+    def atom_value(atom: TraceAtom):
+        if atom.kind == "shape":
+            return shape_sizes[atom.word[0][0] - 1]
+        return atom if scales is None else evaluate_atom(atom, scales)
+
+    return _moment(
+        spec.pairing().table, coloring, True, atom_value, 1, Fraction(1), allow_large
     )
 
 

@@ -15,7 +15,6 @@ from typing import Sequence
 
 import numpy as np
 
-from ._jacobi import jacobi_eigh
 from .moments import MatrixBindings, MonomialSpec, real_wishart_moment
 
 _GAMMA = np.uint64(0x9E3779B97F4A7C15)
@@ -49,18 +48,17 @@ def _normals_at(seed: int, pair_idx: np.ndarray) -> np.ndarray:
 
 
 def symmetric_root(sigma) -> np.ndarray:
-    """Symmetric A with A @ A = Sigma, via cyclic Jacobi eigendecomposition."""
+    """Symmetric A with A @ A = Sigma, via a symmetric eigendecomposition."""
     mat = np.asarray(sigma, dtype=float)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise ValueError("Sigma must be square")
     scale = np.max(np.abs(mat)) or 1.0
     if np.max(np.abs(mat - mat.T)) > 1e-12 * scale:
         raise ValueError("Sigma must be symmetric")
-    eigs, vecs = jacobi_eigh(mat.tolist())
-    if min(eigs) <= 0:
+    eigs, vecs = np.linalg.eigh(mat)
+    if eigs[0] <= 0:
         raise ValueError("Sigma must be positive definite")
-    v = np.array(vecs)
-    root = (v * np.sqrt(np.array(eigs))) @ v.T
+    root = (vecs * np.sqrt(eigs)) @ vecs.T
     root = (root + root.T) / 2.0
     if np.max(np.abs(root @ root - mat)) > 1e-10 * scale:
         raise RuntimeError("symmetric root did not reach the required accuracy")

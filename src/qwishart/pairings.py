@@ -343,34 +343,19 @@ def _induced_colors_table(
 
 
 def _iter_tables(
-    n: int,
-    pos_colors: Sequence[int] | None = None,
-    first_partner: int | None = None,
+    n: int, pos_colors: Sequence[int] | None = None
 ) -> Iterator[tuple[list[int], int]]:
     """Backtracking enumeration of match tables with incremental crossings.
 
     Matches the smallest unmatched position with each larger free position in
     ascending order, pruning color-mismatched edges as they are formed; the
-    yielded list is reused in place, so copy it before storing.  Fixing
-    ``first_partner`` restricts to tables pairing position 0 there, which
-    splits the stream into disjoint, independently enumerable parts.
+    yielded list is reused in place, so copy it before storing.
     """
     size = 2 * n
     table = [-1] * size
     stack: list[tuple[int, int, int]] = []
     cr = 0
     p, q = 0, 1
-    if first_partner is not None:
-        if pos_colors is not None and pos_colors[first_partner] != pos_colors[0]:
-            return
-        table[0] = first_partner
-        table[first_partner] = 0
-        stack.append((0, first_partner, 0))
-        p = 1 if first_partner != 1 else 2
-        q = p + 1
-        if p >= size:  # the seeded edge already completes the table
-            yield table, 0
-            return
     while True:
         placed = False
         while q < size:
@@ -399,7 +384,7 @@ def _iter_tables(
             q += 1
         if placed:
             continue
-        if len(stack) == (0 if first_partner is None else 1):
+        if not stack:
             return
         p, q, delta = stack.pop()
         table[p] = table[q] = -1

@@ -1,7 +1,13 @@
 import io
 import json
+import re
+import shlex
+import tracemalloc
+from pathlib import Path
 
 import pytest
+
+from qwishart import pairings
 
 from qwishart.cli import run
 from qwishart.polynomials import poly_from_json
@@ -35,6 +41,40 @@ class TestEnumerate:
     def test_bound(self):
         code, _ = capture(["enumerate", "--n", "10"])
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "n, coloring", [(0, None), (1, None), (4, None), (5, "1,2,1,3,2"), (6, "1,1,2,2,1,1")]
+    )
+    def test_stream_matches_whole_document(self, n, coloring):
+        # the streamed text equals the document serialised in one piece, with
+        # the closed-form count equal to the number of pairings listed
+        argv = ["enumerate", "--n", str(n)]
+        if coloring is None:
+            stream = pairings.all_pairings(n)
+            colors = None
+        else:
+            argv += ["--coloring", coloring]
+            colors = [int(c) for c in coloring.split(",")]
+            stream = pairings.color_preserving_pairings(pairings.Coloring.from_colors(colors))
+        items = [[list(pair) for pair in pp.pairs()] for pp in stream]
+        payload = {"n": n, "coloring": colors, "count": len(items), "pairings": items}
+        expected = json.dumps(payload, separators=(",", ":")) + "\n"
+        assert capture(argv) == (0, expected)
+
+    def test_streams_in_bounded_memory(self):
+        # 10,395 pairings at n = 7; holding them as lists took about 7 MB
+        class Discard(io.TextIOBase):
+            def write(self, text):
+                return len(text)
+
+        tracemalloc.start()
+        try:
+            code = run(["enumerate", "--n", "7", "--coloring", "1,1,1,1,1,1,2"], out=Discard())
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert peak < 1_000_000
 
 
 class TestMoment:
@@ -84,22 +124,6 @@ class TestMoment:
         lines = text.strip().splitlines()
         assert lines[0] == "coeff,atoms"
         assert "tr(B1) tr(B2) tr(S1 S2)" in lines[1]
-
-    def test_threads_flag(self):
-        serial = capture_json(
-            ["moment", "--spec", '{"cycle_words":[[1,2],[1,2]]}', "--symbolic"]
-        )
-        threaded = capture_json(
-            [
-                "moment",
-                "--spec",
-                '{"cycle_words":[[1,2],[1,2]]}',
-                "--symbolic",
-                "--threads",
-                "3",
-            ]
-        )
-        assert serial["result"] == threaded["result"]
 
 
 class TestQMoment:
@@ -258,3 +282,23 @@ class TestErrorsAndFiles:
     def test_missing_at_file(self, capsys):
         code, _ = capture(["moment", "--spec", "@/nonexistent.json", "--symbolic"])
         assert code == 2
+
+
+def _readme_commands():
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = text.split("## Command line", 1)[1]
+    block = re.search(r"```sh\n(.*?)```", section, re.S).group(1)
+    commands = []
+    for paragraph in block.split("\n\n"):
+        lines = [line for line in paragraph.splitlines() if not line.startswith("#")]
+        if lines:
+            commands.append(shlex.split("\n".join(lines).replace("\\\n", " ")))
+    return commands
+
+
+class TestReadme:
+    @pytest.mark.parametrize("argv", _readme_commands(), ids=lambda argv: argv[1])
+    def test_command_line_examples_run(self, argv):
+        assert argv[0] == "qwishart"
+        code, text = capture(argv[1:])
+        assert code == 0, text

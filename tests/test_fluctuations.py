@@ -132,7 +132,7 @@ _DEGREE_EIGHT_SPECS = sorted(
 def _filter_limit(spec):
     # the enumerate-and-filter tally, the reference for block-pair
     # composition; called as the finite path calls it, so both share a cache
-    return fluctuations._centered_counts(spec, allow_large=False)[1]
+    return fluctuations._centered_counts(spec)[1]
 
 
 class TestBlockPairComposition:
@@ -340,3 +340,21 @@ class TestConditionalVariance:
         stat = PolynomialStatistic.from_terms([(1, (1, 2))])
         with pytest.raises(ValueError):
             conditional_variance_check(stat, 4)
+
+
+class TestCenteredCountsCache:
+    def test_one_entry_per_spec(self):
+        # the bound is checked before the cached tally, so every call form of
+        # the finite path shares one entry per spec
+        spec = MonomialSpec(((1, 2), (2, 1)))
+        fluctuations._centered_counts.cache_clear()
+        fluctuations._centered_counts(spec)
+        centered_trace_moment(spec)
+        centered_finite_and_limit(spec)
+        assert fluctuations._centered_counts.cache_info().currsize == 1
+
+    def test_bound_still_checked(self):
+        with pytest.raises(ValueError):
+            centered_trace_moment(MonomialSpec(((1,) * 5, (1,) * 5)))
+        with pytest.raises(ValueError):
+            centered_finite_and_limit(MonomialSpec(((1,) * 5, (1,) * 5)))

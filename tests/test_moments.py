@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qwishart import moments
 from qwishart.moments import (
     MatrixBindings,
     MonomialSpec,
@@ -15,8 +16,9 @@ from qwishart.moments import (
     single_wishart_moment,
     white_wishart_power_moment,
 )
-from qwishart.pairings import Coloring, IntegerPartition, from_permutation
+from qwishart.pairings import Coloring, IntegerPartition, _iter_tables, from_permutation
 from qwishart.polynomials import MomentPolynomial, TraceAtom
+from test_pairings import partitions_of
 
 P = MomentPolynomial
 q = P.symbol("q")
@@ -97,6 +99,27 @@ class TestSquaredTraceTable:
         m1, m2 = P.symbol("M1"), P.symbol("M2")
         variance = second - mean * mean
         assert variance == 2 * m1 * m2 * N**2 + 2 * m1 * m2 * (m1 + m2 + 1) * N
+
+
+class TestTally:
+    @pytest.mark.parametrize(
+        "words",
+        [((1, 2), (1, 2)), ((1, 1, 2), (2, 1)), ((1, 2, 3), (3,), (1, 2)), ((1,) * 3, (1, 1))],
+    )
+    @pytest.mark.parametrize("use_eps", [True, False])
+    def test_matches_per_table_terms(self, words, use_eps):
+        # the interned tally against pairing_term applied table by table
+        spec = MonomialSpec(words)
+        top, colors = spec.pairing().table, spec.coloring().colors
+        pos_colors = spec.coloring().position_colors()
+        expected: dict = {}
+        for table, cr in _iter_tables(spec.n, pos_colors):
+            key = (cr, moments.pairing_term(top, colors, table, use_eps))
+            expected[key] = expected.get(key, 0) + 1
+        assert dict(moments._tally(top, colors, use_eps)) == expected
+
+    def test_cache_is_bounded(self):
+        assert moments._tally.cache_info().maxsize is not None
 
 
 class TestGeneralSigma:
@@ -206,7 +229,11 @@ class TestPowerTraceMoments:
         assert white_wishart_power_moment((1, 1)) == M**2 * N**2 + 2 * M * N
 
     def test_matches_identity_shape_route(self):
-        for parts in ((2,), (1, 1), (2, 1), (3,), (2, 2)):
+        # every cycle type of degree <= 6: the union-find count checks the
+        # scalar substitution of the pairing tally
+        types = [p for n in range(1, 7) for p in partitions_of(n)]
+        assert len(types) == 29
+        for parts in types:
             power = white_wishart_power_moment(IntegerPartition(parts))
             spec = MonomialSpec(tuple((1,) * k for k in parts))
             other = q_wishart_moment(spec, MatrixBindings.scalar(["M"]), q=1)
@@ -337,17 +364,6 @@ class TestInvariances:
         reversed_ = [w[::-1] if i == k else w for i, w in enumerate(words)]
         for variant in (permuted, rotated, reversed_):
             assert real_wishart_moment(MonomialSpec.from_words(variant), bindings) == base
-
-    def test_threads_match_serial(self):
-        spec = MonomialSpec(((1, 2), (1, 2)))
-        serial = real_wishart_moment(spec)
-        threaded = real_wishart_moment(spec, threads=3)
-        assert serial == threaded
-
-    def test_threads_degenerate_size(self):
-        # a fixed first edge already completes the n=1 table
-        spec = MonomialSpec(((1,),))
-        assert real_wishart_moment(spec, threads=2) == real_wishart_moment(spec)
 
 
 class TestValidation:
