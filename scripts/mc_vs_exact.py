@@ -2,10 +2,12 @@
 """Monte Carlo validation battery: sampled trace moments against exact values.
 
 Runs a fixed set of seeded configurations and prints mean, exact value and
-the z score of each comparison; every |z| should stay below 4.
+the z score of each comparison; every |z| should stay below 4, and the
+script exits with status 1 when one does not.
 """
 
 import argparse
+import sys
 
 import numpy as np
 
@@ -29,11 +31,14 @@ CASES = [
 ]
 
 
-def main() -> None:
+Z_LIMIT = 4.0
+
+
+def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--samples", type=int, default=100_000)
     parser.add_argument("--seed", type=int, default=20240809)
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
     print(f"{'case':>20} {'mean':>14} {'exact':>12} {'stderr':>10} {'z':>6}")
     worst = 0.0
     for name, spec, colors in CASES:
@@ -45,7 +50,8 @@ def main() -> None:
             f" {report.stderr:>10.4f} {report.z:>6.2f}"
         )
     print(f"worst |z| = {worst:.2f}")
+    return 1 if worst >= Z_LIMIT else 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -7,6 +7,8 @@ about the Marchenko-Pastur law, and cross-validates everything against a
 direct Wick-expansion oracle and a seeded Monte Carlo sampler.
 """
 
+from importlib import import_module as _import_module
+
 from .pairings import (
     Coloring,
     GenusDecomposition,
@@ -57,10 +59,29 @@ from .mp import (
     mp_moment_check,
     nc_partitions,
 )
-from .montecarlo import (
-    EstimateReport,
-    SamplerConfig,
-    estimate_monomial,
-    sample_family,
-    symmetric_root,
+
+# The Monte Carlo sampler is the only part of the package that needs numpy
+# at import time, so it loads on first access (PEP 562): exact-only work
+# never imports numpy.
+_MONTECARLO_NAMES = (
+    "EstimateReport",
+    "SamplerConfig",
+    "estimate_monomial",
+    "sample_family",
+    "symmetric_root",
 )
+
+__all__ = [name for name in globals() if not name.startswith("_")]
+__all__ += ["montecarlo", *_MONTECARLO_NAMES]
+
+
+def __getattr__(name: str):
+    if name == "montecarlo" or name in _MONTECARLO_NAMES:
+        # importlib, not ``from . import``: the latter probes this hook again
+        montecarlo = _import_module(".montecarlo", __name__)
+        return montecarlo if name == "montecarlo" else getattr(montecarlo, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

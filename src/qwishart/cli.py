@@ -13,7 +13,7 @@ import sys
 from collections import Counter
 from fractions import Fraction
 
-from . import fluctuations, moments, montecarlo, mp, pairings
+from . import fluctuations, moments, mp, pairings
 from .polynomials import (
     MomentPolynomial,
     poly_from_json,
@@ -208,6 +208,10 @@ def _emit_json(out, payload) -> None:
 
 def _cmd_enumerate(args, out) -> int:
     """Stream the JSON; the count is the closed form prod_c (2k_c - 1)!!."""
+    try:
+        pairings._check_bound(args.n, args.allow_large_n)
+    except ValueError as exc:
+        raise CliInputError("--n", str(exc)) from exc
     if args.coloring is not None:
         coloring = _parse_coloring("--coloring", args.coloring)
         if coloring.n != args.n:
@@ -219,10 +223,6 @@ def _cmd_enumerate(args, out) -> int:
         stream = pairings.all_pairings(args.n, allow_large=args.allow_large_n)
         colors = None
         sizes = [args.n]
-    try:
-        pairings._check_bound(args.n, args.allow_large_n)
-    except ValueError as exc:
-        raise CliInputError("--n", str(exc)) from exc
     count = math.prod(moments._double_factorial(2 * k - 1) for k in sizes) if args.n > 0 else 0
     compact = {"separators": (",", ":")}
     out.write(f'{{"n":{args.n},"coloring":{json.dumps(colors, **compact)},')
@@ -391,6 +391,8 @@ def _cmd_mp_check(args, out) -> int:
 
 
 def _cmd_mc_validate(args, out) -> int:
+    from . import montecarlo  # loads numpy, which no other command needs
+
     if args.config is not None:
         data = _parse_json("--config", args.config)
         seed = data.get("seed", args.seed)

@@ -115,6 +115,10 @@ def _to_rows(matrix) -> tuple[tuple, ...]:
     return rows
 
 
+def _is_finite(rows) -> bool:
+    return not any(isinstance(x, float) and not math.isfinite(x) for row in rows for x in row)
+
+
 def _is_symmetric(rows, rel_tol=1e-12) -> bool:
     n = len(rows)
     if any(len(r) != n for r in rows):
@@ -137,8 +141,7 @@ def _is_positive_definite(rows) -> bool:
     so rational input gets an exact decision.
     """
     if any(isinstance(x, float) for row in rows for x in row):
-        # a local import lets numpy load after the other package modules;
-        # loading it first raises the peak RSS of a run by about 1 MB
+        # imported here so that exact-only work never loads numpy
         import numpy as np
 
         return np.linalg.eigvalsh(np.array(rows, dtype=float))[0] > 0
@@ -179,6 +182,10 @@ class MatrixBindings:
             s_rows = _to_rows(sigma)
             if len(b_rows) != len(b_rows[0]):
                 raise ValueError("B must be square")
+            if not _is_finite(b_rows):
+                raise ValueError("B must be finite")
+            if not _is_finite(s_rows):
+                raise ValueError("Sigma must be finite")
             if not _is_symmetric(s_rows):
                 raise ValueError("Sigma must be symmetric")
             if not _is_positive_definite(s_rows):

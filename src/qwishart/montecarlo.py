@@ -52,6 +52,8 @@ def symmetric_root(sigma) -> np.ndarray:
     mat = np.asarray(sigma, dtype=float)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise ValueError("Sigma must be square")
+    if not np.isfinite(mat).all():
+        raise ValueError("Sigma must be finite")
     scale = np.max(np.abs(mat)) or 1.0
     if np.max(np.abs(mat - mat.T)) > 1e-12 * scale:
         raise ValueError("Sigma must be symmetric")
@@ -87,6 +89,8 @@ class SamplerConfig:
             s_arr = np.asarray(sigma, dtype=float)
             if b_arr.ndim != 2 or b_arr.shape[0] != b_arr.shape[1]:
                 raise ValueError("B must be square")
+            if not np.isfinite(b_arr).all():
+                raise ValueError("B must be finite")
             roots.append(symmetric_root(s_arr))
             scale_dims.add(s_arr.shape[0])
             normalized.append((b_arr, s_arr))

@@ -393,6 +393,8 @@ def _iter_tables(
 
 
 def _check_bound(n: int, allow_large: bool) -> None:
+    if n < 0:
+        raise ValueError(f"n={n} must be nonnegative")
     if n > ENUMERATION_BOUND and not allow_large:
         raise ValueError(
             f"n={n} exceeds the enumeration bound {ENUMERATION_BOUND}; "

@@ -42,6 +42,12 @@ class TestEnumerate:
         code, _ = capture(["enumerate", "--n", "10"])
         assert code == 2
 
+    @pytest.mark.parametrize("extra", [[], ["--coloring", "1"]])
+    def test_negative_n_names_flag(self, capsys, extra):
+        code, text = capture(["enumerate", "--n", "-1", *extra])
+        assert (code, text) == (2, "")
+        assert "--n" in capsys.readouterr().err
+
     @pytest.mark.parametrize(
         "n, coloring", [(0, None), (1, None), (4, None), (5, "1,2,1,3,2"), (6, "1,1,2,2,1,1")]
     )
@@ -259,6 +265,19 @@ class TestMcValidate:
         )
         data = capture_json(["mc-validate", "--config", config])
         assert data["samples"] == 500
+
+    @pytest.mark.parametrize(
+        "matrices",
+        [
+            '[{"B":[[NaN]],"Sigma":[[1.0]]}]',
+            '[{"B":[[1.0]],"Sigma":[[Infinity]]}]',
+        ],
+    )
+    def test_non_finite_matrices_name_flag(self, capsys, matrices):
+        argv = ["mc-validate", "--spec", '{"cycle_words":[[1]]}', "--matrices", matrices]
+        code, text = capture(argv)
+        assert (code, text) == (2, "")
+        assert "--matrices" in capsys.readouterr().err
 
 
 class TestTable:

@@ -385,6 +385,13 @@ class TestValidation:
         with pytest.raises(ValueError):
             MatrixBindings.numeric([(I2, [[1, 1], [1, 1]])])
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_rejects_non_finite_entries(self, bad):
+        with pytest.raises(ValueError, match="B must be finite"):
+            MatrixBindings.numeric([([[1.0, bad], [0.0, 1.0]], I2)])
+        with pytest.raises(ValueError, match="Sigma must be finite"):
+            MatrixBindings.numeric([(I2, [[bad, 0.0], [0.0, 1.0]])])
+
     def test_rejects_mismatched_scale_dims(self):
         with pytest.raises(ValueError):
             MatrixBindings.numeric([(I2, I2), (I2, I3)])

@@ -33,6 +33,11 @@ class TestSymmetricRoot:
         with pytest.raises(ValueError):
             symmetric_root([[1.0, 2.0], [2.0, 1.0]])
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_rejects_non_finite(self, bad):
+        with pytest.raises(ValueError, match="Sigma must be finite"):
+            symmetric_root([[bad, 0.0], [0.0, 1.0]])
+
 
 class TestGaussianStream:
     def test_moments(self):
@@ -124,6 +129,13 @@ class TestEstimates:
         b = estimate_monomial(spec, split)
         assert a.mean == pytest.approx(b.mean, rel=1e-12)
         assert a.stderr == b.stderr
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("-inf")])
+    def test_rejects_non_finite_shape(self, bad):
+        b = np.eye(3)
+        b[1, 2] = bad
+        with pytest.raises(ValueError, match="B must be finite"):
+            SamplerConfig(seed=1, samples=10, colors=((b, np.eye(4)),))
 
     def test_spec_color_bound(self):
         c = _config(s=1)

@@ -237,6 +237,11 @@ class TestEnumeration:
         with pytest.raises(ValueError):
             next(all_pairings(10))
 
+    def test_negative_n_rejected(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            next(all_pairings(-1))
+        assert list(all_pairings(0)) == []
+
     def test_color_preserving_counts(self):
         assert sum(1 for _ in color_preserving_pairings(Coloring.from_colors([1, 2]))) == 1
         assert sum(1 for _ in color_preserving_pairings(TABLE1_COLORING)) == 9
