@@ -198,8 +198,8 @@ def _emit_csv(out, header, rows) -> None:
 
 
 def _emit_json(out, payload) -> None:
-    json.dump(payload, out, separators=(",", ":"))
-    out.write("\n")
+    """Strict JSON: a NaN or infinity raises before anything is written."""
+    out.write(json.dumps(payload, separators=(",", ":"), allow_nan=False) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -256,12 +256,8 @@ def _moment_common(args, q, out) -> int:
             raise CliInputError("--coloring", "--sigma requires --coloring")
         sigma = _parse_pairing("--sigma", args.sigma)
         coloring = _parse_coloring("--coloring", args.coloring)
-        try:
-            result = moments.real_wishart_moment_general(
-                sigma, coloring, bindings, allow_large=args.allow_large_n
-            )
-        except ValueError as exc:
-            raise CliInputError("--sigma", str(exc)) from exc
+        field = "--sigma"
+        fn, fn_args = moments.real_wishart_moment_general, (sigma, coloring, bindings)
         echo = {
             "sigma": [list(p) for p in sigma.pairs()],
             "coloring": list(coloring.colors),
@@ -270,18 +266,20 @@ def _moment_common(args, q, out) -> int:
         if args.spec is None:
             raise CliInputError("--spec", "a spec is required")
         spec = _parse_spec("--spec", args.spec)
-        try:
-            if q is None:
-                result = moments.real_wishart_moment(
-                    spec, bindings, allow_large=args.allow_large_n
-                )
-            else:
-                result = moments.q_wishart_moment(
-                    spec, bindings, q, allow_large=args.allow_large_n
-                )
-        except ValueError as exc:
-            raise CliInputError("--spec", str(exc)) from exc
+        field = "--spec"
+        if q is None:
+            fn, fn_args = moments.real_wishart_moment, (spec, bindings)
+        else:
+            fn, fn_args = moments.q_wishart_moment, (spec, bindings, q)
         echo = {"spec": {"cycle_words": [list(w) for w in spec.cycle_words]}}
+    try:
+        result = fn(*fn_args, allow_large=args.allow_large_n)
+    except ValueError as exc:
+        raise CliInputError(field, str(exc)) from exc
+    except OverflowError as exc:
+        raise CliInputError("--matrices", f"float overflow: {exc}") from exc
+    if isinstance(result, float) and not math.isfinite(result):
+        raise CliInputError("--matrices", "the result is not finite (float overflow)")
 
     if args.format == "csv":
         if not isinstance(result, MomentPolynomial):
@@ -357,22 +355,22 @@ def _cmd_t5_check(args, out) -> int:
 def _cmd_mp_check(args, out) -> int:
     if args.input is not None:
         data = _parse_json("--input", args.input)
-        eigenvalues = data.get("eigenvalues")
-        scale_dim = data.get("N")
-        n_max = data.get("n_max")
+        if not isinstance(data, dict):
+            raise CliInputError("--input", "expected a JSON object")
+        eig_field = n_field = n_max_field = "--input"
+        eigenvalues, scale_dim, n_max = data.get("eigenvalues"), data.get("N"), data.get("n_max")
     else:
         if args.eigenvalues is None or args.N is None or args.n_max is None:
             raise CliInputError(
                 "--eigenvalues", "need --eigenvalues, --N and --n-max (or --input)"
             )
+        eig_field, n_field, n_max_field = "--eigenvalues", "--N", "--n-max"
         eigenvalues = _parse_json("--eigenvalues", args.eigenvalues)
-        scale_dim = args.N
-        n_max = args.n_max
-    try:
-        eigs = [Fraction(x) for x in eigenvalues]
-        report = mp.mp_moment_check(eigs, int(scale_dim), int(n_max))
-    except (TypeError, ValueError, ZeroDivisionError) as exc:
-        raise CliInputError("--eigenvalues", str(exc)) from exc
+        scale_dim, n_max = args.N, args.n_max
+    _checked(n_max_field, mp._check_n_max, n_max)
+    _checked(n_field, mp._check_scale_dim, scale_dim)
+    eigs = _checked(eig_field, _eigenvalues, eig_field, eigenvalues)
+    report = mp.mp_moment_check(eigs, scale_dim, n_max)
     payload = {
         "lambda": rational_to_str(report.aspect_ratio),
         "rows": [
@@ -390,26 +388,57 @@ def _cmd_mp_check(args, out) -> int:
     return 0
 
 
+def _checked(field: str, check, *args):
+    """``check(*args)``, with its input errors reported against ``field``."""
+    try:
+        return check(*args)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise CliInputError(field, str(exc)) from exc
+
+
+def _eigenvalues(field: str, values) -> list[Fraction]:
+    if not isinstance(values, list):
+        raise ValueError("eigenvalues must be a JSON list")
+    return mp._check_eigenvalues([Fraction(_entry_from_json(field, x)) for x in values])
+
+
+def _config_int(data: dict, key: str, default: int) -> int:
+    value = data.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise CliInputError("--config", f"{key} must be a JSON integer, got {value!r}")
+    return value
+
+
 def _cmd_mc_validate(args, out) -> int:
     from . import montecarlo  # loads numpy, which no other command needs
 
     if args.config is not None:
         data = _parse_json("--config", args.config)
-        seed = data.get("seed", args.seed)
-        samples = data.get("samples", args.samples)
-        matrices = json.dumps(data.get("matrices"))
-        spec_text = json.dumps(data.get("spec"))
+        if not isinstance(data, dict):
+            raise CliInputError("--config", "expected a JSON object")
+        for key in ("spec", "matrices"):
+            if key not in data:
+                raise CliInputError("--config", f"missing {key!r}")
+        seed = _config_int(data, "seed", args.seed)
+        samples = _config_int(data, "samples", args.samples)
+        spec_field = matrices_field = samples_field = "--config"
+        spec_text, matrices = json.dumps(data["spec"]), json.dumps(data["matrices"])
     else:
         if args.spec is None or args.matrices is None:
             raise CliInputError("--spec", "need --spec and --matrices (or --config)")
         seed, samples = args.seed, args.samples
+        spec_field, matrices_field, samples_field = "--spec", "--matrices", "--samples"
         matrices, spec_text = args.matrices, args.spec
-    spec = _parse_spec("--spec", spec_text)
-    bindings = _parse_matrices("--matrices", matrices)
+    if samples < 2:
+        raise CliInputError(samples_field, "need at least 2 samples for a standard error")
+    if not 1 <= args.partitions <= samples:
+        raise CliInputError("--partitions", f"partitions must lie in 1..{samples}, the sample count")
+    spec = _parse_spec(spec_field, spec_text)
+    bindings = _parse_matrices(matrices_field, matrices)
     try:
         config = montecarlo.SamplerConfig(
-            seed=int(seed),
-            samples=int(samples),
+            seed=seed,
+            samples=samples,
             colors=tuple(
                 (
                     [[float(x) for x in row] for row in b],
@@ -421,11 +450,16 @@ def _cmd_mc_validate(args, out) -> int:
         )
         report = montecarlo.estimate_monomial(spec, config)
     except (TypeError, ValueError) as exc:
-        raise CliInputError("--matrices", str(exc)) from exc
+        raise CliInputError(matrices_field, str(exc)) from exc
+    except OverflowError as exc:
+        raise CliInputError(matrices_field, f"float overflow: {exc}") from exc
+    values = (report.mean, report.stderr, report.exact, report.z)
+    if not all(math.isfinite(x) for x in values):
+        raise CliInputError(matrices_field, "the estimate is not finite (float overflow)")
     payload = {
         "spec": {"cycle_words": [list(w) for w in spec.cycle_words]},
-        "seed": int(seed),
-        "samples": int(samples),
+        "seed": seed,
+        "samples": samples,
         "mean": report.mean,
         "stderr": report.stderr,
         "exact": report.exact,

@@ -40,7 +40,7 @@ from .pairings import (
     _iter_tables,
     block_pairing,
 )
-from .polynomials import MomentPolynomial, Rational
+from .polynomials import MomentPolynomial, Monomial, Rational, _make_monomial
 
 # Entries kept by each memo cache below.  The caches are keyed by spec, word
 # pair or word tuple, so this bounds a long-lived process that walks through
@@ -280,28 +280,40 @@ def centered_finite_and_limit(
     )
 
 
+def _collect(terms, q) -> MomentPolynomial:
+    """Sum of coeff * monomial over ``(coeff, powers)`` pairs into one polynomial.
+
+    A rational ``q`` is substituted term by term.
+    """
+    out: dict[Monomial, Fraction] = {}
+    for coeff, powers in terms:
+        if not isinstance(q, str):
+            coeff = coeff * Fraction(q) ** powers.pop("q", 0)
+        mono = _make_monomial(powers)
+        out[mono] = out.get(mono, 0) + coeff
+    return MomentPolynomial(out)
+
+
 def _assemble_finite(counts, n, q, shape_size, scale_dim):
-    poly = MomentPolynomial.zero()
-    for (cr, c_gamma, c_g), count in sorted(counts.items()):
-        term = MomentPolynomial.monomial(count, {"q": cr})
-        for base, power in ((shape_size, c_gamma), (scale_dim, c_g - n)):
-            if isinstance(base, str):
-                term = term * MomentPolynomial.symbol(base, power)
-            else:
-                term = term * Fraction(base) ** power
-        poly = poly + term
-    if not isinstance(q, str):
-        poly = poly.substitute({"q": Fraction(q)})
-    return poly
+    def terms():
+        for (cr, c_gamma, c_g), count in counts.items():
+            coeff = Fraction(count)
+            powers = {"q": cr}
+            for base, power in ((shape_size, c_gamma), (scale_dim, c_g - n)):
+                if isinstance(base, str):
+                    powers[base] = powers.get(base, 0) + power
+                else:
+                    coeff *= Fraction(base) ** power
+            yield coeff, powers
+
+    return _collect(terms(), q)
 
 
 def _assemble_limit(counts, q):
-    poly = MomentPolynomial.zero()
-    for (cr, c_gamma), count in sorted(counts.items()):
-        poly = poly + MomentPolynomial.monomial(count, {"q": cr, "lambda": c_gamma})
-    if not isinstance(q, str):
-        poly = poly.substitute({"q": Fraction(q)})
-    return poly
+    terms = (
+        (Fraction(count), {"q": cr, "lambda": c_gamma}) for (cr, c_gamma), count in counts.items()
+    )
+    return _collect(terms, q)
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
@@ -313,14 +325,16 @@ def _product_limit(statistics: Sequence[PolynomialStatistic], q) -> MomentPolyno
     """Limit of the tracial moment of an ordered product of centered statistics."""
     if not statistics:
         return MomentPolynomial.constant(1)
-    total = MomentPolynomial.zero()
-    for combo in iter_product(*[st.terms for st in statistics]):
-        coeff = MomentPolynomial.constant(1)
-        for c, _ in combo:
-            coeff = coeff * c
-        words = tuple(word for _, word in combo)
-        total = total + coeff * _limit_value(words, q)
-    return total
+
+    def products():
+        for combo in iter_product(*[st.terms for st in statistics]):
+            coeff = MomentPolynomial.constant(1)
+            for c, _ in combo:
+                coeff = coeff * c
+            words = tuple(word for _, word in combo)
+            yield coeff * _limit_value(words, q)
+
+    return MomentPolynomial.sum(products())
 
 
 def _check_statistic_bound(factors: int, statistic: PolynomialStatistic) -> None:

@@ -47,11 +47,11 @@ from .pairings import (
     cycle_type_pairing,
 )
 from .polynomials import (
-    Key,
     MomentPolynomial,
     Monomial,
     Rational,
     TraceAtom,
+    _key_order,
     _make_monomial,
     evaluate_atom,
 )
@@ -258,15 +258,21 @@ def pairing_term(
     return _make_monomial(Counter(TraceAtom.make(kind, word) for kind, word in words))
 
 
+# One tally cell: (crossings, ascending (atom index, exponent) pairs) and its count.
+Cell = tuple[tuple[int, tuple[tuple[int, int], ...]], int]
+
+
 @lru_cache(maxsize=_TALLY_CACHE_SIZE)
 def _tally(
     top_table: tuple[int, ...], colors: tuple[int, ...], use_eps: bool
-) -> tuple[tuple[tuple[int, Monomial], int], ...]:
+) -> tuple[tuple[TraceAtom, ...], tuple[Cell, ...]]:
     """Counts of ``(crossings, pairing_term)`` over the color-preserving pairings.
 
-    Callers check the enumeration bound first.  Each table is keyed by
-    integer ids of its raw words, so every distinct word is canonicalised
-    once per tally rather than once per table.
+    Returns the distinct atoms, sorted in monomial key order, and the cells,
+    which name each monomial by ascending atom indices, so a cell expands to
+    its monomial without sorting.  Callers check the enumeration bound first.
+    Each table is keyed by integer ids of its raw words, so every distinct
+    word is canonicalised once per tally rather than once per table.
     """
     pos_colors = Coloring.from_colors(colors).position_colors()
     ids: dict[tuple, int] = {}
@@ -275,47 +281,76 @@ def _tally(
         words = _pairing_words(top_table, colors, pos_colors, table, use_eps)
         key = (cr, tuple(sorted(ids.setdefault(w, len(ids)) for w in words)))
         counts[key] = counts.get(key, 0) + 1
-    atoms = [TraceAtom.make(kind, word) for kind, word in ids]
-    tally: dict[tuple[int, Monomial], int] = {}
+    made = [TraceAtom.make(kind, word) for kind, word in ids]
+    atoms = sorted(set(made), key=_key_order)
+    index = {atom: i for i, atom in enumerate(atoms)}
+    atom_of_word = [index[atom] for atom in made]
+    cells: dict[tuple[int, tuple[tuple[int, int], ...]], int] = {}
     for (cr, word_ids), count in counts.items():
-        key = (cr, _make_monomial(Counter(atoms[i] for i in word_ids)))
-        tally[key] = tally.get(key, 0) + count
-    return tuple(tally.items())
+        exps: dict[int, int] = {}
+        for i in sorted(atom_of_word[w] for w in word_ids):
+            exps[i] = exps.get(i, 0) + 1
+        key = (cr, tuple(exps.items()))
+        cells[key] = cells.get(key, 0) + count
+    return tuple(atoms), tuple(cells.items())
 
 
-def _substitute(tally, atom_value: Callable[[TraceAtom], object], q, const):
+def _substitute(
+    atoms: Sequence[TraceAtom],
+    cells: Sequence[Cell],
+    atom_value: Callable[[TraceAtom], object],
+    q,
+    const,
+):
     """Sum a tally after substituting every atom and q; exact or float.
 
     ``atom_value`` maps an atom to a number, to a symbol name, or to the atom
-    itself to keep it; it is called once per distinct atom.  Float cells are
-    summed per crossing number with ``math.fsum``.
+    itself to keep it; it is called once per atom, and each power of a
+    number is computed once.  Symbolic factors are summed per cell by
+    integer ids in monomial key order, so every output monomial is built
+    once.  Float cells are summed per crossing number with ``math.fsum``.
     """
-    values: dict[TraceAtom, object] = {}
-    exact: dict[Monomial, Fraction] = {}
-    floats: dict[int, list[float]] = {}
+    values = [atom_value(atom) for atom in atoms]
+    keys = sorted(
+        {v for v in values if isinstance(v, (str, TraceAtom))} | {"q"}, key=_key_order
+    )
+    key_id = {key: s for s, key in enumerate(keys)}
+    sym = [key_id[v] if isinstance(v, (str, TraceAtom)) else None for v in values]
+    q_sym = key_id["q"]
     q_value = None if isinstance(q, str) else Fraction(q)
-    for (cr, mono), count in tally:
+    if q_value is not None and q_value.denominator == 1:
+        q_value = q_value.numerator  # integer arithmetic for integer q
+    factors: dict[tuple[int, int], object] = {}
+    q_factors: dict[int, Rational] = {}
+    exact: dict[tuple[tuple[int, int], ...], object] = {}
+    floats: dict[int, list[float]] = {}
+    for (cr, exps), count in cells:
         value: object = count
-        powers: dict[Key, int] = {}
-        for atom, e in mono:
-            v = values.get(atom)
-            if v is None:
-                v = values[atom] = atom_value(atom)
-            if isinstance(v, (str, TraceAtom)):
-                powers[v] = powers.get(v, 0) + e
-            else:
-                value = value * v**e
+        powers: dict[int, int] = {}
+        for i, e in exps:
+            s = sym[i]
+            if s is not None:
+                powers[s] = powers.get(s, 0) + e
+                continue
+            factor = factors.get((i, e))
+            if factor is None:
+                factor = factors[i, e] = values[i] ** e
+            value = value * factor
         if isinstance(value, float):
             if powers:
                 raise ValueError("float matrices cannot feed a symbolic result")
             floats.setdefault(cr, []).append(value)
             continue
         if q_value is None:
-            powers["q"] = cr
+            if cr:
+                powers[q_sym] = powers.get(q_sym, 0) + cr
         else:
-            value = value * q_value**cr
-        mono = _make_monomial(powers)
-        exact[mono] = exact.get(mono, 0) + value
+            factor = q_factors.get(cr)
+            if factor is None:
+                factor = q_factors[cr] = q_value**cr
+            value = value * factor
+        key = tuple(sorted(powers.items()))
+        exact[key] = exact.get(key, 0) + value
     if floats:
         assert not exact
         if q_value is None:
@@ -324,19 +359,23 @@ def _substitute(tally, atom_value: Callable[[TraceAtom], object], q, const):
             raise ValueError("float matrices cannot be combined with symbolic factors")
         total = sum(math.fsum(cell) * float(q) ** cr for cr, cell in sorted(floats.items()))
         return total * float(const)
-    poly = MomentPolynomial(exact)
-    poly = poly * const if isinstance(const, MomentPolynomial) else poly * Fraction(const)
-    if not poly.symbols() and all(not mono for mono, _ in poly.terms()):
+    poly = MomentPolynomial(
+        {tuple((keys[s], e) for s, e in key): value for key, value in exact.items()}
+    )
+    if const != 1:
+        poly = poly * const if isinstance(const, MomentPolynomial) else poly * Fraction(const)
+    try:
         return poly.constant_value()
-    return poly
+    except ValueError:  # not constant
+        return poly
 
 
 def _moment(top_table, coloring: Coloring, use_eps: bool, atom_value, q, const, allow_large):
     _check_bound(coloring.n, allow_large)
     if isinstance(q, str) and q != "q":
         raise ValueError("q must be the symbol 'q' or a rational number")
-    tally = _tally(tuple(top_table), coloring.colors, use_eps)
-    return _substitute(tally, atom_value, q, const)
+    atoms, cells = _tally(tuple(top_table), coloring.colors, use_eps)
+    return _substitute(atoms, cells, atom_value, q, const)
 
 
 def _scalar_const(bindings: MatrixBindings, coloring: Coloring):

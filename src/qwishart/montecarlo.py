@@ -79,8 +79,8 @@ class SamplerConfig:
     def __post_init__(self) -> None:
         if self.samples < 1:
             raise ValueError("samples must be positive")
-        if self.partitions < 1:
-            raise ValueError("partitions must be positive")
+        if not 1 <= self.partitions <= self.samples:
+            raise ValueError("partitions must lie in 1..samples")
         normalized = []
         roots = []
         scale_dims = set()

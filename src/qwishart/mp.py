@@ -14,8 +14,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Sequence, Union
 
-from .moments import MatrixBindings, MonomialSpec, q_wishart_moment
-from .polynomials import Rational
+from .moments import MonomialSpec, _moment
+from .polynomials import Rational, TraceAtom
 
 NC_BOUND = 12
 
@@ -163,6 +163,25 @@ class MPCheckReport:
         return all(row.equal for row in self.rows)
 
 
+def _check_n_max(n_max: int) -> None:
+    if isinstance(n_max, bool) or not isinstance(n_max, int) or not 1 <= n_max <= 6:
+        raise ValueError("n_max must be an integer in 1..6")
+
+
+def _check_scale_dim(scale_dim: int) -> None:
+    if isinstance(scale_dim, bool) or not isinstance(scale_dim, int) or scale_dim < 1:
+        raise ValueError("N must be a positive integer")
+
+
+def _check_eigenvalues(eigenvalues: Sequence[Rational]) -> list[Fraction]:
+    eigs = [Fraction(x) for x in eigenvalues]
+    if not eigs:
+        raise ValueError("need at least one eigenvalue")
+    if any(x <= 0 for x in eigs):
+        raise ValueError("eigenvalues must be positive")
+    return eigs
+
+
 def mp_moment_check(
     eigenvalues: Sequence[Rational], scale_dim: int, n_max: int
 ) -> MPCheckReport:
@@ -171,26 +190,25 @@ def mp_moment_check(
     For the q=0 family with shape matrix of the given positive eigenvalues and
     identity scale of size N, the normalized trace moments of W/N must equal
     the compound Marchenko-Pastur moments with lambda = M/N and base measure
-    the eigenvalue distribution, exactly as rationals.
+    the eigenvalue distribution, exactly as rationals.  The shape matrix is
+    diagonal and the scale is the identity, so a shape trace atom of length k
+    is the power sum of the eigenvalues and a scale atom is N; no matrix is
+    built, and the cost does not grow with N.
     """
-    if n_max < 1 or n_max > 6:
-        raise ValueError("n_max must lie in 1..6")
-    eigs = [Fraction(x) for x in eigenvalues]
-    if any(x <= 0 for x in eigs):
-        raise ValueError("eigenvalues must be positive")
-    m_dim = len(eigs)
-    lam = Fraction(m_dim, scale_dim)
-    shape = [[eigs[i] if i == j else Fraction(0) for j in range(m_dim)] for i in range(m_dim)]
-    scale = [
-        [Fraction(1) if i == j else Fraction(0) for j in range(scale_dim)]
-        for i in range(scale_dim)
-    ]
-    bindings = MatrixBindings.numeric([(shape, scale)])
+    _check_n_max(n_max)
+    _check_scale_dim(scale_dim)
+    eigs = _check_eigenvalues(eigenvalues)
+    lam = Fraction(len(eigs), scale_dim)
+    power_sums = [sum(x**k for x in eigs) for k in range(n_max + 1)]
+
+    def atom_value(atom: TraceAtom):
+        return power_sums[len(atom.word)] if atom.kind == "shape" else scale_dim
+
     measure = SpectralMeasure.from_eigenvalues(eigs)
     rows = []
     for n in range(1, n_max + 1):
         spec = MonomialSpec(((1,) * n,))
-        raw = q_wishart_moment(spec, bindings, q=0)
+        raw = _moment(spec.pairing().table, spec.coloring(), False, atom_value, 0, 1, False)
         lhs = Fraction(raw) / Fraction(scale_dim) ** (n + 1)
         rhs = compound_mp_moment(lam, measure, n)
         rows.append(MPCheckRow(n, lhs, rhs))

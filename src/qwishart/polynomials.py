@@ -155,6 +155,15 @@ class MomentPolynomial:
     def monomial(cls, coeff: Rational, powers: Mapping[Key, int]) -> "MomentPolynomial":
         return cls({_make_monomial(powers): Fraction(coeff)})
 
+    @classmethod
+    def sum(cls, polys: Iterable["MomentPolynomial"]) -> "MomentPolynomial":
+        """Sum filling one dict, where repeated ``+`` would copy it per summand."""
+        out: dict[Monomial, Fraction] = {}
+        for poly in polys:
+            for mono, coeff in poly._terms.items():
+                out[mono] = out.get(mono, 0) + coeff
+        return cls(out)
+
     # queries ------------------------------------------------------------
 
     def is_zero(self) -> bool:

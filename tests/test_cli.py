@@ -234,8 +234,36 @@ class TestMpCheck:
         code, _ = capture(["mp-check", "--eigenvalues", '["0"]', "--N", "2", "--n-max", "2"])
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "eigenvalues,n_dim,n_max,field",
+        [
+            ('["1"]', "0", "3", "--N"),
+            ('["1"]', "-2", "3", "--N"),
+            ("[]", "2", "3", "--eigenvalues"),
+            ('"12"', "2", "3", "--eigenvalues"),
+            ("[true]", "2", "3", "--eigenvalues"),
+            ("[Infinity]", "2", "3", "--eigenvalues"),
+            ('["1"]', "2", "-1", "--n-max"),
+            ('["1"]', "2", "7", "--n-max"),
+        ],
+    )
+    def test_names_the_flag(self, capsys, eigenvalues, n_dim, n_max, field):
+        argv = ["mp-check", "--eigenvalues", eigenvalues, "--N", n_dim, "--n-max", n_max]
+        assert capture(argv) == (2, "")
+        assert capsys.readouterr().err.startswith(f"error: {field}: ")
+
+    @pytest.mark.parametrize(
+        "data",
+        ["[1]", '{"eigenvalues":["1"],"N":2.0,"n_max":3}', '{"eigenvalues":["1"],"N":2}'],
+    )
+    def test_bad_input_object(self, capsys, data):
+        assert capture(["mp-check", "--input", data]) == (2, "")
+        assert capsys.readouterr().err.startswith("error: --input: ")
+
 
 class TestMcValidate:
+    ONE = '[{"B":[[1.0]],"Sigma":[[1.0]]}]'
+
     def test_small_run(self):
         matrices = json.dumps([{"B": [[1.0]], "Sigma": [[1.0]]}])
         data = capture_json(
@@ -278,6 +306,57 @@ class TestMcValidate:
         code, text = capture(argv)
         assert (code, text) == (2, "")
         assert "--matrices" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "extra,field",
+        [
+            (["--samples", "0"], "--samples"),
+            (["--samples", "1"], "--samples"),
+            (["--partitions", "0"], "--partitions"),
+            (["--samples", "10", "--partitions", "11"], "--partitions"),
+        ],
+    )
+    def test_sample_flags_named(self, capsys, extra, field):
+        argv = ["mc-validate", "--spec", "[[1]]", "--matrices", self.ONE] + extra
+        assert capture(argv) == (2, "")
+        assert capsys.readouterr().err.startswith(f"error: {field}: ")
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            "[1]",
+            '{"spec":[[1]]}',
+            '{"matrices":[{"B":[[1.0]],"Sigma":[[1.0]]}]}',
+            '{"seed":1.5,"spec":[[1]],"matrices":[{"B":[[1.0]],"Sigma":[[1.0]]}]}',
+            '{"samples":2.7,"spec":[[1]],"matrices":[{"B":[[1.0]],"Sigma":[[1.0]]}]}',
+            '{"samples":true,"spec":[[1]],"matrices":[{"B":[[1.0]],"Sigma":[[1.0]]}]}',
+            '{"samples":1,"spec":[[1]],"matrices":[{"B":[[1.0]],"Sigma":[[1.0]]}]}',
+            '{"spec":[[0]],"matrices":[{"B":[[1.0]],"Sigma":[[1.0]]}]}',
+            '{"spec":[[1]],"matrices":[{"B":[[1.0]],"Sigma":[[-1.0]]}]}',
+        ],
+    )
+    def test_bad_config_named(self, capsys, config):
+        assert capture(["mc-validate", "--config", config]) == (2, "")
+        assert capsys.readouterr().err.startswith("error: --config: ")
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.parametrize("spec", ["[[1,1]]", "[[1],[2]]"])
+    def test_float_overflow_named(self, capsys, spec):
+        # tr(B^2) overflows in a power, tr(B1) tr(B2) in a product
+        big = '{"B":[[1e200]],"Sigma":[[1.0]]}'
+        matrices = f"[{big},{big}]"
+        for command in (["moment"], ["mc-validate", "--samples", "10"]):
+            argv = command + ["--spec", spec, "--matrices", matrices]
+            assert capture(argv) == (2, "")
+            assert capsys.readouterr().err.startswith("error: --matrices: ")
+
+    def test_emit_json_is_strict(self):
+        from qwishart.cli import _emit_json
+
+        buf = io.StringIO()
+        with pytest.raises(ValueError):
+            _emit_json(buf, {"z": float("inf")})
+        assert buf.getvalue() == ""
 
 
 class TestTable:

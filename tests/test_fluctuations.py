@@ -358,3 +358,85 @@ class TestCenteredCountsCache:
             centered_trace_moment(MonomialSpec(((1,) * 5, (1,) * 5)))
         with pytest.raises(ValueError):
             centered_finite_and_limit(MonomialSpec(((1,) * 5, (1,) * 5)))
+
+
+# The repeated-addition assembly loops that the one-pass assembly replaced,
+# kept as oracles.
+
+
+def _assemble_finite_by_addition(counts, n, q, shape_size, scale_dim):
+    poly = MomentPolynomial.zero()
+    for (cr, c_gamma, c_g), count in sorted(counts.items()):
+        term = MomentPolynomial.monomial(count, {"q": cr})
+        for base, power in ((shape_size, c_gamma), (scale_dim, c_g - n)):
+            if isinstance(base, str):
+                term = term * MomentPolynomial.symbol(base, power)
+            else:
+                term = term * Fraction(base) ** power
+        poly = poly + term
+    if not isinstance(q, str):
+        poly = poly.substitute({"q": Fraction(q)})
+    return poly
+
+
+def _assemble_limit_by_addition(counts, q):
+    poly = MomentPolynomial.zero()
+    for (cr, c_gamma), count in sorted(counts.items()):
+        poly = poly + MomentPolynomial.monomial(count, {"q": cr, "lambda": c_gamma})
+    if not isinstance(q, str):
+        poly = poly.substitute({"q": Fraction(q)})
+    return poly
+
+
+def _product_limit_by_addition(statistics, q):
+    if not statistics:
+        return MomentPolynomial.constant(1)
+    total = MomentPolynomial.zero()
+    for combo in itertools.product(*[st.terms for st in statistics]):
+        coeff = MomentPolynomial.constant(1)
+        for c, _ in combo:
+            coeff = coeff * c
+        words = tuple(word for _, word in combo)
+        total = total + coeff * fluctuations._limit_value(words, q)
+    return total
+
+
+_Q_VALUES = ["q", 0, 1, Fraction(1, 2), Fraction(-2, 3)]
+
+
+class TestOnePassAssembly:
+    @pytest.mark.parametrize("n", range(1, 6))
+    @pytest.mark.parametrize("sizes", [("M", "N"), (3, 2), ("N", "N"), ("M", 5)])
+    def test_finite_matches_repeated_addition(self, n, sizes):
+        for spec in itertools.islice(_two_color_specs(n), 0, None, 3):
+            finite, _ = fluctuations._centered_counts(spec)
+            for q_value in _Q_VALUES:
+                assert fluctuations._assemble_finite(
+                    finite, n, q_value, *sizes
+                ) == _assemble_finite_by_addition(finite, n, q_value, *sizes), spec
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_limit_matches_repeated_addition(self, n):
+        for spec in itertools.islice(_two_color_specs(n), 0, None, 3):
+            counts = fluctuations._limit_counts(spec)
+            for q_value in _Q_VALUES:
+                assert fluctuations._assemble_limit(
+                    counts, q_value
+                ) == _assemble_limit_by_addition(counts, q_value), spec
+
+    @pytest.mark.parametrize("q_value", _Q_VALUES)
+    def test_product_limit_matches_repeated_addition(self, q_value):
+        a = 1 + q**2 + 2 * lam
+        tuned = PolynomialStatistic.from_terms([(1, (1, 1)), (-1 * a, (1,))])
+        mixed = PolynomialStatistic.from_terms([(1, (1, 2)), (Fraction(-1, 2), (2,)), (q, (1,))])
+        x = PolynomialStatistic.from_terms([(1, (1,))])
+        y = x.shifted(1)
+        for statistics in (
+            [tuned] * 2,
+            [mixed] * 3,
+            [x] * 6,
+            [x - y, x - y, x + y, x + y],
+        ):
+            assert fluctuations._product_limit(
+                statistics, q_value
+            ) == _product_limit_by_addition(statistics, q_value)

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -18,6 +19,7 @@ from qwishart.moments import (
 )
 from qwishart.pairings import Coloring, IntegerPartition, _iter_tables, from_permutation
 from qwishart.polynomials import MomentPolynomial, TraceAtom
+from test_fluctuations import _split
 from test_pairings import partitions_of
 
 P = MomentPolynomial
@@ -108,7 +110,7 @@ class TestTally:
     )
     @pytest.mark.parametrize("use_eps", [True, False])
     def test_matches_per_table_terms(self, words, use_eps):
-        # the interned tally against pairing_term applied table by table
+        # the indexed tally, expanded to monomials, against pairing_term table by table
         spec = MonomialSpec(words)
         top, colors = spec.pairing().table, spec.coloring().colors
         pos_colors = spec.coloring().position_colors()
@@ -116,10 +118,111 @@ class TestTally:
         for table, cr in _iter_tables(spec.n, pos_colors):
             key = (cr, moments.pairing_term(top, colors, table, use_eps))
             expected[key] = expected.get(key, 0) + 1
-        assert dict(moments._tally(top, colors, use_eps)) == expected
+        atoms, cells = moments._tally(top, colors, use_eps)
+        got = {(cr, tuple((atoms[i], e) for i, e in exps)): count for (cr, exps), count in cells}
+        assert len(got) == len(cells)
+        assert got == expected
 
     def test_cache_is_bounded(self):
         assert moments._tally.cache_info().maxsize is not None
+
+
+def _random_spec(data) -> MonomialSpec:
+    n = data.draw(st.integers(1, 6))
+    s = data.draw(st.integers(1, 3))
+    colors = data.draw(st.lists(st.integers(1, s), min_size=n, max_size=n))
+    cuts = data.draw(st.lists(st.booleans(), min_size=n - 1, max_size=n - 1))
+    return _split(colors, cuts)
+
+
+def _term_cells(spec: MonomialSpec, use_eps: bool) -> dict:
+    """(crossings, pairing_term) -> count, applying pairing_term table by table."""
+    top, colors = spec.pairing().table, spec.coloring().colors
+    cells: dict = {}
+    for table, cr in _iter_tables(spec.n, spec.coloring().position_colors()):
+        key = (cr, moments.pairing_term(top, colors, table, use_eps))
+        cells[key] = cells.get(key, 0) + 1
+    return cells
+
+
+def _as_poly(value) -> MomentPolynomial:
+    if isinstance(value, TraceAtom):
+        return P.atom(value)
+    if isinstance(value, str):
+        return P.symbol(value)
+    return P.constant(Fraction(value))
+
+
+def _exact_oracle(cells: dict, atom_value, q, const) -> MomentPolynomial:
+    # every cell evaluated with polynomial arithmetic, then summed term by term
+    total: dict = {}
+    for (cr, mono), count in cells.items():
+        term = P.constant(count) * (P.symbol("q", cr) if q == "q" else Fraction(q) ** cr)
+        for atom, e in mono:
+            term = term * _as_poly(atom_value(atom)) ** e
+        for key, coeff in term.terms():
+            total[key] = total.get(key, 0) + coeff
+    return P(total) * const
+
+
+def _float_oracle(cells: dict, atom_value, q, const) -> float:
+    # the float arithmetic of the monomial-keyed tally: count times each
+    # atom's power in monomial order, math.fsum per crossing number
+    per_cr: dict = {}
+    for (cr, mono), count in cells.items():
+        value = count
+        for atom, e in mono:
+            value = value * atom_value(atom) ** e
+        per_cr.setdefault(cr, []).append(value)
+    total = sum(math.fsum(cell) * float(q) ** cr for cr, cell in sorted(per_cr.items()))
+    return total * float(const)
+
+
+def _engine(spec, use_eps, atom_value, q, const):
+    top, colors = spec.pairing().table, spec.coloring().colors
+    return moments._substitute(*moments._tally(top, colors, use_eps), atom_value, q, const)
+
+
+_EXACT_BINDINGS = MatrixBindings.numeric(
+    [(SYM2, PD2), (SYM2B, PD2B), (frac_entries([[0, 1], ["-2/3", 2]]), PD2)]
+)
+_SCALAR_BINDINGS = MatrixBindings.scalar(
+    ["M1", 3, "M3"], [OVER_N, Fraction(1, 2), P.symbol("lambda") + q], "N"
+)
+_FLOAT_BINDINGS = MatrixBindings.numeric(
+    [
+        ([[0.3, -1.7], [0.9, 2.1]], [[1.3, 0.4], [0.4, 0.7]]),
+        ([[1.1, 0.2], [0.2, -0.6]], [[2.0, -0.3], [-0.3, 0.9]]),
+        ([[-0.8, 1.4], [0.5, 0.1]], [[1.3, 0.4], [0.4, 0.7]]),
+    ]
+)
+
+
+class TestIndexedSubstitution:
+    """The indexed tally and substitution against pairing_term, table by table."""
+
+    @given(st.data(), st.booleans())
+    @settings(max_examples=40, deadline=None)
+    def test_matches_pairing_term_oracle(self, data, use_eps):
+        spec = _random_spec(data)
+        cells = _term_cells(spec, use_eps)
+        rational_q = data.draw(st.sampled_from([0, 1, Fraction(1, 2), Fraction(-3, 2)]))
+        for bindings, q_value in (
+            (None, "q"),  # symbolic
+            (_EXACT_BINDINGS, "q"),  # exact numeric
+            (_SCALAR_BINDINGS, "q"),  # scalar with polynomial factors
+            (None, rational_q),  # rational q
+        ):
+            atom_value, const = moments._substitution(bindings, spec.coloring())
+            got = _engine(spec, use_eps, atom_value, q_value, const)
+            got = got if isinstance(got, MomentPolynomial) else P.constant(got)
+            assert got == _exact_oracle(cells, atom_value, q_value, const)
+        # float bindings: bit-identical, not merely close
+        atom_value, const = moments._substitution(_FLOAT_BINDINGS, spec.coloring())
+        for q_value in (1, rational_q):
+            got = _engine(spec, use_eps, atom_value, q_value, const)
+            assert isinstance(got, float)
+            assert got == _float_oracle(cells, atom_value, q_value, const)
 
 
 class TestGeneralSigma:

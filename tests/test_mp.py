@@ -3,6 +3,7 @@ from math import comb
 
 import pytest
 
+from qwishart import moments
 from qwishart.mp import (
     SetPartition,
     SpectralMeasure,
@@ -119,3 +120,29 @@ class TestFiniteSizeCheck:
     def test_rejects_nonpositive_eigenvalues(self):
         with pytest.raises(ValueError):
             mp_moment_check([0], 2, 3)
+
+    @pytest.mark.parametrize(
+        "eigenvalues,scale_dim,n_max,message",
+        [
+            ([1], 0, 3, "N must be a positive integer"),
+            ([1], -2, 3, "N must be a positive integer"),
+            ([1], 2.0, 3, "N must be a positive integer"),
+            ([], 2, 3, "need at least one eigenvalue"),
+            ([1], 2, 0, "n_max must be an integer in 1..6"),
+            ([1], 2, 7, "n_max must be an integer in 1..6"),
+        ],
+    )
+    def test_rejects_bad_input(self, eigenvalues, scale_dim, n_max, message):
+        with pytest.raises(ValueError, match=message):
+            mp_moment_check(eigenvalues, scale_dim, n_max)
+
+    def test_builds_no_matrix(self, monkeypatch):
+        # a diagonal shape and an identity scale enter only through power
+        # sums and N, so no trace atom is evaluated on a dense matrix
+        def refuse(*args):
+            raise AssertionError("evaluate_atom called")
+
+        monkeypatch.setattr(moments, "evaluate_atom", refuse)
+        report = mp_moment_check([1, 4, Fraction(3, 2)], 40, 6)
+        assert report.all_equal
+        assert report.aspect_ratio == Fraction(3, 40)
