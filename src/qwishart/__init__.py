@@ -34,6 +34,7 @@ from .pairings import (
 )
 from .polynomials import MomentPolynomial, TraceAtom, evaluate_atom, limit_large_n
 from .moments import (
+    FloatOverflowError,
     MatrixBindings,
     MonomialSpec,
     brute_force_moment,

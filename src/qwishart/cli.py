@@ -276,10 +276,10 @@ def _moment_common(args, q, out) -> int:
         result = fn(*fn_args, allow_large=args.allow_large_n)
     except ValueError as exc:
         raise CliInputError(field, str(exc)) from exc
+    except moments.FloatOverflowError as exc:
+        raise CliInputError("--matrices", "the result is not finite (float overflow)") from exc
     except OverflowError as exc:
         raise CliInputError("--matrices", f"float overflow: {exc}") from exc
-    if isinstance(result, float) and not math.isfinite(result):
-        raise CliInputError("--matrices", "the result is not finite (float overflow)")
 
     if args.format == "csv":
         if not isinstance(result, MomentPolynomial):
@@ -451,6 +451,8 @@ def _cmd_mc_validate(args, out) -> int:
         report = montecarlo.estimate_monomial(spec, config)
     except (TypeError, ValueError) as exc:
         raise CliInputError(matrices_field, str(exc)) from exc
+    except moments.FloatOverflowError as exc:  # the exact value
+        raise CliInputError(matrices_field, "the estimate is not finite (float overflow)") from exc
     except OverflowError as exc:
         raise CliInputError(matrices_field, f"float overflow: {exc}") from exc
     values = (report.mean, report.stderr, report.exact, report.z)

@@ -4,7 +4,12 @@ For matrices with identity shape of size M and scale I/N, the joint centered
 moment of a product of trace blocks is a sum over color-preserving pairings
 that join every block to another one, each weighted by
 q^crossings * M^(cycles) * N^(contraction cycles - n).  The finite moment is
-computed by enumerating those pairings.
+a tally over those pairings from one counted walk (``_iter_connected``): as
+it places edges it keeps the crossings and both cycle counts, each the
+number of cycles of the pairing joined to a fixed involution (V(x) = x ^ 1
+for the pairing's own cycles, F(x) = top[x ^ 1] ^ 1 for the contraction's),
+and it prunes every subtree in which a completed block has no edge leaving
+it.
 
 As N grows with M/N -> lambda, only pairings whose diagram splits the blocks
 into genus-zero pairs survive, contributing q^crossings * lambda^cycles;
@@ -34,10 +39,9 @@ from typing import Sequence, Union
 from .moments import MonomialSpec
 from .pairings import (
     ENUMERATION_BOUND,
-    _brauer_table,
     _check_bound,
-    _cycle_count,
-    _iter_tables,
+    _iter_connected,
+    _position_blocks,
     block_pairing,
 )
 from .polynomials import MomentPolynomial, Monomial, Rational, _make_monomial
@@ -103,64 +107,23 @@ class LimitMoment:
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
-def _centered_counts(
-    spec: MonomialSpec,
-) -> tuple[dict[tuple[int, int, int], int], dict[tuple[int, int], int]]:
-    """Weight tallies over block-connecting pairings, finite and limit.
+def _centered_counts(spec: MonomialSpec) -> dict[tuple[int, int, int], int]:
+    """Finite tally over block-connecting pairings.
 
-    Finite keys are (crossings, cycles of the pairing, cycles of the
-    contraction); limit keys are (crossings, cycles), kept only when the
-    blocks are joined in pairs and every joined pair has genus defect zero,
-    which for pair components is equivalent to the two cycle counts summing
-    to n.  The limit tally is what ``_limit_counts`` builds by composition;
-    this filter stays as its reference.  Callers check the enumeration bound
-    first, so the cache key is the spec alone.
+    Keys are (crossings, cycles of the pairing, cycles of the contraction),
+    all three kept by the counted walk ``_iter_connected``, which also prunes
+    every subtree that completes a block with no edge leaving it.  Callers
+    check the enumeration bound first, so the cache key is the spec alone.
     """
-    n = spec.n
-    coloring = spec.coloring()
-    pos_colors = coloring.position_colors()
-    top = block_pairing([len(w) for w in spec.cycle_words]).table
-    r = len(spec.cycle_words)
-    block = [0] * (2 * n)
-    start = 0
-    for k, w in enumerate(spec.cycle_words):
-        for j in range(start, start + len(w)):
-            block[2 * j] = block[2 * j + 1] = k
-        start += len(w)
-
+    base = block_pairing([len(w) for w in spec.cycle_words])
+    pos_colors = spec.coloring().position_colors()
     finite: dict[tuple[int, int, int], int] = {}
-    limit: dict[tuple[int, int], int] = {}
-    block_range = range(r)
-    for table, cr in _iter_tables(n, pos_colors):
-        parent = list(block_range)
-        for p, q in enumerate(table):
-            if p > q:
-                continue
-            a, b = block[p], block[q]
-            if a == b:
-                continue
-            while parent[a] != a:
-                a = parent[a]
-            while parent[b] != b:
-                b = parent[b]
-            if a != b:
-                parent[a] = b
-        sizes: dict[int, int] = {}
-        for k in block_range:
-            root = k
-            while parent[root] != root:
-                root = parent[root]
-            sizes[root] = sizes.get(root, 0) + 1
-        if min(sizes.values()) == 1:
-            continue  # some block stays unconnected
-        c_gamma = _cycle_count(table)
-        c_g = _cycle_count(_brauer_table(top, table))
+    for _, cr, c_gamma, c_g, _ in _iter_connected(
+        spec.n, pos_colors, base.table, _position_blocks(base)
+    ):
         key = (cr, c_gamma, c_g)
         finite[key] = finite.get(key, 0) + 1
-        if c_gamma + c_g == n and max(sizes.values()) == 2:
-            lkey = (cr, c_gamma)
-            limit[lkey] = limit.get(lkey, 0) + 1
-    return finite, limit
+    return finite
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
@@ -173,21 +136,16 @@ def _connector_counts(
     (word_a, word_b) that has e_AB >= 1 edges between the blocks and whose
     two cycle counts sum to the degree, i.e. a genus-zero pair component.
     """
-    n_a = len(word_a)
-    n = n_a + len(word_b)
+    n = len(word_a) + len(word_b)
     pos_colors = MonomialSpec((word_a, word_b)).coloring().position_colors()
-    top = block_pairing([n_a, len(word_b)]).table
-    split = 2 * n_a
+    base = block_pairing([len(word_a), len(word_b)])
     counts: dict[tuple[int, int, int], int] = {}
-    for table, cr in _iter_tables(n, pos_colors):
-        between = sum(1 for p in range(split) if table[p] >= split)
-        if not between:
-            continue
-        c_gamma = _cycle_count(table)
-        if c_gamma + _cycle_count(_brauer_table(top, table)) != n:
-            continue
-        key = (cr, c_gamma, between)
-        counts[key] = counts.get(key, 0) + 1
+    for _, cr, c_gamma, c_g, between in _iter_connected(
+        n, pos_colors, base.table, _position_blocks(base)
+    ):
+        if c_gamma + c_g == n:
+            key = (cr, c_gamma, between)
+            counts[key] = counts.get(key, 0) + 1
     return counts
 
 
@@ -211,8 +169,8 @@ def _block_matchings(blocks: tuple[int, ...]):
 def _limit_counts(spec: MonomialSpec) -> dict[tuple[int, int], int]:
     """Limit tally keyed by (crossings, cycles), by block-pair composition.
 
-    Equals the limit part of ``_centered_counts`` without visiting the
-    pairings that do not survive.
+    Equals filtering every block-connecting pairing for pairs of blocks joined
+    at genus zero, without visiting the pairings that do not survive.
     """
     words = spec.cycle_words
     limit: dict[tuple[int, int], int] = {}
@@ -248,8 +206,7 @@ def centered_trace_moment(
 ):
     """Joint centered moment of the spec's trace blocks at finite size."""
     _check_bound(spec.n, allow_large)
-    finite, _ = _centered_counts(spec)
-    return _assemble_finite(finite, spec.n, q, shape_size, scale_dim)
+    return _assemble_finite(_centered_counts(spec), spec.n, q, shape_size, scale_dim)
 
 
 def centered_trace_moment_limit(
@@ -273,9 +230,8 @@ def centered_finite_and_limit(
     value with the limit checks one path against the other.
     """
     _check_bound(spec.n, allow_large)
-    finite, _ = _centered_counts(spec)
     return (
-        _assemble_finite(finite, spec.n, q, "M", "N"),
+        _assemble_finite(_centered_counts(spec), spec.n, q, "M", "N"),
         centered_trace_moment_limit(spec, q, allow_large=allow_large),
     )
 

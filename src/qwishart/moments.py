@@ -59,6 +59,16 @@ from .polynomials import (
 BRUTE_FORCE_GUARD = 10_000_000
 
 
+class FloatOverflowError(OverflowError):
+    """A moment of float matrices is not finite in double precision."""
+
+
+_FLOAT_OVERFLOW = (
+    "float overflow: the moment is not finite in double precision; "
+    "exact (integer or Fraction) matrices avoid this"
+)
+
+
 @dataclass(frozen=True)
 class MonomialSpec:
     """Product of traces, one factor per cycle word of matrix colors.
@@ -308,7 +318,8 @@ def _substitute(
     itself to keep it; it is called once per atom, and each power of a
     number is computed once.  Symbolic factors are summed per cell by
     integer ids in monomial key order, so every output monomial is built
-    once.  Float cells are summed per crossing number with ``math.fsum``.
+    once.  Float cells are summed per crossing number with ``math.fsum``; a
+    float cell or result that is not finite raises ``FloatOverflowError``.
     """
     values = [atom_value(atom) for atom in atoms]
     keys = sorted(
@@ -334,11 +345,17 @@ def _substitute(
                 continue
             factor = factors.get((i, e))
             if factor is None:
-                factor = factors[i, e] = values[i] ** e
+                try:
+                    factor = values[i] ** e
+                except OverflowError as exc:  # only a float power can overflow
+                    raise FloatOverflowError(_FLOAT_OVERFLOW) from exc
+                factors[i, e] = factor
             value = value * factor
         if isinstance(value, float):
             if powers:
                 raise ValueError("float matrices cannot feed a symbolic result")
+            if not math.isfinite(value):  # an atom or a product of atoms overflowed
+                raise FloatOverflowError(_FLOAT_OVERFLOW)
             floats.setdefault(cr, []).append(value)
             continue
         if q_value is None:
@@ -357,8 +374,14 @@ def _substitute(
             raise ValueError("float matrices require a numeric q")
         if isinstance(const, MomentPolynomial):
             raise ValueError("float matrices cannot be combined with symbolic factors")
-        total = sum(math.fsum(cell) * float(q) ** cr for cr, cell in sorted(floats.items()))
-        return total * float(const)
+        try:
+            total = sum(math.fsum(cell) * float(q) ** cr for cr, cell in sorted(floats.items()))
+            total *= float(const)
+        except OverflowError as exc:  # fsum, a power of q or a conversion to float
+            raise FloatOverflowError(_FLOAT_OVERFLOW) from exc
+        if not math.isfinite(total):
+            raise FloatOverflowError(_FLOAT_OVERFLOW)
+        return total
     poly = MomentPolynomial(
         {tuple((keys[s], e) for s, e in key): value for key, value in exact.items()}
     )

@@ -392,6 +392,117 @@ def _iter_tables(
         q += 1
 
 
+def _iter_connected(
+    n: int, pos_colors: Sequence[int], top: Sequence[int], block: Sequence[int]
+) -> Iterator[tuple[list[int], int, int, int, int]]:
+    """Color-preserving tables joining every block to another, with their counts.
+
+    Visits tables in the order of ``_iter_tables`` and yields
+    ``(table, cr, c_gamma, c_g, between)`` only when every block (``block``
+    maps a position to its block index) has an edge leaving it: ``cr`` is the
+    crossing number, ``c_gamma`` is ``_cycle_count(table)``, ``c_g`` is
+    ``_cycle_count(_brauer_table(top, table))`` and ``between`` counts the
+    edges between blocks.  All are kept incrementally as edges are placed and
+    undone on backtrack:
+
+    - every placed edge has its left end before p, so the new edge (p, q)
+      crosses exactly the placed edges whose right end lies between p and q,
+      and those are the matched positions met while scanning q;
+    - both cycle counts are cycles of the table joined to a fixed involution,
+      V(x) = x ^ 1 and F(x) = top[x ^ 1] ^ 1.  The partial union is a set of
+      paths, ``end[x]`` is the other end of the path ending at x, and (p, q)
+      closes a cycle exactly when q is that other end of p;
+    - an internal edge that completes a block with no outside edge prunes its
+      whole subtree.
+
+    The yielded list is reused in place, so copy it before storing.
+    """
+    size = 2 * n
+    table = [-1] * size
+    end_v = [x ^ 1 for x in range(size)]
+    end_f = [top[x ^ 1] ^ 1 for x in range(size)]
+    free = [0] * (max(block) + 1)
+    for k in block:
+        free[k] += 1
+    outside = [0] * len(free)
+    stack: list[tuple[int, int, int]] = []
+    cr = c_gamma = c_g = between = 0
+    p, q, inside = 0, 1, 0
+    while True:
+        while q < size:
+            if table[q] >= 0:
+                inside += 1
+            elif pos_colors[q] == pos_colors[p]:
+                bp, bq = block[p], block[q]
+                if bp == bq:
+                    if free[bp] == 2 and not outside[bp]:
+                        q += 1
+                        continue  # the edge would complete an isolated block
+                    free[bp] -= 2
+                else:
+                    free[bp] -= 1
+                    free[bq] -= 1
+                    outside[bp] += 1
+                    outside[bq] += 1
+                    between += 1
+                table[p] = q
+                table[q] = p
+                stack.append((p, q, inside))
+                cr += inside
+                a = end_v[p]
+                if a == q:
+                    c_gamma += 1
+                else:
+                    b = end_v[q]
+                    end_v[a] = b
+                    end_v[b] = a
+                a = end_f[p]
+                if a == q:
+                    c_g += 1
+                else:
+                    b = end_f[q]
+                    end_f[a] = b
+                    end_f[b] = a
+                nxt = p + 1
+                while nxt < size and table[nxt] >= 0:
+                    nxt += 1
+                if nxt == size:
+                    yield table, cr, c_gamma, c_g, between
+                    break  # p has no other free partner: undo this edge
+                p, q, inside = nxt, nxt + 1, 0
+                continue
+            q += 1
+        else:
+            if not stack:
+                return
+        # undo the last edge; p and q still hold the path ends they linked
+        p, q, inside = stack.pop()
+        table[p] = table[q] = -1
+        cr -= inside
+        a = end_v[p]
+        if a == q:
+            c_gamma -= 1
+        else:
+            end_v[a] = p
+            end_v[end_v[q]] = q
+        a = end_f[p]
+        if a == q:
+            c_g -= 1
+        else:
+            end_f[a] = p
+            end_f[end_f[q]] = q
+        bp, bq = block[p], block[q]
+        if bp == bq:
+            free[bp] += 2
+        else:
+            free[bp] += 1
+            free[bq] += 1
+            outside[bp] -= 1
+            outside[bq] -= 1
+            between -= 1
+        q += 1
+
+
 def _check_bound(n: int, allow_large: bool) -> None:
     if n < 0:
         raise ValueError(f"n={n} must be nonnegative")
@@ -493,7 +604,8 @@ def connecting_pairings(
     """Color-preserving pairings that join every cycle of ``base`` to another one.
 
     A cycle is joined to another exactly when some edge leaves its point set,
-    so a single-cycle base admits no such pairing at all.
+    so a single-cycle base admits no such pairing at all; the walk prunes
+    every subtree that completes a cycle with no such edge.
     """
     if base.n != coloring.n:
         raise ValueError("sizes differ")
@@ -501,15 +613,8 @@ def connecting_pairings(
         raise ValueError("base must be a top-to-bottom pairing")
     _check_bound(coloring.n, allow_large)
     pos_colors = coloring.position_colors()
-    block = _position_blocks(base)
-    r = max(block) + 1
-    for table, _ in _iter_tables(coloring.n, pos_colors):
-        external = bytearray(r)
-        for p, q in enumerate(table):
-            if block[p] != block[q]:
-                external[block[p]] = 1
-        if all(external):
-            yield PairPartition(coloring.n, tuple(table))
+    for table, *_ in _iter_connected(coloring.n, pos_colors, base.table, _position_blocks(base)):
+        yield PairPartition(coloring.n, tuple(table))
 
 
 def _position_blocks(base: PairPartition) -> list[int]:

@@ -345,10 +345,12 @@ class TestMcValidate:
         # tr(B^2) overflows in a power, tr(B1) tr(B2) in a product
         big = '{"B":[[1e200]],"Sigma":[[1.0]]}'
         matrices = f"[{big},{big}]"
-        for command in (["moment"], ["mc-validate", "--samples", "10"]):
+        commands = ((["moment"], "result"), (["mc-validate", "--samples", "10"], "estimate"))
+        for command, what in commands:
             argv = command + ["--spec", spec, "--matrices", matrices]
             assert capture(argv) == (2, "")
-            assert capsys.readouterr().err.startswith("error: --matrices: ")
+            err = capsys.readouterr().err
+            assert err == f"error: --matrices: the {what} is not finite (float overflow)\n"
 
     def test_emit_json_is_strict(self):
         from qwishart.cli import _emit_json

@@ -1,5 +1,6 @@
 import itertools
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings
@@ -19,6 +20,9 @@ from qwishart.moments import MatrixBindings, MonomialSpec, q_wishart_moment
 from qwishart.pairings import (
     Coloring,
     PairPartition,
+    _brauer_table,
+    _cycle_count,
+    _iter_tables,
     block_pairing,
     brauer,
     components_and_genus,
@@ -129,10 +133,147 @@ _DEGREE_EIGHT_SPECS = sorted(
 )
 
 
+# The scan-every-table tallies that the counted walk replaced, kept as
+# oracles.  One cached scan per spec serves both the finite and the limit
+# comparisons; the largest, ((1, 1),) * 4, scans 2,027,025 tables.
+
+
+@lru_cache(maxsize=2048)
+def _centered_counts_by_scan(spec):
+    """Finite and limit tallies by a union-find and per-table cycle counts.
+
+    Finite keys are (crossings, cycles of the pairing, cycles of the
+    contraction); limit keys are (crossings, cycles), kept only when the
+    blocks are joined in pairs and every joined pair has genus defect zero,
+    which for pair components is equivalent to the two cycle counts summing
+    to n.
+    """
+    n = spec.n
+    coloring = spec.coloring()
+    pos_colors = coloring.position_colors()
+    top = block_pairing([len(w) for w in spec.cycle_words]).table
+    r = len(spec.cycle_words)
+    block = [0] * (2 * n)
+    start = 0
+    for k, w in enumerate(spec.cycle_words):
+        for j in range(start, start + len(w)):
+            block[2 * j] = block[2 * j + 1] = k
+        start += len(w)
+
+    finite = {}
+    limit = {}
+    block_range = range(r)
+    for table, cr in _iter_tables(n, pos_colors):
+        parent = list(block_range)
+        for p, q in enumerate(table):
+            if p > q:
+                continue
+            a, b = block[p], block[q]
+            if a == b:
+                continue
+            while parent[a] != a:
+                a = parent[a]
+            while parent[b] != b:
+                b = parent[b]
+            if a != b:
+                parent[a] = b
+        sizes = {}
+        for k in block_range:
+            root = k
+            while parent[root] != root:
+                root = parent[root]
+            sizes[root] = sizes.get(root, 0) + 1
+        if min(sizes.values()) == 1:
+            continue  # some block stays unconnected
+        c_gamma = _cycle_count(table)
+        c_g = _cycle_count(_brauer_table(top, table))
+        key = (cr, c_gamma, c_g)
+        finite[key] = finite.get(key, 0) + 1
+        if c_gamma + c_g == n and max(sizes.values()) == 2:
+            lkey = (cr, c_gamma)
+            limit[lkey] = limit.get(lkey, 0) + 1
+    return finite, limit
+
+
+def _connector_counts_by_scan(word_a, word_b):
+    n_a = len(word_a)
+    n = n_a + len(word_b)
+    pos_colors = MonomialSpec((word_a, word_b)).coloring().position_colors()
+    top = block_pairing([n_a, len(word_b)]).table
+    split = 2 * n_a
+    counts = {}
+    for table, cr in _iter_tables(n, pos_colors):
+        between = sum(1 for p in range(split) if table[p] >= split)
+        if not between:
+            continue
+        c_gamma = _cycle_count(table)
+        if c_gamma + _cycle_count(_brauer_table(top, table)) != n:
+            continue
+        key = (cr, c_gamma, between)
+        counts[key] = counts.get(key, 0) + 1
+    return counts
+
+
 def _filter_limit(spec):
-    # the enumerate-and-filter tally, the reference for block-pair
-    # composition; called as the finite path calls it, so both share a cache
-    return fluctuations._centered_counts(spec)[1]
+    return _centered_counts_by_scan(spec)[1]
+
+
+def _random_spec(data, max_n=6):
+    n = data.draw(st.integers(1, max_n))
+    s = data.draw(st.integers(1, 3))
+    colors = data.draw(st.lists(st.integers(1, s), min_size=n, max_size=n))
+    cuts = data.draw(st.lists(st.booleans(), min_size=n - 1, max_size=n - 1))
+    return _split(colors, cuts)
+
+
+def _word_pairs(specs):
+    """Distinct ordered word pairs that block-pair composition visits."""
+    pairs = set()
+    for spec in specs:
+        words = spec.cycle_words
+        for matching in fluctuations._block_matchings(tuple(range(len(words)))):
+            pairs.update((words[a], words[b]) for a, b in matching)
+    return sorted(pairs)
+
+
+class TestCountedWalkTallies:
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_finite_matches_scan_on_two_color_specs(self, n):
+        for spec in _two_color_specs(n):
+            assert fluctuations._centered_counts(spec) == _centered_counts_by_scan(spec)[0], spec
+
+    @pytest.mark.parametrize(
+        "spec", _DEGREE_EIGHT_SPECS, ids=lambda spec: str(spec.cycle_words)
+    )
+    def test_finite_matches_scan_at_degree_eight(self, spec):
+        assert fluctuations._centered_counts(spec) == _centered_counts_by_scan(spec)[0]
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_finite_matches_scan_on_random_specs(self, data):
+        spec = _random_spec(data)
+        finite = fluctuations._centered_counts(spec)
+        assert finite == _centered_counts_by_scan(spec)[0]
+        base = block_pairing([len(w) for w in spec.cycle_words])
+        assert sum(finite.values()) == sum(1 for _ in connecting_pairings(spec.coloring(), base))
+
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_connectors_match_scan_on_two_color_pairs(self, n):
+        for spec in _two_color_specs(n):
+            if len(spec.cycle_words) == 2:
+                assert fluctuations._connector_counts(
+                    *spec.cycle_words
+                ) == _connector_counts_by_scan(*spec.cycle_words), spec
+
+    def test_connectors_match_scan_at_degree_eight(self):
+        for pair in _word_pairs(_DEGREE_EIGHT_SPECS):
+            assert fluctuations._connector_counts(*pair) == _connector_counts_by_scan(*pair)
+
+    @given(st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_connectors_match_scan_on_random_specs(self, data):
+        for pair in _word_pairs([_random_spec(data)]):
+            assert fluctuations._connector_counts(*pair) == _connector_counts_by_scan(*pair)
 
 
 class TestBlockPairComposition:
@@ -150,11 +291,7 @@ class TestBlockPairComposition:
     @given(st.data())
     @settings(max_examples=60, deadline=None)
     def test_matches_filter_on_random_specs(self, data):
-        n = data.draw(st.integers(1, 6))
-        s = data.draw(st.integers(1, 3))
-        colors = data.draw(st.lists(st.integers(1, s), min_size=n, max_size=n))
-        cuts = data.draw(st.lists(st.booleans(), min_size=n - 1, max_size=n - 1))
-        spec = _split(colors, cuts)
+        spec = _random_spec(data)
         assert fluctuations._limit_counts(spec) == _filter_limit(spec)
 
     @given(
@@ -409,7 +546,7 @@ class TestOnePassAssembly:
     @pytest.mark.parametrize("sizes", [("M", "N"), (3, 2), ("N", "N"), ("M", 5)])
     def test_finite_matches_repeated_addition(self, n, sizes):
         for spec in itertools.islice(_two_color_specs(n), 0, None, 3):
-            finite, _ = fluctuations._centered_counts(spec)
+            finite = fluctuations._centered_counts(spec)
             for q_value in _Q_VALUES:
                 assert fluctuations._assemble_finite(
                     finite, n, q_value, *sizes

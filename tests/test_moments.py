@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from qwishart import moments
 from qwishart.moments import (
+    FloatOverflowError,
     MatrixBindings,
     MonomialSpec,
     brute_force_moment,
@@ -508,6 +509,21 @@ class TestValidation:
     def test_enumeration_bound(self):
         with pytest.raises(ValueError):
             real_wishart_moment(MonomialSpec(((1,) * 10,)))
+
+    # tr(B^2) overflows in a power of one atom, tr(B1) tr(B2) in a product
+    @pytest.mark.parametrize("words", [((1, 1),), ((1,), (2,))])
+    def test_float_overflow_named(self, words):
+        big = ([[1e200]], [[1.0]])
+        bindings = MatrixBindings.numeric([big, big])
+        with pytest.raises(FloatOverflowError, match="not finite in double precision"):
+            real_wishart_moment(MonomialSpec(words), bindings)
+
+    @pytest.mark.parametrize("words, factor", [(((1, 1),), 3), (((1,), (2,)), 1)])
+    def test_exact_matrices_do_not_overflow(self, words, factor):
+        # 1x1: W = b x^2 with x standard normal, so E[W^2] = 3 b^2
+        big = ([[10**200]], [[1]])
+        got = real_wishart_moment(MonomialSpec(words), MatrixBindings.numeric([big, big]))
+        assert got == factor * 10**400
 
     def test_float_matrices_numeric_path(self):
         spec = MonomialSpec(((1,),))

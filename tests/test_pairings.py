@@ -2,10 +2,16 @@ import itertools
 from math import comb
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qwishart.pairings import (
+    _brauer_table,
+    _crossings_table,
+    _cycle_count,
+    _iter_connected,
+    _iter_tables,
+    _position_blocks,
     Coloring,
     IntegerPartition,
     PairPartition,
@@ -274,6 +280,76 @@ class TestEnumeration:
                 for blk in ({1, 2}, {3, 4})
             )
             assert isolated
+
+
+def _connecting_tables_by_scan(coloring, base):
+    """The scan-every-table ``connecting_pairings`` the counted walk replaced."""
+    pos_colors = coloring.position_colors()
+    block = _position_blocks(base)
+    r = max(block) + 1
+    for table, _ in _iter_tables(coloring.n, pos_colors):
+        external = bytearray(r)
+        for p, q in enumerate(table):
+            if block[p] != block[q]:
+                external[block[p]] = 1
+        if all(external):
+            yield tuple(table)
+
+
+@st.composite
+def block_spec_st(draw, max_n=6):
+    """A coloring with 1-3 colors and a block pairing from random cuts."""
+    n = draw(st.integers(1, max_n))
+    s = draw(st.integers(1, 3))
+    colors = draw(st.lists(st.integers(1, s), min_size=n, max_size=n))
+    cuts = draw(st.lists(st.booleans(), min_size=n - 1, max_size=n - 1))
+    sizes = [1]
+    for cut in cuts:
+        if cut:
+            sizes.append(1)
+        else:
+            sizes[-1] += 1
+    return Coloring.from_colors(colors), block_pairing(sizes)
+
+
+class TestCountedWalk:
+    @given(block_spec_st())
+    @settings(max_examples=80, deadline=None)
+    def test_matches_scan_per_table(self, case):
+        coloring, base = case
+        block = _position_blocks(base)
+        walk = _iter_connected(coloring.n, coloring.position_colors(), base.table, block)
+        got = []
+        for table, cr, c_gamma, c_g, between in walk:
+            got.append(tuple(table))
+            assert cr == _crossings_table(table)
+            assert c_gamma == _cycle_count(table)
+            assert c_g == _cycle_count(_brauer_table(base.table, table))
+            assert between == sum(
+                1 for p, q in enumerate(table) if p < q and block[p] != block[q]
+            )
+        assert got == list(_connecting_tables_by_scan(coloring, base))
+        assert [pp.table for pp in connecting_pairings(coloring, base)] == got
+
+    @given(permutation_st(max_n=6), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_connecting_matches_scan_for_any_base(self, perm, data):
+        # traversal cycles of a general base are not position intervals
+        colors = data.draw(st.lists(st.integers(1, 2), min_size=len(perm), max_size=len(perm)))
+        coloring = Coloring.from_colors(colors)
+        base = from_permutation(perm)
+        got = [pp.table for pp in connecting_pairings(coloring, base)]
+        assert got == list(_connecting_tables_by_scan(coloring, base))
+
+    @pytest.mark.parametrize("colors", [[1], [1, 1, 1, 1], [1, 2, 2, 1, 1, 2]])
+    def test_one_block_yields_nothing(self, colors):
+        n = len(colors)
+        base = block_pairing([n])
+        coloring = Coloring.from_colors(colors)
+        walk = _iter_connected(
+            n, coloring.position_colors(), base.table, _position_blocks(base)
+        )
+        assert list(walk) == []
 
 
 class TestNonCrossing:
