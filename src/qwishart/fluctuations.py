@@ -106,6 +106,13 @@ class LimitMoment:
             raise ValueError(f"limit moment contains finite-size symbols {sorted(bad)}")
 
 
+def _block_walk(spec: MonomialSpec):
+    """The counted walk over pairings that join every trace block to another."""
+    base = block_pairing([len(w) for w in spec.cycle_words])
+    pos_colors = spec.coloring().position_colors()
+    return _iter_connected(spec.n, pos_colors, base.table, _position_blocks(base))
+
+
 @lru_cache(maxsize=_CACHE_SIZE)
 def _centered_counts(spec: MonomialSpec) -> dict[tuple[int, int, int], int]:
     """Finite tally over block-connecting pairings.
@@ -115,12 +122,8 @@ def _centered_counts(spec: MonomialSpec) -> dict[tuple[int, int, int], int]:
     every subtree that completes a block with no edge leaving it.  Callers
     check the enumeration bound first, so the cache key is the spec alone.
     """
-    base = block_pairing([len(w) for w in spec.cycle_words])
-    pos_colors = spec.coloring().position_colors()
     finite: dict[tuple[int, int, int], int] = {}
-    for _, cr, c_gamma, c_g, _ in _iter_connected(
-        spec.n, pos_colors, base.table, _position_blocks(base)
-    ):
+    for _, cr, c_gamma, c_g, _ in _block_walk(spec):
         key = (cr, c_gamma, c_g)
         finite[key] = finite.get(key, 0) + 1
     return finite
@@ -137,12 +140,8 @@ def _connector_counts(
     two cycle counts sum to the degree, i.e. a genus-zero pair component.
     """
     n = len(word_a) + len(word_b)
-    pos_colors = MonomialSpec((word_a, word_b)).coloring().position_colors()
-    base = block_pairing([len(word_a), len(word_b)])
     counts: dict[tuple[int, int, int], int] = {}
-    for _, cr, c_gamma, c_g, between in _iter_connected(
-        n, pos_colors, base.table, _position_blocks(base)
-    ):
+    for _, cr, c_gamma, c_g, between in _block_walk(MonomialSpec((word_a, word_b))):
         if c_gamma + c_g == n:
             key = (cr, c_gamma, between)
             counts[key] = counts.get(key, 0) + 1
