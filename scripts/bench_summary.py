@@ -7,10 +7,11 @@ Reads every ``*-trace*.json`` run record that ``perfbench/run.py`` left in
 RECORDS_DIR (default: ``.bench_out`` of this checkout).  The summary holds the
 git sha, source digest, Python and numpy versions and nproc shared by the
 records; per workload, the median, quartiles and IQR of each end-to-end
-metric over its untraced runs, and the per-layer metrics of its traced run
-(the median per metric if there are several).  All records must come from
-one tree on one machine, so run each tree's benchmark into its own records
-directory.
+metric over its untraced runs with the value of every run by seed, and the
+per-layer metrics of its traced run (the median per metric if there are
+several).  The per-seed values let two summaries of the same seeds be
+compared pair by pair.  All records must come from one tree on one
+machine, so run each tree's benchmark into its own records directory.
 """
 
 from __future__ import annotations
@@ -39,12 +40,12 @@ def _spread(values: list[float]) -> dict:
     }
 
 
-def _by_metric(records: list[dict]) -> dict[str, tuple[str, list[float]]]:
-    """Metric name -> (unit, values over the records that report it)."""
-    out: dict[str, tuple[str, list[float]]] = {}
+def _by_metric(records: list[dict]) -> dict[str, tuple[str, dict[int, float]]]:
+    """Metric name -> (unit, seed -> value over the records that report it)."""
+    out: dict[str, tuple[str, dict[int, float]]] = {}
     for record in records:
         for metric, m in record["metrics"].items():
-            out.setdefault(metric, (m["unit"], []))[1].append(m["value"])
+            out.setdefault(metric, (m["unit"], {}))[1][record["seed"]] = m["value"]
     return out
 
 
@@ -64,6 +65,10 @@ def summarize(records: list[dict]) -> dict:
         runs = [r for r in records if r["workload"] == name]
         untraced = [r for r in runs if r["trace"] == 0]
         traced = [r for r in runs if r["trace"] == 1]
+        for group in (untraced, traced):
+            seeds = [r["seed"] for r in group]
+            if len(set(seeds)) != len(seeds):
+                raise ValueError(f"records repeat a seed of {name}: {sorted(seeds)}")
         entry: dict = {
             "seeds": sorted(r["seed"] for r in untraced),
             "traced_seeds": sorted(r["seed"] for r in traced),
@@ -71,10 +76,17 @@ def summarize(records: list[dict]) -> dict:
             "end_to_end": {},
             "per_layer": {},
         }
-        for metric, (unit, values) in sorted(_by_metric(untraced).items()):
-            entry["end_to_end"][metric] = {"unit": unit, **_spread(values)}
-        for metric, (unit, values) in sorted(_by_metric(traced).items()):
-            entry["per_layer"][metric] = {"unit": unit, "value": statistics.median(values)}
+        for metric, (unit, by_seed) in sorted(_by_metric(untraced).items()):
+            entry["end_to_end"][metric] = {
+                "unit": unit,
+                **_spread(list(by_seed.values())),
+                "per_seed": {str(seed): by_seed[seed] for seed in sorted(by_seed)},
+            }
+        for metric, (unit, by_seed) in sorted(_by_metric(traced).items()):
+            entry["per_layer"][metric] = {
+                "unit": unit,
+                "value": statistics.median(by_seed.values()),
+            }
         workloads[name] = entry
     return {**shared, "workloads": workloads}
 

@@ -263,6 +263,10 @@ def _moment_common(args, q, out) -> int:
             "coloring": list(coloring.colors),
         }
     else:
+        if getattr(args, "coloring", None) is not None:
+            raise CliInputError(
+                "--coloring", "--coloring requires --sigma; a spec carries its own colors"
+            )
         if args.spec is None:
             raise CliInputError("--spec", "a spec is required")
         spec = _parse_spec("--spec", args.spec)
@@ -509,7 +513,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--spec", help="monomial spec JSON, or @file")
         if with_sigma:
             p.add_argument("--sigma", help="top-to-bottom pairing JSON, or @file")
-        p.add_argument("--coloring", help="coloring as JSON list or comma list")
+            p.add_argument("--coloring", help="coloring of --sigma as JSON list or comma list")
         p.add_argument("--matrices", help="per-color {B, Sigma} JSON, or @file")
         p.add_argument("--scalar", help='scalar bindings JSON {"M": [...], "scale": [...]}')
         p.add_argument("--symbolic", action="store_true", help="keep trace atoms symbolic")

@@ -9,17 +9,21 @@ B matrices, a scale-side trace monomial in the Sigma matrices read off the
 Brauer contraction with its inherited coloring (``pairing_term``), and (in
 the q case) the weight q^crossings.
 
-The engine enumerates the pairings once per (spec, use_eps) into a bounded
-cached tally of (crossings, trace monomial) -> count.  Every result is a
-substitution into that tally: symbolic mode keeps the atoms, numeric mode
-evaluates each distinct atom once on the bound matrices, scalar mode sends
-a shape atom to its color's size and a scale atom to N, and q enters as
-q^crossings, symbolically or as an exact rational.
+The engine reads the tally of (crossings, trace monomial) -> count off one
+backtracking walk over the pairings, once per (spec, use_eps), into a
+bounded cache.  The walk keeps the crossings and the open shape and scale
+paths as it places edges, and reads each trace atom's word once, when the
+edge that closes its cycle is placed; ``pairing_term`` computes the same
+monomial for one pairing from the traversal and the Brauer contraction and
+stays as the per-table oracle.  Every result is a substitution into the
+tally: symbolic mode keeps the atoms, numeric mode evaluates each distinct
+atom once on the bound matrices, scalar mode sends a shape atom to its
+color's size and a scale atom to N, and q enters as q^crossings,
+symbolically or as an exact rational.
 
 An independent brute-force oracle expands every trace into matrix entries
 and applies the q-Wick rule over all pairings of the 2n entry letters; it
-shares only the pairing enumerator and the polynomial arithmetic with the
-formula path.
+shares only the polynomial arithmetic with the formula path.
 """
 
 from __future__ import annotations
@@ -229,7 +233,7 @@ class MatrixBindings:
 
 
 # ---------------------------------------------------------------------------
-# the pairing-sum engine: one kernel, one tally, one substitution step
+# the pairing-sum engine: one walk, one tally, one substitution step
 
 # Tallies kept by ``_tally``; one per (top pairing, coloring, use_eps), so a
 # spec queried in several binding modes is enumerated once.
@@ -272,6 +276,133 @@ def pairing_term(
 Cell = tuple[tuple[int, tuple[tuple[int, int], ...]], int]
 
 
+def _word_counts(
+    top_table: Sequence[int], colors: Sequence[int], use_eps: bool
+) -> tuple[dict[tuple, int], dict[tuple[int, tuple[int, ...]], int]]:
+    """Raw word ids and ``(crossings, sorted word ids) -> count`` over the pairings.
+
+    One backtracking walk visits the color-preserving tables in the order of
+    ``_iter_tables``, keeping the crossings as it places each edge (p, q): it
+    crosses the placed edges whose right end lies between p and q.  The shape
+    cycles are the cycles of the table joined to V(x) = x ^ 1 and the scale
+    cycles those joined to F(x) = top[x ^ 1] ^ 1 (one F-step is one vertical
+    step of the contraction with its edge through ``top``).  The partial
+    union with either involution is a set of paths, ``end[x]`` is the other
+    end of the path ending at x, and (p, q) closes a cycle exactly when q is
+    that other end of p.
+
+    A closed cycle is read once, alternating table steps with V- or F-steps.
+    A shape letter sits on each V-step, out of y, as ``(colors[y >> 1],
+    use_eps and y odd)``; a scale letter on each table edge, at x, as
+    ``(pos_colors[x], False)``.  A shape cycle keeps one color (table edges
+    join equal colors, V the two ends of one point), and reading it the
+    other way reverses its word and flips every flag, so any start and
+    direction name the same atom.  A scale word's flags are all False, so
+    its reversal is in general another atom: it is read as
+    ``_traverse_table`` walks the contraction, from the cycle's smallest
+    even (top) position and leaving it along its table edge.  Word ids are
+    pushed as their cycles close and popped on backtrack.
+    """
+    size = 2 * len(colors)
+    pos_colors = [colors[x >> 1] for x in range(size)]
+    shape_letter = [(colors[y >> 1], bool(use_eps and y & 1)) for y in range(size)]
+    scale_letter = [(c, False) for c in pos_colors]
+    f = [top_table[x ^ 1] ^ 1 for x in range(size)]
+    table = [-1] * size
+    end_v = [x ^ 1 for x in range(size)]
+    end_f = f[:]
+    ids: dict[tuple, int] = {}
+    counts: dict[tuple[int, tuple[int, ...]], int] = {}
+    closed: list[int] = []  # ids of the words of the closed cycles
+    stack: list[tuple[int, int, int, int]] = []
+    cr = 0
+    p, q, inside = 0, 1, 0
+
+    def shape_word(start: int) -> int:
+        word = []
+        x = start
+        while True:
+            y = table[x]
+            word.append(shape_letter[y])
+            x = y ^ 1
+            if x == start:
+                break
+        return ids.setdefault(("shape", tuple(word)), len(ids))
+
+    def scale_word(start: int) -> int:
+        # y_i = table[x_i], x_(i+1) = F(y_i); F joins an even to an odd position
+        xs = []
+        x, best, at, forward = start, size, 0, True
+        while True:
+            y = table[x]
+            if x < best and not x & 1:
+                best, at, forward = x, len(xs), True
+            if y < best and not y & 1:
+                best, at, forward = y, len(xs), False
+            xs.append(x)
+            x = f[y]
+            if x == start:
+                break
+        # leave the smallest top along its table edge: from x_at, or back from y_at
+        order = xs[at:] + xs[:at] if forward else xs[at::-1] + xs[:at:-1]
+        return ids.setdefault(("scale", tuple([scale_letter[x] for x in order])), len(ids))
+
+    while True:
+        while q < size:
+            if table[q] >= 0:
+                inside += 1
+            elif pos_colors[q] == pos_colors[p]:
+                table[p] = q
+                table[q] = p
+                cr += inside
+                closes = 0
+                a = end_v[p]
+                if a == q:
+                    closed.append(shape_word(p))
+                    closes += 1
+                else:
+                    b = end_v[q]
+                    end_v[a] = b
+                    end_v[b] = a
+                a = end_f[p]
+                if a == q:
+                    closed.append(scale_word(p))
+                    closes += 1
+                else:
+                    b = end_f[q]
+                    end_f[a] = b
+                    end_f[b] = a
+                stack.append((p, q, inside, closes))
+                nxt = p + 1
+                while nxt < size and table[nxt] >= 0:
+                    nxt += 1
+                if nxt == size:
+                    key = (cr, tuple(sorted(closed)))
+                    counts[key] = counts.get(key, 0) + 1
+                    break  # p has no other free partner: undo this edge
+                p, q, inside = nxt, nxt + 1, 0
+                continue
+            q += 1
+        else:
+            if not stack:
+                return ids, counts
+        # undo the last edge; p and q still hold the path ends they linked
+        p, q, inside, closes = stack.pop()
+        table[p] = table[q] = -1
+        cr -= inside
+        if closes:
+            del closed[-closes:]
+        a = end_v[p]
+        if a != q:
+            end_v[a] = p
+            end_v[end_v[q]] = q
+        a = end_f[p]
+        if a != q:
+            end_f[a] = p
+            end_f[end_f[q]] = q
+        q += 1
+
+
 @lru_cache(maxsize=_TALLY_CACHE_SIZE)
 def _tally(
     top_table: tuple[int, ...], colors: tuple[int, ...], use_eps: bool
@@ -281,16 +412,11 @@ def _tally(
     Returns the distinct atoms, sorted in monomial key order, and the cells,
     which name each monomial by ascending atom indices, so a cell expands to
     its monomial without sorting.  Callers check the enumeration bound first.
-    Each table is keyed by integer ids of its raw words, so every distinct
-    word is canonicalised once per tally rather than once per table.
+    The tally is read off one walk (``_word_counts``) that keys each table by
+    integer ids of its raw words, each read when its cycle closes, so every
+    distinct word is canonicalised once per tally rather than once per table.
     """
-    pos_colors = Coloring.from_colors(colors).position_colors()
-    ids: dict[tuple, int] = {}
-    counts: dict[tuple[int, tuple[int, ...]], int] = {}
-    for table, cr in _iter_tables(len(colors), pos_colors):
-        words = _pairing_words(top_table, colors, pos_colors, table, use_eps)
-        key = (cr, tuple(sorted(ids.setdefault(w, len(ids)) for w in words)))
-        counts[key] = counts.get(key, 0) + 1
+    ids, counts = _word_counts(top_table, colors, use_eps)
     made = [TraceAtom.make(kind, word) for kind, word in ids]
     atoms = sorted(set(made), key=_key_order)
     index = {atom: i for i, atom in enumerate(atoms)}
@@ -615,8 +741,8 @@ def brute_force_moment(
     Expands every trace factor over all row/column index maps, lays out the
     2n entry letters in the crossing order, and sums the q-Wick weight over
     all pairings of the letters with the factorized covariance.  Independent
-    of the Brauer-contraction path; only the pairing enumerator and the
-    polynomial arithmetic are shared.
+    of the Brauer-contraction path; only the polynomial arithmetic is
+    shared.
     """
     n = spec.n
     t = tuple(c for w in spec.cycle_words for c in w)

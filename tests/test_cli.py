@@ -122,6 +122,13 @@ class TestMoment:
         code, _ = capture(["moment", "--spec", '{"cycle_words":[[1]]}'])
         assert code == 2
 
+    @pytest.mark.parametrize("spec", [[], ["--spec", "[[1,1]]"]])
+    def test_coloring_without_sigma_names_flag(self, capsys, spec):
+        # a spec carries its own colors, so a --coloring beside it would be ignored
+        code, out = capture(["moment", *spec, "--coloring", "1,2", "--symbolic"])
+        assert (code, out) == (2, "")
+        assert capsys.readouterr().err.startswith("error: --coloring: ")
+
     def test_csv_format(self):
         code, text = capture(
             ["moment", "--spec", '{"cycle_words":[[1,2]]}', "--symbolic", "--format", "csv"]
@@ -133,6 +140,12 @@ class TestMoment:
 
 
 class TestQMoment:
+    def test_has_no_coloring_flag(self, capsys):
+        # q-moment takes only a spec, which carries its own colors
+        code, out = capture(["q-moment", "--spec", "[[1,1]]", "--coloring", "1,2", "--symbolic"])
+        assert (code, out) == (2, "")
+        assert "unrecognized arguments: --coloring" in capsys.readouterr().err
+
     def test_symbolic_q(self):
         data = capture_json(
             [

@@ -104,25 +104,58 @@ class TestSquaredTraceTable:
         assert variance == 2 * m1 * m2 * N**2 + 2 * m1 * m2 * (m1 + m2 + 1) * N
 
 
+# a top-to-bottom sigma whose cycles (1 4 2)(3 5) are not consecutive blocks
+_SIGMA = (from_permutation((4, 1, 5, 2, 3)), Coloring.from_colors([1, 2, 2, 1, 2]))
+
+
 class TestTally:
-    @pytest.mark.parametrize(
-        "words",
-        [((1, 2), (1, 2)), ((1, 1, 2), (2, 1)), ((1, 2, 3), (3,), (1, 2)), ((1,) * 3, (1, 1))],
-    )
-    @pytest.mark.parametrize("use_eps", [True, False])
-    def test_matches_per_table_terms(self, words, use_eps):
-        # the indexed tally, expanded to monomials, against pairing_term table by table
-        spec = MonomialSpec(words)
-        top, colors = spec.pairing().table, spec.coloring().colors
-        pos_colors = spec.coloring().position_colors()
+    @staticmethod
+    def check(sigma, coloring, use_eps) -> dict:
+        """The indexed tally, expanded to monomials, against pairing_term table by table."""
+        top, colors = sigma.table, coloring.colors
         expected: dict = {}
-        for table, cr in _iter_tables(spec.n, pos_colors):
+        for table, cr in _iter_tables(coloring.n, coloring.position_colors()):
             key = (cr, moments.pairing_term(top, colors, table, use_eps))
             expected[key] = expected.get(key, 0) + 1
         atoms, cells = moments._tally(top, colors, use_eps)
         got = {(cr, tuple((atoms[i], e) for i, e in exps)): count for (cr, exps), count in cells}
         assert len(got) == len(cells)
         assert got == expected
+        return expected
+
+    @pytest.mark.parametrize(
+        "words",
+        [
+            ((1, 2), (1, 2)),
+            ((1, 1, 2), (2, 1)),
+            ((1, 2, 3), (3,), (1, 2)),
+            ((1,) * 3, (1, 1)),
+            # a reversed scale cycle is a different atom: its flags are all False
+            ((1, 2, 3),),
+            ((1, 2, 3), (3, 2, 1)),
+            ((1, 2, 2, 1), (2, 2, 1)),  # the benchmark's degree-7 two-color shape
+            _SIGMA,  # the scale cycles depend on the top pairing
+        ],
+    )
+    @pytest.mark.parametrize("use_eps", [True, False])
+    def test_matches_per_table_terms(self, words, use_eps):
+        if words is _SIGMA:
+            sigma, coloring = _SIGMA
+        else:
+            spec = MonomialSpec(words)
+            sigma, coloring = spec.pairing(), spec.coloring()
+        expected = self.check(sigma, coloring, use_eps)
+        if words is _SIGMA and use_eps:
+            oracle = _exact_oracle(expected, lambda atom: atom, 1, 1)
+            assert real_wishart_moment_general(sigma, coloring) == oracle
+
+    @given(st.data(), st.booleans())
+    @settings(max_examples=40, deadline=None)
+    def test_any_top_matches_per_table_terms(self, data, use_eps):
+        n = data.draw(st.integers(1, 6))
+        colors = data.draw(st.lists(st.integers(1, 3), min_size=n, max_size=n))
+        sigma = from_permutation(data.draw(st.permutations(range(1, n + 1))))
+        self.check(sigma, Coloring.from_colors(colors), use_eps)
 
     def test_cache_is_bounded(self):
         assert moments._tally.cache_info().maxsize is not None

@@ -91,6 +91,7 @@ class TestBenchSummary:
         assert wall["median"] == 0.32 and wall["runs"] == 5 and wall["unit"] == "s"
         assert (wall["q1"], wall["q3"]) == (0.31, 0.34)
         assert abs(wall["iqr"] - 0.03) < 1e-12
+        assert wall["per_seed"] == {"1": 0.30, "2": 0.34, "3": 0.32, "4": 0.36, "5": 0.31}
         assert finite["per_layer"] == {
             "fluctuations.finite_centered_s": {"unit": "s", "value": 0.04}
         }
@@ -105,6 +106,32 @@ class TestBenchSummary:
         self.write(tmp_path, [first, second])
         assert load("bench_summary").main([str(tmp_path)]) == 2
         assert f"disagree on {key}" in capsys.readouterr().err
+
+    def test_per_seed_values_pair_two_trees(self, tmp_path):
+        # two summaries of the same seeds can be compared run by run
+        summaries = []
+        for tree, walls in (("parent", [0.30, 0.34, 0.32]), ("change", [0.25, 0.35, 0.24])):
+            (tmp_path / tree).mkdir()
+            records = [
+                _record("finite-exact", seed, 0, {"wall_s": w}, git_sha=tree)
+                for seed, w in zip((7, 8, 9), walls)
+            ]
+            self.write(tmp_path / tree, records)
+            out = tmp_path / f"{tree}.json"
+            assert load("bench_summary").main([str(tmp_path / tree), "--out", str(out)]) == 0
+            summaries.append(json.loads(out.read_text()))
+        parent, change = (
+            s["workloads"]["finite-exact"]["end_to_end"]["wall_s"]["per_seed"] for s in summaries
+        )
+        assert parent.keys() == change.keys() == {"7", "8", "9"}
+        assert sum(change[seed] < parent[seed] for seed in parent) == 2
+
+    def test_rejects_a_repeated_seed(self, tmp_path, capsys):
+        records = [_record("finite-exact", 1, 0, {"wall_s": w}) for w in (0.3, 0.4)]
+        for i, r in enumerate(records):  # two records of one seed under two file names
+            (tmp_path / f"finite-exact-seed1-run{i}-trace0.json").write_text(json.dumps(r))
+        assert load("bench_summary").main([str(tmp_path)]) == 2
+        assert "repeat a seed of finite-exact" in capsys.readouterr().err
 
     def test_no_records(self, tmp_path, capsys):
         assert load("bench_summary").main([str(tmp_path)]) == 2
