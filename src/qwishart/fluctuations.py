@@ -13,19 +13,21 @@ it.
 
 As N grows with M/N -> lambda, only pairings whose diagram splits the blocks
 into genus-zero pairs survive, contributing q^crossings * lambda^cycles;
-everything else is O(1/N).  The limit is therefore built by block-pair
-composition instead of enumeration: it sums over the perfect matchings of
-the blocks, and for each matched pair (A, B) over its connectors, the planar
-two-block diagrams (annular non-crossing pairings) of the spec (w_A, w_B)
-with at least one edge between A and B.  The cycle counts add over the
-pairs.  The crossings add too, plus e_AB * e_CD for every two matched pairs
-that interleave as A < C < B < D, where e_AB counts the edges between A and
-B: blocks are contiguous position intervals, so an edge inside one block
-crosses nothing outside its pair, and every A-B edge crosses every C-D edge
-exactly when the pairs interleave.
-
-Moments of polynomial statistics expand multilinearly into these block
-moments.
+everything else is O(1/N).  A matched pair (A, B) is joined by a connector,
+a planar two-block diagram of the spec (w_A, w_B) with e_AB >= 1 edges
+between A and B.  Cycle counts and crossings add over the pairs, plus
+e_AB * e_CD crossings for every two matched pairs that interleave as
+A < C < B < D: blocks are contiguous position intervals, so every A-B edge
+crosses every C-D edge exactly when the pairs interleave, and no other edge
+leaves its pair.  So a connector meets the rest only through e_AB, and the
+limit of tau(X_1 ... X_m) for centered statistics is one matching sum over
+edge-split covariances C_e(X_i, X_j) in Q[q, lambda] (coeff * q^crossings *
+lambda^cycles summed over the connectors with e edges of every term pair):
+over the perfect matchings of the positions and one label e per matched
+pair, the product of the C_e times q^(e * e') per interleaving pair.  A
+block moment is the same sum with one single-term statistic per block.  This
+is the q-Gaussian pattern of Bozejko and Speicher: normal at q = 1, and at
+q = 0 only non-crossing matchings survive, giving the semicircle.
 """
 
 from __future__ import annotations
@@ -47,9 +49,9 @@ from .pairings import (
 from .polynomials import MomentPolynomial, Monomial, Rational, _make_monomial
 
 # Entries kept by each memo cache below.  The caches are keyed by spec, word
-# pair or word tuple, so this bounds a long-lived process that walks through
-# many statistics; 2048 still holds all 1365 specs of degree <= 6 in two
-# colors.
+# pair or statistic pair, so this bounds a long-lived process that walks
+# through many statistics; 2048 still holds all 1365 specs of degree <= 6 in
+# two colors.
 _CACHE_SIZE = 2048
 
 
@@ -164,37 +166,6 @@ def _block_matchings(blocks: tuple[int, ...]):
             yield [(first, blocks[k])] + matching
 
 
-@lru_cache(maxsize=_CACHE_SIZE)
-def _limit_counts(spec: MonomialSpec) -> dict[tuple[int, int], int]:
-    """Limit tally keyed by (crossings, cycles), by block-pair composition.
-
-    Equals filtering every block-connecting pairing for pairs of blocks joined
-    at genus zero, without visiting the pairings that do not survive.
-    """
-    words = spec.cycle_words
-    limit: dict[tuple[int, int], int] = {}
-    for matching in _block_matchings(tuple(range(len(words)))):
-        tallies = [_connector_counts(words[a], words[b]).items() for a, b in matching]
-        interleaved = [
-            (i, j)
-            for i, (a, b) in enumerate(matching)
-            for j, (c, d) in enumerate(matching)
-            if a < c < b < d
-        ]
-        for combo in iter_product(*tallies):
-            cr = c_gamma = 0
-            count = 1
-            for (cr_pair, c_pair, _), k in combo:
-                cr += cr_pair
-                c_gamma += c_pair
-                count *= k
-            for i, j in interleaved:
-                cr += combo[i][0][2] * combo[j][0][2]
-            key = (cr, c_gamma)
-            limit[key] = limit.get(key, 0) + count
-    return limit
-
-
 def centered_trace_moment(
     spec: MonomialSpec,
     q="q",
@@ -213,7 +184,8 @@ def centered_trace_moment_limit(
 ) -> LimitMoment:
     """Large-N limit of the centered moment with M/N -> lambda."""
     _check_bound(spec.n, allow_large)
-    return LimitMoment(_assemble_limit(_limit_counts(spec), q))
+    blocks = [PolynomialStatistic.from_terms([(1, word)]) for word in spec.cycle_words]
+    return LimitMoment(_product_limit(blocks, q))
 
 
 def centered_finite_and_limit(
@@ -272,24 +244,50 @@ def _assemble_limit(counts, q):
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
-def _limit_value(words: tuple[tuple[int, ...], ...], q) -> MomentPolynomial:
-    return centered_trace_moment_limit(MonomialSpec(words), q).value
+def _covariance(x: PolynomialStatistic, y: PolynomialStatistic, q):
+    """Edge-split limit covariance of two centered statistics, as (e, C_e) pairs.
+
+    C_e sums coeff_X * coeff_Y * q^crossings * lambda^cycles over the
+    connectors with e edges between the blocks of every term pair; a
+    rational ``q`` is substituted into the coefficients too.  Classes that
+    cancel are left out.
+    """
+    split: dict[int, list[MomentPolynomial]] = {}
+    for (coeff_x, word_x), (coeff_y, word_y) in iter_product(x.terms, y.terms):
+        coeff = coeff_x * coeff_y
+        if not isinstance(q, str):
+            coeff = coeff.substitute({"q": Fraction(q)})
+        for (cr, c_gamma, e), count in _connector_counts(word_x, word_y).items():
+            split.setdefault(e, []).append(coeff * _assemble_limit({(cr, c_gamma): count}, q))
+    sums = ((e, MomentPolynomial.sum(parts)) for e, parts in sorted(split.items()))
+    return tuple((e, c) for e, c in sums if not c.is_zero())
 
 
 def _product_limit(statistics: Sequence[PolynomialStatistic], q) -> MomentPolynomial:
-    """Limit of the tracial moment of an ordered product of centered statistics."""
-    if not statistics:
-        return MomentPolynomial.constant(1)
+    """Limit of the tracial moment of an ordered product of centered statistics.
 
-    def products():
-        for combo in iter_product(*[st.terms for st in statistics]):
-            coeff = MomentPolynomial.constant(1)
-            for c, _ in combo:
-                coeff = coeff * c
-            words = tuple(word for _, word in combo)
-            yield coeff * _limit_value(words, q)
+    Sums over the perfect matchings of the positions and one edge class e per
+    matched pair: the product of the pairs' covariances C_e, times q^(e * e')
+    for every two matched pairs that interleave as A < C < B < D.
+    """
 
-    return MomentPolynomial.sum(products())
+    def terms():
+        for matching in _block_matchings(tuple(range(len(statistics)))):
+            covariances = [_covariance(statistics[a], statistics[b], q) for a, b in matching]
+            interleaved = [
+                (i, j)
+                for i, (a, b) in enumerate(matching)
+                for j, (c, d) in enumerate(matching)
+                if a < c < b < d
+            ]
+            for labels in iter_product(*covariances):
+                cr = sum(labels[i][0] * labels[j][0] for i, j in interleaved)
+                term = _collect([(Fraction(1), {"q": cr})], q)
+                for _, c in labels:
+                    term = term * c
+                yield term
+
+    return MomentPolynomial.sum(terms())
 
 
 def _check_statistic_bound(factors: int, statistic: PolynomialStatistic) -> None:

@@ -688,22 +688,10 @@ def white_wishart_power_moment(
     sig = top.table
     counts: dict[tuple[int, int], int] = {}
     for table, _ in _iter_tables(n):
-        c_gamma = _cycle_count(table)
-        parent = list(range(2 * n))
-
-        def find(x: int) -> int:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for p in range(2 * n):
-            for other in (table[p], sig[p]):
-                a, b = find(p), find(other)
-                if a != b:
-                    parent[a] = b
-        comps = len({find(p) for p in range(2 * n)})
-        key = (c_gamma, comps)
+        # each component of table | sig is two orbits of p -> table[sig[p]],
+        # the doubled walk _cycle_count takes for sig(p) = p ^ 1
+        comps = _cycle_count([table[sig[p ^ 1]] for p in range(2 * n)])
+        key = (_cycle_count(table), comps)
         counts[key] = counts.get(key, 0) + 1
     result = MomentPolynomial.zero()
     for (cm, cn), count in sorted(counts.items()):

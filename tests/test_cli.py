@@ -10,7 +10,7 @@ import pytest
 from qwishart import pairings
 
 from qwishart.cli import run
-from qwishart.polynomials import poly_from_json
+from qwishart.polynomials import MomentPolynomial, poly_from_json, poly_to_json
 
 
 def capture(argv):
@@ -202,6 +202,16 @@ class TestFluctuationLimit:
         q_json = json.dumps({"terms": [{"coeff": coeff, "word": [1]}]})
         data2 = capture_json(["fluctuation-limit", "--Q", q_json, "--orders", "2"])
         assert data2["orders"][1]["value"]["terms"]
+
+    def test_rational_q_reaches_coefficients(self):
+        # tuned square tr(W^2) - (1 + q^2 + 2 lambda) tr(W): m2 = lambda^2 (1+q^2+q^4+q^6)
+        q, lam = MomentPolynomial.symbol("q"), MomentPolynomial.symbol("lambda")
+        shift = {"poly": poly_to_json(-1 * (1 + q**2 + 2 * lam))}
+        terms = [{"coeff": "1", "word": [1, 1]}, {"coeff": shift, "word": [1]}]
+        data = capture_json(
+            ["fluctuation-limit", "--Q", json.dumps({"terms": terms}), "--q", "0", "--orders", "2"]
+        )
+        assert poly_from_json(data["orders"][1]["value"]) == lam**2
 
     def test_csv(self):
         code, text = capture(

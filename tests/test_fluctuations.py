@@ -1,4 +1,5 @@
 import itertools
+import math
 from fractions import Fraction
 from functools import lru_cache
 
@@ -218,6 +219,13 @@ def _filter_limit(spec):
     return _centered_counts_by_scan(spec)[1]
 
 
+def _limit_matches_filter(spec):
+    # (cr, c) -> q^cr * lambda^c is injective, so equal polynomials mean
+    # equal tallies
+    expected = fluctuations._assemble_limit(_filter_limit(spec), "q")
+    return centered_trace_moment_limit(spec).value == expected
+
+
 def _random_spec(data, max_n=6):
     n = data.draw(st.integers(1, max_n))
     s = data.draw(st.integers(1, 3))
@@ -280,19 +288,18 @@ class TestBlockPairComposition:
     @pytest.mark.parametrize("n", range(1, 7))
     def test_matches_filter_on_two_color_specs(self, n):
         for spec in _two_color_specs(n):
-            assert fluctuations._limit_counts(spec) == _filter_limit(spec), spec
+            assert _limit_matches_filter(spec), spec
 
     @pytest.mark.parametrize(
         "spec", _DEGREE_EIGHT_SPECS, ids=lambda spec: str(spec.cycle_words)
     )
     def test_matches_filter_at_degree_eight(self, spec):
-        assert fluctuations._limit_counts(spec) == _filter_limit(spec)
+        assert _limit_matches_filter(spec)
 
     @given(st.data())
     @settings(max_examples=60, deadline=None)
     def test_matches_filter_on_random_specs(self, data):
-        spec = _random_spec(data)
-        assert fluctuations._limit_counts(spec) == _filter_limit(spec)
+        assert _limit_matches_filter(_random_spec(data))
 
     @given(
         st.lists(st.lists(st.integers(1, 2), min_size=1, max_size=3), min_size=2, max_size=6)
@@ -311,9 +318,10 @@ class TestBlockPairComposition:
         )
 
     def test_odd_block_count_visits_nothing(self):
-        fluctuations._limit_counts.cache_clear()
+        fluctuations._covariance.cache_clear()
         fluctuations._connector_counts.cache_clear()
-        assert fluctuations._limit_counts(MonomialSpec(((1,),) * 7)) == {}
+        assert centered_trace_moment_limit(MonomialSpec(((1,),) * 7)).value.is_zero()
+        assert fluctuations._covariance.cache_info().currsize == 0
         assert fluctuations._connector_counts.cache_info().currsize == 0
 
     def test_beyond_enumeration_bound(self):
@@ -326,7 +334,7 @@ class TestBlockPairComposition:
 
     @pytest.mark.parametrize(
         "cached",
-        ["_centered_counts", "_connector_counts", "_limit_counts", "_limit_value"],
+        ["_centered_counts", "_connector_counts", "_covariance"],
     )
     def test_caches_are_bounded(self, cached):
         assert getattr(fluctuations, cached).cache_info().maxsize is not None
@@ -431,24 +439,39 @@ class TestStatisticMoments:
         assert limits[2].value.is_zero()
 
     def test_gaussian_ratios_at_q_one(self):
+        # normal law: odd moments vanish, m_2k = (2k - 1)!! m2^k
         stat = PolynomialStatistic.from_terms([(1, (1,))])
-        limits = statistic_limit_moments(stat, 6, q=1)
-        m2, m4, m6 = limits[1].value, limits[3].value, limits[5].value
-        assert m4 == 3 * m2 * m2
-        assert m6 == 15 * m2**3
+        limits = [lm.value for lm in statistic_limit_moments(stat, 9, q=1)]
+        assert all(limits[m - 1].is_zero() for m in range(1, 10, 2))
+        for k in range(1, 5):
+            assert limits[2 * k - 1] == math.prod(range(1, 2 * k, 2)) * limits[1] ** k
 
     def test_semicircle_ratios_at_q_zero(self):
+        # semicircle law: odd moments vanish, m_2k = Catalan_k m2^k
         stat = PolynomialStatistic.from_terms([(1, (1,))])
-        limits = statistic_limit_moments(stat, 6, q=0)
-        m2, m4, m6 = limits[1].value, limits[3].value, limits[5].value
-        assert m4 == 2 * m2 * m2
-        assert m6 == 5 * m2**3
+        limits = [lm.value for lm in statistic_limit_moments(stat, 9, q=0)]
+        assert all(limits[m - 1].is_zero() for m in range(1, 10, 2))
+        for k in range(1, 5):
+            assert limits[2 * k - 1] == math.comb(2 * k, k) // (k + 1) * limits[1] ** k
 
     def test_polynomial_coefficients(self):
         a = 1 + q**2 + 2 * lam
         stat = PolynomialStatistic.from_terms([(1, (1, 1)), (-1 * a, (1,))])
         m2 = statistic_limit_moments(stat, 2)[1].value
         assert m2 == lam**2 * (1 + q**2 + q**4 + q**6)
+
+    @given(st.fractions(min_value=-2, max_value=2, max_denominator=6))
+    @settings(max_examples=10, deadline=None)
+    def test_rational_q_equals_substituted_symbolic(self, r):
+        # q-bearing statistic coefficients take the rational q too
+        a = 1 + q**2 + 2 * lam
+        tuned = PolynomialStatistic.from_terms([(1, (1, 1)), (-1 * a, (1,))])
+        mixed = PolynomialStatistic.from_terms([(1, (1, 2)), (Fraction(-1, 2), (2,)), (q, (1,))])
+        for stat in (tuned, mixed):
+            symbolic = [lm.value.substitute({"q": r}) for lm in statistic_limit_moments(stat, 3)]
+            assert [lm.value for lm in statistic_limit_moments(stat, 3, r)] == symbolic
+            symbolic = conditional_variance_check(stat, 1).substitute({"q": r})
+            assert conditional_variance_check(stat, 1, r) == symbolic
 
     def test_order_bound(self):
         stat = PolynomialStatistic.from_terms([(1, (1, 1))])
@@ -526,6 +549,7 @@ def _assemble_limit_by_addition(counts, q):
 
 
 def _product_limit_by_addition(statistics, q):
+    """Multilinear expansion into block limits at symbolic q, then q substituted."""
     if not statistics:
         return MomentPolynomial.constant(1)
     total = MomentPolynomial.zero()
@@ -534,8 +558,8 @@ def _product_limit_by_addition(statistics, q):
         for c, _ in combo:
             coeff = coeff * c
         words = tuple(word for _, word in combo)
-        total = total + coeff * fluctuations._limit_value(words, q)
-    return total
+        total = total + coeff * centered_trace_moment_limit(MonomialSpec(words)).value
+    return total if isinstance(q, str) else total.substitute({"q": Fraction(q)})
 
 
 _Q_VALUES = ["q", 0, 1, Fraction(1, 2), Fraction(-2, 3)]
@@ -555,7 +579,7 @@ class TestOnePassAssembly:
     @pytest.mark.parametrize("n", range(1, 7))
     def test_limit_matches_repeated_addition(self, n):
         for spec in itertools.islice(_two_color_specs(n), 0, None, 3):
-            counts = fluctuations._limit_counts(spec)
+            counts = _filter_limit(spec)
             for q_value in _Q_VALUES:
                 assert fluctuations._assemble_limit(
                     counts, q_value

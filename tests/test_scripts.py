@@ -48,6 +48,17 @@ def test_limit_moment_scan_prints_every_order(monkeypatch, capsys):
     assert sum(line.startswith("  m") for line in lines) == sum(script.MAX_ORDERS.values())
 
 
+def test_limit_moment_scan_substitutes_rational_q(monkeypatch, capsys):
+    # the tuned square's coefficients carry q, so they must take q = 0 too
+    script = load("limit_moment_scan")
+    argv = ["limit_moment_scan.py", "--q", "0", "--statistic", "tuned-square"]
+    monkeypatch.setattr(sys, "argv", argv)
+    script.main()
+    values = [line.split("=", 1)[1] for line in capsys.readouterr().out.splitlines()[1:]]
+    assert len(values) == script.MAX_ORDERS["tuned-square"]
+    assert not any("q" in value for value in values)
+
+
 def _record(workload, seed, trace, metrics, **shared):
     record = {
         "workload": workload,
