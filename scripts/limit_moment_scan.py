@@ -24,7 +24,7 @@ STATISTICS = {
     ),
 }
 
-MAX_ORDERS = {"trace": 6, "product": 4, "tuned-square": 4}
+MAX_ORDERS = {"trace": 10, "product": 4, "tuned-square": 8}
 
 
 def main() -> None:

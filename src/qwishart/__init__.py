@@ -11,6 +11,7 @@ from importlib import import_module as _import_module
 
 from .pairings import (
     Coloring,
+    EnumerationBoundError,
     GenusDecomposition,
     IntegerPartition,
     PairPartition,

@@ -1,7 +1,8 @@
 """Command-line front end: deterministic JSON/CSV output, inline or @file args.
 
 Exit codes: 0 success, 2 input validation failure (the message names the
-offending flag), 1 internal assertion failure.
+offending flag), 1 internal assertion failure, 141 (128 + SIGPIPE) when the
+reader closes the output pipe early.
 """
 
 from __future__ import annotations
@@ -9,8 +10,8 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
-from collections import Counter
 from fractions import Fraction
 
 from . import fluctuations, moments, mp, pairings
@@ -207,23 +208,25 @@ def _emit_json(out, payload) -> None:
 
 
 def _cmd_enumerate(args, out) -> int:
-    """Stream the JSON; the count is the closed form prod_c (2k_c - 1)!!."""
-    try:
-        pairings._check_bound(args.n, args.allow_large_n)
-    except ValueError as exc:
-        raise CliInputError("--n", str(exc)) from exc
+    """Stream the JSON; its count, the closed form prod_c (2k_c - 1)!!, is
+    checked against the enumeration bound before the header is written.
+    """
+    if args.n < 0:
+        raise CliInputError("--n", f"n={args.n} must be nonnegative")
     if args.coloring is not None:
         coloring = _parse_coloring("--coloring", args.coloring)
         if coloring.n != args.n:
             raise CliInputError("--coloring", "coloring length must equal --n")
-        stream = pairings.color_preserving_pairings(coloring, allow_large=args.allow_large_n)
+        stream = pairings.color_preserving_pairings(coloring)
         colors = list(coloring.colors)
-        sizes = Counter(colors).values()
+        pos_colors = coloring.position_colors()
     else:
-        stream = pairings.all_pairings(args.n, allow_large=args.allow_large_n)
-        colors = None
-        sizes = [args.n]
-    count = math.prod(moments._double_factorial(2 * k - 1) for k in sizes) if args.n > 0 else 0
+        stream = pairings.all_pairings(args.n)
+        colors = pos_colors = None
+    try:
+        count = pairings._check_tables(args.n, pos_colors) if args.n > 0 else 0
+    except pairings.EnumerationBoundError as exc:
+        raise CliInputError("--n", str(exc)) from exc
     compact = {"separators": (",", ":")}
     out.write(f'{{"n":{args.n},"coloring":{json.dumps(colors, **compact)},')
     out.write(f'"count":{count},"pairings":[')
@@ -277,7 +280,7 @@ def _moment_common(args, q, out) -> int:
             fn, fn_args = moments.q_wishart_moment, (spec, bindings, q)
         echo = {"spec": {"cycle_words": [list(w) for w in spec.cycle_words]}}
     try:
-        result = fn(*fn_args, allow_large=args.allow_large_n)
+        result = fn(*fn_args)
     except ValueError as exc:
         raise CliInputError(field, str(exc)) from exc
     except moments.FloatOverflowError as exc:
@@ -435,8 +438,6 @@ def _cmd_mc_validate(args, out) -> int:
         matrices, spec_text = args.matrices, args.spec
     if samples < 2:
         raise CliInputError(samples_field, "need at least 2 samples for a standard error")
-    if not 1 <= args.partitions <= samples:
-        raise CliInputError("--partitions", f"partitions must lie in 1..{samples}, the sample count")
     spec = _parse_spec(spec_field, spec_text)
     bindings = _parse_matrices(matrices_field, matrices)
     try:
@@ -450,7 +451,6 @@ def _cmd_mc_validate(args, out) -> int:
                 )
                 for b, sigma in zip(bindings.shapes, bindings.scales)
             ),
-            partitions=args.partitions,
         )
         report = montecarlo.estimate_monomial(spec, config)
     except (TypeError, ValueError) as exc:
@@ -519,13 +519,11 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--symbolic", action="store_true", help="keep trace atoms symbolic")
         if with_q:
             p.add_argument("--q", default="sym", help="rational q or 'sym'")
-        p.add_argument("--allow-large-n", dest="allow_large_n", action="store_true")
         p.add_argument("--format", choices=("json", "csv"), default="json")
 
     p = sub.add_parser("enumerate", help="list pair partitions")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--coloring")
-    p.add_argument("--allow-large-n", dest="allow_large_n", action="store_true")
     p.set_defaults(func=_cmd_enumerate)
 
     p = sub.add_parser("moment", help="classical Wishart trace moment")
@@ -563,7 +561,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--matrices")
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--samples", type=int, default=10000)
-    p.add_argument("--partitions", type=int, default=1)
     p.set_defaults(func=_cmd_mc_validate)
 
     p = sub.add_parser("table1", help="two-color squared-trace expansion table")
@@ -590,7 +587,14 @@ def run(argv, out=None) -> int:
 
 
 def main() -> None:
-    sys.exit(run(sys.argv[1:]))
+    try:
+        code = run(sys.argv[1:])
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader left; point stdout at devnull so the final flush is quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 141
+    sys.exit(code)
 
 
 if __name__ == "__main__":

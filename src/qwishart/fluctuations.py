@@ -35,13 +35,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import chain, repeat
 from itertools import product as iter_product
 from typing import Sequence, Union
 
 from .moments import MonomialSpec
 from .pairings import (
-    ENUMERATION_BOUND,
-    _check_bound,
+    _check_count,
+    _double_factorial,
     _iter_connected,
     _position_blocks,
     block_pairing,
@@ -53,6 +54,9 @@ from .polynomials import MomentPolynomial, Monomial, Rational, _make_monomial
 # through many statistics; 2048 still holds all 1365 specs of degree <= 6 in
 # two colors.
 _CACHE_SIZE = 2048
+
+# Terms one limit matching sum may add: 11!!, the matchings of 12 positions.
+LIMIT_TERM_BOUND = _double_factorial(11)
 
 
 @dataclass(frozen=True)
@@ -121,8 +125,8 @@ def _centered_counts(spec: MonomialSpec) -> dict[tuple[int, int, int], int]:
 
     Keys are (crossings, cycles of the pairing, cycles of the contraction),
     all three kept by the counted walk ``_iter_connected``, which also prunes
-    every subtree that completes a block with no edge leaving it.  Callers
-    check the enumeration bound first, so the cache key is the spec alone.
+    every subtree that completes a block with no edge leaving it.  The walk
+    checks its own table count, so the cache key is the spec alone.
     """
     finite: dict[tuple[int, int, int], int] = {}
     for _, cr, c_gamma, c_g, _ in _block_walk(spec):
@@ -153,8 +157,8 @@ def _connector_counts(
 def _block_matchings(blocks: tuple[int, ...]):
     """Perfect matchings of the block indices, as lists of ascending pairs.
 
-    An odd number of blocks has none, so its limit is zero before any
-    connector is enumerated.
+    An odd number of blocks has none, but the recursion would still walk
+    every dead-end prefix, so callers test the parity first.
     """
     if not blocks:
         yield []
@@ -171,28 +175,19 @@ def centered_trace_moment(
     q="q",
     shape_size: Union[int, str] = "M",
     scale_dim: Union[int, str] = "N",
-    *,
-    allow_large: bool = False,
 ):
     """Joint centered moment of the spec's trace blocks at finite size."""
-    _check_bound(spec.n, allow_large)
     return _assemble_finite(_centered_counts(spec), spec.n, q, shape_size, scale_dim)
 
 
-def centered_trace_moment_limit(
-    spec: MonomialSpec, q="q", *, allow_large: bool = False
-) -> LimitMoment:
+def centered_trace_moment_limit(spec: MonomialSpec, q="q") -> LimitMoment:
     """Large-N limit of the centered moment with M/N -> lambda."""
-    _check_bound(spec.n, allow_large)
     blocks = [PolynomialStatistic.from_terms([(1, word)]) for word in spec.cycle_words]
     return LimitMoment(_product_limit(blocks, q))
 
 
 def centered_finite_and_limit(
-    spec: MonomialSpec,
-    q="q",
-    *,
-    allow_large: bool = False,
+    spec: MonomialSpec, q="q"
 ) -> tuple[MomentPolynomial, LimitMoment]:
     """Finite centered moment (in M, N) and its limit, by independent paths.
 
@@ -200,10 +195,9 @@ def centered_finite_and_limit(
     composed from block-pair connectors, so comparing the rescaled finite
     value with the limit checks one path against the other.
     """
-    _check_bound(spec.n, allow_large)
     return (
         _assemble_finite(_centered_counts(spec), spec.n, q, "M", "N"),
-        centered_trace_moment_limit(spec, q, allow_large=allow_large),
+        centered_trace_moment_limit(spec, q),
     )
 
 
@@ -268,19 +262,33 @@ def _product_limit(statistics: Sequence[PolynomialStatistic], q) -> MomentPolyno
 
     Sums over the perfect matchings of the positions and one edge class e per
     matched pair: the product of the pairs' covariances C_e, times q^(e * e')
-    for every two matched pairs that interleave as A < C < B < D.
+    for every two matched pairs that interleave as A < C < B < D.  An odd
+    number of positions has no matching, so its limit is zero before any
+    covariance is built.  For m positions the sum has at most
+    (m - 1)!! * max(1, k)^(m/2) terms, k being the most edge classes of one
+    covariance: (m - 1)!! is checked before any covariance is built and the
+    full count before the first matching is summed.
     """
+    m = len(statistics)
+    if m % 2:
+        return MomentPolynomial.zero()
+    _check_limit_terms(m, 1)
+    covariances = {
+        (a, b): _covariance(statistics[a], statistics[b], q)
+        for a in range(m)
+        for b in range(a + 1, m)
+    }
+    _check_limit_terms(m, max(map(len, covariances.values()), default=1))
 
     def terms():
-        for matching in _block_matchings(tuple(range(len(statistics)))):
-            covariances = [_covariance(statistics[a], statistics[b], q) for a, b in matching]
+        for matching in _block_matchings(tuple(range(m))):
             interleaved = [
                 (i, j)
                 for i, (a, b) in enumerate(matching)
                 for j, (c, d) in enumerate(matching)
                 if a < c < b < d
             ]
-            for labels in iter_product(*covariances):
+            for labels in iter_product(*(covariances[pair] for pair in matching)):
                 cr = sum(labels[i][0] * labels[j][0] for i, j in interleaved)
                 term = _collect([(Fraction(1), {"q": cr})], q)
                 for _, c in labels:
@@ -290,13 +298,10 @@ def _product_limit(statistics: Sequence[PolynomialStatistic], q) -> MomentPolyno
     return MomentPolynomial.sum(terms())
 
 
-def _check_statistic_bound(factors: int, statistic: PolynomialStatistic) -> None:
-    longest = max(len(word) for _, word in statistic.terms)
-    if factors * longest > ENUMERATION_BOUND:
-        raise ValueError(
-            f"order {factors} with words of length {longest} needs degree "
-            f"{factors * longest} > {ENUMERATION_BOUND}"
-        )
+def _check_limit_terms(m: int, classes: int) -> None:
+    """Check (m - 1)!! * max(1, classes)^(m/2) terms (odd m: those of m - 1)."""
+    factors = chain(range(1, m, 2), repeat(max(1, classes), m // 2))
+    _check_count(factors, LIMIT_TERM_BOUND, f"matching terms over {m} positions")
 
 
 def statistic_limit_moments(
@@ -305,7 +310,9 @@ def statistic_limit_moments(
     """Limit moments of the centered statistic, orders 1..max_order."""
     if max_order < 1:
         raise ValueError("max_order must be at least 1")
-    _check_statistic_bound(max_order, statistic)
+    # the highest order has the most terms: check it before any order is summed
+    _check_limit_terms(max_order, 1)
+    _check_limit_terms(max_order, len(_covariance(statistic, statistic, q)))
     return [
         LimitMoment(_product_limit([statistic] * m, q)) for m in range(1, max_order + 1)
     ]
@@ -321,11 +328,11 @@ def conditional_variance_check(
     """
     if m < 0:
         raise ValueError("m must be nonnegative")
-    _check_statistic_bound(m + 2, statistic)
+    _check_limit_terms(m + 2, 1)  # before the lists of m + 2 statistics are built
     x = statistic
     y = statistic.shifted(statistic.s)
     diff = x - y
     total = x + y
-    lhs = _product_limit([diff, diff] + [total] * m, q)
+    lhs = _product_limit([diff, diff] + [total] * m, q)  # the most terms, so checked first
     rhs = 2 * _product_limit([x, x], q) * _product_limit([total] * m, q)
     return lhs - rhs

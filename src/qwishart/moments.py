@@ -41,8 +41,9 @@ from .pairings import (
     IntegerPartition,
     PairPartition,
     _brauer_table,
-    _check_bound,
+    _check_tables,
     _cycle_count,
+    _double_factorial,
     _induced_colors_table,
     _is_top_to_bottom_table,
     _iter_tables,
@@ -305,6 +306,7 @@ def _word_counts(
     """
     size = 2 * len(colors)
     pos_colors = [colors[x >> 1] for x in range(size)]
+    _check_tables(len(colors), pos_colors)
     shape_letter = [(colors[y >> 1], bool(use_eps and y & 1)) for y in range(size)]
     scale_letter = [(c, False) for c in pos_colors]
     f = [top_table[x ^ 1] ^ 1 for x in range(size)]
@@ -411,10 +413,11 @@ def _tally(
 
     Returns the distinct atoms, sorted in monomial key order, and the cells,
     which name each monomial by ascending atom indices, so a cell expands to
-    its monomial without sorting.  Callers check the enumeration bound first.
-    The tally is read off one walk (``_word_counts``) that keys each table by
-    integer ids of its raw words, each read when its cycle closes, so every
-    distinct word is canonicalised once per tally rather than once per table.
+    its monomial without sorting.  The tally is read off one walk
+    (``_word_counts``), which checks its own table count and keys each table
+    by integer ids of its raw words, each read when its cycle closes, so
+    every distinct word is canonicalised once per tally rather than once per
+    table.
     """
     ids, counts = _word_counts(top_table, colors, use_eps)
     made = [TraceAtom.make(kind, word) for kind, word in ids]
@@ -519,8 +522,7 @@ def _substitute(
         return poly
 
 
-def _moment(top_table, coloring: Coloring, use_eps: bool, atom_value, q, const, allow_large):
-    _check_bound(coloring.n, allow_large)
+def _moment(top_table, coloring: Coloring, use_eps: bool, atom_value, q, const):
     if isinstance(q, str) and q != "q":
         raise ValueError("q must be the symbol 'q' or a rational number")
     atoms, cells = _tally(tuple(top_table), coloring.colors, use_eps)
@@ -567,8 +569,6 @@ def real_wishart_moment_general(
     sigma: PairPartition,
     coloring: Coloring,
     bindings: MatrixBindings | None = None,
-    *,
-    allow_large: bool = False,
 ):
     """Expected product of traces for independent real Wishart matrices.
 
@@ -581,27 +581,14 @@ def real_wishart_moment_general(
     if not _is_top_to_bottom_table(sigma.table):
         raise ValueError("sigma must be a top-to-bottom pairing")
     atom_value, const = _substitution(bindings, coloring)
-    return _moment(sigma.table, coloring, True, atom_value, 1, const, allow_large)
+    return _moment(sigma.table, coloring, True, atom_value, 1, const)
 
 
-def real_wishart_moment(
-    spec: MonomialSpec,
-    bindings: MatrixBindings | None = None,
-    *,
-    allow_large: bool = False,
-):
-    return real_wishart_moment_general(
-        spec.pairing(), spec.coloring(), bindings, allow_large=allow_large
-    )
+def real_wishart_moment(spec: MonomialSpec, bindings: MatrixBindings | None = None):
+    return real_wishart_moment_general(spec.pairing(), spec.coloring(), bindings)
 
 
-def q_wishart_moment(
-    spec: MonomialSpec,
-    bindings: MatrixBindings | None = None,
-    q="q",
-    *,
-    allow_large: bool = False,
-):
+def q_wishart_moment(spec: MonomialSpec, bindings: MatrixBindings | None = None, q="q"):
     """Tracial moment for q-orthogonal q-Wishart matrices, weight q^crossings.
 
     Only consecutive-block trace shapes are supported (the MonomialSpec form),
@@ -614,15 +601,13 @@ def q_wishart_moment(
                 raise ValueError(f"B for color {j + 1} must be symmetric")
     coloring = spec.coloring()
     atom_value, const = _substitution(bindings, coloring)
-    return _moment(spec.pairing().table, coloring, False, atom_value, q, const, allow_large)
+    return _moment(spec.pairing().table, coloring, False, atom_value, q, const)
 
 
 def identity_shape_moment(
     spec: MonomialSpec,
     shape_sizes: Sequence[Union[int, str]],
     sigmas: Sequence | None = None,
-    *,
-    allow_large: bool = False,
 ):
     """Classical moment with identity-block shape matrices of the given sizes.
 
@@ -645,18 +630,10 @@ def identity_shape_moment(
             return shape_sizes[atom.word[0][0] - 1]
         return atom if scales is None else evaluate_atom(atom, scales)
 
-    return _moment(
-        spec.pairing().table, coloring, True, atom_value, 1, Fraction(1), allow_large
-    )
+    return _moment(spec.pairing().table, coloring, True, atom_value, 1, Fraction(1))
 
 
-def single_wishart_moment(
-    spec: MonomialSpec,
-    shape_matrix,
-    scale_matrix,
-    *,
-    allow_large: bool = False,
-):
+def single_wishart_moment(spec: MonomialSpec, shape_matrix, scale_matrix):
     """One-matrix specialization; requires a symmetric shape matrix."""
     if spec.s != 1:
         raise ValueError("single-matrix moment needs a one-color spec")
@@ -664,15 +641,13 @@ def single_wishart_moment(
     if not _is_symmetric(b_rows):
         raise ValueError("shape matrix must be symmetric")
     bindings = MatrixBindings.numeric([(b_rows, scale_matrix)])
-    return real_wishart_moment(spec, bindings, allow_large=allow_large)
+    return real_wishart_moment(spec, bindings)
 
 
 def white_wishart_power_moment(
     cycle_type: IntegerPartition | Sequence[int],
     shape_size: Union[int, str] = "M",
     scale_size: Union[int, str] = "N",
-    *,
-    allow_large: bool = False,
 ):
     """Moment of a product of power traces for identity shape and scale.
 
@@ -684,7 +659,6 @@ def white_wishart_power_moment(
         cycle_type = IntegerPartition(tuple(cycle_type))
     top = cycle_type_pairing(cycle_type)
     n = cycle_type.n
-    _check_bound(n, allow_large)
     sig = top.table
     counts: dict[tuple[int, int], int] = {}
     for table, _ in _iter_tables(n):
@@ -709,13 +683,6 @@ def white_wishart_power_moment(
 
 # ---------------------------------------------------------------------------
 # brute-force oracle
-
-
-def _double_factorial(k: int) -> int:
-    out = 1
-    for i in range(k, 0, -2):
-        out *= i
-    return out
 
 
 def brute_force_moment(

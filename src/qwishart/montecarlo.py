@@ -5,7 +5,7 @@ the scale matrix, then estimates trace-monomial moments with standard errors
 against the exact formulas.  Randomness comes from a counter-based SplitMix64
 stream (published mixing constants) turned into normals by Box-Muller on
 (0, 1], so every sample is a pure function of (seed, sample index) and runs
-reproduce bit-identically for a fixed partition layout.
+reproduce bit-identically.
 """
 
 from __future__ import annotations
@@ -74,13 +74,10 @@ class SamplerConfig:
     seed: int
     samples: int
     colors: tuple[tuple[np.ndarray, np.ndarray], ...]
-    partitions: int = 1
 
     def __post_init__(self) -> None:
         if self.samples < 1:
             raise ValueError("samples must be positive")
-        if not 1 <= self.partitions <= self.samples:
-            raise ValueError("partitions must lie in 1..samples")
         normalized = []
         roots = []
         scale_dims = set()
@@ -161,28 +158,22 @@ def _monomial_values(spec: MonomialSpec, ws: Sequence[np.ndarray]) -> np.ndarray
 def estimate_monomial(spec: MonomialSpec, config: SamplerConfig) -> EstimateReport:
     """Sample mean and standard error of the trace monomial, with the exact value.
 
-    Samples are indexed by a global counter, so the estimate does not depend
-    on the partition layout; partitions only set how partial means are formed
-    and recombined.
+    Samples are indexed by a global counter; they are drawn and summed in
+    chunks to bound memory.
     """
     if spec.s > config.s:
         raise ValueError(f"spec uses {spec.s} colors, config provides {config.s}")
     chunk = 8192
-    bounds = [
-        (config.samples * k) // config.partitions for k in range(config.partitions + 1)
-    ]
-    part_sums = []
-    total_sq = 0.0
-    for lo, hi in zip(bounds, bounds[1:]):
-        part_total = 0.0
-        for a in range(lo, hi, chunk):
-            count = min(chunk, hi - a)
-            ws = _sample_batch(config, a, count)
-            values = _monomial_values(spec, ws)
-            part_total += float(values.sum())
-            total_sq += float((values * values).sum())
-        part_sums.append((part_total, hi - lo))
-    mean = sum(total for total, size in part_sums if size) / config.samples
+    total = total_sq = 0.0
+    for a in range(0, config.samples, chunk):
+        count = min(chunk, config.samples - a)
+        # ws stays bound until the next chunk replaces it; freeing it first
+        # doubled the page faults of the next chunk's arrays
+        ws = _sample_batch(config, a, count)
+        values = _monomial_values(spec, ws)
+        total += float(values.sum())
+        total_sq += float((values * values).sum())
+    mean = total / config.samples
     if config.samples > 1:
         var = (total_sq - config.samples * mean * mean) / (config.samples - 1)
         stderr = float(np.sqrt(max(var, 0.0) / config.samples))

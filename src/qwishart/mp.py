@@ -208,7 +208,7 @@ def mp_moment_check(
     rows = []
     for n in range(1, n_max + 1):
         spec = MonomialSpec(((1,) * n,))
-        raw = _moment(spec.pairing().table, spec.coloring(), False, atom_value, 0, 1, False)
+        raw = _moment(spec.pairing().table, spec.coloring(), False, atom_value, 0, 1)
         lhs = Fraction(raw) / Fraction(scale_dim) ** (n + 1)
         rhs = compound_mp_moment(lam, measure, n)
         rows.append(MPCheckRow(n, lhs, rhs))

@@ -19,10 +19,51 @@ permutation composition.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
-ENUMERATION_BOUND = 9  # 3.4e7 matchings at n = 9; beyond that require allow_large
+ENUMERATION_BOUND = 9  # the largest degree whose pairings all fit TABLE_BOUND
+
+
+class EnumerationBoundError(ValueError):
+    """An enumeration would visit more than its closed-form bound allows."""
+
+
+def _double_factorial(k: int) -> int:
+    out = 1
+    for i in range(k, 0, -2):
+        out *= i
+    return out
+
+
+TABLE_BOUND = _double_factorial(2 * ENUMERATION_BOUND - 1)  # 34,459,425 tables
+
+
+def _check_count(factors: Iterable[int], bound: int, what: str) -> int:
+    """Product of ``factors``, or ``EnumerationBoundError`` once it passes ``bound``.
+
+    Stopping at the first partial product over the bound keeps a huge input
+    from running; the message names that product, a lower bound on the count.
+    """
+    count = 1
+    for factor in factors:
+        count *= factor
+        if count > bound:
+            raise EnumerationBoundError(f"at least {count} {what}, over the bound of {bound}")
+    return count
+
+
+def _check_tables(n: int, pos_colors: Sequence[int] | None = None) -> int:
+    """Closed-form count of the color-preserving tables, within TABLE_BOUND.
+
+    A color on 2k positions admits (2k - 1)!! matchings, so the count is the
+    product of those over the colors (one color on all 2n positions when
+    ``pos_colors`` is None).  The walks check it before they visit anything.
+    """
+    sizes = [2 * n] if pos_colors is None else Counter(pos_colors).values()
+    factors = (f for size in sizes for f in range(1, size, 2))
+    return _check_count(factors, TABLE_BOUND, "pairings")
 
 
 def _pos(j: int) -> int:
@@ -351,6 +392,7 @@ def _iter_tables(
     ascending order, pruning color-mismatched edges as they are formed; the
     yielded list is reused in place, so copy it before storing.
     """
+    _check_tables(n, pos_colors)
     size = 2 * n
     table = [-1] * size
     stack: list[tuple[int, int, int]] = []
@@ -417,6 +459,7 @@ def _iter_connected(
 
     The yielded list is reused in place, so copy it before storing.
     """
+    _check_tables(n, pos_colors)
     size = 2 * n
     table = [-1] * size
     end_v = [x ^ 1 for x in range(size)]
@@ -503,16 +546,6 @@ def _iter_connected(
         q += 1
 
 
-def _check_bound(n: int, allow_large: bool) -> None:
-    if n < 0:
-        raise ValueError(f"n={n} must be nonnegative")
-    if n > ENUMERATION_BOUND and not allow_large:
-        raise ValueError(
-            f"n={n} exceeds the enumeration bound {ENUMERATION_BOUND}; "
-            "pass allow_large=True to override"
-        )
-
-
 # ---------------------------------------------------------------------------
 # public operations
 
@@ -581,26 +614,22 @@ def canonical_cycles(perm: Sequence[int]) -> tuple[tuple[int, ...], ...]:
     return tuple(cycles)
 
 
-def all_pairings(n: int, *, allow_large: bool = False) -> Iterator[PairPartition]:
+def all_pairings(n: int) -> Iterator[PairPartition]:
     """Every pair partition of {±1..±n}, in a fixed deterministic order."""
-    _check_bound(n, allow_large)
+    if n < 0:
+        raise ValueError(f"n={n} must be nonnegative")
     for table, _ in _iter_tables(n):
         yield PairPartition(n, tuple(table))
 
 
-def color_preserving_pairings(
-    coloring: Coloring, *, allow_large: bool = False
-) -> Iterator[PairPartition]:
+def color_preserving_pairings(coloring: Coloring) -> Iterator[PairPartition]:
     """Pairings matching only equal-colored points, pruned during construction."""
-    _check_bound(coloring.n, allow_large)
     pos_colors = coloring.position_colors()
     for table, _ in _iter_tables(coloring.n, pos_colors):
         yield PairPartition(coloring.n, tuple(table))
 
 
-def connecting_pairings(
-    coloring: Coloring, base: PairPartition, *, allow_large: bool = False
-) -> Iterator[PairPartition]:
+def connecting_pairings(coloring: Coloring, base: PairPartition) -> Iterator[PairPartition]:
     """Color-preserving pairings that join every cycle of ``base`` to another one.
 
     A cycle is joined to another exactly when some edge leaves its point set,
@@ -611,7 +640,6 @@ def connecting_pairings(
         raise ValueError("sizes differ")
     if not _is_top_to_bottom_table(base.table):
         raise ValueError("base must be a top-to-bottom pairing")
-    _check_bound(coloring.n, allow_large)
     pos_colors = coloring.position_colors()
     for table, *_ in _iter_connected(coloring.n, pos_colors, base.table, _position_blocks(base)):
         yield PairPartition(coloring.n, tuple(table))

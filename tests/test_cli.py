@@ -1,7 +1,10 @@
 import io
 import json
+import os
 import re
 import shlex
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -11,6 +14,11 @@ from qwishart import pairings
 
 from qwishart.cli import run
 from qwishart.polynomials import MomentPolynomial, poly_from_json, poly_to_json
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+TRACE = '{"terms":[{"coeff":"1","word":[1]}]}'
+PRODUCT = '{"terms":[{"coeff":"1","word":[1,2]}]}'
 
 
 def capture(argv):
@@ -38,9 +46,32 @@ class TestEnumerate:
     def test_byte_identical_runs(self):
         assert capture(["enumerate", "--n", "3"]) == capture(["enumerate", "--n", "3"])
 
-    def test_bound(self):
-        code, _ = capture(["enumerate", "--n", "10"])
-        assert code == 2
+    @pytest.mark.parametrize("extra", [[], ["--coloring", ",".join("1" * 10)]])
+    def test_bound_checked_before_the_header(self, capsys, extra):
+        code, text = capture(["enumerate", "--n", "10", *extra])
+        assert (code, text) == (2, "")
+        assert capsys.readouterr().err.startswith("error: --n: at least 654729075 pairings")
+
+    def test_colored_count_within_the_bound(self):
+        # degree 10, but five colors of two points each: 3^5 pairings
+        data = capture_json(["enumerate", "--n", "10", "--coloring", "1,2,3,4,5,1,2,3,4,5"])
+        assert data["count"] == len(data["pairings"]) == 243
+
+    def test_closed_pipe_is_quiet(self):
+        # a reader that stops early gets neither a traceback nor exit 1
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "qwishart", "enumerate", "--n", "7"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=env,
+        )
+        assert proc.stdout.read(50).startswith(b'{"n":7,')
+        proc.stdout.close()
+        stderr = proc.stderr.read()
+        proc.stderr.close()
+        assert (proc.wait(timeout=120), stderr) == (141, b"")
 
     @pytest.mark.parametrize("extra", [[], ["--coloring", "1"]])
     def test_negative_n_names_flag(self, capsys, extra):
@@ -229,6 +260,26 @@ class TestFluctuationLimit:
         assert text.splitlines()[0].startswith("order,coeff")
 
 
+@pytest.mark.parametrize(
+    "argv, field",
+    [
+        (["moment", "--spec", json.dumps([[1] * 10]), "--symbolic"], "--spec"),
+        (["q-moment", "--spec", json.dumps([[1] * 10]), "--symbolic"], "--spec"),
+        (
+            ["moment", "--sigma", json.dumps([[j, -j] for j in range(1, 11)]),
+             "--coloring", ",".join("1" * 10), "--symbolic"],
+            "--sigma",
+        ),
+        (["fluctuation-limit", "--Q", TRACE, "--orders", "14"], "--orders"),
+        (["t5-check", "--Q", PRODUCT, "--m", "10"], "--m"),
+    ],
+)
+def test_enumeration_bounds_name_the_flag(capsys, argv, field):
+    assert capture(argv) == (2, "")
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {field}: ") and "bound" in err
+
+
 class TestT5Check:
     def test_zero(self):
         data = capture_json(
@@ -335,8 +386,6 @@ class TestMcValidate:
         [
             (["--samples", "0"], "--samples"),
             (["--samples", "1"], "--samples"),
-            (["--partitions", "0"], "--partitions"),
-            (["--samples", "10", "--partitions", "11"], "--partitions"),
         ],
     )
     def test_sample_flags_named(self, capsys, extra, field):

@@ -20,6 +20,7 @@ from qwishart.fluctuations import (
 from qwishart.moments import MatrixBindings, MonomialSpec, q_wishart_moment
 from qwishart.pairings import (
     Coloring,
+    EnumerationBoundError,
     PairPartition,
     _brauer_table,
     _cycle_count,
@@ -318,18 +319,21 @@ class TestBlockPairComposition:
         )
 
     def test_odd_block_count_visits_nothing(self):
+        # 21 blocks: walking the dead-end matchings would take hours
         fluctuations._covariance.cache_clear()
         fluctuations._connector_counts.cache_clear()
-        assert centered_trace_moment_limit(MonomialSpec(((1,),) * 7)).value.is_zero()
+        assert centered_trace_moment_limit(MonomialSpec(((1,),) * 21)).value.is_zero()
         assert fluctuations._covariance.cache_info().currsize == 0
         assert fluctuations._connector_counts.cache_info().currsize == 0
 
     def test_beyond_enumeration_bound(self):
-        spec = MonomialSpec(((1,),) * 10)
-        with pytest.raises(ValueError):
-            centered_trace_moment_limit(spec)
+        # 14 blocks have 13!! = 135135 matchings, over the term bound 11!!
+        fluctuations._covariance.cache_clear()
+        with pytest.raises(EnumerationBoundError, match="135135 matching terms"):
+            centered_trace_moment_limit(MonomialSpec(((1,),) * 14))
+        assert fluctuations._covariance.cache_info().currsize == 0
         # Gaussian tenth moment at q = 1: 9!! * (2 lambda)^5
-        got = centered_trace_moment_limit(spec, q=1, allow_large=True).value
+        got = centered_trace_moment_limit(MonomialSpec(((1,),) * 10), q=1).value
         assert got == 945 * (2 * lam) ** 5
 
     @pytest.mark.parametrize(
@@ -441,18 +445,34 @@ class TestStatisticMoments:
     def test_gaussian_ratios_at_q_one(self):
         # normal law: odd moments vanish, m_2k = (2k - 1)!! m2^k
         stat = PolynomialStatistic.from_terms([(1, (1,))])
-        limits = [lm.value for lm in statistic_limit_moments(stat, 9, q=1)]
-        assert all(limits[m - 1].is_zero() for m in range(1, 10, 2))
-        for k in range(1, 5):
+        limits = [lm.value for lm in statistic_limit_moments(stat, 12, q=1)]
+        assert all(limits[m - 1].is_zero() for m in range(1, 13, 2))
+        assert limits[11] == 10395 * limits[1] ** 6
+        for k in range(1, 7):
             assert limits[2 * k - 1] == math.prod(range(1, 2 * k, 2)) * limits[1] ** k
 
     def test_semicircle_ratios_at_q_zero(self):
         # semicircle law: odd moments vanish, m_2k = Catalan_k m2^k
         stat = PolynomialStatistic.from_terms([(1, (1,))])
-        limits = [lm.value for lm in statistic_limit_moments(stat, 9, q=0)]
-        assert all(limits[m - 1].is_zero() for m in range(1, 10, 2))
-        for k in range(1, 5):
+        limits = [lm.value for lm in statistic_limit_moments(stat, 12, q=0)]
+        assert all(limits[m - 1].is_zero() for m in range(1, 13, 2))
+        assert limits[11] == 132 * limits[1] ** 6
+        for k in range(1, 7):
             assert limits[2 * k - 1] == math.comb(2 * k, k) // (k + 1) * limits[1] ** k
+
+    def test_tuned_square_touchard_riordan(self):
+        # only the e = 4 class survives, so the law is the q^16-Gaussian:
+        # m_2k / m2^k is the Touchard-Riordan polynomial in x = q^16
+        a = 1 + q**2 + 2 * lam
+        tuned = PolynomialStatistic.from_terms([(1, (1, 1)), (-1 * a, (1,))])
+        limits = [lm.value for lm in statistic_limit_moments(tuned, 8)]
+        x = q**16
+        assert all(limits[m - 1].is_zero() for m in range(1, 9, 2))
+        m2 = limits[1]
+        assert limits[3] == (2 + x) * m2**2
+        assert limits[5] == (5 + 6 * x + 3 * x**2 + x**3) * m2**3
+        m8 = 14 + 28 * x + 28 * x**2 + 20 * x**3 + 10 * x**4 + 4 * x**5 + x**6
+        assert limits[7] == m8 * m2**4
 
     def test_polynomial_coefficients(self):
         a = 1 + q**2 + 2 * lam
@@ -473,10 +493,28 @@ class TestStatisticMoments:
             symbolic = conditional_variance_check(stat, 1).substitute({"q": r})
             assert conditional_variance_check(stat, 1, r) == symbolic
 
-    def test_order_bound(self):
+    def test_order_bound(self, monkeypatch):
+        # order 14 has 13!! matchings; it fails before any covariance is
+        # built and before any order is summed
         stat = PolynomialStatistic.from_terms([(1, (1, 1))])
-        with pytest.raises(ValueError):
-            statistic_limit_moments(stat, 5)
+        fluctuations._covariance.cache_clear()
+        monkeypatch.setattr(fluctuations, "_block_matchings", _no_matchings)
+        with pytest.raises(EnumerationBoundError, match="135135 matching terms"):
+            statistic_limit_moments(stat, 14)
+        with pytest.raises(EnumerationBoundError, match="135135 matching terms"):
+            statistic_limit_moments(stat, 10**6)
+        assert fluctuations._covariance.cache_info().currsize == 0
+
+    def test_edge_classes_count_toward_the_bound(self, monkeypatch):
+        # tr(W1 W2) has two edge classes: order 10 gives 9!! * 2^5 = 30240 terms
+        stat = PolynomialStatistic.from_terms([(1, (1, 2))])
+        monkeypatch.setattr(fluctuations, "_block_matchings", _no_matchings)
+        with pytest.raises(EnumerationBoundError, match="over 10 positions"):
+            statistic_limit_moments(stat, 10)
+
+
+def _no_matchings(blocks):
+    raise AssertionError("a matching was summed")
 
 
 class TestConditionalVariance:
@@ -496,16 +534,20 @@ class TestConditionalVariance:
         stat = PolynomialStatistic.from_terms([(1, (1,))])
         assert conditional_variance_check(stat, 1, q=Fraction(1, 2)).is_zero()
 
-    def test_bound(self):
+    def test_bound(self, monkeypatch):
+        # 12 positions: 11!! matchings times at least two edge classes per pair
         stat = PolynomialStatistic.from_terms([(1, (1, 2))])
-        with pytest.raises(ValueError):
-            conditional_variance_check(stat, 4)
+        monkeypatch.setattr(fluctuations, "_block_matchings", _no_matchings)
+        with pytest.raises(EnumerationBoundError, match="over 12 positions"):
+            conditional_variance_check(stat, 10)
+        with pytest.raises(EnumerationBoundError, match="135135 matching terms"):
+            conditional_variance_check(stat, 10**6)
 
 
 class TestCenteredCountsCache:
     def test_one_entry_per_spec(self):
-        # the bound is checked before the cached tally, so every call form of
-        # the finite path shares one entry per spec
+        # the walk checks its own bound, so every call form of the finite
+        # path shares one entry per spec
         spec = MonomialSpec(((1, 2), (2, 1)))
         fluctuations._centered_counts.cache_clear()
         fluctuations._centered_counts(spec)
@@ -514,9 +556,9 @@ class TestCenteredCountsCache:
         assert fluctuations._centered_counts.cache_info().currsize == 1
 
     def test_bound_still_checked(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(EnumerationBoundError):
             centered_trace_moment(MonomialSpec(((1,) * 5, (1,) * 5)))
-        with pytest.raises(ValueError):
+        with pytest.raises(EnumerationBoundError):
             centered_finite_and_limit(MonomialSpec(((1,) * 5, (1,) * 5)))
 
 

@@ -18,7 +18,13 @@ from qwishart.moments import (
     single_wishart_moment,
     white_wishart_power_moment,
 )
-from qwishart.pairings import Coloring, IntegerPartition, _iter_tables, from_permutation
+from qwishart.pairings import (
+    Coloring,
+    EnumerationBoundError,
+    IntegerPartition,
+    _iter_tables,
+    from_permutation,
+)
 from qwishart.polynomials import MomentPolynomial, TraceAtom
 from test_fluctuations import _split
 from test_pairings import partitions_of
@@ -540,8 +546,14 @@ class TestValidation:
             )
 
     def test_enumeration_bound(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(EnumerationBoundError, match="654729075 pairings"):
             real_wishart_moment(MonomialSpec(((1,) * 10,)))
+
+    def test_colored_degree_ten_within_the_bound(self):
+        # the bound counts tables, not points: five colors of two points give 3^5
+        spec = MonomialSpec(((1, 2, 3, 4, 5), (5, 4, 3, 2, 1)))
+        oracle = _exact_oracle(_term_cells(spec, True), lambda atom: atom, 1, 1)
+        assert real_wishart_moment(spec) == oracle
 
     # tr(B^2) overflows in a power of one atom, tr(B1) tr(B2) in a product
     @pytest.mark.parametrize("words", [((1, 1),), ((1,), (2,))])

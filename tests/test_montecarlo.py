@@ -121,15 +121,6 @@ class TestEstimates:
         # tr(B)^2, tr(B^2) and tr(B B') all enter; they differ here
         assert report.exact != pytest.approx(report.mean, abs=1e-12)
 
-    def test_partitions_reuse_the_same_samples(self):
-        spec = MonomialSpec(((1, 1),))
-        base = _config(seed=5, samples=1000, s=1)
-        split = SamplerConfig(seed=5, samples=1000, colors=base.colors, partitions=4)
-        a = estimate_monomial(spec, base)
-        b = estimate_monomial(spec, split)
-        assert a.mean == pytest.approx(b.mean, rel=1e-12)
-        assert a.stderr == b.stderr
-
     @pytest.mark.parametrize("bad", [float("nan"), float("-inf")])
     def test_rejects_non_finite_shape(self, bad):
         b = np.eye(3)

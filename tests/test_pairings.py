@@ -13,6 +13,7 @@ from qwishart.pairings import (
     _iter_tables,
     _position_blocks,
     Coloring,
+    EnumerationBoundError,
     IntegerPartition,
     PairPartition,
     all_pairings,
@@ -240,8 +241,11 @@ class TestEnumeration:
         assert first == second
 
     def test_bound_enforced(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(EnumerationBoundError, match="654729075 pairings"):
             next(all_pairings(10))
+        # the count stops at the first partial product over the bound
+        with pytest.raises(EnumerationBoundError, match="654729075 pairings"):
+            next(all_pairings(10**6))
 
     def test_negative_n_rejected(self):
         with pytest.raises(ValueError, match="nonnegative"):
