@@ -223,10 +223,7 @@ def _cmd_enumerate(args, out) -> int:
     else:
         stream = pairings.all_pairings(args.n)
         colors = pos_colors = None
-    try:
-        count = pairings._check_tables(args.n, pos_colors) if args.n > 0 else 0
-    except pairings.EnumerationBoundError as exc:
-        raise CliInputError("--n", str(exc)) from exc
+    count = _checked("--n", pairings._check_tables, args.n, pos_colors) if args.n > 0 else 0
     compact = {"separators": (",", ":")}
     out.write(f'{{"n":{args.n},"coloring":{json.dumps(colors, **compact)},')
     out.write(f'"count":{count},"pairings":[')
@@ -313,15 +310,21 @@ def _cmd_q_moment(args, out) -> int:
     return _moment_common(args, q, out)
 
 
+def _limit(order_field: str, fn, *args):
+    """``fn(*args)``; a table bound is set by the --Q words alone, others by the order."""
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        tables = getattr(exc, "bound", None) == pairings.TABLE_BOUND
+        raise CliInputError("--Q" if tables else order_field, str(exc)) from exc
+
+
 def _cmd_fluctuation_limit(args, out) -> int:
     statistic = _parse_statistic("--Q", args.Q)
     q = _parse_q("--q", args.q)
     if args.orders < 1:
         raise CliInputError("--orders", "orders must be at least 1")
-    try:
-        limits = fluctuations.statistic_limit_moments(statistic, args.orders, q)
-    except ValueError as exc:
-        raise CliInputError("--orders", str(exc)) from exc
+    limits = _limit("--orders", fluctuations.statistic_limit_moments, statistic, args.orders, q)
     if args.format == "csv":
         header = None
         rows = []
@@ -347,10 +350,7 @@ def _cmd_t5_check(args, out) -> int:
     q = _parse_q("--q", args.q)
     if args.m < 0:
         raise CliInputError("--m", "m must be nonnegative")
-    try:
-        diff = fluctuations.conditional_variance_check(statistic, args.m, q)
-    except ValueError as exc:
-        raise CliInputError("--m", str(exc)) from exc
+    diff = _limit("--m", fluctuations.conditional_variance_check, statistic, args.m, q)
     if args.format == "csv":
         header, rows = _poly_csv_rows(diff, [])
         _emit_csv(out, header, rows)

@@ -41,7 +41,9 @@ from typing import Sequence, Union
 
 from .moments import MonomialSpec
 from .pairings import (
+    TABLE_BOUND,
     _check_count,
+    _check_tables,
     _double_factorial,
     _iter_connected,
     _position_blocks,
@@ -195,10 +197,7 @@ def centered_finite_and_limit(
     composed from block-pair connectors, so comparing the rescaled finite
     value with the limit checks one path against the other.
     """
-    return (
-        _assemble_finite(_centered_counts(spec), spec.n, q, "M", "N"),
-        centered_trace_moment_limit(spec, q),
-    )
+    return centered_trace_moment(spec, q), centered_trace_moment_limit(spec, q)
 
 
 def _collect(terms, q) -> MomentPolynomial:
@@ -266,18 +265,20 @@ def _product_limit(statistics: Sequence[PolynomialStatistic], q) -> MomentPolyno
     number of positions has no matching, so its limit is zero before any
     covariance is built.  For m positions the sum has at most
     (m - 1)!! * max(1, k)^(m/2) terms, k being the most edge classes of one
-    covariance: (m - 1)!! is checked before any covariance is built and the
-    full count before the first matching is summed.
+    covariance: (m - 1)!! and the tables of all connector walks are checked
+    before any walk starts, the full count before the first matching is summed.
     """
     m = len(statistics)
     if m % 2:
         return MomentPolynomial.zero()
     _check_limit_terms(m, 1)
-    covariances = {
-        (a, b): _covariance(statistics[a], statistics[b], q)
-        for a in range(m)
-        for b in range(a + 1, m)
-    }
+    pairs = [(a, b) for a in range(m) for b in range(a + 1, m)]
+    # one walk per distinct word pair; each letter sits on two positions of its color
+    words = [[word for _, word in statistic.terms] for statistic in statistics]
+    walked = {(x, y) for a, b in pairs for x in words[a] for y in words[b]}
+    tables = sum(_check_tables(len(x) + len(y), (x + y) * 2) for x, y in walked)
+    _check_count([tables], TABLE_BOUND, "connector tables")
+    covariances = {(a, b): _covariance(statistics[a], statistics[b], q) for a, b in pairs}
     _check_limit_terms(m, max(map(len, covariances.values()), default=1))
 
     def terms():
@@ -310,12 +311,10 @@ def statistic_limit_moments(
     """Limit moments of the centered statistic, orders 1..max_order."""
     if max_order < 1:
         raise ValueError("max_order must be at least 1")
-    # the highest order has the most terms: check it before any order is summed
-    _check_limit_terms(max_order, 1)
-    _check_limit_terms(max_order, len(_covariance(statistic, statistic, q)))
-    return [
-        LimitMoment(_product_limit([statistic] * m, q)) for m in range(1, max_order + 1)
-    ]
+    _check_limit_terms(max_order, 1)  # before the lists of max_order statistics are built
+    # the highest order has the most terms, so it goes first and fails first
+    limits = [LimitMoment(_product_limit([statistic] * m, q)) for m in range(max_order, 0, -1)]
+    return limits[::-1]
 
 
 def conditional_variance_check(
@@ -329,10 +328,8 @@ def conditional_variance_check(
     if m < 0:
         raise ValueError("m must be nonnegative")
     _check_limit_terms(m + 2, 1)  # before the lists of m + 2 statistics are built
-    x = statistic
-    y = statistic.shifted(statistic.s)
-    diff = x - y
-    total = x + y
+    x, y = statistic, statistic.shifted(statistic.s)
+    diff, total = x - y, x + y
     lhs = _product_limit([diff, diff] + [total] * m, q)  # the most terms, so checked first
     rhs = 2 * _product_limit([x, x], q) * _product_limit([total] * m, q)
     return lhs - rhs

@@ -27,7 +27,11 @@ ENUMERATION_BOUND = 9  # the largest degree whose pairings all fit TABLE_BOUND
 
 
 class EnumerationBoundError(ValueError):
-    """An enumeration would visit more than its closed-form bound allows."""
+    """An enumeration would visit more than its closed-form ``bound`` allows."""
+
+    def __init__(self, message: str, bound: int | None = None):
+        super().__init__(message)
+        self.bound = bound
 
 
 def _double_factorial(k: int) -> int:
@@ -50,7 +54,7 @@ def _check_count(factors: Iterable[int], bound: int, what: str) -> int:
     for factor in factors:
         count *= factor
         if count > bound:
-            raise EnumerationBoundError(f"at least {count} {what}, over the bound of {bound}")
+            raise EnumerationBoundError(f"at least {count} {what}, over the bound of {bound}", bound)
     return count
 
 

@@ -19,6 +19,7 @@ from qwishart.polynomials import MomentPolynomial, poly_from_json, poly_to_json
 SRC = Path(__file__).resolve().parents[1] / "src"
 TRACE = '{"terms":[{"coeff":"1","word":[1]}]}'
 PRODUCT = '{"terms":[{"coeff":"1","word":[1,2]}]}'
+QUINTIC = '{"terms":[{"coeff":"1","word":[1,1,1,1,1]}]}'
 
 
 def capture(argv):
@@ -272,6 +273,9 @@ class TestFluctuationLimit:
         ),
         (["fluctuation-limit", "--Q", TRACE, "--orders", "14"], "--orders"),
         (["t5-check", "--Q", PRODUCT, "--m", "10"], "--m"),
+        # the connector walks of tr(W^5) are over the table bound at any order
+        (["fluctuation-limit", "--Q", QUINTIC, "--orders", "2"], "--Q"),
+        (["t5-check", "--Q", QUINTIC, "--m", "0"], "--Q"),
     ],
 )
 def test_enumeration_bounds_name_the_flag(capsys, argv, field):

@@ -22,6 +22,7 @@ from qwishart.pairings import (
     Coloring,
     EnumerationBoundError,
     PairPartition,
+    TABLE_BOUND,
     _brauer_table,
     _cycle_count,
     _iter_tables,
@@ -326,6 +327,14 @@ class TestBlockPairComposition:
         assert fluctuations._covariance.cache_info().currsize == 0
         assert fluctuations._connector_counts.cache_info().currsize == 0
 
+    def test_connector_tables_are_summed(self, monkeypatch):
+        # blocks of 4 and 5 points make one 17!! walk, within the bound alone;
+        # the walks with the singletons push the sum over it
+        monkeypatch.setattr(fluctuations, "_iter_connected", _no_walk)
+        spec = MonomialSpec(((1,) * 4, (1,) * 5, (1,), (1,)))
+        with pytest.raises(EnumerationBoundError, match="connector tables"):
+            centered_trace_moment_limit(spec)
+
     def test_beyond_enumeration_bound(self):
         # 14 blocks have 13!! = 135135 matchings, over the term bound 11!!
         fluctuations._covariance.cache_clear()
@@ -511,6 +520,24 @@ class TestStatisticMoments:
         monkeypatch.setattr(fluctuations, "_block_matchings", _no_matchings)
         with pytest.raises(EnumerationBoundError, match="over 10 positions"):
             statistic_limit_moments(stat, 10)
+
+    def test_order_one_walks_nothing(self, monkeypatch):
+        # odd orders vanish, so tr(W^5) at order 1 needs no connector walk
+        monkeypatch.setattr(fluctuations, "_iter_connected", _no_walk)
+        stat = PolynomialStatistic.from_terms([(1, (1,) * 5)])
+        assert [lm.value for lm in statistic_limit_moments(stat, 1)] == [0]
+
+    def test_connector_tables_checked_before_any_walk(self, monkeypatch):
+        # (w4, w4) has 15!! tables and (w4, w5) 17!!; (w5, w5)'s 19!! is over
+        monkeypatch.setattr(fluctuations, "_iter_connected", _no_walk)
+        stat = PolynomialStatistic.from_terms([(1, (1,) * 4), (1, (1,) * 5)])
+        with pytest.raises(EnumerationBoundError) as info:
+            statistic_limit_moments(stat, 2)
+        assert info.value.bound == TABLE_BOUND
+
+
+def _no_walk(*args):
+    raise AssertionError("a connector was walked")
 
 
 def _no_matchings(blocks):
