@@ -17,6 +17,7 @@ from fractions import Fraction
 from . import fluctuations, moments, mp, pairings
 from .polynomials import (
     MomentPolynomial,
+    _symbol_rank,
     poly_from_json,
     poly_to_json,
     rational_to_str,
@@ -161,26 +162,28 @@ def _result_json(result):
     return result
 
 
-def _poly_csv_rows(poly: MomentPolynomial, prefix: list[str]) -> tuple[list[str], list[list[str]]]:
-    data = poly_to_json(poly)
-    symbols: list[str] = []
-    for term in data["terms"]:
-        for key in term["powers"]:
-            if key != "atoms" and key not in symbols:
-                symbols.append(key)
+def _poly_csv_rows(polys, prefix: list[str]) -> tuple[list[str], list[list[str]]]:
+    """Header and rows for ``(prefix values, polynomial)`` pairs.
+
+    Every symbol of any polynomial gets one column, in monomial key order,
+    so all rows have the header's width.
+    """
+    symbols = sorted({sym for _, poly in polys for sym in poly.symbols()}, key=_symbol_rank)
     header = prefix + ["coeff"] + symbols + ["atoms"]
     rows = []
-    for term in data["terms"]:
-        atoms = term["powers"].get("atoms", [])
-        atom_text = " ".join(
-            _atom_str(a["kind"], a["word"]) + (f"^{a['power']}" if a["power"] != 1 else "")
-            for a in atoms
-        )
-        rows.append(
-            [term["coeff"]]
-            + [str(term["powers"].get(sym, 0)) for sym in symbols]
-            + [atom_text]
-        )
+    for values, poly in polys:
+        for term in poly_to_json(poly)["terms"]:
+            atoms = term["powers"].get("atoms", [])
+            atom_text = " ".join(
+                _atom_str(a["kind"], a["word"]) + (f"^{a['power']}" if a["power"] != 1 else "")
+                for a in atoms
+            )
+            rows.append(
+                values
+                + [term["coeff"]]
+                + [str(term["powers"].get(sym, 0)) for sym in symbols]
+                + [atom_text]
+            )
     return header, rows
 
 
@@ -289,8 +292,7 @@ def _moment_common(args, q, out) -> int:
         if not isinstance(result, MomentPolynomial):
             _emit_csv(out, ["value"], [[str(result)]])
         else:
-            header, rows = _poly_csv_rows(result, [])
-            _emit_csv(out, header, rows)
+            _emit_csv(out, *_poly_csv_rows([([], result)], []))
         return 0
     payload = dict(echo)
     payload["mode"] = mode
@@ -326,13 +328,8 @@ def _cmd_fluctuation_limit(args, out) -> int:
         raise CliInputError("--orders", "orders must be at least 1")
     limits = _limit("--orders", fluctuations.statistic_limit_moments, statistic, args.orders, q)
     if args.format == "csv":
-        header = None
-        rows = []
-        for m, lm in enumerate(limits, start=1):
-            h, r = _poly_csv_rows(lm.value, ["order"])
-            header = header or h
-            rows.extend([[str(m)] + row for row in r])
-        _emit_csv(out, header or ["order", "coeff", "atoms"], rows)
+        orders = [([str(m)], lm.value) for m, lm in enumerate(limits, start=1)]
+        _emit_csv(out, *_poly_csv_rows(orders, ["order"]))
         return 0
     payload = {
         "q": "sym" if isinstance(q, str) else rational_to_str(q),
@@ -352,8 +349,7 @@ def _cmd_t5_check(args, out) -> int:
         raise CliInputError("--m", "m must be nonnegative")
     diff = _limit("--m", fluctuations.conditional_variance_check, statistic, args.m, q)
     if args.format == "csv":
-        header, rows = _poly_csv_rows(diff, [])
-        _emit_csv(out, header, rows)
+        _emit_csv(out, *_poly_csv_rows([([], diff)], []))
         return 0
     _emit_json(out, {"m": args.m, "difference": poly_to_json(diff), "zero": diff.is_zero()})
     return 0

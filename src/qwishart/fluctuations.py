@@ -156,22 +156,6 @@ def _connector_counts(
     return counts
 
 
-def _block_matchings(blocks: tuple[int, ...]):
-    """Perfect matchings of the block indices, as lists of ascending pairs.
-
-    An odd number of blocks has none, but the recursion would still walk
-    every dead-end prefix, so callers test the parity first.
-    """
-    if not blocks:
-        yield []
-        return
-    first = blocks[0]
-    for k in range(1, len(blocks)):
-        rest = blocks[1:k] + blocks[k + 1 :]
-        for matching in _block_matchings(rest):
-            yield [(first, blocks[k])] + matching
-
-
 def centered_trace_moment(
     spec: MonomialSpec,
     q="q",
@@ -261,12 +245,13 @@ def _product_limit(statistics: Sequence[PolynomialStatistic], q) -> MomentPolyno
 
     Sums over the perfect matchings of the positions and one edge class e per
     matched pair: the product of the pairs' covariances C_e, times q^(e * e')
-    for every two matched pairs that interleave as A < C < B < D.  An odd
-    number of positions has no matching, so its limit is zero before any
-    covariance is built.  For m positions the sum has at most
-    (m - 1)!! * max(1, k)^(m/2) terms, k being the most edge classes of one
-    covariance: (m - 1)!! and the tables of all connector walks are checked
-    before any walk starts, the full count before the first matching is summed.
+    for every two matched pairs that interleave as A < C < B < D, summed left
+    to right by ``_matching_sum``.  An odd number of positions has no
+    matching, so its limit is zero before any covariance is built.  For m
+    positions the recursion has at most (m - 1)!! * max(1, k)^(m/2) leaves, k
+    being the most edge classes of one covariance: (m - 1)!! and the tables
+    of all connector walks are checked before any walk starts, the full count
+    before the sum.
     """
     m = len(statistics)
     if m % 2:
@@ -280,23 +265,33 @@ def _product_limit(statistics: Sequence[PolynomialStatistic], q) -> MomentPolyno
     _check_count([tables], TABLE_BOUND, "connector tables")
     covariances = {(a, b): _covariance(statistics[a], statistics[b], q) for a, b in pairs}
     _check_limit_terms(m, max(map(len, covariances.values()), default=1))
+    return _matching_sum(tuple(range(m)), (), covariances, q)
 
-    def terms():
-        for matching in _block_matchings(tuple(range(m))):
-            interleaved = [
-                (i, j)
-                for i, (a, b) in enumerate(matching)
-                for j, (c, d) in enumerate(matching)
-                if a < c < b < d
-            ]
-            for labels in iter_product(*(covariances[pair] for pair in matching)):
-                cr = sum(labels[i][0] * labels[j][0] for i, j in interleaved)
-                term = _collect([(Fraction(1), {"q": cr})], q)
-                for _, c in labels:
-                    term = term * c
-                yield term
 
-    return MomentPolynomial.sum(terms())
+def _matching_sum(
+    free: tuple[int, ...], arcs: tuple[tuple[int, int], ...], covariances, q
+) -> MomentPolynomial:
+    """Matching sum over the positions ``free``, by their first position a.
+
+    a is matched with each later free position b and each class (e, C_e) of
+    ``covariances[a, b]``.  ``arcs`` holds the right end d and class e' of
+    every pair matched before; those with a < d < b interleave (a, b), so the
+    term takes q^(e * sum of their e').  Each product is formed once per node
+    of the recursion, and an empty ``free`` sums to one, the empty matching.
+    """
+    if not free:
+        return MomentPolynomial.constant(1)
+    a, parts = free[0], []
+    for i in range(1, len(free)):
+        b, rest = free[i], free[1:i] + free[i + 1 :]
+        crossed = sum(e_prev for d, e_prev in arcs if a < d < b)
+        for e, c in covariances[a, b]:
+            if e * crossed:
+                c = c * _collect([(Fraction(1), {"q": e * crossed})], q)
+            if rest:
+                c = c * _matching_sum(rest, arcs + ((b, e),), covariances, q)
+            parts.append(c)
+    return MomentPolynomial.sum(parts)
 
 
 def _check_limit_terms(m: int, classes: int) -> None:

@@ -33,6 +33,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import chain, repeat
 from itertools import product as iter_product
 from typing import Callable, Sequence, Union
 
@@ -41,9 +42,9 @@ from .pairings import (
     IntegerPartition,
     PairPartition,
     _brauer_table,
+    _check_count,
     _check_tables,
     _cycle_count,
-    _double_factorial,
     _induced_colors_table,
     _is_top_to_bottom_table,
     _iter_tables,
@@ -100,7 +101,7 @@ class MonomialSpec:
 
     @property
     def s(self) -> int:
-        return max(c for w in self.cycle_words for c in w)
+        return max(map(max, self.cycle_words))
 
     def coloring(self) -> Coloring:
         return Coloring(tuple(c for w in self.cycle_words for c in w), self.s)
@@ -657,6 +658,7 @@ def white_wishart_power_moment(
     """
     if not isinstance(cycle_type, IntegerPartition):
         cycle_type = IntegerPartition(tuple(cycle_type))
+    _check_tables(cycle_type.n)  # before the 2n-entry block pairing is built
     top = cycle_type_pairing(cycle_type)
     n = cycle_type.n
     sig = top.table
@@ -700,7 +702,6 @@ def brute_force_moment(
     shared.
     """
     n = spec.n
-    t = tuple(c for w in spec.cycle_words for c in w)
     b_rows = [_to_rows(m) for m in shape_mats]
     s_rows = [_to_rows(m) for m in scale_mats]
     if len(b_rows) < spec.s or len(s_rows) < spec.s:
@@ -709,9 +710,10 @@ def brute_force_moment(
         raise ValueError("all Sigma must share one dimension")
     big_n = len(s_rows[0])
     max_m = max(len(r) for r in b_rows)
-    cost = (big_n * max_m) ** n * _double_factorial(2 * n - 1)
-    if cost > BRUTE_FORCE_GUARD:
-        raise ValueError(f"brute-force cost {cost} exceeds guard {BRUTE_FORCE_GUARD}")
+    # pairings times index maps, stopped at the first partial product over the guard
+    factors = chain(range(1, 2 * n, 2), repeat(big_n * max_m, n))
+    _check_count(factors, BRUTE_FORCE_GUARD, "brute-force terms")
+    t = tuple(c for w in spec.cycle_words for c in w)
 
     # successor within each consecutive block
     rho = list(range(2, n + 2))

@@ -1,3 +1,4 @@
+import csv
 import io
 import json
 import os
@@ -258,7 +259,10 @@ class TestFluctuationLimit:
             ]
         )
         assert code == 0
-        assert text.splitlines()[0].startswith("order,coeff")
+        header, *rows = list(csv.reader(io.StringIO(text)))
+        # order 1 is zero, so the header must come from every order at once
+        assert header[:2] == ["order", "coeff"] and {"q", "lambda"} <= set(header)
+        assert rows and all(len(row) == len(header) for row in rows)
 
 
 @pytest.mark.parametrize(
@@ -460,10 +464,15 @@ class TestErrorsAndFiles:
         assert code == 2
 
 
-def _readme_commands():
+def _readme_block(heading, language):
+    """The first ``language`` code block after the README's ``heading``."""
     text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
-    section = text.split("## Command line", 1)[1]
-    block = re.search(r"```sh\n(.*?)```", section, re.S).group(1)
+    section = text.split(heading, 1)[1]
+    return re.search(rf"```{language}\n(.*?)```", section, re.S).group(1)
+
+
+def _readme_commands():
+    block = _readme_block("## Command line", "sh")
     commands = []
     for paragraph in block.split("\n\n"):
         lines = [line for line in paragraph.splitlines() if not line.startswith("#")]
@@ -478,3 +487,8 @@ class TestReadme:
         assert argv[0] == "qwishart"
         code, text = capture(argv[1:])
         assert code == 0, text
+
+    def test_python_api_sketch_runs(self):
+        namespace = {}
+        exec(_readme_block("## Python API sketch", "python"), namespace)
+        assert len(namespace["limits"]) == 6

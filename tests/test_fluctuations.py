@@ -241,8 +241,8 @@ def _word_pairs(specs):
     pairs = set()
     for spec in specs:
         words = spec.cycle_words
-        for matching in fluctuations._block_matchings(tuple(range(len(words)))):
-            pairs.update((words[a], words[b]) for a, b in matching)
+        if len(words) % 2 == 0:
+            pairs.update(itertools.combinations(words, 2))
     return sorted(pairs)
 
 
@@ -507,7 +507,7 @@ class TestStatisticMoments:
         # built and before any order is summed
         stat = PolynomialStatistic.from_terms([(1, (1, 1))])
         fluctuations._covariance.cache_clear()
-        monkeypatch.setattr(fluctuations, "_block_matchings", _no_matchings)
+        monkeypatch.setattr(fluctuations, "_matching_sum", _no_matchings)
         with pytest.raises(EnumerationBoundError, match="135135 matching terms"):
             statistic_limit_moments(stat, 14)
         with pytest.raises(EnumerationBoundError, match="135135 matching terms"):
@@ -517,7 +517,7 @@ class TestStatisticMoments:
     def test_edge_classes_count_toward_the_bound(self, monkeypatch):
         # tr(W1 W2) has two edge classes: order 10 gives 9!! * 2^5 = 30240 terms
         stat = PolynomialStatistic.from_terms([(1, (1, 2))])
-        monkeypatch.setattr(fluctuations, "_block_matchings", _no_matchings)
+        monkeypatch.setattr(fluctuations, "_matching_sum", _no_matchings)
         with pytest.raises(EnumerationBoundError, match="over 10 positions"):
             statistic_limit_moments(stat, 10)
 
@@ -540,7 +540,7 @@ def _no_walk(*args):
     raise AssertionError("a connector was walked")
 
 
-def _no_matchings(blocks):
+def _no_matchings(*args):
     raise AssertionError("a matching was summed")
 
 
@@ -564,7 +564,7 @@ class TestConditionalVariance:
     def test_bound(self, monkeypatch):
         # 12 positions: 11!! matchings times at least two edge classes per pair
         stat = PolynomialStatistic.from_terms([(1, (1, 2))])
-        monkeypatch.setattr(fluctuations, "_block_matchings", _no_matchings)
+        monkeypatch.setattr(fluctuations, "_matching_sum", _no_matchings)
         with pytest.raises(EnumerationBoundError, match="over 12 positions"):
             conditional_variance_check(stat, 10)
         with pytest.raises(EnumerationBoundError, match="135135 matching terms"):
@@ -631,6 +631,48 @@ def _product_limit_by_addition(statistics, q):
     return total if isinstance(q, str) else total.substitute({"q": Fraction(q)})
 
 
+def _matching_sum_by_generator(statistics, q):
+    """The whole-matching sum that the left-to-right recursion replaced.
+
+    Lists every perfect matching, scans it for interleaving pairs, and
+    multiplies out each choice of edge classes as its own term.
+    """
+
+    def matchings(blocks):
+        if not blocks:
+            yield []
+            return
+        for k in range(1, len(blocks)):
+            rest = blocks[1:k] + blocks[k + 1 :]
+            for matching in matchings(rest):
+                yield [(blocks[0], blocks[k])] + matching
+
+    m = len(statistics)
+    if m % 2:
+        return MomentPolynomial.zero()
+    terms = []
+    for matching in matchings(tuple(range(m))):
+        interleaved = [
+            (i, j)
+            for i, (a, b) in enumerate(matching)
+            for j, (c, d) in enumerate(matching)
+            if a < c < b < d
+        ]
+        covariances = [
+            fluctuations._covariance(statistics[a], statistics[b], q) for a, b in matching
+        ]
+        for labels in itertools.product(*covariances):
+            cr = sum(labels[i][0] * labels[j][0] for i, j in interleaved)
+            if isinstance(q, str):
+                term = MomentPolynomial.monomial(1, {"q": cr})
+            else:
+                term = MomentPolynomial.constant(Fraction(q) ** cr)
+            for _, c in labels:
+                term = term * c
+            terms.append(term)
+    return MomentPolynomial.sum(terms)
+
+
 _Q_VALUES = ["q", 0, 1, Fraction(1, 2), Fraction(-2, 3)]
 
 
@@ -670,3 +712,22 @@ class TestOnePassAssembly:
             assert fluctuations._product_limit(
                 statistics, q_value
             ) == _product_limit_by_addition(statistics, q_value)
+
+    @pytest.mark.parametrize("q_value", _Q_VALUES)
+    def test_matching_sum_matches_whole_matchings(self, q_value):
+        a = 1 + q**2 + 2 * lam
+        tuned = PolynomialStatistic.from_terms([(1, (1, 1)), (-1 * a, (1,))])
+        mixed = PolynomialStatistic.from_terms([(1, (1, 2)), (Fraction(-1, 2), (2,)), (q, (1,))])
+        x = PolynomialStatistic.from_terms([(1, (1,))])
+        y = x.shifted(1)
+        for statistics in (
+            [],
+            [tuned] * 6,
+            [mixed] * 4,
+            [x] * 8,
+            [x - y, x - y, x + y, x + y, x + y, x + y],
+            [tuned, mixed, x, tuned],
+        ):
+            assert fluctuations._product_limit(
+                statistics, q_value
+            ) == _matching_sum_by_generator(statistics, q_value)

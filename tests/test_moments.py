@@ -382,6 +382,14 @@ class TestPowerTraceMoments:
             other = q_wishart_moment(spec, MatrixBindings.scalar(["M"]), q=1)
             assert power == other
 
+    def test_bound_checked_before_the_pairing_is_built(self, monkeypatch):
+        def no_pairing(cycle_type):
+            raise AssertionError("the block pairing was built")
+
+        monkeypatch.setattr(moments, "cycle_type_pairing", no_pairing)
+        with pytest.raises(EnumerationBoundError):
+            white_wishart_power_moment((10**9,))
+
 
 class TestSingleMatrix:
     def test_identity_reduces_to_power_moment(self):
@@ -429,6 +437,13 @@ class TestBruteForce:
         big = [[1 if i == j else 0 for j in range(10)] for i in range(10)]
         with pytest.raises(ValueError):
             brute_force_moment(MonomialSpec(((1,) * 6,)), [big], [big])
+
+    def test_guard_stops_before_the_whole_cost(self):
+        # (2n - 1)!! * (N M)^n has about a million digits at n = 10^5; the
+        # check stops at the first partial product over the guard
+        one = [[1]]
+        with pytest.raises(ValueError, match=f"bound of {moments.BRUTE_FORCE_GUARD}"):
+            brute_force_moment(MonomialSpec(((1,) * 10**5,)), [one], [one])
 
     @given(
         st.sampled_from([((1,),), ((1, 1),), ((1,), (1,)), ((1, 2),), ((1,), (2,))]),

@@ -8,12 +8,14 @@ from pathlib import Path
 import pytest
 
 from qwishart.montecarlo import EstimateReport
+from qwishart.pairings import ENUMERATION_BOUND
 
-SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+ROOT = Path(__file__).resolve().parents[1]
+SCRIPTS = ROOT / "scripts"
 
 
-def load(name: str):
-    spec = importlib.util.spec_from_file_location(f"script_{name}", SCRIPTS / f"{name}.py")
+def load(name: str, directory: Path = SCRIPTS):
+    spec = importlib.util.spec_from_file_location(f"script_{name}", directory / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
@@ -147,3 +149,8 @@ class TestBenchSummary:
     def test_no_records(self, tmp_path, capsys):
         assert load("bench_summary").main([str(tmp_path)]) == 2
         assert "no run records" in capsys.readouterr().err
+
+
+def test_benchmark_bound_mirrors_the_package():
+    # the benchmark's generator keeps its own copy of the degree bound
+    assert load("workloads", ROOT / "perfbench").ENUMERATION_BOUND == ENUMERATION_BOUND
