@@ -2,6 +2,7 @@
 """Condense one tree's perfbench run records into a single JSON summary.
 
     python3 scripts/bench_summary.py [RECORDS_DIR] [--out BENCH.json]
+    python3 scripts/bench_summary.py --compare PARENT.json CHANGE.json
 
 Reads every ``*-trace*.json`` run record that ``perfbench/run.py`` left in
 RECORDS_DIR (default: ``.bench_out`` of this checkout).  The summary holds the
@@ -12,6 +13,11 @@ per-layer metrics of its traced run (the median per metric if there are
 several).  The per-seed values let two summaries of the same seeds be
 compared pair by pair.  All records must come from one tree on one
 machine, so run each tree's benchmark into its own records directory.
+
+``--compare`` reads two such summaries and prints, per workload and
+end-to-end metric they share, the parent's median and IQR, the change's
+median, the ratio change / parent, and in how many of the seeds both ran
+the change read lower.
 """
 
 from __future__ import annotations
@@ -91,11 +97,45 @@ def summarize(records: list[dict]) -> dict:
     return {**shared, "workloads": workloads}
 
 
+def compare(parent: dict, change: dict) -> list[str]:
+    """One line per workload and end-to-end metric of both summaries, paired by seed."""
+    lines = []
+    for name in sorted(parent["workloads"].keys() & change["workloads"].keys()):
+        before = parent["workloads"][name]["end_to_end"]
+        after = change["workloads"][name]["end_to_end"]
+        for metric in sorted(before.keys() & after.keys()):
+            p, c = before[metric], after[metric]
+            seeds = p["per_seed"].keys() & c["per_seed"].keys()
+            lower = sum(c["per_seed"][s] < p["per_seed"][s] for s in seeds)
+            ratio = c["median"] / p["median"] if p["median"] else float("nan")
+            lines.append(
+                f"{name} {metric}: {p['median']:.4g} [IQR {p['iqr']:.2g}] -> "
+                f"{c['median']:.4g} {p['unit']}, ratio {ratio:.3f}, "
+                f"change lower in {lower}/{len(seeds)} seeds"
+            )
+    if not lines:
+        raise ValueError("the summaries share no workload and metric")
+    return lines
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("records", nargs="?", type=Path, default=ROOT / ".bench_out")
     parser.add_argument("--out", type=Path, help="write here instead of stdout")
+    parser.add_argument(
+        "--compare", nargs=2, type=Path, metavar=("PARENT", "CHANGE"),
+        help="compare two summaries instead of writing one",
+    )
     args = parser.parse_args(argv)
+    if args.compare:
+        try:
+            parent, change = (json.loads(path.read_text()) for path in args.compare)
+            lines = compare(parent, change)
+        except (OSError, ValueError, KeyError) as exc:
+            print(f"bench_summary: --compare: {exc!r}", file=sys.stderr)
+            return 2
+        print("\n".join(lines))
+        return 0
     paths = sorted(args.records.glob("*-trace*.json"))
     try:
         summary = summarize([json.loads(path.read_text()) for path in paths])

@@ -92,6 +92,13 @@ def _entry_from_json(field: str, value):
     return float(value)
 
 
+def _json_matrix(field: str, rows):
+    """Parsed entries of a list of lists; anything else is left for the library to name."""
+    if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
+        return rows
+    return [[_entry_from_json(field, x) for x in row] for row in rows]
+
+
 def _parse_matrices(field: str, value: str) -> moments.MatrixBindings:
     data = _parse_json(field, value)
     if isinstance(data, dict):
@@ -99,9 +106,7 @@ def _parse_matrices(field: str, value: str) -> moments.MatrixBindings:
     pairs = []
     try:
         for color in data:
-            b = [[_entry_from_json(field, x) for x in row] for row in color["B"]]
-            sigma = [[_entry_from_json(field, x) for x in row] for row in color["Sigma"]]
-            pairs.append((b, sigma))
+            pairs.append((_json_matrix(field, color["B"]), _json_matrix(field, color["Sigma"])))
         return moments.MatrixBindings.numeric(pairs)
     except CliInputError:
         raise
@@ -282,6 +287,10 @@ def _moment_common(args, q, out) -> int:
     try:
         result = fn(*fn_args)
     except ValueError as exc:
+        if str(exc).startswith("float matrices require"):
+            field = "--q"
+        elif str(exc).startswith(("B for color", "bindings cover")):
+            field = "--scalar" if mode == "scalar" else "--matrices"
         raise CliInputError(field, str(exc)) from exc
     except moments.FloatOverflowError as exc:
         raise CliInputError("--matrices", "the result is not finite (float overflow)") from exc

@@ -29,6 +29,8 @@ shares only the polynomial arithmetic with the formula path.
 from __future__ import annotations
 
 import math
+import numbers
+import sys
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -111,28 +113,28 @@ class MonomialSpec:
 
 
 def _matrix_entry(x):
-    if isinstance(x, Fraction):
-        return x
     if isinstance(x, bool):
         raise ValueError("matrix entries must be numbers")
-    if isinstance(x, int):
-        return Fraction(x)
+    if isinstance(x, numbers.Rational):  # also numpy integers, without importing numpy
+        return Fraction(int(x.numerator), int(x.denominator))
     if isinstance(x, str):
         return Fraction(x)
     return float(x)
 
 
-def _to_rows(matrix) -> tuple[tuple, ...]:
-    rows = tuple(tuple(_matrix_entry(x) for x in row) for row in matrix)
+def _to_rows(matrix, name: str = "matrix") -> tuple[tuple, ...]:
+    try:
+        rows = tuple(tuple(_matrix_entry(x) for x in row) for row in matrix)
+    except TypeError as exc:
+        raise ValueError(f"{name} must be a list of rows of numbers") from exc
     if not rows or any(len(r) != len(rows[0]) for r in rows):
         raise ValueError("matrix rows must have equal length")
     if any(isinstance(x, float) for row in rows for x in row):
+        # exact comparisons: an exact entry beyond the double range is not finite either
+        if not all(abs(x) <= sys.float_info.max for row in rows for x in row):
+            raise ValueError(f"{name} must be finite")
         rows = tuple(tuple(float(x) for x in row) for row in rows)
     return rows
-
-
-def _is_finite(rows) -> bool:
-    return not any(isinstance(x, float) and not math.isfinite(x) for row in rows for x in row)
 
 
 def _is_symmetric(rows, rel_tol=1e-12) -> bool:
@@ -191,17 +193,12 @@ class MatrixBindings:
 
     @classmethod
     def numeric(cls, pairs: Sequence[tuple]) -> "MatrixBindings":
-        shapes = []
-        scales = []
+        shapes, scales = [], []
         for b, sigma in pairs:
-            b_rows = _to_rows(b)
-            s_rows = _to_rows(sigma)
+            b_rows = _to_rows(b, "B")
+            s_rows = _to_rows(sigma, "Sigma")
             if len(b_rows) != len(b_rows[0]):
                 raise ValueError("B must be square")
-            if not _is_finite(b_rows):
-                raise ValueError("B must be finite")
-            if not _is_finite(s_rows):
-                raise ValueError("Sigma must be finite")
             if not _is_symmetric(s_rows):
                 raise ValueError("Sigma must be symmetric")
             if not _is_positive_definite(s_rows):
@@ -446,10 +443,16 @@ def _substitute(
 
     ``atom_value`` maps an atom to a number, to a symbol name, or to the atom
     itself to keep it; it is called once per atom, and each power of a
-    number is computed once.  Symbolic factors are summed per cell by
-    integer ids in monomial key order, so every output monomial is built
-    once.  Float cells are summed per crossing number with ``math.fsum``; a
-    float cell or result that is not finite raises ``FloatOverflowError``.
+    number is computed once.  Exact cells are summed in integers over one
+    common denominator D, the lcm over the numeric atom values: with q = a/b
+    and C the most crossings, a cell of c crossings and numeric degree t adds
+    count * prod (D v_i)^e_i * a^c * b^(C - c) to the integer accumulator of
+    its output monomial and t, which becomes one Fraction over D^t b^C.
+    Symbolic factors are summed per cell by integer ids in monomial key
+    order, so every output monomial is built once.  If any atom value is a
+    float, the cells multiply the values as given and are summed per
+    crossing number with ``math.fsum``; a float cell or result that is not
+    finite raises ``FloatOverflowError``.
     """
     values = [atom_value(atom) for atom in atoms]
     keys = sorted(
@@ -459,14 +462,20 @@ def _substitute(
     sym = [key_id[v] if isinstance(v, (str, TraceAtom)) else None for v in values]
     q_sym = key_id["q"]
     q_value = None if isinstance(q, str) else Fraction(q)
-    if q_value is not None and q_value.denominator == 1:
-        q_value = q_value.numerator  # integer arithmetic for integer q
+    floats: dict[int, list[float]] | None = None
+    if any(isinstance(v, float) for v in values):
+        floats, nums = {}, values
+    else:
+        exact = {i: Fraction(v) for i, v in enumerate(values) if sym[i] is None}
+        den = math.lcm(*(int(v.denominator) for v in exact.values()))
+        nums = {i: int(v.numerator) * (den // int(v.denominator)) for i, v in exact.items()}
+    a, b = (1, 1) if q_value is None else (int(q_value.numerator), int(q_value.denominator))
+    top = max((cr for (cr, _), _ in cells), default=0)
+    q_factors = [a**c * b ** (top - c) for c in range(top + 1)]
     factors: dict[tuple[int, int], object] = {}
-    q_factors: dict[int, Rational] = {}
-    exact: dict[tuple[tuple[int, int], ...], object] = {}
-    floats: dict[int, list[float]] = {}
+    acc: dict[tuple[tuple[tuple[int, int], ...], int], int] = {}
     for (cr, exps), count in cells:
-        value: object = count
+        value, degree = count, 0
         powers: dict[int, int] = {}
         for i, e in exps:
             s = sym[i]
@@ -476,30 +485,24 @@ def _substitute(
             factor = factors.get((i, e))
             if factor is None:
                 try:
-                    factor = values[i] ** e
+                    factor = nums[i] ** e
                 except OverflowError as exc:  # only a float power can overflow
                     raise FloatOverflowError(_FLOAT_OVERFLOW) from exc
                 factors[i, e] = factor
-            value = value * factor
-        if isinstance(value, float):
+            value *= factor
+            degree += e
+        if floats is not None:
             if powers:
                 raise ValueError("float matrices cannot feed a symbolic result")
             if not math.isfinite(value):  # an atom or a product of atoms overflowed
                 raise FloatOverflowError(_FLOAT_OVERFLOW)
             floats.setdefault(cr, []).append(value)
             continue
-        if q_value is None:
-            if cr:
-                powers[q_sym] = powers.get(q_sym, 0) + cr
-        else:
-            factor = q_factors.get(cr)
-            if factor is None:
-                factor = q_factors[cr] = q_value**cr
-            value = value * factor
-        key = tuple(sorted(powers.items()))
-        exact[key] = exact.get(key, 0) + value
-    if floats:
-        assert not exact
+        if q_value is None and cr:
+            powers[q_sym] = powers.get(q_sym, 0) + cr
+        key = (tuple(sorted(powers.items())), degree)
+        acc[key] = acc.get(key, 0) + value * q_factors[cr]
+    if floats is not None:
         if q_value is None:
             raise ValueError("float matrices require a numeric q")
         if isinstance(const, MomentPolynomial):
@@ -512,9 +515,12 @@ def _substitute(
         if not math.isfinite(total):
             raise FloatOverflowError(_FLOAT_OVERFLOW)
         return total
-    poly = MomentPolynomial(
-        {tuple((keys[s], e) for s, e in key): value for key, value in exact.items()}
-    )
+    sums: dict[tuple[tuple[int, int], ...], Rational] = {}
+    q_den = b**top
+    for (key, degree), total in acc.items():
+        d = den**degree * q_den
+        sums[key] = sums.get(key, 0) + (Fraction(total, d) if d != 1 else total)
+    poly = MomentPolynomial({tuple((keys[s], e) for s, e in key): v for key, v in sums.items()})
     if const != 1:
         poly = poly * const if isinstance(const, MomentPolynomial) else poly * Fraction(const)
     try:
@@ -530,13 +536,20 @@ def _moment(top_table, coloring: Coloring, use_eps: bool, atom_value, q, const):
     return _substitute(atoms, cells, atom_value, q, const)
 
 
-def _scalar_const(bindings: MatrixBindings, coloring: Coloring):
-    """Product of the per-color scale factors over all points; gamma-free."""
-    const: Union[Fraction, MomentPolynomial] = Fraction(1)
-    for c in coloring.colors:
-        factor = bindings.scales[c - 1]
-        const = factor * const if isinstance(factor, MomentPolynomial) else const * factor
-    return const
+def _evaluator(mats: dict[int, tuple]) -> Callable[[TraceAtom], object]:
+    """``evaluate_atom`` over ``mats``; unless a matrix is float, each is cleared
+    once into integer rows over the lcm d of its entries' denominators, and an
+    atom's integer trace is divided once by the product of d over its letters.
+    """
+    if any(isinstance(x, float) for rows in mats.values() for row in rows for x in row):
+        return lambda atom: evaluate_atom(atom, mats)
+    dens, ints = {}, {}
+    for c, rows in mats.items():
+        d = dens[c] = math.lcm(*(x.denominator for row in rows for x in row))
+        ints[c] = [[x.numerator * (d // x.denominator) for x in row] for row in rows]
+    return lambda atom: Fraction(
+        evaluate_atom(atom, ints), math.prod(dens[c] for c, _ in atom.word)
+    )
 
 
 def _substitution(bindings: MatrixBindings | None, coloring: Coloring):
@@ -544,22 +557,20 @@ def _substitution(bindings: MatrixBindings | None, coloring: Coloring):
 
     Scalar bindings (B_j = I of size M_j, Sigma_j = c_j I_N) send a shape
     atom, which is monochromatic, to its color's size and a scale atom to N,
-    and collect the c_j in the constant.
+    and collect the c_j over all points in the constant.
     """
     if bindings is None:
         return (lambda atom: atom), Fraction(1)
     if bindings.num_colors < coloring.s:
         raise ValueError(f"bindings cover {bindings.num_colors} colors, spec needs {coloring.s}")
     if bindings.mode == "numeric":
-        mats = {
-            "shape": dict(enumerate(bindings.shapes, start=1)),
-            "scale": dict(enumerate(bindings.scales, start=1)),
-        }
-        return (lambda atom: evaluate_atom(atom, mats[atom.kind])), Fraction(1)
+        shape = _evaluator(dict(enumerate(bindings.shapes, start=1)))
+        scale = _evaluator(dict(enumerate(bindings.scales, start=1)))
+        return (lambda atom: shape(atom) if atom.kind == "shape" else scale(atom)), Fraction(1)
     sizes, n_dim = bindings.shapes, bindings.n_dim
     return (
         lambda atom: sizes[atom.word[0][0] - 1] if atom.kind == "shape" else n_dim
-    ), _scalar_const(bindings, coloring)
+    ), math.prod((bindings.scales[c - 1] for c in coloring.colors), start=Fraction(1))
 
 
 # ---------------------------------------------------------------------------
@@ -621,15 +632,15 @@ def identity_shape_moment(
         raise ValueError("need one shape size per color")
     scales = None
     if sigmas is not None:
-        rows = [_to_rows(m) for m in sigmas]
+        rows = [_to_rows(m, "Sigma") for m in sigmas]
         if len({len(r) for r in rows}) > 1:
             raise ValueError("all Sigma must share one dimension")
-        scales = dict(enumerate(rows, start=1))
+        scales = _evaluator(dict(enumerate(rows, start=1)))
 
     def atom_value(atom: TraceAtom):
         if atom.kind == "shape":
             return shape_sizes[atom.word[0][0] - 1]
-        return atom if scales is None else evaluate_atom(atom, scales)
+        return atom if scales is None else scales(atom)
 
     return _moment(spec.pairing().table, coloring, True, atom_value, 1, Fraction(1))
 
@@ -638,7 +649,7 @@ def single_wishart_moment(spec: MonomialSpec, shape_matrix, scale_matrix):
     """One-matrix specialization; requires a symmetric shape matrix."""
     if spec.s != 1:
         raise ValueError("single-matrix moment needs a one-color spec")
-    b_rows = _to_rows(shape_matrix)
+    b_rows = _to_rows(shape_matrix, "B")
     if not _is_symmetric(b_rows):
         raise ValueError("shape matrix must be symmetric")
     bindings = MatrixBindings.numeric([(b_rows, scale_matrix)])
@@ -702,8 +713,8 @@ def brute_force_moment(
     shared.
     """
     n = spec.n
-    b_rows = [_to_rows(m) for m in shape_mats]
-    s_rows = [_to_rows(m) for m in scale_mats]
+    b_rows = [_to_rows(m, "B") for m in shape_mats]
+    s_rows = [_to_rows(m, "Sigma") for m in scale_mats]
     if len(b_rows) < spec.s or len(s_rows) < spec.s:
         raise ValueError("need one shape and one scale matrix per color")
     if len({len(r) for r in s_rows}) > 1:

@@ -215,6 +215,60 @@ class TestQMoment:
         assert poly_from_json(data["result"]).symbols() == {"M"}
 
 
+def numeric_argv(command, spec, b, sigma):
+    return [command, "--spec", spec, "--matrices", json.dumps([{"B": b, "Sigma": sigma}])]
+
+
+class TestMomentErrorsNameTheFlag:
+    """Each input error of the moment call names the flag that carries the input."""
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (
+                numeric_argv("q-moment", "[[1,1]]", [[1.0, 2], [2, 1]], [[2]]),
+                "--q: float matrices require a numeric q",
+            ),
+            (
+                numeric_argv("q-moment", "[[1,1]]", [[1, 2], [3, 1]], [[2]]),
+                "--matrices: B for color 1 must be symmetric",
+            ),
+            (
+                numeric_argv("q-moment", "[[1,2]]", [[1]], [[1]]),
+                "--matrices: bindings cover 1 colors, spec needs 2",
+            ),
+            (
+                ["moment", "--spec", "[[1,2]]", "--scalar", '{"M":[2]}'],
+                "--scalar: bindings cover 1 colors, spec needs 2",
+            ),
+            (
+                ["moment", "--sigma", "[[1,-1],[2,-2]]", "--coloring", "1,2"]
+                + ["--scalar", '{"M":[2]}'],
+                "--scalar: bindings cover 1 colors, spec needs 2",
+            ),
+            (
+                numeric_argv("moment", "[[1]]", [["1e400", 0.5], [0.5, 1]], [[2]]),
+                "--matrices: B must be finite",
+            ),
+            (
+                numeric_argv("moment", "[[1]]", [[1]], [["-1e400", 0.5], [0.5, 1]]),
+                "--matrices: Sigma must be finite",
+            ),
+            (
+                numeric_argv("moment", "[[1]]", [1, 2], [[1]]),
+                "--matrices: B must be a list of rows of numbers",
+            ),
+            (
+                numeric_argv("moment", "[[1]]", [[1]], 7),
+                "--matrices: Sigma must be a list of rows of numbers",
+            ),
+        ],
+    )
+    def test_message_and_flag(self, capsys, argv, message):
+        assert capture(argv) == (2, "")
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+
 class TestFluctuationLimit:
     def test_orders(self):
         data = capture_json(

@@ -1,6 +1,13 @@
 import math
+import os
+import subprocess
+import sys
+from contextlib import contextmanager
 from fractions import Fraction
+from pathlib import Path
+from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -25,7 +32,8 @@ from qwishart.pairings import (
     _iter_tables,
     from_permutation,
 )
-from qwishart.polynomials import MomentPolynomial, TraceAtom
+from qwishart.mp import mp_moment_check
+from qwishart.polynomials import MomentPolynomial, TraceAtom, _key_order, evaluate_atom
 from test_fluctuations import _split
 from test_pairings import partitions_of
 
@@ -263,6 +271,189 @@ class TestIndexedSubstitution:
             got = _engine(spec, use_eps, atom_value, q_value, const)
             assert isinstance(got, float)
             assert got == _float_oracle(cells, atom_value, q_value, const)
+
+
+def _fraction_substitute(atoms, cells, atom_value, q, const):
+    """The Fraction sum that ``_substitute``'s integer sum replaced, kept as its oracle.
+
+    Every cell is multiplied out in Fractions, count times each atom's power
+    times q^crossings, and added into its output monomial.
+    """
+    values = [atom_value(atom) for atom in atoms]
+    keys = sorted({v for v in values if isinstance(v, (str, TraceAtom))} | {"q"}, key=_key_order)
+    key_id = {key: s for s, key in enumerate(keys)}
+    sym = [key_id[v] if isinstance(v, (str, TraceAtom)) else None for v in values]
+    q_value = None if isinstance(q, str) else Fraction(q)
+    exact: dict = {}
+    for (cr, exps), count in cells:
+        value = Fraction(count)
+        powers: dict = {}
+        for i, e in exps:
+            if sym[i] is None:
+                value *= Fraction(values[i]) ** e
+            else:
+                powers[sym[i]] = powers.get(sym[i], 0) + e
+        if q_value is None:
+            if cr:
+                powers[key_id["q"]] = powers.get(key_id["q"], 0) + cr
+        else:
+            value *= q_value**cr
+        key = tuple(sorted(powers.items()))
+        exact[key] = exact.get(key, 0) + value
+    poly = P({tuple((keys[s], e) for s, e in key): v for key, v in exact.items()})
+    if const != 1:
+        poly = poly * const if isinstance(const, MomentPolynomial) else poly * Fraction(const)
+    try:
+        return poly.constant_value()
+    except ValueError:  # not constant
+        return poly
+
+
+@contextmanager
+def _fraction_path():
+    """Evaluate atoms on the Fraction rows as given and sum in Fractions."""
+    with mock.patch.object(moments, "_substitute", _fraction_substitute), mock.patch.object(
+        moments, "_evaluator", lambda mats: lambda atom: evaluate_atom(atom, mats)
+    ):
+        yield
+
+
+def _rational_matrix(data, rows, cols, den, symmetric=False):
+    """Entries k/den, so each color can carry its own denominators."""
+    out = [[Fraction(data.draw(st.integers(-7, 7)), den) for _ in range(cols)] for _ in range(rows)]
+    if symmetric:
+        out = [[out[min(i, j)][max(i, j)] for j in range(cols)] for i in range(rows)]
+    return out
+
+
+def _positive_definite(data, dim, den):
+    """Symmetric with a positive diagonal that dominates each row: positive definite."""
+    out = _rational_matrix(data, dim, dim, den, symmetric=True)
+    for i, row in enumerate(out):
+        row[i] = sum(abs(x) for j, x in enumerate(row) if j != i) + Fraction(
+            data.draw(st.integers(1, 5)), data.draw(st.sampled_from([1, 2, 3, 7]))
+        )
+    return out
+
+
+_DENOMINATORS = st.sampled_from([1, 2, 3, 4, 5, 6, 7, 9, 12])
+_Q_VALUES = ["q", 0, 1, -1, Fraction(1, 2), Fraction(-3, 7)]
+
+
+class TestIntegerSumOracle:
+    """The integer sum over one common denominator equals the Fraction sum it replaced."""
+
+    @staticmethod
+    def bindings(data, s, symmetric):
+        dim = data.draw(st.integers(1, 3))
+        pairs = []
+        for _ in range(s):
+            size = data.draw(st.integers(1, 3))
+            b = _rational_matrix(data, size, size, data.draw(_DENOMINATORS), symmetric)
+            pairs.append((b, _positive_definite(data, dim, data.draw(_DENOMINATORS))))
+        return MatrixBindings.numeric(pairs)
+
+    @staticmethod
+    def check(fn, *args):
+        got = fn(*args)
+        with _fraction_path():
+            expected = fn(*args)
+        assert type(got) is type(expected)
+        assert got == expected
+        return got
+
+    @given(st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_real_moment_non_symmetric_shapes(self, data):
+        spec = _random_spec(data)
+        self.check(real_wishart_moment, spec, self.bindings(data, spec.s, symmetric=False))
+
+    @given(st.data(), st.sampled_from(_Q_VALUES))
+    @settings(max_examples=40, deadline=None)
+    def test_q_moment(self, data, q_value):
+        spec = _random_spec(data)
+        self.check(q_wishart_moment, spec, self.bindings(data, spec.s, symmetric=True), q_value)
+
+    @pytest.mark.parametrize("q_value", _Q_VALUES)
+    def test_q_moment_benchmark_shape(self, q_value):
+        # the degree-7 two-color shape, with a different denominator per color
+        spec = MonomialSpec(((1, 2, 2, 1), (2, 2, 1)))
+        b1 = frac_entries([["1/3", "-2/3"], ["-2/3", "5/3"]])
+        sigma1 = frac_entries([[2, "1/5"], ["1/5", 1]])
+        sigma2 = frac_entries([["6/5", "-1/5"], ["-1/5", "4/5"]])
+        bindings = MatrixBindings.numeric([(b1, sigma1), (frac_entries([["3/7"]]), sigma2)])
+        self.check(q_wishart_moment, spec, bindings, q_value)
+
+    @given(st.data(), st.sampled_from(_Q_VALUES))
+    @settings(max_examples=30, deadline=None)
+    def test_scalar_bindings(self, data, q_value):
+        spec = _random_spec(data)
+        sizes = [data.draw(st.sampled_from([1, 2, 5, f"M{c}"])) for c in range(1, spec.s + 1)]
+        factors = [
+            Fraction(data.draw(st.integers(1, 9)), data.draw(_DENOMINATORS)) for _ in sizes
+        ]
+        n_dim = data.draw(st.sampled_from(["N", 3]))
+        bindings = MatrixBindings.scalar(sizes, factors, n_dim)
+        self.check(q_wishart_moment, spec, bindings, q_value)
+
+    @given(st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_identity_shape_with_sigmas(self, data):
+        # symbolic sizes beside numeric scale atoms key one output monomial
+        # by several numeric degrees
+        spec = _random_spec(data)
+        sizes = [data.draw(st.sampled_from([1, 3, f"M{c}"])) for c in range(1, spec.s + 1)]
+        dim = data.draw(st.integers(1, 3))
+        sigmas = [_positive_definite(data, dim, data.draw(_DENOMINATORS)) for _ in sizes]
+        self.check(identity_shape_moment, spec, sizes, sigmas)
+
+    @given(
+        st.lists(
+            st.fractions(min_value=Fraction(1, 9), max_value=Fraction(4), max_denominator=9),
+            min_size=1,
+            max_size=4,
+        ),
+        st.integers(1, 5),
+        st.integers(1, 5),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_mp_moment_check(self, eigenvalues, scale_dim, n_max):
+        report = self.check(mp_moment_check, eigenvalues, scale_dim, n_max)
+        assert report.all_equal
+
+
+class TestExactEntries:
+    def test_numpy_integers_are_exact(self):
+        # 1x1: W = b x^2, so E[W^2] = 3 b^2 = 12, exactly
+        b = [[np.int64(2)]]
+        got = real_wishart_moment(MonomialSpec(((1, 1),)), MatrixBindings.numeric([(b, [[1]])]))
+        assert got == 12 and isinstance(got, Fraction)
+        assert isinstance(MatrixBindings.numeric([(b, [[1]])]).shapes[0][0][0], Fraction)
+
+    def test_numpy_floats_stay_float(self):
+        bindings = MatrixBindings.numeric([([[np.float64(2)]], [[1]])])
+        assert isinstance(real_wishart_moment(MonomialSpec(((1, 1),)), bindings), float)
+
+    def test_checking_rational_entries_does_not_import_numpy(self):
+        code = (
+            "import sys; from qwishart.moments import MatrixBindings; "
+            "MatrixBindings.numeric([([[1, '1/2'], ['1/2', 1]], [[2]])]); "
+            "assert 'numpy' not in sys.modules"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(moments.__file__).parents[1])}
+        subprocess.run([sys.executable, "-c", code], check=True, env=env)
+
+    @pytest.mark.parametrize("name, pair", [("B", ([1, 2], [[1]])), ("Sigma", ([[1]], 7))])
+    def test_rows_must_be_lists(self, name, pair):
+        with pytest.raises(ValueError, match=f"{name} must be a list of rows"):
+            MatrixBindings.numeric([pair])
+
+    @pytest.mark.parametrize("huge", ["1e400", "-1e400", 10**400])
+    def test_exact_entry_beyond_double_range_beside_a_float(self, huge):
+        with pytest.raises(ValueError, match="B must be finite"):
+            MatrixBindings.numeric([([[huge, 0.5], [0.5, 1]], [[2]])])
+        with pytest.raises(ValueError, match="Sigma must be finite"):
+            MatrixBindings.numeric([([[1]], [[huge, 0.5], [0.5, 1]])])
 
 
 class TestGeneralSigma:

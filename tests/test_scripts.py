@@ -150,6 +150,54 @@ class TestBenchSummary:
         assert load("bench_summary").main([str(tmp_path)]) == 2
         assert "no run records" in capsys.readouterr().err
 
+    def summaries(self, tmp_path, trees):
+        """Write one summary per tree of ``{workload: {seed: wall_s}}``; return the paths."""
+        paths = []
+        for tree, walls in trees:
+            (tmp_path / tree).mkdir()
+            records = [
+                _record(workload, seed, 0, {"wall_s": w}, git_sha=tree)
+                for workload, by_seed in walls.items()
+                for seed, w in by_seed.items()
+            ]
+            self.write(tmp_path / tree, records)
+            paths.append(tmp_path / f"{tree}.json")
+            assert load("bench_summary").main([str(tmp_path / tree), "--out", str(paths[-1])]) == 0
+        return [str(path) for path in paths]
+
+    def test_compare_pairs_by_seed(self, tmp_path, capsys):
+        parent, change = self.summaries(
+            tmp_path,
+            [
+                ("parent", {"finite-exact": {7: 0.30, 8: 0.40, 9: 0.20}, "cli-short": {7: 1.0}}),
+                ("change", {"finite-exact": {7: 0.15, 8: 0.50, 9: 0.10, 10: 0.01}}),
+            ],
+        )
+        assert load("bench_summary").main(["--compare", parent, change]) == 0
+        # medians 0.30 -> 0.15 (seed 10 has no parent run); cli-short is in one summary only
+        assert capsys.readouterr().out == (
+            "finite-exact wall_s: 0.3 [IQR 0.1] -> 0.125 s, ratio 0.417, "
+            "change lower in 2/3 seeds\n"
+        )
+
+    def test_compare_a_summary_with_itself(self, tmp_path, capsys):
+        (summary,) = self.summaries(tmp_path, [("tree", {"finite-exact": {1: 0.3, 2: 0.4}})])
+        assert load("bench_summary").main(["--compare", summary, summary]) == 0
+        assert "ratio 1.000, change lower in 0/2 seeds" in capsys.readouterr().out
+
+    def test_compare_rejects_disjoint_summaries(self, tmp_path, capsys):
+        parent, change = self.summaries(
+            tmp_path,
+            [("parent", {"finite-exact": {1: 0.3}}), ("change", {"cli-short": {1: 1.0}})],
+        )
+        assert load("bench_summary").main(["--compare", parent, change]) == 2
+        assert "share no workload" in capsys.readouterr().err
+
+    def test_compare_names_an_unreadable_summary(self, tmp_path, capsys):
+        missing = str(tmp_path / "missing.json")
+        assert load("bench_summary").main(["--compare", missing, missing]) == 2
+        assert capsys.readouterr().err.startswith("bench_summary: --compare: ")
+
 
 def test_benchmark_bound_mirrors_the_package():
     # the benchmark's generator keeps its own copy of the degree bound
