@@ -117,17 +117,16 @@ def _parse_matrices(field: str, value: str) -> moments.MatrixBindings:
 def _parse_scalar(field: str, value: str) -> moments.MatrixBindings:
     data = _parse_json(field, value)
     try:
-        sizes = [x if isinstance(x, str) else int(x) for x in data["M"]]
+        sizes = data["M"]
+        if not isinstance(sizes, list):
+            raise ValueError("M must be a JSON list")
         factors = []
         for entry in data.get("scale", ["1"] * len(sizes)):
             if isinstance(entry, dict):
                 factors.append(poly_from_json(entry["poly"]))
             else:
                 factors.append(_entry_from_json(field, entry))
-        n_dim = data.get("N", "N")
-        if not isinstance(n_dim, (str, int)):
-            raise ValueError("N must be a symbol or an integer")
-        return moments.MatrixBindings.scalar(sizes, factors, n_dim)
+        return moments.MatrixBindings.scalar(sizes, factors, data.get("N", "N"))
     except CliInputError:
         raise
     except (KeyError, TypeError, ValueError) as exc:

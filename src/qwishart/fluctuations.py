@@ -4,12 +4,9 @@ For matrices with identity shape of size M and scale I/N, the joint centered
 moment of a product of trace blocks is a sum over color-preserving pairings
 that join every block to another one, each weighted by
 q^crossings * M^(cycles) * N^(contraction cycles - n).  The finite moment is
-a tally over those pairings from one counted walk (``_iter_connected``): as
-it places edges it keeps the crossings and both cycle counts, each the
-number of cycles of the pairing joined to a fixed involution (V(x) = x ^ 1
-for the pairing's own cycles, F(x) = top[x ^ 1] ^ 1 for the contraction's),
-and it prunes every subtree in which a completed block has no edge leaving
-it.
+a tally over those pairings from the counted walk ``pairings._counted_walk``
+that also serves the finite moments: given the blocks, it prunes every
+subtree in which a completed block has no edge leaving it.
 
 As N grows with M/N -> lambda, only pairings whose diagram splits the blocks
 into genus-zero pairs survive, contributing q^crossings * lambda^cycles;
@@ -44,8 +41,8 @@ from .pairings import (
     TABLE_BOUND,
     _check_count,
     _check_tables,
+    _counted_walk,
     _double_factorial,
-    _iter_connected,
     _position_blocks,
     block_pairing,
 )
@@ -118,7 +115,7 @@ def _block_walk(spec: MonomialSpec):
     """The counted walk over pairings that join every trace block to another."""
     base = block_pairing([len(w) for w in spec.cycle_words])
     pos_colors = spec.coloring().position_colors()
-    return _iter_connected(spec.n, pos_colors, base.table, _position_blocks(base))
+    return _counted_walk(spec.n, pos_colors, base.table, _position_blocks(base))
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
@@ -126,12 +123,12 @@ def _centered_counts(spec: MonomialSpec) -> dict[tuple[int, int, int], int]:
     """Finite tally over block-connecting pairings.
 
     Keys are (crossings, cycles of the pairing, cycles of the contraction),
-    all three kept by the counted walk ``_iter_connected``, which also prunes
+    all three kept by the counted walk ``_counted_walk``, which also prunes
     every subtree that completes a block with no edge leaving it.  The walk
     checks its own table count, so the cache key is the spec alone.
     """
     finite: dict[tuple[int, int, int], int] = {}
-    for _, cr, c_gamma, c_g, _ in _block_walk(spec):
+    for _, cr, c_gamma, c_g, _, _ in _block_walk(spec):
         key = (cr, c_gamma, c_g)
         finite[key] = finite.get(key, 0) + 1
     return finite
@@ -149,7 +146,7 @@ def _connector_counts(
     """
     n = len(word_a) + len(word_b)
     counts: dict[tuple[int, int, int], int] = {}
-    for _, cr, c_gamma, c_g, between in _block_walk(MonomialSpec((word_a, word_b))):
+    for _, cr, c_gamma, c_g, between, _ in _block_walk(MonomialSpec((word_a, word_b))):
         if c_gamma + c_g == n:
             key = (cr, c_gamma, between)
             counts[key] = counts.get(key, 0) + 1

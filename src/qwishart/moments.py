@@ -9,13 +9,13 @@ B matrices, a scale-side trace monomial in the Sigma matrices read off the
 Brauer contraction with its inherited coloring (``pairing_term``), and (in
 the q case) the weight q^crossings.
 
-The engine reads the tally of (crossings, trace monomial) -> count off one
-backtracking walk over the pairings, once per (spec, use_eps), into a
-bounded cache.  The walk keeps the crossings and the open shape and scale
-paths as it places edges, and reads each trace atom's word once, when the
-edge that closes its cycle is placed; ``pairing_term`` computes the same
-monomial for one pairing from the traversal and the Brauer contraction and
-stays as the per-table oracle.  Every result is a substitution into the
+The engine reads the tally of (crossings, trace monomial) -> count off the
+counted walk ``pairings._counted_walk`` (shared with the centered tallies and
+the limit connectors), once per (spec, use_eps), into a bounded cache.  Here
+the walk prunes nothing and reads each trace atom's word once, when the edge
+that closes its cycle is placed.  ``pairing_term`` computes the same monomial
+for one pairing from the traversal and the Brauer contraction and stays as
+the per-table oracle.  Every result is a substitution into the
 tally: symbolic mode keeps the atoms, numeric mode evaluates each distinct
 atom once on the bound matrices, scalar mode sends a shape atom to its
 color's size and a scale atom to N, and q enters as q^crossings,
@@ -46,6 +46,7 @@ from .pairings import (
     _brauer_table,
     _check_count,
     _check_tables,
+    _counted_walk,
     _cycle_count,
     _induced_colors_table,
     _is_top_to_bottom_table,
@@ -61,6 +62,7 @@ from .polynomials import (
     TraceAtom,
     _key_order,
     _make_monomial,
+    _symbol_rank,
     evaluate_atom,
 )
 
@@ -175,6 +177,19 @@ def _is_positive_definite(rows) -> bool:
     return True
 
 
+def _check_size(value, name: str) -> Union[int, str]:
+    """A positive integer (numpy integers become ``int``) or a symbol name."""
+    if isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= 1:
+        return int(value)
+    if isinstance(value, str):
+        try:
+            _symbol_rank(value)
+            return value
+        except ValueError:
+            pass
+    raise ValueError(f"{name} must be a positive integer or a symbol name, got {value!r}")
+
+
 @dataclass(frozen=True)
 class MatrixBindings:
     """Concrete matrices per color, or scalar stand-ins for identity blocks.
@@ -216,7 +231,8 @@ class MatrixBindings:
         scale_factors: Sequence[Union[Rational, MomentPolynomial]] | None = None,
         n_dim: Union[int, str] = "N",
     ) -> "MatrixBindings":
-        sizes = tuple(shape_sizes)
+        sizes = tuple(_check_size(m, "shape size") for m in shape_sizes)
+        n_dim = _check_size(n_dim, "n_dim")
         if scale_factors is None:
             scale_factors = [Fraction(1)] * len(sizes)
         factors = tuple(
@@ -280,56 +296,34 @@ def _word_counts(
 ) -> tuple[dict[tuple, int], dict[tuple[int, tuple[int, ...]], int]]:
     """Raw word ids and ``(crossings, sorted word ids) -> count`` over the pairings.
 
-    One backtracking walk visits the color-preserving tables in the order of
-    ``_iter_tables``, keeping the crossings as it places each edge (p, q): it
-    crosses the placed edges whose right end lies between p and q.  The shape
-    cycles are the cycles of the table joined to V(x) = x ^ 1 and the scale
-    cycles those joined to F(x) = top[x ^ 1] ^ 1 (one F-step is one vertical
-    step of the contraction with its edge through ``top``).  The partial
-    union with either involution is a set of paths, ``end[x]`` is the other
-    end of the path ending at x, and (p, q) closes a cycle exactly when q is
-    that other end of p.
-
-    A closed cycle is read once, alternating table steps with V- or F-steps.
-    A shape letter sits on each V-step, out of y, as ``(colors[y >> 1],
-    use_eps and y odd)``; a scale letter on each table edge, at x, as
-    ``(pos_colors[x], False)``.  A shape cycle keeps one color (table edges
-    join equal colors, V the two ends of one point), and reading it the
-    other way reverses its word and flips every flag, so any start and
-    direction name the same atom.  A scale word's flags are all False, so
-    its reversal is in general another atom: it is read as
-    ``_traverse_table`` walks the contraction, from the cycle's smallest
-    even (top) position and leaving it along its table edge.  Word ids are
-    pushed as their cycles close and popped on backtrack.
+    ``read`` gets each cycle of the counted walk as it closes and reads it
+    alternating table steps with V- or F-steps.  A shape letter sits on each
+    V-step, out of y, as ``(colors[y >> 1], use_eps and y odd)``: reading a
+    one-colored shape cycle the other way reverses its word and flips every
+    flag, so any start and direction name the same atom.  A scale letter sits
+    on each table edge, at x, as ``(pos_colors[x], False)``; the reversal is
+    in general another atom, so the word is read as ``_traverse_table`` walks
+    the contraction, from the smallest even (top) position of the cycle and
+    leaving it along its table edge.
     """
     size = 2 * len(colors)
     pos_colors = [colors[x >> 1] for x in range(size)]
-    _check_tables(len(colors), pos_colors)
     shape_letter = [(colors[y >> 1], bool(use_eps and y & 1)) for y in range(size)]
     scale_letter = [(c, False) for c in pos_colors]
     f = [top_table[x ^ 1] ^ 1 for x in range(size)]
-    table = [-1] * size
-    end_v = [x ^ 1 for x in range(size)]
-    end_f = f[:]
     ids: dict[tuple, int] = {}
-    counts: dict[tuple[int, tuple[int, ...]], int] = {}
-    closed: list[int] = []  # ids of the words of the closed cycles
-    stack: list[tuple[int, int, int, int]] = []
-    cr = 0
-    p, q, inside = 0, 1, 0
 
-    def shape_word(start: int) -> int:
-        word = []
-        x = start
-        while True:
-            y = table[x]
-            word.append(shape_letter[y])
-            x = y ^ 1
-            if x == start:
-                break
-        return ids.setdefault(("shape", tuple(word)), len(ids))
-
-    def scale_word(start: int) -> int:
+    def read(kind: int, start: int, table: list[int]) -> int:
+        if not kind:
+            word = []
+            x = start
+            while True:
+                y = table[x]
+                word.append(shape_letter[y])
+                x = y ^ 1
+                if x == start:
+                    break
+            return ids.setdefault(("shape", tuple(word)), len(ids))
         # y_i = table[x_i], x_(i+1) = F(y_i); F joins an even to an odd position
         xs = []
         x, best, at, forward = start, size, 0, True
@@ -347,60 +341,11 @@ def _word_counts(
         order = xs[at:] + xs[:at] if forward else xs[at::-1] + xs[:at:-1]
         return ids.setdefault(("scale", tuple([scale_letter[x] for x in order])), len(ids))
 
-    while True:
-        while q < size:
-            if table[q] >= 0:
-                inside += 1
-            elif pos_colors[q] == pos_colors[p]:
-                table[p] = q
-                table[q] = p
-                cr += inside
-                closes = 0
-                a = end_v[p]
-                if a == q:
-                    closed.append(shape_word(p))
-                    closes += 1
-                else:
-                    b = end_v[q]
-                    end_v[a] = b
-                    end_v[b] = a
-                a = end_f[p]
-                if a == q:
-                    closed.append(scale_word(p))
-                    closes += 1
-                else:
-                    b = end_f[q]
-                    end_f[a] = b
-                    end_f[b] = a
-                stack.append((p, q, inside, closes))
-                nxt = p + 1
-                while nxt < size and table[nxt] >= 0:
-                    nxt += 1
-                if nxt == size:
-                    key = (cr, tuple(sorted(closed)))
-                    counts[key] = counts.get(key, 0) + 1
-                    break  # p has no other free partner: undo this edge
-                p, q, inside = nxt, nxt + 1, 0
-                continue
-            q += 1
-        else:
-            if not stack:
-                return ids, counts
-        # undo the last edge; p and q still hold the path ends they linked
-        p, q, inside, closes = stack.pop()
-        table[p] = table[q] = -1
-        cr -= inside
-        if closes:
-            del closed[-closes:]
-        a = end_v[p]
-        if a != q:
-            end_v[a] = p
-            end_v[end_v[q]] = q
-        a = end_f[p]
-        if a != q:
-            end_f[a] = p
-            end_f[end_f[q]] = q
-        q += 1
+    counts: dict[tuple[int, tuple[int, ...]], int] = {}
+    for _, cr, _, _, _, closed in _counted_walk(len(colors), pos_colors, top_table, read=read):
+        key = (cr, tuple(sorted(closed)))
+        counts[key] = counts.get(key, 0) + 1
+    return ids, counts
 
 
 @lru_cache(maxsize=_TALLY_CACHE_SIZE)
@@ -411,11 +356,10 @@ def _tally(
 
     Returns the distinct atoms, sorted in monomial key order, and the cells,
     which name each monomial by ascending atom indices, so a cell expands to
-    its monomial without sorting.  The tally is read off one walk
+    its monomial without sorting.  The tally is read off the counted walk
     (``_word_counts``), which checks its own table count and keys each table
-    by integer ids of its raw words, each read when its cycle closes, so
-    every distinct word is canonicalised once per tally rather than once per
-    table.
+    by integer ids of its raw words, so every distinct word is canonicalised
+    once per tally rather than once per table.
     """
     ids, counts = _word_counts(top_table, colors, use_eps)
     made = [TraceAtom.make(kind, word) for kind, word in ids]
@@ -628,6 +572,7 @@ def identity_shape_moment(
     ``sigmas`` is None.
     """
     coloring = spec.coloring()
+    shape_sizes = [_check_size(m, "shape size") for m in shape_sizes]
     if len(shape_sizes) < coloring.s:
         raise ValueError("need one shape size per color")
     scales = None

@@ -10,6 +10,7 @@ where equality is exact already at finite size.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Sequence, Union
@@ -18,6 +19,12 @@ from .moments import MonomialSpec, _moment
 from .polynomials import Rational, TraceAtom
 
 NC_BOUND = 12
+
+
+def _exact(x) -> Fraction:
+    if isinstance(x, numbers.Rational):  # a numpy integer would keep its int64 numerator
+        return Fraction(int(x.numerator), int(x.denominator))
+    return Fraction(x)
 
 
 @dataclass(frozen=True)
@@ -104,7 +111,7 @@ class SpectralMeasure:
 
     @classmethod
     def from_eigenvalues(cls, eigenvalues: Sequence[Rational]) -> "SpectralMeasure":
-        values = [Fraction(x) for x in eigenvalues]
+        values = [_exact(x) for x in eigenvalues]
         mass = Fraction(1, len(values))
         merged: dict[Fraction, Fraction] = {}
         for x in values:
@@ -126,11 +133,11 @@ def compound_mp_moment(
     """
     if n < 1 or n > NC_BOUND:
         raise ValueError(f"n must lie in 1..{NC_BOUND}")
-    lam = Fraction(aspect_ratio)
+    lam = _exact(aspect_ratio)
     if isinstance(base, SpectralMeasure):
         moments = [base.moment(k) for k in range(1, n + 1)]
     else:
-        moments = [Fraction(x) for x in base]
+        moments = [_exact(x) for x in base]
         if len(moments) < n:
             raise ValueError(f"need the first {n} moments of the base measure")
     total = Fraction(0)
@@ -174,7 +181,7 @@ def _check_scale_dim(scale_dim: int) -> None:
 
 
 def _check_eigenvalues(eigenvalues: Sequence[Rational]) -> list[Fraction]:
-    eigs = [Fraction(x) for x in eigenvalues]
+    eigs = [_exact(x) for x in eigenvalues]
     if not eigs:
         raise ValueError("need at least one eigenvalue")
     if any(x <= 0 for x in eigs):

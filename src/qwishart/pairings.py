@@ -15,13 +15,17 @@ whether its vertical edge was walked upward.  Top-to-bottom partitions (every
 pair joins a top point to a bottom point) are exactly the all-plus ones and
 are in bijection with permutations; the Brauer product restricted to them is
 permutation composition.
+
+One counted walk, ``_counted_walk``, serves the finite and centered tallies,
+the limit connectors and ``connecting_pairings``.  ``_iter_tables`` shares no
+code with it: it serves the enumeration API and the oracles that check it.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 ENUMERATION_BOUND = 9  # the largest degree whose pairings all fit TABLE_BOUND
 
@@ -438,40 +442,47 @@ def _iter_tables(
         q += 1
 
 
-def _iter_connected(
-    n: int, pos_colors: Sequence[int], top: Sequence[int], block: Sequence[int]
-) -> Iterator[tuple[list[int], int, int, int, int]]:
-    """Color-preserving tables joining every block to another, with their counts.
+def _counted_walk(
+    n: int,
+    pos_colors: Sequence[int],
+    top: Sequence[int],
+    block: Sequence[int] | None = None,
+    read: Callable[[int, int, list[int]], int] | None = None,
+) -> Iterator[tuple[list[int], int, int, int, int, list[int]]]:
+    """Color-preserving tables in the order of ``_iter_tables``, with their counts.
 
-    Visits tables in the order of ``_iter_tables`` and yields
-    ``(table, cr, c_gamma, c_g, between)`` only when every block (``block``
-    maps a position to its block index) has an edge leaving it: ``cr`` is the
-    crossing number, ``c_gamma`` is ``_cycle_count(table)``, ``c_g`` is
-    ``_cycle_count(_brauer_table(top, table))`` and ``between`` counts the
-    edges between blocks.  All are kept incrementally as edges are placed and
-    undone on backtrack:
+    Yields ``(table, cr, c_gamma, c_g, between, closed)`` per table: the
+    crossings, ``_cycle_count(table)``, ``_cycle_count(_brauer_table(top,
+    table))``, the edges between blocks and what ``read`` returned for each
+    closed cycle.  All are kept as edges are placed and undone on backtrack:
 
     - every placed edge has its left end before p, so the new edge (p, q)
-      crosses exactly the placed edges whose right end lies between p and q,
-      and those are the matched positions met while scanning q;
-    - both cycle counts are cycles of the table joined to a fixed involution,
-      V(x) = x ^ 1 and F(x) = top[x ^ 1] ^ 1.  The partial union is a set of
-      paths, ``end[x]`` is the other end of the path ending at x, and (p, q)
-      closes a cycle exactly when q is that other end of p;
-    - an internal edge that completes a block with no outside edge prunes its
-      whole subtree.
+      crosses the placed edges whose right end lies between p and q: the
+      matched positions met while scanning q;
+    - shape cycles are the cycles of the table joined to V(x) = x ^ 1, scale
+      cycles those joined to F(x) = top[x ^ 1] ^ 1 (one vertical step of the
+      contraction).  Each partial union is a set of paths, ``end[x]`` is the
+      other end of the path ending at x, and (p, q) closes a cycle exactly
+      when q is that end of p; then ``read(kind, p, table)`` is pushed onto
+      ``closed``, kind 0 for a shape and 1 for a scale cycle;
+    - with ``block`` (a block index per position), an internal edge that
+      completes a block with no outside edge prunes its subtree; without it
+      nothing is pruned and ``between`` stays 0.
 
-    The yielded list is reused in place, so copy it before storing.
+    The yielded lists are reused in place, so copy them before storing.
     """
     _check_tables(n, pos_colors)
     size = 2 * n
     table = [-1] * size
     end_v = [x ^ 1 for x in range(size)]
     end_f = [top[x ^ 1] ^ 1 for x in range(size)]
-    free = [0] * (max(block) + 1)
-    for k in block:
-        free[k] += 1
-    outside = [0] * len(free)
+    pruned = block is not None
+    if pruned:
+        free = [0] * (max(block) + 1)
+        for k in block:
+            free[k] += 1
+        outside = [0] * len(free)
+    closed: list[int] = []
     stack: list[tuple[int, int, int]] = []
     cr = c_gamma = c_g = between = 0
     p, q, inside = 0, 1, 0
@@ -480,18 +491,19 @@ def _iter_connected(
             if table[q] >= 0:
                 inside += 1
             elif pos_colors[q] == pos_colors[p]:
-                bp, bq = block[p], block[q]
-                if bp == bq:
-                    if free[bp] == 2 and not outside[bp]:
-                        q += 1
-                        continue  # the edge would complete an isolated block
-                    free[bp] -= 2
-                else:
-                    free[bp] -= 1
-                    free[bq] -= 1
-                    outside[bp] += 1
-                    outside[bq] += 1
-                    between += 1
+                if pruned:
+                    bp, bq = block[p], block[q]
+                    if bp == bq:
+                        if free[bp] == 2 and not outside[bp]:
+                            q += 1
+                            continue  # the edge would complete an isolated block
+                        free[bp] -= 2
+                    else:
+                        free[bp] -= 1
+                        free[bq] -= 1
+                        outside[bp] += 1
+                        outside[bq] += 1
+                        between += 1
                 table[p] = q
                 table[q] = p
                 stack.append((p, q, inside))
@@ -499,6 +511,8 @@ def _iter_connected(
                 a = end_v[p]
                 if a == q:
                     c_gamma += 1
+                    if read is not None:
+                        closed.append(read(0, p, table))
                 else:
                     b = end_v[q]
                     end_v[a] = b
@@ -506,6 +520,8 @@ def _iter_connected(
                 a = end_f[p]
                 if a == q:
                     c_g += 1
+                    if read is not None:
+                        closed.append(read(1, p, table))
                 else:
                     b = end_f[q]
                     end_f[a] = b
@@ -514,7 +530,7 @@ def _iter_connected(
                 while nxt < size and table[nxt] >= 0:
                     nxt += 1
                 if nxt == size:
-                    yield table, cr, c_gamma, c_g, between
+                    yield table, cr, c_gamma, c_g, between, closed
                     break  # p has no other free partner: undo this edge
                 p, q, inside = nxt, nxt + 1, 0
                 continue
@@ -529,24 +545,29 @@ def _iter_connected(
         a = end_v[p]
         if a == q:
             c_gamma -= 1
+            if read is not None:
+                closed.pop()
         else:
             end_v[a] = p
             end_v[end_v[q]] = q
         a = end_f[p]
         if a == q:
             c_g -= 1
+            if read is not None:
+                closed.pop()
         else:
             end_f[a] = p
             end_f[end_f[q]] = q
-        bp, bq = block[p], block[q]
-        if bp == bq:
-            free[bp] += 2
-        else:
-            free[bp] += 1
-            free[bq] += 1
-            outside[bp] -= 1
-            outside[bq] -= 1
-            between -= 1
+        if pruned:
+            bp, bq = block[p], block[q]
+            if bp == bq:
+                free[bp] += 2
+            else:
+                free[bp] += 1
+                free[bq] += 1
+                outside[bp] -= 1
+                outside[bq] -= 1
+                between -= 1
         q += 1
 
 
@@ -645,7 +666,7 @@ def connecting_pairings(coloring: Coloring, base: PairPartition) -> Iterator[Pai
     if not _is_top_to_bottom_table(base.table):
         raise ValueError("base must be a top-to-bottom pairing")
     pos_colors = coloring.position_colors()
-    for table, *_ in _iter_connected(coloring.n, pos_colors, base.table, _position_blocks(base)):
+    for table, *_ in _counted_walk(coloring.n, pos_colors, base.table, _position_blocks(base)):
         yield PairPartition(coloring.n, tuple(table))
 
 

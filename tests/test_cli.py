@@ -247,6 +247,30 @@ class TestMomentErrorsNameTheFlag:
                 "--scalar: bindings cover 1 colors, spec needs 2",
             ),
             (
+                ["moment", "--spec", "[[1,1]]", "--scalar", '{"M":[2.5],"N":3}'],
+                "--scalar: shape size must be a positive integer or a symbol name, got 2.5",
+            ),
+            (
+                ["moment", "--spec", "[[1,1]]", "--scalar", '{"M":[true],"N":3}'],
+                "--scalar: shape size must be a positive integer or a symbol name, got True",
+            ),
+            (
+                ["q-moment", "--spec", "[[1,1]]", "--scalar", '{"M":[-2],"N":3}'],
+                "--scalar: shape size must be a positive integer or a symbol name, got -2",
+            ),
+            (
+                ["moment", "--spec", "[[1,1]]", "--scalar", '{"M":[2],"N":0}'],
+                "--scalar: n_dim must be a positive integer or a symbol name, got 0",
+            ),
+            (
+                ["moment", "--spec", "[[1,1]]", "--scalar", '{"M":[2],"N":2.5}'],
+                "--scalar: n_dim must be a positive integer or a symbol name, got 2.5",
+            ),
+            (
+                ["moment", "--spec", "[[1,1]]", "--scalar", '{"M":"MM"}'],
+                "--scalar: M must be a JSON list",
+            ),
+            (
                 numeric_argv("moment", "[[1]]", [["1e400", 0.5], [0.5, 1]], [[2]]),
                 "--matrices: B must be finite",
             ),

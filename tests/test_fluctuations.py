@@ -330,7 +330,7 @@ class TestBlockPairComposition:
     def test_connector_tables_are_summed(self, monkeypatch):
         # blocks of 4 and 5 points make one 17!! walk, within the bound alone;
         # the walks with the singletons push the sum over it
-        monkeypatch.setattr(fluctuations, "_iter_connected", _no_walk)
+        monkeypatch.setattr(fluctuations, "_counted_walk", _no_walk)
         spec = MonomialSpec(((1,) * 4, (1,) * 5, (1,), (1,)))
         with pytest.raises(EnumerationBoundError, match="connector tables"):
             centered_trace_moment_limit(spec)
@@ -523,13 +523,13 @@ class TestStatisticMoments:
 
     def test_order_one_walks_nothing(self, monkeypatch):
         # odd orders vanish, so tr(W^5) at order 1 needs no connector walk
-        monkeypatch.setattr(fluctuations, "_iter_connected", _no_walk)
+        monkeypatch.setattr(fluctuations, "_counted_walk", _no_walk)
         stat = PolynomialStatistic.from_terms([(1, (1,) * 5)])
         assert [lm.value for lm in statistic_limit_moments(stat, 1)] == [0]
 
     def test_connector_tables_checked_before_any_walk(self, monkeypatch):
         # (w4, w4) has 15!! tables and (w4, w5) 17!!; (w5, w5)'s 19!! is over
-        monkeypatch.setattr(fluctuations, "_iter_connected", _no_walk)
+        monkeypatch.setattr(fluctuations, "_counted_walk", _no_walk)
         stat = PolynomialStatistic.from_terms([(1, (1,) * 4), (1, (1,) * 5)])
         with pytest.raises(EnumerationBoundError) as info:
             statistic_limit_moments(stat, 2)

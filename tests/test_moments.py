@@ -741,6 +741,27 @@ class TestValidation:
         with pytest.raises(ValueError, match="Sigma must be finite"):
             MatrixBindings.numeric([(I2, [[bad, 0.0], [0.0, 1.0]])])
 
+    @pytest.mark.parametrize("size", [2.5, True, -2, 0, "K", Fraction(3)])
+    def test_scalar_rejects_bad_shape_size(self, size):
+        with pytest.raises(ValueError, match="shape size must be a positive integer"):
+            MatrixBindings.scalar([size], n_dim=3)
+
+    @pytest.mark.parametrize("n_dim", [2.5, True, -2, 0, "K"])
+    def test_scalar_rejects_bad_n_dim(self, n_dim):
+        with pytest.raises(ValueError, match="n_dim must be a positive integer"):
+            MatrixBindings.scalar([3], n_dim=n_dim)
+
+    @pytest.mark.parametrize("size", [2.5, True, -2, 0, "K"])
+    def test_identity_shape_rejects_bad_size(self, size):
+        with pytest.raises(ValueError, match="shape size must be a positive integer"):
+            identity_shape_moment(MonomialSpec(((1, 1),)), [size])
+
+    def test_scalar_sizes_accept_numpy_integers(self):
+        np = pytest.importorskip("numpy")
+        bindings = MatrixBindings.scalar([np.int64(3)], n_dim=np.int64(3))
+        assert bindings.shapes == (3,) and type(bindings.shapes[0]) is int
+        assert real_wishart_moment(MonomialSpec(((1, 1),)), bindings) == 63
+
     def test_rejects_mismatched_scale_dims(self):
         with pytest.raises(ValueError):
             MatrixBindings.numeric([(I2, I2), (I2, I3)])

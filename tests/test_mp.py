@@ -98,6 +98,13 @@ class TestCompoundMoments:
         assert nu.moment(1) == Fraction(5, 2)
         assert nu.moment(2) == Fraction(17, 2)
 
+    def test_numpy_integers_do_not_wrap(self):
+        np = pytest.importorskip("numpy")
+        assert SpectralMeasure.from_eigenvalues([np.int64(10**6)]).moment(4) == 10**24
+        assert compound_mp_moment(np.int64(10**6), [1] * 4, 4) == compound_mp_moment(
+            10**6, [1] * 4, 4
+        )
+
     def test_measure_validation(self):
         with pytest.raises(ValueError):
             SpectralMeasure(((Fraction(1), Fraction(1, 2)),))
@@ -135,6 +142,13 @@ class TestFiniteSizeCheck:
     def test_rejects_bad_input(self, eigenvalues, scale_dim, n_max, message):
         with pytest.raises(ValueError, match=message):
             mp_moment_check(eigenvalues, scale_dim, n_max)
+
+    def test_numpy_integer_eigenvalues_do_not_wrap(self):
+        # 10^24, the fourth power sum, is beyond int64: exact sums must not wrap
+        np = pytest.importorskip("numpy")
+        report = mp_moment_check([np.int64(10**6), 1], 3, 4)
+        assert report.rows == mp_moment_check([10**6, 1], 3, 4).rows
+        assert all(type(row.equal) is bool and row.equal for row in report.rows)
 
     def test_builds_no_matrix(self, monkeypatch):
         # a diagonal shape and an identity scale enter only through power

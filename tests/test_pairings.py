@@ -7,9 +7,10 @@ from hypothesis import strategies as st
 
 from qwishart.pairings import (
     _brauer_table,
+    _check_tables,
+    _counted_walk,
     _crossings_table,
     _cycle_count,
-    _iter_connected,
     _iter_tables,
     _position_blocks,
     Coloring,
@@ -317,23 +318,37 @@ def block_spec_st(draw, max_n=6):
 
 
 class TestCountedWalk:
-    @given(block_spec_st())
+    @given(block_spec_st(), st.booleans())
     @settings(max_examples=80, deadline=None)
-    def test_matches_scan_per_table(self, case):
+    def test_matches_scan_per_table(self, case, pruned):
         coloring, base = case
-        block = _position_blocks(base)
-        walk = _iter_connected(coloring.n, coloring.position_colors(), base.table, block)
+        pos_colors = coloring.position_colors()
+        block = _position_blocks(base) if pruned else None
+
+        def read(kind, start, table):
+            return kind  # one shape (0) or scale (1) entry per closed cycle
+
+        walk = _counted_walk(coloring.n, pos_colors, base.table, block, read)
         got = []
-        for table, cr, c_gamma, c_g, between in walk:
-            got.append(tuple(table))
+        for table, cr, c_gamma, c_g, between, closed in walk:
+            got.append((tuple(table), cr))
             assert cr == _crossings_table(table)
             assert c_gamma == _cycle_count(table)
             assert c_g == _cycle_count(_brauer_table(base.table, table))
-            assert between == sum(
-                1 for p, q in enumerate(table) if p < q and block[p] != block[q]
+            assert sorted(closed) == [0] * c_gamma + [1] * c_g
+            assert between == (
+                sum(1 for p, q in enumerate(table) if p < q and block[p] != block[q])
+                if pruned
+                else 0
             )
-        assert got == list(_connecting_tables_by_scan(coloring, base))
-        assert [pp.table for pp in connecting_pairings(coloring, base)] == got
+        tables = [table for table, _ in got]
+        if pruned:
+            assert tables == list(_connecting_tables_by_scan(coloring, base))
+            assert [pp.table for pp in connecting_pairings(coloring, base)] == tables
+        else:
+            # no pruning: every table of the oracle enumerator, in its order
+            assert got == [(tuple(t), cr) for t, cr in _iter_tables(coloring.n, pos_colors)]
+            assert len(got) == _check_tables(coloring.n, pos_colors)
 
     @given(permutation_st(max_n=6), st.data())
     @settings(max_examples=40, deadline=None)
@@ -350,7 +365,7 @@ class TestCountedWalk:
         n = len(colors)
         base = block_pairing([n])
         coloring = Coloring.from_colors(colors)
-        walk = _iter_connected(
+        walk = _counted_walk(
             n, coloring.position_colors(), base.table, _position_blocks(base)
         )
         assert list(walk) == []
