@@ -8,16 +8,19 @@ Reads every ``*-trace*.json`` run record that ``perfbench/run.py`` left in
 RECORDS_DIR (default: ``.bench_out`` of this checkout).  The summary holds the
 git sha, source digest, Python and numpy versions and nproc shared by the
 records; per workload, the median, quartiles and IQR of each end-to-end
-metric over its untraced runs with the value of every run by seed, and the
-per-layer metrics of its traced run (the median per metric if there are
-several).  The per-seed values let two summaries of the same seeds be
-compared pair by pair.  All records must come from one tree on one
-machine, so run each tree's benchmark into its own records directory.
+metric over its untraced runs with the value of every run by seed, the same
+for each query of the batch (``per_query``: a run's raw seconds for query i,
+the median over its batches of ``batch_query_s``), and the per-layer metrics
+of its traced run (the median per metric if there are several).  The
+per-seed values let two summaries of the same seeds be compared pair by
+pair.  All records must come from one tree on one machine, so run each
+tree's benchmark into its own records directory.
 
 ``--compare`` reads two such summaries and prints, per workload and
 end-to-end metric they share, the parent's median and IQR, the change's
 median, the ratio change / parent, and in how many of the seeds both ran
-the change read lower.
+the change read lower; then one such line per query both summaries hold, so
+that a move of ``query_p50_s`` can be traced to the query that moved.
 """
 
 from __future__ import annotations
@@ -55,6 +58,22 @@ def _by_metric(records: list[dict]) -> dict[str, tuple[str, dict[int, float]]]:
     return out
 
 
+def _per_query(records: list[dict]) -> dict[str, dict]:
+    """Query index -> spread over seeds of each run's median raw time for the query."""
+    by_query: dict[int, dict[int, float]] = {}
+    for record in records:
+        for i, times in enumerate(zip(*record.get("batch_query_s", []))):
+            by_query.setdefault(i, {})[record["seed"]] = statistics.median(times)
+    return {
+        str(i): {
+            "unit": "s",
+            **_spread(list(by_seed.values())),
+            "per_seed": {str(seed): by_seed[seed] for seed in sorted(by_seed)},
+        }
+        for i, by_seed in sorted(by_query.items())
+    }
+
+
 def summarize(records: list[dict]) -> dict:
     """Summary of run records from one tree; raises ValueError on a mix."""
     if not records:
@@ -80,6 +99,7 @@ def summarize(records: list[dict]) -> dict:
             "traced_seeds": sorted(r["seed"] for r in traced),
             "failed_frac_max": max(r["failed_frac"] for r in runs),
             "end_to_end": {},
+            "per_query": _per_query(untraced),
             "per_layer": {},
         }
         for metric, (unit, by_seed) in sorted(_by_metric(untraced).items()):
@@ -97,22 +117,31 @@ def summarize(records: list[dict]) -> dict:
     return {**shared, "workloads": workloads}
 
 
+def _compare_line(label: str, p: dict, c: dict) -> str:
+    seeds = p["per_seed"].keys() & c["per_seed"].keys()
+    lower = sum(c["per_seed"][s] < p["per_seed"][s] for s in seeds)
+    ratio = c["median"] / p["median"] if p["median"] else float("nan")
+    return (
+        f"{label}: {p['median']:.4g} [IQR {p['iqr']:.2g}] -> "
+        f"{c['median']:.4g} {p['unit']}, ratio {ratio:.3f}, "
+        f"change lower in {lower}/{len(seeds)} seeds"
+    )
+
+
 def compare(parent: dict, change: dict) -> list[str]:
-    """One line per workload and end-to-end metric of both summaries, paired by seed."""
+    """Per workload of both summaries, one line per end-to-end metric, then one
+    per query (raw seconds; summaries written before ``per_query`` have none),
+    paired by seed."""
     lines = []
     for name in sorted(parent["workloads"].keys() & change["workloads"].keys()):
-        before = parent["workloads"][name]["end_to_end"]
-        after = change["workloads"][name]["end_to_end"]
-        for metric in sorted(before.keys() & after.keys()):
-            p, c = before[metric], after[metric]
-            seeds = p["per_seed"].keys() & c["per_seed"].keys()
-            lower = sum(c["per_seed"][s] < p["per_seed"][s] for s in seeds)
-            ratio = c["median"] / p["median"] if p["median"] else float("nan")
-            lines.append(
-                f"{name} {metric}: {p['median']:.4g} [IQR {p['iqr']:.2g}] -> "
-                f"{c['median']:.4g} {p['unit']}, ratio {ratio:.3f}, "
-                f"change lower in {lower}/{len(seeds)} seeds"
-            )
+        before, after = parent["workloads"][name], change["workloads"][name]
+        for metric in sorted(before["end_to_end"].keys() & after["end_to_end"].keys()):
+            p, c = before["end_to_end"][metric], after["end_to_end"][metric]
+            lines.append(_compare_line(f"{name} {metric}", p, c))
+        queries = before.get("per_query", {}).keys() & after.get("per_query", {}).keys()
+        for i in sorted(queries, key=int):
+            p, c = before["per_query"][i], after["per_query"][i]
+            lines.append(_compare_line(f"{name} query {i} raw", p, c))
     if not lines:
         raise ValueError("the summaries share no workload and metric")
     return lines

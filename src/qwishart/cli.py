@@ -79,16 +79,32 @@ def _parse_coloring(field: str, value: str) -> pairings.Coloring:
         raise CliInputError(field, str(exc)) from exc
 
 
-def _entry_from_json(field: str, value):
+def _exact_from_json(field: str, value) -> Fraction:
+    """An exact entry: a JSON integer or a quoted rational such as "1/10".
+
+    A JSON decimal is refused: it arrives as a binary double, so 0.1 would be
+    read as 3602879701896397/36028797018963968.
+    """
     if isinstance(value, str):
         try:
             return Fraction(value)
         except (ValueError, ZeroDivisionError) as exc:
             raise CliInputError(field, f"bad rational {value!r}") from exc
-    if isinstance(value, bool) or value is None:
+    if isinstance(value, float):
+        raise CliInputError(
+            field,
+            f"{value!r} is not an exact number; write an integer or a quoted "
+            'rational such as "1/10"',
+        )
+    if isinstance(value, bool) or not isinstance(value, int):
         raise CliInputError(field, f"bad numeric entry {value!r}")
-    if isinstance(value, int):
-        return Fraction(value)
+    return Fraction(value)
+
+
+def _entry_from_json(field: str, value):
+    """A ``--matrices`` entry: exact as ``_exact_from_json``, but a JSON decimal is a float."""
+    if isinstance(value, (str, int)) or value is None:
+        return _exact_from_json(field, value)
     return float(value)
 
 
@@ -125,7 +141,7 @@ def _parse_scalar(field: str, value: str) -> moments.MatrixBindings:
             if isinstance(entry, dict):
                 factors.append(poly_from_json(entry["poly"]))
             else:
-                factors.append(_entry_from_json(field, entry))
+                factors.append(_exact_from_json(field, entry))
         return moments.MatrixBindings.scalar(sizes, factors, data.get("N", "N"))
     except CliInputError:
         raise
@@ -142,7 +158,7 @@ def _parse_statistic(field: str, value: str) -> fluctuations.PolynomialStatistic
             if isinstance(coeff, dict):
                 coeff = poly_from_json(coeff["poly"])
             else:
-                coeff = Fraction(coeff)
+                coeff = _exact_from_json(field, coeff)
             terms.append((coeff, tuple(int(c) for c in term["word"])))
         return fluctuations.PolynomialStatistic.from_terms(terms)
     except (KeyError, TypeError, ValueError) as exc:
@@ -410,7 +426,7 @@ def _checked(field: str, check, *args):
 def _eigenvalues(field: str, values) -> list[Fraction]:
     if not isinstance(values, list):
         raise ValueError("eigenvalues must be a JSON list")
-    return mp._check_eigenvalues([Fraction(_entry_from_json(field, x)) for x in values])
+    return mp._check_eigenvalues([_exact_from_json(field, x) for x in values])
 
 
 def _config_int(data: dict, key: str, default: int) -> int:

@@ -184,12 +184,16 @@ def centered_finite_and_limit(
 def _collect(terms, q) -> MomentPolynomial:
     """Sum of coeff * monomial over ``(coeff, powers)`` pairs into one polynomial.
 
-    A rational ``q`` is substituted term by term.
+    A rational ``q`` is substituted term by term, as an ``int`` when it is
+    integral so that integer counts stay ``int``s.
     """
-    out: dict[Monomial, Fraction] = {}
+    if not isinstance(q, str):
+        q = Fraction(q)
+        q = q.numerator if q.denominator == 1 else q
+    out: dict[Monomial, Rational] = {}
     for coeff, powers in terms:
         if not isinstance(q, str):
-            coeff = coeff * Fraction(q) ** powers.pop("q", 0)
+            coeff = coeff * q ** powers.pop("q", 0)
         mono = _make_monomial(powers)
         out[mono] = out.get(mono, 0) + coeff
     return MomentPolynomial(out)
@@ -198,13 +202,13 @@ def _collect(terms, q) -> MomentPolynomial:
 def _assemble_finite(counts, n, q, shape_size, scale_dim):
     def terms():
         for (cr, c_gamma, c_g), count in counts.items():
-            coeff = Fraction(count)
+            coeff = count
             powers = {"q": cr}
             for base, power in ((shape_size, c_gamma), (scale_dim, c_g - n)):
                 if isinstance(base, str):
                     powers[base] = powers.get(base, 0) + power
                 else:
-                    coeff *= Fraction(base) ** power
+                    coeff *= Fraction(base) ** power  # power may be negative
             yield coeff, powers
 
     return _collect(terms(), q)
@@ -212,7 +216,7 @@ def _assemble_finite(counts, n, q, shape_size, scale_dim):
 
 def _assemble_limit(counts, q):
     terms = (
-        (Fraction(count), {"q": cr, "lambda": c_gamma}) for (cr, c_gamma), count in counts.items()
+        (count, {"q": cr, "lambda": c_gamma}) for (cr, c_gamma), count in counts.items()
     )
     return _collect(terms, q)
 
@@ -284,7 +288,7 @@ def _matching_sum(
         crossed = sum(e_prev for d, e_prev in arcs if a < d < b)
         for e, c in covariances[a, b]:
             if e * crossed:
-                c = c * _collect([(Fraction(1), {"q": e * crossed})], q)
+                c = c * _collect([(1, {"q": e * crossed})], q)
             if rest:
                 c = c * _matching_sum(rest, arcs + ((b, e),), covariances, q)
             parts.append(c)

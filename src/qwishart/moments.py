@@ -177,6 +177,16 @@ def _is_positive_definite(rows) -> bool:
     return True
 
 
+def _sigma_rows(sigma) -> tuple[tuple, ...]:
+    """Rows of a scale matrix, checked symmetric and positive definite."""
+    rows = _to_rows(sigma, "Sigma")
+    if not _is_symmetric(rows):
+        raise ValueError("Sigma must be symmetric")
+    if not _is_positive_definite(rows):
+        raise ValueError("Sigma must be positive definite")
+    return rows
+
+
 def _check_size(value, name: str) -> Union[int, str]:
     """A positive integer (numpy integers become ``int``) or a symbol name."""
     if isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= 1:
@@ -211,15 +221,10 @@ class MatrixBindings:
         shapes, scales = [], []
         for b, sigma in pairs:
             b_rows = _to_rows(b, "B")
-            s_rows = _to_rows(sigma, "Sigma")
             if len(b_rows) != len(b_rows[0]):
                 raise ValueError("B must be square")
-            if not _is_symmetric(s_rows):
-                raise ValueError("Sigma must be symmetric")
-            if not _is_positive_definite(s_rows):
-                raise ValueError("Sigma must be positive definite")
             shapes.append(b_rows)
-            scales.append(s_rows)
+            scales.append(_sigma_rows(sigma))
         if len({len(s) for s in scales}) > 1:
             raise ValueError("all Sigma must share one dimension")
         return cls("numeric", tuple(shapes), tuple(scales))
@@ -568,7 +573,8 @@ def identity_shape_moment(
     """Classical moment with identity-block shape matrices of the given sizes.
 
     Each cycle of a pairing contributes one factor of its color's size; the
-    scale side is evaluated on concrete matrices, or kept as trace atoms when
+    scale side is evaluated on concrete matrices, each symmetric positive
+    definite as in ``MatrixBindings.numeric``, or kept as trace atoms when
     ``sigmas`` is None.
     """
     coloring = spec.coloring()
@@ -577,7 +583,7 @@ def identity_shape_moment(
         raise ValueError("need one shape size per color")
     scales = None
     if sigmas is not None:
-        rows = [_to_rows(m, "Sigma") for m in sigmas]
+        rows = [_sigma_rows(m) for m in sigmas]
         if len({len(r) for r in rows}) > 1:
             raise ValueError("all Sigma must share one dimension")
         scales = _evaluator(dict(enumerate(rows, start=1)))

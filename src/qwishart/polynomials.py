@@ -6,13 +6,24 @@ ratio), 'N' (scale-matrix size, Laurent exponents allowed), 'M' and 'M1',
 an ordered word of shape ('B') or scale ('S') matrices, with per-letter
 transpose flags; atoms are canonicalized up to cyclic rotation and up to
 reversal with all transpose flags flipped, which encodes invariance of real
-traces under transposition.  All coefficients are exact rationals.
+traces under transposition.
+
+All coefficients are exact rationals.  A coefficient is stored as a Python
+``int`` whenever it is integral and as a ``Fraction`` only when it is not, so
+the integer terms that limit and symbolic moments are made of add and
+multiply in ``int`` arithmetic.  The constructor is the one place that
+normalises: numpy integers become ``int`` (so nothing wraps in int64), a
+``Fraction`` with denominator 1 becomes its numerator, and a float or bool
+coefficient is refused.  Public scalar results stay ``Fraction``:
+:meth:`MomentPolynomial.constant_value` returns one for every constant.
 """
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Iterable, Mapping, Sequence, Union
 
 Rational = Union[int, Fraction]
@@ -72,6 +83,12 @@ Key = Union[str, TraceAtom]
 Monomial = tuple[tuple[Key, int], ...]
 
 
+# Keys whose order ``_key_order`` keeps: every symbol and the atoms of many
+# results, bounded for a long-lived process that meets ever new atoms.
+_KEY_ORDER_CACHE_SIZE = 4096
+
+
+@lru_cache(maxsize=_KEY_ORDER_CACHE_SIZE)
 def _key_order(key: Key):
     if isinstance(key, str):
         return (0, _symbol_rank(key), "")
@@ -119,18 +136,36 @@ def _merge_monomials(a: Monomial, b: Monomial) -> Monomial:
     return tuple(out)
 
 
+def _coefficient(value) -> Rational:
+    """``value`` as a stored coefficient: an ``int`` when integral, else a ``Fraction``."""
+    if isinstance(value, Fraction):
+        return value.numerator if value.denominator == 1 else value
+    if isinstance(value, numbers.Rational) and not isinstance(value, bool):
+        # numpy integers too, converted so that their arithmetic cannot wrap
+        num, den = int(value.numerator), int(value.denominator)
+        return num if den == 1 else Fraction(num, den)
+    raise TypeError(
+        "polynomial coefficients must be int or Fraction, "
+        f"got {type(value).__name__} {value!r}"
+    )
+
+
 class MomentPolynomial:
-    """Immutable sparse polynomial with exact rational coefficients."""
+    """Immutable sparse polynomial with exact rational coefficients.
+
+    Integral coefficients are stored as ``int``, the others as ``Fraction``.
+    """
 
     __slots__ = ("_terms",)
 
     def __init__(self, terms: Mapping[Monomial, Rational] | None = None):
-        clean: dict[Monomial, Fraction] = {}
+        clean: dict[Monomial, Rational] = {}
         if terms:
             for mono, coeff in terms.items():
-                c = Fraction(coeff)
-                if c:
-                    clean[mono] = c
+                if type(coeff) is not int:
+                    coeff = _coefficient(coeff)
+                if coeff:
+                    clean[mono] = coeff
         self._terms = clean
 
     # construction -----------------------------------------------------
@@ -141,7 +176,7 @@ class MomentPolynomial:
 
     @classmethod
     def constant(cls, value: Rational) -> "MomentPolynomial":
-        return cls({(): Fraction(value)})
+        return cls({(): value})
 
     @classmethod
     def symbol(cls, name: str, power: int = 1) -> "MomentPolynomial":
@@ -153,12 +188,12 @@ class MomentPolynomial:
 
     @classmethod
     def monomial(cls, coeff: Rational, powers: Mapping[Key, int]) -> "MomentPolynomial":
-        return cls({_make_monomial(powers): Fraction(coeff)})
+        return cls({_make_monomial(powers): coeff})
 
     @classmethod
     def sum(cls, polys: Iterable["MomentPolynomial"]) -> "MomentPolynomial":
         """Sum filling one dict, where repeated ``+`` would copy it per summand."""
-        out: dict[Monomial, Fraction] = {}
+        out: dict[Monomial, Rational] = {}
         for poly in polys:
             for mono, coeff in poly._terms.items():
                 out[mono] = out.get(mono, 0) + coeff
@@ -169,7 +204,7 @@ class MomentPolynomial:
     def is_zero(self) -> bool:
         return not self._terms
 
-    def terms(self) -> list[tuple[Monomial, Fraction]]:
+    def terms(self) -> list[tuple[Monomial, Rational]]:
         """Terms sorted by the deterministic monomial order."""
         return sorted(self._terms.items(), key=lambda t: _term_sort_key(t[0]))
 
@@ -177,22 +212,22 @@ class MomentPolynomial:
         return {k for mono, _ in self._terms.items() for k, _ in mono if isinstance(k, str)}
 
     def constant_value(self) -> Fraction:
-        """The value of a constant polynomial."""
+        """The value of a constant polynomial, always as a ``Fraction``."""
         if not self._terms:
             return Fraction(0)
         if list(self._terms) == [()]:
-            return self._terms[()]
+            return Fraction(self._terms[()])
         raise ValueError("polynomial is not constant")
 
     def coefficient(self, powers: Mapping[Key, int]) -> "MomentPolynomial":
         """Collect terms with exactly the given exponents on the given keys."""
         keys = {(_validate_key(k)): int(e) for k, e in powers.items()}
-        out: dict[Monomial, Fraction] = {}
+        out: dict[Monomial, Rational] = {}
         for mono, coeff in self._terms.items():
             mono_map = dict(mono)
             if all(mono_map.get(k, 0) == e for k, e in keys.items()):
                 rest = _make_monomial({k: e for k, e in mono if k not in keys})
-                out[rest] = out.get(rest, Fraction(0)) + coeff
+                out[rest] = out.get(rest, 0) + coeff
         return MomentPolynomial(out)
 
     # ring operations ----------------------------------------------------
@@ -203,11 +238,7 @@ class MomentPolynomial:
             return NotImplemented
         out = dict(self._terms)
         for mono, coeff in other._terms.items():
-            c = out.get(mono, Fraction(0)) + coeff
-            if c:
-                out[mono] = c
-            else:
-                out.pop(mono, None)
+            out[mono] = out.get(mono, 0) + coeff
         return MomentPolynomial(out)
 
     __radd__ = __add__
@@ -228,15 +259,11 @@ class MomentPolynomial:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        out: dict[Monomial, Fraction] = {}
+        out: dict[Monomial, Rational] = {}
         for m1, c1 in self._terms.items():
             for m2, c2 in other._terms.items():
                 mono = _merge_monomials(m1, m2)
-                c = out.get(mono, Fraction(0)) + c1 * c2
-                if c:
-                    out[mono] = c
-                else:
-                    out.pop(mono, None)
+                out[mono] = out.get(mono, 0) + c1 * c2
         return MomentPolynomial(out)
 
     __rmul__ = __mul__
@@ -323,7 +350,7 @@ def limit_large_n(poly: MomentPolynomial) -> MomentPolynomial:
     A remaining positive power of N signals a diverging quantity upstream and
     is rejected.
     """
-    out: dict[Monomial, Fraction] = {}
+    out: dict[Monomial, Rational] = {}
     for mono, coeff in poly.terms():
         n_exp = next((e for k, e in mono if k == "N"), 0)
         if n_exp > 0:
@@ -411,7 +438,12 @@ def poly_to_json(poly: MomentPolynomial) -> dict:
 
 
 def poly_from_json(data: Mapping) -> MomentPolynomial:
-    result: dict[Monomial, Fraction] = {}
+    """Inverse of ``poly_to_json``; a coefficient is an integer or a rational string.
+
+    A float coefficient raises ``TypeError``: a JSON decimal arrives as a
+    binary double, not as the decimal that was written.
+    """
+    result: dict[Monomial, Rational] = {}
     for term in data["terms"]:
         powers: dict[Key, int] = {}
         for key, value in term["powers"].items():
@@ -422,5 +454,13 @@ def poly_from_json(data: Mapping) -> MomentPolynomial:
             else:
                 powers[key] = int(value)
         mono = _make_monomial(powers)
-        result[mono] = result.get(mono, Fraction(0)) + Fraction(term["coeff"])
+        coeff = term["coeff"]
+        if isinstance(coeff, float):
+            raise TypeError(
+                f"coefficient {coeff!r} is a float; write an integer or a "
+                'rational string such as "1/10"'
+            )
+        result[mono] = result.get(mono, 0) + _coefficient(
+            Fraction(coeff) if isinstance(coeff, str) else coeff
+        )
     return MomentPolynomial(result)

@@ -293,6 +293,50 @@ class TestMomentErrorsNameTheFlag:
         assert capsys.readouterr().err == f"error: {message}\n"
 
 
+_NOT_EXACT = 'is not an exact number; write an integer or a quoted rational such as "1/10"'
+
+
+class TestExactFieldsRefuseDecimals:
+    """A JSON decimal is a binary double; exact fields refuse it and name the flag."""
+
+    @pytest.mark.parametrize(
+        "argv, field",
+        [
+            (
+                ["fluctuation-limit", "--Q", '{"terms":[{"coeff":0.1,"word":[1]}]}']
+                + ["--orders", "2"],
+                "--Q",
+            ),
+            (
+                ["q-moment", "--spec", "[[1]]", "--scalar", '{"M":["M"],"scale":[0.1]}'],
+                "--scalar",
+            ),
+            (["mp-check", "--eigenvalues", "[0.1, 1]", "--N", "2", "--n-max", "2"], "--eigenvalues"),
+            (["mp-check", "--input", '{"eigenvalues":[0.1, 1],"N":2,"n_max":2}'], "--input"),
+        ],
+    )
+    def test_decimal_refused(self, capsys, argv, field):
+        assert capture(argv) == (2, "")
+        assert capsys.readouterr().err == f"error: {field}: 0.1 {_NOT_EXACT}\n"
+
+    def test_poly_coefficient_decimal_refused(self, capsys):
+        poly = {"terms": [{"coeff": 0.5, "powers": {}}]}
+        q_json = json.dumps({"terms": [{"coeff": {"poly": poly}, "word": [1]}]})
+        assert capture(["fluctuation-limit", "--Q", q_json, "--orders", "2"]) == (2, "")
+        assert capsys.readouterr().err.startswith("error: --Q: coefficient 0.5 is a float")
+
+    def test_quoted_rational_is_exact(self):
+        data = capture_json(
+            ["fluctuation-limit", "--Q", '{"terms":[{"coeff":"1/10","word":[1]}]}']
+            + ["--orders", "2"]
+        )
+        assert {t["coeff"] for t in data["orders"][1]["value"]["terms"]} == {"1/100"}
+
+    def test_matrices_keep_floats(self):
+        data = capture_json(numeric_argv("moment", "[[1]]", [[0.5]], [[1]]))
+        assert data["result"] == 0.5
+
+
 class TestFluctuationLimit:
     def test_orders(self):
         data = capture_json(

@@ -555,6 +555,18 @@ class TestIdentityShape:
         expected = P.symbol("M1") * P.symbol("M2") * scale_atom((1, False), (2, False))
         assert got == expected
 
+    @pytest.mark.parametrize(
+        "sigma, message",
+        [
+            ([[1, 2], [3, 4]], "Sigma must be symmetric"),
+            ([[1, 0], [0, -1]], "Sigma must be positive definite"),
+        ],
+    )
+    def test_rejects_bad_sigma(self, sigma, message):
+        # both used to return a number (224 and 12) as if Sigma were a covariance
+        with pytest.raises(ValueError, match=message):
+            identity_shape_moment(MonomialSpec(((1, 1),)), [2], [sigma])
+
 
 class TestPowerTraceMoments:
     def test_first_moments(self):

@@ -1,3 +1,4 @@
+import json
 from fractions import Fraction
 
 import pytest
@@ -7,6 +8,8 @@ from hypothesis import strategies as st
 from qwishart.polynomials import (
     MomentPolynomial,
     TraceAtom,
+    _make_monomial,
+    _term_sort_key,
     evaluate_atom,
     limit_large_n,
     poly_from_json,
@@ -209,3 +212,253 @@ class TestJson:
     def test_rational_strings(self):
         assert rational_to_str(Fraction(3)) == "3"
         assert rational_to_str(Fraction(-3, 4)) == "-3/4"
+
+    @pytest.mark.parametrize("coeff", [0.5, 1.0, True])
+    def test_float_and_bool_coefficients_refused(self, coeff):
+        with pytest.raises(TypeError):
+            poly_from_json({"terms": [{"coeff": coeff, "powers": {}}]})
+
+    def test_integer_and_string_coefficients(self):
+        data = {"terms": [{"coeff": 2, "powers": {"q": 1}}, {"coeff": "4/2", "powers": {}}]}
+        assert poly_from_json(data) == 2 * q + 2
+
+
+class TestCoefficientTypes:
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: P({(): 0.1}),
+            lambda: P.constant(0.1),
+            lambda: P.monomial(0.5, {"q": 1}),
+            lambda: P.constant(True),
+            lambda: P({(): "1/2"}),
+        ],
+    )
+    def test_float_bool_and_str_refused(self, make):
+        with pytest.raises(TypeError, match="coefficients must be int or Fraction"):
+            make()
+
+    def test_integral_fraction_stored_as_int(self):
+        (_, coeff), = P.constant(Fraction(6, 3)).terms()
+        assert type(coeff) is int and coeff == 2
+        (_, coeff), = (P.constant(Fraction(1, 2)) * 2 * q).terms()
+        assert type(coeff) is int and coeff == 1
+
+    def test_numpy_integers_do_not_wrap(self):
+        np = pytest.importorskip("numpy")
+        big = P.constant(np.int64(2**62)) * P.constant(np.int64(4))
+        (_, coeff), = big.terms()
+        assert type(coeff) is int and coeff == 2**64
+
+    def test_constant_value_is_fraction(self):
+        assert type(P.constant(3).constant_value()) is Fraction
+        assert type(P.zero().constant_value()) is Fraction
+
+
+# ---------------------------------------------------------------------------
+# The Fraction-only arithmetic that integer coefficients replaced, on plain
+# {monomial: Fraction} dicts.  It stays as the oracle for the int/Fraction
+# arithmetic of MomentPolynomial.
+
+
+def _f_merge(m1, m2):
+    powers = dict(m1)
+    for key, e in m2:
+        powers[key] = powers.get(key, 0) + e
+    return _make_monomial(powers)
+
+
+def _f_add(a, b):
+    out = dict(a)
+    for mono, coeff in b.items():
+        c = out.get(mono, Fraction(0)) + coeff
+        if c:
+            out[mono] = c
+        else:
+            out.pop(mono, None)
+    return out
+
+
+def _f_neg(a):
+    return {m: -c for m, c in a.items()}
+
+
+def _f_mul(a, b):
+    out = {}
+    for m1, c1 in a.items():
+        for m2, c2 in b.items():
+            mono = _f_merge(m1, m2)
+            c = out.get(mono, Fraction(0)) + c1 * c2
+            if c:
+                out[mono] = c
+            else:
+                out.pop(mono, None)
+    return out
+
+
+def _f_pow(a, exponent):
+    out = {(): Fraction(1)}
+    for _ in range(exponent):
+        out = _f_mul(out, a)
+    return out
+
+
+def _f_constant(value):
+    return {(): Fraction(value)} if value else {}
+
+
+def _f_substitute(a, bindings):
+    out = {}
+    for mono, coeff in a.items():
+        factor = {_make_monomial({k: e for k, e in mono if k not in bindings}): coeff}
+        for key, e in mono:
+            if key not in bindings:
+                continue
+            value = bindings[key]
+            if e >= 0:
+                factor = _f_mul(factor, _f_pow(value, e))
+            else:
+                factor = _f_mul(factor, _f_constant(value.get((), Fraction(0)) ** e))
+        out = _f_add(out, factor)
+    return out
+
+
+def _f_coefficient(a, powers):
+    out = {}
+    for mono, coeff in a.items():
+        mono_map = dict(mono)
+        if all(mono_map.get(k, 0) == e for k, e in powers.items()):
+            rest = _make_monomial({k: e for k, e in mono if k not in powers})
+            out = _f_add(out, {rest: coeff})
+    return out
+
+
+def _f_limit(a):
+    out = {}
+    for mono, coeff in a.items():
+        n_exp = dict(mono).get("N", 0)
+        if n_exp > 0:
+            raise ValueError("diverges")
+        if n_exp == 0:
+            out[mono] = coeff
+    return out
+
+
+def _f_rational(f):
+    return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
+
+
+def _f_sorted(a):
+    return sorted(a.items(), key=lambda t: _term_sort_key(t[0]))
+
+
+def _f_str(a):
+    if not a:
+        return "0"
+    parts = []
+    for mono, coeff in _f_sorted(a):
+        factors = [str(coeff)] if coeff != 1 or not mono else []
+        for key, e in mono:
+            name = key if isinstance(key, str) else str(key)
+            factors.append(name if e == 1 else f"{name}^{e}")
+        parts.append("*".join(factors))
+    return " + ".join(parts)
+
+
+def _f_json(a):
+    terms = []
+    for mono, coeff in _f_sorted(a):
+        powers, atoms = {}, []
+        for key, e in mono:
+            if isinstance(key, str):
+                powers[key] = e
+            else:
+                atoms.append({"kind": key.kind, "word": [[c, t] for c, t in key.word], "power": e})
+        if atoms:
+            powers["atoms"] = atoms
+        terms.append({"coeff": _f_rational(coeff), "powers": powers})
+    return {"terms": terms}
+
+
+ATOM = TraceAtom.make("scale", [(1, False), (1, True)])
+
+# integers (some beyond int64), proper fractions and integral Fractions
+mixed_coeffs = st.one_of(
+    st.integers(-30, 30),
+    st.integers(-(2**70), 2**70),
+    rationals,
+    st.integers(-9, 9).map(Fraction),
+)
+
+
+@st.composite
+def mixed_terms_st(draw, max_size=4):
+    """(coeff, powers) pairs over q, lambda, N (Laurent) and one atom."""
+    return draw(
+        st.lists(
+            st.tuples(
+                mixed_coeffs,
+                st.fixed_dictionaries(
+                    {
+                        "q": st.integers(0, 3),
+                        "lambda": st.integers(0, 2),
+                        "N": st.integers(-2, 1),
+                        ATOM: st.integers(0, 1),
+                    }
+                ),
+            ),
+            max_size=max_size,
+        )
+    )
+
+
+def _pair(terms):
+    """The polynomial of ``terms`` and the oracle's dict of the same terms."""
+    oracle = {}
+    for coeff, powers in terms:
+        oracle = _f_add(oracle, {_make_monomial(powers): Fraction(coeff)})
+    return P.sum(P.monomial(coeff, powers) for coeff, powers in terms), oracle
+
+
+def _assert_matches(poly, oracle):
+    stored = dict(poly.terms())
+    assert stored == oracle
+    for coeff in stored.values():
+        assert type(coeff) is (int if Fraction(coeff).denominator == 1 else Fraction)
+    assert str(poly) == _f_str(oracle)
+    assert json.dumps(poly_to_json(poly)) == json.dumps(_f_json(oracle))
+    if set(stored) <= {()}:
+        value = poly.constant_value()
+        assert type(value) is Fraction and value == oracle.get((), 0)
+
+
+class TestFractionOracle:
+    """Int-or-Fraction arithmetic equals the Fraction-only arithmetic it replaced."""
+
+    @given(
+        mixed_terms_st(), mixed_terms_st(), mixed_terms_st(), st.integers(0, 3),
+        mixed_coeffs, mixed_coeffs.filter(bool),
+    )
+    def test_operations(self, ta, tb, tc, exponent, qv, nv):
+        (a, fa), (b, fb), (c, fc) = _pair(ta), _pair(tb), _pair(tc)
+        for poly, oracle in ((a, fa), (b, fb)):
+            _assert_matches(poly, oracle)
+        _assert_matches(a + b, _f_add(fa, fb))
+        _assert_matches(a - b, _f_add(fa, _f_neg(fb)))
+        _assert_matches(a * b, _f_mul(fa, fb))
+        _assert_matches(a**exponent, _f_pow(fa, exponent))
+        _assert_matches(P.sum([a, b, c]), _f_add(_f_add(fa, fb), fc))
+        _assert_matches(a * qv + nv, _f_add(_f_mul(fa, _f_constant(qv)), _f_constant(nv)))
+        bound = {"q": qv, "lambda": b, "N": nv}
+        oracle_bound = {"q": _f_constant(qv), "lambda": fb, "N": _f_constant(nv)}
+        _assert_matches(a.substitute(bound), _f_substitute(fa, oracle_bound))
+        _assert_matches(a.substitute({"q": qv}), _f_substitute(fa, {"q": _f_constant(qv)}))
+        for powers in ({"q": 1}, {"N": -1, "lambda": 0}, {ATOM: 1}):
+            _assert_matches(a.coefficient(powers), _f_coefficient(fa, powers))
+        try:
+            expected = _f_limit(fa)
+        except ValueError:
+            with pytest.raises(ValueError):
+                limit_large_n(a)
+        else:
+            _assert_matches(limit_large_n(a), expected)

@@ -185,6 +185,39 @@ class TestBenchSummary:
         assert load("bench_summary").main(["--compare", summary, summary]) == 0
         assert "ratio 1.000, change lower in 0/2 seeds" in capsys.readouterr().out
 
+    def test_per_query_medians_and_compare_lines(self, tmp_path, capsys):
+        # two batches of three queries per run; query 1 moves, the others do not
+        batches = {
+            "parent": {7: [[0.1, 0.4, 0.2], [0.3, 0.6, 0.2]], 8: [[0.2, 0.5, 0.2]]},
+            "change": {7: [[0.2, 0.1, 0.2], [0.2, 0.3, 0.2]], 8: [[0.2, 0.1, 0.2]]},
+        }
+        paths = []
+        for tree, runs in batches.items():
+            (tmp_path / tree).mkdir()
+            records = [
+                _record("limit-moments", seed, 0, {"wall_s": 1.0}, git_sha=tree,
+                        batch_query_s=times)
+                for seed, times in runs.items()
+            ]
+            self.write(tmp_path / tree, records)
+            paths.append(str(tmp_path / f"{tree}.json"))
+            assert load("bench_summary").main([str(tmp_path / tree), "--out", paths[-1]]) == 0
+        per_query = json.loads(Path(paths[0]).read_text())["workloads"]["limit-moments"]["per_query"]
+        assert list(per_query) == ["0", "1", "2"]
+        assert per_query["1"]["per_seed"] == {"7": 0.5, "8": 0.5}
+        assert load("bench_summary").main(["--compare", *paths]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[1:] == [
+            "limit-moments query 0 raw: 0.2 [IQR 0] -> 0.2 s, ratio 1.000, "
+            "change lower in 0/2 seeds",
+            "limit-moments query 1 raw: 0.5 [IQR 0] -> 0.15 s, ratio 0.300, "
+            "change lower in 2/2 seeds",
+            "limit-moments query 2 raw: 0.2 [IQR 0] -> 0.2 s, ratio 1.000, "
+            "change lower in 0/2 seeds",
+        ]
+        assert load("bench_summary").main(["--compare", paths[0], paths[0]]) == 0
+        assert all("ratio 1.000," in line for line in capsys.readouterr().out.splitlines())
+
     def test_compare_rejects_disjoint_summaries(self, tmp_path, capsys):
         parent, change = self.summaries(
             tmp_path,
