@@ -29,6 +29,7 @@ q = 0 only non-crossing matchings survive, giving the semicircle.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -252,7 +253,8 @@ def _product_limit(statistics: Sequence[PolynomialStatistic], q) -> MomentPolyno
     positions the recursion has at most (m - 1)!! * max(1, k)^(m/2) leaves, k
     being the most edge classes of one covariance: (m - 1)!! and the tables
     of all connector walks are checked before any walk starts, the full count
-    before the sum.
+    before the sum.  The sum runs over statistics cleared of denominators by
+    ``_cleared`` and is divided by their product at the end.
     """
     m = len(statistics)
     if m % 2:
@@ -264,9 +266,25 @@ def _product_limit(statistics: Sequence[PolynomialStatistic], q) -> MomentPolyno
     walked = {(x, y) for a, b in pairs for x in words[a] for y in words[b]}
     tables = sum(_check_tables(len(x) + len(y), (x + y) * 2) for x, y in walked)
     _check_count([tables], TABLE_BOUND, "connector tables")
-    covariances = {(a, b): _covariance(statistics[a], statistics[b], q) for a, b in pairs}
+    cleared = [_cleared(statistic) for statistic in statistics]
+    covariances = {(a, b): _covariance(cleared[a][0], cleared[b][0], q) for a, b in pairs}
     _check_limit_terms(m, max(map(len, covariances.values()), default=1))
-    return _matching_sum(tuple(range(m)), (), covariances, q)
+    total = _matching_sum(tuple(range(m)), (), covariances, q)
+    scale = math.prod(d for _, d in cleared)
+    return total if scale == 1 else total / scale
+
+
+@lru_cache(maxsize=_CACHE_SIZE)
+def _cleared(statistic: PolynomialStatistic) -> tuple[PolynomialStatistic, int]:
+    """The statistic times d, the lcm of its coefficients' denominators, and d.
+
+    The limit is linear in each statistic, so the limit of the cleared
+    statistics over the product of their d's is the limit itself, while the
+    covariances and the matching sum multiply and add ``int``s: a statistic
+    with a coefficient such as 1/2 costs what an integral one does.
+    """
+    d = math.lcm(*(coeff.denominator() for coeff, _ in statistic.terms))
+    return (statistic.scaled(d) if d > 1 else statistic), d
 
 
 def _matching_sum(

@@ -20,6 +20,7 @@ coefficient is refused.  Public scalar results stay ``Fraction``:
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass
 from fractions import Fraction
@@ -211,6 +212,10 @@ class MomentPolynomial:
     def symbols(self) -> set[str]:
         return {k for mono, _ in self._terms.items() for k, _ in mono if isinstance(k, str)}
 
+    def denominator(self) -> int:
+        """Least common multiple of the coefficients' denominators; 1 if all are integral."""
+        return math.lcm(1, *(c.denominator for c in self._terms.values()))
+
     def constant_value(self) -> Fraction:
         """The value of a constant polynomial, always as a ``Fraction``."""
         if not self._terms:
@@ -267,6 +272,12 @@ class MomentPolynomial:
         return MomentPolynomial(out)
 
     __rmul__ = __mul__
+
+    def __truediv__(self, other) -> "MomentPolynomial":
+        """Division by a nonzero rational, one ``Fraction`` per term."""
+        if not isinstance(other, (int, Fraction)):
+            return NotImplemented
+        return MomentPolynomial({m: Fraction(c, other) for m, c in self._terms.items()})
 
     def __pow__(self, exponent: int) -> "MomentPolynomial":
         if exponent < 0:

@@ -347,7 +347,7 @@ class TestBlockPairComposition:
 
     @pytest.mark.parametrize(
         "cached",
-        ["_centered_counts", "_connector_counts", "_covariance"],
+        ["_centered_counts", "_connector_counts", "_covariance", "_cleared"],
     )
     def test_caches_are_bounded(self, cached):
         assert getattr(fluctuations, cached).cache_info().maxsize is not None
@@ -706,12 +706,33 @@ class TestOnePassAssembly:
         for statistics in (
             [tuned] * 2,
             [mixed] * 3,
+            [mixed] * 4,
+            [mixed, tuned, x, mixed],
             [x] * 6,
             [x - y, x - y, x + y, x + y],
         ):
             assert fluctuations._product_limit(
                 statistics, q_value
             ) == _product_limit_by_addition(statistics, q_value)
+
+    def test_fractional_coefficients_sum_in_ints(self, monkeypatch):
+        # a statistic with coefficients 1/2 and 1/3 is summed as its 6-fold
+        # multiple, whose covariances are all int, and divided by 6^m after
+        covariances = []
+        matching_sum = fluctuations._matching_sum
+
+        def spy(free, arcs, by_pair, q_value):
+            covariances.extend(c for classes in by_pair.values() for _, c in classes)
+            return matching_sum(free, arcs, by_pair, q_value)
+
+        monkeypatch.setattr(fluctuations, "_matching_sum", spy)
+        stat = PolynomialStatistic.from_terms([(Fraction(1, 2), (1,)), (Fraction(1, 3), (1, 2))])
+        cleared = PolynomialStatistic.from_terms([(3, (1,)), (2, (1, 2))])
+        got = statistic_limit_moments(stat, 4)
+        assert covariances
+        assert all(type(coeff) is int for c in covariances for _, coeff in c.terms())
+        for m, (lm, whole) in enumerate(zip(got, statistic_limit_moments(cleared, 4)), 1):
+            assert lm.value == whole.value / 6**m
 
     @pytest.mark.parametrize("q_value", _Q_VALUES)
     def test_matching_sum_matches_whole_matchings(self, q_value):

@@ -1,4 +1,5 @@
 import json
+import math
 from fractions import Fraction
 
 import pytest
@@ -250,6 +251,15 @@ class TestCoefficientTypes:
         (_, coeff), = big.terms()
         assert type(coeff) is int and coeff == 2**64
 
+    def test_division_by_a_rational(self):
+        assert P.monomial(6, {"q": 1}) / 4 == P.monomial(Fraction(3, 2), {"q": 1})
+        (_, coeff), = (P.constant(Fraction(3, 2)) / Fraction(3, 4)).terms()
+        assert type(coeff) is int and coeff == 2
+        with pytest.raises(ZeroDivisionError):
+            P.constant(1) / 0
+        with pytest.raises(TypeError):
+            P.constant(1) / 0.5
+
     def test_constant_value_is_fraction(self):
         assert type(P.constant(3).constant_value()) is Fraction
         assert type(P.zero().constant_value()) is Fraction
@@ -449,6 +459,8 @@ class TestFractionOracle:
         _assert_matches(a**exponent, _f_pow(fa, exponent))
         _assert_matches(P.sum([a, b, c]), _f_add(_f_add(fa, fb), fc))
         _assert_matches(a * qv + nv, _f_add(_f_mul(fa, _f_constant(qv)), _f_constant(nv)))
+        _assert_matches(a / nv, _f_mul(fa, _f_constant(Fraction(1) / nv)))
+        assert a.denominator() == math.lcm(1, *(c.denominator for c in fa.values()))
         bound = {"q": qv, "lambda": b, "N": nv}
         oracle_bound = {"q": _f_constant(qv), "lambda": fb, "N": _f_constant(nv)}
         _assert_matches(a.substitute(bound), _f_substitute(fa, oracle_bound))
