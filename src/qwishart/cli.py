@@ -17,6 +17,8 @@ from fractions import Fraction
 from . import fluctuations, moments, mp, pairings
 from .polynomials import (
     MomentPolynomial,
+    Rational,
+    TraceAtom,
     _symbol_rank,
     poly_from_json,
     poly_to_json,
@@ -47,36 +49,35 @@ def _parse_json(field: str, value: str):
         raise CliInputError(field, f"invalid JSON: {exc}") from exc
 
 
+def _reported(parse):
+    """``parse(field, value)`` with its input errors reported against ``field`` (``_checked``)."""
+
+    def parse_field(field: str, value: str):
+        return _checked(field, parse, field, value)
+
+    return parse_field
+
+
+@_reported
 def _parse_spec(field: str, value: str) -> moments.MonomialSpec:
     data = _parse_json(field, value)
-    if isinstance(data, dict):
-        words = data.get("cycle_words")
-    else:
-        words = data
-    try:
-        return moments.MonomialSpec.from_words(words)
-    except (TypeError, ValueError) as exc:
-        raise CliInputError(field, str(exc)) from exc
+    words = data.get("cycle_words") if isinstance(data, dict) else data
+    return moments.MonomialSpec.from_words(words)
 
 
+@_reported
 def _parse_pairing(field: str, value: str) -> pairings.PairPartition:
-    data = _parse_json(field, value)
-    try:
-        return pairings.PairPartition.from_pairs(data)
-    except (TypeError, ValueError) as exc:
-        raise CliInputError(field, str(exc)) from exc
+    return pairings.PairPartition.from_pairs(_parse_json(field, value))
 
 
+@_reported
 def _parse_coloring(field: str, value: str) -> pairings.Coloring:
     raw = _load(field, value)
-    try:
-        if raw.lstrip().startswith("["):
-            colors = json.loads(raw)
-        else:
-            colors = [int(x) for x in raw.split(",")]
-        return pairings.Coloring.from_colors(colors)
-    except (TypeError, ValueError) as exc:
-        raise CliInputError(field, str(exc)) from exc
+    if raw.lstrip().startswith("["):
+        colors = json.loads(raw)
+    else:
+        colors = [int(x) for x in raw.split(",")]
+    return pairings.Coloring.from_colors(colors)
 
 
 def _exact_from_json(field: str, value) -> Fraction:
@@ -101,6 +102,13 @@ def _exact_from_json(field: str, value) -> Fraction:
     return Fraction(value)
 
 
+def _scalar_from_json(field: str, value):
+    """A ``--scalar`` scale or ``--Q`` coefficient: ``{"poly": ...}``, else exact."""
+    if isinstance(value, dict):
+        return poly_from_json(value["poly"])
+    return _exact_from_json(field, value)
+
+
 def _entry_from_json(field: str, value):
     """A ``--matrices`` entry: exact as ``_exact_from_json``, but a JSON decimal is a float."""
     if isinstance(value, (str, int)) or value is None:
@@ -115,54 +123,33 @@ def _json_matrix(field: str, rows):
     return [[_entry_from_json(field, x) for x in row] for row in rows]
 
 
+@_reported
 def _parse_matrices(field: str, value: str) -> moments.MatrixBindings:
     data = _parse_json(field, value)
     if isinstance(data, dict):
         data = [data]
-    pairs = []
-    try:
-        for color in data:
-            pairs.append((_json_matrix(field, color["B"]), _json_matrix(field, color["Sigma"])))
-        return moments.MatrixBindings.numeric(pairs)
-    except CliInputError:
-        raise
-    except (KeyError, TypeError, ValueError) as exc:
-        raise CliInputError(field, str(exc)) from exc
+    pairs = [(_json_matrix(field, c["B"]), _json_matrix(field, c["Sigma"])) for c in data]
+    return moments.MatrixBindings.numeric(pairs)
 
 
+@_reported
 def _parse_scalar(field: str, value: str) -> moments.MatrixBindings:
     data = _parse_json(field, value)
-    try:
-        sizes = data["M"]
-        if not isinstance(sizes, list):
-            raise ValueError("M must be a JSON list")
-        factors = []
-        for entry in data.get("scale", ["1"] * len(sizes)):
-            if isinstance(entry, dict):
-                factors.append(poly_from_json(entry["poly"]))
-            else:
-                factors.append(_exact_from_json(field, entry))
-        return moments.MatrixBindings.scalar(sizes, factors, data.get("N", "N"))
-    except CliInputError:
-        raise
-    except (KeyError, TypeError, ValueError) as exc:
-        raise CliInputError(field, str(exc)) from exc
+    sizes = data["M"]
+    if not isinstance(sizes, list):
+        raise ValueError("M must be a JSON list")
+    factors = [_scalar_from_json(field, entry) for entry in data.get("scale", ["1"] * len(sizes))]
+    return moments.MatrixBindings.scalar(sizes, factors, data.get("N", "N"))
 
 
+@_reported
 def _parse_statistic(field: str, value: str) -> fluctuations.PolynomialStatistic:
     data = _parse_json(field, value)
-    try:
-        terms = []
-        for term in data["terms"]:
-            coeff = term["coeff"]
-            if isinstance(coeff, dict):
-                coeff = poly_from_json(coeff["poly"])
-            else:
-                coeff = _exact_from_json(field, coeff)
-            terms.append((coeff, tuple(int(c) for c in term["word"])))
-        return fluctuations.PolynomialStatistic.from_terms(terms)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise CliInputError(field, str(exc)) from exc
+    terms = [
+        (_scalar_from_json(field, term["coeff"]), tuple(int(c) for c in term["word"]))
+        for term in data["terms"]
+    ]
+    return fluctuations.PolynomialStatistic.from_terms(terms)
 
 
 def _parse_q(field: str, value: str):
@@ -192,24 +179,20 @@ def _poly_csv_rows(polys, prefix: list[str]) -> tuple[list[str], list[list[str]]
     header = prefix + ["coeff"] + symbols + ["atoms"]
     rows = []
     for values, poly in polys:
-        for term in poly_to_json(poly)["terms"]:
-            atoms = term["powers"].get("atoms", [])
+        for mono, coeff in poly.terms():
+            powers = dict(mono)
             atom_text = " ".join(
-                _atom_str(a["kind"], a["word"]) + (f"^{a['power']}" if a["power"] != 1 else "")
-                for a in atoms
+                str(key) + (f"^{e}" if e != 1 else "")
+                for key, e in mono
+                if isinstance(key, TraceAtom)
             )
             rows.append(
                 values
-                + [term["coeff"]]
-                + [str(term["powers"].get(sym, 0)) for sym in symbols]
+                + [rational_to_str(coeff)]
+                + [str(powers.get(sym, 0)) for sym in symbols]
                 + [atom_text]
             )
     return header, rows
-
-
-def _atom_str(kind: str, word) -> str:
-    letter = "B" if kind == "shape" else "S"
-    return "tr(" + " ".join(f"{letter}{c}" + ("'" if t else "") for c, t in word) + ")"
 
 
 def _emit_csv(out, header, rows) -> None:
@@ -419,11 +402,11 @@ def _checked(field: str, check, *args):
     """``check(*args)``, with its input errors reported against ``field``."""
     try:
         return check(*args)
-    except (TypeError, ValueError, OverflowError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise CliInputError(field, str(exc)) from exc
 
 
-def _eigenvalues(field: str, values) -> list[Fraction]:
+def _eigenvalues(field: str, values) -> list[Rational]:
     if not isinstance(values, list):
         raise ValueError("eigenvalues must be a JSON list")
     return mp._check_eigenvalues([_exact_from_json(field, x) for x in values])

@@ -47,7 +47,7 @@ from .pairings import (
     _position_blocks,
     block_pairing,
 )
-from .polynomials import MomentPolynomial, Monomial, Rational, _make_monomial
+from .polynomials import MomentPolynomial, Monomial, Rational, _make_monomial, _q_value, _size
 
 # Entries kept by each memo cache below.  The caches are keyed by spec, word
 # pair or statistic pair, so this bounds a long-lived process that walks
@@ -161,11 +161,14 @@ def centered_trace_moment(
     scale_dim: Union[int, str] = "N",
 ):
     """Joint centered moment of the spec's trace blocks at finite size."""
+    q = _q_value(q)
+    shape_size, scale_dim = _size(shape_size, "shape_size"), _size(scale_dim, "scale_dim")
     return _assemble_finite(_centered_counts(spec), spec.n, q, shape_size, scale_dim)
 
 
 def centered_trace_moment_limit(spec: MonomialSpec, q="q") -> LimitMoment:
     """Large-N limit of the centered moment with M/N -> lambda."""
+    q = _q_value(q)
     blocks = [PolynomialStatistic.from_terms([(1, word)]) for word in spec.cycle_words]
     return LimitMoment(_product_limit(blocks, q))
 
@@ -185,12 +188,9 @@ def centered_finite_and_limit(
 def _collect(terms, q) -> MomentPolynomial:
     """Sum of coeff * monomial over ``(coeff, powers)`` pairs into one polynomial.
 
-    A rational ``q`` is substituted term by term, as an ``int`` when it is
-    integral so that integer counts stay ``int``s.
+    A rational ``q``, an ``int`` when integral (``_q_value``), is substituted
+    term by term, so that integer counts stay ``int``s.
     """
-    if not isinstance(q, str):
-        q = Fraction(q)
-        q = q.numerator if q.denominator == 1 else q
     out: dict[Monomial, Rational] = {}
     for coeff, powers in terms:
         if not isinstance(q, str):
@@ -208,8 +208,8 @@ def _assemble_finite(counts, n, q, shape_size, scale_dim):
             for base, power in ((shape_size, c_gamma), (scale_dim, c_g - n)):
                 if isinstance(base, str):
                     powers[base] = powers.get(base, 0) + power
-                else:
-                    coeff *= Fraction(base) ** power  # power may be negative
+                else:  # an int size; power may be negative
+                    coeff = coeff * base**power if power >= 0 else Fraction(coeff, base**-power)
             yield coeff, powers
 
     return _collect(terms(), q)
@@ -235,7 +235,7 @@ def _covariance(x: PolynomialStatistic, y: PolynomialStatistic, q):
     for (coeff_x, word_x), (coeff_y, word_y) in iter_product(x.terms, y.terms):
         coeff = coeff_x * coeff_y
         if not isinstance(q, str):
-            coeff = coeff.substitute({"q": Fraction(q)})
+            coeff = coeff.substitute({"q": q})
         for (cr, c_gamma, e), count in _connector_counts(word_x, word_y).items():
             split.setdefault(e, []).append(coeff * _assemble_limit({(cr, c_gamma): count}, q))
     sums = ((e, MomentPolynomial.sum(parts)) for e, parts in sorted(split.items()))
@@ -325,6 +325,7 @@ def statistic_limit_moments(
     """Limit moments of the centered statistic, orders 1..max_order."""
     if max_order < 1:
         raise ValueError("max_order must be at least 1")
+    q = _q_value(q)
     _check_limit_terms(max_order, 1)  # before the lists of max_order statistics are built
     # the highest order has the most terms, so it goes first and fails first
     limits = [LimitMoment(_product_limit([statistic] * m, q)) for m in range(max_order, 0, -1)]
@@ -341,6 +342,7 @@ def conditional_variance_check(
     """
     if m < 0:
         raise ValueError("m must be nonnegative")
+    q = _q_value(q)
     _check_limit_terms(m + 2, 1)  # before the lists of m + 2 statistics are built
     x, y = statistic, statistic.shifted(statistic.s)
     diff, total = x - y, x + y

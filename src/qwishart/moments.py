@@ -62,7 +62,9 @@ from .polynomials import (
     TraceAtom,
     _key_order,
     _make_monomial,
-    _symbol_rank,
+    _q_value,
+    _rational,
+    _size,
     evaluate_atom,
 )
 
@@ -117,10 +119,8 @@ class MonomialSpec:
 def _matrix_entry(x):
     if isinstance(x, bool):
         raise ValueError("matrix entries must be numbers")
-    if isinstance(x, numbers.Rational):  # also numpy integers, without importing numpy
-        return Fraction(int(x.numerator), int(x.denominator))
-    if isinstance(x, str):
-        return Fraction(x)
+    if isinstance(x, (numbers.Rational, str)):  # also numpy integers, without importing numpy
+        return Fraction(_rational(x))
     return float(x)
 
 
@@ -187,19 +187,6 @@ def _sigma_rows(sigma) -> tuple[tuple, ...]:
     return rows
 
 
-def _check_size(value, name: str) -> Union[int, str]:
-    """A positive integer (numpy integers become ``int``) or a symbol name."""
-    if isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= 1:
-        return int(value)
-    if isinstance(value, str):
-        try:
-            _symbol_rank(value)
-            return value
-        except ValueError:
-            pass
-    raise ValueError(f"{name} must be a positive integer or a symbol name, got {value!r}")
-
-
 @dataclass(frozen=True)
 class MatrixBindings:
     """Concrete matrices per color, or scalar stand-ins for identity blocks.
@@ -236,12 +223,12 @@ class MatrixBindings:
         scale_factors: Sequence[Union[Rational, MomentPolynomial]] | None = None,
         n_dim: Union[int, str] = "N",
     ) -> "MatrixBindings":
-        sizes = tuple(_check_size(m, "shape size") for m in shape_sizes)
-        n_dim = _check_size(n_dim, "n_dim")
+        sizes = tuple(_size(m, "shape size") for m in shape_sizes)
+        n_dim = _size(n_dim, "n_dim")
         if scale_factors is None:
-            scale_factors = [Fraction(1)] * len(sizes)
+            scale_factors = [1] * len(sizes)
         factors = tuple(
-            f if isinstance(f, MomentPolynomial) else Fraction(f) for f in scale_factors
+            f if isinstance(f, MomentPolynomial) else _rational(f) for f in scale_factors
         )
         if len(factors) != len(sizes):
             raise ValueError("one scale factor per color required")
@@ -410,15 +397,14 @@ def _substitute(
     key_id = {key: s for s, key in enumerate(keys)}
     sym = [key_id[v] if isinstance(v, (str, TraceAtom)) else None for v in values]
     q_sym = key_id["q"]
-    q_value = None if isinstance(q, str) else Fraction(q)
     floats: dict[int, list[float]] | None = None
     if any(isinstance(v, float) for v in values):
         floats, nums = {}, values
     else:
-        exact = {i: Fraction(v) for i, v in enumerate(values) if sym[i] is None}
-        den = math.lcm(*(int(v.denominator) for v in exact.values()))
-        nums = {i: int(v.numerator) * (den // int(v.denominator)) for i, v in exact.items()}
-    a, b = (1, 1) if q_value is None else (int(q_value.numerator), int(q_value.denominator))
+        exact = {i: v for i, v in enumerate(values) if sym[i] is None}
+        den = math.lcm(*(v.denominator for v in exact.values()))
+        nums = {i: v.numerator * (den // v.denominator) for i, v in exact.items()}
+    a, b = (1, 1) if isinstance(q, str) else (q.numerator, q.denominator)
     top = max((cr for (cr, _), _ in cells), default=0)
     q_factors = [a**c * b ** (top - c) for c in range(top + 1)]
     factors: dict[tuple[int, int], object] = {}
@@ -447,12 +433,12 @@ def _substitute(
                 raise FloatOverflowError(_FLOAT_OVERFLOW)
             floats.setdefault(cr, []).append(value)
             continue
-        if q_value is None and cr:
+        if cr and isinstance(q, str):
             powers[q_sym] = powers.get(q_sym, 0) + cr
         key = (tuple(sorted(powers.items())), degree)
         acc[key] = acc.get(key, 0) + value * q_factors[cr]
     if floats is not None:
-        if q_value is None:
+        if isinstance(q, str):
             raise ValueError("float matrices require a numeric q")
         if isinstance(const, MomentPolynomial):
             raise ValueError("float matrices cannot be combined with symbolic factors")
@@ -471,7 +457,7 @@ def _substitute(
         sums[key] = sums.get(key, 0) + (Fraction(total, d) if d != 1 else total)
     poly = MomentPolynomial({tuple((keys[s], e) for s, e in key): v for key, v in sums.items()})
     if const != 1:
-        poly = poly * const if isinstance(const, MomentPolynomial) else poly * Fraction(const)
+        poly = poly * const
     try:
         return poly.constant_value()
     except ValueError:  # not constant
@@ -479,8 +465,6 @@ def _substitute(
 
 
 def _moment(top_table, coloring: Coloring, use_eps: bool, atom_value, q, const):
-    if isinstance(q, str) and q != "q":
-        raise ValueError("q must be the symbol 'q' or a rational number")
     atoms, cells = _tally(tuple(top_table), coloring.colors, use_eps)
     return _substitute(atoms, cells, atom_value, q, const)
 
@@ -560,6 +544,7 @@ def q_wishart_moment(spec: MonomialSpec, bindings: MatrixBindings | None = None,
         for j, rows in enumerate(bindings.shapes):
             if not _is_symmetric(rows):
                 raise ValueError(f"B for color {j + 1} must be symmetric")
+    q = _q_value(q)
     coloring = spec.coloring()
     atom_value, const = _substitution(bindings, coloring)
     return _moment(spec.pairing().table, coloring, False, atom_value, q, const)
@@ -578,7 +563,7 @@ def identity_shape_moment(
     ``sigmas`` is None.
     """
     coloring = spec.coloring()
-    shape_sizes = [_check_size(m, "shape size") for m in shape_sizes]
+    shape_sizes = [_size(m, "shape size") for m in shape_sizes]
     if len(shape_sizes) < coloring.s:
         raise ValueError("need one shape size per color")
     scales = None
@@ -618,6 +603,7 @@ def white_wishart_power_moment(
     cycles times the scale size to the number of connected components of the
     union multigraph of the pairing with the block pairing of the cycle type.
     """
+    shape_size, scale_size = _size(shape_size, "shape_size"), _size(scale_size, "scale_size")
     if not isinstance(cycle_type, IntegerPartition):
         cycle_type = IntegerPartition(tuple(cycle_type))
     _check_tables(cycle_type.n)  # before the 2n-entry block pairing is built
@@ -631,18 +617,14 @@ def white_wishart_power_moment(
         comps = _cycle_count([table[sig[p ^ 1]] for p in range(2 * n)])
         key = (_cycle_count(table), comps)
         counts[key] = counts.get(key, 0) + 1
-    result = MomentPolynomial.zero()
-    for (cm, cn), count in sorted(counts.items()):
-        term = MomentPolynomial.constant(count)
-        for base, power in ((shape_size, cm), (scale_size, cn)):
-            if isinstance(base, str):
-                term = term * MomentPolynomial.symbol(base, power)
-            else:
-                term = term * Fraction(base) ** power
-        result = result + term
-    if not result.symbols():
-        return result.constant_value()
-    return result
+    m, big_n = (
+        MomentPolynomial.symbol(size) if isinstance(size, str) else size
+        for size in (shape_size, scale_size)
+    )
+    result = MomentPolynomial.sum(
+        MomentPolynomial.constant(count) * m**cm * big_n**cn for (cm, cn), count in counts.items()
+    )
+    return result if result.symbols() else result.constant_value()
 
 
 # ---------------------------------------------------------------------------
@@ -663,6 +645,7 @@ def brute_force_moment(
     of the Brauer-contraction path; only the polynomial arithmetic is
     shared.
     """
+    q = _q_value(q)
     n = spec.n
     b_rows = [_to_rows(m, "B") for m in shape_mats]
     s_rows = [_to_rows(m, "Sigma") for m in scale_mats]
@@ -713,14 +696,10 @@ def brute_force_moment(
                 if prod:
                     acc[cr] = acc.get(cr, Fraction(0)) + prod
 
-    if isinstance(q, str):
-        if q != "q":
-            raise ValueError("q must be the symbol 'q' or a rational number")
-        if any(isinstance(v, float) for v in acc.values()):
-            raise ValueError("float matrices require a numeric q")
-        return MomentPolynomial(
-            {_make_monomial({"q": cr}): Fraction(v) for cr, v in acc.items()}
-        )
     if any(isinstance(v, float) for v in acc.values()):
+        if isinstance(q, str):
+            raise ValueError("float matrices require a numeric q")
         return sum(v * float(q) ** cr for cr, v in sorted(acc.items()))
-    return sum((Fraction(v) * Fraction(q) ** cr for cr, v in acc.items()), Fraction(0))
+    if isinstance(q, str):
+        return MomentPolynomial({_make_monomial({"q": cr}): v for cr, v in acc.items()})
+    return sum((v * q**cr for cr, v in acc.items()), Fraction(0))

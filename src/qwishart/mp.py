@@ -10,21 +10,14 @@ where equality is exact already at finite size.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Sequence, Union
 
 from .moments import MonomialSpec, _moment
-from .polynomials import Rational, TraceAtom
+from .polynomials import Rational, TraceAtom, _rational, _size
 
 NC_BOUND = 12
-
-
-def _exact(x) -> Fraction:
-    if isinstance(x, numbers.Rational):  # a numpy integer would keep its int64 numerator
-        return Fraction(int(x.numerator), int(x.denominator))
-    return Fraction(x)
 
 
 @dataclass(frozen=True)
@@ -101,7 +94,7 @@ def nc_partitions(n: int) -> Iterator[SetPartition]:
 class SpectralMeasure:
     """Finitely supported probability measure given by (location, mass) atoms."""
 
-    atoms: tuple[tuple[Fraction, Fraction], ...]
+    atoms: tuple[tuple[Rational, Fraction], ...]
 
     def __post_init__(self) -> None:
         if any(mass <= 0 for _, mass in self.atoms):
@@ -111,9 +104,9 @@ class SpectralMeasure:
 
     @classmethod
     def from_eigenvalues(cls, eigenvalues: Sequence[Rational]) -> "SpectralMeasure":
-        values = [_exact(x) for x in eigenvalues]
+        values = [_rational(x) for x in eigenvalues]
         mass = Fraction(1, len(values))
-        merged: dict[Fraction, Fraction] = {}
+        merged: dict[Rational, Fraction] = {}
         for x in values:
             merged[x] = merged.get(x, Fraction(0)) + mass
         return cls(tuple(sorted(merged.items())))
@@ -133,11 +126,11 @@ def compound_mp_moment(
     """
     if n < 1 or n > NC_BOUND:
         raise ValueError(f"n must lie in 1..{NC_BOUND}")
-    lam = _exact(aspect_ratio)
+    lam = _rational(aspect_ratio)
     if isinstance(base, SpectralMeasure):
         moments = [base.moment(k) for k in range(1, n + 1)]
     else:
-        moments = [_exact(x) for x in base]
+        moments = [_rational(x) for x in base]
         if len(moments) < n:
             raise ValueError(f"need the first {n} moments of the base measure")
     total = Fraction(0)
@@ -175,13 +168,17 @@ def _check_n_max(n_max: int) -> None:
         raise ValueError("n_max must be an integer in 1..6")
 
 
-def _check_scale_dim(scale_dim: int) -> None:
-    if isinstance(scale_dim, bool) or not isinstance(scale_dim, int) or scale_dim < 1:
-        raise ValueError("N must be a positive integer")
+def _check_scale_dim(scale_dim: int) -> int:
+    try:
+        if not isinstance(scale_dim, str):  # N is a number here, never a symbol
+            return _size(scale_dim, "N")
+    except ValueError:
+        pass
+    raise ValueError("N must be a positive integer")
 
 
-def _check_eigenvalues(eigenvalues: Sequence[Rational]) -> list[Fraction]:
-    eigs = [_exact(x) for x in eigenvalues]
+def _check_eigenvalues(eigenvalues: Sequence[Rational]) -> list[Rational]:
+    eigs = [_rational(x) for x in eigenvalues]
     if not eigs:
         raise ValueError("need at least one eigenvalue")
     if any(x <= 0 for x in eigs):
@@ -203,7 +200,7 @@ def mp_moment_check(
     built, and the cost does not grow with N.
     """
     _check_n_max(n_max)
-    _check_scale_dim(scale_dim)
+    scale_dim = _check_scale_dim(scale_dim)
     eigs = _check_eigenvalues(eigenvalues)
     lam = Fraction(len(eigs), scale_dim)
     power_sums = [sum(x**k for x in eigs) for k in range(n_max + 1)]

@@ -16,6 +16,8 @@ normalises: numpy integers become ``int`` (so nothing wraps in int64), a
 ``Fraction`` with denominator 1 becomes its numerator, and a float or bool
 coefficient is refused.  Public scalar results stay ``Fraction``:
 :meth:`MomentPolynomial.constant_value` returns one for every constant.
+Numbers from outside follow one rule, kept here: each public entry passes its
+q, sizes and exact scalars once through ``_q_value``, ``_size`` and ``_rational``.
 """
 
 from __future__ import annotations
@@ -138,17 +140,53 @@ def _merge_monomials(a: Monomial, b: Monomial) -> Monomial:
 
 
 def _coefficient(value) -> Rational:
-    """``value`` as a stored coefficient: an ``int`` when integral, else a ``Fraction``."""
-    if isinstance(value, Fraction):
+    """``value`` as a stored coefficient: an ``int`` when integral, else a ``Fraction``.
+
+    A numpy integer, or a ``Fraction`` with numpy parts, gets Python-int parts,
+    so that its arithmetic cannot wrap in int64.
+    """
+    if isinstance(value, Fraction) and type(value.numerator) is int is type(value.denominator):
         return value.numerator if value.denominator == 1 else value
     if isinstance(value, numbers.Rational) and not isinstance(value, bool):
-        # numpy integers too, converted so that their arithmetic cannot wrap
         num, den = int(value.numerator), int(value.denominator)
         return num if den == 1 else Fraction(num, den)
     raise TypeError(
         "polynomial coefficients must be int or Fraction, "
         f"got {type(value).__name__} {value!r}"
     )
+
+
+def _rational(value) -> Rational:
+    """An exact number from outside, as ``_coefficient`` stores it; a float is
+    its exact binary value and a string such as ``"1/10"`` is parsed."""
+    return _coefficient(value if isinstance(value, numbers.Rational) else Fraction(value))
+
+
+def _q_value(q) -> Union[str, Rational]:
+    """``q`` as the engines take it: the symbol ``"q"`` or a ``_rational``.  A bool,
+    a NaN, an infinity and any string other than ``"q"`` raise ``ValueError``."""
+    if isinstance(q, str):
+        if q == "q":
+            return q
+    else:
+        try:
+            return _rational(q)
+        except (TypeError, ValueError, OverflowError):
+            pass
+    raise ValueError("q must be the symbol 'q' or a rational number")
+
+
+def _size(value, name: str) -> Union[int, str]:
+    """A positive integer (numpy integers become ``int``) or a symbol name."""
+    if isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= 1:
+        return int(value)
+    if isinstance(value, str):
+        try:
+            _symbol_rank(value)
+            return value
+        except ValueError:
+            pass
+    raise ValueError(f"{name} must be a positive integer or a symbol name, got {value!r}")
 
 
 class MomentPolynomial:
@@ -324,7 +362,7 @@ class MomentPolynomial:
         normalized: dict[Key, MomentPolynomial] = {}
         for key, value in bindings.items():
             normalized[_validate_key(key)] = _coerce(value)
-        result = MomentPolynomial.zero()
+        factors = []
         for mono, coeff in self._terms.items():
             factor = MomentPolynomial.monomial(
                 coeff, {k: e for k, e in mono if k not in normalized}
@@ -339,8 +377,8 @@ class MomentPolynomial:
                     factor = factor * MomentPolynomial.constant(
                         value.constant_value() ** e
                     )
-            result = result + factor
-        return result
+            factors.append(factor)
+        return MomentPolynomial.sum(factors)
 
 
 def _term_sort_key(mono: Monomial):
@@ -471,7 +509,5 @@ def poly_from_json(data: Mapping) -> MomentPolynomial:
                 f"coefficient {coeff!r} is a float; write an integer or a "
                 'rational string such as "1/10"'
             )
-        result[mono] = result.get(mono, 0) + _coefficient(
-            Fraction(coeff) if isinstance(coeff, str) else coeff
-        )
+        result[mono] = result.get(mono, 0) + _rational(coeff)
     return MomentPolynomial(result)

@@ -1,0 +1,129 @@
+"""Numbers from outside: q, sizes and exact scalars follow one rule.
+
+Every public entry turns its q, sizes and exact scalars into engine values
+once (``polynomials._q_value``, ``_size`` and ``_rational``).  A numpy integer
+must give exactly what the same Python int gives, since int64 arithmetic
+would wrap without an error, and a q or size that is not one raises a named
+``ValueError``.
+"""
+
+from fractions import Fraction
+
+import numpy as np
+import pytest
+
+from qwishart.fluctuations import (
+    PolynomialStatistic,
+    centered_trace_moment,
+    centered_trace_moment_limit,
+    conditional_variance_check,
+    statistic_limit_moments,
+)
+from qwishart.moments import (
+    MatrixBindings,
+    MonomialSpec,
+    brute_force_moment,
+    identity_shape_moment,
+    q_wishart_moment,
+    white_wishart_power_moment,
+)
+from qwishart.mp import compound_mp_moment, mp_moment_check
+from qwishart.polynomials import MomentPolynomial, _q_value
+
+TRACE = PolynomialStatistic.from_terms([(1, (1,))])
+QUARTIC = MonomialSpec(((1, 1, 1, 1),))
+PAIR = MonomialSpec(((1, 1), (1, 1)))
+
+# each call takes the integer type under test: int, then np.int64
+ENTRIES = {
+    "q_wishart_moment scale factor": lambda i: q_wishart_moment(
+        QUARTIC, MatrixBindings.scalar([3], [i(2**20)], n_dim=2), q=1
+    ),
+    "q_wishart_moment q": lambda i: q_wishart_moment(PAIR, q=i(10**5)),
+    "q_wishart_moment sizes": lambda i: q_wishart_moment(
+        QUARTIC, MatrixBindings.scalar([i(10**6)], n_dim=i(10**6)), q=1
+    ),
+    "identity_shape_moment size": lambda i: identity_shape_moment(QUARTIC, [i(10**6)]),
+    "brute_force_moment q": lambda i: brute_force_moment(QUARTIC, [[[1]]], [[[1]]], q=i(2**30)),
+    "brute_force_moment entries": lambda i: brute_force_moment(
+        QUARTIC, [[[i(2**20)]]], [[[1]]], q=1
+    ),
+    "white_wishart_power_moment sizes": lambda i: white_wishart_power_moment(
+        (3, 2), i(10**5), i(10**5)
+    ),
+    "statistic_limit_moments q": lambda i: statistic_limit_moments(TRACE, 6, q=i(1000)),
+    "statistic_limit_moments coefficient": lambda i: statistic_limit_moments(
+        PolynomialStatistic.from_terms([(i(10**6), (1,))]), 4
+    ),
+    "centered_trace_moment q": lambda i: centered_trace_moment(PAIR, q=i(10**5)),
+    "centered_trace_moment sizes": lambda i: centered_trace_moment(
+        PAIR, q=1, shape_size=i(10**10), scale_dim=i(10**10)
+    ),
+    "centered_trace_moment_limit q": lambda i: centered_trace_moment_limit(
+        MonomialSpec(((1, 1),) * 4), q=i(10**6)
+    ),
+    "conditional_variance_check q": lambda i: conditional_variance_check(TRACE, 2, q=i(10**5)),
+    "mp_moment_check N": lambda i: mp_moment_check([1, 2], i(2), 3),
+    "mp_moment_check eigenvalues": lambda i: mp_moment_check([i(10**6), 1], 3, 4),
+    "compound_mp_moment": lambda i: compound_mp_moment(i(10**6), [i(10**6)] * 4, 4),
+    "polynomial coefficient": lambda i: MomentPolynomial.constant(Fraction(i(2**62))) * 4,
+}
+
+
+@pytest.mark.parametrize("call", ENTRIES.values(), ids=ENTRIES.keys())
+def test_numpy_integers_give_the_python_int_result(call):
+    want, got = call(int), call(np.int64)
+    assert got == want
+    assert type(got) is type(want) and repr(got) == repr(want)
+
+
+def test_wrapping_values_are_exact():
+    # values that int64 arithmetic got wrong, worked out by hand or by Python ints
+    assert ENTRIES["q_wishart_moment scale factor"](np.int64) == 3771848557197643025083269120
+    assert ENTRIES["white_wishart_power_moment sizes"](np.int64) == (
+        1000017001580028000336001440000000000
+    )
+    order_6 = ENTRIES["statistic_limit_moments q"](np.int64)[5].value
+    lam = MomentPolynomial.symbol("lambda")
+    assert order_6 == 1003003001003009009003006018018006005015015005 * lam**3
+
+
+def test_q_value():
+    assert _q_value("q") == "q"
+    assert type(_q_value(np.int64(3))) is int
+    assert _q_value(0.1) == Fraction(0.1)  # a float is its exact binary value
+    half = _q_value(Fraction(np.int64(1), np.int64(2)))
+    assert half == Fraction(1, 2) and type(half.numerator) is int
+    assert type(_q_value(Fraction(4, 2))) is int
+
+
+Q_ENTRIES = {
+    "q_wishart_moment": lambda q: q_wishart_moment(PAIR, q=q),
+    "brute_force_moment": lambda q: brute_force_moment(PAIR, [[[1]]], [[[1]]], q=q),
+    "centered_trace_moment": lambda q: centered_trace_moment(PAIR, q=q),
+    "centered_trace_moment_limit": lambda q: centered_trace_moment_limit(PAIR, q=q),
+    "statistic_limit_moments": lambda q: statistic_limit_moments(TRACE, 2, q=q),
+    "conditional_variance_check": lambda q: conditional_variance_check(TRACE, 0, q=q),
+}
+
+
+@pytest.mark.parametrize("q", [True, False, "lambda", "x", float("nan"), float("inf"), None])
+@pytest.mark.parametrize("call", Q_ENTRIES.values(), ids=Q_ENTRIES.keys())
+def test_bad_q_refused(call, q):
+    with pytest.raises(ValueError, match="q must be the symbol 'q' or a rational number"):
+        call(q)
+
+
+SIZE_ENTRIES = {
+    "centered_trace_moment shape_size": lambda s: centered_trace_moment(PAIR, shape_size=s),
+    "centered_trace_moment scale_dim": lambda s: centered_trace_moment(PAIR, scale_dim=s),
+    "white_wishart_power_moment shape_size": lambda s: white_wishart_power_moment((2,), s),
+    "white_wishart_power_moment scale_size": lambda s: white_wishart_power_moment((2,), 2, s),
+}
+
+
+@pytest.mark.parametrize("size", [2.5, True, 0, "x"])
+@pytest.mark.parametrize("call", SIZE_ENTRIES.values(), ids=SIZE_ENTRIES.keys())
+def test_bad_size_refused(call, size):
+    with pytest.raises(ValueError, match="must be a positive integer or a symbol name"):
+        call(size)

@@ -2,6 +2,8 @@
 
 import importlib.util
 import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -225,6 +227,22 @@ class TestBenchSummary:
         )
         assert load("bench_summary").main(["--compare", parent, change]) == 2
         assert "share no workload" in capsys.readouterr().err
+
+    def test_compare_exits_quietly_on_a_closed_pipe(self, tmp_path):
+        # as ``--compare ... | head``: the reader is gone before the lines are written
+        (summary,) = self.summaries(tmp_path, [("tree", {"finite-exact": {1: 0.3}})])
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, str(SCRIPTS / "bench_summary.py"), "--compare", summary, summary],
+                stdout=write_end,
+                stderr=subprocess.PIPE,
+                timeout=120,
+            )
+        finally:
+            os.close(write_end)
+        assert (proc.returncode, proc.stderr) == (141, b"")
 
     def test_compare_names_an_unreadable_summary(self, tmp_path, capsys):
         missing = str(tmp_path / "missing.json")
