@@ -216,25 +216,28 @@ def _emit_json(out, payload) -> None:
 def _cmd_enumerate(args, out) -> int:
     """Stream the JSON; its count, the closed form prod_c (2k_c - 1)!!, is
     checked against the enumeration bound before the header is written.
+    Each row is written straight from the table walk.
     """
     if args.n < 0:
         raise CliInputError("--n", f"n={args.n} must be nonnegative")
+    colors = pos_colors = None
     if args.coloring is not None:
         coloring = _parse_coloring("--coloring", args.coloring)
         if coloring.n != args.n:
             raise CliInputError("--coloring", "coloring length must equal --n")
-        stream = pairings.color_preserving_pairings(coloring)
         colors = list(coloring.colors)
         pos_colors = coloring.position_colors()
-    else:
-        stream = pairings.all_pairings(args.n)
-        colors = pos_colors = None
     count = _checked("--n", pairings._check_tables, args.n, pos_colors) if args.n > 0 else 0
     compact = {"separators": (",", ":")}
     out.write(f'{{"n":{args.n},"coloring":{json.dumps(colors, **compact)},')
     out.write(f'"count":{count},"pairings":[')
-    for i, pp in enumerate(stream):
-        out.write(("," if i else "") + json.dumps([list(pair) for pair in pp.pairs()], **compact))
+    # a row lists the pairs as signed labels, each led by its leftmost position
+    labels = [str(pairings._signed(p)) for p in range(2 * args.n)]
+    sep = ""
+    for table, _ in pairings._iter_tables(args.n, pos_colors):
+        pairs = ",".join([f"[{labels[p]},{labels[q]}]" for p, q in enumerate(table) if p < q])
+        out.write(f"{sep}[{pairs}]")
+        sep = ","
     out.write("]}\n")
     return 0
 

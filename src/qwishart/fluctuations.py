@@ -47,7 +47,15 @@ from .pairings import (
     _position_blocks,
     block_pairing,
 )
-from .polynomials import MomentPolynomial, Monomial, Rational, _make_monomial, _q_value, _size
+from .polynomials import (
+    MomentPolynomial,
+    Monomial,
+    Rational,
+    _count,
+    _make_monomial,
+    _q_value,
+    _size,
+)
 
 # Entries kept by each memo cache below.  The caches are keyed by spec, word
 # pair or statistic pair, so this bounds a long-lived process that walks
@@ -323,8 +331,7 @@ def statistic_limit_moments(
     statistic: PolynomialStatistic, max_order: int, q="q"
 ) -> list[LimitMoment]:
     """Limit moments of the centered statistic, orders 1..max_order."""
-    if max_order < 1:
-        raise ValueError("max_order must be at least 1")
+    max_order = _count(max_order, "max_order", 1)
     q = _q_value(q)
     _check_limit_terms(max_order, 1)  # before the lists of max_order statistics are built
     # the highest order has the most terms, so it goes first and fails first
@@ -340,8 +347,7 @@ def conditional_variance_check(
     Y is the same statistic on a fresh uncorrelated set of colors, so the
     check doubles the color count.
     """
-    if m < 0:
-        raise ValueError("m must be nonnegative")
+    m = _count(m, "m", 0)
     q = _q_value(q)
     _check_limit_terms(m + 2, 1)  # before the lists of m + 2 statistics are built
     x, y = statistic, statistic.shifted(statistic.s)

@@ -6,6 +6,14 @@ against the exact formulas.  Randomness comes from a counter-based SplitMix64
 stream (published mixing constants) turned into normals by Box-Muller on
 (0, 1], so every sample is a pure function of (seed, sample index) and runs
 reproduce bit-identically.
+
+Sample i owns the Box-Muller pairs [i * stride, (i + 1) * stride) of the
+stream, one run of them per color, so a block of consecutive samples is one
+contiguous counter range.  The sampler draws a block at a time into buffers
+that it allocates once per call and reuses, so its working set does not grow
+with the sample count.  The samples are bit-identical to those of earlier
+versions, which drew each color's counters separately and a whole chunk of
+samples at once.
 """
 
 from __future__ import annotations
@@ -16,35 +24,64 @@ from typing import Sequence
 import numpy as np
 
 from .moments import MatrixBindings, MonomialSpec, real_wishart_moment
+from .polynomials import _count
 
-_GAMMA = np.uint64(0x9E3779B97F4A7C15)
+_COUNTERS = 2**64  # the stream's counter space; a sample never wraps into it
+_GAMMA = 0x9E3779B97F4A7C15
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
 _U53 = 2.0**-53
+_CHUNK = 8192  # samples per partial sum of estimate_monomial
+_BLOCK_PAIRS = 8192  # Box-Muller pairs per drawn block: about 1 MiB of buffers
 
 
-def _uniforms_at(seed: int, idx: np.ndarray) -> np.ndarray:
-    """SplitMix64 outputs at the given counter indices, mapped into (0, 1]."""
-    with np.errstate(over="ignore"):
-        x = (np.uint64(seed & (2**64 - 1)) + (idx.astype(np.uint64) + np.uint64(1)) * _GAMMA)
-        x ^= x >> np.uint64(30)
-        x *= _MIX1
-        x ^= x >> np.uint64(27)
-        x *= _MIX2
-        x ^= x >> np.uint64(31)
-    return ((x >> np.uint64(11)).astype(np.float64) + 1.0) * _U53
+class _NormalStream:
+    """Box-Muller normals of one seed over ranges of pairs, in reused buffers.
 
+    Pair p takes the SplitMix64 outputs at counters 2p and 2p + 1, mapped into
+    (0, 1], as (u1, u2) and gives r cos(theta), r sin(theta) with
+    r = sqrt(-2 log u1) and theta = 2 pi u2.
+    """
 
-def _normals_at(seed: int, pair_idx: np.ndarray) -> np.ndarray:
-    """Box-Muller pairs for the given pair indices; output shape (..., 2P)."""
-    u1 = _uniforms_at(seed, 2 * pair_idx)
-    u2 = _uniforms_at(seed, 2 * pair_idx + 1)
-    r = np.sqrt(-2.0 * np.log(u1))
-    theta = (2.0 * np.pi) * u2
-    out = np.empty(pair_idx.shape[:-1] + (2 * pair_idx.shape[-1],))
-    out[..., 0::2] = r * np.cos(theta)
-    out[..., 1::2] = r * np.sin(theta)
-    return out
+    def __init__(self, seed: int, pairs: int):
+        self._seed = seed % _COUNTERS
+        # GAMMA times each counter's offset from the range's first one: u1 in
+        # row 0, u2 in row 1, so that log, cos and sin read contiguous rows
+        even = np.arange(0, 2 * pairs, 2, dtype=np.uint64)
+        self._steps = np.stack([even, even + np.uint64(1)]) * np.uint64(_GAMMA)
+        self._bits = np.empty((2, pairs), dtype=np.uint64)
+        self._shifted = np.empty((2, pairs), dtype=np.uint64)
+        self._u = np.empty((2, pairs))
+        self._r = np.empty(pairs)
+        self._trig = np.empty(pairs)
+
+    def fill(self, first_pair: int, out: np.ndarray) -> None:
+        """Write the normals of pairs first_pair, first_pair + 1, ... into the
+        flat ``out``, two per pair."""
+        pairs = out.shape[0] // 2
+        x, t, u = self._bits[:, :pairs], self._shifted[:, :pairs], self._u[:, :pairs]
+        r, trig = self._r[:pairs], self._trig[:pairs]
+        base = (self._seed + (2 * first_pair + 1) * _GAMMA) % _COUNTERS
+        # uint64 arithmetic wraps mod 2**64, as SplitMix64 intends
+        np.add(self._steps[:, :pairs], np.uint64(base), out=x)
+        for shift, mix in ((30, _MIX1), (27, _MIX2), (31, None)):
+            np.right_shift(x, shift, out=t)
+            np.bitwise_xor(x, t, out=x)
+            if mix is not None:
+                np.multiply(x, mix, out=x)
+        np.right_shift(x, 11, out=t)
+        np.add(t, 1.0, out=u)
+        np.multiply(u, _U53, out=u)
+        np.log(u[0], out=r)
+        np.multiply(r, -2.0, out=r)
+        np.sqrt(r, out=r)
+        theta = u[1]
+        np.multiply(theta, 2.0 * np.pi, out=theta)
+        normals = out.reshape(pairs, 2)
+        np.cos(theta, out=trig)
+        np.multiply(r, trig, out=normals[:, 0])
+        np.sin(theta, out=trig)
+        np.multiply(r, trig, out=normals[:, 1])
 
 
 def symmetric_root(sigma) -> np.ndarray:
@@ -76,8 +113,7 @@ class SamplerConfig:
     colors: tuple[tuple[np.ndarray, np.ndarray], ...]
 
     def __post_init__(self) -> None:
-        if self.samples < 1:
-            raise ValueError("samples must be positive")
+        object.__setattr__(self, "seed", _count(self.seed, "seed", None))
         normalized = []
         roots = []
         scale_dims = set()
@@ -95,6 +131,8 @@ class SamplerConfig:
             raise ValueError("all Sigma must share one dimension")
         object.__setattr__(self, "colors", tuple(normalized))
         object.__setattr__(self, "_roots", tuple(roots))
+        samples = _count(self.samples, "samples", 1, self._sample_limit())
+        object.__setattr__(self, "samples", samples)
 
     @property
     def s(self) -> int:
@@ -113,26 +151,70 @@ class SamplerConfig:
             total += (b.shape[0] * sigma.shape[0] + 1) // 2
         return offsets, total
 
+    def _sample_limit(self) -> int:
+        """How many samples the stream holds: every counter of sample i is
+        below 2 * stride * (i + 1), and counters stay below 2**64."""
+        _, stride = self._pair_layout()
+        return _COUNTERS // (2 * max(stride, 1))
+
+
+class _Blocks:
+    """The W matrices of up to ``size`` consecutive samples, drawn into buffers
+    allocated once and reused.
+
+    Sample i owns the Box-Muller pairs [i * stride, (i + 1) * stride), each
+    color a run of them, so the samples of a block are one contiguous counter
+    range and one pass of the stream draws every color's normals.
+    """
+
+    def __init__(self, config: SamplerConfig, size: int):
+        offsets, self._stride = config._pair_layout()
+        self.size = size
+        self._stream = _NormalStream(config.seed, size * self._stride)
+        self._normals = np.empty((size, 2 * self._stride))
+        self._colors = []
+        for offset, (b, sigma), root in zip(offsets, config.colors, config._roots):
+            m, n = b.shape[0], sigma.shape[0]
+            bufs = (np.empty((size, m, n)), np.empty((size, m, n)), np.empty((size, n, n)))
+            self._colors.append((2 * offset, m, n, b, root, bufs))
+
+    def draw(self, start: int, count: int) -> list[np.ndarray]:
+        """W stacks of samples [start, start + count), one per color; they are
+        views into the buffers, valid until the next draw."""
+        normals = self._normals[:count]
+        self._stream.fill(start * self._stride, normals.reshape(-1))
+        ws = []
+        for lo, m, n, b, root, bufs in self._colors:
+            z = normals[:, lo : lo + m * n].reshape(count, m, n)
+            y, by, w = (buf[:count] for buf in bufs)
+            np.matmul(z, root, out=y)
+            np.matmul(b, y, out=by)
+            np.matmul(y.transpose(0, 2, 1), by, out=w)
+            ws.append(w)
+        return ws
+
+
+def _block_size(config: SamplerConfig, samples: int) -> int:
+    """Samples per block: the pair budget over the stride, within 1..chunk and
+    no more than are drawn."""
+    _, stride = config._pair_layout()
+    return max(1, min(_BLOCK_PAIRS // max(stride, 1), _CHUNK, samples))
+
 
 def _sample_batch(config: SamplerConfig, start: int, count: int) -> list[np.ndarray]:
-    """W matrices for samples [start, start+count), one stack per color."""
-    offsets, stride = config._pair_layout()
-    sample_idx = np.arange(start, start + count, dtype=np.uint64)
-    out = []
-    for j, (b, sigma) in enumerate(config.colors):
-        m, n = b.shape[0], sigma.shape[0]
-        pairs = (m * n + 1) // 2
-        pair_idx = sample_idx[:, None] * np.uint64(stride) + np.uint64(offsets[j]) + np.arange(
-            pairs, dtype=np.uint64
-        )
-        z = _normals_at(config.seed, pair_idx)[:, : m * n].reshape(count, m, n)
-        y = z @ config._roots[j]
-        out.append(np.matmul(y.transpose(0, 2, 1), np.matmul(b, y)))
+    """W matrices for samples [start, start+count), one stack of its own per color."""
+    blocks = _Blocks(config, _block_size(config, count))
+    out = [np.empty((count, config.scale_dim, config.scale_dim)) for _ in config.colors]
+    for a in range(0, count, blocks.size):
+        k = min(blocks.size, count - a)
+        for stack, w in zip(out, blocks.draw(start + a, k)):
+            stack[a : a + k] = w
     return out
 
 
 def sample_family(config: SamplerConfig, index: int) -> list[np.ndarray]:
     """The per-color W matrices of one sample; a pure function of (seed, index)."""
+    index = _count(index, "index", 0, config._sample_limit() - 1)
     return [w[0] for w in _sample_batch(config, index, 1)]
 
 
@@ -145,34 +227,44 @@ class EstimateReport:
     z: float
 
 
-def _monomial_values(spec: MonomialSpec, ws: Sequence[np.ndarray]) -> np.ndarray:
-    values = np.ones(ws[0].shape[0])
+def _monomial_values(spec: MonomialSpec, ws: Sequence[np.ndarray], out, products, trace) -> None:
+    """Write the trace monomial of each sample of the stacks ``ws`` into ``out``;
+    ``products`` are two stacks and ``trace`` one row of scratch, as long as ``out``."""
+    out.fill(1.0)
     for word in spec.cycle_words:
         prod = ws[word[0] - 1]
-        for c in word[1:]:
-            prod = np.matmul(prod, ws[c - 1])
-        values = values * np.einsum("sii->s", prod)
-    return values
+        for i, c in enumerate(word[1:]):
+            np.matmul(prod, ws[c - 1], out=products[i % 2])
+            prod = products[i % 2]
+        np.einsum("sii->s", prod, out=trace)
+        out *= trace
 
 
 def estimate_monomial(spec: MonomialSpec, config: SamplerConfig) -> EstimateReport:
     """Sample mean and standard error of the trace monomial, with the exact value.
 
-    Samples are indexed by a global counter; they are drawn and summed in
-    chunks to bound memory.
+    Samples are indexed by a global counter.  They are drawn in blocks into
+    reused buffers, so the working set does not grow with ``config.samples``,
+    and summed in chunks of ``_CHUNK``.
     """
     if spec.s > config.s:
         raise ValueError(f"spec uses {spec.s} colors, config provides {config.s}")
-    chunk = 8192
+    blocks = _Blocks(config, _block_size(config, config.samples))
+    n = config.scale_dim
+    products = (np.empty((blocks.size, n, n)), np.empty((blocks.size, n, n)))
+    trace = np.empty(blocks.size)
+    values = np.empty(min(_CHUNK, config.samples))
+    squares = np.empty_like(values)
     total = total_sq = 0.0
-    for a in range(0, config.samples, chunk):
-        count = min(chunk, config.samples - a)
-        # ws stays bound until the next chunk replaces it; freeing it first
-        # doubled the page faults of the next chunk's arrays
-        ws = _sample_batch(config, a, count)
-        values = _monomial_values(spec, ws)
-        total += float(values.sum())
-        total_sq += float((values * values).sum())
+    for a in range(0, config.samples, _CHUNK):
+        count = min(_CHUNK, config.samples - a)
+        for b in range(0, count, blocks.size):
+            k = min(blocks.size, count - b)
+            ws = blocks.draw(a + b, k)
+            _monomial_values(spec, ws, values[b : b + k], [p[:k] for p in products], trace[:k])
+        total += float(values[:count].sum())
+        np.multiply(values[:count], values[:count], out=squares[:count])
+        total_sq += float(squares[:count].sum())
     mean = total / config.samples
     if config.samples > 1:
         var = (total_sq - config.samples * mean * mean) / (config.samples - 1)

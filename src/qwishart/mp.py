@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Iterator, Sequence, Union
 
 from .moments import MonomialSpec, _moment
-from .polynomials import Rational, TraceAtom, _rational, _size
+from .polynomials import Rational, TraceAtom, _count, _rational, _size
 
 NC_BOUND = 12
 
@@ -84,8 +84,7 @@ def _nc_rec(elems: tuple[int, ...]) -> Iterator[tuple[frozenset[int], ...]]:
 
 def nc_partitions(n: int) -> Iterator[SetPartition]:
     """All non-crossing partitions of {1..n}, in a fixed deterministic order."""
-    if n < 1 or n > NC_BOUND:
-        raise ValueError(f"n must lie in 1..{NC_BOUND}")
+    n = _count(n, "n", 1, NC_BOUND)
     for blocks in _nc_rec(tuple(range(1, n + 1))):
         yield SetPartition(n, tuple(sorted(blocks, key=min)))
 
@@ -124,8 +123,7 @@ def compound_mp_moment(
 
     ``base`` is either a spectral measure or its moment sequence (m_1, m_2, ...).
     """
-    if n < 1 or n > NC_BOUND:
-        raise ValueError(f"n must lie in 1..{NC_BOUND}")
+    n = _count(n, "n", 1, NC_BOUND)
     lam = _rational(aspect_ratio)
     if isinstance(base, SpectralMeasure):
         moments = [base.moment(k) for k in range(1, n + 1)]
@@ -163,9 +161,8 @@ class MPCheckReport:
         return all(row.equal for row in self.rows)
 
 
-def _check_n_max(n_max: int) -> None:
-    if isinstance(n_max, bool) or not isinstance(n_max, int) or not 1 <= n_max <= 6:
-        raise ValueError("n_max must be an integer in 1..6")
+def _check_n_max(n_max: int) -> int:
+    return _count(n_max, "n_max", 1, 6)
 
 
 def _check_scale_dim(scale_dim: int) -> int:
@@ -199,7 +196,7 @@ def mp_moment_check(
     is the power sum of the eigenvalues and a scale atom is N; no matrix is
     built, and the cost does not grow with N.
     """
-    _check_n_max(n_max)
+    n_max = _check_n_max(n_max)
     scale_dim = _check_scale_dim(scale_dim)
     eigs = _check_eigenvalues(eigenvalues)
     lam = Fraction(len(eigs), scale_dim)

@@ -82,7 +82,16 @@ class TestEnumerate:
         assert "--n" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "n, coloring", [(0, None), (1, None), (4, None), (5, "1,2,1,3,2"), (6, "1,1,2,2,1,1")]
+        "n, coloring",
+        [
+            (0, None),
+            (1, None),
+            (4, None),
+            (6, None),
+            (5, "1,2,1,3,2"),
+            (6, "1,1,2,2,1,1"),
+            (7, "1,2,1,1,2,2,1"),
+        ],
     )
     def test_stream_matches_whole_document(self, n, coloring):
         # the streamed text equals the document serialised in one piece, with

@@ -1,10 +1,10 @@
-"""Numbers from outside: q, sizes and exact scalars follow one rule.
+"""Numbers from outside: q, sizes, exact scalars and counts follow one rule.
 
-Every public entry turns its q, sizes and exact scalars into engine values
-once (``polynomials._q_value``, ``_size`` and ``_rational``).  A numpy integer
-must give exactly what the same Python int gives, since int64 arithmetic
-would wrap without an error, and a q or size that is not one raises a named
-``ValueError``.
+Every public entry turns its q, sizes, exact scalars and counts into engine
+values once (``polynomials._q_value``, ``_size``, ``_rational`` and
+``_count``).  A numpy integer must give exactly what the same Python int
+gives, since int64 arithmetic would wrap without an error, and a q, size or
+count that is not one raises a named ``ValueError``.
 """
 
 from fractions import Fraction
@@ -27,8 +27,9 @@ from qwishart.moments import (
     q_wishart_moment,
     white_wishart_power_moment,
 )
-from qwishart.mp import compound_mp_moment, mp_moment_check
-from qwishart.polynomials import MomentPolynomial, _q_value
+from qwishart.montecarlo import SamplerConfig, sample_family
+from qwishart.mp import compound_mp_moment, mp_moment_check, nc_partitions
+from qwishart.polynomials import MomentPolynomial, _count, _q_value
 
 TRACE = PolynomialStatistic.from_terms([(1, (1,))])
 QUARTIC = MonomialSpec(((1, 1, 1, 1),))
@@ -127,3 +128,91 @@ SIZE_ENTRIES = {
 def test_bad_size_refused(call, size):
     with pytest.raises(ValueError, match="must be a positive integer or a symbol name"):
         call(size)
+
+
+COUNT_ENTRIES = {
+    "statistic_limit_moments max_order": ("max_order", lambda n: statistic_limit_moments(TRACE, n)),
+    "conditional_variance_check m": ("m", lambda n: conditional_variance_check(TRACE, n)),
+    "nc_partitions n": ("n", lambda n: list(nc_partitions(n))),
+    "compound_mp_moment n": ("n", lambda n: compound_mp_moment(2, [1, 2, 3], n)),
+    "mp_moment_check n_max": ("n_max", lambda n: mp_moment_check([1, 2], 2, n)),
+}
+
+
+@pytest.mark.parametrize("name, call", COUNT_ENTRIES.values(), ids=COUNT_ENTRIES.keys())
+def test_numpy_count_gives_the_python_int_result(name, call):
+    want, got = call(2), call(np.int64(2))
+    assert got == want and repr(got) == repr(want)
+
+
+@pytest.mark.parametrize("count", [True, False, 2.5, np.float64(2.0), "2", None, -1])
+@pytest.mark.parametrize("name, call", COUNT_ENTRIES.values(), ids=COUNT_ENTRIES.keys())
+def test_bad_count_refused(name, call, count):
+    with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+        call(count)
+
+
+def test_count():
+    assert type(_count(np.uint64(2**64 - 1), "x", 0)) is int
+    assert _count(-5, "seed", None) == -5
+    for value, low, high, message in [
+        (7, 1, 6, "x must be an integer in 1..6, got 7"),
+        (0, 1, None, "x must be an integer >= 1, got 0"),
+        (7, None, 6, "x must be an integer <= 6, got 7"),
+        (True, None, None, "x must be an integer, got True"),
+    ]:
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            _count(value, "x", low, high)
+
+
+def _sampler(seed=5, samples=3, colors=((np.eye(2), np.eye(2)),)):
+    return SamplerConfig(seed=seed, samples=samples, colors=colors)
+
+
+def _same_samples(a, b, index=0):
+    return all(np.array_equal(x, y) for x, y in zip(sample_family(a, index), sample_family(b, index)))
+
+
+class TestSamplerInputs:
+    def test_numpy_seed_keeps_the_stream(self):
+        config = _sampler(seed=np.int64(5))
+        assert type(config.seed) is int and _same_samples(config, _sampler(seed=5))
+
+    def test_seed_is_taken_mod_2_64(self):
+        assert _same_samples(_sampler(seed=-1), _sampler(seed=2**64 - 1))
+        assert _same_samples(_sampler(seed=2**64 + 5), _sampler(seed=5))
+        assert not _same_samples(_sampler(seed=6), _sampler(seed=5))
+
+    def test_numpy_counts(self):
+        config = _sampler(samples=np.int64(3))
+        assert type(config.samples) is int and config.samples == 3
+        assert _same_samples(config, config, np.int64(2))
+        for x, y in zip(sample_family(config, np.int64(2)), sample_family(config, 2)):
+            assert np.array_equal(x, y)
+
+    @pytest.mark.parametrize("seed", [True, 2.5, "5", None])
+    def test_bad_seed_refused(self, seed):
+        with pytest.raises(ValueError, match="^seed must be an integer, got"):
+            _sampler(seed=seed)
+
+    @pytest.mark.parametrize("samples", [True, 2.5, np.float64(3.0), 0, -1, "3"])
+    def test_bad_samples_refused(self, samples):
+        with pytest.raises(ValueError, match="^samples must be an integer in 1.."):
+            _sampler(samples=samples)
+
+    @pytest.mark.parametrize("index", [True, 2.5, -1, "0"])
+    def test_bad_index_refused(self, index):
+        with pytest.raises(ValueError, match="^index must be an integer in 0.."):
+            sample_family(_sampler(), index)
+
+    def test_counters_do_not_wrap(self):
+        # a 2x2 color takes 4 counters per sample, so 2**62 samples fill the
+        # 2**64 counters; the next sample would wrap onto sample 0
+        config = _sampler()
+        assert config._sample_limit() == 2**62
+        sample_family(config, 2**62 - 1)
+        with pytest.raises(ValueError, match=f"^index must be an integer in 0..{2**62 - 1}, got"):
+            sample_family(config, 2**62)
+        _sampler(samples=2**62)
+        with pytest.raises(ValueError, match=f"^samples must be an integer in 1..{2**62}, got"):
+            _sampler(samples=2**62 + 1)

@@ -1,14 +1,113 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from qwishart.moments import MonomialSpec
+from qwishart.moments import MatrixBindings, MonomialSpec, real_wishart_moment
 from qwishart.montecarlo import (
+    _CHUNK,
+    EstimateReport,
     SamplerConfig,
-    _normals_at,
+    _block_size,
+    _NormalStream,
+    _sample_batch,
     estimate_monomial,
     sample_family,
     symmetric_root,
 )
+
+# ---------------------------------------------------------------------------
+# The sampler as it was before it drew blocks into reused buffers: each color
+# gathers its own counter indices and makes two passes of the stream, and a
+# chunk of samples is drawn whole.  The samples and reports must not change.
+
+_GAMMA = np.uint64(0x9E3779B97F4A7C15)
+_MIX1 = np.uint64(0xBF58476D1CE4E5B9)
+_MIX2 = np.uint64(0x94D049BB133111EB)
+_U53 = 2.0**-53
+
+
+def _uniforms_at(seed: int, idx: np.ndarray) -> np.ndarray:
+    """SplitMix64 outputs at the given counter indices, mapped into (0, 1]."""
+    with np.errstate(over="ignore"):
+        x = np.uint64(seed & (2**64 - 1)) + (idx.astype(np.uint64) + np.uint64(1)) * _GAMMA
+        x ^= x >> np.uint64(30)
+        x *= _MIX1
+        x ^= x >> np.uint64(27)
+        x *= _MIX2
+        x ^= x >> np.uint64(31)
+    return ((x >> np.uint64(11)).astype(np.float64) + 1.0) * _U53
+
+
+def _normals_at(seed: int, pair_idx: np.ndarray) -> np.ndarray:
+    """Box-Muller pairs for the given pair indices; output shape (..., 2P)."""
+    u1 = _uniforms_at(seed, 2 * pair_idx)
+    u2 = _uniforms_at(seed, 2 * pair_idx + 1)
+    r = np.sqrt(-2.0 * np.log(u1))
+    theta = (2.0 * np.pi) * u2
+    out = np.empty(pair_idx.shape[:-1] + (2 * pair_idx.shape[-1],))
+    out[..., 0::2] = r * np.cos(theta)
+    out[..., 1::2] = r * np.sin(theta)
+    return out
+
+
+def _oracle_batch(config: SamplerConfig, start: int, count: int) -> list[np.ndarray]:
+    """W matrices for samples [start, start+count), one stack per color."""
+    offsets, stride = config._pair_layout()
+    sample_idx = np.arange(start, start + count, dtype=np.uint64)
+    out = []
+    for j, (b, sigma) in enumerate(config.colors):
+        m, n = b.shape[0], sigma.shape[0]
+        pairs = (m * n + 1) // 2
+        pair_idx = sample_idx[:, None] * np.uint64(stride) + np.uint64(offsets[j]) + np.arange(
+            pairs, dtype=np.uint64
+        )
+        z = _normals_at(config.seed, pair_idx)[:, : m * n].reshape(count, m, n)
+        y = z @ config._roots[j]
+        out.append(np.matmul(y.transpose(0, 2, 1), np.matmul(b, y)))
+    return out
+
+
+def _oracle_values(spec: MonomialSpec, ws) -> np.ndarray:
+    values = np.ones(ws[0].shape[0])
+    for word in spec.cycle_words:
+        prod = ws[word[0] - 1]
+        for c in word[1:]:
+            prod = np.matmul(prod, ws[c - 1])
+        values = values * np.einsum("sii->s", prod)
+    return values
+
+
+def _oracle_estimate(spec: MonomialSpec, config: SamplerConfig) -> EstimateReport:
+    chunk = 8192
+    total = total_sq = 0.0
+    for a in range(0, config.samples, chunk):
+        count = min(chunk, config.samples - a)
+        values = _oracle_values(spec, _oracle_batch(config, a, count))
+        total += float(values.sum())
+        total_sq += float((values * values).sum())
+    mean = total / config.samples
+    if config.samples > 1:
+        var = (total_sq - config.samples * mean * mean) / (config.samples - 1)
+        stderr = float(np.sqrt(max(var, 0.0) / config.samples))
+    else:
+        stderr = 0.0
+    bindings = MatrixBindings.numeric(
+        [(b.tolist(), sigma.tolist()) for b, sigma in config.colors[: spec.s]]
+    )
+    exact = float(real_wishart_moment(spec, bindings))
+    if stderr > 0:
+        z = abs(mean - exact) / stderr
+    else:
+        z = 0.0 if mean == exact else float("inf")
+    return EstimateReport(mean, stderr, config.samples, exact, z)
+
+
+def _kernel_normals(seed: int, pair_idx: np.ndarray) -> np.ndarray:
+    """The library stream over a contiguous range of pair indices."""
+    out = np.empty(2 * len(pair_idx))
+    _NormalStream(seed, len(pair_idx)).fill(int(pair_idx[0]), out)
+    return out
 
 
 class TestSymmetricRoot:
@@ -39,25 +138,30 @@ class TestSymmetricRoot:
             symmetric_root([[bad, 0.0], [0.0, 1.0]])
 
 
+@pytest.mark.parametrize("normals", [_normals_at, _kernel_normals], ids=["oracle", "kernel"])
 class TestGaussianStream:
-    def test_moments(self):
-        z = _normals_at(2718281828, np.arange(100000, dtype=np.uint64))
+    def test_moments(self, normals):
+        z = normals(2718281828, np.arange(100000, dtype=np.uint64))
         count = z.size
         assert abs(z.mean()) <= 4.0 / np.sqrt(count)
         assert abs(z.var() - 1.0) <= 0.05
 
-    def test_counter_determinism(self):
+    def test_counter_determinism(self, normals):
         idx = np.arange(50, dtype=np.uint64)
-        a = _normals_at(7, idx)
-        b = _normals_at(7, idx)
+        a = normals(7, idx)
+        b = normals(7, idx)
         assert np.array_equal(a, b)
-        assert not np.array_equal(a, _normals_at(8, idx))
+        assert not np.array_equal(a, normals(8, idx))
 
-    def test_disjoint_slices_agree_with_bulk(self):
+    def test_disjoint_slices_agree_with_bulk(self, normals):
         idx = np.arange(40, dtype=np.uint64)
-        bulk = _normals_at(5, idx)
-        parts = np.concatenate([_normals_at(5, idx[:25]), _normals_at(5, idx[25:])])
+        bulk = normals(5, idx)
+        parts = np.concatenate([normals(5, idx[:25]), normals(5, idx[25:])])
         assert np.array_equal(bulk, parts)
+
+    def test_kernel_equals_oracle(self, normals):
+        idx = np.arange(10**9, 10**9 + 333, dtype=np.uint64)
+        assert np.array_equal(normals(2**64 - 3, idx), _normals_at(2**64 - 3, idx))
 
 
 def _config(seed=11, samples=64, m=3, n=4, s=2):
@@ -89,8 +193,6 @@ class TestSampling:
 
     def test_mean_matches_shape_trace(self):
         c = _config(seed=9, samples=4000, s=1)
-        from qwishart.montecarlo import _sample_batch
-
         ws = _sample_batch(c, 0, c.samples)[0]
         assert np.max(np.abs(ws.mean(axis=0) - 3 * np.eye(4))) < 0.3
 
@@ -132,3 +234,112 @@ class TestEstimates:
         c = _config(s=1)
         with pytest.raises(ValueError):
             estimate_monomial(MonomialSpec(((1, 2),)), c)
+
+
+def _diag_colors(*diagonals):
+    return tuple((np.diag(np.array(b, float)), np.diag(np.array(s, float))) for b, s in diagonals)
+
+
+NONSYMMETRIC = ((np.array([[1.0, 2.0], [0.0, 1.0]]), np.array([[2.0, 0.5], [0.5, 1.0]])),)
+SAMPLING_CASES = {
+    "one color": _diag_colors(([1, 2, 3], [1, 2, 3, 4])),
+    "odd m*n": _diag_colors(([1, 2, 3], [2, 1, 3])),
+    "two colors": _diag_colors(([1, 2], [1, 2, 3]), ([3, 1, 2, 1], [2, 2, 1])),
+    "three colors, odd": _diag_colors(([1], [1, 2, 3]), ([2, 1, 3], [1, 1, 1]), ([1, 1], [3, 2, 1])),
+    "nonsymmetric B, coupled Sigma": NONSYMMETRIC,
+    "coupled, two colors": (
+        (np.array([[1.0, -2.0, 0.5], [0.3, 1.0, 0.0], [0.0, 1.5, 2.0]]), np.array([[2.0, 1.0], [1.0, 2.0]])),
+        (np.array([[0.5]]), np.array([[1.0, 0.2], [0.2, 3.0]])),
+    ),
+    "6x8": _diag_colors(([3, 2, 2, 1, 3, 2], [3, 2, 1, 1, 3, 2, 4, 2])),
+}
+
+# the seven mc-validate shapes of perfbench seed 1: (cycle words, per color
+# (diag B, diag Sigma), samples, sampler seed)
+MC_VALIDATE = [
+    (((1,),), [([1, 1, 2], [1, 1, 3, 3])], 100_000, 3580791936),
+    (((1,),), [([1, 3, 1], [4, 2])], 150_000, 1813956657),
+    (((1, 1),), [([1, 2, 2], [1, 2, 3, 2])], 200_000, 3869390512),
+    (((1, 2), (1, 2)), [([2, 2, 1], [1, 2, 2, 1]), ([2, 3, 2], [4, 1, 2, 1])], 100_000, 512845172),
+    (((1, 2), (1,)), [([3, 3], [1, 2, 2]), ([2, 3], [2, 4, 2])], 150_000, 3274734472),
+    (((1,),), [([3, 2, 2, 1, 3, 2], [3, 2, 1, 1, 3, 2, 4, 2])], 200_000, 735504217),
+    (((1, 2),), [([3, 1, 2, 1], [1, 4, 2, 1, 4, 3]), ([3, 1, 1, 3], [3, 4, 4, 3, 3, 2])], 200_000,
+     3407629417),
+]
+
+
+class TestAgainstOracle:
+    """The blocked sampler draws every sample bit-identically to the old one."""
+
+    @pytest.mark.parametrize("colors", SAMPLING_CASES.values(), ids=SAMPLING_CASES.keys())
+    def test_sample_stacks(self, colors):
+        config = SamplerConfig(seed=2**64 - 12345, samples=10, colors=colors)
+        block = _block_size(config, _CHUNK)
+        assert 1 < block < _CHUNK
+        windows = [
+            (0, 1),  # count = 1
+            (0, 3 * block + 1),  # several whole blocks and a partial one
+            (block - 2, 5),  # straddles a block boundary
+            (_CHUNK - 3, 7),  # straddles a chunk boundary
+            (10**12 + 17, 2),
+            (config._sample_limit() - 2, 2),  # the last samples the stream holds
+        ]
+        for start, count in windows:
+            got, want = _sample_batch(config, start, count), _oracle_batch(config, start, count)
+            assert len(got) == len(want) == len(colors)
+            for g, w in zip(got, want):
+                assert g.shape == w.shape and np.array_equal(g, w), (start, count)
+
+    def test_sample_family(self):
+        config = SamplerConfig(seed=77, samples=3, colors=SAMPLING_CASES["three colors, odd"])
+        for index in (0, 1, _CHUNK, 10**9):
+            want = _oracle_batch(config, index, 1)
+            assert all(np.array_equal(g, w[0]) for g, w in zip(sample_family(config, index), want))
+
+    @pytest.mark.parametrize(
+        "words, diagonals, samples, seed", MC_VALIDATE, ids=[str(i) for i in range(len(MC_VALIDATE))]
+    )
+    def test_mc_validate_reports(self, words, diagonals, samples, seed):
+        config = SamplerConfig(seed=seed, samples=samples, colors=_diag_colors(*diagonals))
+        spec = MonomialSpec(words)
+        assert estimate_monomial(spec, config) == _oracle_estimate(spec, config)
+
+    @pytest.mark.parametrize(
+        "spec, config",
+        [
+            (((1,),), SamplerConfig(seed=101, samples=20000, colors=_diag_colors(([1, 1, 1], [4, 9])))),
+            (((1, 2), (1, 2)), _config(seed=2024, samples=20000)),
+            (((1, 1),), SamplerConfig(seed=424242, samples=200000, colors=NONSYMMETRIC)),
+            (((1, 2, 1), (2,)), SamplerConfig(seed=5, samples=3 * _CHUNK + 77, colors=SAMPLING_CASES["coupled, two colors"])),
+            (((1,),), SamplerConfig(seed=5, samples=1, colors=NONSYMMETRIC)),
+        ],
+        ids=["trace", "squared product", "nonsymmetric", "partial chunk", "one sample"],
+    )
+    def test_estimate_reports(self, spec, config):
+        spec = MonomialSpec(spec)
+        assert estimate_monomial(spec, config) == _oracle_estimate(spec, config)
+
+
+class TestBuffers:
+    def test_results_share_no_memory(self):
+        # the sampler reuses its buffers, so what it returns must be copies
+        config = SamplerConfig(seed=3, samples=2, colors=SAMPLING_CASES["two colors"])
+        for arrays in (
+            sample_family(config, 0) + sample_family(config, 1),
+            _sample_batch(config, 0, 3) + _sample_batch(config, 3, 3),
+        ):
+            for i, a in enumerate(arrays):
+                for b in arrays[i + 1 :]:
+                    assert not np.shares_memory(a, b)
+
+    @pytest.mark.parametrize("samples", [20_000, 200_000])
+    def test_peak_memory_does_not_grow_with_samples(self, samples):
+        config = SamplerConfig(seed=1, samples=samples, colors=SAMPLING_CASES["6x8"])
+        spec = MonomialSpec(((1, 1),))
+        tracemalloc.start()
+        try:
+            estimate_monomial(spec, config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * 2**20
