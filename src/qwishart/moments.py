@@ -130,7 +130,7 @@ def _to_rows(matrix, name: str = "matrix") -> tuple[tuple, ...]:
     except TypeError as exc:
         raise ValueError(f"{name} must be a list of rows of numbers") from exc
     if not rows or any(len(r) != len(rows[0]) for r in rows):
-        raise ValueError("matrix rows must have equal length")
+        raise ValueError(f"{name} must be a nonempty list of rows of equal length")
     if any(isinstance(x, float) for row in rows for x in row):
         # exact comparisons: an exact entry beyond the double range is not finite either
         if not all(abs(x) <= sys.float_info.max for row in rows for x in row):

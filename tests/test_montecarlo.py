@@ -1,14 +1,20 @@
+import io
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from qwishart import montecarlo
+from qwishart.cli import run
 from qwishart.moments import MatrixBindings, MonomialSpec, real_wishart_moment
 from qwishart.montecarlo import (
     _CHUNK,
     EstimateReport,
     SamplerConfig,
-    _block_size,
+    _counter_steps,
+    _Layout,
     _NormalStream,
     _sample_batch,
     estimate_monomial,
@@ -106,7 +112,8 @@ def _oracle_estimate(spec: MonomialSpec, config: SamplerConfig) -> EstimateRepor
 def _kernel_normals(seed: int, pair_idx: np.ndarray) -> np.ndarray:
     """The library stream over a contiguous range of pair indices."""
     out = np.empty(2 * len(pair_idx))
-    _NormalStream(seed, len(pair_idx)).fill(int(pair_idx[0]), out)
+    steps = _counter_steps(pair_idx - pair_idx[0])
+    _NormalStream(seed, steps).fill(int(pair_idx[0]), out)
     return out
 
 
@@ -231,10 +238,46 @@ class TestEstimates:
         with pytest.raises(ValueError, match="B must be finite"):
             SamplerConfig(seed=1, samples=10, colors=((b, np.eye(4)),))
 
-    def test_spec_color_bound(self):
+
+
+def _no_draws(*args):
+    raise AssertionError("sampled before the inputs were checked")
+
+
+class TestChecksBeforeSampling:
+    @pytest.mark.parametrize(
+        "colors, message",
+        [
+            (((np.zeros((0, 0)), np.eye(2)),), "B must be a nonempty list of rows of equal length"),
+            ((([[1.0, 2.0], [3.0]], np.eye(2)),), "B must be a nonempty list of rows of equal length"),
+            (((np.ones((2, 3)), np.eye(2)),), "B must be square, got 2x3"),
+            (((np.eye(2), np.zeros((0, 0))),), "Sigma must be a nonempty list of rows of equal length"),
+            (((np.eye(2), np.eye(2)), (np.eye(2), np.eye(3))), "all Sigma must share one dimension"),
+            (((np.eye(2), [[1.0, 2.0], [2.0, 1.0]]),), "Sigma must be positive definite"),
+        ],
+        ids=["empty B", "ragged B", "non-square B", "empty Sigma", "two Sigma sizes", "indefinite"],
+    )
+    def test_config_refuses_what_the_exact_side_refuses(self, colors, message):
+        with pytest.raises(ValueError, match=message):
+            SamplerConfig(seed=1, samples=5, colors=colors)
+
+    def test_exact_entries_read_as_floats(self):
+        exact = SamplerConfig(seed=4, samples=5, colors=(([["1/2", 0], [0, 3]], [[2]]),))
+        floats = SamplerConfig(seed=4, samples=5, colors=((np.diag([0.5, 3.0]), np.eye(1) * 2),))
+        assert all(np.array_equal(a, b) for a, b in zip(sample_family(exact, 2), sample_family(floats, 2)))
+
+    def test_spec_color_bound(self, monkeypatch):
+        monkeypatch.setattr(montecarlo, "_chunk_sums", _no_draws)
         c = _config(s=1)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="spec uses 2 colors, config provides 1"):
             estimate_monomial(MonomialSpec(((1, 2),)), c)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_exact_value_before_sampling(self, monkeypatch):
+        monkeypatch.setattr(montecarlo, "_chunk_sums", _no_draws)
+        c = SamplerConfig(seed=1, samples=10, colors=((np.array([[1e200]]), np.eye(1)),))
+        with pytest.raises(OverflowError):
+            estimate_monomial(MonomialSpec(((1, 1),)), c)
 
 
 def _diag_colors(*diagonals):
@@ -275,7 +318,7 @@ class TestAgainstOracle:
     @pytest.mark.parametrize("colors", SAMPLING_CASES.values(), ids=SAMPLING_CASES.keys())
     def test_sample_stacks(self, colors):
         config = SamplerConfig(seed=2**64 - 12345, samples=10, colors=colors)
-        block = _block_size(config, _CHUNK)
+        block = _Layout(config, range(config.s), _CHUNK).size
         assert 1 < block < _CHUNK
         windows = [
             (0, 1),  # count = 1
@@ -321,6 +364,127 @@ class TestAgainstOracle:
         assert estimate_monomial(spec, config) == _oracle_estimate(spec, config)
 
 
+def _cpus(monkeypatch, count):
+    monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: count)
+
+
+THREE_COLORS = SAMPLING_CASES["two colors"] + (
+    (np.diag([2.0, 1.0, 1.0, 3.0, 1.0]), np.diag([1.0, 3.0, 2.0])),
+)
+WORKER_CASES = {
+    "one chunk": (((1, 2), (2,)), SamplerConfig(seed=8, samples=_CHUNK - 5, colors=SAMPLING_CASES["two colors"])),
+    "seven chunks": (
+        ((1, 2, 1), (2,)),
+        SamplerConfig(seed=2**64 - 9, samples=6 * _CHUNK + 77, colors=SAMPLING_CASES["coupled, two colors"]),
+    ),
+    "unused last color": (((1,), (1, 1)), SamplerConfig(seed=9, samples=3 * _CHUNK + 1, colors=THREE_COLORS)),
+    "unused middle color": (((3, 1), (3,)), SamplerConfig(seed=10, samples=3 * _CHUNK + 1, colors=THREE_COLORS)),
+    "1x1": (((1, 1),), SamplerConfig(seed=12, samples=7 * _CHUNK, colors=_diag_colors(([2], [3])))),
+}
+
+
+class TestWorkers:
+    """Chunks run on every usable CPU; the reports stay those of the oracle."""
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3, 64])
+    @pytest.mark.parametrize("case", WORKER_CASES, ids=WORKER_CASES)
+    def test_reports_match_oracle(self, monkeypatch, case, cpus):
+        spec, config = WORKER_CASES[case]
+        spec = MonomialSpec(spec)
+        _cpus(monkeypatch, cpus)
+        assert estimate_monomial(spec, config) == _oracle_estimate(spec, config)
+
+    @pytest.mark.parametrize("cpus, workers", [(1, 1), (2, 2), (3, 3), (64, 3)])
+    def test_worker_count(self, monkeypatch, cpus, workers):
+        # a 1x1 color needs the least scratch: three workers fit the budget
+        spec, config = WORKER_CASES["1x1"]
+        started = []
+        init = montecarlo._ChunkWorker.__init__
+
+        def counted(self, *args):
+            started.append(threading.get_ident())
+            init(self, *args)
+
+        monkeypatch.setattr(montecarlo._ChunkWorker, "__init__", counted)
+        _cpus(monkeypatch, cpus)
+        estimate_monomial(MonomialSpec(spec), config)
+        assert len(set(started)) == len(started) == workers
+        assert threading.main_thread().ident in started
+
+    def test_worker_exception_reaches_caller(self, monkeypatch):
+        # one block per chunk; the thread fails on its second chunk while the
+        # caller waits inside its first one
+        config = SamplerConfig(seed=3, samples=20 * _CHUNK, colors=_diag_colors(([2], [3])))
+        before = threading.active_count()
+        failed = threading.Event()
+        calls = []
+        values = montecarlo._monomial_values
+
+        def failing(*args):
+            calls.append(threading.get_ident())
+            if threading.current_thread() is threading.main_thread():
+                assert failed.wait(timeout=30)
+            elif calls.count(threading.get_ident()) == 2:
+                failed.set()
+                raise RuntimeError("boom in a worker")
+            values(*args)
+
+        monkeypatch.setattr(montecarlo, "_monomial_values", failing)
+        _cpus(monkeypatch, 2)
+        with pytest.raises(RuntimeError, match="boom in a worker"):
+            estimate_monomial(MonomialSpec(((1,),)), config)
+        assert threading.active_count() == before
+        assert len(calls) == 3  # the caller stopped at its next chunk
+
+    def test_many_workers_lose_no_chunk(self, monkeypatch):
+        # more workers than cores, switching threads as often as possible
+        spec, config = WORKER_CASES["1x1"]
+        spec = MonomialSpec(spec)
+        monkeypatch.setattr(montecarlo, "_SCRATCH_BYTES", 2**30)
+        _cpus(monkeypatch, 16)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            report = estimate_monomial(spec, config)
+        finally:
+            sys.setswitchinterval(interval)
+        assert report == _oracle_estimate(spec, config)
+
+    def test_workers_keep_the_callers_error_state(self, monkeypatch):
+        values = montecarlo._monomial_values
+
+        def overflowing(spec, ws, out, *scratch):
+            values(spec, ws, out, *scratch)
+            if threading.current_thread() is not threading.main_thread():
+                out *= 1e308
+
+        monkeypatch.setattr(montecarlo, "_monomial_values", overflowing)
+        _cpus(monkeypatch, 2)
+        spec, config = WORKER_CASES["1x1"]
+        with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+            estimate_monomial(MonomialSpec(spec), config)
+
+    def test_cli_output_byte_identical(self, monkeypatch):
+        argv = [
+            "mc-validate",
+            "--spec",
+            '{"cycle_words":[[1,2],[1]]}',
+            "--matrices",
+            '[{"B":[[1,2],[0,1]],"Sigma":[[2,0.5],[0.5,1]]},{"B":[[3]],"Sigma":[[1,0],[0,4]]}]',
+            "--seed",
+            "20240809",
+            "--samples",
+            str(5 * _CHUNK + 3),
+        ]
+        outputs = []
+        for cpus in (1, 2):
+            _cpus(monkeypatch, cpus)
+            buf = io.StringIO()
+            assert run(argv, out=buf) == 0
+            outputs.append(buf.getvalue().encode())
+        assert outputs[0] == outputs[1]
+
+
 class TestBuffers:
     def test_results_share_no_memory(self):
         # the sampler reuses its buffers, so what it returns must be copies
@@ -334,7 +498,9 @@ class TestBuffers:
                     assert not np.shares_memory(a, b)
 
     @pytest.mark.parametrize("samples", [20_000, 200_000])
-    def test_peak_memory_does_not_grow_with_samples(self, samples):
+    def test_peak_memory_does_not_grow_with_samples(self, monkeypatch, samples):
+        # nor with the CPU count: the workers share one scratch budget
+        _cpus(monkeypatch, 64)
         config = SamplerConfig(seed=1, samples=samples, colors=SAMPLING_CASES["6x8"])
         spec = MonomialSpec(((1, 1),))
         tracemalloc.start()
