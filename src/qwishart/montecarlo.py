@@ -57,9 +57,10 @@ class _NormalStream:
         pairs = steps.shape[1]
         self._bits = np.empty((2, pairs), dtype=np.uint64)
         self._shifted = np.empty((2, pairs), dtype=np.uint64)
-        self._u = np.empty((2, pairs))
-        self._r = np.empty(pairs)
-        self._trig = np.empty(pairs)
+        # the floats reuse the integer buffers: fill has read the bits when it
+        # writes u over them, and the shifted bits when it writes r and trig
+        self._u = self._bits.view(np.float64)
+        self._r, self._trig = self._shifted.view(np.float64)
 
     def fill(self, first_pair: int, out: np.ndarray) -> None:
         """Write the normals of the pairs first_pair + k, for the first
@@ -213,8 +214,8 @@ class _Blocks:
         """The bytes of the buffers of one ``_Blocks(config, layout)``."""
         n = config.scale_dim
         per_sample = sum(2 * config.colors[j][0].shape[0] * n + n * n for j, _ in layout.runs)
-        # the stream's 8 words per pair and the 2 normals per pair
-        return 8 * (10 * layout.size * layout.drawn + layout.size * per_sample)
+        # the stream's 4 words per pair and the 2 normals per pair
+        return 8 * (6 * layout.size * layout.drawn + layout.size * per_sample)
 
     def draw(self, start: int, count: int) -> dict[int, np.ndarray]:
         """W stacks of samples [start, start + count), keyed by 0-based color;

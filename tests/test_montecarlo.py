@@ -394,9 +394,9 @@ class TestWorkers:
         _cpus(monkeypatch, cpus)
         assert estimate_monomial(spec, config) == _oracle_estimate(spec, config)
 
-    @pytest.mark.parametrize("cpus, workers", [(1, 1), (2, 2), (3, 3), (64, 3)])
+    @pytest.mark.parametrize("cpus, workers", [(1, 1), (2, 2), (3, 3), (64, 4)])
     def test_worker_count(self, monkeypatch, cpus, workers):
-        # a 1x1 color needs the least scratch: three workers fit the budget
+        # a 1x1 color needs the least scratch: four workers fit the budget
         spec, config = WORKER_CASES["1x1"]
         started = []
         init = montecarlo._ChunkWorker.__init__
@@ -416,17 +416,20 @@ class TestWorkers:
         # caller waits inside its first one
         config = SamplerConfig(seed=3, samples=20 * _CHUNK, colors=_diag_colors(([2], [3])))
         before = threading.active_count()
-        failed = threading.Event()
+        caller_in, failed = threading.Event(), threading.Event()
         calls = []
         values = montecarlo._monomial_values
 
         def failing(*args):
             calls.append(threading.get_ident())
             if threading.current_thread() is threading.main_thread():
+                caller_in.set()
                 assert failed.wait(timeout=30)
-            elif calls.count(threading.get_ident()) == 2:
-                failed.set()
-                raise RuntimeError("boom in a worker")
+            else:
+                assert caller_in.wait(timeout=30)
+                if calls.count(threading.get_ident()) == 2:
+                    failed.set()
+                    raise RuntimeError("boom in a worker")
             values(*args)
 
         monkeypatch.setattr(montecarlo, "_monomial_values", failing)
