@@ -39,8 +39,8 @@ _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
 _U53 = 2.0**-53
 _CHUNK = 8192  # samples per partial sum of estimate_monomial
-_BLOCK_PAIRS = 8192  # Box-Muller pairs per drawn block: about 1.5 MiB of buffers
-_SCRATCH_BYTES = 7 * 2**19  # the buffers of all workers of one call together
+_BLOCK_PAIRS = 8192  # Box-Muller pairs per drawn block: 1-1.25 MiB of buffers per worker
+_SCRATCH_BYTES = 7 * 2**19  # 3.5 MiB, the buffers of all workers of one call together
 
 
 class _NormalStream:
