@@ -239,7 +239,6 @@ class TestEstimates:
             SamplerConfig(seed=1, samples=10, colors=((b, np.eye(4)),))
 
 
-
 def _no_draws(*args):
     raise AssertionError("sampled before the inputs were checked")
 
