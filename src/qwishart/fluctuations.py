@@ -6,7 +6,8 @@ that join every block to another one, each weighted by
 q^crossings * M^(cycles) * N^(contraction cycles - n).  The finite moment is
 a tally over those pairings from the counted walk ``pairings._counted_walk``
 that also serves the finite moments: given the blocks, it prunes every
-subtree in which a completed block has no edge leaving it.
+subtree in which a completed block has no edge leaving it, and q and the
+sizes are substituted into it by the finite moments' ``_substitute``.
 
 As N grows with M/N -> lambda, only pairings whose diagram splits the blocks
 into genus-zero pairs survive, contributing q^crossings * lambda^cycles;
@@ -22,9 +23,11 @@ edge-split covariances C_e(X_i, X_j) in Q[q, lambda] (coeff * q^crossings *
 lambda^cycles summed over the connectors with e edges of every term pair):
 over the perfect matchings of the positions and one label e per matched
 pair, the product of the C_e times q^(e * e') per interleaving pair.  A
-block moment is the same sum with one single-term statistic per block.  This
-is the q-Gaussian pattern of Bozejko and Speicher: normal at q = 1, and at
-q = 0 only non-crossing matchings survive, giving the semicircle.
+block moment is the same sum with one single-term statistic per block.  A
+rational q is substituted into each covariance, not into the sum, so a class
+that vanishes at q adds no terms.  This is the q-Gaussian pattern of Bozejko
+and Speicher: normal at q = 1, and at q = 0 only non-crossing matchings
+survive, giving the semicircle.
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ from itertools import chain, repeat
 from itertools import product as iter_product
 from typing import Sequence, Union
 
-from .moments import MonomialSpec
+from .moments import MonomialSpec, _substitute
 from .pairings import (
     TABLE_BOUND,
     _check_count,
@@ -167,11 +170,19 @@ def centered_trace_moment(
     q="q",
     shape_size: Union[int, str] = "M",
     scale_dim: Union[int, str] = "N",
-):
+) -> MomentPolynomial:
     """Joint centered moment of the spec's trace blocks at finite size."""
     q = _q_value(q)
     shape_size, scale_dim = _size(shape_size, "shape_size"), _size(scale_dim, "scale_dim")
-    return _assemble_finite(_centered_counts(spec), spec.n, q, shape_size, scale_dim)
+    # the tally's factors are M^(cycles) and N^(contraction cycles); N^-n is the constant
+    counts = _centered_counts(spec).items()
+    cells = [((cr, ((0, c_gamma), (1, c_g))), count) for (cr, c_gamma, c_g), count in counts]
+    if isinstance(scale_dim, str):
+        const = MomentPolynomial.symbol(scale_dim, -spec.n)
+    else:
+        const = Fraction(1, scale_dim**spec.n)
+    value = _substitute((shape_size, scale_dim), cells, lambda size: size, q, const)
+    return value if isinstance(value, MomentPolynomial) else MomentPolynomial.constant(value)
 
 
 def centered_trace_moment_limit(spec: MonomialSpec, q="q") -> LimitMoment:
@@ -193,59 +204,23 @@ def centered_finite_and_limit(
     return centered_trace_moment(spec, q), centered_trace_moment_limit(spec, q)
 
 
-def _collect(terms, q) -> MomentPolynomial:
-    """Sum of coeff * monomial over ``(coeff, powers)`` pairs into one polynomial.
-
-    A rational ``q``, an ``int`` when integral (``_q_value``), is substituted
-    term by term, so that integer counts stay ``int``s.
-    """
-    out: dict[Monomial, Rational] = {}
-    for coeff, powers in terms:
-        if not isinstance(q, str):
-            coeff = coeff * q ** powers.pop("q", 0)
-        mono = _make_monomial(powers)
-        out[mono] = out.get(mono, 0) + coeff
-    return MomentPolynomial(out)
-
-
-def _assemble_finite(counts, n, q, shape_size, scale_dim):
-    def terms():
-        for (cr, c_gamma, c_g), count in counts.items():
-            coeff = count
-            powers = {"q": cr}
-            for base, power in ((shape_size, c_gamma), (scale_dim, c_g - n)):
-                if isinstance(base, str):
-                    powers[base] = powers.get(base, 0) + power
-                else:  # an int size; power may be negative
-                    coeff = coeff * base**power if power >= 0 else Fraction(coeff, base**-power)
-            yield coeff, powers
-
-    return _collect(terms(), q)
-
-
-def _assemble_limit(counts, q):
-    terms = (
-        (count, {"q": cr, "lambda": c_gamma}) for (cr, c_gamma), count in counts.items()
-    )
-    return _collect(terms, q)
-
-
 @lru_cache(maxsize=_CACHE_SIZE)
-def _covariance(x: PolynomialStatistic, y: PolynomialStatistic, q):
+def _covariance(x: PolynomialStatistic, y: PolynomialStatistic):
     """Edge-split limit covariance of two centered statistics, as (e, C_e) pairs.
 
-    C_e sums coeff_X * coeff_Y * q^crossings * lambda^cycles over the
-    connectors with e edges between the blocks of every term pair; a
-    rational ``q`` is substituted into the coefficients too.  Classes that
+    C_e, in symbolic q, sums coeff_X * coeff_Y * q^crossings * lambda^cycles
+    over the connectors with e edges between the blocks of every term pair;
+    each word pair's connectors make one polynomial per class.  Classes that
     cancel are left out.
     """
     split: dict[int, list[MomentPolynomial]] = {}
     for (coeff_x, word_x), (coeff_y, word_y) in iter_product(x.terms, y.terms):
-        coeff = coeff_x * coeff_y
-        if not isinstance(q, str):
-            coeff = coeff.substitute({"q": q})
+        classes: dict[int, dict[Monomial, int]] = {}
         for (cr, c_gamma, e), count in _connector_counts(word_x, word_y).items():
-            split.setdefault(e, []).append(coeff * _assemble_limit({(cr, c_gamma): count}, q))
+            classes.setdefault(e, {})[_make_monomial({"q": cr, "lambda": c_gamma})] = count
+        coeff = coeff_x * coeff_y
+        for e, terms in classes.items():
+            split.setdefault(e, []).append(coeff * MomentPolynomial(terms))
     sums = ((e, MomentPolynomial.sum(parts)) for e, parts in sorted(split.items()))
     return tuple((e, c) for e, c in sums if not c.is_zero())
 
@@ -259,10 +234,11 @@ def _product_limit(statistics: Sequence[PolynomialStatistic], q) -> MomentPolyno
     to right by ``_matching_sum``.  An odd number of positions has no
     matching, so its limit is zero before any covariance is built.  For m
     positions the recursion has at most (m - 1)!! * max(1, k)^(m/2) leaves, k
-    being the most edge classes of one covariance: (m - 1)!! and the tables
-    of all connector walks are checked before any walk starts, the full count
-    before the sum.  The sum runs over statistics cleared of denominators by
-    ``_cleared`` and is divided by their product at the end.
+    being the most edge classes of one covariance after a rational q is
+    substituted into it: (m - 1)!! and the tables of all connector walks are
+    checked before any walk starts, the full count before the sum.  The sum
+    runs over statistics cleared of denominators by ``_cleared`` and is
+    divided by their product at the end.
     """
     m = len(statistics)
     if m % 2:
@@ -275,7 +251,13 @@ def _product_limit(statistics: Sequence[PolynomialStatistic], q) -> MomentPolyno
     tables = sum(_check_tables(len(x) + len(y), (x + y) * 2) for x, y in walked)
     _check_count([tables], TABLE_BOUND, "connector tables")
     cleared = [_cleared(statistic) for statistic in statistics]
-    covariances = {(a, b): _covariance(cleared[a][0], cleared[b][0], q) for a, b in pairs}
+    covariances = {(a, b): _covariance(cleared[a][0], cleared[b][0]) for a, b in pairs}
+    if not isinstance(q, str):
+        at_q = {}
+        for classes in set(covariances.values()):
+            substituted = ((e, c.substitute({"q": q})) for e, c in classes)
+            at_q[classes] = tuple((e, c) for e, c in substituted if not c.is_zero())
+        covariances = {pair: at_q[classes] for pair, classes in covariances.items()}
     _check_limit_terms(m, max(map(len, covariances.values()), default=1))
     total = _matching_sum(tuple(range(m)), (), covariances, q)
     scale = math.prod(d for _, d in cleared)
@@ -314,7 +296,8 @@ def _matching_sum(
         crossed = sum(e_prev for d, e_prev in arcs if a < d < b)
         for e, c in covariances[a, b]:
             if e * crossed:
-                c = c * _collect([(1, {"q": e * crossed})], q)
+                k = e * crossed
+                c = c * (MomentPolynomial.symbol(q, k) if isinstance(q, str) else q**k)
             if rest:
                 c = c * _matching_sum(rest, arcs + ((b, e),), covariances, q)
             parts.append(c)

@@ -116,19 +116,25 @@ class MonomialSpec:
         return block_pairing([len(w) for w in self.cycle_words])
 
 
-def _matrix_entry(x):
-    if isinstance(x, bool):
-        raise ValueError("matrix entries must be numbers")
-    if isinstance(x, (numbers.Rational, str)):  # also numpy integers, without importing numpy
-        return Fraction(_rational(x))
-    return float(x)
+def _matrix_entry(x, name: str, i: int, j: int):
+    if not isinstance(x, bool):
+        try:  # Rational also takes numpy integers, without importing numpy
+            if isinstance(x, (numbers.Rational, str)):
+                return Fraction(_rational(x))
+            return float(x)
+        except (TypeError, ValueError):
+            pass
+    raise ValueError(f"{name} entry [{i}][{j}] is not a number: {x!r}")
 
 
 def _to_rows(matrix, name: str = "matrix") -> tuple[tuple, ...]:
     try:
-        rows = tuple(tuple(_matrix_entry(x) for x in row) for row in matrix)
+        raw = [list(row) for row in matrix]
     except TypeError as exc:
         raise ValueError(f"{name} must be a list of rows of numbers") from exc
+    rows = tuple(
+        tuple(_matrix_entry(x, name, i, j) for j, x in enumerate(row)) for i, row in enumerate(raw)
+    )
     if not rows or any(len(r) != len(rows[0]) for r in rows):
         raise ValueError(f"{name} must be a nonempty list of rows of equal length")
     if any(isinstance(x, float) for row in rows for x in row):
@@ -369,21 +375,24 @@ def _tally(
 
 
 def _substitute(
-    atoms: Sequence[TraceAtom],
+    atoms: Sequence[object],
     cells: Sequence[Cell],
-    atom_value: Callable[[TraceAtom], object],
+    atom_value: Callable[[object], object],
     q,
     const,
 ):
     """Sum a tally after substituting every atom and q; exact or float.
 
-    ``atom_value`` maps an atom to a number, to a symbol name, or to the atom
-    itself to keep it; it is called once per atom, and each power of a
-    number is computed once.  Exact cells are summed in integers over one
-    common denominator D, the lcm over the numeric atom values: with q = a/b
-    and C the most crossings, a cell of c crossings and numeric degree t adds
-    count * prod (D v_i)^e_i * a^c * b^(C - c) to the integer accumulator of
-    its output monomial and t, which becomes one Fraction over D^t b^C.
+    The atoms are the factors that the tally counts, named by index in its
+    cells: the trace atoms of a finite moment, or the sizes M and N of a
+    centered moment.  ``atom_value`` maps an atom to a number, to a symbol
+    name, or to a trace atom itself to keep it; it is called once per atom,
+    and each power of a number is computed once.  Exact cells are summed in
+    integers over one common denominator D, the lcm over the numeric atom
+    values: with q = a/b and C the most crossings, a cell of c crossings and
+    numeric degree t adds count * prod (D v_i)^e_i * a^c * b^(C - c) to the
+    integer accumulator of its output monomial and t, which becomes one
+    Fraction over D^t b^C.
     Symbolic factors are summed per cell by integer ids in monomial key
     order, so every output monomial is built once.  If any atom value is a
     float, the cells multiply the values as given and are summed per

@@ -159,8 +159,14 @@ def _coefficient(value) -> Rational:
 
 def _rational(value) -> Rational:
     """An exact number from outside, as ``_coefficient`` stores it; a float is
-    its exact binary value and a string such as ``"1/10"`` is parsed."""
-    return _coefficient(value if isinstance(value, numbers.Rational) else Fraction(value))
+    its exact binary value and a string such as ``"1/10"`` is parsed.  A zero
+    denominator, an infinity or a NaN raises a ``ValueError`` naming the value."""
+    if not isinstance(value, numbers.Rational):
+        try:
+            value = Fraction(value)
+        except (ZeroDivisionError, OverflowError, ValueError) as exc:
+            raise ValueError(f"not a finite rational number: {value!r}") from exc
+    return _coefficient(value)
 
 
 def _q_value(q) -> Union[str, Rational]:
@@ -172,7 +178,7 @@ def _q_value(q) -> Union[str, Rational]:
     else:
         try:
             return _rational(q)
-        except (TypeError, ValueError, OverflowError):
+        except (TypeError, ValueError):
             pass
     raise ValueError("q must be the symbol 'q' or a rational number")
 

@@ -302,6 +302,35 @@ class TestMomentErrorsNameTheFlag:
         assert capsys.readouterr().err == f"error: {message}\n"
 
 
+_ZERO_DENOMINATOR = {"poly": {"terms": [{"coeff": "1/0", "powers": {}}]}}
+
+
+class TestZeroDenominatorNamesTheFlag:
+    """A rational with a zero denominator inside a polynomial is an input error."""
+
+    @pytest.mark.parametrize(
+        "argv, field",
+        [
+            (
+                ["fluctuation-limit", "--orders", "2", "--Q"]
+                + [json.dumps({"terms": [{"coeff": _ZERO_DENOMINATOR, "word": [1]}]})],
+                "--Q",
+            ),
+            (
+                ["moment", "--spec", "[[1,1]]", "--scalar"]
+                + [json.dumps({"M": ["M"], "scale": [_ZERO_DENOMINATOR]})],
+                "--scalar",
+            ),
+        ],
+        ids=["Q", "scalar"],
+    )
+    def test_exit_two_without_traceback(self, capsys, argv, field):
+        assert capture(argv) == (2, "")
+        err = capsys.readouterr().err
+        assert err == f"error: {field}: not a finite rational number: '1/0'\n"
+        assert "Traceback" not in err
+
+
 _NOT_EXACT = 'is not an exact number; write an integer or a quoted rational such as "1/10"'
 
 

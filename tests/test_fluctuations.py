@@ -62,7 +62,12 @@ class TestCenteredFinite:
 
     def test_numeric_sizes(self):
         got = centered_trace_moment(MonomialSpec(((1,), (1,))), q=1, shape_size=6, scale_dim=3)
+        assert type(got) is MomentPolynomial
         assert got == P.constant(4)
+
+    def test_swapped_size_symbols(self):
+        got = centered_trace_moment(MonomialSpec(((1,), (1,))), shape_size="N", scale_dim="M")
+        assert got == (1 + q) * N * P.symbol("M", -1)
 
 
 class TestCenteredLimit:
@@ -224,7 +229,7 @@ def _filter_limit(spec):
 def _limit_matches_filter(spec):
     # (cr, c) -> q^cr * lambda^c is injective, so equal polynomials mean
     # equal tallies
-    expected = fluctuations._assemble_limit(_filter_limit(spec), "q")
+    expected = _assemble_limit_by_addition(_filter_limit(spec), "q")
     return centered_trace_moment_limit(spec).value == expected
 
 
@@ -514,6 +519,24 @@ class TestStatisticMoments:
             statistic_limit_moments(stat, 10**6)
         assert fluctuations._covariance.cache_info().currsize == 0
 
+    @pytest.mark.parametrize("q_value, expected", [(0, 1344 * lam**15), (-1, 30240 * lam**10)])
+    def test_classes_that_vanish_at_q_do_not_count(self, q_value, expected):
+        # tr(W1 W2) has C_2 = 2 (1 + q) lambda^3 and C_4 = (q^4 + q^6) lambda^2;
+        # at q = 0 and q = -1 one class is left, so order 10 sums 9!! terms
+        stat = PolynomialStatistic.from_terms([(1, (1, 2))])
+        assert statistic_limit_moments(stat, 10, q_value)[9].value == expected
+        with pytest.raises(EnumerationBoundError, match="15120 matching terms"):
+            statistic_limit_moments(stat, 10)
+
+    def test_one_covariance_entry_for_every_q(self):
+        # the covariances are built in symbolic q, and a rational q is
+        # substituted into them, so the cache holds one entry per statistic pair
+        stat = PolynomialStatistic.from_terms([(1, (1, 2))])
+        fluctuations._covariance.cache_clear()
+        for q_value in ("q", 0, 1):
+            statistic_limit_moments(stat, 4, q_value)
+        assert fluctuations._covariance.cache_info().currsize == 1
+
     def test_edge_classes_count_toward_the_bound(self, monkeypatch):
         # tr(W1 W2) has two edge classes: order 10 gives 9!! * 2^5 = 30240 terms
         stat = PolynomialStatistic.from_terms([(1, (1, 2))])
@@ -589,8 +612,8 @@ class TestCenteredCountsCache:
             centered_finite_and_limit(MonomialSpec(((1,) * 5, (1,) * 5)))
 
 
-# The repeated-addition assembly loops that the one-pass assembly replaced,
-# kept as oracles.
+# The repeated-addition assembly loops that substitution into the tallies
+# and covariances replaced, kept as oracles.
 
 
 def _assemble_finite_by_addition(counts, n, q, shape_size, scale_dim):
@@ -658,9 +681,12 @@ def _matching_sum_by_generator(statistics, q):
             for j, (c, d) in enumerate(matching)
             if a < c < b < d
         ]
-        covariances = [
-            fluctuations._covariance(statistics[a], statistics[b], q) for a, b in matching
-        ]
+        covariances = [fluctuations._covariance(statistics[a], statistics[b]) for a, b in matching]
+        if not isinstance(q, str):
+            covariances = [
+                [(e, c.substitute({"q": Fraction(q)})) for e, c in classes]
+                for classes in covariances
+            ]
         for labels in itertools.product(*covariances):
             cr = sum(labels[i][0] * labels[j][0] for i, j in interleaved)
             if isinstance(q, str):
@@ -683,18 +709,19 @@ class TestOnePassAssembly:
         for spec in itertools.islice(_two_color_specs(n), 0, None, 3):
             finite = fluctuations._centered_counts(spec)
             for q_value in _Q_VALUES:
-                assert fluctuations._assemble_finite(
-                    finite, n, q_value, *sizes
+                assert centered_trace_moment(
+                    spec, q_value, *sizes
                 ) == _assemble_finite_by_addition(finite, n, q_value, *sizes), spec
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_limit_matches_repeated_addition(self, n):
+        # the scan filter's limit tally, assembled and then substituted
         for spec in itertools.islice(_two_color_specs(n), 0, None, 3):
             counts = _filter_limit(spec)
             for q_value in _Q_VALUES:
-                assert fluctuations._assemble_limit(
-                    counts, q_value
-                ) == _assemble_limit_by_addition(counts, q_value), spec
+                assert centered_trace_moment_limit(
+                    spec, q_value
+                ).value == _assemble_limit_by_addition(counts, q_value), spec
 
     @pytest.mark.parametrize("q_value", _Q_VALUES)
     def test_product_limit_matches_repeated_addition(self, q_value):

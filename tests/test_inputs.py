@@ -7,6 +7,7 @@ gives, since int64 arithmetic would wrap without an error, and a q, size or
 count that is not one raises a named ``ValueError``.
 """
 
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -29,7 +30,7 @@ from qwishart.moments import (
 )
 from qwishart.montecarlo import SamplerConfig, sample_family
 from qwishart.mp import compound_mp_moment, mp_moment_check, nc_partitions
-from qwishart.polynomials import MomentPolynomial, _count, _q_value
+from qwishart.polynomials import MomentPolynomial, _count, _q_value, poly_from_json
 
 TRACE = PolynomialStatistic.from_terms([(1, (1,))])
 QUARTIC = MonomialSpec(((1, 1, 1, 1),))
@@ -163,6 +164,46 @@ def test_count():
     ]:
         with pytest.raises(ValueError, match=f"^{message}$"):
             _count(value, "x", low, high)
+
+
+# each call takes a value with a zero denominator or an infinity, and the
+# message must name that value
+NOT_FINITE_ENTRIES = {
+    "MatrixBindings.scalar scale factor": lambda v: MatrixBindings.scalar(["M"], [v]),
+    "mp_moment_check eigenvalue": lambda v: mp_moment_check([v], 2, 3),
+    "compound_mp_moment aspect ratio": lambda v: compound_mp_moment(v, [1], 1),
+    "compound_mp_moment base moment": lambda v: compound_mp_moment(2, [v], 1),
+}
+
+
+@pytest.mark.parametrize("value", ["1/0", "-3/0", float("inf"), float("-inf")])
+@pytest.mark.parametrize("call", NOT_FINITE_ENTRIES.values(), ids=NOT_FINITE_ENTRIES.keys())
+def test_zero_denominator_or_infinity_refused(call, value):
+    with pytest.raises(ValueError, match=re.escape(f"not a finite rational number: {value!r}")):
+        call(value)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (
+            lambda: poly_from_json({"terms": [{"coeff": "1/0", "powers": {}}]}),
+            "not a finite rational number: '1/0'",
+        ),
+        (
+            lambda: MatrixBindings.numeric([([[1]], [["1/0"]])]),
+            "Sigma entry [0][0] is not a number: '1/0'",
+        ),
+        (
+            lambda: MatrixBindings.numeric([([[1, 0], [0, "2/0"]], [[1]])]),
+            "B entry [1][1] is not a number: '2/0'",
+        ),
+    ],
+    ids=["poly_from_json coefficient", "numeric Sigma entry", "numeric B entry"],
+)
+def test_zero_denominator_named(call, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call()
 
 
 def _sampler(seed=5, samples=3, colors=((np.eye(2), np.eye(2)),)):

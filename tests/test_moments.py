@@ -1,5 +1,6 @@
 import math
 import os
+import re
 import subprocess
 import sys
 from contextlib import contextmanager
@@ -446,6 +447,21 @@ class TestExactEntries:
     @pytest.mark.parametrize("name, pair", [("B", ([1, 2], [[1]])), ("Sigma", ([[1]], 7))])
     def test_rows_must_be_lists(self, name, pair):
         with pytest.raises(ValueError, match=f"{name} must be a list of rows"):
+            MatrixBindings.numeric([pair])
+
+    @pytest.mark.parametrize(
+        "pair, message",
+        [
+            (([["x"]], [[1]]), "B entry [0][0] is not a number: 'x'"),
+            (([[1, None]], [[1]]), "B entry [0][1] is not a number: None"),
+            (([[1]], [[2, 0], [0, "1/0"]]), "Sigma entry [1][1] is not a number: '1/0'"),
+            (([[1]], [[True]]), "Sigma entry [0][0] is not a number: True"),
+            (([[1]], [[[1]]]), "Sigma entry [0][0] is not a number: [1]"),
+        ],
+        ids=["string", "None", "zero denominator", "bool", "list"],
+    )
+    def test_bad_entry_names_matrix_and_place(self, pair, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
             MatrixBindings.numeric([pair])
 
     @pytest.mark.parametrize("huge", ["1e400", "-1e400", 10**400])

@@ -1,4 +1,5 @@
 import io
+import re
 import sys
 import threading
 import tracemalloc
@@ -258,6 +259,19 @@ class TestChecksBeforeSampling:
     )
     def test_config_refuses_what_the_exact_side_refuses(self, colors, message):
         with pytest.raises(ValueError, match=message):
+            SamplerConfig(seed=1, samples=5, colors=colors)
+
+    @pytest.mark.parametrize(
+        "colors, message",
+        [
+            ((([["x"]], np.eye(1)),), "B entry [0][0] is not a number: 'x'"),
+            (((np.eye(1), [[None]]),), "Sigma entry [0][0] is not a number: None"),
+            (((np.eye(2), [[1, 0], [0, "1/0"]]),), "Sigma entry [1][1] is not a number: '1/0'"),
+        ],
+        ids=["string", "None", "zero denominator"],
+    )
+    def test_bad_entry_names_matrix_and_place(self, colors, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
             SamplerConfig(seed=1, samples=5, colors=colors)
 
     def test_exact_entries_read_as_floats(self):
