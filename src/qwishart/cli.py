@@ -402,10 +402,15 @@ def _cmd_mp_check(args, out) -> int:
 
 
 def _checked(field: str, check, *args):
-    """``check(*args)``, with its input errors reported against ``field``."""
+    """``check(*args)``, with its input errors reported against ``field``.
+
+    A ``KeyError`` is a JSON object without a key the input needs.
+    """
     try:
         return check(*args)
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+    except KeyError as exc:
+        raise CliInputError(field, f"missing {exc.args[0]!r}") from exc
+    except (TypeError, ValueError, OverflowError) as exc:
         raise CliInputError(field, str(exc)) from exc
 
 

@@ -4,10 +4,11 @@ For matrices with identity shape of size M and scale I/N, the joint centered
 moment of a product of trace blocks is a sum over color-preserving pairings
 that join every block to another one, each weighted by
 q^crossings * M^(cycles) * N^(contraction cycles - n).  The finite moment is
-a tally over those pairings from the counted walk ``pairings._counted_walk``
-that also serves the finite moments: given the blocks, it prunes every
-subtree in which a completed block has no edge leaving it, and q and the
-sizes are substituted into it by the finite moments' ``_substitute``.
+a tally over those pairings, summed forward over the frontier states of the
+counted walk ``pairings._counted_walk`` rather than over its tables (the
+transfer-matrix method for maps and meanders): an edge that would complete
+a block with no edge leaving it is skipped, and q and the sizes are
+substituted into the tally by the finite moments' ``_substitute``.
 
 As N grows with M/N -> lambda, only pairings whose diagram splits the blocks
 into genus-zero pairs survive, contributing q^crossings * lambda^cycles;
@@ -40,7 +41,7 @@ from itertools import chain, repeat
 from itertools import product as iter_product
 from typing import Sequence, Union
 
-from .moments import MonomialSpec, _substitute
+from .moments import MonomialSpec, _check_spec, _substitute
 from .pairings import (
     TABLE_BOUND,
     _check_count,
@@ -48,7 +49,6 @@ from .pairings import (
     _counted_walk,
     _double_factorial,
     _position_blocks,
-    block_pairing,
 )
 from .polynomials import (
     MomentPolynomial,
@@ -125,24 +125,96 @@ class LimitMoment:
 
 def _block_walk(spec: MonomialSpec):
     """The counted walk over pairings that join every trace block to another."""
-    base = block_pairing([len(w) for w in spec.cycle_words])
+    base = spec.pairing()
     pos_colors = spec.coloring().position_colors()
     return _counted_walk(spec.n, pos_colors, base.table, _position_blocks(base))
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
 def _centered_counts(spec: MonomialSpec) -> dict[tuple[int, int, int], int]:
-    """Finite tally over block-connecting pairings.
+    """Finite tally over block-connecting pairings, by a frontier sum.
 
     Keys are (crossings, cycles of the pairing, cycles of the contraction),
-    all three kept by the counted walk ``_counted_walk``, which also prunes
-    every subtree that completes a block with no edge leaving it.  The walk
-    checks its own table count, so the cache key is the spec alone.
+    the counts of ``_counted_walk`` over the tables in which every block has
+    an edge leaving it.  That walk places an edge (p, q) from the smallest
+    free position p, and what it does next depends only on a frontier state:
+    the taken positions, the path-end involutions ``end_v`` and ``end_f``
+    restricted to the free positions (a path always ends at free positions)
+    and one "has an outside edge" bit per block.  So the tally is summed
+    forward one edge at a time over the states, each holding the tally of
+    the partial tables that reach it as one packed ``int``: a slot of
+    ``width`` bits per (cr, c_gamma, c_g).  No count overflows its slot:
+    each color's edges form a prefix of one of its matchings, so a layer
+    holds at most the closed-form table count of partial tables.  An edge
+    adds the taken positions between p and q to cr and one cycle when it
+    closes a path, which is one shift; an internal edge that would complete
+    a block with no outside edge is skipped, as in the walk.  The table
+    count is checked before any state is built, so the cache key is the
+    spec alone.
     """
+    n = spec.n
+    pos_colors = spec.coloring().position_colors()
+    width = _check_tables(n, pos_colors).bit_length()
+    base = spec.pairing()
+    top, block = base.table, _position_blocks(base)
+    size = 2 * n
+    block_bits = [0] * (max(block) + 1)
+    for x, b in enumerate(block):
+        block_bits[b] |= 1 << x
+    partners = [
+        [q for q in range(p + 1, size) if pos_colors[q] == pos_colors[p]] for p in range(size)
+    ]
+    # slot (cr, c_gamma, c_g) starts at bit ((cr * (n + 1) + c_gamma) * (n + 1) + c_g) * width
+    per_cr, per_gamma = (n + 1) ** 2 * width, (n + 1) * width
+    # a state is (taken mask, outside-edge bit per block, ends), where ends[x]
+    # is end_v[x] and ends[size + x] is end_f[x], and taken positions hold 0
+    start = bytes([x ^ 1 for x in range(size)] + [top[x ^ 1] ^ 1 for x in range(size)])
+    layer = {(0, 0, start): 1}
+    for _ in range(n):
+        following: dict[tuple[int, int, bytes], int] = {}
+        for (mask, outside, ends), weight in layer.items():
+            p = (~mask & (mask + 1)).bit_length() - 1
+            bp = block[p]
+            isolated = not outside >> bp & 1 and (block_bits[bp] & ~mask).bit_count() == 2
+            for q in partners[p]:
+                if mask >> q & 1:
+                    continue
+                bq = block[q]
+                if bp != bq:
+                    flags = outside | 1 << bp | 1 << bq
+                elif isolated:
+                    continue  # the edge would complete a block with no outside edge
+                else:
+                    flags = outside
+                shift = (mask >> p & ((1 << (q - p)) - 1)).bit_count() * per_cr
+                e = bytearray(ends)
+                a = e[p]
+                if a == q:
+                    shift += per_gamma
+                else:
+                    b = e[q]
+                    e[a], e[b] = b, a
+                a = e[size + p]
+                if a == q:
+                    shift += width
+                else:
+                    b = e[size + q]
+                    e[size + a], e[size + b] = b, a
+                e[p] = e[q] = e[size + p] = e[size + q] = 0
+                key = (mask | 1 << p | 1 << q, flags, bytes(e))
+                following[key] = following.get(key, 0) + (weight << shift)
+        layer = following
     finite: dict[tuple[int, int, int], int] = {}
-    for _, cr, c_gamma, c_g, _, _ in _block_walk(spec):
-        key = (cr, c_gamma, c_g)
-        finite[key] = finite.get(key, 0) + 1
+    # one state is left, every position taken, unless no table connects the blocks
+    weight = sum(layer.values())
+    slot, index = (1 << width) - 1, 0
+    while weight:
+        count = weight & slot
+        if count:
+            cr, rest = divmod(index, (n + 1) ** 2)
+            finite[(cr, *divmod(rest, n + 1))] = count
+        weight >>= width
+        index += 1
     return finite
 
 
@@ -172,6 +244,7 @@ def centered_trace_moment(
     scale_dim: Union[int, str] = "N",
 ) -> MomentPolynomial:
     """Joint centered moment of the spec's trace blocks at finite size."""
+    _check_spec(spec)
     q = _q_value(q)
     shape_size, scale_dim = _size(shape_size, "shape_size"), _size(scale_dim, "scale_dim")
     # the tally's factors are M^(cycles) and N^(contraction cycles); N^-n is the constant
@@ -187,6 +260,7 @@ def centered_trace_moment(
 
 def centered_trace_moment_limit(spec: MonomialSpec, q="q") -> LimitMoment:
     """Large-N limit of the centered moment with M/N -> lambda."""
+    _check_spec(spec)
     q = _q_value(q)
     blocks = [PolynomialStatistic.from_terms([(1, word)]) for word in spec.cycle_words]
     return LimitMoment(_product_limit(blocks, q))

@@ -116,6 +116,12 @@ class MonomialSpec:
         return block_pairing([len(w) for w in self.cycle_words])
 
 
+def _check_spec(spec) -> None:
+    """Refuse a spec that is not a ``MonomialSpec`` before any work is done."""
+    if not isinstance(spec, MonomialSpec):
+        raise TypeError(f"spec must be a MonomialSpec, got {type(spec).__name__}")
+
+
 def _matrix_entry(x, name: str, i: int, j: int):
     if not isinstance(x, bool):
         try:  # Rational also takes numpy integers, without importing numpy
@@ -539,6 +545,7 @@ def real_wishart_moment_general(
 
 
 def real_wishart_moment(spec: MonomialSpec, bindings: MatrixBindings | None = None):
+    _check_spec(spec)
     return real_wishart_moment_general(spec.pairing(), spec.coloring(), bindings)
 
 
@@ -549,6 +556,7 @@ def q_wishart_moment(spec: MonomialSpec, bindings: MatrixBindings | None = None,
     and every shape matrix must be symmetric; at q=1 this agrees with the
     classical formula.
     """
+    _check_spec(spec)
     if bindings is not None and bindings.mode == "numeric":
         for j, rows in enumerate(bindings.shapes):
             if not _is_symmetric(rows):
@@ -571,6 +579,7 @@ def identity_shape_moment(
     definite as in ``MatrixBindings.numeric``, or kept as trace atoms when
     ``sigmas`` is None.
     """
+    _check_spec(spec)
     coloring = spec.coloring()
     shape_sizes = [_size(m, "shape size") for m in shape_sizes]
     if len(shape_sizes) < coloring.s:
@@ -592,6 +601,7 @@ def identity_shape_moment(
 
 def single_wishart_moment(spec: MonomialSpec, shape_matrix, scale_matrix):
     """One-matrix specialization; requires a symmetric shape matrix."""
+    _check_spec(spec)
     if spec.s != 1:
         raise ValueError("single-matrix moment needs a one-color spec")
     b_rows = _to_rows(shape_matrix, "B")
@@ -654,6 +664,7 @@ def brute_force_moment(
     of the Brauer-contraction path; only the polynomial arithmetic is
     shared.
     """
+    _check_spec(spec)
     q = _q_value(q)
     n = spec.n
     b_rows = [_to_rows(m, "B") for m in shape_mats]

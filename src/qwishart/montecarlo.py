@@ -30,7 +30,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .moments import MatrixBindings, MonomialSpec, _to_rows, real_wishart_moment
+from .moments import MatrixBindings, MonomialSpec, _check_spec, _to_rows, real_wishart_moment
 from .polynomials import _count
 
 _COUNTERS = 2**64  # the stream's counter space; a sample never wraps into it
@@ -374,6 +374,7 @@ def estimate_monomial(spec: MonomialSpec, config: SamplerConfig) -> EstimateRepo
     ``config.samples``, and summed in chunks of ``_CHUNK``, several at once
     where the process has CPUs to spare.
     """
+    _check_spec(spec)
     if spec.s > config.s:
         raise ValueError(f"spec uses {spec.s} colors, config provides {config.s}")
     bindings = MatrixBindings.numeric(

@@ -302,6 +302,40 @@ class TestMomentErrorsNameTheFlag:
         assert capsys.readouterr().err == f"error: {message}\n"
 
 
+class TestMissingKeysAreNamed:
+    """A JSON object without a key the input needs is reported as that key missing."""
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (
+                ["fluctuation-limit", "--Q", '{"terms":[{"word":[1]}]}', "--orders", "2"],
+                "--Q: missing 'coeff'",
+            ),
+            (
+                ["fluctuation-limit", "--Q", "{}", "--orders", "2"],
+                "--Q: missing 'terms'",
+            ),
+            (
+                ["q-moment", "--spec", "[[1]]", "--scalar", '{"scale":["1"]}'],
+                "--scalar: missing 'M'",
+            ),
+            (
+                ["moment", "--spec", "[[1]]", "--matrices", '[{"B":[[1]]}]'],
+                "--matrices: missing 'Sigma'",
+            ),
+            (
+                ["mc-validate", "--config", '{"spec":[[1]]}'],
+                "--config: missing 'matrices'",
+            ),
+        ],
+        ids=["Q coeff", "Q terms", "scalar", "matrices", "config"],
+    )
+    def test_message_and_flag(self, capsys, argv, message):
+        assert capture(argv) == (2, "")
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+
 _ZERO_DENOMINATOR = {"poly": {"terms": [{"coeff": "1/0", "powers": {}}]}}
 
 

@@ -1,10 +1,11 @@
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 from functools import lru_cache
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qwishart import fluctuations
@@ -24,6 +25,7 @@ from qwishart.pairings import (
     PairPartition,
     TABLE_BOUND,
     _brauer_table,
+    _check_tables,
     _cycle_count,
     _iter_tables,
     block_pairing,
@@ -289,6 +291,53 @@ class TestCountedWalkTallies:
     def test_connectors_match_scan_on_random_specs(self, data):
         for pair in _word_pairs([_random_spec(data)]):
             assert fluctuations._connector_counts(*pair) == _connector_counts_by_scan(*pair)
+
+
+def _centered_counts_by_walk(spec):
+    """The finite tally that the frontier sum replaced: one count per walked table."""
+    finite = {}
+    for _, cr, c_gamma, c_g, _, _ in fluctuations._block_walk(spec):
+        key = (cr, c_gamma, c_g)
+        finite[key] = finite.get(key, 0) + 1
+    return finite
+
+
+class TestFrontierSum:
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_walk_on_random_specs(self, data):
+        spec = _random_spec(data, max_n=7)
+        assume(_check_tables(spec.n, spec.coloring().position_colors()) <= 10395)
+        assert fluctuations._centered_counts(spec) == _centered_counts_by_walk(spec)
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_matches_walk_on_two_color_specs(self, n):
+        for spec in _two_color_specs(n):
+            assert fluctuations._centered_counts(spec) == _centered_counts_by_walk(spec), spec
+
+    @pytest.mark.parametrize(
+        "words",
+        [((1, 1),), ((2, 2, 2), (3, 3)), ((1,), (2,))],
+        ids=["one block", "disjoint colors", "two singletons"],
+    )
+    def test_no_connecting_table_gives_the_empty_tally(self, words):
+        spec = MonomialSpec(words)
+        fluctuations._centered_counts.cache_clear()
+        assert fluctuations._centered_counts(spec) == {}
+        assert centered_trace_moment(spec).is_zero()
+        assert centered_trace_moment(spec, q=1, shape_size=3, scale_dim=2).is_zero()
+
+    def test_peak_memory_is_bounded(self):
+        # two layers of states and their packed weights: about 8 MiB on this spec
+        spec = MonomialSpec(((1, 1),) * 4)
+        fluctuations._centered_counts.cache_clear()
+        tracemalloc.start()
+        try:
+            fluctuations._centered_counts(spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 32 * 2**20
 
 
 class TestBlockPairComposition:
@@ -596,8 +645,8 @@ class TestConditionalVariance:
 
 class TestCenteredCountsCache:
     def test_one_entry_per_spec(self):
-        # the walk checks its own bound, so every call form of the finite
-        # path shares one entry per spec
+        # the frontier sum checks its own bound, so every call form of the
+        # finite path shares one entry per spec
         spec = MonomialSpec(((1, 2), (2, 1)))
         fluctuations._centered_counts.cache_clear()
         fluctuations._centered_counts(spec)

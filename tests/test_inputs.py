@@ -4,7 +4,8 @@ Every public entry turns its q, sizes, exact scalars and counts into engine
 values once (``polynomials._q_value``, ``_size``, ``_rational`` and
 ``_count``).  A numpy integer must give exactly what the same Python int
 gives, since int64 arithmetic would wrap without an error, and a q, size or
-count that is not one raises a named ``ValueError``.
+count that is not one raises a named ``ValueError``.  A spec that is not a
+``MonomialSpec`` raises a named ``TypeError`` before any work.
 """
 
 import re
@@ -15,6 +16,7 @@ import pytest
 
 from qwishart.fluctuations import (
     PolynomialStatistic,
+    centered_finite_and_limit,
     centered_trace_moment,
     centered_trace_moment_limit,
     conditional_variance_check,
@@ -26,9 +28,11 @@ from qwishart.moments import (
     brute_force_moment,
     identity_shape_moment,
     q_wishart_moment,
+    real_wishart_moment,
+    single_wishart_moment,
     white_wishart_power_moment,
 )
-from qwishart.montecarlo import SamplerConfig, sample_family
+from qwishart.montecarlo import SamplerConfig, estimate_monomial, sample_family
 from qwishart.mp import compound_mp_moment, mp_moment_check, nc_partitions
 from qwishart.polynomials import MomentPolynomial, _count, _q_value, poly_from_json
 
@@ -204,6 +208,29 @@ def test_zero_denominator_or_infinity_refused(call, value):
 def test_zero_denominator_named(call, message):
     with pytest.raises(ValueError, match=re.escape(message)):
         call()
+
+
+# each call takes a spec; one that is not a MonomialSpec is refused by name
+SPEC_ENTRIES = {
+    "centered_trace_moment": lambda spec: centered_trace_moment(spec),
+    "centered_trace_moment_limit": lambda spec: centered_trace_moment_limit(spec),
+    "centered_finite_and_limit": lambda spec: centered_finite_and_limit(spec),
+    "q_wishart_moment": lambda spec: q_wishart_moment(spec),
+    "real_wishart_moment": lambda spec: real_wishart_moment(spec),
+    "identity_shape_moment": lambda spec: identity_shape_moment(spec, [2]),
+    "single_wishart_moment": lambda spec: single_wishart_moment(spec, [[1]], [[1]]),
+    "brute_force_moment": lambda spec: brute_force_moment(spec, [[[1]]], [[[1]]]),
+    "estimate_monomial": lambda spec: estimate_monomial(spec, _sampler(colors=((np.eye(1),) * 2,))),
+}
+
+
+@pytest.mark.parametrize(
+    "spec, name", [(((1,), (1,)), "tuple"), ([[1, 1]], "list")], ids=["tuple", "list"]
+)
+@pytest.mark.parametrize("call", SPEC_ENTRIES.values(), ids=SPEC_ENTRIES.keys())
+def test_spec_of_another_type_refused(call, spec, name):
+    with pytest.raises(TypeError, match=f"^spec must be a MonomialSpec, got {name}$"):
+        call(spec)
 
 
 def _sampler(seed=5, samples=3, colors=((np.eye(2), np.eye(2)),)):
