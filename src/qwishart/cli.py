@@ -434,13 +434,11 @@ def _cmd_mc_validate(args, out) -> int:
         data = _parse_json("--config", args.config)
         if not isinstance(data, dict):
             raise CliInputError("--config", "expected a JSON object")
-        for key in ("spec", "matrices"):
-            if key not in data:
-                raise CliInputError("--config", f"missing {key!r}")
+        spec, matrices = _checked("--config", lambda: (data["spec"], data["matrices"]))
         seed = _config_int(data, "seed", args.seed)
         samples = _config_int(data, "samples", args.samples)
         spec_field = matrices_field = samples_field = "--config"
-        spec_text, matrices = json.dumps(data["spec"]), json.dumps(data["matrices"])
+        spec_text, matrices = json.dumps(spec), json.dumps(matrices)
     else:
         if args.spec is None or args.matrices is None:
             raise CliInputError("--spec", "need --spec and --matrices (or --config)")
