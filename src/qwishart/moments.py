@@ -10,8 +10,8 @@ Brauer contraction with its inherited coloring (``pairing_term``), and (in
 the q case) the weight q^crossings.
 
 The engine reads the tally of (crossings, trace monomial) -> count off the
-counted walk ``pairings._counted_walk`` (shared with the centered tallies and
-the limit connectors), once per (spec, use_eps), into a bounded cache.  Here
+counted walk ``pairings._counted_walk`` (shared with the limit connectors),
+once per (spec, use_eps), into a bounded cache.  Here
 the walk prunes nothing and reads each trace atom's word once, when the edge
 that closes its cycle is placed.  ``pairing_term`` computes the same monomial
 for one pairing from the traversal and the Brauer contraction and stays as

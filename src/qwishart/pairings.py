@@ -16,9 +16,10 @@ pair joins a top point to a bottom point) are exactly the all-plus ones and
 are in bijection with permutations; the Brauer product restricted to them is
 permutation composition.
 
-One counted walk, ``_counted_walk``, serves the finite and centered tallies,
-the limit connectors and ``connecting_pairings``.  ``_iter_tables`` shares no
-code with it: it serves the enumeration API and the oracles that check it.
+One counted walk, ``_counted_walk``, serves the finite tallies, the limit
+connectors and ``connecting_pairings``; the centered tally sums over its
+frontier states instead.  ``_iter_tables`` shares no code with it: it serves
+the enumeration API and the oracles that check it.
 """
 
 from __future__ import annotations
