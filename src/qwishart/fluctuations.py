@@ -34,6 +34,7 @@ survive, giving the semicircle.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -141,16 +142,18 @@ def _centered_counts(spec: MonomialSpec) -> dict[tuple[int, int, int], int]:
     the taken positions, the path-end involutions ``end_v`` and ``end_f``
     restricted to the free positions (a path always ends at free positions)
     and one "has an outside edge" bit per block.  So the tally is summed
-    forward one edge at a time over the states, each holding the tally of
-    the partial tables that reach it as one packed ``int``: a slot of
-    ``width`` bits per (cr, c_gamma, c_g).  No count overflows its slot:
-    each color's edges form a prefix of one of its matchings, so a layer
-    holds at most the closed-form table count of partial tables.  An edge
-    adds the taken positions between p and q to cr and one cycle when it
-    closes a path, which is one shift; an internal edge that would complete
-    a block with no outside edge is skipped, as in the walk.  The table
-    count is checked before any state is built, so the cache key is the
-    spec alone.
+    forward one edge at a time over the states, here paired with the two
+    cycle counts so far, each holding the tally of the partial tables that
+    reach it as one packed ``int``: a slot of ``width`` bits per crossing
+    count.  No count overflows its slot: each color's edges form a prefix
+    of one of its matchings, so a layer holds at most the closed-form table
+    count of partial tables.  An edge adds the taken positions between p
+    and q to cr, which is one shift, and one cycle when it closes a path;
+    an internal edge that would complete a block with no outside edge is
+    skipped, as in the walk.  The cycle counts sit in the key rather than
+    in the weight, since a weight dense over all three counts would grow
+    with cr * n^2 per state.  The table count is checked before any state
+    is built, so the cache key is the spec alone.
     """
     n = spec.n
     pos_colors = spec.coloring().position_colors()
@@ -164,57 +167,63 @@ def _centered_counts(spec: MonomialSpec) -> dict[tuple[int, int, int], int]:
     partners = [
         [q for q in range(p + 1, size) if pos_colors[q] == pos_colors[p]] for p in range(size)
     ]
-    # slot (cr, c_gamma, c_g) starts at bit ((cr * (n + 1) + c_gamma) * (n + 1) + c_g) * width
-    per_cr, per_gamma = (n + 1) ** 2 * width, (n + 1) * width
-    # a state is (taken mask, outside-edge bit per block, ends), where ends[x]
-    # is end_v[x] and ends[size + x] is end_f[x], and taken positions hold 0
-    start = bytes([x ^ 1 for x in range(size)] + [top[x ^ 1] ^ 1 for x in range(size)])
-    layer = {(0, 0, start): 1}
+    # a state is (head, ends).  head holds the taken positions in bits
+    # 0..size-1, the outside-edge bit of block b at size + b, then c_g and
+    # c_gamma in fields of n.bit_length() bits; ends holds end_v[x] at x and
+    # end_f[x] at size + x as unsigned ints, 0 at taken positions
+    outside_bit = [1 << (size + b) for b in block]
+    g_at = size + len(block_bits)
+    g_one, gamma_at = 1 << g_at, g_at + n.bit_length()
+    gamma_one = 1 << gamma_at
+    start = array("I", [x ^ 1 for x in range(size)] + [top[x ^ 1] ^ 1 for x in range(size)])
+    layer = {(0, start.tobytes()): 1}
     for _ in range(n):
-        following: dict[tuple[int, int, bytes], int] = {}
-        for (mask, outside, ends), weight in layer.items():
-            p = (~mask & (mask + 1)).bit_length() - 1
-            bp = block[p]
-            isolated = not outside >> bp & 1 and (block_bits[bp] & ~mask).bit_count() == 2
+        following: dict[tuple[int, bytes], int] = {}
+        get = following.get
+        for (head, ends), weight in layer.items():
+            p = (~head & (head + 1)).bit_length() - 1
+            op = outside_bit[p]
+            isolated = not head & op and (block_bits[block[p]] & ~head).bit_count() == 2
             for q in partners[p]:
-                if mask >> q & 1:
+                if head >> q & 1:
                     continue
-                bq = block[q]
-                if bp != bq:
-                    flags = outside | 1 << bp | 1 << bq
+                oq = outside_bit[q]
+                if op != oq:
+                    h = head | op | oq
                 elif isolated:
                     continue  # the edge would complete a block with no outside edge
                 else:
-                    flags = outside
-                shift = (mask >> p & ((1 << (q - p)) - 1)).bit_count() * per_cr
-                e = bytearray(ends)
+                    h = head
+                shift = (head >> p & ((1 << (q - p)) - 1)).bit_count() * width
+                e = array("I", ends)
                 a = e[p]
                 if a == q:
-                    shift += per_gamma
+                    h += gamma_one
                 else:
                     b = e[q]
                     e[a], e[b] = b, a
                 a = e[size + p]
                 if a == q:
-                    shift += width
+                    h += g_one
                 else:
                     b = e[size + q]
                     e[size + a], e[size + b] = b, a
                 e[p] = e[q] = e[size + p] = e[size + q] = 0
-                key = (mask | 1 << p | 1 << q, flags, bytes(e))
-                following[key] = following.get(key, 0) + (weight << shift)
+                key = (h | 1 << p | 1 << q, e.tobytes())
+                following[key] = get(key, 0) + (weight << shift)
         layer = following
     finite: dict[tuple[int, int, int], int] = {}
-    # one state is left, every position taken, unless no table connects the blocks
-    weight = sum(layer.values())
-    slot, index = (1 << width) - 1, 0
-    while weight:
-        count = weight & slot
-        if count:
-            cr, rest = divmod(index, (n + 1) ** 2)
-            finite[(cr, *divmod(rest, n + 1))] = count
-        weight >>= width
-        index += 1
+    # every position is taken in each state left; none is left if no table connects the blocks
+    slot, g_field = (1 << width) - 1, (1 << n.bit_length()) - 1
+    for (head, _), weight in layer.items():
+        c_gamma, c_g = head >> gamma_at, head >> g_at & g_field
+        cr = 0
+        while weight:
+            count = weight & slot
+            if count:
+                finite[(cr, c_gamma, c_g)] = count
+            weight >>= width
+            cr += 1
     return finite
 
 

@@ -471,6 +471,9 @@ def _counted_walk(
       nothing is pruned and ``between`` stays 0.
 
     The yielded lists are reused in place, so copy them before storing.
+    ``fluctuations._centered_counts`` repeats the crossing, path-end and
+    prune steps on its frontier states, so a change to them here must be
+    made there too; its test oracle is this walk.
     """
     _check_tables(n, pos_colors)
     size = 2 * n

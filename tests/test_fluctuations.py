@@ -327,9 +327,21 @@ class TestFrontierSum:
         assert centered_trace_moment(spec).is_zero()
         assert centered_trace_moment(spec, q=1, shape_size=3, scale_dim=2).is_zero()
 
-    def test_peak_memory_is_bounded(self):
-        # two layers of states and their packed weights: about 8 MiB on this spec
-        spec = MonomialSpec(((1, 1),) * 4)
+    def test_positions_past_255(self):
+        # n = 129: 258 positions, but only color 1 has more than one matching
+        spec = MonomialSpec(((*range(1, 129),), (1,)))
+        assert spec.n == 129
+        assert fluctuations._centered_counts(spec) == _centered_counts_by_walk(spec)
+
+    @pytest.mark.parametrize(
+        "words, bound",
+        [(((1, 1),) * 4, 32 * 2**20), ((tuple(range(1, 9)),) * 2, 4 * 2**20)],
+        ids=["one color, n = 8", "eight colors, n = 16"],
+    )
+    def test_peak_memory_is_bounded(self, words, bound):
+        # two layers of states and their weights: about 5 MiB and 1.6 MiB; a
+        # weight dense over all three counts held 21 MiB on the second spec
+        spec = MonomialSpec(words)
         fluctuations._centered_counts.cache_clear()
         tracemalloc.start()
         try:
@@ -337,7 +349,7 @@ class TestFrontierSum:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 32 * 2**20
+        assert peak <= bound
 
 
 class TestBlockPairComposition:
