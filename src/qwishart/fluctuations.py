@@ -67,6 +67,12 @@ from .polynomials import (
 # two colors.
 _CACHE_SIZE = 2048
 
+# Frontier states summed together by _centered_counts.  A larger layer is
+# split into chunks of half as many, summed one after another: where the
+# frontier is as wide as the tables (two copies of one word of distinct
+# colors) this bounds memory at the cost of the merges between chunks.
+_FRONTIER_STATES = 1 << 14
+
 # Terms one limit matching sum may add: 11!!, the matchings of 12 positions.
 LIMIT_TERM_BOUND = _double_factorial(11)
 
@@ -152,8 +158,10 @@ def _centered_counts(spec: MonomialSpec) -> dict[tuple[int, int, int], int]:
     an internal edge that would complete a block with no outside edge is
     skipped, as in the walk.  The cycle counts sit in the key rather than
     in the weight, since a weight dense over all three counts would grow
-    with cr * n^2 per state.  The table count is checked before any state
-    is built, so the cache key is the spec alone.
+    with cr * n^2 per state.  A layer of more than ``_FRONTIER_STATES``
+    states is split into chunks summed one after another.  The table count
+    is checked before any state is built, so the cache key is the spec
+    alone.
     """
     n = spec.n
     pos_colors = spec.coloring().position_colors()
@@ -176,46 +184,57 @@ def _centered_counts(spec: MonomialSpec) -> dict[tuple[int, int, int], int]:
     g_one, gamma_at = 1 << g_at, g_at + n.bit_length()
     gamma_one = 1 << gamma_at
     start = array("I", [x ^ 1 for x in range(size)] + [top[x ^ 1] ^ 1 for x in range(size)])
-    layer = {(0, start.tobytes()): 1}
-    for _ in range(n):
-        following: dict[tuple[int, bytes], int] = {}
-        get = following.get
-        for (head, ends), weight in layer.items():
-            p = (~head & (head + 1)).bit_length() - 1
-            op = outside_bit[p]
-            isolated = not head & op and (block_bits[block[p]] & ~head).bit_count() == 2
-            for q in partners[p]:
-                if head >> q & 1:
-                    continue
-                oq = outside_bit[q]
-                if op != oq:
-                    h = head | op | oq
-                elif isolated:
-                    continue  # the edge would complete a block with no outside edge
-                else:
-                    h = head
-                shift = (head >> p & ((1 << (q - p)) - 1)).bit_count() * width
-                e = array("I", ends)
-                a = e[p]
-                if a == q:
-                    h += gamma_one
-                else:
-                    b = e[q]
-                    e[a], e[b] = b, a
-                a = e[size + p]
-                if a == q:
-                    h += g_one
-                else:
-                    b = e[size + q]
-                    e[size + a], e[size + b] = b, a
-                e[p] = e[q] = e[size + p] = e[size + q] = 0
-                key = (h | 1 << p | 1 << q, e.tobytes())
-                following[key] = get(key, 0) + (weight << shift)
-        layer = following
+    # (edges placed, states) still to sum; a layer over _FRONTIER_STATES is
+    # split into chunks, each summed on its own, and the last layers meet in done
+    pending = [(0, {(0, start.tobytes()): 1})]
+    done: dict[int, int] = {}
+    while pending:
+        placed, layer = pending.pop()
+        while placed < n and len(layer) <= _FRONTIER_STATES:
+            following: dict[tuple[int, bytes], int] = {}
+            get = following.get
+            for (head, ends), weight in layer.items():
+                p = (~head & (head + 1)).bit_length() - 1
+                op = outside_bit[p]
+                isolated = not head & op and (block_bits[block[p]] & ~head).bit_count() == 2
+                for q in partners[p]:
+                    if head >> q & 1:
+                        continue
+                    oq = outside_bit[q]
+                    if op != oq:
+                        h = head | op | oq
+                    elif isolated:
+                        continue  # the edge would complete a block with no outside edge
+                    else:
+                        h = head
+                    shift = (head >> p & ((1 << (q - p)) - 1)).bit_count() * width
+                    e = array("I", ends)
+                    a = e[p]
+                    if a == q:
+                        h += gamma_one
+                    else:
+                        b = e[q]
+                        e[a], e[b] = b, a
+                    a = e[size + p]
+                    if a == q:
+                        h += g_one
+                    else:
+                        b = e[size + q]
+                        e[size + a], e[size + b] = b, a
+                    e[p] = e[q] = e[size + p] = e[size + q] = 0
+                    key = (h | 1 << p | 1 << q, e.tobytes())
+                    following[key] = get(key, 0) + (weight << shift)
+            layer, placed = following, placed + 1
+        if placed < n:
+            items, step = list(layer.items()), _FRONTIER_STATES // 2
+            pending += [(placed, dict(items[i : i + step])) for i in range(0, len(items), step)]
+            continue
+        # every position is taken in each state left; none is left if no table connects the blocks
+        for (head, _), weight in layer.items():
+            done[head] = done.get(head, 0) + weight
     finite: dict[tuple[int, int, int], int] = {}
-    # every position is taken in each state left; none is left if no table connects the blocks
     slot, g_field = (1 << width) - 1, (1 << n.bit_length()) - 1
-    for (head, _), weight in layer.items():
+    for head, weight in done.items():
         c_gamma, c_g = head >> gamma_at, head >> g_at & g_field
         cr = 0
         while weight:

@@ -327,6 +327,21 @@ class TestFrontierSum:
         assert centered_trace_moment(spec).is_zero()
         assert centered_trace_moment(spec, q=1, shape_size=3, scale_dim=2).is_zero()
 
+    @pytest.mark.parametrize(
+        "words",
+        [((1, 1), (1,), (1, 1, 1)), ((1, 2, 1), (2, 1, 2), (1, 2)), ((1, 1),), ((2, 2, 2), (3, 3))],
+        ids=str,
+    )
+    def test_split_layers_give_the_same_tally(self, monkeypatch, words):
+        # chunks of two states: every layer past the first few is split
+        monkeypatch.setattr(fluctuations, "_FRONTIER_STATES", 4)
+        spec = MonomialSpec(words)
+        fluctuations._centered_counts.cache_clear()
+        try:
+            assert fluctuations._centered_counts(spec) == _centered_counts_by_walk(spec)
+        finally:
+            fluctuations._centered_counts.cache_clear()
+
     def test_positions_past_255(self):
         # n = 129: 258 positions, but only color 1 has more than one matching
         spec = MonomialSpec(((*range(1, 129),), (1,)))
