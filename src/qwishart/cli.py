@@ -13,17 +13,15 @@ import math
 import os
 import sys
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
-from . import fluctuations, moments, mp, pairings
-from .polynomials import (
-    MomentPolynomial,
-    Rational,
-    TraceAtom,
-    _symbol_rank,
-    poly_from_json,
-    poly_to_json,
-    rational_to_str,
-)
+# the other engine modules load inside the handlers that use them, so each
+# subcommand compiles only the code it runs
+from . import pairings
+
+if TYPE_CHECKING:
+    from . import fluctuations, moments
+    from .polynomials import Rational
 
 
 class CliInputError(Exception):
@@ -60,6 +58,8 @@ def _reported(parse):
 
 @_reported
 def _parse_spec(field: str, value: str) -> moments.MonomialSpec:
+    from . import moments
+
     data = _parse_json(field, value)
     words = data.get("cycle_words") if isinstance(data, dict) else data
     return moments.MonomialSpec.from_words(words)
@@ -104,6 +104,8 @@ def _exact_from_json(field: str, value) -> Fraction:
 
 def _scalar_from_json(field: str, value):
     """A ``--scalar`` scale or ``--Q`` coefficient: ``{"poly": ...}``, else exact."""
+    from .polynomials import poly_from_json
+
     if isinstance(value, dict):
         return poly_from_json(value["poly"])
     return _exact_from_json(field, value)
@@ -125,6 +127,8 @@ def _json_matrix(field: str, rows):
 
 @_reported
 def _parse_matrices(field: str, value: str) -> moments.MatrixBindings:
+    from . import moments
+
     data = _parse_json(field, value)
     if isinstance(data, dict):
         data = [data]
@@ -134,6 +138,8 @@ def _parse_matrices(field: str, value: str) -> moments.MatrixBindings:
 
 @_reported
 def _parse_scalar(field: str, value: str) -> moments.MatrixBindings:
+    from . import moments
+
     data = _parse_json(field, value)
     sizes = data["M"]
     if not isinstance(sizes, list):
@@ -144,6 +150,8 @@ def _parse_scalar(field: str, value: str) -> moments.MatrixBindings:
 
 @_reported
 def _parse_statistic(field: str, value: str) -> fluctuations.PolynomialStatistic:
+    from . import fluctuations
+
     data = _parse_json(field, value)
     terms = [
         (_scalar_from_json(field, term["coeff"]), tuple(int(c) for c in term["word"]))
@@ -162,6 +170,8 @@ def _parse_q(field: str, value: str):
 
 
 def _result_json(result):
+    from .polynomials import MomentPolynomial, poly_to_json, rational_to_str
+
     if isinstance(result, MomentPolynomial):
         return poly_to_json(result)
     if isinstance(result, (int, Fraction)):
@@ -175,6 +185,8 @@ def _poly_csv_rows(polys, prefix: list[str]) -> tuple[list[str], list[list[str]]
     Every symbol of any polynomial gets one column, in monomial key order,
     so all rows have the header's width.
     """
+    from .polynomials import TraceAtom, _symbol_rank, rational_to_str
+
     symbols = sorted({sym for _, poly in polys for sym in poly.symbols()}, key=_symbol_rank)
     header = prefix + ["coeff"] + symbols + ["atoms"]
     rows = []
@@ -213,10 +225,14 @@ def _emit_json(out, payload) -> None:
 # subcommand handlers
 
 
+# rows joined into one write: an unbuffered stdout makes a system call per write
+_ROWS_PER_WRITE = 512
+
+
 def _cmd_enumerate(args, out) -> int:
     """Stream the JSON; its count, the closed form prod_c (2k_c - 1)!!, is
     checked against the enumeration bound before the header is written.
-    Each row is written straight from the table walk.
+    Rows are written from the table walk, ``_ROWS_PER_WRITE`` at a time.
     """
     if args.n < 0:
         raise CliInputError("--n", f"n={args.n} must be nonnegative")
@@ -233,16 +249,25 @@ def _cmd_enumerate(args, out) -> int:
     out.write(f'"count":{count},"pairings":[')
     # a row lists the pairs as signed labels, each led by its leftmost position
     labels = [str(pairings._signed(p)) for p in range(2 * args.n)]
+    pair_text = [[f"[{a},{b}]" for b in labels] for a in labels]
+    rows: list[str] = []
     sep = ""
     for table, _ in pairings._iter_tables(args.n, pos_colors):
-        pairs = ",".join([f"[{labels[p]},{labels[q]}]" for p, q in enumerate(table) if p < q])
-        out.write(f"{sep}[{pairs}]")
-        sep = ","
+        rows.append("[" + ",".join([pair_text[p][q] for p, q in enumerate(table) if p < q]) + "]")
+        if len(rows) == _ROWS_PER_WRITE:
+            out.write(sep + ",".join(rows))
+            rows.clear()
+            sep = ","
+    if rows:
+        out.write(sep + ",".join(rows))
     out.write("]}\n")
     return 0
 
 
 def _moment_common(args, q, out) -> int:
+    from . import moments
+    from .polynomials import MomentPolynomial, rational_to_str
+
     symbolic = bool(args.symbolic)
     chosen = [x for x in (args.matrices, args.scalar) if x is not None]
     if len(chosen) + (1 if symbolic else 0) != 1:
@@ -332,6 +357,9 @@ def _limit(order_field: str, fn, *args):
 
 
 def _cmd_fluctuation_limit(args, out) -> int:
+    from . import fluctuations
+    from .polynomials import poly_to_json, rational_to_str
+
     statistic = _parse_statistic("--Q", args.Q)
     q = _parse_q("--q", args.q)
     if args.orders < 1:
@@ -353,6 +381,9 @@ def _cmd_fluctuation_limit(args, out) -> int:
 
 
 def _cmd_t5_check(args, out) -> int:
+    from . import fluctuations
+    from .polynomials import poly_to_json
+
     statistic = _parse_statistic("--Q", args.Q)
     q = _parse_q("--q", args.q)
     if args.m < 0:
@@ -366,6 +397,9 @@ def _cmd_t5_check(args, out) -> int:
 
 
 def _cmd_mp_check(args, out) -> int:
+    from . import mp
+    from .polynomials import rational_to_str
+
     if args.input is not None:
         data = _parse_json("--input", args.input)
         if not isinstance(data, dict):
@@ -415,6 +449,8 @@ def _checked(field: str, check, *args):
 
 
 def _eigenvalues(field: str, values) -> list[Rational]:
+    from . import mp
+
     if not isinstance(values, list):
         raise ValueError("eigenvalues must be a JSON list")
     return mp._check_eigenvalues([_exact_from_json(field, x) for x in values])
@@ -428,7 +464,7 @@ def _config_int(data: dict, key: str, default: int) -> int:
 
 
 def _cmd_mc_validate(args, out) -> int:
-    from . import montecarlo  # loads numpy, which no other command needs
+    from . import moments, montecarlo  # montecarlo loads numpy, which no other command needs
 
     if args.config is not None:
         data = _parse_json("--config", args.config)
@@ -485,6 +521,9 @@ def _cmd_mc_validate(args, out) -> int:
 
 
 def _cmd_table1(args, out) -> int:
+    from . import moments
+    from .polynomials import MomentPolynomial, poly_to_json
+
     spec = moments.MonomialSpec(((1, 2), (1, 2)))
     coloring = spec.coloring()
     sigma = spec.pairing()

@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import math
 from array import array
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -47,6 +48,7 @@ from .pairings import (
     TABLE_BOUND,
     _check_count,
     _check_tables,
+    _count,
     _counted_walk,
     _double_factorial,
     _position_blocks,
@@ -55,7 +57,6 @@ from .polynomials import (
     MomentPolynomial,
     Monomial,
     Rational,
-    _count,
     _make_monomial,
     _q_value,
     _size,
@@ -161,11 +162,15 @@ def _centered_counts(spec: MonomialSpec) -> dict[tuple[int, int, int], int]:
     with cr * n^2 per state.  A layer of more than ``_FRONTIER_STATES``
     states is split into chunks summed one after another.  The table count
     is checked before any state is built, so the cache key is the spec
-    alone.
+    alone; then a block whose colors no other block uses, which no table can
+    join to another block, gives the empty tally at once.
     """
     n = spec.n
     pos_colors = spec.coloring().position_colors()
     width = _check_tables(n, pos_colors).bit_length()
+    blocks_of = Counter(c for word in spec.cycle_words for c in set(word))
+    if any(all(blocks_of[c] == 1 for c in word) for word in spec.cycle_words):
+        return {}
     base = spec.pairing()
     top, block = base.table, _position_blocks(base)
     size = 2 * n

@@ -46,6 +46,7 @@ from .pairings import (
     _brauer_table,
     _check_count,
     _check_tables,
+    _colors,
     _counted_walk,
     _cycle_count,
     _induced_colors_table,
@@ -92,10 +93,10 @@ class MonomialSpec:
     cycle_words: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
-        if not self.cycle_words or any(not w for w in self.cycle_words):
+        words = tuple(_colors(w) for w in self.cycle_words)
+        if not words or not all(words):
             raise ValueError("cycle words must be nonempty")
-        if any(c < 1 for w in self.cycle_words for c in w):
-            raise ValueError("colors are 1-based")
+        object.__setattr__(self, "cycle_words", words)
 
     @classmethod
     def from_words(cls, words: Sequence[Sequence[int]]) -> "MonomialSpec":

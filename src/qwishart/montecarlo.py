@@ -31,7 +31,7 @@ from typing import Sequence
 import numpy as np
 
 from .moments import MatrixBindings, MonomialSpec, _check_spec, _to_rows, real_wishart_moment
-from .polynomials import _count
+from .pairings import _count
 
 _COUNTERS = 2**64  # the stream's counter space; a sample never wraps into it
 _GAMMA = 0x9E3779B97F4A7C15

@@ -15,7 +15,8 @@ from fractions import Fraction
 from typing import Iterator, Sequence, Union
 
 from .moments import MonomialSpec, _moment
-from .polynomials import Rational, TraceAtom, _count, _rational, _size
+from .pairings import _count
+from .polynomials import Rational, TraceAtom, _rational, _size
 
 NC_BOUND = 12
 

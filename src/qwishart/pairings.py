@@ -24,6 +24,7 @@ the enumeration API and the oracles that check it.
 
 from __future__ import annotations
 
+import numbers
 from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Sequence
@@ -61,6 +62,25 @@ def _check_count(factors: Iterable[int], bound: int, what: str) -> int:
         if count > bound:
             raise EnumerationBoundError(f"at least {count} {what}, over the bound of {bound}", bound)
     return count
+
+
+def _count(value, name: str, low: int | None, high: int | None = None) -> int:
+    """An integer in low..high as an ``int`` (numpy integers convert); ``None``
+    leaves that end open.  A bool, a float or an out-of-range value raises a
+    ``ValueError`` that names the argument."""
+    if isinstance(value, numbers.Integral) and not isinstance(value, bool):
+        if (low is None or value >= low) and (high is None or value <= high):
+            return int(value)
+    if high is None:
+        span = "" if low is None else f" >= {low}"
+    else:
+        span = f" <= {high}" if low is None else f" in {low}..{high}"
+    raise ValueError(f"{name} must be an integer{span}, got {value!r}")
+
+
+def _colors(colors: Iterable[int]) -> tuple[int, ...]:
+    """Colors as ``int``s; each must be an integer >= 1 (``_count``)."""
+    return tuple(_count(c, "color", 1) for c in colors)
 
 
 def _check_tables(n: int, pos_colors: Sequence[int] | None = None) -> int:
@@ -157,14 +177,19 @@ class Coloring:
     s: int
 
     def __post_init__(self) -> None:
-        if self.s < 1 or not self.colors:
-            raise ValueError("need at least one point and one color")
-        if any(not 1 <= c <= self.s for c in self.colors):
+        colors = _colors(self.colors)
+        if not colors:
+            raise ValueError("a coloring needs at least one point")
+        s = _count(self.s, "s", 1)
+        if max(colors) > s:
             raise ValueError("colors must lie in 1..s")
+        object.__setattr__(self, "colors", colors)
+        object.__setattr__(self, "s", s)
 
     @classmethod
     def from_colors(cls, colors: Sequence[int]) -> "Coloring":
-        return cls(tuple(colors), max(colors))
+        colors = _colors(colors)
+        return cls(colors, max(colors, default=1))
 
     @property
     def n(self) -> int:

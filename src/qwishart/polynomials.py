@@ -18,7 +18,9 @@ coefficient is refused.  Public scalar results stay ``Fraction``:
 :meth:`MomentPolynomial.constant_value` returns one for every constant.
 Numbers from outside follow one rule, kept here: each public entry passes its
 q, sizes and exact scalars once through ``_q_value``, ``_size`` and ``_rational``,
-and its counts (orders, degrees, seeds, sample counts) through ``_count``.
+and its counts (orders, degrees, seeds, sample counts, colors) through
+``pairings._count``, which lives in the base module so that colorings need
+nothing else.
 """
 
 from __future__ import annotations
@@ -194,20 +196,6 @@ def _size(value, name: str) -> Union[int, str]:
         except ValueError:
             pass
     raise ValueError(f"{name} must be a positive integer or a symbol name, got {value!r}")
-
-
-def _count(value, name: str, low: int | None, high: int | None = None) -> int:
-    """An integer in low..high as an ``int`` (numpy integers convert); ``None``
-    leaves that end open.  A bool, a float or an out-of-range value raises a
-    ``ValueError`` that names the argument."""
-    if isinstance(value, numbers.Integral) and not isinstance(value, bool):
-        if (low is None or value >= low) and (high is None or value <= high):
-            return int(value)
-    if high is None:
-        span = "" if low is None else f" >= {low}"
-    else:
-        span = f" <= {high}" if low is None else f" in {low}..{high}"
-    raise ValueError(f"{name} must be an integer{span}, got {value!r}")
 
 
 class MomentPolynomial:

@@ -109,6 +109,13 @@ class TestEnumerate:
         expected = json.dumps(payload, separators=(",", ":")) + "\n"
         assert capture(argv) == (0, expected)
 
+    @pytest.mark.parametrize("coloring", ["[1,1.5]", "[1,true]", "[0,1]", '[1,"1"]', "1,1.5", "[]"])
+    def test_bad_coloring_names_flag(self, capsys, coloring):
+        n = 0 if coloring == "[]" else 2
+        code, text = capture(["enumerate", "--n", str(n), "--coloring", coloring])
+        assert (code, text) == (2, "")
+        assert capsys.readouterr().err.startswith("error: --coloring: ")
+
     def test_streams_in_bounded_memory(self):
         # 10,395 pairings at n = 7; holding them as lists took about 7 MB
         class Discard(io.TextIOBase):
@@ -170,6 +177,14 @@ class TestMoment:
         code, out = capture(["moment", *spec, "--coloring", "1,2", "--symbolic"])
         assert (code, out) == (2, "")
         assert capsys.readouterr().err.startswith("error: --coloring: ")
+
+    @pytest.mark.parametrize("command", ["moment", "q-moment"])
+    @pytest.mark.parametrize("word", ["[1.0]", "[true]", "[1,2.5]", "[0]", '["1"]'])
+    def test_non_integer_color_names_flag(self, capsys, command, word):
+        code, text = capture([command, "--spec", f"[{word}]", "--symbolic"])
+        assert (code, text) == (2, "")
+        err = capsys.readouterr().err
+        assert err.startswith("error: --spec: color must be an integer >= 1, got "), err
 
     def test_csv_format(self):
         code, text = capture(

@@ -329,6 +329,29 @@ class TestFrontierSum:
 
     @pytest.mark.parametrize(
         "words",
+        [((1,) * 6,), ((1, 1), (1, 1), (2, 2)), ((1, 2), (2, 1), (3,)), ((1, 2, 1), (3, 2), (4, 4))],
+        ids=str,
+    )
+    def test_block_with_colors_of_its_own_gives_the_walks_tally(self, words):
+        spec = MonomialSpec(words)
+        fluctuations._centered_counts.cache_clear()
+        assert fluctuations._centered_counts(spec) == _centered_counts_by_walk(spec) == {}
+
+    def test_block_with_colors_of_its_own_builds_no_state(self):
+        # one block of degree 9: summing its states to the empty tally took
+        # about 4 s at 49 MB peak RSS
+        spec = MonomialSpec(((1,) * 9,))
+        fluctuations._centered_counts.cache_clear()
+        tracemalloc.start()
+        try:
+            tally = fluctuations._centered_counts(spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert tally == {} and peak < 64 * 1024
+
+    @pytest.mark.parametrize(
+        "words",
         [((1, 1), (1,), (1, 1, 1)), ((1, 2, 1), (2, 1, 2), (1, 2)), ((1, 1),), ((2, 2, 2), (3, 3))],
         ids=str,
     )

@@ -1,7 +1,7 @@
-"""numpy loads on first float use only.
+"""Every submodule loads on first use, and numpy on first float use only.
 
-pytest has already imported numpy in this process, so every check runs in a
-fresh interpreter with the package source on its path.
+pytest has already imported numpy and the package in this process, so every
+check runs in a fresh interpreter with the package source on its path.
 """
 
 import json
@@ -14,13 +14,64 @@ import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
-MONTECARLO_NAMES = (
-    "EstimateReport",
-    "SamplerConfig",
-    "estimate_monomial",
-    "sample_family",
-    "symmetric_root",
-)
+# each submodule and the public names it defines, in the order of __all__
+PUBLIC = {
+    "pairings": (
+        "Coloring",
+        "EnumerationBoundError",
+        "GenusDecomposition",
+        "IntegerPartition",
+        "PairPartition",
+        "SignedTraversal",
+        "all_pairings",
+        "block_pairing",
+        "brauer",
+        "canonical_cycles",
+        "color_preserving_pairings",
+        "components_and_genus",
+        "connecting_pairings",
+        "crossings",
+        "cycle_type_pairing",
+        "from_permutation",
+        "identity_pairing",
+        "induced_coloring",
+        "is_noncrossing",
+        "is_top_to_bottom",
+        "noncrossing_image",
+        "traverse",
+    ),
+    "polynomials": ("MomentPolynomial", "TraceAtom", "evaluate_atom", "limit_large_n"),
+    "moments": (
+        "FloatOverflowError",
+        "MatrixBindings",
+        "MonomialSpec",
+        "brute_force_moment",
+        "identity_shape_moment",
+        "q_wishart_moment",
+        "real_wishart_moment",
+        "real_wishart_moment_general",
+        "single_wishart_moment",
+        "white_wishart_power_moment",
+    ),
+    "fluctuations": (
+        "LimitMoment",
+        "PolynomialStatistic",
+        "centered_trace_moment",
+        "centered_trace_moment_limit",
+        "conditional_variance_check",
+        "statistic_limit_moments",
+    ),
+    "mp": ("SetPartition", "SpectralMeasure", "compound_mp_moment", "mp_moment_check", "nc_partitions"),
+    "montecarlo": (
+        "EstimateReport",
+        "SamplerConfig",
+        "estimate_monomial",
+        "sample_family",
+        "symmetric_root",
+    ),
+}
+ALL = [name for module, names in PUBLIC.items() for name in (module, *names)]
+MONTECARLO_NAMES = PUBLIC["montecarlo"]
 STAT_TRACE = '{"terms":[{"coeff":"1","word":[1]}]}'
 STAT_PRODUCT = '{"terms":[{"coeff":"1","word":[1,2]}]}'
 SPEC = '{"cycle_words":[[1,2],[1,2]]}'
@@ -59,14 +110,32 @@ def fresh_python(code: str) -> str:
     return proc.stdout
 
 
-def cli_exit_and_numpy(argv) -> list:
+# the submodules each subcommand loads besides cli
+MOMENT_MODULES = ["moments", "pairings", "polynomials"]
+COMMAND_MODULES = {
+    "table1": MOMENT_MODULES,
+    "enumerate": ["pairings"],
+    "fluctuation-limit": ["fluctuations", *MOMENT_MODULES],
+    "t5-check": ["fluctuations", *MOMENT_MODULES],
+    "mp-check": ["mp", *MOMENT_MODULES],
+    **{name: MOMENT_MODULES for name in EXACT_COMMANDS if "moment-" in name},
+}
+
+
+def cli_run(argv) -> list:
+    """Exit code, whether numpy loaded, and the package's submodules loaded."""
     code = (
         "import io, json, sys\n"
         "from qwishart.cli import run\n"
         f"code = run({argv!r}, out=io.StringIO())\n"
-        "print(json.dumps([code, 'numpy' in sys.modules]))\n"
+        "loaded = sorted(m[9:] for m in sys.modules if m.startswith('qwishart.'))\n"
+        "print(json.dumps([code, 'numpy' in sys.modules, loaded]))\n"
     )
     return json.loads(fresh_python(code))
+
+
+def cli_exit_and_numpy(argv) -> list:
+    return cli_run(argv)[:2]
 
 
 def test_import_leaves_numpy_unloaded():
@@ -74,9 +143,45 @@ def test_import_leaves_numpy_unloaded():
     assert fresh_python(code).split() == ["False", "False"]
 
 
+def test_import_loads_no_submodule():
+    code = "import sys, qwishart; print(sorted(m for m in sys.modules if m.startswith('qwishart.')))"
+    assert fresh_python(code).strip() == "[]"
+
+
 @pytest.mark.parametrize("argv", EXACT_COMMANDS.values(), ids=EXACT_COMMANDS.keys())
 def test_exact_command_leaves_numpy_unloaded(argv):
     assert cli_exit_and_numpy(argv) == [0, False]
+
+
+@pytest.mark.parametrize("name", EXACT_COMMANDS)
+def test_command_loads_only_its_modules(name):
+    assert cli_run(EXACT_COMMANDS[name]) == [0, False, sorted(["cli", *COMMAND_MODULES[name]])]
+
+
+def test_public_names_resolve_to_their_submodule_objects():
+    # each name is read from the package first, then from its own submodule
+    code = (
+        "import importlib, json, qwishart\n"
+        f"public = {PUBLIC!r}\n"
+        "lazy = {m: [getattr(qwishart, n) for n in (m, *names)] for m, names in public.items()}\n"
+        "wrong = []\n"
+        "for m, names in public.items():\n"
+        "    module = importlib.import_module('qwishart.' + m)\n"
+        "    wrong += [n for n, obj in zip((m, *names), lazy[m])\n"
+        "              if obj is not (module if n == m else getattr(module, n))]\n"
+        "print(json.dumps({'wrong': wrong, 'all': qwishart.__all__}))\n"
+    )
+    assert json.loads(fresh_python(code)) == {"wrong": [], "all": ALL}
+
+
+def test_star_import_names_are_unchanged():
+    code = (
+        "import json\n"
+        "star = {}\n"
+        "exec('from qwishart import *', star)\n"
+        "print(json.dumps(sorted(n for n in star if n != '__builtins__')))\n"
+    )
+    assert json.loads(fresh_python(code)) == sorted(ALL)
 
 
 @pytest.mark.parametrize(

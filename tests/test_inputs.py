@@ -2,7 +2,7 @@
 
 Every public entry turns its q, sizes, exact scalars and counts into engine
 values once (``polynomials._q_value``, ``_size``, ``_rational`` and
-``_count``).  A numpy integer must give exactly what the same Python int
+``pairings._count``; colors are counts >= 1).  A numpy integer must give exactly what the same Python int
 gives, since int64 arithmetic would wrap without an error, and a q, size or
 count that is not one raises a named ``ValueError``.  A spec that is not a
 ``MonomialSpec`` raises a named ``TypeError`` before any work.
@@ -34,7 +34,8 @@ from qwishart.moments import (
 )
 from qwishart.montecarlo import SamplerConfig, estimate_monomial, sample_family
 from qwishart.mp import compound_mp_moment, mp_moment_check, nc_partitions
-from qwishart.polynomials import MomentPolynomial, _count, _q_value, poly_from_json
+from qwishart.pairings import Coloring, _count
+from qwishart.polynomials import MomentPolynomial, _q_value, poly_from_json
 
 TRACE = PolynomialStatistic.from_terms([(1, (1,))])
 QUARTIC = MonomialSpec(((1, 1, 1, 1),))
@@ -231,6 +232,41 @@ SPEC_ENTRIES = {
 def test_spec_of_another_type_refused(call, spec, name):
     with pytest.raises(TypeError, match=f"^spec must be a MonomialSpec, got {name}$"):
         call(spec)
+
+
+class TestColors:
+    def test_numpy_colors_become_ints(self):
+        coloring = Coloring.from_colors(np.array([2, 1, 2]))
+        spec = MonomialSpec.from_words([np.array([1, 2]), [np.int64(2)]])
+        assert coloring == Coloring.from_colors([2, 1, 2])
+        assert spec == MonomialSpec(((1, 2), (2,)))
+        assert all(type(c) is int for c in (*coloring.colors, coloring.s, *spec.cycle_words[0]))
+        assert real_wishart_moment(spec) == real_wishart_moment(MonomialSpec(((1, 2), (2,))))
+
+    @pytest.mark.parametrize("color", [1.0, 1.5, True, np.float64(1.0), "1", 0, -2, None])
+    def test_bad_color_refused(self, color):
+        message = f"^color must be an integer >= 1, got {re.escape(repr(color))}$"
+        with pytest.raises(ValueError, match=message):
+            Coloring.from_colors([1, color])
+        with pytest.raises(ValueError, match=message):
+            Coloring((1, color), 2)
+        with pytest.raises(ValueError, match=message):
+            MonomialSpec(((1,), (color,)))
+
+    def test_no_points_refused(self):
+        with pytest.raises(ValueError, match="^a coloring needs at least one point$"):
+            Coloring.from_colors([])
+        with pytest.raises(ValueError, match="^cycle words must be nonempty$"):
+            MonomialSpec(((1,), ()))
+
+    @pytest.mark.parametrize("s", [0, 1.0, True])
+    def test_bad_color_count_refused(self, s):
+        with pytest.raises(ValueError, match="^s must be an integer >= 1"):
+            Coloring((1,), s)
+
+    def test_color_over_s_refused(self):
+        with pytest.raises(ValueError, match=r"^colors must lie in 1\.\.s$"):
+            Coloring((1, 3), 2)
 
 
 def _sampler(seed=5, samples=3, colors=((np.eye(2), np.eye(2)),)):
