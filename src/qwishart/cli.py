@@ -154,7 +154,7 @@ def _parse_statistic(field: str, value: str) -> fluctuations.PolynomialStatistic
 
     data = _parse_json(field, value)
     terms = [
-        (_scalar_from_json(field, term["coeff"]), tuple(int(c) for c in term["word"]))
+        (_scalar_from_json(field, term["coeff"]), term["word"])
         for term in data["terms"]
     ]
     return fluctuations.PolynomialStatistic.from_terms(terms)

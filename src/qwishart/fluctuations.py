@@ -36,7 +36,6 @@ from __future__ import annotations
 import math
 from array import array
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, repeat
@@ -48,10 +47,12 @@ from .pairings import (
     TABLE_BOUND,
     _check_count,
     _check_tables,
+    _colors,
     _count,
     _counted_walk,
     _double_factorial,
     _position_blocks,
+    _record,
 )
 from .polynomials import (
     MomentPolynomial,
@@ -78,15 +79,17 @@ _FRONTIER_STATES = 1 << 14
 LIMIT_TERM_BOUND = _double_factorial(11)
 
 
-@dataclass(frozen=True)
+@_record
 class PolynomialStatistic:
     """Linear combination of trace monomials; coefficients may involve q, lambda."""
 
     terms: tuple[tuple[MomentPolynomial, tuple[int, ...]], ...]
 
     def __post_init__(self) -> None:
-        if not self.terms or any(not word for _, word in self.terms):
+        terms = tuple((coeff, _colors(word)) for coeff, word in self.terms)
+        if not terms or any(not word for _, word in terms):
             raise ValueError("statistic needs nonempty trace words")
+        object.__setattr__(self, "terms", terms)
 
     @classmethod
     def from_terms(
@@ -119,7 +122,7 @@ class PolynomialStatistic:
         return self + other.scaled(-1)
 
 
-@dataclass(frozen=True)
+@_record
 class LimitMoment:
     """Exact large-N value; a polynomial in q and lambda only."""
 

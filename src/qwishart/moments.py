@@ -32,7 +32,6 @@ import math
 import numbers
 import sys
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, repeat
@@ -52,6 +51,7 @@ from .pairings import (
     _induced_colors_table,
     _is_top_to_bottom_table,
     _iter_tables,
+    _record,
     _traverse_table,
     block_pairing,
     cycle_type_pairing,
@@ -82,7 +82,7 @@ _FLOAT_OVERFLOW = (
 )
 
 
-@dataclass(frozen=True)
+@_record
 class MonomialSpec:
     """Product of traces, one factor per cycle word of matrix colors.
 
@@ -200,7 +200,7 @@ def _sigma_rows(sigma) -> tuple[tuple, ...]:
     return rows
 
 
-@dataclass(frozen=True)
+@_record
 class MatrixBindings:
     """Concrete matrices per color, or scalar stand-ins for identity blocks.
 

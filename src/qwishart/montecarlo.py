@@ -25,13 +25,12 @@ from __future__ import annotations
 import contextvars
 import os
 import threading
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .moments import MatrixBindings, MonomialSpec, _check_spec, _to_rows, real_wishart_moment
-from .pairings import _count
+from .pairings import _count, _record
 
 _COUNTERS = 2**64  # the stream's counter space; a sample never wraps into it
 _GAMMA = 0x9E3779B97F4A7C15
@@ -120,7 +119,7 @@ def symmetric_root(sigma) -> np.ndarray:
     return root
 
 
-@dataclass(frozen=True, eq=False)
+@_record(eq=False)
 class SamplerConfig:
     """Seeded sampling plan: per-color (B, Sigma) with derived symmetric roots."""
 
@@ -250,7 +249,7 @@ def sample_family(config: SamplerConfig, index: int) -> list[np.ndarray]:
     return [w[0] for w in _sample_batch(config, index, 1)]
 
 
-@dataclass(frozen=True)
+@_record
 class EstimateReport:
     mean: float
     stderr: float

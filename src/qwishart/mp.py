@@ -10,18 +10,17 @@ where equality is exact already at finite size.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Sequence, Union
 
 from .moments import MonomialSpec, _moment
-from .pairings import _count
+from .pairings import _count, _record
 from .polynomials import Rational, TraceAtom, _rational, _size
 
 NC_BOUND = 12
 
 
-@dataclass(frozen=True)
+@_record
 class SetPartition:
     """Partition of {1..n} into disjoint blocks, ordered by their minima."""
 
@@ -90,7 +89,7 @@ def nc_partitions(n: int) -> Iterator[SetPartition]:
         yield SetPartition(n, tuple(sorted(blocks, key=min)))
 
 
-@dataclass(frozen=True)
+@_record
 class SpectralMeasure:
     """Finitely supported probability measure given by (location, mass) atoms."""
 
@@ -141,7 +140,7 @@ def compound_mp_moment(
     return total
 
 
-@dataclass(frozen=True)
+@_record
 class MPCheckRow:
     n: int
     lhs: Fraction
@@ -152,7 +151,7 @@ class MPCheckRow:
         return self.lhs == self.rhs
 
 
-@dataclass(frozen=True)
+@_record
 class MPCheckReport:
     aspect_ratio: Fraction
     rows: tuple[MPCheckRow, ...]

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import numbers
 from collections import Counter
-from dataclasses import dataclass
+from operator import attrgetter
 from typing import Callable, Iterable, Iterator, Sequence
 
 ENUMERATION_BOUND = 9  # the largest degree whose pairings all fit TABLE_BOUND
@@ -38,6 +38,82 @@ class EnumerationBoundError(ValueError):
     def __init__(self, message: str, bound: int | None = None):
         super().__init__(message)
         self.bound = bound
+
+
+def _record(cls=None, *, eq: bool = True):
+    """Make ``cls`` a frozen record of its own annotated fields, in order.
+
+    It gives what ``@dataclass(frozen=True)`` gave, without generating code
+    or importing ``dataclasses``: an ``__init__`` that takes the fields by
+    position or keyword (a class attribute of a field's name is its default),
+    sets them through ``object.__setattr__`` and then runs ``__post_init__``;
+    ``__repr__`` as ``QualName(field=value!r, ...)``; ``__match_args__``;
+    and, unless ``eq=False``, ``__eq__`` (records of one class with equal
+    field tuples) and ``__hash__`` (the hash of the field tuple).  Assigning
+    or deleting an attribute raises ``AttributeError``.  A method the class
+    defines itself is kept.
+    """
+    if cls is None:
+        return lambda cls: _record(cls, eq=eq)
+    names = tuple(cls.__annotations__)
+    defaults = {name: cls.__dict__[name] for name in names if name in cls.__dict__}
+    post_init = getattr(cls, "__post_init__", None)
+    if len(names) == 1:
+        get = attrgetter(names[0])
+
+        def values(self):
+            return (get(self),)
+
+    else:
+        values = attrgetter(*names)  # C code: hashing atoms is on the hot path
+
+    def __init__(self, *args, **kwargs):
+        if len(args) > len(names):
+            raise TypeError(
+                f"{cls.__qualname__}() takes {len(names)} arguments but {len(args)} were given"
+            )
+        for name, value in zip(names, args):
+            object.__setattr__(self, name, value)
+        for name in names[len(args) :]:
+            if name in kwargs:
+                object.__setattr__(self, name, kwargs.pop(name))
+            elif name in defaults:
+                object.__setattr__(self, name, defaults[name])
+            else:
+                raise TypeError(f"{cls.__qualname__}() missing argument {name!r}")
+        if kwargs:
+            name = next(iter(kwargs))
+            what = "multiple values for" if name in names else "an unexpected keyword"
+            raise TypeError(f"{cls.__qualname__}() got {what} argument {name!r}")
+        if post_init is not None:
+            post_init(self)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self):
+        body = ", ".join(f"{name}={value!r}" for name, value in zip(names, values(self)))
+        return f"{self.__class__.__qualname__}({body})"
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return values(self) == values(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(values(self))
+
+    methods = [__init__, __setattr__, __delattr__, __repr__]
+    if eq:
+        methods += [__eq__, __hash__]
+    for method in methods:
+        if method.__name__ not in cls.__dict__:
+            setattr(cls, method.__name__, method)
+    cls.__match_args__ = names
+    return cls
 
 
 def _double_factorial(k: int) -> int:
@@ -103,7 +179,7 @@ def _signed(p: int) -> int:
     return (p >> 1) + 1 if (p & 1) == 0 else -((p >> 1) + 1)
 
 
-@dataclass(frozen=True)
+@_record
 class PairPartition:
     """Fixed-point-free involution of {±1, ..., ±n}, stored as a position table."""
 
@@ -151,7 +227,7 @@ class PairPartition:
         return f"PairPartition({body})"
 
 
-@dataclass(frozen=True)
+@_record
 class SignedTraversal:
     """Traversal permutation (1-based images) and per-point signs (+1/-1)."""
 
@@ -169,7 +245,7 @@ class SignedTraversal:
         return canonical_cycles(self.perm)
 
 
-@dataclass(frozen=True)
+@_record
 class Coloring:
     """Assignment of colors 1..s to the points 1..n (extended to ±j by |j|)."""
 
@@ -199,7 +275,7 @@ class Coloring:
         return tuple(self.colors[p >> 1] for p in range(2 * len(self.colors)))
 
 
-@dataclass(frozen=True)
+@_record
 class IntegerPartition:
     """Weakly decreasing cycle type; the sum of the parts is the degree."""
 
@@ -216,7 +292,7 @@ class IntegerPartition:
         return sum(self.parts)
 
 
-@dataclass(frozen=True)
+@_record
 class GenusComponent:
     cycles: tuple[int, ...]  # indices into the base traversal's cycle list
     positions: tuple[int, ...]  # 1-based points covered by the component
@@ -227,7 +303,7 @@ class GenusComponent:
         return len(self.cycles)
 
 
-@dataclass(frozen=True)
+@_record
 class GenusDecomposition:
     components: tuple[GenusComponent, ...]
 

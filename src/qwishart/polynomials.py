@@ -27,10 +27,11 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Mapping, Sequence, Union
+
+from .pairings import _record
 
 Rational = Union[int, Fraction]
 
@@ -45,7 +46,7 @@ def _symbol_rank(name: str) -> tuple[int, int]:
     raise ValueError(f"unknown symbol {name!r}")
 
 
-@dataclass(frozen=True)
+@_record
 class TraceAtom:
     """Canonicalized trace of a word of matrices with transpose flags."""
 

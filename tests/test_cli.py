@@ -186,6 +186,14 @@ class TestMoment:
         err = capsys.readouterr().err
         assert err.startswith("error: --spec: color must be an integer >= 1, got "), err
 
+    @pytest.mark.parametrize("word", ["[1.5]", "[true]", "[1,2.5]", "[0]", '["1"]'])
+    def test_non_integer_statistic_word_names_flag(self, capsys, word):
+        q_json = f'{{"terms":[{{"coeff":"1","word":{word}}}]}}'
+        code, text = capture(["fluctuation-limit", "--Q", q_json, "--orders", "2"])
+        assert (code, text) == (2, "")
+        err = capsys.readouterr().err
+        assert err.startswith("error: --Q: color must be an integer >= 1, got "), err
+
     def test_csv_format(self):
         code, text = capture(
             ["moment", "--spec", '{"cycle_words":[[1,2]]}', "--symbolic", "--format", "csv"]

@@ -122,14 +122,20 @@ COMMAND_MODULES = {
 }
 
 
+# modules that building a record once imported (dataclasses, and through it inspect)
+RECORD_MACHINERY = ("dataclasses", "inspect")
+LOADED_MACHINERY = f"[m for m in {RECORD_MACHINERY!r} if m in sys.modules]"
+
+
 def cli_run(argv) -> list:
-    """Exit code, whether numpy loaded, and the package's submodules loaded."""
+    """Exit code, whether numpy loaded, the package's submodules loaded and the
+    record machinery loaded."""
     code = (
         "import io, json, sys\n"
         "from qwishart.cli import run\n"
         f"code = run({argv!r}, out=io.StringIO())\n"
         "loaded = sorted(m[9:] for m in sys.modules if m.startswith('qwishart.'))\n"
-        "print(json.dumps([code, 'numpy' in sys.modules, loaded]))\n"
+        f"print(json.dumps([code, 'numpy' in sys.modules, loaded, {LOADED_MACHINERY}]))\n"
     )
     return json.loads(fresh_python(code))
 
@@ -155,7 +161,17 @@ def test_exact_command_leaves_numpy_unloaded(argv):
 
 @pytest.mark.parametrize("name", EXACT_COMMANDS)
 def test_command_loads_only_its_modules(name):
-    assert cli_run(EXACT_COMMANDS[name]) == [0, False, sorted(["cli", *COMMAND_MODULES[name]])]
+    modules = sorted(["cli", *COMMAND_MODULES[name]])
+    assert cli_run(EXACT_COMMANDS[name]) == [0, False, modules, []]
+
+
+def test_records_load_no_dataclass_machinery():
+    code = (
+        "import json, sys, qwishart\n"
+        "records = [qwishart.MonomialSpec, qwishart.PolynomialStatistic, qwishart.SetPartition]\n"
+        f"print(json.dumps({LOADED_MACHINERY}))\n"
+    )
+    assert json.loads(fresh_python(code)) == []
 
 
 def test_public_names_resolve_to_their_submodule_objects():

@@ -259,6 +259,22 @@ class TestColors:
         with pytest.raises(ValueError, match="^cycle words must be nonempty$"):
             MonomialSpec(((1,), ()))
 
+    def test_numpy_statistic_words_become_ints(self):
+        stat = PolynomialStatistic.from_terms([(1, np.array([1, 2])), (2, (np.int64(1),))])
+        assert stat == PolynomialStatistic.from_terms([(1, (1, 2)), (2, (1,))])
+        assert all(type(c) is int for _, word in stat.terms for c in word)
+        assert statistic_limit_moments(stat, 2) == statistic_limit_moments(
+            PolynomialStatistic.from_terms([(1, (1, 2)), (2, (1,))]), 2
+        )
+
+    @pytest.mark.parametrize("color", [1.5, True, np.float64(1.0), "1", 0, None])
+    def test_bad_statistic_word_refused(self, color):
+        message = f"^color must be an integer >= 1, got {re.escape(repr(color))}$"
+        with pytest.raises(ValueError, match=message):
+            PolynomialStatistic.from_terms([(1, (1, color))])
+        with pytest.raises(ValueError, match=message):
+            PolynomialStatistic(((TRACE.terms[0][0], (color,)),))
+
     @pytest.mark.parametrize("s", [0, 1.0, True])
     def test_bad_color_count_refused(self, s):
         with pytest.raises(ValueError, match="^s must be an integer >= 1"):
