@@ -57,7 +57,8 @@ def _record(cls=None, *, eq: bool = True):
         return lambda cls: _record(cls, eq=eq)
     names = tuple(cls.__annotations__)
     defaults = {name: cls.__dict__[name] for name in names if name in cls.__dict__}
-    post_init = getattr(cls, "__post_init__", None)
+    post_init = hasattr(cls, "__post_init__")
+    set_field = object.__setattr__
     if len(names) == 1:
         get = attrgetter(names[0])
 
@@ -67,26 +68,32 @@ def _record(cls=None, *, eq: bool = True):
     else:
         values = attrgetter(*names)  # C code: hashing atoms is on the hot path
 
-    def __init__(self, *args, **kwargs):
+    def bind(args, kwargs) -> tuple:
+        """The field values of a call that names a field or leaves a default."""
         if len(args) > len(names):
             raise TypeError(
                 f"{cls.__qualname__}() takes {len(names)} arguments but {len(args)} were given"
             )
-        for name, value in zip(names, args):
-            object.__setattr__(self, name, value)
         for name in names[len(args) :]:
             if name in kwargs:
-                object.__setattr__(self, name, kwargs.pop(name))
+                args += (kwargs.pop(name),)
             elif name in defaults:
-                object.__setattr__(self, name, defaults[name])
+                args += (defaults[name],)
             else:
                 raise TypeError(f"{cls.__qualname__}() missing argument {name!r}")
         if kwargs:
             name = next(iter(kwargs))
             what = "multiple values for" if name in names else "an unexpected keyword"
             raise TypeError(f"{cls.__qualname__}() got {what} argument {name!r}")
-        if post_init is not None:
-            post_init(self)
+        return args
+
+    def __init__(self, *args, **kwargs):
+        if kwargs or len(args) != len(names):
+            args = bind(args, kwargs)
+        for name, value in zip(names, args):
+            set_field(self, name, value)
+        if post_init:
+            self.__post_init__()
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
