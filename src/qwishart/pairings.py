@@ -70,6 +70,9 @@ def _record(cls=None, *, eq: bool = True):
 
     def bind(args, kwargs) -> tuple:
         """The field values of a call that names a field or leaves a default."""
+        for name in kwargs:
+            if name not in names:
+                raise TypeError(f"{cls.__qualname__}() got an unexpected keyword argument {name!r}")
         if len(args) > len(names):
             raise TypeError(
                 f"{cls.__qualname__}() takes {len(names)} arguments but {len(args)} were given"
@@ -81,10 +84,9 @@ def _record(cls=None, *, eq: bool = True):
                 args += (defaults[name],)
             else:
                 raise TypeError(f"{cls.__qualname__}() missing argument {name!r}")
-        if kwargs:
+        if kwargs:  # names that a positional argument gave already
             name = next(iter(kwargs))
-            what = "multiple values for" if name in names else "an unexpected keyword"
-            raise TypeError(f"{cls.__qualname__}() got {what} argument {name!r}")
+            raise TypeError(f"{cls.__qualname__}() got multiple values for argument {name!r}")
         return args
 
     def __init__(self, *args, **kwargs):

@@ -139,6 +139,8 @@ def test_positional_and_keyword_construction(record):
         cls()
     with pytest.raises(TypeError, match="unexpected keyword argument 'other'"):
         cls(*values, other=1)
+    with pytest.raises(TypeError, match="unexpected keyword argument 'other'"):
+        cls(other=1)
     with pytest.raises(TypeError, match=f"multiple values for argument '{names[0]}'"):
         cls(*values, **{names[0]: values[0]})
     with pytest.raises(TypeError, match="arguments but"):
