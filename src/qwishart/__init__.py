@@ -11,7 +11,7 @@ none of them, a public name loads only the submodule that defines it, and
 only the Monte Carlo sampler imports numpy.
 """
 
-from importlib import import_module as _import_module
+import sys as _sys
 
 # Each submodule and the public names it defines, in the order of ``__all__``.
 _PUBLIC = {
@@ -84,8 +84,12 @@ def __getattr__(name: str):
     home = _HOME.get(name)
     if home is None:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    # importlib, not ``from . import``: the latter probes this hook again
-    module = _import_module(f".{home}", __name__)
+    # ``__import__`` of the dotted name, not ``from . import``, which probes
+    # this hook again, nor importlib, which ``-X importtime`` does not log;
+    # the import binds the submodule here, so the hook is not entered for it
+    dotted = f"{__name__}.{home}"
+    __import__(dotted)
+    module = _sys.modules[dotted]
     value = module if name == home else getattr(module, name)
     globals()[name] = value
     return value

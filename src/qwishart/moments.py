@@ -11,11 +11,16 @@ the q case) the weight q^crossings.
 
 The engine reads the tally of (crossings, trace monomial) -> count off the
 counted walk ``pairings._counted_walk`` (shared with the limit connectors),
-once per (spec, use_eps), into a bounded cache.  Here
-the walk prunes nothing and reads each trace atom's word once, when the edge
-that closes its cycle is placed.  ``pairing_term`` computes the same monomial
-for one pairing from the traversal and the Brauer contraction and stays as
-the per-table oracle.  Every result is a substitution into the
+once per (spec, use_eps, tally kind), into a bounded cache.  The walk reads
+each trace atom's word once, when the edge that closes its cycle is placed,
+and the kind follows the q the tally will be substituted at: at q = 0 only
+the noncrossing pairings carry weight, so the walk visits those alone; at
+q = 1 crossings carry no weight, so the cells drop the crossing index and
+every table with the same monomial shares one cell; a symbolic or any other
+rational q keeps the full tally, keyed by crossings, which is also the
+oracle for the other two.  ``pairing_term`` computes the same monomial for
+one pairing from the traversal and the Brauer contraction and stays as the
+per-table oracle.  Every result is a substitution into the
 tally: symbolic mode keeps the atoms, numeric mode evaluates each distinct
 atom once on the bound matrices, scalar mode sends a shape atom to its
 color's size and a scale atom to N, and q enters as q^crossings,
@@ -296,10 +301,22 @@ def pairing_term(
 Cell = tuple[tuple[int, tuple[tuple[int, int], ...]], int]
 
 
+def _tally_kind(q) -> str:
+    """The tally that substituting ``q`` needs (see the module docstring)."""
+    if isinstance(q, str):
+        return "crossings"
+    return "noncrossing" if q == 0 else "summed" if q == 1 else "crossings"
+
+
 def _word_counts(
-    top_table: Sequence[int], colors: Sequence[int], use_eps: bool
+    top_table: Sequence[int], colors: Sequence[int], use_eps: bool, kind: str
 ) -> tuple[dict[tuple, int], dict[tuple[int, tuple[int, ...]], int]]:
     """Raw word ids and ``(crossings, sorted word ids) -> count`` over the pairings.
+
+    ``kind`` "crossings" counts every pairing by its crossings;
+    "noncrossing" walks the noncrossing pairings alone, all keyed 0; and
+    "summed" counts every pairing under crossings 0, so its cells are the
+    crossing cells summed.
 
     ``read`` gets each cycle of the counted walk as it closes and reads it
     alternating table steps with V- or F-steps.  A shape letter sits on each
@@ -347,15 +364,19 @@ def _word_counts(
         return ids.setdefault(("scale", tuple([scale_letter[x] for x in order])), len(ids))
 
     counts: dict[tuple[int, tuple[int, ...]], int] = {}
-    for _, cr, _, _, _, closed in _counted_walk(len(colors), pos_colors, top_table, read=read):
-        key = (cr, tuple(sorted(closed)))
+    summed = kind == "summed"
+    walk = _counted_walk(
+        len(colors), pos_colors, top_table, read=read, noncrossing=kind == "noncrossing"
+    )
+    for _, cr, _, _, _, closed in walk:
+        key = (0 if summed else cr, tuple(sorted(closed)))
         counts[key] = counts.get(key, 0) + 1
     return ids, counts
 
 
 @lru_cache(maxsize=_TALLY_CACHE_SIZE)
 def _tally(
-    top_table: tuple[int, ...], colors: tuple[int, ...], use_eps: bool
+    top_table: tuple[int, ...], colors: tuple[int, ...], use_eps: bool, kind: str = "crossings"
 ) -> tuple[tuple[TraceAtom, ...], tuple[Cell, ...]]:
     """Counts of ``(crossings, pairing_term)`` over the color-preserving pairings.
 
@@ -364,10 +385,14 @@ def _tally(
     its monomial without sorting.  The tally is read off the counted walk
     (``_word_counts``), which checks its own table count and keys each table
     by integer ids of its raw words, so every distinct word is canonicalised
-    once per tally rather than once per table.
+    once per tally rather than once per table.  ``kind`` (``_tally_kind``)
+    is part of the cache key: "crossings" is the full tally, "noncrossing"
+    its cells of crossings 0, and "summed" its cells with the crossings
+    summed out, every cell keyed 0; either of the last two gives the full
+    tally's result at its q.
     """
-    ids, counts = _word_counts(top_table, colors, use_eps)
-    made = [TraceAtom.make(kind, word) for kind, word in ids]
+    ids, counts = _word_counts(top_table, colors, use_eps, kind)
+    made = [TraceAtom.make(*raw) for raw in ids]
     atoms = sorted(set(made), key=_key_order)
     index = {atom: i for i, atom in enumerate(atoms)}
     atom_of_word = [index[atom] for atom in made]
@@ -481,7 +506,7 @@ def _substitute(
 
 
 def _moment(top_table, coloring: Coloring, use_eps: bool, atom_value, q, const):
-    atoms, cells = _tally(tuple(top_table), coloring.colors, use_eps)
+    atoms, cells = _tally(tuple(top_table), coloring.colors, use_eps, _tally_kind(q))
     return _substitute(atoms, cells, atom_value, q, const)
 
 

@@ -559,6 +559,7 @@ def _counted_walk(
     top: Sequence[int],
     block: Sequence[int] | None = None,
     read: Callable[[int, int, list[int]], int] | None = None,
+    noncrossing: bool = False,
 ) -> Iterator[tuple[list[int], int, int, int, int, list[int]]]:
     """Color-preserving tables in the order of ``_iter_tables``, with their counts.
 
@@ -578,12 +579,18 @@ def _counted_walk(
       ``closed``, kind 0 for a shape and 1 for a scale cycle;
     - with ``block`` (a block index per position), an internal edge that
       completes a block with no outside edge prunes its subtree; without it
-      nothing is pruned and ``between`` stays 0.
+      nothing is pruned and ``between`` stays 0;
+    - with ``noncrossing``, the scan for p's partner ends at the first
+      matched position, since every later partner would cross that edge, so
+      only the noncrossing tables (``cr`` = 0) are walked and yielded, in
+      the same order.
 
     The yielded lists are reused in place, so copy them before storing.
     ``fluctuations._centered_counts`` repeats the crossing, path-end and
     prune steps on its frontier states, so a change to them here must be
-    made there too; its test oracle is this walk.
+    made there too; its test oracle is this walk.  The noncrossing stop is
+    the walk's alone: the centered tally keeps every crossing number, so it
+    need not mirror it.
     """
     _check_tables(n, pos_colors)
     size = 2 * n
@@ -603,6 +610,8 @@ def _counted_walk(
     while True:
         while q < size:
             if table[q] >= 0:
+                if noncrossing:
+                    break  # every later partner of p would cross this edge
                 inside += 1
             elif pos_colors[q] == pos_colors[p]:
                 if pruned:

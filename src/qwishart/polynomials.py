@@ -60,6 +60,15 @@ class TraceAtom:
             raise ValueError("word must be a nonempty sequence of 1-based colors")
         if self.word != _canonical_word(self.word):
             raise ValueError("word is not in canonical form; use TraceAtom.make")
+        # atoms key every symbolic monomial, so hash once; the field tuple's hash
+        object.__setattr__(self, "_hash", hash((self.kind, self.word)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        # rebuilt from the fields: a string hash differs between processes
+        return (type(self), (self.kind, self.word))
 
     @classmethod
     def make(cls, kind: str, word: Iterable[tuple[int, bool]]) -> "TraceAtom":

@@ -99,13 +99,18 @@ EXACT_COMMANDS = {
 }
 
 
-def fresh_python(code: str) -> str:
-    """Run ``code`` in a new interpreter and return its stdout."""
+def run_python(*args: str) -> subprocess.CompletedProcess:
+    """Run a new interpreter with ``args`` and the package source on its path."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+    return subprocess.run(
+        [sys.executable, *args], env=env, capture_output=True, text=True, timeout=120
     )
+
+
+def fresh_python(code: str) -> str:
+    """Run ``code`` in a new interpreter and return its stdout."""
+    proc = run_python("-c", code)
     assert proc.returncode == 0 and not proc.stderr, proc.stderr
     return proc.stdout
 
@@ -245,3 +250,21 @@ def test_first_sampler_access_loads_numpy():
         "print(config is sys.modules['qwishart.montecarlo'].SamplerConfig, 'numpy' in sys.modules)\n"
     )
     assert fresh_python(code).split() == ["True", "True"]
+
+
+@pytest.mark.parametrize(
+    "args",
+    [["-c", "import qwishart; qwishart.q_wishart_moment"], ["-m", "qwishart", "table1"]],
+    ids=["public-name", "cli"],
+)
+def test_lazily_loaded_submodules_are_logged_by_importtime(args):
+    # the hook imports through the interpreter's import statement path, which
+    # -X importtime logs, so start-up is attributed to each module
+    proc = run_python("-X", "importtime", *args)
+    assert proc.returncode == 0, proc.stderr
+    logged = {
+        line.rsplit("|", 1)[1].strip()
+        for line in proc.stderr.splitlines()
+        if line.startswith("import time:")
+    }
+    assert {"qwishart.moments", "qwishart.pairings", "qwishart.polynomials"} <= logged

@@ -30,6 +30,7 @@ from qwishart.pairings import (
     Coloring,
     EnumerationBoundError,
     IntegerPartition,
+    _counted_walk,
     _iter_tables,
     from_permutation,
 )
@@ -123,6 +124,19 @@ class TestSquaredTraceTable:
 _SIGMA = (from_permutation((4, 1, 5, 2, 3)), Coloring.from_colors([1, 2, 2, 1, 2]))
 
 
+_TALLY_WORDS = [
+    ((1, 2), (1, 2)),
+    ((1, 1, 2), (2, 1)),
+    ((1, 2, 3), (3,), (1, 2)),
+    ((1,) * 3, (1, 1)),
+    # a reversed scale cycle is a different atom: its flags are all False
+    ((1, 2, 3),),
+    ((1, 2, 3), (3, 2, 1)),
+    ((1, 2, 2, 1), (2, 2, 1)),  # the benchmark's degree-7 two-color shape
+    _SIGMA,  # the scale cycles depend on the top pairing
+]
+
+
 class TestTally:
     @staticmethod
     def check(sigma, coloring, use_eps) -> dict:
@@ -138,20 +152,7 @@ class TestTally:
         assert got == expected
         return expected
 
-    @pytest.mark.parametrize(
-        "words",
-        [
-            ((1, 2), (1, 2)),
-            ((1, 1, 2), (2, 1)),
-            ((1, 2, 3), (3,), (1, 2)),
-            ((1,) * 3, (1, 1)),
-            # a reversed scale cycle is a different atom: its flags are all False
-            ((1, 2, 3),),
-            ((1, 2, 3), (3, 2, 1)),
-            ((1, 2, 2, 1), (2, 2, 1)),  # the benchmark's degree-7 two-color shape
-            _SIGMA,  # the scale cycles depend on the top pairing
-        ],
-    )
+    @pytest.mark.parametrize("words", _TALLY_WORDS)
     @pytest.mark.parametrize("use_eps", [True, False])
     def test_matches_per_table_terms(self, words, use_eps):
         if words is _SIGMA:
@@ -174,6 +175,97 @@ class TestTally:
 
     def test_cache_is_bounded(self):
         assert moments._tally.cache_info().maxsize is not None
+
+
+def _top_and_coloring(words):
+    if words is _SIGMA:
+        return _SIGMA
+    spec = MonomialSpec(words)
+    return spec.pairing(), spec.coloring()
+
+
+def _expanded(atoms, cells) -> dict:
+    got = {(cr, tuple((atoms[i], e) for i, e in exps)): count for (cr, exps), count in cells}
+    assert len(got) == len(cells)
+    return got
+
+
+class TestTallyKinds:
+    """The q = 0 and q = 1 tallies against the full tally they stand in for."""
+
+    @staticmethod
+    def check(sigma, coloring, use_eps) -> None:
+        top, colors = sigma.table, coloring.colors
+        full = _expanded(*moments._tally(top, colors, use_eps))
+        summed: dict = {}
+        for (_, mono), count in full.items():
+            summed[0, mono] = summed.get((0, mono), 0) + count
+        assert _expanded(*moments._tally(top, colors, use_eps, "summed")) == summed
+        noncrossing = {key: count for key, count in full.items() if key[0] == 0}
+        assert _expanded(*moments._tally(top, colors, use_eps, "noncrossing")) == noncrossing
+        pos_colors = coloring.position_colors()
+        walk = _counted_walk(coloring.n, pos_colors, top, noncrossing=True)
+        tables = [(list(table), cr) for table, cr, *_ in walk]
+        assert tables == [(list(t), cr) for t, cr in _iter_tables(coloring.n, pos_colors) if not cr]
+
+    @pytest.mark.parametrize("words", _TALLY_WORDS)
+    @pytest.mark.parametrize("use_eps", [True, False])
+    def test_kinds_match_the_full_tally(self, words, use_eps):
+        self.check(*_top_and_coloring(words), use_eps)
+
+    @given(st.data(), st.booleans())
+    @settings(max_examples=40, deadline=None)
+    def test_any_top_kinds_match_the_full_tally(self, data, use_eps):
+        n = data.draw(st.integers(1, 6))
+        colors = data.draw(st.lists(st.integers(1, 3), min_size=n, max_size=n))
+        sigma = from_permutation(data.draw(st.permutations(range(1, n + 1))))
+        self.check(sigma, Coloring.from_colors(colors), use_eps)
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_single_color_noncrossing_counts_are_catalan(self, n):
+        top = MonomialSpec(((1,) * n,)).pairing().table
+        walk = _counted_walk(n, (1,) * (2 * n), top, noncrossing=True)
+        assert sum(1 for _ in walk) == math.comb(2 * n, n) // (n + 1)
+
+    @pytest.mark.parametrize("words", _TALLY_WORDS)
+    @pytest.mark.parametrize("use_eps", [True, False])
+    @pytest.mark.parametrize("q_value", [0, 1])
+    def test_engine_equals_the_full_tally_substituted(self, words, use_eps, q_value):
+        sigma, coloring = _top_and_coloring(words)
+        full = moments._tally(sigma.table, coloring.colors, use_eps)
+        expected = moments._substitute(*full, lambda atom: atom, q_value, Fraction(1))
+        got = moments._moment(sigma.table, coloring, use_eps, lambda atom: atom, q_value, 1)
+        assert got == expected
+
+    @pytest.mark.parametrize("words", [w for w in _TALLY_WORDS if w is not _SIGMA])
+    @pytest.mark.parametrize("q_value", [0, 1])
+    def test_q_moment_at_zero_and_one(self, words, q_value):
+        spec = MonomialSpec(words)
+        symbolic = q_wishart_moment(spec)
+        assert q_wishart_moment(spec, q=q_value) == symbolic.substitute({"q": q_value})
+        pairs = [(SYM2, PD2), (SYM2B, PD2B), (SYM2, PD2B)][: spec.s]
+        bindings = MatrixBindings.numeric(pairs)
+        got = q_wishart_moment(spec, bindings, q=q_value)
+        expected = q_wishart_moment(spec, bindings)  # a Fraction where no table crosses
+        if isinstance(expected, MomentPolynomial):
+            expected = expected.substitute({"q": q_value}).constant_value()
+        assert got == expected
+        if spec.n <= 4:
+            shapes, scales = zip(*pairs)
+            assert got == brute_force_moment(spec, shapes, scales, q=q_value)
+
+    def test_q_zero_walks_only_the_noncrossing_tables(self):
+        top, colors = MonomialSpec(((1,) * 6,)).pairing().table, (1,) * 6
+        walk = _counted_walk(6, (1,) * 12, top, noncrossing=True)
+        assert sum(1 for _ in walk) == 132
+        assert sum(count for _, count in moments._tally(top, colors, False)[1]) == 10395
+        assert sum(count for _, count in moments._tally(top, colors, False, "noncrossing")[1]) == 132
+
+    def test_mp_check_matches_the_full_tally(self):
+        report = mp_moment_check(["1", "2", "3"], 2, 6)
+        with mock.patch.object(moments, "_tally_kind", lambda q: "crossings"):
+            assert mp_moment_check(["1", "2", "3"], 2, 6) == report
+        assert report.all_equal
 
 
 def _random_spec(data) -> MonomialSpec:
@@ -227,6 +319,22 @@ def _float_oracle(cells: dict, atom_value, q, const) -> float:
     return total * float(const)
 
 
+def _summed_float_oracle(cells: dict, atom_value, const) -> float:
+    # the float arithmetic at q = 1: each monomial's counts added over the
+    # crossing numbers, count times each atom's power in monomial order, and
+    # one math.fsum over all monomials
+    counts: dict = {}
+    for (_, mono), count in cells.items():
+        counts[mono] = counts.get(mono, 0) + count
+    values = []
+    for mono, count in counts.items():
+        value = count
+        for atom, e in mono:
+            value = value * atom_value(atom) ** e
+        values.append(value)
+    return math.fsum(values) * float(const)
+
+
 def _engine(spec, use_eps, atom_value, q, const):
     top, colors = spec.pairing().table, spec.coloring().colors
     return moments._substitute(*moments._tally(top, colors, use_eps), atom_value, q, const)
@@ -272,6 +380,21 @@ class TestIndexedSubstitution:
             got = _engine(spec, use_eps, atom_value, q_value, const)
             assert isinstance(got, float)
             assert got == _float_oracle(cells, atom_value, q_value, const)
+
+    @given(st.data(), st.booleans())
+    @settings(max_examples=40, deadline=None)
+    def test_float_moment_at_q_one_is_one_fsum(self, data, use_eps):
+        # bit-identical to the summed oracle, which may differ in the last
+        # bit from one fsum per crossing number
+        spec = _random_spec(data)
+        cells = _term_cells(spec, use_eps)
+        atom_value, const = moments._substitution(_FLOAT_BINDINGS, spec.coloring())
+        top, coloring = spec.pairing().table, spec.coloring()
+        got = moments._moment(top, coloring, use_eps, atom_value, 1, const)
+        assert isinstance(got, float)
+        assert got == _summed_float_oracle(cells, atom_value, const)
+        if use_eps:
+            assert real_wishart_moment(spec, _FLOAT_BINDINGS) == got
 
 
 def _fraction_substitute(atoms, cells, atom_value, q, const):

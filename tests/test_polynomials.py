@@ -1,6 +1,10 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -152,6 +156,27 @@ class TestAtoms:
     def test_str(self):
         atom = TraceAtom.make("shape", [(2, False), (2, True)])
         assert str(atom) == "tr(B2 B2')"
+
+    def test_unpickled_atom_is_found_under_another_hash_seed(self):
+        # an atom stores its hash, and a string's hash differs between
+        # processes, so the stored hash must be recomputed on load
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        make = "TraceAtom.make('scale', [(2, False), (1, False)])"
+
+        def run(seed: str, code: str, stdin: str = "") -> str:
+            env = {**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": seed}
+            code = "import pickle, sys\nfrom qwishart.polynomials import TraceAtom\n" + code
+            return subprocess.run(
+                [sys.executable, "-c", code], input=stdin, env=env,
+                capture_output=True, text=True, timeout=60, check=True,
+            ).stdout
+
+        data = run("1", f"sys.stdout.write(pickle.dumps({make}).hex())")
+        load = (
+            "atom = pickle.loads(bytes.fromhex(sys.stdin.read()))\n"
+            f"print(atom in {{{make}: 1}}, hash(atom) == hash((atom.kind, atom.word)))\n"
+        )
+        assert run("2", load, data).split() == ["True", "True"]
 
 
 class TestEvaluateAtom:
