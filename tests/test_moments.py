@@ -258,8 +258,8 @@ class TestTallyKinds:
         top, colors = MonomialSpec(((1,) * 6,)).pairing().table, (1,) * 6
         walk = _counted_walk(6, (1,) * 12, top, noncrossing=True)
         assert sum(1 for _ in walk) == 132
-        assert sum(count for _, count in moments._tally(top, colors, False)[1]) == 10395
-        assert sum(count for _, count in moments._tally(top, colors, False, "noncrossing")[1]) == 132
+        for kind, tables in (("crossings", 10395), ("noncrossing", 132)):
+            assert sum(count for _, count in moments._tally(top, colors, False, kind)[1]) == tables
 
     def test_mp_check_matches_the_full_tally(self):
         report = mp_moment_check(["1", "2", "3"], 2, 6)
@@ -385,11 +385,12 @@ class TestIndexedSubstitution:
     @settings(max_examples=40, deadline=None)
     def test_float_moment_at_q_one_is_one_fsum(self, data, use_eps):
         # bit-identical to the summed oracle, which may differ in the last
-        # bit from one fsum per crossing number
+        # bit from one fsum per crossing number; the full tally, held against
+        # pairing_term above, gives the cells
         spec = _random_spec(data)
-        cells = _term_cells(spec, use_eps)
-        atom_value, const = moments._substitution(_FLOAT_BINDINGS, spec.coloring())
         top, coloring = spec.pairing().table, spec.coloring()
+        cells = _expanded(*moments._tally(top, coloring.colors, use_eps))
+        atom_value, const = moments._substitution(_FLOAT_BINDINGS, coloring)
         got = moments._moment(top, coloring, use_eps, atom_value, 1, const)
         assert isinstance(got, float)
         assert got == _summed_float_oracle(cells, atom_value, const)
