@@ -14,12 +14,13 @@ As N grows with M/N -> lambda, only pairings whose diagram splits the blocks
 into genus-zero pairs survive, contributing q^crossings * lambda^cycles;
 everything else is O(1/N).  A matched pair (A, B) is joined by a connector,
 a planar two-block diagram of the spec (w_A, w_B) with e_AB >= 1 edges
-between A and B.  Cycle counts and crossings add over the pairs, plus
-e_AB * e_CD crossings for every two matched pairs that interleave as
-A < C < B < D: blocks are contiguous position intervals, so every A-B edge
-crosses every C-D edge exactly when the pairs interleave, and no other edge
-leaves its pair.  So a connector meets the rest only through e_AB, and the
-limit of tau(X_1 ... X_m) for centered statistics is one matching sum over
+between A and B, counted by the same frontier sum with a genus cut.  Cycle
+counts and crossings add over the pairs, plus e_AB * e_CD crossings for
+every two matched pairs that interleave as A < C < B < D: blocks are
+contiguous position intervals, so every A-B edge crosses every C-D edge
+exactly when the pairs interleave, and no other edge leaves its pair.  So a
+connector meets the rest only through e_AB, and the limit of
+tau(X_1 ... X_m) for centered statistics is one matching sum over
 edge-split covariances C_e(X_i, X_j) in Q[q, lambda] (coeff * q^crossings *
 lambda^cycles summed over the connectors with e edges of every term pair):
 over the perfect matchings of the positions and one label e per matched
@@ -49,7 +50,6 @@ from .pairings import (
     _check_tables,
     _colors,
     _count,
-    _counted_walk,
     _double_factorial,
     _position_blocks,
     _record,
@@ -69,7 +69,7 @@ from .polynomials import (
 # two colors.
 _CACHE_SIZE = 2048
 
-# Frontier states summed together by _centered_counts.  A larger layer is
+# Frontier states summed together by _frontier_counts.  A larger layer is
 # split into chunks of half as many, summed one after another: where the
 # frontier is as wide as the tables (two copies of one word of distinct
 # colors) this bounds memory at the cost of the merges between chunks.
@@ -134,39 +134,33 @@ class LimitMoment:
             raise ValueError(f"limit moment contains finite-size symbols {sorted(bad)}")
 
 
-def _block_walk(spec: MonomialSpec):
-    """The counted walk over pairings that join every trace block to another."""
-    base = spec.pairing()
-    pos_colors = spec.coloring().position_colors()
-    return _counted_walk(spec.n, pos_colors, base.table, _position_blocks(base))
+def _frontier_counts(spec: MonomialSpec, connectors: bool) -> dict[tuple[int, int, int], int]:
+    """Tally of ``pairings._counted_walk`` over the tables joining every block to another.
 
-
-@lru_cache(maxsize=_CACHE_SIZE)
-def _centered_counts(spec: MonomialSpec) -> dict[tuple[int, int, int], int]:
-    """Finite tally over block-connecting pairings, by a frontier sum.
-
-    Keys are (crossings, cycles of the pairing, cycles of the contraction),
-    the counts of ``_counted_walk`` over the tables in which every block has
-    an edge leaving it.  That walk places an edge (p, q) from the smallest
-    free position p, and what it does next depends only on a frontier state:
-    the taken positions, the path-end involutions ``end_v`` and ``end_f``
-    restricted to the free positions (a path always ends at free positions)
-    and one "has an outside edge" bit per block.  So the tally is summed
-    forward one edge at a time over the states, here paired with the two
-    cycle counts so far, each holding the tally of the partial tables that
-    reach it as one packed ``int``: a slot of ``width`` bits per crossing
-    count.  No count overflows its slot: each color's edges form a prefix
-    of one of its matchings, so a layer holds at most the closed-form table
-    count of partial tables.  An edge adds the taken positions between p
-    and q to cr, which is one shift, and one cycle when it closes a path;
-    an internal edge that would complete a block with no outside edge is
-    skipped, as in the walk.  The cycle counts sit in the key rather than
-    in the weight, since a weight dense over all three counts would grow
-    with cr * n^2 per state.  A layer of more than ``_FRONTIER_STATES``
-    states is split into chunks summed one after another.  The table count
-    is checked before any state is built, so the cache key is the spec
-    alone; then a block whose colors no other block uses, which no table can
-    join to another block, gives the empty tally at once.
+    The walk places an edge (p, q) from the smallest free position p, and
+    what it does next depends only on a frontier state: the taken positions,
+    the path-end involutions ``end_v`` and ``end_f`` restricted to the free
+    positions (a path always ends at free positions) and one "has an outside
+    edge" bit per block.  So the tally is summed forward one edge at a time
+    over the states, here paired with the two cycle counts so far, each
+    holding the tally of the partial tables that reach it as one packed
+    ``int``: a slot of ``width`` bits per crossing count.  No count
+    overflows its slot: each color's edges form a prefix of one of its
+    matchings, so a layer holds at most the closed-form table count of
+    partial tables.  An edge adds the taken positions between p and q to cr,
+    which is one shift, and one cycle when it closes a path; an internal
+    edge that would complete a block with no outside edge is skipped, as in
+    the walk.  The cycle counts sit in the key rather than in the weight,
+    since a weight dense over all three counts would grow with cr * n^2 per
+    state.  A layer of more than ``_FRONTIER_STATES`` states is split into
+    chunks summed one after another.  The table count is checked before any
+    state is built; then a block whose colors no other block uses, which no
+    table can join to another block, gives the empty tally at once.  Keys
+    are (crossings, cycles, contraction cycles), or with ``connectors``
+    (crossings, cycles, e_AB) over the genus-zero tables, whose cycle counts
+    sum to n: an edge closes a cycle or merges two paths in each involution,
+    so k edges make 2k - c_gamma - c_g merges, and a state with more than n
+    is dropped.
     """
     n = spec.n
     pos_colors = spec.coloring().position_colors()
@@ -184,13 +178,13 @@ def _centered_counts(spec: MonomialSpec) -> dict[tuple[int, int, int], int]:
         [q for q in range(p + 1, size) if pos_colors[q] == pos_colors[p]] for p in range(size)
     ]
     # a state is (head, ends).  head holds the taken positions in bits
-    # 0..size-1, the outside-edge bit of block b at size + b, then c_g and
-    # c_gamma in fields of n.bit_length() bits; ends holds end_v[x] at x and
-    # end_f[x] at size + x as unsigned ints, 0 at taken positions
+    # 0..size-1, the outside-edge bit of block b at size + b, then e_AB, c_g
+    # and c_gamma in fields of n.bit_length() bits; ends holds end_v[x] at x
+    # and end_f[x] at size + x as unsigned ints, 0 at taken positions
     outside_bit = [1 << (size + b) for b in block]
-    g_at = size + len(block_bits)
-    g_one, gamma_at = 1 << g_at, g_at + n.bit_length()
-    gamma_one = 1 << gamma_at
+    field, e_at = n.bit_length(), size + len(block_bits)
+    e_one, g_at, gamma_at = (1 << e_at if connectors else 0), e_at + field, e_at + 2 * field
+    g_one, gamma_one, mask = 1 << g_at, 1 << gamma_at, (1 << field) - 1
     start = array("I", [x ^ 1 for x in range(size)] + [top[x ^ 1] ^ 1 for x in range(size)])
     # (edges placed, states) still to sum; a layer over _FRONTIER_STATES is
     # split into chunks, each summed on its own, and the last layers meet in done
@@ -199,6 +193,7 @@ def _centered_counts(spec: MonomialSpec) -> dict[tuple[int, int, int], int]:
     while pending:
         placed, layer = pending.pop()
         while placed < n and len(layer) <= _FRONTIER_STATES:
+            least = 2 * placed + 2 - n if connectors else 0  # fewest cycles for <= n merges
             following: dict[tuple[int, bytes], int] = {}
             get = following.get
             for (head, ends), weight in layer.items():
@@ -210,7 +205,7 @@ def _centered_counts(spec: MonomialSpec) -> dict[tuple[int, int, int], int]:
                         continue
                     oq = outside_bit[q]
                     if op != oq:
-                        h = head | op | oq
+                        h = (head | op | oq) + e_one
                     elif isolated:
                         continue  # the edge would complete a block with no outside edge
                     else:
@@ -229,6 +224,8 @@ def _centered_counts(spec: MonomialSpec) -> dict[tuple[int, int, int], int]:
                     else:
                         b = e[size + q]
                         e[size + a], e[size + b] = b, a
+                    if least > 0 and (h >> gamma_at) + (h >> g_at & mask) < least:
+                        continue  # more than n merges: no genus-zero table below
                     e[p] = e[q] = e[size + p] = e[size + q] = 0
                     key = (h | 1 << p | 1 << q, e.tobytes())
                     following[key] = get(key, 0) + (weight << shift)
@@ -240,18 +237,27 @@ def _centered_counts(spec: MonomialSpec) -> dict[tuple[int, int, int], int]:
         # every position is taken in each state left; none is left if no table connects the blocks
         for (head, _), weight in layer.items():
             done[head] = done.get(head, 0) + weight
-    finite: dict[tuple[int, int, int], int] = {}
-    slot, g_field = (1 << width) - 1, (1 << n.bit_length()) - 1
+    counts: dict[tuple[int, int, int], int] = {}
+    slot = (1 << width) - 1
     for head, weight in done.items():
-        c_gamma, c_g = head >> gamma_at, head >> g_at & g_field
+        c_gamma, c_g = head >> gamma_at, head >> g_at & mask
+        if connectors and c_gamma + c_g != n:
+            continue
+        last = head >> e_at & mask if connectors else c_g
         cr = 0
         while weight:
             count = weight & slot
             if count:
-                finite[(cr, c_gamma, c_g)] = count
+                counts[(cr, c_gamma, last)] = count
             weight >>= width
             cr += 1
-    return finite
+    return counts
+
+
+@lru_cache(maxsize=_CACHE_SIZE)
+def _centered_counts(spec: MonomialSpec) -> dict[tuple[int, int, int], int]:
+    """The finite centered tally; the sum checks its own bound, so the key is the spec."""
+    return _frontier_counts(spec, connectors=False)
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
@@ -261,16 +267,10 @@ def _connector_counts(
     """Planar connectors of two trace blocks, keyed by (crossings, cycles, e_AB).
 
     A connector is a color-preserving pairing of the two-block spec
-    (word_a, word_b) that has e_AB >= 1 edges between the blocks and whose
-    two cycle counts sum to the degree, i.e. a genus-zero pair component.
+    (word_a, word_b) with e_AB >= 1 edges between the blocks and two cycle
+    counts that sum to the degree (genus zero), summed by ``_frontier_counts``.
     """
-    n = len(word_a) + len(word_b)
-    counts: dict[tuple[int, int, int], int] = {}
-    for _, cr, c_gamma, c_g, between, _ in _block_walk(MonomialSpec((word_a, word_b))):
-        if c_gamma + c_g == n:
-            key = (cr, c_gamma, between)
-            counts[key] = counts.get(key, 0) + 1
-    return counts
+    return _frontier_counts(MonomialSpec((word_a, word_b)), connectors=True)
 
 
 def centered_trace_moment(
@@ -345,8 +345,8 @@ def _product_limit(statistics: Sequence[PolynomialStatistic], q) -> MomentPolyno
     matching, so its limit is zero before any covariance is built.  For m
     positions the recursion has at most (m - 1)!! * max(1, k)^(m/2) leaves, k
     being the most edge classes of one covariance after a rational q is
-    substituted into it: (m - 1)!! and the tables of all connector walks are
-    checked before any walk starts, the full count before the sum.  The sum
+    substituted into it: (m - 1)!! and the connector tables are checked
+    before any connector is summed, the full count before the sum.  The sum
     runs over statistics cleared of denominators by ``_cleared`` and is
     divided by their product at the end.
     """
@@ -355,10 +355,10 @@ def _product_limit(statistics: Sequence[PolynomialStatistic], q) -> MomentPolyno
         return MomentPolynomial.zero()
     _check_limit_terms(m, 1)
     pairs = [(a, b) for a in range(m) for b in range(a + 1, m)]
-    # one walk per distinct word pair; each letter sits on two positions of its color
+    # one connector sum per word pair; each letter sits on two positions of its color
     words = [[word for _, word in statistic.terms] for statistic in statistics]
-    walked = {(x, y) for a, b in pairs for x in words[a] for y in words[b]}
-    tables = sum(_check_tables(len(x) + len(y), (x + y) * 2) for x, y in walked)
+    word_pairs = {(x, y) for a, b in pairs for x in words[a] for y in words[b]}
+    tables = sum(_check_tables(len(x) + len(y), (x + y) * 2) for x, y in word_pairs)
     _check_count([tables], TABLE_BOUND, "connector tables")
     cleared = [_cleared(statistic) for statistic in statistics]
     covariances = {(a, b): _covariance(cleared[a][0], cleared[b][0]) for a, b in pairs}

@@ -10,7 +10,7 @@ Brauer contraction with its inherited coloring (``pairing_term``), and (in
 the q case) the weight q^crossings.
 
 The engine reads the tally of (crossings, trace monomial) -> count off the
-counted walk ``pairings._counted_walk`` (shared with the limit connectors),
+counted walk ``pairings._counted_walk`` (shared with ``connecting_pairings``),
 once per (spec, use_eps, tally kind), into a bounded cache.  The walk reads
 each trace atom's word once, when the edge that closes its cycle is placed,
 and the kind follows the q the tally will be substituted at: at q = 0 only
@@ -368,7 +368,7 @@ def _word_counts(
     walk = _counted_walk(
         len(colors), pos_colors, top_table, read=read, noncrossing=kind == "noncrossing"
     )
-    for _, cr, _, _, _, closed in walk:
+    for _, cr, _, _, closed in walk:
         key = (0 if summed else cr, tuple(sorted(closed)))
         counts[key] = counts.get(key, 0) + 1
     return ids, counts

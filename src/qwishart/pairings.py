@@ -16,10 +16,11 @@ pair joins a top point to a bottom point) are exactly the all-plus ones and
 are in bijection with permutations; the Brauer product restricted to them is
 permutation composition.
 
-One counted walk, ``_counted_walk``, serves the finite tallies, the limit
-connectors and ``connecting_pairings``; the centered tally sums over its
-frontier states instead.  ``_iter_tables`` shares no code with it: it serves
-the enumeration API and the oracles that check it.
+One counted walk, ``_counted_walk``, serves the finite tallies and
+``connecting_pairings``; the centered tally and the limit connectors sum over
+its frontier states instead (``fluctuations._frontier_counts``).
+``_iter_tables`` shares no code with it: it serves the enumeration API and
+the oracles that check it.
 """
 
 from __future__ import annotations
@@ -560,13 +561,13 @@ def _counted_walk(
     block: Sequence[int] | None = None,
     read: Callable[[int, int, list[int]], int] | None = None,
     noncrossing: bool = False,
-) -> Iterator[tuple[list[int], int, int, int, int, list[int]]]:
+) -> Iterator[tuple[list[int], int, int, int, list[int]]]:
     """Color-preserving tables in the order of ``_iter_tables``, with their counts.
 
-    Yields ``(table, cr, c_gamma, c_g, between, closed)`` per table: the
-    crossings, ``_cycle_count(table)``, ``_cycle_count(_brauer_table(top,
-    table))``, the edges between blocks and what ``read`` returned for each
-    closed cycle.  All are kept as edges are placed and undone on backtrack:
+    Yields ``(table, cr, c_gamma, c_g, closed)`` per table: the crossings,
+    ``_cycle_count(table)``, ``_cycle_count(_brauer_table(top, table))`` and
+    what ``read`` returned for each closed cycle.  All are kept as edges are
+    placed and undone on backtrack:
 
     - every placed edge has its left end before p, so the new edge (p, q)
       crosses the placed edges whose right end lies between p and q: the
@@ -579,18 +580,18 @@ def _counted_walk(
       ``closed``, kind 0 for a shape and 1 for a scale cycle;
     - with ``block`` (a block index per position), an internal edge that
       completes a block with no outside edge prunes its subtree; without it
-      nothing is pruned and ``between`` stays 0;
+      nothing is pruned;
     - with ``noncrossing``, the scan for p's partner ends at the first
       matched position, since every later partner would cross that edge, so
       only the noncrossing tables (``cr`` = 0) are walked and yielded, in
       the same order.
 
     The yielded lists are reused in place, so copy them before storing.
-    ``fluctuations._centered_counts`` repeats the crossing, path-end and
-    prune steps on its frontier states, so a change to them here must be
-    made there too; its test oracle is this walk.  The noncrossing stop is
-    the walk's alone: the centered tally keeps every crossing number, so it
-    need not mirror it.
+    ``fluctuations._frontier_counts`` is the one mirror of these steps: it
+    repeats the crossing, path-end and prune steps on its frontier states,
+    so a change to them here must be made there too; its test oracle is
+    this walk.  The noncrossing stop is the walk's alone: the frontier sum
+    keeps every crossing number, so it need not mirror it.
     """
     _check_tables(n, pos_colors)
     size = 2 * n
@@ -605,7 +606,7 @@ def _counted_walk(
         outside = [0] * len(free)
     closed: list[int] = []
     stack: list[tuple[int, int, int]] = []
-    cr = c_gamma = c_g = between = 0
+    cr = c_gamma = c_g = 0
     p, q, inside = 0, 1, 0
     while True:
         while q < size:
@@ -626,7 +627,6 @@ def _counted_walk(
                         free[bq] -= 1
                         outside[bp] += 1
                         outside[bq] += 1
-                        between += 1
                 table[p] = q
                 table[q] = p
                 stack.append((p, q, inside))
@@ -653,7 +653,7 @@ def _counted_walk(
                 while nxt < size and table[nxt] >= 0:
                     nxt += 1
                 if nxt == size:
-                    yield table, cr, c_gamma, c_g, between, closed
+                    yield table, cr, c_gamma, c_g, closed
                     break  # p has no other free partner: undo this edge
                 p, q, inside = nxt, nxt + 1, 0
                 continue
@@ -690,7 +690,6 @@ def _counted_walk(
                 free[bq] += 1
                 outside[bp] -= 1
                 outside[bq] -= 1
-                between -= 1
         q += 1
 
 

@@ -26,8 +26,10 @@ from qwishart.pairings import (
     TABLE_BOUND,
     _brauer_table,
     _check_tables,
+    _counted_walk,
     _cycle_count,
     _iter_tables,
+    _position_blocks,
     block_pairing,
     brauer,
     components_and_genus,
@@ -224,6 +226,25 @@ def _connector_counts_by_scan(word_a, word_b):
     return counts
 
 
+def _block_walk(spec):
+    """The counted walk over pairings that join every trace block to another."""
+    base = spec.pairing()
+    pos_colors = spec.coloring().position_colors()
+    return _counted_walk(spec.n, pos_colors, base.table, _position_blocks(base))
+
+
+def _connector_counts_by_walk(word_a, word_b):
+    """The connector tally that the frontier sum replaced: one count per walked table."""
+    n = len(word_a) + len(word_b)
+    split = 2 * len(word_a)
+    counts = {}
+    for table, cr, c_gamma, c_g, _ in _block_walk(MonomialSpec((word_a, word_b))):
+        if c_gamma + c_g == n:
+            key = (cr, c_gamma, sum(1 for p in range(split) if table[p] >= split))
+            counts[key] = counts.get(key, 0) + 1
+    return counts
+
+
 def _filter_limit(spec):
     return _centered_counts_by_scan(spec)[1]
 
@@ -278,25 +299,30 @@ class TestCountedWalkTallies:
     def test_connectors_match_scan_on_two_color_pairs(self, n):
         for spec in _two_color_specs(n):
             if len(spec.cycle_words) == 2:
-                assert fluctuations._connector_counts(
-                    *spec.cycle_words
-                ) == _connector_counts_by_scan(*spec.cycle_words), spec
+                pair = spec.cycle_words
+                got = fluctuations._connector_counts(*pair)
+                assert got == _connector_counts_by_scan(*pair), spec
+                assert got == _connector_counts_by_walk(*pair), spec
 
     def test_connectors_match_scan_at_degree_eight(self):
         for pair in _word_pairs(_DEGREE_EIGHT_SPECS):
-            assert fluctuations._connector_counts(*pair) == _connector_counts_by_scan(*pair)
+            got = fluctuations._connector_counts(*pair)
+            assert got == _connector_counts_by_scan(*pair) == _connector_counts_by_walk(*pair)
 
     @given(st.data())
     @settings(max_examples=40, deadline=None)
     def test_connectors_match_scan_on_random_specs(self, data):
-        for pair in _word_pairs([_random_spec(data)]):
-            assert fluctuations._connector_counts(*pair) == _connector_counts_by_scan(*pair)
+        spec = _random_spec(data, max_n=7)
+        assume(_check_tables(spec.n, spec.coloring().position_colors()) <= 10395)
+        for pair in _word_pairs([spec]):
+            got = fluctuations._connector_counts(*pair)
+            assert got == _connector_counts_by_scan(*pair) == _connector_counts_by_walk(*pair)
 
 
 def _centered_counts_by_walk(spec):
     """The finite tally that the frontier sum replaced: one count per walked table."""
     finite = {}
-    for _, cr, c_gamma, c_g, _, _ in fluctuations._block_walk(spec):
+    for _, cr, c_gamma, c_g, _ in _block_walk(spec):
         key = (cr, c_gamma, c_g)
         finite[key] = finite.get(key, 0) + 1
     return finite
@@ -352,18 +378,30 @@ class TestFrontierSum:
 
     @pytest.mark.parametrize(
         "words",
-        [((1, 1), (1,), (1, 1, 1)), ((1, 2, 1), (2, 1, 2), (1, 2)), ((1, 1),), ((2, 2, 2), (3, 3))],
+        [
+            ((1, 1), (1,), (1, 1, 1)),
+            ((1, 2, 1), (2, 1, 2), (1, 2)),
+            ((1, 1),),
+            ((2, 2, 2), (3, 3)),
+            ((1, 1, 1), (1, 1, 1)),
+            ((1, 2, 1, 2), (2, 1, 2, 1)),
+        ],
         ids=str,
     )
     def test_split_layers_give_the_same_tally(self, monkeypatch, words):
-        # chunks of two states: every layer past the first few is split
+        # chunks of two states: every layer past the first few is split; a
+        # pair of words also sums its connectors, with e_AB and the genus cut
         monkeypatch.setattr(fluctuations, "_FRONTIER_STATES", 4)
         spec = MonomialSpec(words)
         fluctuations._centered_counts.cache_clear()
+        fluctuations._connector_counts.cache_clear()
         try:
             assert fluctuations._centered_counts(spec) == _centered_counts_by_walk(spec)
+            if len(words) == 2:
+                assert fluctuations._connector_counts(*words) == _connector_counts_by_walk(*words)
         finally:
             fluctuations._centered_counts.cache_clear()
+            fluctuations._connector_counts.cache_clear()
 
     def test_positions_past_255(self):
         # n = 129: 258 positions, but only color 1 has more than one matching
@@ -432,9 +470,10 @@ class TestBlockPairComposition:
         assert fluctuations._connector_counts.cache_info().currsize == 0
 
     def test_connector_tables_are_summed(self, monkeypatch):
-        # blocks of 4 and 5 points make one 17!! walk, within the bound alone;
-        # the walks with the singletons push the sum over it
-        monkeypatch.setattr(fluctuations, "_counted_walk", _no_walk)
+        # blocks of 4 and 5 points make one 17!! sum, within the bound alone;
+        # the sums with the singletons push the total over it
+        fluctuations._connector_counts.cache_clear()
+        monkeypatch.setattr(fluctuations, "_frontier_counts", _no_sum)
         spec = MonomialSpec(((1,) * 4, (1,) * 5, (1,), (1,)))
         with pytest.raises(EnumerationBoundError, match="connector tables"):
             centered_trace_moment_limit(spec)
@@ -643,23 +682,25 @@ class TestStatisticMoments:
         with pytest.raises(EnumerationBoundError, match="over 10 positions"):
             statistic_limit_moments(stat, 10)
 
-    def test_order_one_walks_nothing(self, monkeypatch):
-        # odd orders vanish, so tr(W^5) at order 1 needs no connector walk
-        monkeypatch.setattr(fluctuations, "_counted_walk", _no_walk)
+    def test_order_one_sums_nothing(self, monkeypatch):
+        # odd orders vanish, so tr(W^5) at order 1 needs no connector sum
+        fluctuations._connector_counts.cache_clear()
+        monkeypatch.setattr(fluctuations, "_frontier_counts", _no_sum)
         stat = PolynomialStatistic.from_terms([(1, (1,) * 5)])
         assert [lm.value for lm in statistic_limit_moments(stat, 1)] == [0]
 
-    def test_connector_tables_checked_before_any_walk(self, monkeypatch):
+    def test_connector_tables_checked_before_any_sum(self, monkeypatch):
         # (w4, w4) has 15!! tables and (w4, w5) 17!!; (w5, w5)'s 19!! is over
-        monkeypatch.setattr(fluctuations, "_counted_walk", _no_walk)
+        fluctuations._connector_counts.cache_clear()
+        monkeypatch.setattr(fluctuations, "_frontier_counts", _no_sum)
         stat = PolynomialStatistic.from_terms([(1, (1,) * 4), (1, (1,) * 5)])
         with pytest.raises(EnumerationBoundError) as info:
             statistic_limit_moments(stat, 2)
         assert info.value.bound == TABLE_BOUND
 
 
-def _no_walk(*args):
-    raise AssertionError("a connector was walked")
+def _no_sum(*args, **kwargs):
+    raise AssertionError("a connector was summed")
 
 
 def _no_matchings(*args):
