@@ -163,7 +163,7 @@ def _frontier_counts(spec: MonomialSpec, connectors: bool) -> dict[tuple[int, in
     is dropped.
     """
     n = spec.n
-    pos_colors = spec.coloring().position_colors()
+    pos_colors = [c for word in spec.cycle_words for c in word for _ in (0, 1)]
     width = _check_tables(n, pos_colors).bit_length()
     blocks_of = Counter(c for word in spec.cycle_words for c in set(word))
     if any(all(blocks_of[c] == 1 for c in word) for word in spec.cycle_words):

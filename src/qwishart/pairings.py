@@ -154,7 +154,7 @@ def _count(value, name: str, low: int | None, high: int | None = None) -> int:
     """An integer in low..high as an ``int`` (numpy integers convert); ``None``
     leaves that end open.  A bool, a float or an out-of-range value raises a
     ``ValueError`` that names the argument."""
-    if isinstance(value, numbers.Integral) and not isinstance(value, bool):
+    if type(value) is int or isinstance(value, numbers.Integral) and not isinstance(value, bool):
         if (low is None or value >= low) and (high is None or value <= high):
             return int(value)
     if high is None:
