@@ -24,7 +24,7 @@ STATISTICS = {
     ),
 }
 
-MAX_ORDERS = {"trace": 10, "product": 4, "tuned-square": 8}
+MAX_ORDERS = {"trace": 16, "product": 4, "tuned-square": 12}
 
 
 def main() -> None:

@@ -348,12 +348,13 @@ def _cmd_q_moment(args, out) -> int:
 
 
 def _limit(order_field: str, fn, *args):
-    """``fn(*args)``; a table bound is set by the --Q words alone, others by the order."""
+    """``fn(*args)``; the work and memory bounds are set by the order, the
+    table bound and the coefficients' symbols by the --Q statistic alone."""
     try:
         return fn(*args)
     except ValueError as exc:
-        tables = getattr(exc, "bound", None) == pairings.TABLE_BOUND
-        raise CliInputError("--Q" if tables else order_field, str(exc)) from exc
+        bound = getattr(exc, "bound", pairings.TABLE_BOUND)
+        raise CliInputError("--Q" if bound == pairings.TABLE_BOUND else order_field, str(exc)) from exc
 
 
 def _cmd_fluctuation_limit(args, out) -> int:

@@ -21,15 +21,26 @@ contiguous position intervals, so every A-B edge crosses every C-D edge
 exactly when the pairs interleave, and no other edge leaves its pair.  So a
 connector meets the rest only through e_AB, and the limit of
 tau(X_1 ... X_m) for centered statistics is one matching sum over
-edge-split covariances C_e(X_i, X_j) in Q[q, lambda] (coeff * q^crossings *
-lambda^cycles summed over the connectors with e edges of every term pair):
-over the perfect matchings of the positions and one label e per matched
-pair, the product of the C_e times q^(e * e') per interleaving pair.  A
-block moment is the same sum with one single-term statistic per block.  A
-rational q is substituted into each covariance, not into the sum, so a class
-that vanishes at q adds no terms.  This is the q-Gaussian pattern of Bozejko
-and Speicher: normal at q = 1, and at q = 0 only non-crossing matchings
-survive, giving the semicircle.
+edge-split covariances C_e(X_i, X_j) in Z[q, lambda] (coeff * q^crossings *
+lambda^cycles summed over the connectors with e edges of every term pair,
+for statistics cleared of denominators): over the perfect matchings of the
+positions and one label e per matched pair, the product of the C_e times
+q^(e * e') per interleaving pair.  A block moment is the same sum with one
+single-term statistic per block.
+
+That sum is a transfer sum over open arcs, the continued-fraction view of
+Flajolet (Discrete Math. 32, 1980): taken left to right, a pair (a, b) of
+class e picks up q^(e * e') from each pair opened after a and still open at
+b, so what is left depends only on the positions left and the ordered open
+arcs, each as (statistic of its opener, e).  The sum is memoised on that
+state, so the limits of every tail of the positions, and so every order of
+one statistic, come from one table.  Its polynomials are single ``int``s by
+Kronecker substitution (Harvey, J. Symbolic Comput. 44, 2009): q and lambda
+are powers of two fixed before the sum, a product is one ``int`` product
+and q^(e * e') a shift.  A rational q drops the classes that vanish at it
+and is substituted into the result.  This is the q-Gaussian pattern of
+Bozejko and Speicher: normal at q = 1, and at q = 0 only non-crossing
+matchings survive, giving the semicircle.
 """
 
 from __future__ import annotations
@@ -39,7 +50,6 @@ from array import array
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain, repeat
 from itertools import product as iter_product
 from typing import Sequence, Union
 
@@ -58,7 +68,6 @@ from .polynomials import (
     MomentPolynomial,
     Monomial,
     Rational,
-    _make_monomial,
     _q_value,
     _size,
 )
@@ -75,8 +84,16 @@ _CACHE_SIZE = 2048
 # colors) this bounds memory at the cost of the merges between chunks.
 _FRONTIER_STATES = 1 << 14
 
-# Terms one limit matching sum may add: 11!!, the matchings of 12 positions.
-LIMIT_TERM_BOUND = _double_factorial(11)
+# Transitions one limit transfer sum may take, counted by _transfer_size: those
+# of 12 positions with 12 distinct statistics and 4 edge classes.  No sum that
+# the former bound of 11!! matching terms let through has more: it allowed at
+# most 12 positions, and a word pair within the connector-table bound has at
+# most 4 classes.
+LIMIT_WORK_BOUND = 487_944
+
+# Bits the packed memo of one limit transfer sum may hold (512 MiB): its
+# closed-form states times the slots and bits of its layout.
+LIMIT_MEMORY_BOUND = 1 << 32
 
 
 @_record
@@ -90,6 +107,15 @@ class PolynomialStatistic:
         if not terms or any(not word for _, word in terms):
             raise ValueError("statistic needs nonempty trace words")
         object.__setattr__(self, "terms", terms)
+        # statistics key the limit caches, so hash the field tuple once
+        object.__setattr__(self, "_hash", hash((terms,)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        # rebuilt from the fields: a string hash differs between processes
+        return (type(self), (self.terms,))
 
     @classmethod
     def from_terms(
@@ -261,6 +287,13 @@ def _centered_counts(spec: MonomialSpec) -> dict[tuple[int, int, int], int]:
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
+def _connector_tables(words: tuple[tuple[int, ...], tuple[int, ...]]) -> int:
+    """Tables of the connector sum of a word pair; each letter sits on two positions of its color."""
+    word_a, word_b = words
+    return _check_tables(len(word_a) + len(word_b), (word_a + word_b) * 2)
+
+
+@lru_cache(maxsize=_CACHE_SIZE)
 def _connector_counts(
     word_a: tuple[int, ...], word_b: tuple[int, ...]
 ) -> dict[tuple[int, int, int], int]:
@@ -315,63 +348,296 @@ def centered_finite_and_limit(
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
-def _covariance(x: PolynomialStatistic, y: PolynomialStatistic):
-    """Edge-split limit covariance of two centered statistics, as (e, C_e) pairs.
+def _covariance(x: PolynomialStatistic, y: PolynomialStatistic) -> dict[int, dict[tuple[int, int], int]]:
+    """Edge-split limit covariance of two cleared statistics, as {e: {(q exp, lambda exp): int}}.
 
     C_e, in symbolic q, sums coeff_X * coeff_Y * q^crossings * lambda^cycles
-    over the connectors with e edges between the blocks of every term pair;
-    each word pair's connectors make one polynomial per class.  Classes that
-    cancel are left out.
+    over the connectors with e edges between the blocks of every term pair.
+    The coefficients hold only q and lambda and integers (``_cleared``), so
+    C_e is a map of exponent pairs to ``int``.  Classes that cancel are left
+    out, in increasing e.  The map is shared by the cache; callers do not
+    change it.
     """
-    split: dict[int, list[MomentPolynomial]] = {}
+    split: dict[int, dict[tuple[int, int], int]] = {}
     for (coeff_x, word_x), (coeff_y, word_y) in iter_product(x.terms, y.terms):
-        classes: dict[int, dict[Monomial, int]] = {}
-        for (cr, c_gamma, e), count in _connector_counts(word_x, word_y).items():
-            classes.setdefault(e, {})[_make_monomial({"q": cr, "lambda": c_gamma})] = count
-        coeff = coeff_x * coeff_y
-        for e, terms in classes.items():
-            split.setdefault(e, []).append(coeff * MomentPolynomial(terms))
-    sums = ((e, MomentPolynomial.sum(parts)) for e, parts in sorted(split.items()))
-    return tuple((e, c) for e, c in sums if not c.is_zero())
+        connectors = _connector_counts(word_x, word_y)
+        if not connectors:
+            continue
+        coeff = [(dict(mono), c) for mono, c in (coeff_x * coeff_y).terms()]
+        coeff = [((p.get("q", 0), p.get("lambda", 0)), c) for p, c in coeff]
+        for (cr, c_gamma, e), count in connectors.items():
+            terms = split.setdefault(e, {})
+            for (q_exp, lam_exp), c in coeff:
+                key = (q_exp + cr, lam_exp + c_gamma)
+                terms[key] = terms.get(key, 0) + c * count
+    classes = ((e, {k: c for k, c in terms.items() if c}) for e, terms in sorted(split.items()))
+    return {e: terms for e, terms in classes if terms}
+
+
+@_record
+class _Layout:
+    """Kronecker layout of polynomials in q and lambda with ``int`` coefficients.
+
+    A covariance's q^i lambda^j sits in slot (i - low_q) + q_slots *
+    (j - low_lam) of ``bits`` bits each, a whole number of bytes: it is its
+    value at q = 2^bits and lambda = 2^(bits * q_slots), times
+    q^-low_q lambda^-low_lam.  So a product is one ``int`` product, a sum one
+    addition and a factor q^k a shift by k * bits, and a product of h
+    covariances is shifted by h times (low_q, low_lam).  The slots hold
+    signed coefficients, exact while every coefficient is below
+    2^(bits - 1) in absolute value and every shifted q-degree below q_slots.
+    """
+
+    q_slots: int
+    slots: int
+    bits: int
+    low_q: int = 0
+    low_lam: int = 0
+
+    @classmethod
+    def fit(cls, m: int, covariances: dict) -> "_Layout":
+        """The layout for products of m/2 of the covariances, fixed before the sum.
+
+        The shifts are the least exponents of every covariance; q then has
+        top degree (m/2) * (largest q-span) + e_max^2 * C(m/2, 2), the second
+        term for the crossings, and lambda (m/2) * (largest lambda-span).  A
+        slot holds the bit length of (m - 1)!! * S^(m/2) plus 2 bits, rounded
+        up to bytes, S being the largest sum of absolute coefficients of one
+        pair's covariance: a state of the sum adds at most (m - 1)!!
+        products of at most m/2 covariances, so none of its coefficients is
+        larger.
+        """
+        half, e_max, abs_sum, keys = m // 2, 0, 0, []
+        for pair in covariances.values():
+            e_max = max([e_max, *pair])
+            abs_sum = max(abs_sum, sum(abs(c) for terms in pair.values() for c in terms.values()))
+            keys.extend(key for terms in pair.values() for key in terms)
+        q_exps, lam_exps = zip(*keys) if keys else ((0,), (0,))
+        low_q, low_lam = min(q_exps), min(lam_exps)
+        q_slots = half * (max(q_exps) - low_q) + e_max**2 * math.comb(half, 2) + 1
+        lam_slots = half * (max(lam_exps) - low_lam) + 1
+        bits = (_double_factorial(m - 1) * abs_sum**half).bit_length() + 2
+        return cls(q_slots, q_slots * lam_slots, -(-bits // 8) * 8, low_q, low_lam)
+
+    def pack(self, terms: dict[tuple[int, int], int]) -> int:
+        bits, q_slots, low_q, low_lam = self.bits, self.q_slots, self.low_q, self.low_lam
+        return sum(c << bits * (i - low_q + q_slots * (j - low_lam)) for (i, j), c in terms.items())
+
+    def unpack(self, value: int, factors: int = 1) -> dict[tuple[int, int], int]:
+        """The nonzero coefficients of a packed product of ``factors`` covariances."""
+        if not value:
+            return {}
+        # adding 2^(bits - 1) to every slot makes each one a nonnegative digit
+        width = self.bits // 8
+        zero = bytes(width - 1) + b"\x80"  # the digit of a zero slot
+        raw = (value + int.from_bytes(zero * self.slots, "little")).to_bytes(
+            width * self.slots, "little"
+        )
+        offset, q_slots, terms = 1 << (self.bits - 1), self.q_slots, {}
+        low_q, low_lam = factors * self.low_q, factors * self.low_lam
+        for at in range(0, len(raw), width):
+            digit = raw[at : at + width]
+            if digit != zero:
+                i, j = at // width % q_slots, at // width // q_slots
+                terms[i + low_q, j + low_lam] = int.from_bytes(digit, "little") - offset
+        return terms
+
+
+def _transfer_size(m: int, statistics: int, classes: int) -> tuple[int, int]:
+    """States and transitions of the transfer sum over m positions, in closed form.
+
+    Before position p the open arcs are j <= min(p, m - p) of the p positions
+    so far, j of the parity of p, in the order they opened; each has one of
+    ``classes`` classes, and their openers' statistics form at most
+    min(C(p, j), statistics^j) sequences.  A state opens an arc in one of
+    the classes or closes one of its j arcs.  The count stops once the
+    transitions pass ``LIMIT_WORK_BOUND``, so a huge m costs little.
+    """
+    states = steps = 0
+    for p in range(m):
+        for j in range(p % 2, min(p, m - p) + 1, 2):
+            count = min(math.comb(p, j), statistics**j) * classes**j
+            states += count
+            steps += count * (classes + j)
+        if steps > LIMIT_WORK_BOUND:
+            break
+    return states, steps
+
+
+def _check_work(m: int, statistics: int, classes: int) -> None:
+    """Refuse a transfer sum over m positions whose closed-form work passes the bound."""
+    steps = _transfer_size(m, statistics, classes)[1]
+    _check_count([steps], LIMIT_WORK_BOUND, f"transfer steps over {m} positions")
+
+
+def _longest(statistic: PolynomialStatistic) -> int:
+    """Most edge classes of a covariance with ``statistic``: e is even and at most twice a word."""
+    return max(len(word) for _, word in statistic.terms)
+
+
+def _at_q(terms: dict[tuple[int, int], int], q: Rational) -> dict[int, Fraction]:
+    """The nonzero coefficients of lambda^j in ``terms`` with the rational q substituted."""
+    q = Fraction(q)
+    low = min(q_exp for q_exp, _ in terms)
+    span = max(q_exp for q_exp, _ in terms) - low
+    # sum_i c q^(low + i) = q^low * sum_i c a^i b^(span - i) / b^span, in ints
+    a, b = q.numerator, q.denominator
+    a_pow, b_pow = [1], [1]
+    for _ in range(span):
+        a_pow.append(a_pow[-1] * a)
+        b_pow.append(b_pow[-1] * b)
+    sums: dict[int, int] = {}
+    for (q_exp, lam_exp), c in terms.items():
+        i = q_exp - low
+        sums[lam_exp] = sums.get(lam_exp, 0) + c * a_pow[i] * b_pow[span - i]
+    factor = q**low / b_pow[span]
+    values = ((lam_exp, total * factor) for lam_exp, total in sums.items())
+    return {lam_exp: value for lam_exp, value in values if value}
 
 
 def _product_limit(statistics: Sequence[PolynomialStatistic], q) -> MomentPolynomial:
-    """Limit of the tracial moment of an ordered product of centered statistics.
+    """Limit of the tracial moment of an ordered product of centered statistics."""
+    return _tail_limits(statistics, q, [len(statistics)])[0]
 
-    Sums over the perfect matchings of the positions and one edge class e per
-    matched pair: the product of the pairs' covariances C_e, times q^(e * e')
-    for every two matched pairs that interleave as A < C < B < D, summed left
-    to right by ``_matching_sum``.  An odd number of positions has no
-    matching, so its limit is zero before any covariance is built.  For m
-    positions the recursion has at most (m - 1)!! * max(1, k)^(m/2) leaves, k
-    being the most edge classes of one covariance after a rational q is
-    substituted into it: (m - 1)!! and the connector tables are checked
-    before any connector is summed, the full count before the sum.  The sum
-    runs over statistics cleared of denominators by ``_cleared`` and is
-    divided by their product at the end.
+
+def _tail_limits(
+    statistics: Sequence[PolynomialStatistic], q, lengths: Sequence[int]
+) -> list[MomentPolynomial]:
+    """Limits of the products of the last L statistics, for each L in ``lengths``.
+
+    Each limit sums over the perfect matchings of its positions and one edge
+    class e per matched pair: the product of the pairs' covariances C_e,
+    times q^(e * e') for every two matched pairs that interleave as
+    A < C < B < D.  ``_transfer_sum`` forms all of them from one memo, in
+    integers packed by one ``_Layout``.  An odd length has no matching, so
+    its limit is zero; if every length is odd, nothing is built.
+
+    Before any covariance is built, a coefficient outside q and lambda is
+    refused, and the sum's closed-form work (``_transfer_size``, with at most
+    as many classes as the second-longest word, e being even and at most
+    twice the shorter word) and the connector tables are checked.  The
+    covariances are built in symbolic q from the statistics cleared of
+    denominators (``_cleared``); at a rational q each class that vanishes
+    there is dropped, the sum runs in symbolic q, and q is substituted into
+    each unpacked result.  The layout is fixed before the sum: a pair's
+    exponents are shifted by the least exponent of every covariance, q has
+    D_q = (m/2) * (largest q-span) + e_max^2 * C(m/2, 2) and lambda
+    (m/2) * (largest lambda-span) as top degrees, and a slot holds the bit
+    length of (m - 1)!! * S^(m/2) plus 2 bits, rounded up to bytes, S being
+    the largest sum of absolute coefficients of one pair's covariance.  The
+    memo then holds at most the closed-form states, each within the
+    layout's slots, and that packed size is checked against
+    ``LIMIT_MEMORY_BOUND`` before the sum starts.
     """
-    m = len(statistics)
-    if m % 2:
-        return MomentPolynomial.zero()
-    _check_limit_terms(m, 1)
-    pairs = [(a, b) for a in range(m) for b in range(a + 1, m)]
-    # one connector sum per word pair; each letter sits on two positions of its color
-    words = [[word for _, word in statistic.terms] for statistic in statistics]
+    evens = sorted({length for length in lengths if length % 2 == 0}, reverse=True)
+    if not evens:
+        return [MomentPolynomial.zero()] * len(lengths)
+    m = evens[0]
+    index: dict[PolynomialStatistic, int] = {}
+    ids = [index.setdefault(statistic, len(index)) for statistic in statistics[len(statistics) - m :]]
+    distinct = list(index)
+    longest = [_longest(statistic) for statistic in distinct]
+    _check_work(m, len(distinct), sorted(longest[i] for i in ids)[-2] if m else 0)
+    # the statistic pairs (a, b) with a position of a before one of b
+    first, last = {}, {}
+    for p, i in enumerate(ids):
+        first.setdefault(i, p)
+        last[i] = p
+    pairs = [(a, b) for a in first for b in last if first[a] < last[b]]
+    # one connector sum per word pair
+    words = [[word for _, word in statistic.terms] for statistic in distinct]
     word_pairs = {(x, y) for a, b in pairs for x in words[a] for y in words[b]}
-    tables = sum(_check_tables(len(x) + len(y), (x + y) * 2) for x, y in word_pairs)
-    _check_count([tables], TABLE_BOUND, "connector tables")
-    cleared = [_cleared(statistic) for statistic in statistics]
+    _check_count([sum(map(_connector_tables, word_pairs))], TABLE_BOUND, "connector tables")
+    cleared = [_cleared(statistic) for statistic in distinct]
     covariances = {(a, b): _covariance(cleared[a][0], cleared[b][0]) for a, b in pairs}
     if not isinstance(q, str):
-        at_q = {}
-        for classes in set(covariances.values()):
-            substituted = ((e, c.substitute({"q": q})) for e, c in classes)
-            at_q[classes] = tuple((e, c) for e, c in substituted if not c.is_zero())
-        covariances = {pair: at_q[classes] for pair, classes in covariances.items()}
-    _check_limit_terms(m, max(map(len, covariances.values()), default=1))
-    total = _matching_sum(tuple(range(m)), (), covariances, q)
-    scale = math.prod(d for _, d in cleared)
-    return total if scale == 1 else total / scale
+        covariances = {
+            pair: {e: terms for e, terms in classes.items() if _at_q(terms, q)}
+            for pair, classes in covariances.items()
+        }
+    layout = _Layout.fit(m, covariances)
+    opening: dict[int, set[int]] = {}
+    for (a, _), classes in covariances.items():
+        opening.setdefault(a, set()).update(classes)
+    states = _transfer_size(m, len(distinct), max(map(len, opening.values()), default=0))[0]
+    what = f"packed bits over {m} positions"
+    _check_count([states, layout.slots, layout.bits], LIMIT_MEMORY_BOUND, what)
+    packed = {
+        pair: {e: layout.pack(terms) for e, terms in classes.items()}
+        for pair, classes in covariances.items()
+    }
+    sums = _transfer_sum(ids, packed, layout.bits, evens)
+    limits = {}
+    for length in evens:
+        terms = layout.unpack(sums[length], length // 2)
+        if terms and not isinstance(q, str):
+            terms = {(0, j): c for j, c in _at_q(terms, q).items()}
+        scale = math.prod(cleared[i][1] for i in ids[m - length :])
+        # the monomials q^i lambda^j, ordered as _make_monomial orders them
+        limits[length] = MomentPolynomial(
+            {
+                ((("q", i),) if i else ()) + ((("lambda", j),) if j else ()): (
+                    c if scale == 1 else Fraction(c, scale)
+                )
+                for (i, j), c in terms.items()
+            }
+        )
+    zero = MomentPolynomial.zero()
+    return [limits.get(length, zero) for length in lengths]
+
+
+def _transfer_sum(
+    ids: Sequence[int], covariances: dict, bits: int, lengths: Sequence[int]
+) -> dict[int, int]:
+    """Packed limit of the product of the last L positions, for each L in ``lengths``.
+
+    Position p holds statistic ``ids[p]``, and ``covariances[a, b][e]`` is
+    the packed C_e of an arc opened by statistic a and closed by b.  The sum
+    takes the positions left to right; its state is (positions left, the
+    open arcs in the order they opened, each as (opener's statistic, e)).  At
+    each position it opens an arc in one of its statistic's classes, or
+    closes open arc i, times C_e of that arc and q^(e * s), s being the sum
+    of the e' of the arcs opened after arc i and still open: each of those
+    interleaves with it.  The value of a state depends on the positions left
+    and the open arcs alone, so it is memoised on them, and the state with L
+    positions left and no arc open is the limit of the last L positions.
+    The memo lives for one call; the longest length goes first and fills it.
+    """
+    m = len(ids)
+    opening: dict[int, set[int]] = {}
+    closing: dict[int, dict[tuple[int, int], int]] = {}
+    for (a, b), classes in covariances.items():
+        opening.setdefault(a, set()).update(classes)
+        for e, c in classes.items():
+            closing.setdefault(b, {})[a, e] = c
+    classes_of = {a: sorted(classes) for a, classes in opening.items()}
+    memo: dict[tuple[int, tuple[tuple[int, int], ...]], int] = {}
+
+    def rest(left: int, arcs: tuple[tuple[int, int], ...]) -> int:
+        if not left:
+            return 1
+        key = (left, arcs)
+        value = memo.get(key)
+        if value is not None:
+            return value
+        s = ids[m - left]
+        value = 0
+        if len(arcs) < left - 1:  # room to close one more arc
+            for e in classes_of.get(s, ()):
+                value += rest(left - 1, arcs + ((s, e),))
+        closes, crossed = closing.get(s, {}), 0
+        for i in range(len(arcs) - 1, -1, -1):
+            arc = arcs[i]
+            c = closes.get(arc)
+            if c:
+                below = rest(left - 1, arcs[:i] + arcs[i + 1 :])
+                if below:
+                    value += c * below << bits * arc[1] * crossed
+            crossed += arc[1]
+        memo[key] = value
+        return value
+
+    return {length: rest(length, ()) for length in lengths}
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
@@ -380,44 +646,20 @@ def _cleared(statistic: PolynomialStatistic) -> tuple[PolynomialStatistic, int]:
 
     The limit is linear in each statistic, so the limit of the cleared
     statistics over the product of their d's is the limit itself, while the
-    covariances and the matching sum multiply and add ``int``s: a statistic
+    covariances and the transfer sum multiply and add ``int``s: a statistic
     with a coefficient such as 1/2 costs what an integral one does.
     """
+    bad = {
+        str(key)
+        for coeff, _ in statistic.terms
+        for mono, _ in coeff.terms()
+        for key, _ in mono
+        if key not in ("q", "lambda")
+    }
+    if bad:
+        raise ValueError(f"limit statistic coefficients may hold only q and lambda, got {sorted(bad)}")
     d = math.lcm(*(coeff.denominator() for coeff, _ in statistic.terms))
     return (statistic.scaled(d) if d > 1 else statistic), d
-
-
-def _matching_sum(
-    free: tuple[int, ...], arcs: tuple[tuple[int, int], ...], covariances, q
-) -> MomentPolynomial:
-    """Matching sum over the positions ``free``, by their first position a.
-
-    a is matched with each later free position b and each class (e, C_e) of
-    ``covariances[a, b]``.  ``arcs`` holds the right end d and class e' of
-    every pair matched before; those with a < d < b interleave (a, b), so the
-    term takes q^(e * sum of their e').  Each product is formed once per node
-    of the recursion, and an empty ``free`` sums to one, the empty matching.
-    """
-    if not free:
-        return MomentPolynomial.constant(1)
-    a, parts = free[0], []
-    for i in range(1, len(free)):
-        b, rest = free[i], free[1:i] + free[i + 1 :]
-        crossed = sum(e_prev for d, e_prev in arcs if a < d < b)
-        for e, c in covariances[a, b]:
-            if e * crossed:
-                k = e * crossed
-                c = c * (MomentPolynomial.symbol(q, k) if isinstance(q, str) else q**k)
-            if rest:
-                c = c * _matching_sum(rest, arcs + ((b, e),), covariances, q)
-            parts.append(c)
-    return MomentPolynomial.sum(parts)
-
-
-def _check_limit_terms(m: int, classes: int) -> None:
-    """Check (m - 1)!! * max(1, classes)^(m/2) terms (odd m: those of m - 1)."""
-    factors = chain(range(1, m, 2), repeat(max(1, classes), m // 2))
-    _check_count(factors, LIMIT_TERM_BOUND, f"matching terms over {m} positions")
 
 
 def statistic_limit_moments(
@@ -426,10 +668,11 @@ def statistic_limit_moments(
     """Limit moments of the centered statistic, orders 1..max_order."""
     max_order = _count(max_order, "max_order", 1)
     q = _q_value(q)
-    _check_limit_terms(max_order, 1)  # before the lists of max_order statistics are built
-    # the highest order has the most terms, so it goes first and fails first
-    limits = [LimitMoment(_product_limit([statistic] * m, q)) for m in range(max_order, 0, -1)]
-    return limits[::-1]
+    top = max_order - max_order % 2
+    _check_work(top, 1, _longest(statistic))  # before the list of top statistics is built
+    # every order is a tail of the highest even order, so one memo gives them all
+    limits = _tail_limits([statistic] * top, q, range(1, max_order + 1))
+    return [LimitMoment(limit) for limit in limits]
 
 
 def conditional_variance_check(
@@ -438,13 +681,16 @@ def conditional_variance_check(
     """Limit of tau((X-Y)^2 (X+Y)^m) - 2 tau(X^2) tau((X+Y)^m); expected zero.
 
     Y is the same statistic on a fresh uncorrelated set of colors, so the
-    check doubles the color count.
+    check doubles the color count.  For odd m both products have an odd
+    number of positions, so the difference is zero with no sum.  Otherwise
+    tau((X+Y)^m) is a tail of the first product and comes from its memo.
     """
     m = _count(m, "m", 0)
     q = _q_value(q)
-    _check_limit_terms(m + 2, 1)  # before the lists of m + 2 statistics are built
+    _check_work(m + 2, 2, _longest(statistic))  # before the list of m + 2 statistics is built
+    if m % 2:
+        return MomentPolynomial.zero()
     x, y = statistic, statistic.shifted(statistic.s)
     diff, total = x - y, x + y
-    lhs = _product_limit([diff, diff] + [total] * m, q)  # the most terms, so checked first
-    rhs = 2 * _product_limit([x, x], q) * _product_limit([total] * m, q)
-    return lhs - rhs
+    lhs, power = _tail_limits([diff, diff] + [total] * m, q, [m + 2, m])
+    return lhs - 2 * _product_limit([x, x], q) * power

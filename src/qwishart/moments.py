@@ -18,7 +18,9 @@ the noncrossing pairings carry weight, so the walk visits those alone; at
 q = 1 crossings carry no weight, so the cells drop the crossing index and
 every table with the same monomial shares one cell; a symbolic or any other
 rational q keeps the full tally, keyed by crossings, which is also the
-oracle for the other two.  ``pairing_term`` computes the same monomial for
+oracle for the other two.  When the full tally of a spec is cached, a q = 0
+or q = 1 query reads its tally off the full one instead of walking again.
+``pairing_term`` computes the same monomial for
 one pairing from the traversal and the Brauer contraction and stays as the
 per-table oracle.  Every result is a substitution into the
 tally: symbolic mode keeps the atoms, numeric mode evaluates each distinct
@@ -38,7 +40,6 @@ import numbers
 import sys
 from collections import Counter
 from fractions import Fraction
-from functools import lru_cache
 from itertools import chain, repeat
 from itertools import product as iter_product
 from typing import Callable, Sequence, Union
@@ -260,9 +261,10 @@ class MatrixBindings:
 # ---------------------------------------------------------------------------
 # the pairing-sum engine: one walk, one tally, one substitution step
 
-# Tallies kept by ``_tally``; one per (top pairing, coloring, use_eps), so a
-# spec queried in several binding modes is enumerated once.
+# Tallies kept by ``_tally``; one per (top pairing, coloring, use_eps, kind),
+# so a spec queried in several binding modes is enumerated once.
 _TALLY_CACHE_SIZE = 256
+_tallies: dict[tuple, tuple] = {}  # least recently used first
 
 
 def _pairing_words(top_table, colors, pos_colors, table, use_eps):
@@ -374,9 +376,36 @@ def _word_counts(
     return ids, counts
 
 
-@lru_cache(maxsize=_TALLY_CACHE_SIZE)
 def _tally(
     top_table: tuple[int, ...], colors: tuple[int, ...], use_eps: bool, kind: str = "crossings"
+) -> tuple[tuple[TraceAtom, ...], tuple[Cell, ...]]:
+    """``_walked_tally``, keeping the last ``_TALLY_CACHE_SIZE`` tallies.
+
+    A "summed" or "noncrossing" tally of a spec whose full ("crossings")
+    tally is kept is read off the full one instead of walked again: its
+    cells summed over the crossings, or those of crossings 0.  Either keeps
+    the full tally's atoms and its cell order, which is the walk's order.
+    """
+    key = (top_table, colors, use_eps, kind)
+    tally = _tallies.pop(key, None)
+    if tally is None:
+        full = _tallies.get(key[:3] + ("crossings",))
+        if full is None:
+            tally = _walked_tally(*key)
+        else:
+            cells: dict[tuple[int, tuple[tuple[int, int], ...]], int] = {}
+            for (cr, exps), count in full[1]:
+                if kind == "summed" or not cr:
+                    cells[0, exps] = cells.get((0, exps), 0) + count
+            tally = full[0], tuple(cells.items())
+        if len(_tallies) >= _TALLY_CACHE_SIZE:
+            del _tallies[next(iter(_tallies))]
+    _tallies[key] = tally
+    return tally
+
+
+def _walked_tally(
+    top_table: tuple[int, ...], colors: tuple[int, ...], use_eps: bool, kind: str
 ) -> tuple[tuple[TraceAtom, ...], tuple[Cell, ...]]:
     """Counts of ``(crossings, pairing_term)`` over the color-preserving pairings.
 
@@ -385,11 +414,10 @@ def _tally(
     its monomial without sorting.  The tally is read off the counted walk
     (``_word_counts``), which checks its own table count and keys each table
     by integer ids of its raw words, so every distinct word is canonicalised
-    once per tally rather than once per table.  ``kind`` (``_tally_kind``)
-    is part of the cache key: "crossings" is the full tally, "noncrossing"
-    its cells of crossings 0, and "summed" its cells with the crossings
-    summed out, every cell keyed 0; either of the last two gives the full
-    tally's result at its q.
+    once per tally rather than once per table.  ``kind`` (``_tally_kind``):
+    "crossings" is the full tally, "noncrossing" its cells of crossings 0,
+    and "summed" its cells with the crossings summed out, every cell keyed
+    0; either of the last two gives the full tally's result at its q.
     """
     ids, counts = _word_counts(top_table, colors, use_eps, kind)
     made = [TraceAtom.make(*raw) for raw in ids]

@@ -21,6 +21,7 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 TRACE = '{"terms":[{"coeff":"1","word":[1]}]}'
 PRODUCT = '{"terms":[{"coeff":"1","word":[1,2]}]}'
 QUINTIC = '{"terms":[{"coeff":"1","word":[1,1,1,1,1]}]}'
+SQUARE = '{"terms":[{"coeff":"1","word":[1,1]}]}'
 
 
 def capture(argv):
@@ -492,8 +493,11 @@ class TestFluctuationLimit:
              "--coloring", ",".join("1" * 10), "--symbolic"],
             "--sigma",
         ),
-        (["fluctuation-limit", "--Q", TRACE, "--orders", "14"], "--orders"),
-        (["t5-check", "--Q", PRODUCT, "--m", "10"], "--m"),
+        # over the limit sum's work bound
+        (["fluctuation-limit", "--Q", TRACE, "--orders", "300"], "--orders"),
+        (["t5-check", "--Q", PRODUCT, "--m", "18"], "--m"),
+        # over its memory bound
+        (["fluctuation-limit", "--Q", SQUARE, "--orders", "20"], "--orders"),
         # the connector walks of tr(W^5) are over the table bound at any order
         (["fluctuation-limit", "--Q", QUINTIC, "--orders", "2"], "--Q"),
         (["t5-check", "--Q", QUINTIC, "--m", "0"], "--Q"),
@@ -503,6 +507,14 @@ def test_enumeration_bounds_name_the_flag(capsys, argv, field):
     assert capture(argv) == (2, "")
     err = capsys.readouterr().err
     assert err.startswith(f"error: {field}: ") and "bound" in err
+
+
+@pytest.mark.parametrize("command", [["fluctuation-limit", "--orders", "2"], ["t5-check", "--m", "0"]])
+def test_limit_coefficient_symbols_name_the_statistic(capsys, command):
+    coeff = {"poly": {"terms": [{"coeff": "1", "powers": {"N": -1}}]}}
+    stat = json.dumps({"terms": [{"coeff": coeff, "word": [1]}]})
+    assert capture(command + ["--Q", stat]) == (2, "")
+    assert capsys.readouterr().err.startswith("error: --Q: limit statistic coefficients")
 
 
 class TestT5Check:

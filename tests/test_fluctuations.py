@@ -479,10 +479,11 @@ class TestBlockPairComposition:
             centered_trace_moment_limit(spec)
 
     def test_beyond_enumeration_bound(self):
-        # 14 blocks have 13!! = 135135 matchings, over the term bound 11!!
+        # 300 blocks of one letter take more transfer steps than the work
+        # bound allows; it fails before any covariance is built
         fluctuations._covariance.cache_clear()
-        with pytest.raises(EnumerationBoundError, match="135135 matching terms"):
-            centered_trace_moment_limit(MonomialSpec(((1,),) * 14))
+        with pytest.raises(EnumerationBoundError, match="transfer steps over 300 positions"):
+            centered_trace_moment_limit(MonomialSpec(((1,),) * 300))
         assert fluctuations._covariance.cache_info().currsize == 0
         # Gaussian tenth moment at q = 1: 9!! * (2 lambda)^5
         got = centered_trace_moment_limit(MonomialSpec(((1,),) * 10), q=1).value
@@ -490,7 +491,7 @@ class TestBlockPairComposition:
 
     @pytest.mark.parametrize(
         "cached",
-        ["_centered_counts", "_connector_counts", "_covariance", "_cleared"],
+        ["_centered_counts", "_connector_counts", "_connector_tables", "_covariance", "_cleared"],
     )
     def test_caches_are_bounded(self, cached):
         assert getattr(fluctuations, cached).cache_info().maxsize is not None
@@ -646,25 +647,37 @@ class TestStatisticMoments:
             assert conditional_variance_check(stat, 1, r) == symbolic
 
     def test_order_bound(self, monkeypatch):
-        # order 14 has 13!! matchings; it fails before any covariance is
-        # built and before any order is summed
+        # tr(W^2) at order 28 takes more transfer steps than the work bound
+        # allows; it fails before any covariance is built and before any
+        # order is summed
         stat = PolynomialStatistic.from_terms([(1, (1, 1))])
         fluctuations._covariance.cache_clear()
-        monkeypatch.setattr(fluctuations, "_matching_sum", _no_matchings)
-        with pytest.raises(EnumerationBoundError, match="135135 matching terms"):
-            statistic_limit_moments(stat, 14)
-        with pytest.raises(EnumerationBoundError, match="135135 matching terms"):
+        monkeypatch.setattr(fluctuations, "_transfer_sum", _no_matchings)
+        with pytest.raises(EnumerationBoundError, match="transfer steps over 28 positions"):
+            statistic_limit_moments(stat, 28)
+        with pytest.raises(EnumerationBoundError, match="transfer steps over 1000000 positions"):
             statistic_limit_moments(stat, 10**6)
         assert fluctuations._covariance.cache_info().currsize == 0
 
     @pytest.mark.parametrize("q_value, expected", [(0, 1344 * lam**15), (-1, 30240 * lam**10)])
-    def test_classes_that_vanish_at_q_do_not_count(self, q_value, expected):
+    def test_classes_that_vanish_at_q_do_not_count(self, monkeypatch, q_value, expected):
         # tr(W1 W2) has C_2 = 2 (1 + q) lambda^3 and C_4 = (q^4 + q^6) lambda^2;
-        # at q = 0 and q = -1 one class is left, so order 10 sums 9!! terms
+        # at q = 0 and q = -1 one class is left, and only it is summed
         stat = PolynomialStatistic.from_terms([(1, (1, 2))])
+        seen = []
+        transfer_sum = fluctuations._transfer_sum
+
+        def spy(ids, covariances, bits, lengths):
+            seen.append(sorted(e for classes in covariances.values() for e in classes))
+            return transfer_sum(ids, covariances, bits, lengths)
+
+        monkeypatch.setattr(fluctuations, "_transfer_sum", spy)
         assert statistic_limit_moments(stat, 10, q_value)[9].value == expected
-        with pytest.raises(EnumerationBoundError, match="15120 matching terms"):
-            statistic_limit_moments(stat, 10)
+        assert statistic_limit_moments(stat, 10)[9].value.substitute({"q": q_value}) == expected
+        assert [len(classes) for classes in seen] == [1, 2]
+        # the work bound counts the classes that the word lengths allow, at every q
+        with pytest.raises(EnumerationBoundError, match="transfer steps over 28 positions"):
+            statistic_limit_moments(stat, 28, q_value)
 
     def test_one_covariance_entry_for_every_q(self):
         # the covariances are built in symbolic q, and a rational q is
@@ -676,11 +689,41 @@ class TestStatisticMoments:
         assert fluctuations._covariance.cache_info().currsize == 1
 
     def test_edge_classes_count_toward_the_bound(self, monkeypatch):
-        # tr(W1 W2) has two edge classes: order 10 gives 9!! * 2^5 = 30240 terms
+        # a word of two letters allows two edge classes, so tr(W1 W2) at
+        # order 28 is over the work bound, while tr(W) with one class is not
+        trace = PolynomialStatistic.from_terms([(1, (1,))])
+        limits = [lm.value for lm in statistic_limit_moments(trace, 28, 1)]
+        assert limits[27] == math.prod(range(1, 28, 2)) * limits[1] ** 14
         stat = PolynomialStatistic.from_terms([(1, (1, 2))])
-        monkeypatch.setattr(fluctuations, "_matching_sum", _no_matchings)
-        with pytest.raises(EnumerationBoundError, match="over 10 positions"):
-            statistic_limit_moments(stat, 10)
+        monkeypatch.setattr(fluctuations, "_transfer_sum", _no_matchings)
+        with pytest.raises(EnumerationBoundError, match="over 28 positions"):
+            statistic_limit_moments(stat, 28)
+
+    def test_memory_bound(self, monkeypatch):
+        # tr(W^2) at order 20 is within the work bound, but its packed memo is
+        # over the memory bound; the covariances are built, the sum is not
+        stat = PolynomialStatistic.from_terms([(1, (1, 1))])
+        monkeypatch.setattr(fluctuations, "_transfer_sum", _no_matchings)
+        with pytest.raises(EnumerationBoundError, match="packed bits over 20 positions") as info:
+            statistic_limit_moments(stat, 20)
+        assert info.value.bound == fluctuations.LIMIT_MEMORY_BOUND
+
+    def test_work_bound_admits_every_sum_the_term_bound_did(self):
+        # the old bound of 11!! matching terms allowed at most 12 positions,
+        # and a word pair within the connector-table bound has at most 4 classes
+        assert fluctuations._transfer_size(12, 12, 4)[1] == fluctuations.LIMIT_WORK_BOUND
+        assert fluctuations._transfer_size(14, 1, 1)[1] < fluctuations.LIMIT_WORK_BOUND
+        # the closed form counts the states that the sum visits for one statistic
+        assert [fluctuations._transfer_size(m, 1, 1)[0] for m in (2, 12)] == [2, 27]
+
+    def test_other_symbols_are_refused_before_any_covariance(self):
+        fluctuations._covariance.cache_clear()
+        stat = PolynomialStatistic.from_terms([(M, (1,))])
+        with pytest.raises(ValueError, match=r"only q and lambda, got \['M'\]"):
+            statistic_limit_moments(stat, 2)
+        with pytest.raises(ValueError, match=r"only q and lambda, got \['M'\]"):
+            conditional_variance_check(stat, 0)
+        assert fluctuations._covariance.cache_info().currsize == 0
 
     def test_order_one_sums_nothing(self, monkeypatch):
         # odd orders vanish, so tr(W^5) at order 1 needs no connector sum
@@ -704,7 +747,7 @@ def _no_sum(*args, **kwargs):
 
 
 def _no_matchings(*args):
-    raise AssertionError("a matching was summed")
+    raise AssertionError("a transfer sum ran")
 
 
 class TestConditionalVariance:
@@ -725,13 +768,34 @@ class TestConditionalVariance:
         assert conditional_variance_check(stat, 1, q=Fraction(1, 2)).is_zero()
 
     def test_bound(self, monkeypatch):
-        # 12 positions: 11!! matchings times at least two edge classes per pair
+        # 20 positions of two statistics with two edge classes each are over
+        # the work bound, odd m too
         stat = PolynomialStatistic.from_terms([(1, (1, 2))])
-        monkeypatch.setattr(fluctuations, "_matching_sum", _no_matchings)
-        with pytest.raises(EnumerationBoundError, match="over 12 positions"):
-            conditional_variance_check(stat, 10)
-        with pytest.raises(EnumerationBoundError, match="135135 matching terms"):
-            conditional_variance_check(stat, 10**6)
+        monkeypatch.setattr(fluctuations, "_transfer_sum", _no_matchings)
+        with pytest.raises(EnumerationBoundError, match="over 20 positions"):
+            conditional_variance_check(stat, 18)
+        with pytest.raises(EnumerationBoundError, match="transfer steps over 1000003 positions"):
+            conditional_variance_check(stat, 10**6 + 1)
+
+    def test_odd_m_sums_nothing(self, monkeypatch):
+        # both products have an odd number of positions
+        monkeypatch.setattr(fluctuations, "_transfer_sum", _no_matchings)
+        stat = PolynomialStatistic.from_terms([(1, (1, 2)), (3, (1,))])
+        assert conditional_variance_check(stat, 5).is_zero()
+
+    def test_tail_shares_the_memo(self, monkeypatch):
+        # tau((X+Y)^m) is read off the memo of tau((X-Y)^2 (X+Y)^m)
+        calls = []
+        transfer_sum = fluctuations._transfer_sum
+
+        def spy(ids, covariances, bits, lengths):
+            calls.append(len(ids))
+            return transfer_sum(ids, covariances, bits, lengths)
+
+        monkeypatch.setattr(fluctuations, "_transfer_sum", spy)
+        stat = PolynomialStatistic.from_terms([(1, (1, 2)), (3, (1,))])
+        assert conditional_variance_check(stat, 4).is_zero()
+        assert sorted(calls) == [2, 6]
 
 
 class TestCenteredCountsCache:
@@ -794,6 +858,57 @@ def _product_limit_by_addition(statistics, q):
     return total if isinstance(q, str) else total.substitute({"q": Fraction(q)})
 
 
+def _covariance_polynomials(x, y):
+    """(e, C_e) pairs of MomentPolynomials, rebuilt from the integer maps of ``_covariance``."""
+    (cleared_x, d_x), (cleared_y, d_y) = fluctuations._cleared(x), fluctuations._cleared(y)
+    return [
+        (e, MomentPolynomial.sum(
+            MomentPolynomial.monomial(Fraction(c, d_x * d_y), {"q": i, "lambda": j})
+            for (i, j), c in terms.items()
+        ))
+        for e, terms in fluctuations._covariance(cleared_x, cleared_y).items()
+    ]
+
+
+def _matching_sum(free, arcs, covariances, q):
+    """Matching sum over the positions ``free``, by their first position a.
+
+    The left-to-right recursion that the packed transfer sum replaced.  a is
+    matched with each later free position b and each class (e, C_e) of
+    ``covariances[a, b]``.  ``arcs`` holds the right end d and class e' of
+    every pair matched before; those with a < d < b interleave (a, b), so the
+    term takes q^(e * sum of their e').
+    """
+    if not free:
+        return MomentPolynomial.constant(1)
+    a, parts = free[0], []
+    for i in range(1, len(free)):
+        b, rest = free[i], free[1:i] + free[i + 1 :]
+        crossed = sum(e_prev for d, e_prev in arcs if a < d < b)
+        for e, c in covariances[a, b]:
+            if e * crossed:
+                k = e * crossed
+                c = c * (MomentPolynomial.symbol(q, k) if isinstance(q, str) else q**k)
+            if rest:
+                c = c * _matching_sum(rest, arcs + ((b, e),), covariances, q)
+            parts.append(c)
+    return MomentPolynomial.sum(parts)
+
+
+def _product_limit_by_recursion(statistics, q):
+    """The limit by ``_matching_sum`` over covariance polynomials, q substituted into each."""
+    m = len(statistics)
+    if m % 2:
+        return MomentPolynomial.zero()
+    covariances = {}
+    for a, b in itertools.combinations(range(m), 2):
+        classes = _covariance_polynomials(statistics[a], statistics[b])
+        if not isinstance(q, str):
+            classes = [(e, c.substitute({"q": Fraction(q)})) for e, c in classes]
+        covariances[a, b] = [(e, c) for e, c in classes if not c.is_zero()]
+    return _matching_sum(tuple(range(m)), (), covariances, q)
+
+
 def _matching_sum_by_generator(statistics, q):
     """The whole-matching sum that the left-to-right recursion replaced.
 
@@ -821,7 +936,7 @@ def _matching_sum_by_generator(statistics, q):
             for j, (c, d) in enumerate(matching)
             if a < c < b < d
         ]
-        covariances = [fluctuations._covariance(statistics[a], statistics[b]) for a, b in matching]
+        covariances = [_covariance_polynomials(statistics[a], statistics[b]) for a, b in matching]
         if not isinstance(q, str):
             covariances = [
                 [(e, c.substitute({"q": Fraction(q)})) for e, c in classes]
@@ -878,26 +993,28 @@ class TestOnePassAssembly:
             [x] * 6,
             [x - y, x - y, x + y, x + y],
         ):
-            assert fluctuations._product_limit(
-                statistics, q_value
-            ) == _product_limit_by_addition(statistics, q_value)
+            limit = fluctuations._product_limit(statistics, q_value)
+            assert limit == _product_limit_by_addition(statistics, q_value)
+            assert limit == _product_limit_by_recursion(statistics, q_value)
 
     def test_fractional_coefficients_sum_in_ints(self, monkeypatch):
         # a statistic with coefficients 1/2 and 1/3 is summed as its 6-fold
         # multiple, whose covariances are all int, and divided by 6^m after
-        covariances = []
-        matching_sum = fluctuations._matching_sum
+        packed = []
+        transfer_sum = fluctuations._transfer_sum
 
-        def spy(free, arcs, by_pair, q_value):
-            covariances.extend(c for classes in by_pair.values() for _, c in classes)
-            return matching_sum(free, arcs, by_pair, q_value)
+        def spy(ids, covariances, bits, lengths):
+            packed.extend(c for classes in covariances.values() for c in classes.values())
+            return transfer_sum(ids, covariances, bits, lengths)
 
-        monkeypatch.setattr(fluctuations, "_matching_sum", spy)
+        monkeypatch.setattr(fluctuations, "_transfer_sum", spy)
         stat = PolynomialStatistic.from_terms([(Fraction(1, 2), (1,)), (Fraction(1, 3), (1, 2))])
         cleared = PolynomialStatistic.from_terms([(3, (1,)), (2, (1, 2))])
         got = statistic_limit_moments(stat, 4)
-        assert covariances
-        assert all(type(coeff) is int for c in covariances for _, coeff in c.terms())
+        assert packed and all(type(c) is int for c in packed)
+        assert fluctuations._cleared(stat) == (cleared, 6)
+        covariance = fluctuations._covariance(cleared, cleared)
+        assert all(type(c) is int for terms in covariance.values() for c in terms.values())
         for m, (lm, whole) in enumerate(zip(got, statistic_limit_moments(cleared, 4)), 1):
             assert lm.value == whole.value / 6**m
 
@@ -916,6 +1033,155 @@ class TestOnePassAssembly:
             [x - y, x - y, x + y, x + y, x + y, x + y],
             [tuned, mixed, x, tuned],
         ):
-            assert fluctuations._product_limit(
-                statistics, q_value
-            ) == _matching_sum_by_generator(statistics, q_value)
+            limit = fluctuations._product_limit(statistics, q_value)
+            assert limit == _matching_sum_by_generator(statistics, q_value)
+            assert limit == _product_limit_by_recursion(statistics, q_value)
+
+    @pytest.mark.parametrize("q_value", ["q", 0, Fraction(1, 2)])
+    def test_scan_statistics_match_the_recursion(self, q_value):
+        # every order of the scan script's statistics that the recursion reaches
+        a = 1 + q**2 + 2 * lam
+        for words, top in (([(1, (1,))], 10), ([(1, (1, 2))], 4), ([(1, (1, 1)), (-1 * a, (1,))], 8)):
+            stat = PolynomialStatistic.from_terms(words)
+            limits = statistic_limit_moments(stat, top, q_value)
+            for m in range(1, top + 1):
+                assert limits[m - 1].value == _product_limit_by_recursion([stat] * m, q_value)
+
+    def test_negative_exponents_shift_the_layout(self):
+        # coefficients with q^-2 and lambda^-1 pack with the least exponent as zero
+        coeff = MomentPolynomial.monomial(1, {"q": -2, "lambda": -1}) + 2
+        stat = PolynomialStatistic.from_terms([(coeff, (1,)), (3, (1, 1))])
+        for q_value in ("q", 1, Fraction(-2, 3)):
+            for m in (2, 4):
+                assert fluctuations._product_limit(
+                    [stat] * m, q_value
+                ) == _product_limit_by_recursion([stat] * m, q_value)
+
+
+_EXPONENTS = st.tuples(st.integers(-3, 4), st.integers(-2, 3))
+_POLYS = st.dictionaries(_EXPONENTS, st.integers(-(10**30), 10**30), max_size=6)
+
+
+def _poly_of(terms):
+    return MomentPolynomial.sum(
+        MomentPolynomial.monomial(c, {"q": i, "lambda": j}) for (i, j), c in terms.items()
+    )
+
+
+class TestPackedLayout:
+    @given(_POLYS, _POLYS, _POLYS, _POLYS, st.integers(0, 4), st.booleans())
+    @settings(max_examples=200, deadline=None)
+    def test_packed_arithmetic_matches_polynomials(self, a, b, c, d, k, cancel):
+        # a * b + q^k * c * d - a * d, all products of two covariances, with
+        # signed coefficients; b holds the negated terms of a, and with
+        # ``cancel`` d is b, so a * b and a * d cancel in full
+        b = {**b, **{key: -value for key, value in a.items() if key not in b}}
+        if cancel:
+            d = b
+        layout = fluctuations._Layout.fit(4, {(0, 0): {2: a}, (0, 1): {2: b, 1: c}, (1, 1): {2: d}})
+        pack, shift = layout.pack, layout.bits * k
+        value = pack(a) * pack(b) + (pack(c) * pack(d) << shift) - pack(a) * pack(d)
+        expected = _poly_of(a) * _poly_of(b) + q**k * _poly_of(c) * _poly_of(d) - _poly_of(a) * _poly_of(d)
+        assert _poly_of(layout.unpack(value, 2)) == expected
+        assert all(abs(coeff) < 1 << (layout.bits - 2) for coeff in layout.unpack(value, 2).values())
+
+    def test_largest_slot_coefficient_round_trips(self):
+        # coefficients of exactly bits - 1 bits, the most a signed slot holds
+        layout = fluctuations._Layout(q_slots=3, slots=6, bits=16)
+        top = (1 << 15) - 1
+        assert top.bit_length() == layout.bits - 1
+        terms = {(0, 0): top, (1, 0): -top, (2, 0): top, (0, 1): -top, (2, 1): -(1 << 14)}
+        assert layout.unpack(layout.pack(terms)) == terms
+        # a shift by q moves every slot up by one q-degree without a carry
+        shifted = layout.unpack(layout.pack({(0, 0): -top, (1, 1): top}) << layout.bits)
+        assert shifted == {(1, 0): -top, (2, 1): top}
+
+    def test_slots_are_whole_bytes(self):
+        stat = PolynomialStatistic.from_terms([(1, (1,))])
+        covariance = fluctuations._covariance(stat, stat)
+        layout = fluctuations._Layout.fit(30, {(0, 0): covariance})
+        assert layout.bits % 8 == 0
+        # 29!! * S^15 fits in bits - 2 bits
+        s = sum(abs(c) for terms in covariance.values() for c in terms.values())
+        assert (math.prod(range(1, 30, 2)) * s**15).bit_length() <= layout.bits - 2
+
+
+def _all_pairings(items):
+    if not items:
+        yield []
+        return
+    for k in range(1, len(items)):
+        for pairing in _all_pairings(items[1:k] + items[k + 1 :]):
+            yield [(items[0], items[k])] + pairing
+
+
+def _noncrossing_pairings(items):
+    if not items:
+        yield []
+        return
+    for k in range(1, len(items), 2):
+        for inner in _noncrossing_pairings(items[1:k]):
+            for outer in _noncrossing_pairings(items[k + 1 :]):
+                yield [(items[0], items[k])] + inner + outer
+
+
+def _wick(statistics, q_value):
+    """Sum over the pairings (the noncrossing ones at q = 0) of products of the pair limits."""
+    pairings = _noncrossing_pairings if q_value == 0 else _all_pairings
+    return MomentPolynomial.sum(
+        math.prod(
+            (fluctuations._product_limit([statistics[a], statistics[b]], q_value) for a, b in pairing),
+            start=MomentPolynomial.constant(1),
+        )
+        for pairing in pairings(tuple(range(len(statistics))))
+    )
+
+
+_X = PolynomialStatistic.from_terms([(1, (1,))])
+
+# every statistic the suite uses, with the highest order checked
+_THEOREM_STATISTICS = {
+    "trace": (_X, 16),
+    "square": (PolynomialStatistic.from_terms([(1, (1, 1))]), 12),
+    "product": (PolynomialStatistic.from_terms([(1, (1, 2))]), 8),
+    "tuned-square": (
+        PolynomialStatistic.from_terms([(1, (1, 1)), (-1 * (1 + q**2 + 2 * lam), (1,))]),
+        12,
+    ),
+    "mixed": (
+        PolynomialStatistic.from_terms([(1, (1, 2)), (Fraction(-1, 2), (2,)), (q, (1,))]),
+        8,
+    ),
+    "x+y": (_X + _X.shifted(1), 12),
+    "x-y": (_X - _X.shifted(1), 12),
+}
+
+
+class TestFluctuationTheorem:
+    """Normal law at q = 1 and semicircle at q = 0, at the transfer sum's reach."""
+
+    @pytest.mark.parametrize("name", sorted(_THEOREM_STATISTICS))
+    @pytest.mark.parametrize("q_value", [0, 1])
+    def test_moments(self, name, q_value):
+        stat, top = _THEOREM_STATISTICS[name]
+        limits = [lm.value for lm in statistic_limit_moments(stat, top, q_value)]
+        assert all(limits[m - 1].is_zero() for m in range(1, top + 1, 2))
+        m2 = limits[1]
+        assert not m2.is_zero() and m2.symbols() <= {"lambda"}
+        for k in range(1, top // 2 + 1):
+            ratio = math.comb(2 * k, k) // (k + 1) if q_value == 0 else math.prod(range(1, 2 * k, 2))
+            assert limits[2 * k - 1] == ratio * m2**k, (name, 2 * k)
+
+    @pytest.mark.parametrize("q_value", [0, 1])
+    def test_lists_are_wick_sums(self, q_value):
+        a = 1 + q**2 + 2 * lam
+        tuned = PolynomialStatistic.from_terms([(1, (1, 1)), (-1 * a, (1,))])
+        mixed = PolynomialStatistic.from_terms([(1, (1, 2)), (Fraction(-1, 2), (2,)), (q, (1,))])
+        x, y = _X, _X.shifted(1)
+        for statistics in (
+            [x - y, x - y, x + y, x + y],
+            [x - y, x - y, x + y, x + y, x + y, x + y],
+            [mixed, tuned, x, mixed],
+            [tuned, mixed, x, tuned],
+        ):
+            assert fluctuations._product_limit(statistics, q_value) == _wick(statistics, q_value)

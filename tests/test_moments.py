@@ -174,7 +174,11 @@ class TestTally:
         self.check(sigma, Coloring.from_colors(colors), use_eps)
 
     def test_cache_is_bounded(self):
-        assert moments._tally.cache_info().maxsize is not None
+        top = MonomialSpec(((1,),)).pairing().table
+        for color in range(1, moments._TALLY_CACHE_SIZE + 2):
+            moments._tally(top, (color,), False)
+        assert len(moments._tallies) == moments._TALLY_CACHE_SIZE
+        assert (top, (1,), False, "crossings") not in moments._tallies
 
 
 def _top_and_coloring(words):
@@ -212,6 +216,39 @@ class TestTallyKinds:
     @pytest.mark.parametrize("use_eps", [True, False])
     def test_kinds_match_the_full_tally(self, words, use_eps):
         self.check(*_top_and_coloring(words), use_eps)
+
+    @pytest.mark.parametrize("words", _TALLY_WORDS)
+    @pytest.mark.parametrize("use_eps", [True, False])
+    def test_kinds_read_off_the_full_tally_match_the_walks(self, words, use_eps):
+        sigma, coloring = _top_and_coloring(words)
+        top, colors = sigma.table, coloring.colors
+        moments._tally(top, colors, use_eps)
+        for kind in ("summed", "noncrossing"):
+            atoms, cells = moments._tally(top, colors, use_eps, kind)
+            walked = moments._walked_tally(top, colors, use_eps, kind)
+            # the same monomials in the same order, so a float sum adds them alike
+            assert list(_expanded(atoms, cells).items()) == list(_expanded(*walked).items())
+
+    def test_q_zero_and_one_after_symbolic_walk_once(self, monkeypatch):
+        walks = []
+        word_counts = moments._word_counts
+
+        def spy(top_table, colors, use_eps, kind):
+            walks.append(kind)
+            return word_counts(top_table, colors, use_eps, kind)
+
+        monkeypatch.setattr(moments, "_word_counts", spy)
+        moments._tallies.clear()
+        spec = MonomialSpec(((1, 1, 2, 2), (1, 2, 1)))
+        symbolic = q_wishart_moment(spec)
+        for q_value in (1, 0):
+            assert q_wishart_moment(spec, q=q_value) == symbolic.substitute({"q": q_value})
+        assert walks == ["crossings"]
+        # without the full tally, each q walks its own kind
+        moments._tallies.clear()
+        for q_value in (1, 0):
+            q_wishart_moment(spec, q=q_value)
+        assert walks == ["crossings", "summed", "noncrossing"]
 
     @given(st.data(), st.booleans())
     @settings(max_examples=40, deadline=None)
