@@ -38,6 +38,7 @@ from __future__ import annotations
 import math
 import numbers
 import sys
+import threading
 from collections import Counter
 from fractions import Fraction
 from itertools import chain, repeat
@@ -265,6 +266,7 @@ class MatrixBindings:
 # so a spec queried in several binding modes is enumerated once.
 _TALLY_CACHE_SIZE = 256
 _tallies: dict[tuple, tuple] = {}  # least recently used first
+_tallies_lock = threading.Lock()
 
 
 def _pairing_words(top_table, colors, pos_colors, table, use_eps):
@@ -387,20 +389,22 @@ def _tally(
     the full tally's atoms and its cell order, which is the walk's order.
     """
     key = (top_table, colors, use_eps, kind)
-    tally = _tallies.pop(key, None)
-    if tally is None:
+    with _tallies_lock:
+        tally = _tallies.get(key)
         full = _tallies.get(key[:3] + ("crossings",))
-        if full is None:
-            tally = _walked_tally(*key)
-        else:
-            cells: dict[tuple[int, tuple[tuple[int, int], ...]], int] = {}
-            for (cr, exps), count in full[1]:
-                if kind == "summed" or not cr:
-                    cells[0, exps] = cells.get((0, exps), 0) + count
-            tally = full[0], tuple(cells.items())
-        if len(_tallies) >= _TALLY_CACHE_SIZE:
+    if tally is None and full is None:
+        tally = _walked_tally(*key)
+    elif tally is None:
+        cells: dict[tuple[int, tuple[tuple[int, int], ...]], int] = {}
+        for (cr, exps), count in full[1]:
+            if kind == "summed" or not cr:
+                cells[0, exps] = cells.get((0, exps), 0) + count
+        tally = full[0], tuple(cells.items())
+    with _tallies_lock:
+        _tallies.pop(key, None)
+        _tallies[key] = tally
+        if len(_tallies) > _TALLY_CACHE_SIZE:
             del _tallies[next(iter(_tallies))]
-    _tallies[key] = tally
     return tally
 
 
