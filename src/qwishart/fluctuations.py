@@ -477,22 +477,10 @@ def _longest(statistic: PolynomialStatistic) -> int:
 
 def _at_q(terms: dict[tuple[int, int], int], q: Rational) -> dict[int, Fraction]:
     """The nonzero coefficients of lambda^j in ``terms`` with the rational q substituted."""
-    q = Fraction(q)
-    low = min(q_exp for q_exp, _ in terms)
-    span = max(q_exp for q_exp, _ in terms) - low
-    # sum_i c q^(low + i) = q^low * sum_i c a^i b^(span - i) / b^span, in ints
-    a, b = q.numerator, q.denominator
-    a_pow, b_pow = [1], [1]
-    for _ in range(span):
-        a_pow.append(a_pow[-1] * a)
-        b_pow.append(b_pow[-1] * b)
-    sums: dict[int, int] = {}
+    q, sums = Fraction(q), {}
     for (q_exp, lam_exp), c in terms.items():
-        i = q_exp - low
-        sums[lam_exp] = sums.get(lam_exp, 0) + c * a_pow[i] * b_pow[span - i]
-    factor = q**low / b_pow[span]
-    values = ((lam_exp, total * factor) for lam_exp, total in sums.items())
-    return {lam_exp: value for lam_exp, value in values if value}
+        sums[lam_exp] = sums.get(lam_exp, 0) + c * q**q_exp
+    return {lam_exp: value for lam_exp, value in sums.items() if value}
 
 
 def _product_limit(statistics: Sequence[PolynomialStatistic], q) -> MomentPolynomial:
