@@ -500,22 +500,15 @@ def _tail_limits(
     integers packed by one ``_Layout``.  An odd length has no matching, so
     its limit is zero; if every length is odd, nothing is built.
 
-    Before any covariance is built, a coefficient outside q and lambda is
-    refused, and the sum's closed-form work (``_transfer_size``, with at most
-    as many classes as the second-longest word, e being even and at most
-    twice the shorter word) and the connector tables are checked.  The
-    covariances are built in symbolic q from the statistics cleared of
-    denominators (``_cleared``); at a rational q each class that vanishes
-    there is dropped, the sum runs in symbolic q, and q is substituted into
-    each unpacked result.  The layout is fixed before the sum: a pair's
-    exponents are shifted by the least exponent of every covariance, q has
-    D_q = (m/2) * (largest q-span) + e_max^2 * C(m/2, 2) and lambda
-    (m/2) * (largest lambda-span) as top degrees, and a slot holds the bit
-    length of (m - 1)!! * S^(m/2) plus 2 bits, rounded up to bytes, S being
-    the largest sum of absolute coefficients of one pair's covariance.  The
-    memo then holds at most the closed-form states, each within the
-    layout's slots, and that packed size is checked against
-    ``LIMIT_MEMORY_BOUND`` before the sum starts.
+    Before any covariance is built, the sum's closed-form work
+    (``_transfer_size``, with as many classes as the second-longest word
+    allows: e is even and at most twice the shorter word) and the connector
+    tables are checked, and ``_cleared`` refuses a coefficient outside q and
+    lambda.  The covariances are built in symbolic q; at a rational q each
+    class that vanishes there is dropped, the sum runs in symbolic q, and q
+    is substituted into each unpacked result.  The memo holds at most the
+    closed-form states, each within the layout's slots, and that size is
+    checked against ``LIMIT_MEMORY_BOUND`` before the sum starts.
     """
     evens = sorted({length for length in lengths if length % 2 == 0}, reverse=True)
     if not evens:
@@ -635,7 +628,9 @@ def _cleared(statistic: PolynomialStatistic) -> tuple[PolynomialStatistic, int]:
     The limit is linear in each statistic, so the limit of the cleared
     statistics over the product of their d's is the limit itself, while the
     covariances and the transfer sum multiply and add ``int``s: a statistic
-    with a coefficient such as 1/2 costs what an integral one does.
+    with a coefficient such as 1/2 costs what an integral one does.  A
+    coefficient in a symbol other than q and lambda, which no limit holds,
+    is refused.
     """
     bad = {
         str(key)
