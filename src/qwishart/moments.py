@@ -385,8 +385,9 @@ def _tally(
 
     A "summed" or "noncrossing" tally of a spec whose full ("crossings")
     tally is kept is read off the full one instead of walked again: its
-    cells summed over the crossings, or those of crossings 0.  Either keeps
-    the full tally's atoms and its cell order, which is the walk's order.
+    cells summed over the crossings, or those of crossings 0 with the atoms
+    that only crossing cells use left out, so that no substitution
+    evaluates them.  Either keeps the walk's cell order.
     """
     key = (top_table, colors, use_eps, kind)
     with _tallies_lock:
@@ -395,11 +396,16 @@ def _tally(
     if tally is None and full is None:
         tally = _walked_tally(*key)
     elif tally is None:
-        cells: dict[tuple[int, tuple[tuple[int, int], ...]], int] = {}
+        atoms, cells = full[0], {}
         for (cr, exps), count in full[1]:
             if kind == "summed" or not cr:
                 cells[0, exps] = cells.get((0, exps), 0) + count
-        tally = full[0], tuple(cells.items())
+        used = sorted({i for _, exps in cells for i, _ in exps})
+        if len(used) < len(atoms):  # renumber in the same order, so exps stay ascending
+            new = {i: k for k, i in enumerate(used)}
+            atoms = tuple(atoms[i] for i in used)
+            cells = {(0, tuple((new[i], e) for i, e in exps)): n for (_, exps), n in cells.items()}
+        tally = atoms, tuple(cells.items())
     with _tallies_lock:
         _tallies.pop(key, None)
         _tallies[key] = tally

@@ -228,6 +228,8 @@ class TestTallyKinds:
             walked = moments._walked_tally(top, colors, use_eps, kind)
             # the same monomials in the same order, so a float sum adds them alike
             assert list(_expanded(atoms, cells).items()) == list(_expanded(*walked).items())
+            # and no atom that no cell uses, which a substitution would evaluate
+            assert {i for (_, exps), _ in cells for i, _ in exps} == set(range(len(atoms)))
 
     def test_q_zero_and_one_after_symbolic_walk_once(self, monkeypatch):
         walks = []
