@@ -353,8 +353,8 @@ def _limit(order_field: str, fn, *args):
     try:
         return fn(*args)
     except ValueError as exc:
-        bound = getattr(exc, "bound", pairings.TABLE_BOUND)
-        raise CliInputError("--Q" if bound == pairings.TABLE_BOUND else order_field, str(exc)) from exc
+        statistic = getattr(exc, "bound", pairings.TABLE_BOUND) == pairings.TABLE_BOUND
+        raise CliInputError("--Q" if statistic else order_field, str(exc)) from exc
 
 
 def _cmd_fluctuation_limit(args, out) -> int:

@@ -288,7 +288,7 @@ def _centered_counts(spec: MonomialSpec) -> dict[tuple[int, int, int], int]:
 
 @lru_cache(maxsize=_CACHE_SIZE)
 def _connector_tables(words: tuple[tuple[int, ...], tuple[int, ...]]) -> int:
-    """Tables of the connector sum of a word pair; each letter sits on two positions of its color."""
+    """Tables of a word pair's connector sum; a letter sits on two positions of its color."""
     word_a, word_b = words
     return _check_tables(len(word_a) + len(word_b), (word_a + word_b) * 2)
 
@@ -348,23 +348,26 @@ def centered_finite_and_limit(
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
-def _covariance(x: PolynomialStatistic, y: PolynomialStatistic) -> dict[int, dict[tuple[int, int], int]]:
-    """Edge-split limit covariance of two cleared statistics, as {e: {(q exp, lambda exp): int}}.
+def _covariance(
+    x: PolynomialStatistic, y: PolynomialStatistic
+) -> dict[int, dict[tuple[int, int], int]]:
+    """Edge-split limit covariance of two cleared statistics, as {e: C_e}.
 
     C_e, in symbolic q, sums coeff_X * coeff_Y * q^crossings * lambda^cycles
     over the connectors with e edges between the blocks of every term pair.
-    The coefficients hold only q and lambda and integers (``_cleared``), so
-    C_e is a map of exponent pairs to ``int``.  Classes that cancel are left
-    out, in increasing e.  The map is shared by the cache; callers do not
-    change it.
+    The statistics' coefficients are polynomials in q and lambda with
+    integer coefficients (``_cleared``), so C_e is a map of (q exponent,
+    lambda exponent) to ``int``.  Classes that cancel are left out, and the
+    rest come in increasing e.  The map is shared by the cache; callers do
+    not change it.
     """
     split: dict[int, dict[tuple[int, int], int]] = {}
     for (coeff_x, word_x), (coeff_y, word_y) in iter_product(x.terms, y.terms):
         connectors = _connector_counts(word_x, word_y)
         if not connectors:
             continue
-        coeff = [(dict(mono), c) for mono, c in (coeff_x * coeff_y).terms()]
-        coeff = [((p.get("q", 0), p.get("lambda", 0)), c) for p, c in coeff]
+        powers = [(dict(mono), c) for mono, c in (coeff_x * coeff_y).terms()]
+        coeff = [((p.get("q", 0), p.get("lambda", 0)), c) for p, c in powers]
         for (cr, c_gamma, e), count in connectors.items():
             terms = split.setdefault(e, {})
             for (q_exp, lam_exp), c in coeff:
@@ -515,7 +518,8 @@ def _tail_limits(
         return [MomentPolynomial.zero()] * len(lengths)
     m = evens[0]
     index: dict[PolynomialStatistic, int] = {}
-    ids = [index.setdefault(statistic, len(index)) for statistic in statistics[len(statistics) - m :]]
+    tail = statistics[len(statistics) - m :]
+    ids = [index.setdefault(statistic, len(index)) for statistic in tail]
     distinct = list(index)
     longest = [_longest(statistic) for statistic in distinct]
     _check_work(m, len(distinct), sorted(longest[i] for i in ids)[-2] if m else 0)
@@ -640,7 +644,8 @@ def _cleared(statistic: PolynomialStatistic) -> tuple[PolynomialStatistic, int]:
         if key not in ("q", "lambda")
     }
     if bad:
-        raise ValueError(f"limit statistic coefficients may hold only q and lambda, got {sorted(bad)}")
+        symbols = sorted(bad)
+        raise ValueError(f"limit statistic coefficients may hold only q and lambda, got {symbols}")
     d = math.lcm(*(coeff.denominator() for coeff, _ in statistic.terms))
     return (statistic.scaled(d) if d > 1 else statistic), d
 

@@ -509,7 +509,9 @@ def test_enumeration_bounds_name_the_flag(capsys, argv, field):
     assert err.startswith(f"error: {field}: ") and "bound" in err
 
 
-@pytest.mark.parametrize("command", [["fluctuation-limit", "--orders", "2"], ["t5-check", "--m", "0"]])
+@pytest.mark.parametrize(
+    "command", [["fluctuation-limit", "--orders", "2"], ["t5-check", "--m", "0"]]
+)
 def test_limit_coefficient_symbols_name_the_statistic(capsys, command):
     coeff = {"poly": {"terms": [{"coeff": "1", "powers": {"N": -1}}]}}
     stat = json.dumps({"terms": [{"coeff": coeff, "word": [1]}]})

@@ -1041,7 +1041,8 @@ class TestOnePassAssembly:
     def test_scan_statistics_match_the_recursion(self, q_value):
         # every order of the scan script's statistics that the recursion reaches
         a = 1 + q**2 + 2 * lam
-        for words, top in (([(1, (1,))], 10), ([(1, (1, 2))], 4), ([(1, (1, 1)), (-1 * a, (1,))], 8)):
+        scanned = (([(1, (1,))], 10), ([(1, (1, 2))], 4), ([(1, (1, 1)), (-1 * a, (1,))], 8))
+        for words, top in scanned:
             stat = PolynomialStatistic.from_terms(words)
             limits = statistic_limit_moments(stat, top, q_value)
             for m in range(1, top + 1):
@@ -1081,9 +1082,10 @@ class TestPackedLayout:
         layout = fluctuations._Layout.fit(4, {(0, 0): {2: a}, (0, 1): {2: b, 1: c}, (1, 1): {2: d}})
         pack, shift = layout.pack, layout.bits * k
         value = pack(a) * pack(b) + (pack(c) * pack(d) << shift) - pack(a) * pack(d)
-        expected = _poly_of(a) * _poly_of(b) + q**k * _poly_of(c) * _poly_of(d) - _poly_of(a) * _poly_of(d)
-        assert _poly_of(layout.unpack(value, 2)) == expected
-        assert all(abs(coeff) < 1 << (layout.bits - 2) for coeff in layout.unpack(value, 2).values())
+        pa, pb, pc, pd = map(_poly_of, (a, b, c, d))
+        assert _poly_of(layout.unpack(value, 2)) == pa * pb + q**k * pc * pd - pa * pd
+        top = 1 << (layout.bits - 2)
+        assert all(abs(coeff) < top for coeff in layout.unpack(value, 2).values())
 
     def test_largest_slot_coefficient_round_trips(self):
         # coefficients of exactly bits - 1 bits, the most a signed slot holds
@@ -1128,11 +1130,11 @@ def _noncrossing_pairings(items):
 def _wick(statistics, q_value):
     """Sum over the pairings (the noncrossing ones at q = 0) of products of the pair limits."""
     pairings = _noncrossing_pairings if q_value == 0 else _all_pairings
+    def pair(a, b):
+        return fluctuations._product_limit([statistics[a], statistics[b]], q_value)
+
     return MomentPolynomial.sum(
-        math.prod(
-            (fluctuations._product_limit([statistics[a], statistics[b]], q_value) for a, b in pairing),
-            start=MomentPolynomial.constant(1),
-        )
+        math.prod((pair(a, b) for a, b in pairing), start=MomentPolynomial.constant(1))
         for pairing in pairings(tuple(range(len(statistics))))
     )
 
@@ -1169,7 +1171,10 @@ class TestFluctuationTheorem:
         m2 = limits[1]
         assert not m2.is_zero() and m2.symbols() <= {"lambda"}
         for k in range(1, top // 2 + 1):
-            ratio = math.comb(2 * k, k) // (k + 1) if q_value == 0 else math.prod(range(1, 2 * k, 2))
+            if q_value == 0:
+                ratio = math.comb(2 * k, k) // (k + 1)  # Catalan_k
+            else:
+                ratio = math.prod(range(1, 2 * k, 2))  # (2k - 1)!!
             assert limits[2 * k - 1] == ratio * m2**k, (name, 2 * k)
 
     @pytest.mark.parametrize("q_value", [0, 1])
