@@ -496,11 +496,11 @@ class TestFluctuationLimit:
         # over the limit sum's work bound
         (["fluctuation-limit", "--Q", TRACE, "--orders", "300"], "--orders"),
         (["t5-check", "--Q", PRODUCT, "--m", "18"], "--m"),
-        # over its memory bound
-        (["fluctuation-limit", "--Q", SQUARE, "--orders", "20"], "--orders"),
         # the connector walks of tr(W^5) are over the table bound at any order
         (["fluctuation-limit", "--Q", QUINTIC, "--orders", "2"], "--Q"),
         (["t5-check", "--Q", QUINTIC, "--m", "0"], "--Q"),
+        # over the limit sum's memory bound
+        (["fluctuation-limit", "--Q", SQUARE, "--orders", "20"], "--orders"),
     ],
 )
 def test_enumeration_bounds_name_the_flag(capsys, argv, field):
