@@ -529,14 +529,15 @@ def _cmd_table1(args, out) -> int:
     coloring = spec.coloring()
     sigma = spec.pairing()
     payload_rows = []
-    for gamma in pairings.color_preserving_pairings(coloring):
+    # each row's crossings and term are the ones the moment engine's tally counts
+    for table, cr, term in moments._walked_terms(sigma.table, coloring.colors, True):
+        gamma = pairings.PairPartition(coloring.n, tuple(table))
         product = pairings.brauer(sigma, gamma)
         induced = pairings.induced_coloring(sigma, gamma, coloring)
-        term = moments.pairing_term(sigma.table, coloring.colors, gamma.table, True)
         payload_rows.append(
             {
                 "gamma": [list(p) for p in gamma.pairs()],
-                "cr": pairings.crossings(gamma),
+                "cr": cr,
                 "pi_gamma": [list(c) for c in pairings.traverse(gamma).cycles()],
                 "pi_sigma_gamma": [list(c) for c in pairings.traverse(product).cycles()],
                 "induced_coloring": list(induced.colors),

@@ -507,11 +507,12 @@ def _tail_limits(
     (``_transfer_size``, with as many classes as the second-longest word
     allows: e is even and at most twice the shorter word) and the connector
     tables are checked, and ``_cleared`` refuses a coefficient outside q and
-    lambda.  The covariances are built in symbolic q; at a rational q each
-    class that vanishes there is dropped, the sum runs in symbolic q, and q
-    is substituted into each unpacked result.  The memo holds at most the
-    closed-form states, each within the layout's slots, and that size is
-    checked against ``LIMIT_MEMORY_BOUND`` before the sum starts.
+    lambda; so is one with a negative power of q at q = 0.  The covariances
+    are built in symbolic q; at a rational q each class that vanishes there
+    is dropped, the sum runs in symbolic q, and q is substituted into each
+    unpacked result.  The memo holds at most the closed-form states, each
+    within the layout's slots, and that size is checked against
+    ``LIMIT_MEMORY_BOUND`` before the sum starts.
     """
     evens = sorted({length for length in lengths if length % 2 == 0}, reverse=True)
     if not evens:
@@ -534,6 +535,12 @@ def _tail_limits(
     word_pairs = {(x, y) for a, b in pairs for x in words[a] for y in words[b]}
     _check_count([sum(map(_connector_tables, word_pairs))], TABLE_BOUND, "connector tables")
     cleared = [_cleared(statistic) for statistic in distinct]
+    if q == 0:
+        coefficients = (coeff for statistic in distinct for coeff, _ in statistic.terms)
+        powers = (e for c in coefficients for mono, _ in c.terms() for key, e in mono if key == "q")
+        low = min(powers, default=0)
+        if low < 0:
+            raise ValueError(f"a limit statistic coefficient holds q^{low}, undefined at q = 0")
     covariances = {(a, b): _covariance(cleared[a][0], cleared[b][0]) for a, b in pairs}
     if not isinstance(q, str):
         covariances = {
@@ -551,7 +558,7 @@ def _tail_limits(
         pair: {e: layout.pack(terms) for e, terms in classes.items()}
         for pair, classes in covariances.items()
     }
-    sums = _transfer_sum(ids, packed, layout.bits, evens)
+    sums = _transfer_sum(ids, packed, opening, layout.bits, evens)
     limits = {}
     for length in evens:
         terms = layout.unpack(sums[length], length // 2)
@@ -572,12 +579,13 @@ def _tail_limits(
 
 
 def _transfer_sum(
-    ids: Sequence[int], covariances: dict, bits: int, lengths: Sequence[int]
+    ids: Sequence[int], covariances: dict, opening: dict, bits: int, lengths: Sequence[int]
 ) -> dict[int, int]:
     """Packed limit of the product of the last L positions, for each L in ``lengths``.
 
-    Position p holds statistic ``ids[p]``, and ``covariances[a, b][e]`` is
-    the packed C_e of an arc opened by statistic a and closed by b.  The sum
+    Position p holds statistic ``ids[p]``, ``covariances[a, b][e]`` is the
+    packed C_e of an arc opened by statistic a and closed by b, and
+    ``opening[a]`` holds the classes e of every arc a opens.  The sum
     takes the positions left to right; its state is (positions left, the
     open arcs in the order they opened, each as (opener's statistic, e)).  At
     each position it opens an arc in one of its statistic's classes, or
@@ -589,10 +597,8 @@ def _transfer_sum(
     The memo lives for one call; the longest length goes first and fills it.
     """
     m = len(ids)
-    opening: dict[int, set[int]] = {}
     closing: dict[int, dict[tuple[int, int], int]] = {}
     for (a, b), classes in covariances.items():
-        opening.setdefault(a, set()).update(classes)
         for e, c in classes.items():
             closing.setdefault(b, {})[a, e] = c
     classes_of = {a: sorted(classes) for a, classes in opening.items()}

@@ -6,8 +6,8 @@ q-Gaussian entries whose covariance factorizes as [B] x [Sigma].  Mixed
 moments of products of traces expand as sums over color-preserving pair
 partitions: each partition contributes a shape-side trace monomial in the
 B matrices, a scale-side trace monomial in the Sigma matrices read off the
-Brauer contraction with its inherited coloring (``pairing_term``), and (in
-the q case) the weight q^crossings.
+Brauer contraction with its inherited coloring, and (in the q case) the
+weight q^crossings.
 
 The engine reads the tally of (crossings, trace monomial) -> count off the
 counted walk ``pairings._counted_walk`` (shared with ``connecting_pairings``),
@@ -20,9 +20,9 @@ every table with the same monomial shares one cell; a symbolic or any other
 rational q keeps the full tally, keyed by crossings, which is also the
 oracle for the other two.  When the full tally of a spec is cached, a q = 0
 or q = 1 query reads its tally off the full one instead of walking again.
-``pairing_term`` computes the same monomial for
-one pairing from the traversal and the Brauer contraction and stays as the
-per-table oracle.  Every result is a substitution into the
+One reader of the walk's cycles, ``_word_reader``, names every pairing's
+monomial: the tally counts what it reads, and ``_walked_terms`` yields it
+per pairing, for the CLI's table.  Every result is a substitution into the
 tally: symbolic mode keeps the atoms, numeric mode evaluates each distinct
 atom once on the bound matrices, scalar mode sends a shape atom to its
 color's size and a scale atom to N, and q enters as q^crossings,
@@ -41,25 +41,22 @@ import sys
 import threading
 from collections import Counter
 from fractions import Fraction
-from itertools import chain, repeat
+from itertools import chain, islice, repeat
 from itertools import product as iter_product
-from typing import Callable, Sequence, Union
+from typing import Callable, Iterator, Sequence, Union
 
 from .pairings import (
     Coloring,
     IntegerPartition,
     PairPartition,
-    _brauer_table,
     _check_count,
     _check_tables,
     _colors,
     _counted_walk,
     _cycle_count,
-    _induced_colors_table,
     _is_top_to_bottom_table,
     _iter_tables,
     _record,
-    _traverse_table,
     block_pairing,
     cycle_type_pairing,
 )
@@ -215,7 +212,8 @@ class MatrixBindings:
     but all Sigma share one dimension, and each Sigma must be symmetric
     positive definite.  Scalar mode binds B_j = I of a symbolic or integer
     size and Sigma_j = c_j * I_N for a rational or Laurent-in-N factor c_j,
-    which keeps symbolic computations exact.
+    which keeps symbolic computations exact.  A factor in q or lambda is
+    refused: no q is ever substituted into it.
     """
 
     mode: str
@@ -252,6 +250,10 @@ class MatrixBindings:
         )
         if len(factors) != len(sizes):
             raise ValueError("one scale factor per color required")
+        for f in factors:
+            held = sorted(f.symbols() & {"q", "lambda"}) if isinstance(f, MomentPolynomial) else ()
+            if held:
+                raise ValueError(f"a scale factor may not hold {held[0]}")
         return cls("scalar", sizes, factors, n_dim)
 
     @property
@@ -269,38 +271,6 @@ _tallies: dict[tuple, tuple] = {}  # least recently used first
 _tallies_lock = threading.Lock()
 
 
-def _pairing_words(top_table, colors, pos_colors, table, use_eps):
-    """Raw (kind, word) pairs of one pairing's atoms, before canonicalisation."""
-    cycles, signs = _traverse_table(table)
-    words = [
-        ("shape", tuple((colors[j - 1], use_eps and signs[j - 1] == 1) for j in cyc))
-        for cyc in cycles
-    ]
-    g = _brauer_table(top_table, table)
-    induced = _induced_colors_table(top_table, table, pos_colors, g)
-    words.extend(
-        ("scale", tuple((induced[j - 1], False) for j in cyc))
-        for cyc in _traverse_table(g)[0]
-    )
-    return words
-
-
-def pairing_term(
-    top_table: Sequence[int], colors: Sequence[int], table: Sequence[int], use_eps: bool
-) -> Monomial:
-    """Trace monomial contributed by one color-preserving pairing ``table``.
-
-    Its shape atoms are the traversal cycles of ``table`` over the point
-    colors, with transpose flags from the traversal signs when ``use_eps``;
-    its scale atoms are the cycles of the Brauer contraction with the
-    top-to-bottom ``top_table``, colored by inheritance.  In a q-moment the
-    term carries the weight q^crossings(table).
-    """
-    pos_colors = Coloring.from_colors(colors).position_colors()
-    words = _pairing_words(top_table, colors, pos_colors, table, use_eps)
-    return _make_monomial(Counter(TraceAtom.make(kind, word) for kind, word in words))
-
-
 # One tally cell: (crossings, ascending (atom index, exponent) pairs) and its count.
 Cell = tuple[tuple[int, tuple[tuple[int, int], ...]], int]
 
@@ -312,30 +282,27 @@ def _tally_kind(q) -> str:
     return "noncrossing" if q == 0 else "summed" if q == 1 else "crossings"
 
 
-def _word_counts(
-    top_table: Sequence[int], colors: Sequence[int], use_eps: bool, kind: str
-) -> tuple[dict[tuple, int], dict[tuple[int, tuple[int, ...]], int]]:
-    """Raw word ids and ``(crossings, sorted word ids) -> count`` over the pairings.
+def _word_reader(
+    top_table: Sequence[int], colors: Sequence[int], use_eps: bool
+) -> tuple[dict[tuple, int], Callable[[int, int, list[int]], int]]:
+    """The reader of trace atoms that the counted walk calls, and the raw words it read.
 
-    ``kind`` "crossings" counts every pairing by its crossings;
-    "noncrossing" walks the noncrossing pairings alone, all keyed 0; and
-    "summed" counts every pairing under crossings 0, so its cells are the
-    crossing cells summed.
-
-    ``read`` gets each cycle of the counted walk as it closes and reads it
-    alternating table steps with V- or F-steps.  A shape letter sits on each
-    V-step, out of y, as ``(colors[y >> 1], use_eps and y odd)``: reading a
-    one-colored shape cycle the other way reverses its word and flips every
-    flag, so any start and direction name the same atom.  A scale letter sits
-    on each table edge, at x, as ``(pos_colors[x], False)``; the reversal is
-    in general another atom, so the word is read as ``_traverse_table`` walks
-    the contraction, from the smallest even (top) position of the cycle and
-    leaving it along its table edge.
+    ``read(kind, start, table)`` gets each cycle of the counted walk as it
+    closes and returns the id of its raw ``(kind, word)`` in ``ids``, which
+    numbers each distinct raw word once, in the order first read.  It reads
+    the cycle alternating table steps with V- or F-steps.  A shape letter
+    sits on each V-step, out of y, as ``(colors[y >> 1], use_eps and y
+    odd)``: reading a one-colored shape cycle the other way reverses its
+    word and flips every flag, so any start and direction name the same
+    atom.  A scale letter sits on each table edge, at x, as
+    ``(colors[x >> 1], False)``; the reversal is in general another atom, so
+    the word is read as ``_traverse_table`` walks the contraction, from the
+    smallest even (top) position of the cycle and leaving it along its table
+    edge.
     """
     size = 2 * len(colors)
-    pos_colors = [colors[x >> 1] for x in range(size)]
     shape_letter = [(colors[y >> 1], bool(use_eps and y & 1)) for y in range(size)]
-    scale_letter = [(c, False) for c in pos_colors]
+    scale_letter = [(colors[x >> 1], False) for x in range(size)]
     f = [top_table[x ^ 1] ^ 1 for x in range(size)]
     ids: dict[tuple, int] = {}
 
@@ -367,15 +334,25 @@ def _word_counts(
         order = xs[at:] + xs[:at] if forward else xs[at::-1] + xs[:at:-1]
         return ids.setdefault(("scale", tuple([scale_letter[x] for x in order])), len(ids))
 
-    counts: dict[tuple[int, tuple[int, ...]], int] = {}
-    summed = kind == "summed"
-    walk = _counted_walk(
-        len(colors), pos_colors, top_table, read=read, noncrossing=kind == "noncrossing"
-    )
-    for _, cr, _, _, closed in walk:
-        key = (0 if summed else cr, tuple(sorted(closed)))
-        counts[key] = counts.get(key, 0) + 1
-    return ids, counts
+    return ids, read
+
+
+def _walked_terms(
+    top_table: Sequence[int], colors: Sequence[int], use_eps: bool
+) -> Iterator[tuple[list[int], int, Monomial]]:
+    """Each color-preserving pairing's table, crossings and trace monomial.
+
+    The tables come in the order of ``_iter_tables``, off the counted walk,
+    and each monomial is read by ``_word_reader``, as the tally reads it;
+    every distinct raw word is made a ``TraceAtom`` once.  The yielded
+    table is the walk's, reused in place.
+    """
+    ids, read = _word_reader(top_table, colors, use_eps)
+    pos_colors = [colors[x >> 1] for x in range(2 * len(colors))]
+    made: list[TraceAtom] = []
+    for table, cr, _, _, closed in _counted_walk(len(colors), pos_colors, top_table, read=read):
+        made.extend(TraceAtom.make(*raw) for raw in islice(ids, len(made), None))
+        yield table, cr, _make_monomial(Counter(made[w] for w in closed))
 
 
 def _tally(
@@ -417,19 +394,30 @@ def _tally(
 def _walked_tally(
     top_table: tuple[int, ...], colors: tuple[int, ...], use_eps: bool, kind: str
 ) -> tuple[tuple[TraceAtom, ...], tuple[Cell, ...]]:
-    """Counts of ``(crossings, pairing_term)`` over the color-preserving pairings.
+    """Counts of ``(crossings, trace monomial)`` over the color-preserving pairings.
 
     Returns the distinct atoms, sorted in monomial key order, and the cells,
     which name each monomial by ascending atom indices, so a cell expands to
-    its monomial without sorting.  The tally is read off the counted walk
-    (``_word_counts``), which checks its own table count and keys each table
-    by integer ids of its raw words, so every distinct word is canonicalised
-    once per tally rather than once per table.  ``kind`` (``_tally_kind``):
-    "crossings" is the full tally, "noncrossing" its cells of crossings 0,
-    and "summed" its cells with the crossings summed out, every cell keyed
-    0; either of the last two gives the full tally's result at its q.
+    its monomial without sorting.  The tally is read off the counted walk,
+    which checks its own table count, by ``_word_reader``, and keyed per
+    table by the sorted integer ids of its raw words, so every distinct word
+    is canonicalised once per tally rather than once per table.  ``kind``
+    (``_tally_kind``): "crossings" is the full tally, "noncrossing" walks
+    the noncrossing pairings alone, its cells those of crossings 0, and
+    "summed" counts every pairing under crossings 0, its cells those of the
+    full tally with the crossings summed out; either of the last two gives
+    the full tally's result at its q.
     """
-    ids, counts = _word_counts(top_table, colors, use_eps, kind)
+    ids, read = _word_reader(top_table, colors, use_eps)
+    pos_colors = [colors[x >> 1] for x in range(2 * len(colors))]
+    counts: dict[tuple[int, tuple[int, ...]], int] = {}
+    summed = kind == "summed"
+    walk = _counted_walk(
+        len(colors), pos_colors, top_table, read=read, noncrossing=kind == "noncrossing"
+    )
+    for _, cr, _, _, closed in walk:
+        key = (0 if summed else cr, tuple(sorted(closed)))
+        counts[key] = counts.get(key, 0) + 1
     made = [TraceAtom.make(*raw) for raw in ids]
     atoms = sorted(set(made), key=_key_order)
     index = {atom: i for i, atom in enumerate(atoms)}

@@ -519,6 +519,37 @@ def test_limit_coefficient_symbols_name_the_statistic(capsys, command):
     assert capsys.readouterr().err.startswith("error: --Q: limit statistic coefficients")
 
 
+_OVER_Q = {"poly": {"terms": [{"coeff": "1", "powers": {"q": -1}}]}}
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (
+            ["fluctuation-limit", "--orders", "2", "--q", "0", "--Q"]
+            + [json.dumps({"terms": [{"coeff": _OVER_Q, "word": [1]}]})],
+            "--Q: a limit statistic coefficient holds q^-1, undefined at q = 0",
+        ),
+        (
+            ["t5-check", "--m", "2", "--q", "0", "--Q"]
+            + [json.dumps({"terms": [{"coeff": _OVER_Q, "word": [1]}]})],
+            "--Q: a limit statistic coefficient holds q^-1, undefined at q = 0",
+        ),
+        (
+            ["q-moment", "--spec", '{"cycle_words":[[1,1]]}', "--q", "0", "--scalar"]
+            + [json.dumps({"M": ["M"], "scale": [_OVER_Q]})],
+            "--scalar: a scale factor may not hold q",
+        ),
+    ],
+    ids=["fluctuation-limit", "t5-check", "q-moment"],
+)
+def test_negative_power_of_q_at_q_zero_names_the_flag(capsys, argv, message):
+    assert capture(argv) == (2, "")
+    err = capsys.readouterr().err
+    assert err == f"error: {message}\n"
+    assert "Traceback" not in err
+
+
 class TestT5Check:
     def test_zero(self):
         data = capture_json(

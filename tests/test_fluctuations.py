@@ -667,9 +667,9 @@ class TestStatisticMoments:
         seen = []
         transfer_sum = fluctuations._transfer_sum
 
-        def spy(ids, covariances, bits, lengths):
+        def spy(ids, covariances, opening, bits, lengths):
             seen.append(sorted(e for classes in covariances.values() for e in classes))
-            return transfer_sum(ids, covariances, bits, lengths)
+            return transfer_sum(ids, covariances, opening, bits, lengths)
 
         monkeypatch.setattr(fluctuations, "_transfer_sum", spy)
         assert statistic_limit_moments(stat, 10, q_value)[9].value == expected
@@ -724,6 +724,22 @@ class TestStatisticMoments:
         with pytest.raises(ValueError, match=r"only q and lambda, got \['M'\]"):
             conditional_variance_check(stat, 0)
         assert fluctuations._covariance.cache_info().currsize == 0
+
+    def test_negative_power_of_q_is_refused_at_q_zero_before_any_covariance(self):
+        fluctuations._covariance.cache_clear()
+        stat = PolynomialStatistic.from_terms([(P.symbol("q", -1), (1,)), (1, (1, 1))])
+        with pytest.raises(ValueError, match=r"holds q\^-1, undefined at q = 0$"):
+            statistic_limit_moments(stat, 2, 0)
+        with pytest.raises(ValueError, match=r"holds q\^-1, undefined at q = 0$"):
+            conditional_variance_check(stat, 2, 0)
+        assert fluctuations._covariance.cache_info().currsize == 0
+        # q^-1 has a value at any other q, and lambda is never substituted
+        symbolic = statistic_limit_moments(stat, 2)[1].value
+        half = statistic_limit_moments(stat, 2, Fraction(1, 2))[1].value
+        assert half == symbolic.substitute({"q": Fraction(1, 2)})
+        stat = PolynomialStatistic.from_terms([(P.symbol("lambda", -1), (1,))])
+        symbolic = statistic_limit_moments(stat, 2)[1].value
+        assert statistic_limit_moments(stat, 2, 0)[1].value == symbolic.substitute({"q": 0})
 
     def test_order_one_sums_nothing(self, monkeypatch):
         # odd orders vanish, so tr(W^5) at order 1 needs no connector sum
@@ -788,9 +804,9 @@ class TestConditionalVariance:
         calls = []
         transfer_sum = fluctuations._transfer_sum
 
-        def spy(ids, covariances, bits, lengths):
+        def spy(ids, covariances, opening, bits, lengths):
             calls.append(len(ids))
-            return transfer_sum(ids, covariances, bits, lengths)
+            return transfer_sum(ids, covariances, opening, bits, lengths)
 
         monkeypatch.setattr(fluctuations, "_transfer_sum", spy)
         stat = PolynomialStatistic.from_terms([(1, (1, 2)), (3, (1,))])
@@ -1003,9 +1019,9 @@ class TestOnePassAssembly:
         packed = []
         transfer_sum = fluctuations._transfer_sum
 
-        def spy(ids, covariances, bits, lengths):
+        def spy(ids, covariances, opening, bits, lengths):
             packed.extend(c for classes in covariances.values() for c in classes.values())
-            return transfer_sum(ids, covariances, bits, lengths)
+            return transfer_sum(ids, covariances, opening, bits, lengths)
 
         monkeypatch.setattr(fluctuations, "_transfer_sum", spy)
         stat = PolynomialStatistic.from_terms([(Fraction(1, 2), (1,)), (Fraction(1, 3), (1, 2))])

@@ -3,9 +3,11 @@ import os
 import re
 import subprocess
 import sys
+from collections import Counter
 from contextlib import contextmanager
 from fractions import Fraction
 from pathlib import Path
+from typing import Sequence
 from unittest import mock
 
 import numpy as np
@@ -30,12 +32,23 @@ from qwishart.pairings import (
     Coloring,
     EnumerationBoundError,
     IntegerPartition,
+    _brauer_table,
     _counted_walk,
+    _crossings_table,
+    _induced_colors_table,
     _iter_tables,
+    _traverse_table,
     from_permutation,
 )
 from qwishart.mp import mp_moment_check
-from qwishart.polynomials import MomentPolynomial, TraceAtom, _key_order, evaluate_atom
+from qwishart.polynomials import (
+    MomentPolynomial,
+    Monomial,
+    TraceAtom,
+    _key_order,
+    _make_monomial,
+    evaluate_atom,
+)
 from test_fluctuations import _split
 from test_pairings import partitions_of
 
@@ -124,6 +137,42 @@ class TestSquaredTraceTable:
 _SIGMA = (from_permutation((4, 1, 5, 2, 3)), Coloring.from_colors([1, 2, 2, 1, 2]))
 
 
+# the per-table oracle: each pairing's monomial from the traversal and the
+# Brauer contraction, sharing no code with the counted walk's reader
+
+
+def _pairing_words(top_table, colors, pos_colors, table, use_eps):
+    """Raw (kind, word) pairs of one pairing's atoms, before canonicalisation."""
+    cycles, signs = _traverse_table(table)
+    words = [
+        ("shape", tuple((colors[j - 1], use_eps and signs[j - 1] == 1) for j in cyc))
+        for cyc in cycles
+    ]
+    g = _brauer_table(top_table, table)
+    induced = _induced_colors_table(top_table, table, pos_colors, g)
+    words.extend(
+        ("scale", tuple((induced[j - 1], False) for j in cyc))
+        for cyc in _traverse_table(g)[0]
+    )
+    return words
+
+
+def pairing_term(
+    top_table: Sequence[int], colors: Sequence[int], table: Sequence[int], use_eps: bool
+) -> Monomial:
+    """Trace monomial contributed by one color-preserving pairing ``table``.
+
+    Its shape atoms are the traversal cycles of ``table`` over the point
+    colors, with transpose flags from the traversal signs when ``use_eps``;
+    its scale atoms are the cycles of the Brauer contraction with the
+    top-to-bottom ``top_table``, colored by inheritance.  In a q-moment the
+    term carries the weight q^crossings(table).
+    """
+    pos_colors = Coloring.from_colors(colors).position_colors()
+    words = _pairing_words(top_table, colors, pos_colors, table, use_eps)
+    return _make_monomial(Counter(TraceAtom.make(kind, word) for kind, word in words))
+
+
 _TALLY_WORDS = [
     ((1, 2), (1, 2)),
     ((1, 1, 2), (2, 1)),
@@ -144,7 +193,7 @@ class TestTally:
         top, colors = sigma.table, coloring.colors
         expected: dict = {}
         for table, cr in _iter_tables(coloring.n, coloring.position_colors()):
-            key = (cr, moments.pairing_term(top, colors, table, use_eps))
+            key = (cr, pairing_term(top, colors, table, use_eps))
             expected[key] = expected.get(key, 0) + 1
         atoms, cells = moments._tally(top, colors, use_eps)
         got = {(cr, tuple((atoms[i], e) for i, e in exps)): count for (cr, exps), count in cells}
@@ -194,6 +243,35 @@ def _expanded(atoms, cells) -> dict:
     return got
 
 
+class TestWalkedTerms:
+    """The CLI table's per-table terms, read off the walk, against the oracle."""
+
+    @staticmethod
+    def check(sigma, coloring, use_eps) -> None:
+        top, colors = sigma.table, coloring.colors
+        walked = moments._walked_terms(top, colors, use_eps)
+        got = [(list(table), cr, term) for table, cr, term in walked]
+        expected = [
+            (list(table), cr, pairing_term(top, colors, table, use_eps))
+            for table, cr in _iter_tables(coloring.n, coloring.position_colors())
+        ]
+        assert got == expected
+        assert [cr for _, cr, _ in got] == [_crossings_table(table) for table, _, _ in got]
+
+    @pytest.mark.parametrize("words", _TALLY_WORDS)
+    @pytest.mark.parametrize("use_eps", [True, False])
+    def test_matches_pairing_term_table_by_table(self, words, use_eps):
+        self.check(*_top_and_coloring(words), use_eps)
+
+    @given(st.data(), st.booleans())
+    @settings(max_examples=40, deadline=None)
+    def test_any_top_matches_pairing_term_table_by_table(self, data, use_eps):
+        n = data.draw(st.integers(1, 6))
+        colors = data.draw(st.lists(st.integers(1, 3), min_size=n, max_size=n))
+        sigma = from_permutation(data.draw(st.permutations(range(1, n + 1))))
+        self.check(sigma, Coloring.from_colors(colors), use_eps)
+
+
 class TestTallyKinds:
     """The q = 0 and q = 1 tallies against the full tally they stand in for."""
 
@@ -233,13 +311,13 @@ class TestTallyKinds:
 
     def test_q_zero_and_one_after_symbolic_walk_once(self, monkeypatch):
         walks = []
-        word_counts = moments._word_counts
+        walked_tally = moments._walked_tally
 
         def spy(top_table, colors, use_eps, kind):
             walks.append(kind)
-            return word_counts(top_table, colors, use_eps, kind)
+            return walked_tally(top_table, colors, use_eps, kind)
 
-        monkeypatch.setattr(moments, "_word_counts", spy)
+        monkeypatch.setattr(moments, "_walked_tally", spy)
         moments._tallies.clear()
         spec = MonomialSpec(((1, 1, 2, 2), (1, 2, 1)))
         symbolic = q_wishart_moment(spec)
@@ -320,7 +398,7 @@ def _term_cells(spec: MonomialSpec, use_eps: bool) -> dict:
     top, colors = spec.pairing().table, spec.coloring().colors
     cells: dict = {}
     for table, cr in _iter_tables(spec.n, spec.coloring().position_colors()):
-        key = (cr, moments.pairing_term(top, colors, table, use_eps))
+        key = (cr, pairing_term(top, colors, table, use_eps))
         cells[key] = cells.get(key, 0) + 1
     return cells
 
@@ -383,7 +461,7 @@ _EXACT_BINDINGS = MatrixBindings.numeric(
     [(SYM2, PD2), (SYM2B, PD2B), (frac_entries([[0, 1], ["-2/3", 2]]), PD2)]
 )
 _SCALAR_BINDINGS = MatrixBindings.scalar(
-    ["M1", 3, "M3"], [OVER_N, Fraction(1, 2), P.symbol("lambda") + q], "N"
+    ["M1", 3, "M3"], [OVER_N, Fraction(1, 2), N + Fraction(2, 3) * OVER_N], "N"
 )
 _FLOAT_BINDINGS = MatrixBindings.numeric(
     [
@@ -936,6 +1014,12 @@ class TestValidation:
     def test_scalar_rejects_bad_shape_size(self, size):
         with pytest.raises(ValueError, match="shape size must be a positive integer"):
             MatrixBindings.scalar([size], n_dim=3)
+
+    @pytest.mark.parametrize("symbol", ["q", "lambda"])
+    def test_scalar_rejects_a_factor_in_q_or_lambda(self, symbol):
+        # no q is substituted into a scale factor, so q = 0 would not reach q^-1
+        with pytest.raises(ValueError, match=f"^a scale factor may not hold {symbol}$"):
+            MatrixBindings.scalar(["M", "M"], [OVER_N, N + P.symbol(symbol, -1)])
 
     @pytest.mark.parametrize("n_dim", [2.5, True, -2, 0, "K"])
     def test_scalar_rejects_bad_n_dim(self, n_dim):
