@@ -317,13 +317,14 @@ def centered_trace_moment(
     q = _q_value(q)
     shape_size, scale_dim = _size(shape_size, "shape_size"), _size(scale_dim, "scale_dim")
     # the tally's factors are M^(cycles) and N^(contraction cycles); N^-n is the constant
-    counts = _centered_counts(spec).items()
-    cells = [((cr, ((0, c_gamma), (1, c_g))), count) for (cr, c_gamma, c_g), count in counts]
+    cells: dict = {}
+    for (cr, c_gamma, c_g), count in _centered_counts(spec).items():
+        cells.setdefault(((0, c_gamma), (1, c_g)), []).append((cr, count))
     if isinstance(scale_dim, str):
         const = MomentPolynomial.symbol(scale_dim, -spec.n)
     else:
         const = Fraction(1, scale_dim**spec.n)
-    value = _substitute((shape_size, scale_dim), cells, lambda size: size, q, const)
+    value = _substitute((shape_size, scale_dim), cells.items(), lambda size: size, q, const)
     return value if isinstance(value, MomentPolynomial) else MomentPolynomial.constant(value)
 
 
@@ -507,7 +508,7 @@ def _tail_limits(
     (``_transfer_size``, with as many classes as the second-longest word
     allows: e is even and at most twice the shorter word) and the connector
     tables are checked, and ``_cleared`` refuses a coefficient outside q and
-    lambda; so is one with a negative power of q at q = 0.  The covariances
+    lambda (the public callers run ``_check_coefficients`` first).  The covariances
     are built in symbolic q; at a rational q each class that vanishes there
     is dropped, the sum runs in symbolic q, and q is substituted into each
     unpacked result.  The memo holds at most the closed-form states, each
@@ -535,12 +536,6 @@ def _tail_limits(
     word_pairs = {(x, y) for a, b in pairs for x in words[a] for y in words[b]}
     _check_count([sum(map(_connector_tables, word_pairs))], TABLE_BOUND, "connector tables")
     cleared = [_cleared(statistic) for statistic in distinct]
-    if q == 0:
-        coefficients = (coeff for statistic in distinct for coeff, _ in statistic.terms)
-        powers = (e for c in coefficients for mono, _ in c.terms() for key, e in mono if key == "q")
-        low = min(powers, default=0)
-        if low < 0:
-            raise ValueError(f"a limit statistic coefficient holds q^{low}, undefined at q = 0")
     covariances = {(a, b): _covariance(cleared[a][0], cleared[b][0]) for a, b in pairs}
     if not isinstance(q, str):
         covariances = {
@@ -656,6 +651,18 @@ def _cleared(statistic: PolynomialStatistic) -> tuple[PolynomialStatistic, int]:
     return (statistic.scaled(d) if d > 1 else statistic), d
 
 
+def _check_coefficients(statistic: PolynomialStatistic, q) -> None:
+    """Refuse a coefficient outside q and lambda, and at q = 0 one with a negative
+    power of q: before any sum, so that an odd order, whose limit is zero with
+    no sum, refuses what an even one does."""
+    _cleared(statistic)
+    if q == 0:
+        monomials = (mono for coeff, _ in statistic.terms for mono, _ in coeff.terms())
+        low = min((e for mono in monomials for key, e in mono if key == "q"), default=0)
+        if low < 0:
+            raise ValueError(f"a limit statistic coefficient holds q^{low}, undefined at q = 0")
+
+
 def statistic_limit_moments(
     statistic: PolynomialStatistic, max_order: int, q="q"
 ) -> list[LimitMoment]:
@@ -664,6 +671,7 @@ def statistic_limit_moments(
     q = _q_value(q)
     top = max_order - max_order % 2
     _check_work(top, 1, _longest(statistic))  # before the list of top statistics is built
+    _check_coefficients(statistic, q)
     # every order is a tail of the highest even order, so one memo gives them all
     limits = _tail_limits([statistic] * top, q, range(1, max_order + 1))
     return [LimitMoment(limit) for limit in limits]
@@ -682,6 +690,7 @@ def conditional_variance_check(
     m = _count(m, "m", 0)
     q = _q_value(q)
     _check_work(m + 2, 2, _longest(statistic))  # before the list of m + 2 statistics is built
+    _check_coefficients(statistic, q)
     if m % 2:
         return MomentPolynomial.zero()
     x, y = statistic, statistic.shifted(statistic.s)

@@ -9,17 +9,14 @@ B matrices, a scale-side trace monomial in the Sigma matrices read off the
 Brauer contraction with its inherited coloring, and (in the q case) the
 weight q^crossings.
 
-The engine reads the tally of (crossings, trace monomial) -> count off the
+The engine reads the tally of trace monomial -> (crossings -> count) off the
 counted walk ``pairings._counted_walk`` (shared with ``connecting_pairings``),
-once per (spec, use_eps, tally kind), into a bounded cache.  The walk reads
-each trace atom's word once, when the edge that closes its cycle is placed,
-and the kind follows the q the tally will be substituted at: at q = 0 only
-the noncrossing pairings carry weight, so the walk visits those alone; at
-q = 1 crossings carry no weight, so the cells drop the crossing index and
-every table with the same monomial shares one cell; a symbolic or any other
-rational q keeps the full tally, keyed by crossings, which is also the
-oracle for the other two.  When the full tally of a spec is cached, a q = 0
-or q = 1 query reads its tally off the full one instead of walking again.
+once per (spec, use_eps, noncrossing), into a bounded cache.  The walk reads
+each trace atom's word once, when the edge that closes its cycle is placed.
+q enters only as the weight q^crossings, so one tally serves every q: at
+q = 1 a monomial's counts are added, and at any other q each is weighted by
+its crossings.  Only at q = 0, where the crossing pairings carry no weight,
+does the walk visit the noncrossing pairings alone.
 One reader of the walk's cycles, ``_word_reader``, names every pairing's
 monomial: the tally counts what it reads, and ``_walked_terms`` yields it
 per pairing, for the CLI's table.  Every result is a substitution into the
@@ -38,12 +35,12 @@ from __future__ import annotations
 import math
 import numbers
 import sys
-import threading
 from collections import Counter
 from fractions import Fraction
+from functools import lru_cache
 from itertools import chain, islice, repeat
 from itertools import product as iter_product
-from typing import Callable, Iterator, Sequence, Union
+from typing import Callable, Collection, Iterator, Sequence, Union
 
 from .pairings import (
     Coloring,
@@ -264,22 +261,12 @@ class MatrixBindings:
 # ---------------------------------------------------------------------------
 # the pairing-sum engine: one walk, one tally, one substitution step
 
-# Tallies kept by ``_tally``; one per (top pairing, coloring, use_eps, kind),
-# so a spec queried in several binding modes is enumerated once.
+# Tallies kept by ``_walked_tally``; one per (top pairing, coloring, use_eps,
+# noncrossing), so a spec queried in several binding modes is enumerated once.
 _TALLY_CACHE_SIZE = 256
-_tallies: dict[tuple, tuple] = {}  # least recently used first
-_tallies_lock = threading.Lock()
 
-
-# One tally cell: (crossings, ascending (atom index, exponent) pairs) and its count.
-Cell = tuple[tuple[int, tuple[tuple[int, int], ...]], int]
-
-
-def _tally_kind(q) -> str:
-    """The tally that substituting ``q`` needs (see the module docstring)."""
-    if isinstance(q, str):
-        return "crossings"
-    return "noncrossing" if q == 0 else "summed" if q == 1 else "crossings"
+# A tally cell: a monomial as ascending (atom index, exponent) pairs, and its (crossings, count).
+Cell = tuple[tuple[tuple[int, int], ...], tuple[tuple[int, int], ...]]
 
 
 def _word_reader(
@@ -355,86 +342,46 @@ def _walked_terms(
         yield table, cr, _make_monomial(Counter(made[w] for w in closed))
 
 
-def _tally(
-    top_table: tuple[int, ...], colors: tuple[int, ...], use_eps: bool, kind: str = "crossings"
-) -> tuple[tuple[TraceAtom, ...], tuple[Cell, ...]]:
-    """``_walked_tally``, keeping the last ``_TALLY_CACHE_SIZE`` tallies.
-
-    A "summed" or "noncrossing" tally of a spec whose full ("crossings")
-    tally is kept is read off the full one instead of walked again: its
-    cells summed over the crossings, or those of crossings 0 with the atoms
-    that only crossing cells use left out, so that no substitution
-    evaluates them.  Either keeps the walk's cell order.
-    """
-    key = (top_table, colors, use_eps, kind)
-    with _tallies_lock:
-        tally = _tallies.get(key)
-        full = _tallies.get(key[:3] + ("crossings",))
-    if tally is None and full is None:
-        tally = _walked_tally(*key)
-    elif tally is None:
-        atoms, cells = full[0], {}
-        for (cr, exps), count in full[1]:
-            if kind == "summed" or not cr:
-                cells[0, exps] = cells.get((0, exps), 0) + count
-        used = sorted({i for _, exps in cells for i, _ in exps})
-        if len(used) < len(atoms):  # renumber in the same order, so exps stay ascending
-            new = {i: k for k, i in enumerate(used)}
-            atoms = tuple(atoms[i] for i in used)
-            cells = {(0, tuple((new[i], e) for i, e in exps)): n for (_, exps), n in cells.items()}
-        tally = atoms, tuple(cells.items())
-    with _tallies_lock:
-        _tallies.pop(key, None)
-        _tallies[key] = tally
-        if len(_tallies) > _TALLY_CACHE_SIZE:
-            del _tallies[next(iter(_tallies))]
-    return tally
-
-
+@lru_cache(maxsize=_TALLY_CACHE_SIZE)
 def _walked_tally(
-    top_table: tuple[int, ...], colors: tuple[int, ...], use_eps: bool, kind: str
+    top_table: tuple[int, ...], colors: tuple[int, ...], use_eps: bool, noncrossing: bool
 ) -> tuple[tuple[TraceAtom, ...], tuple[Cell, ...]]:
-    """Counts of ``(crossings, trace monomial)`` over the color-preserving pairings.
+    """Counts of ``(trace monomial, crossings)`` over the color-preserving pairings.
 
-    Returns the distinct atoms, sorted in monomial key order, and the cells,
-    which name each monomial by ascending atom indices, so a cell expands to
-    its monomial without sorting.  The tally is read off the counted walk,
-    which checks its own table count, by ``_word_reader``, and keyed per
-    table by the sorted integer ids of its raw words, so every distinct word
-    is canonicalised once per tally rather than once per table.  ``kind``
-    (``_tally_kind``): "crossings" is the full tally, "noncrossing" walks
-    the noncrossing pairings alone, its cells those of crossings 0, and
-    "summed" counts every pairing under crossings 0, its cells those of the
-    full tally with the crossings summed out; either of the last two gives
-    the full tally's result at its q.
+    Returns the distinct atoms, sorted in monomial key order, and one cell
+    per monomial, which names it by ascending atom indices, so a cell
+    expands to its monomial without sorting, and carries its count per
+    crossing number.  The tally is read off the counted walk, which checks
+    its own table count, by ``_word_reader``, and keyed per table by the
+    sorted integer ids of its raw words, so every distinct word is
+    canonicalised once per tally rather than once per table.  With
+    ``noncrossing`` the walk visits the noncrossing pairings alone, and the
+    cells are those of crossings 0: all that q = 0 weighs.
     """
     ids, read = _word_reader(top_table, colors, use_eps)
     pos_colors = [colors[x >> 1] for x in range(2 * len(colors))]
     counts: dict[tuple[int, tuple[int, ...]], int] = {}
-    summed = kind == "summed"
-    walk = _counted_walk(
-        len(colors), pos_colors, top_table, read=read, noncrossing=kind == "noncrossing"
-    )
+    walk = _counted_walk(len(colors), pos_colors, top_table, read=read, noncrossing=noncrossing)
     for _, cr, _, _, closed in walk:
-        key = (0 if summed else cr, tuple(sorted(closed)))
+        key = (cr, tuple(sorted(closed)))
         counts[key] = counts.get(key, 0) + 1
     made = [TraceAtom.make(*raw) for raw in ids]
     atoms = sorted(set(made), key=_key_order)
     index = {atom: i for i, atom in enumerate(atoms)}
     atom_of_word = [index[atom] for atom in made]
-    cells: dict[tuple[int, tuple[tuple[int, int], ...]], int] = {}
+    cells: dict[tuple[tuple[int, int], ...], dict[int, int]] = {}
     for (cr, word_ids), count in counts.items():
         exps: dict[int, int] = {}
         for i in sorted(atom_of_word[w] for w in word_ids):
             exps[i] = exps.get(i, 0) + 1
-        key = (cr, tuple(exps.items()))
-        cells[key] = cells.get(key, 0) + count
-    return tuple(atoms), tuple(cells.items())
+        crossings = cells.setdefault(tuple(exps.items()), {})
+        crossings[cr] = crossings.get(cr, 0) + count
+    return tuple(atoms), tuple((exps, tuple(crs.items())) for exps, crs in cells.items())
 
 
 def _substitute(
     atoms: Sequence[object],
-    cells: Sequence[Cell],
+    cells: Collection[Cell],
     atom_value: Callable[[object], object],
     q,
     const,
@@ -445,17 +392,21 @@ def _substitute(
     cells: the trace atoms of a finite moment, or the sizes M and N of a
     centered moment.  ``atom_value`` maps an atom to a number, to a symbol
     name, or to a trace atom itself to keep it; it is called once per atom,
-    and each power of a number is computed once.  Exact cells are summed in
-    integers over one common denominator D, the lcm over the numeric atom
-    values: with q = a/b and C the most crossings, a cell of c crossings and
-    numeric degree t adds count * prod (D v_i)^e_i * a^c * b^(C - c) to the
-    integer accumulator of its output monomial and t, which becomes one
+    and each power of a number is computed once.  A cell's factors are
+    multiplied once and weighted by the sum of count * q^crossings over its
+    crossing numbers, which at q = 1 is the sum of its counts.  Exact cells
+    are summed in integers over one common denominator D, the lcm over the
+    numeric atom values: with q = a/b and C the most crossings, a cell of
+    numeric degree t adds prod (D v_i)^e_i * sum count * a^c * b^(C - c) to
+    the integer accumulator of its output monomial and t, which becomes one
     Fraction over D^t b^C.
     Symbolic factors are summed per cell by integer ids in monomial key
     order, so every output monomial is built once.  If any atom value is a
-    float, the cells multiply the values as given and are summed per
-    crossing number with ``math.fsum``; a float cell or result that is not
-    finite raises ``FloatOverflowError``.
+    float, each count is multiplied by the values as given, in the cell's
+    order, and the products are summed with ``math.fsum``: at q = 1 once
+    over every cell, its counts added first, and otherwise once per
+    crossing number; a float product or result that is not finite raises
+    ``FloatOverflowError``.
     """
     values = [atom_value(atom) for atom in atoms]
     keys = sorted(
@@ -472,12 +423,12 @@ def _substitute(
         den = math.lcm(*(v.denominator for v in exact.values()))
         nums = {i: v.numerator * (den // v.denominator) for i, v in exact.items()}
     a, b = (1, 1) if isinstance(q, str) else (q.numerator, q.denominator)
-    top = max((cr for (cr, _), _ in cells), default=0)
+    top = max((cr for _, crossings in cells for cr, _ in crossings), default=0)
     q_factors = [a**c * b ** (top - c) for c in range(top + 1)]
     factors: dict[tuple[int, int], object] = {}
     acc: dict[tuple[tuple[tuple[int, int], ...], int], int] = {}
-    for (cr, exps), count in cells:
-        value, degree = count, 0
+    for exps, crossings in cells:
+        product, degree = [], 0
         powers: dict[int, int] = {}
         for i, e in exps:
             s = sym[i]
@@ -491,19 +442,27 @@ def _substitute(
                 except OverflowError as exc:  # only a float power can overflow
                     raise FloatOverflowError(_FLOAT_OVERFLOW) from exc
                 factors[i, e] = factor
-            value *= factor
+            product.append(factor)
             degree += e
         if floats is not None:
             if powers:
                 raise ValueError("float matrices cannot feed a symbolic result")
-            if not math.isfinite(value):  # an atom or a product of atoms overflowed
-                raise FloatOverflowError(_FLOAT_OVERFLOW)
-            floats.setdefault(cr, []).append(value)
+            if q == 1:  # the counts first, then one fsum over every cell
+                crossings = ((0, sum(count for _, count in crossings)),)
+            for cr, count in crossings:
+                value = math.prod(product, start=count)
+                if not math.isfinite(value):  # an atom or a product of atoms overflowed
+                    raise FloatOverflowError(_FLOAT_OVERFLOW)
+                floats.setdefault(cr, []).append(value)
             continue
-        if cr and isinstance(q, str):
-            powers[q_sym] = powers.get(q_sym, 0) + cr
-        key = (tuple(sorted(powers.items())), degree)
-        acc[key] = acc.get(key, 0) + value * q_factors[cr]
+        value, rest = math.prod(product), tuple(sorted(powers.items()))
+        if isinstance(q, str):  # "q" sorts first, and no atom value is q
+            for cr, count in crossings:
+                key = (((q_sym, cr),) + rest if cr else rest, degree)
+                acc[key] = acc.get(key, 0) + value * count
+            continue
+        weight = sum(count * q_factors[cr] for cr, count in crossings)  # all 1 at q = 1
+        acc[rest, degree] = acc.get((rest, degree), 0) + value * weight
     if floats is not None:
         if isinstance(q, str):
             raise ValueError("float matrices require a numeric q")
@@ -532,7 +491,7 @@ def _substitute(
 
 
 def _moment(top_table, coloring: Coloring, use_eps: bool, atom_value, q, const):
-    atoms, cells = _tally(tuple(top_table), coloring.colors, use_eps, _tally_kind(q))
+    atoms, cells = _walked_tally(tuple(top_table), coloring.colors, use_eps, q == 0)
     return _substitute(atoms, cells, atom_value, q, const)
 
 

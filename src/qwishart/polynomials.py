@@ -196,13 +196,14 @@ def _q_value(q) -> Union[str, Rational]:
 
 
 def _size(value, name: str) -> Union[int, str]:
-    """A positive integer (numpy integers become ``int``) or a symbol name."""
+    """A positive integer (numpy integers become ``int``) or a size symbol: N, M or M<k>;
+    q and lambda are symbols too, but a size named so would merge with them."""
     if isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= 1:
         return int(value)
     if isinstance(value, str):
         try:
-            _symbol_rank(value)
-            return value
+            if _symbol_rank(value)[0] >= _FIXED_RANK["N"]:
+                return value
         except ValueError:
             pass
     raise ValueError(f"{name} must be a positive integer or a symbol name, got {value!r}")

@@ -319,6 +319,15 @@ class TestMomentErrorsNameTheFlag:
                 numeric_argv("moment", "[[1]]", [[1]], 7),
                 "--matrices: Sigma must be a list of rows of numbers",
             ),
+            # q and lambda are symbols, but a size named so would merge with them
+            (
+                ["q-moment", "--spec", '{"cycle_words":[[1,1]]}', "--scalar", '{"M":["q"]}'],
+                "--scalar: shape size must be a positive integer or a symbol name, got 'q'",
+            ),
+            (
+                ["moment", "--spec", "[[1,1]]", "--scalar", '{"M":[2],"N":"lambda"}'],
+                "--scalar: n_dim must be a positive integer or a symbol name, got 'lambda'",
+            ),
         ],
     )
     def test_message_and_flag(self, capsys, argv, message):
@@ -510,7 +519,14 @@ def test_enumeration_bounds_name_the_flag(capsys, argv, field):
 
 
 @pytest.mark.parametrize(
-    "command", [["fluctuation-limit", "--orders", "2"], ["t5-check", "--m", "0"]]
+    "command",
+    [
+        ["fluctuation-limit", "--orders", "2"],
+        ["t5-check", "--m", "0"],
+        # an odd order or m has a zero limit with no sum, and refuses the same
+        ["fluctuation-limit", "--orders", "1"],
+        ["t5-check", "--m", "1"],
+    ],
 )
 def test_limit_coefficient_symbols_name_the_statistic(capsys, command):
     coeff = {"poly": {"terms": [{"coeff": "1", "powers": {"N": -1}}]}}
@@ -540,8 +556,18 @@ _OVER_Q = {"poly": {"terms": [{"coeff": "1", "powers": {"q": -1}}]}}
             + [json.dumps({"M": ["M"], "scale": [_OVER_Q]})],
             "--scalar: a scale factor may not hold q",
         ),
+        (
+            ["fluctuation-limit", "--orders", "1", "--q", "0", "--Q"]
+            + [json.dumps({"terms": [{"coeff": _OVER_Q, "word": [1]}]})],
+            "--Q: a limit statistic coefficient holds q^-1, undefined at q = 0",
+        ),
+        (
+            ["t5-check", "--m", "1", "--q", "0", "--Q"]
+            + [json.dumps({"terms": [{"coeff": _OVER_Q, "word": [1]}]})],
+            "--Q: a limit statistic coefficient holds q^-1, undefined at q = 0",
+        ),
     ],
-    ids=["fluctuation-limit", "t5-check", "q-moment"],
+    ids=["fluctuation-limit", "t5-check", "q-moment", "fluctuation-limit order 1", "t5-check m 1"],
 )
 def test_negative_power_of_q_at_q_zero_names_the_flag(capsys, argv, message):
     assert capture(argv) == (2, "")

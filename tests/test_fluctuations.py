@@ -741,6 +741,22 @@ class TestStatisticMoments:
         symbolic = statistic_limit_moments(stat, 2)[1].value
         assert statistic_limit_moments(stat, 2, 0)[1].value == symbolic.substitute({"q": 0})
 
+    def test_odd_orders_refuse_what_even_orders_do(self):
+        # an odd order's limit is zero with no sum, but its statistic is checked all the same
+        fluctuations._covariance.cache_clear()
+        stat = PolynomialStatistic.from_terms([(P.symbol("N", -1), (1,))])
+        with pytest.raises(ValueError, match=r"only q and lambda, got \['N'\]"):
+            statistic_limit_moments(stat, 1)
+        with pytest.raises(ValueError, match=r"only q and lambda, got \['N'\]"):
+            conditional_variance_check(stat, 1)
+        stat = PolynomialStatistic.from_terms([(P.symbol("q", -1), (1,))])
+        with pytest.raises(ValueError, match=r"holds q\^-1, undefined at q = 0$"):
+            statistic_limit_moments(stat, 1, 0)
+        with pytest.raises(ValueError, match=r"holds q\^-1, undefined at q = 0$"):
+            conditional_variance_check(stat, 3, 0)
+        assert fluctuations._covariance.cache_info().currsize == 0
+        assert statistic_limit_moments(stat, 1)[0].value == 0
+
     def test_order_one_sums_nothing(self, monkeypatch):
         # odd orders vanish, so tr(W^5) at order 1 needs no connector sum
         fluctuations._connector_counts.cache_clear()

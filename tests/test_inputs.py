@@ -126,10 +126,14 @@ SIZE_ENTRIES = {
     "centered_trace_moment scale_dim": lambda s: centered_trace_moment(PAIR, scale_dim=s),
     "white_wishart_power_moment shape_size": lambda s: white_wishart_power_moment((2,), s),
     "white_wishart_power_moment scale_size": lambda s: white_wishart_power_moment((2,), 2, s),
+    "MatrixBindings.scalar shape size": lambda s: MatrixBindings.scalar([s]),
+    "MatrixBindings.scalar n_dim": lambda s: MatrixBindings.scalar([2], n_dim=s),
+    "identity_shape_moment shape size": lambda s: identity_shape_moment(PAIR, [s]),
 }
 
 
-@pytest.mark.parametrize("size", [2.5, True, 0, "x"])
+# q and lambda are symbols, but a size named so would merge with them
+@pytest.mark.parametrize("size", [2.5, True, 0, "x", "q", "lambda"])
 @pytest.mark.parametrize("call", SIZE_ENTRIES.values(), ids=SIZE_ENTRIES.keys())
 def test_bad_size_refused(call, size):
     with pytest.raises(ValueError, match="must be a positive integer or a symbol name"):

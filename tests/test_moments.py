@@ -186,6 +186,19 @@ _TALLY_WORDS = [
 ]
 
 
+def _flat(cells) -> list:
+    """A tally's cells as (crossings, exps, count), one entry per crossing number of a cell."""
+    return [(cr, exps, count) for exps, crossings in cells for cr, count in crossings]
+
+
+def _expanded(atoms, cells) -> dict:
+    got = {(cr, tuple((atoms[i], e) for i, e in exps)): count for cr, exps, count in _flat(cells)}
+    # one cell per monomial, and one count per crossing number in it
+    assert len({exps for exps, _ in cells}) == len(cells)
+    assert len(got) == len(_flat(cells))
+    return got
+
+
 class TestTally:
     @staticmethod
     def check(sigma, coloring, use_eps) -> dict:
@@ -195,10 +208,7 @@ class TestTally:
         for table, cr in _iter_tables(coloring.n, coloring.position_colors()):
             key = (cr, pairing_term(top, colors, table, use_eps))
             expected[key] = expected.get(key, 0) + 1
-        atoms, cells = moments._tally(top, colors, use_eps)
-        got = {(cr, tuple((atoms[i], e) for i, e in exps)): count for (cr, exps), count in cells}
-        assert len(got) == len(cells)
-        assert got == expected
+        assert _expanded(*moments._walked_tally(top, colors, use_eps, False)) == expected
         return expected
 
     @pytest.mark.parametrize("words", _TALLY_WORDS)
@@ -223,11 +233,12 @@ class TestTally:
         self.check(sigma, Coloring.from_colors(colors), use_eps)
 
     def test_cache_is_bounded(self):
+        moments._walked_tally.cache_clear()
         top = MonomialSpec(((1,),)).pairing().table
         for color in range(1, moments._TALLY_CACHE_SIZE + 2):
-            moments._tally(top, (color,), False)
-        assert len(moments._tallies) == moments._TALLY_CACHE_SIZE
-        assert (top, (1,), False, "crossings") not in moments._tallies
+            moments._walked_tally(top, (color,), False, False)
+        info = moments._walked_tally.cache_info()
+        assert info.maxsize == info.currsize == moments._TALLY_CACHE_SIZE
 
 
 def _top_and_coloring(words):
@@ -235,12 +246,6 @@ def _top_and_coloring(words):
         return _SIGMA
     spec = MonomialSpec(words)
     return spec.pairing(), spec.coloring()
-
-
-def _expanded(atoms, cells) -> dict:
-    got = {(cr, tuple((atoms[i], e) for i, e in exps)): count for (cr, exps), count in cells}
-    assert len(got) == len(cells)
-    return got
 
 
 class TestWalkedTerms:
@@ -273,18 +278,14 @@ class TestWalkedTerms:
 
 
 class TestTallyKinds:
-    """The q = 0 and q = 1 tallies against the full tally they stand in for."""
+    """The q = 0 tally against the cr = 0 cells of the full tally it stands in for."""
 
     @staticmethod
     def check(sigma, coloring, use_eps) -> None:
         top, colors = sigma.table, coloring.colors
-        full = _expanded(*moments._tally(top, colors, use_eps))
-        summed: dict = {}
-        for (_, mono), count in full.items():
-            summed[0, mono] = summed.get((0, mono), 0) + count
-        assert _expanded(*moments._tally(top, colors, use_eps, "summed")) == summed
+        full = _expanded(*moments._walked_tally(top, colors, use_eps, False))
         noncrossing = {key: count for key, count in full.items() if key[0] == 0}
-        assert _expanded(*moments._tally(top, colors, use_eps, "noncrossing")) == noncrossing
+        assert _expanded(*moments._walked_tally(top, colors, use_eps, True)) == noncrossing
         pos_colors = coloring.position_colors()
         walk = _counted_walk(coloring.n, pos_colors, top, noncrossing=True)
         tables = [(list(table), cr) for table, cr, *_ in walk]
@@ -295,40 +296,23 @@ class TestTallyKinds:
     def test_kinds_match_the_full_tally(self, words, use_eps):
         self.check(*_top_and_coloring(words), use_eps)
 
-    @pytest.mark.parametrize("words", _TALLY_WORDS)
-    @pytest.mark.parametrize("use_eps", [True, False])
-    def test_kinds_read_off_the_full_tally_match_the_walks(self, words, use_eps):
-        sigma, coloring = _top_and_coloring(words)
-        top, colors = sigma.table, coloring.colors
-        moments._tally(top, colors, use_eps)
-        for kind in ("summed", "noncrossing"):
-            atoms, cells = moments._tally(top, colors, use_eps, kind)
-            walked = moments._walked_tally(top, colors, use_eps, kind)
-            # the same monomials in the same order, so a float sum adds them alike
-            assert list(_expanded(atoms, cells).items()) == list(_expanded(*walked).items())
-            # and no atom that no cell uses, which a substitution would evaluate
-            assert {i for (_, exps), _ in cells for i, _ in exps} == set(range(len(atoms)))
-
-    def test_q_zero_and_one_after_symbolic_walk_once(self, monkeypatch):
+    def test_q_one_after_symbolic_walks_nothing_and_q_zero_only_noncrossing(self, monkeypatch):
         walks = []
-        walked_tally = moments._walked_tally
+        counted_walk = moments._counted_walk
 
-        def spy(top_table, colors, use_eps, kind):
-            walks.append(kind)
-            return walked_tally(top_table, colors, use_eps, kind)
+        def spy(*args, noncrossing=False, **kwargs):
+            walks.append(noncrossing)
+            return counted_walk(*args, noncrossing=noncrossing, **kwargs)
 
-        monkeypatch.setattr(moments, "_walked_tally", spy)
-        moments._tallies.clear()
+        monkeypatch.setattr(moments, "_counted_walk", spy)
+        moments._walked_tally.cache_clear()
         spec = MonomialSpec(((1, 1, 2, 2), (1, 2, 1)))
         symbolic = q_wishart_moment(spec)
-        for q_value in (1, 0):
-            assert q_wishart_moment(spec, q=q_value) == symbolic.substitute({"q": q_value})
-        assert walks == ["crossings"]
-        # without the full tally, each q walks its own kind
-        moments._tallies.clear()
-        for q_value in (1, 0):
-            q_wishart_moment(spec, q=q_value)
-        assert walks == ["crossings", "summed", "noncrossing"]
+        assert q_wishart_moment(spec, q=1) == symbolic.substitute({"q": 1})
+        assert walks == [False]
+        assert q_wishart_moment(spec, q=0) == symbolic.substitute({"q": 0})
+        assert walks == [False, True]
+        assert moments._walked_tally.cache_info().maxsize == moments._TALLY_CACHE_SIZE
 
     @given(st.data(), st.booleans())
     @settings(max_examples=40, deadline=None)
@@ -349,7 +333,7 @@ class TestTallyKinds:
     @pytest.mark.parametrize("q_value", [0, 1])
     def test_engine_equals_the_full_tally_substituted(self, words, use_eps, q_value):
         sigma, coloring = _top_and_coloring(words)
-        full = moments._tally(sigma.table, coloring.colors, use_eps)
+        full = moments._walked_tally(sigma.table, coloring.colors, use_eps, False)
         expected = moments._substitute(*full, lambda atom: atom, q_value, Fraction(1))
         got = moments._moment(sigma.table, coloring, use_eps, lambda atom: atom, q_value, 1)
         assert got == expected
@@ -375,12 +359,14 @@ class TestTallyKinds:
         top, colors = MonomialSpec(((1,) * 6,)).pairing().table, (1,) * 6
         walk = _counted_walk(6, (1,) * 12, top, noncrossing=True)
         assert sum(1 for _ in walk) == 132
-        for kind, tables in (("crossings", 10395), ("noncrossing", 132)):
-            assert sum(count for _, count in moments._tally(top, colors, False, kind)[1]) == tables
+        for noncrossing, tables in ((False, 10395), (True, 132)):
+            cells = moments._walked_tally(top, colors, False, noncrossing)[1]
+            assert sum(count for _, _, count in _flat(cells)) == tables
 
     def test_mp_check_matches_the_full_tally(self):
+        # q = 1 adds each cell's counts; the oracle sums every crossing number on its own
         report = mp_moment_check(["1", "2", "3"], 2, 6)
-        with mock.patch.object(moments, "_tally_kind", lambda q: "crossings"):
+        with _fraction_path():
             assert mp_moment_check(["1", "2", "3"], 2, 6) == report
         assert report.all_equal
 
@@ -454,7 +440,8 @@ def _summed_float_oracle(cells: dict, atom_value, const) -> float:
 
 def _engine(spec, use_eps, atom_value, q, const):
     top, colors = spec.pairing().table, spec.coloring().colors
-    return moments._substitute(*moments._tally(top, colors, use_eps), atom_value, q, const)
+    tally = moments._walked_tally(top, colors, use_eps, False)
+    return moments._substitute(*tally, atom_value, q, const)
 
 
 _EXACT_BINDINGS = MatrixBindings.numeric(
@@ -491,12 +478,15 @@ class TestIndexedSubstitution:
             got = _engine(spec, use_eps, atom_value, q_value, const)
             got = got if isinstance(got, MomentPolynomial) else P.constant(got)
             assert got == _exact_oracle(cells, atom_value, q_value, const)
-        # float bindings: bit-identical, not merely close
+        # float bindings: bit-identical, not merely close; q = 1 adds the counts first
         atom_value, const = moments._substitution(_FLOAT_BINDINGS, spec.coloring())
         for q_value in (1, rational_q):
             got = _engine(spec, use_eps, atom_value, q_value, const)
             assert isinstance(got, float)
-            assert got == _float_oracle(cells, atom_value, q_value, const)
+            if q_value == 1:
+                assert got == _summed_float_oracle(cells, atom_value, const)
+            else:
+                assert got == _float_oracle(cells, atom_value, q_value, const)
 
     @given(st.data(), st.booleans())
     @settings(max_examples=40, deadline=None)
@@ -506,7 +496,7 @@ class TestIndexedSubstitution:
         # pairing_term above, gives the cells
         spec = _random_spec(data)
         top, coloring = spec.pairing().table, spec.coloring()
-        cells = _expanded(*moments._tally(top, coloring.colors, use_eps))
+        cells = _expanded(*moments._walked_tally(top, coloring.colors, use_eps, False))
         atom_value, const = moments._substitution(_FLOAT_BINDINGS, coloring)
         got = moments._moment(top, coloring, use_eps, atom_value, 1, const)
         assert isinstance(got, float)
@@ -527,7 +517,7 @@ def _fraction_substitute(atoms, cells, atom_value, q, const):
     sym = [key_id[v] if isinstance(v, (str, TraceAtom)) else None for v in values]
     q_value = None if isinstance(q, str) else Fraction(q)
     exact: dict = {}
-    for (cr, exps), count in cells:
+    for cr, exps, count in _flat(cells):
         value = Fraction(count)
         powers: dict = {}
         for i, e in exps:
