@@ -4,11 +4,11 @@ For matrices with identity shape of size M and scale I/N, the joint centered
 moment of a product of trace blocks is a sum over color-preserving pairings
 that join every block to another one, each weighted by
 q^crossings * M^(cycles) * N^(contraction cycles - n).  The finite moment is
-a tally over those pairings, summed forward over the frontier states of the
-counted walk ``pairings._counted_walk`` rather than over its tables (the
-transfer-matrix method for maps and meanders): an edge that would complete
-a block with no edge leaving it is skipped, and q and the sizes are
-substituted into the tally by the finite moments' ``_substitute``.
+a tally over those pairings, summed forward one edge at a time over frontier
+states rather than over tables (the transfer-matrix method for maps and
+meanders): an edge that would complete a block with no edge leaving it is
+skipped, and q and the sizes are substituted into the tally by the finite
+moments' ``_substitute``.
 
 As N grows with M/N -> lambda, only pairings whose diagram splits the blocks
 into genus-zero pairs survive, contributing q^crossings * lambda^cycles;
@@ -69,6 +69,7 @@ from .polynomials import (
     Monomial,
     Rational,
     _q_value,
+    _rational,
     _size,
 )
 
@@ -103,7 +104,15 @@ class PolynomialStatistic:
     terms: tuple[tuple[MomentPolynomial, tuple[int, ...]], ...]
 
     def __post_init__(self) -> None:
-        terms = tuple((coeff, _colors(word)) for coeff, word in self.terms)
+        terms = tuple(
+            (
+                coeff
+                if isinstance(coeff, MomentPolynomial)
+                else MomentPolynomial.constant(_rational(coeff)),
+                _colors(word),
+            )
+            for coeff, word in self.terms
+        )
         if not terms or any(not word for _, word in terms):
             raise ValueError("statistic needs nonempty trace words")
         object.__setattr__(self, "terms", terms)
@@ -121,11 +130,7 @@ class PolynomialStatistic:
     def from_terms(
         cls, terms: Sequence[tuple[Union[Rational, MomentPolynomial], Sequence[int]]]
     ) -> "PolynomialStatistic":
-        out = []
-        for coeff, word in terms:
-            poly = coeff if isinstance(coeff, MomentPolynomial) else MomentPolynomial.constant(coeff)
-            out.append((poly, tuple(word)))
-        return cls(tuple(out))
+        return cls(tuple(terms))
 
     @property
     def s(self) -> int:
@@ -161,22 +166,25 @@ class LimitMoment:
 
 
 def _frontier_counts(spec: MonomialSpec, connectors: bool) -> dict[tuple[int, int, int], int]:
-    """Tally of ``pairings._counted_walk`` over the tables joining every block to another.
+    """Tally of the color-preserving tables that join every block to another.
 
-    The walk places an edge (p, q) from the smallest free position p, and
-    what it does next depends only on a frontier state: the taken positions,
-    the path-end involutions ``end_v`` and ``end_f`` restricted to the free
-    positions (a path always ends at free positions) and one "has an outside
-    edge" bit per block.  So the tally is summed forward one edge at a time
-    over the states, here paired with the two cycle counts so far, each
-    holding the tally of the partial tables that reach it as one packed
-    ``int``: a slot of ``width`` bits per crossing count.  No count
-    overflows its slot: each color's edges form a prefix of one of its
-    matchings, so a layer holds at most the closed-form table count of
-    partial tables.  An edge adds the taken positions between p and q to cr,
-    which is one shift, and one cycle when it closes a path; an internal
-    edge that would complete a block with no outside edge is skipped, as in
-    the walk.  The cycle counts sit in the key rather than in the weight,
+    A table joins a block to another when some edge leaves the block's
+    positions.  Its counts are its crossings, its cycles (joined to x ^ 1)
+    and its contraction cycles (joined to top[x ^ 1] ^ 1).  Built edge by
+    edge, each (p, q) placed from the smallest free position p, a partial
+    table's completions depend only on a frontier state: the taken
+    positions, the path-end involutions ``end_v`` and ``end_f`` restricted
+    to the free positions (a path always ends at free positions) and one
+    "has an outside edge" bit per block.  So the tally is summed forward one
+    edge at a time over the states, here paired with the two cycle counts
+    so far, each holding the tally of the partial tables that reach it as
+    one packed ``int``: a slot of ``width`` bits per crossing count.  No
+    count overflows its slot: each color's edges form a prefix of one of
+    its matchings, so a layer holds at most the closed-form table count of
+    partial tables.  An edge adds the taken positions between p and q to
+    cr, which is one shift, and one cycle when it closes a path; an
+    internal edge that would complete a block with no outside edge is
+    skipped.  The cycle counts sit in the key rather than in the weight,
     since a weight dense over all three counts would grow with cr * n^2 per
     state.  A layer of more than ``_FRONTIER_STATES`` states is split into
     chunks summed one after another.  The table count is checked before any
@@ -334,18 +342,6 @@ def centered_trace_moment_limit(spec: MonomialSpec, q="q") -> LimitMoment:
     q = _q_value(q)
     blocks = [PolynomialStatistic.from_terms([(1, word)]) for word in spec.cycle_words]
     return LimitMoment(_product_limit(blocks, q))
-
-
-def centered_finite_and_limit(
-    spec: MonomialSpec, q="q"
-) -> tuple[MomentPolynomial, LimitMoment]:
-    """Finite centered moment (in M, N) and its limit, by independent paths.
-
-    The finite value enumerates every block-connecting pairing; the limit is
-    composed from block-pair connectors, so comparing the rescaled finite
-    value with the limit checks one path against the other.
-    """
-    return centered_trace_moment(spec, q), centered_trace_moment_limit(spec, q)
 
 
 @lru_cache(maxsize=_CACHE_SIZE)

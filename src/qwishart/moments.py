@@ -10,9 +10,9 @@ Brauer contraction with its inherited coloring, and (in the q case) the
 weight q^crossings.
 
 The engine reads the tally of trace monomial -> (crossings -> count) off the
-counted walk ``pairings._counted_walk`` (shared with ``connecting_pairings``),
-once per (spec, use_eps, noncrossing), into a bounded cache.  The walk reads
-each trace atom's word once, when the edge that closes its cycle is placed.
+counted walk ``pairings._counted_walk``, once per (spec, use_eps,
+noncrossing), into a bounded cache.  The walk reads each trace atom's word
+once, when the edge that closes its cycle is placed.
 q enters only as the weight q^crossings, so one tally serves every q: at
 q = 1 a monomial's counts are added, and at any other q each is weighted by
 its crossings.  Only at q = 0, where the crossing pairings carry no weight,
@@ -337,7 +337,7 @@ def _walked_terms(
     ids, read = _word_reader(top_table, colors, use_eps)
     pos_colors = [colors[x >> 1] for x in range(2 * len(colors))]
     made: list[TraceAtom] = []
-    for table, cr, _, _, closed in _counted_walk(len(colors), pos_colors, top_table, read=read):
+    for table, cr, closed in _counted_walk(len(colors), pos_colors, top_table, read):
         made.extend(TraceAtom.make(*raw) for raw in islice(ids, len(made), None))
         yield table, cr, _make_monomial(Counter(made[w] for w in closed))
 
@@ -361,8 +361,8 @@ def _walked_tally(
     ids, read = _word_reader(top_table, colors, use_eps)
     pos_colors = [colors[x >> 1] for x in range(2 * len(colors))]
     counts: dict[tuple[int, tuple[int, ...]], int] = {}
-    walk = _counted_walk(len(colors), pos_colors, top_table, read=read, noncrossing=noncrossing)
-    for _, cr, _, _, closed in walk:
+    walk = _counted_walk(len(colors), pos_colors, top_table, read, noncrossing=noncrossing)
+    for _, cr, closed in walk:
         key = (cr, tuple(sorted(closed)))
         counts[key] = counts.get(key, 0) + 1
     made = [TraceAtom.make(*raw) for raw in ids]

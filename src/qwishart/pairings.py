@@ -16,11 +16,13 @@ pair joins a top point to a bottom point) are exactly the all-plus ones and
 are in bijection with permutations; the Brauer product restricted to them is
 permutation composition.
 
-One counted walk, ``_counted_walk``, serves the finite tallies and
-``connecting_pairings``; the centered tally and the limit connectors sum over
-its frontier states instead (``fluctuations._frontier_counts``).
-``_iter_tables`` shares no code with it: it serves the enumeration API and
-the oracles that check it.
+One counted walk, ``_counted_walk``, serves the finite tallies: it keeps the
+crossings and reads each cycle as the edge that closes it is placed.
+``_iter_tables`` shares no code with it: it serves the three public
+enumerations and the oracles that check the walk.  ``connecting_pairings``
+keeps the tables that join every base cycle to another one;
+``fluctuations._frontier_counts`` sums over the same tables and is the only
+code that prunes by that rule.
 """
 
 from __future__ import annotations
@@ -558,16 +560,14 @@ def _counted_walk(
     n: int,
     pos_colors: Sequence[int],
     top: Sequence[int],
-    block: Sequence[int] | None = None,
-    read: Callable[[int, int, list[int]], int] | None = None,
+    read: Callable[[int, int, list[int]], int],
     noncrossing: bool = False,
-) -> Iterator[tuple[list[int], int, int, int, list[int]]]:
+) -> Iterator[tuple[list[int], int, list[int]]]:
     """Color-preserving tables in the order of ``_iter_tables``, with their counts.
 
-    Yields ``(table, cr, c_gamma, c_g, closed)`` per table: the crossings,
-    ``_cycle_count(table)``, ``_cycle_count(_brauer_table(top, table))`` and
-    what ``read`` returned for each closed cycle.  All are kept as edges are
-    placed and undone on backtrack:
+    Yields ``(table, cr, closed)`` per table: the crossings and what ``read``
+    returned for each closed cycle.  Both are kept as edges are placed and
+    undone on backtrack:
 
     - every placed edge has its left end before p, so the new edge (p, q)
       crosses the placed edges whose right end lies between p and q: the
@@ -578,35 +578,21 @@ def _counted_walk(
       other end of the path ending at x, and (p, q) closes a cycle exactly
       when q is that end of p; then ``read(kind, p, table)`` is pushed onto
       ``closed``, kind 0 for a shape and 1 for a scale cycle;
-    - with ``block`` (a block index per position), an internal edge that
-      completes a block with no outside edge prunes its subtree; without it
-      nothing is pruned;
     - with ``noncrossing``, the scan for p's partner ends at the first
       matched position, since every later partner would cross that edge, so
       only the noncrossing tables (``cr`` = 0) are walked and yielded, in
       the same order.
 
     The yielded lists are reused in place, so copy them before storing.
-    ``fluctuations._frontier_counts`` is the one mirror of these steps: it
-    repeats the crossing, path-end and prune steps on its frontier states,
-    so a change to them here must be made there too; its test oracle is
-    this walk.  The noncrossing stop is the walk's alone: the frontier sum
-    keeps every crossing number, so it need not mirror it.
     """
     _check_tables(n, pos_colors)
     size = 2 * n
     table = [-1] * size
     end_v = [x ^ 1 for x in range(size)]
     end_f = [top[x ^ 1] ^ 1 for x in range(size)]
-    pruned = block is not None
-    if pruned:
-        free = [0] * (max(block) + 1)
-        for k in block:
-            free[k] += 1
-        outside = [0] * len(free)
     closed: list[int] = []
     stack: list[tuple[int, int, int]] = []
-    cr = c_gamma = c_g = 0
+    cr = 0
     p, q, inside = 0, 1, 0
     while True:
         while q < size:
@@ -615,36 +601,20 @@ def _counted_walk(
                     break  # every later partner of p would cross this edge
                 inside += 1
             elif pos_colors[q] == pos_colors[p]:
-                if pruned:
-                    bp, bq = block[p], block[q]
-                    if bp == bq:
-                        if free[bp] == 2 and not outside[bp]:
-                            q += 1
-                            continue  # the edge would complete an isolated block
-                        free[bp] -= 2
-                    else:
-                        free[bp] -= 1
-                        free[bq] -= 1
-                        outside[bp] += 1
-                        outside[bq] += 1
                 table[p] = q
                 table[q] = p
                 stack.append((p, q, inside))
                 cr += inside
                 a = end_v[p]
                 if a == q:
-                    c_gamma += 1
-                    if read is not None:
-                        closed.append(read(0, p, table))
+                    closed.append(read(0, p, table))
                 else:
                     b = end_v[q]
                     end_v[a] = b
                     end_v[b] = a
                 a = end_f[p]
                 if a == q:
-                    c_g += 1
-                    if read is not None:
-                        closed.append(read(1, p, table))
+                    closed.append(read(1, p, table))
                 else:
                     b = end_f[q]
                     end_f[a] = b
@@ -653,7 +623,7 @@ def _counted_walk(
                 while nxt < size and table[nxt] >= 0:
                     nxt += 1
                 if nxt == size:
-                    yield table, cr, c_gamma, c_g, closed
+                    yield table, cr, closed
                     break  # p has no other free partner: undo this edge
                 p, q, inside = nxt, nxt + 1, 0
                 continue
@@ -667,29 +637,16 @@ def _counted_walk(
         cr -= inside
         a = end_v[p]
         if a == q:
-            c_gamma -= 1
-            if read is not None:
-                closed.pop()
+            closed.pop()
         else:
             end_v[a] = p
             end_v[end_v[q]] = q
         a = end_f[p]
         if a == q:
-            c_g -= 1
-            if read is not None:
-                closed.pop()
+            closed.pop()
         else:
             end_f[a] = p
             end_f[end_f[q]] = q
-        if pruned:
-            bp, bq = block[p], block[q]
-            if bp == bq:
-                free[bp] += 2
-            else:
-                free[bp] += 1
-                free[bq] += 1
-                outside[bp] -= 1
-                outside[bq] -= 1
         q += 1
 
 
@@ -780,16 +737,18 @@ def connecting_pairings(coloring: Coloring, base: PairPartition) -> Iterator[Pai
     """Color-preserving pairings that join every cycle of ``base`` to another one.
 
     A cycle is joined to another exactly when some edge leaves its point set,
-    so a single-cycle base admits no such pairing at all; the walk prunes
-    every subtree that completes a cycle with no such edge.
+    so a single-cycle base admits no such pairing at all.  The pairings come
+    in the order of ``color_preserving_pairings``.
     """
     if base.n != coloring.n:
         raise ValueError("sizes differ")
     if not _is_top_to_bottom_table(base.table):
         raise ValueError("base must be a top-to-bottom pairing")
-    pos_colors = coloring.position_colors()
-    for table, *_ in _counted_walk(coloring.n, pos_colors, base.table, _position_blocks(base)):
-        yield PairPartition(coloring.n, tuple(table))
+    block = _position_blocks(base)
+    cycles = max(block) + 1
+    for table, _ in _iter_tables(coloring.n, coloring.position_colors()):
+        if len({block[p] for p, q in enumerate(table) if block[p] != block[q]}) == cycles:
+            yield PairPartition(coloring.n, tuple(table))
 
 
 def _position_blocks(base: PairPartition) -> list[int]:

@@ -16,7 +16,8 @@ import numpy as np
 from qwishart.cli import run as cli_run
 from qwishart.fluctuations import (
     PolynomialStatistic,
-    centered_finite_and_limit,
+    centered_trace_moment,
+    centered_trace_moment_limit,
     conditional_variance_check,
     statistic_limit_moments,
 )
@@ -340,9 +341,8 @@ def test_acceptance_10_limit_finite_consistency():
                     words.append(tuple(colors[index : index + size]))
                     index += size
                 spec = MonomialSpec(tuple(words))
-                finite, limit = centered_finite_and_limit(spec)
-                rescaled = limit_large_n(finite.substitute({"M": lam * N}))
-                assert rescaled == limit.value, words
+                rescaled = limit_large_n(centered_trace_moment(spec).substitute({"M": lam * N}))
+                assert rescaled == centered_trace_moment_limit(spec).value, words
                 checked += 1
     finish(10, started, 120, f"{checked} specs, rescaled finite formula matches limit")
 

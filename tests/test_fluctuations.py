@@ -12,7 +12,6 @@ from qwishart import fluctuations
 from qwishart.fluctuations import (
     LimitMoment,
     PolynomialStatistic,
-    centered_finite_and_limit,
     centered_trace_moment,
     centered_trace_moment_limit,
     conditional_variance_check,
@@ -26,10 +25,8 @@ from qwishart.pairings import (
     TABLE_BOUND,
     _brauer_table,
     _check_tables,
-    _counted_walk,
     _cycle_count,
     _iter_tables,
-    _position_blocks,
     block_pairing,
     brauer,
     components_and_genus,
@@ -226,25 +223,6 @@ def _connector_counts_by_scan(word_a, word_b):
     return counts
 
 
-def _block_walk(spec):
-    """The counted walk over pairings that join every trace block to another."""
-    base = spec.pairing()
-    pos_colors = spec.coloring().position_colors()
-    return _counted_walk(spec.n, pos_colors, base.table, _position_blocks(base))
-
-
-def _connector_counts_by_walk(word_a, word_b):
-    """The connector tally that the frontier sum replaced: one count per walked table."""
-    n = len(word_a) + len(word_b)
-    split = 2 * len(word_a)
-    counts = {}
-    for table, cr, c_gamma, c_g, _ in _block_walk(MonomialSpec((word_a, word_b))):
-        if c_gamma + c_g == n:
-            key = (cr, c_gamma, sum(1 for p in range(split) if table[p] >= split))
-            counts[key] = counts.get(key, 0) + 1
-    return counts
-
-
 def _filter_limit(spec):
     return _centered_counts_by_scan(spec)[1]
 
@@ -302,12 +280,11 @@ class TestCountedWalkTallies:
                 pair = spec.cycle_words
                 got = fluctuations._connector_counts(*pair)
                 assert got == _connector_counts_by_scan(*pair), spec
-                assert got == _connector_counts_by_walk(*pair), spec
 
     def test_connectors_match_scan_at_degree_eight(self):
         for pair in _word_pairs(_DEGREE_EIGHT_SPECS):
             got = fluctuations._connector_counts(*pair)
-            assert got == _connector_counts_by_scan(*pair) == _connector_counts_by_walk(*pair)
+            assert got == _connector_counts_by_scan(*pair)
 
     @given(st.data())
     @settings(max_examples=40, deadline=None)
@@ -316,30 +293,16 @@ class TestCountedWalkTallies:
         assume(_check_tables(spec.n, spec.coloring().position_colors()) <= 10395)
         for pair in _word_pairs([spec]):
             got = fluctuations._connector_counts(*pair)
-            assert got == _connector_counts_by_scan(*pair) == _connector_counts_by_walk(*pair)
-
-
-def _centered_counts_by_walk(spec):
-    """The finite tally that the frontier sum replaced: one count per walked table."""
-    finite = {}
-    for _, cr, c_gamma, c_g, _ in _block_walk(spec):
-        key = (cr, c_gamma, c_g)
-        finite[key] = finite.get(key, 0) + 1
-    return finite
+            assert got == _connector_counts_by_scan(*pair)
 
 
 class TestFrontierSum:
     @given(st.data())
     @settings(max_examples=60, deadline=None)
-    def test_matches_walk_on_random_specs(self, data):
+    def test_matches_scan_on_random_specs(self, data):
         spec = _random_spec(data, max_n=7)
         assume(_check_tables(spec.n, spec.coloring().position_colors()) <= 10395)
-        assert fluctuations._centered_counts(spec) == _centered_counts_by_walk(spec)
-
-    @pytest.mark.parametrize("n", range(1, 6))
-    def test_matches_walk_on_two_color_specs(self, n):
-        for spec in _two_color_specs(n):
-            assert fluctuations._centered_counts(spec) == _centered_counts_by_walk(spec), spec
+        assert fluctuations._centered_counts(spec) == _centered_counts_by_scan(spec)[0]
 
     @pytest.mark.parametrize(
         "words",
@@ -358,10 +321,10 @@ class TestFrontierSum:
         [((1,) * 6,), ((1, 1), (1, 1), (2, 2)), ((1, 2), (2, 1), (3,)), ((1, 2, 1), (3, 2), (4, 4))],
         ids=str,
     )
-    def test_block_with_colors_of_its_own_gives_the_walks_tally(self, words):
+    def test_block_with_colors_of_its_own_gives_the_scans_tally(self, words):
         spec = MonomialSpec(words)
         fluctuations._centered_counts.cache_clear()
-        assert fluctuations._centered_counts(spec) == _centered_counts_by_walk(spec) == {}
+        assert fluctuations._centered_counts(spec) == _centered_counts_by_scan(spec)[0] == {}
 
     def test_block_with_colors_of_its_own_builds_no_state(self):
         # one block of degree 9: summing its states to the empty tally took
@@ -396,9 +359,9 @@ class TestFrontierSum:
         fluctuations._centered_counts.cache_clear()
         fluctuations._connector_counts.cache_clear()
         try:
-            assert fluctuations._centered_counts(spec) == _centered_counts_by_walk(spec)
+            assert fluctuations._centered_counts(spec) == _centered_counts_by_scan(spec)[0]
             if len(words) == 2:
-                assert fluctuations._connector_counts(*words) == _connector_counts_by_walk(*words)
+                assert fluctuations._connector_counts(*words) == _connector_counts_by_scan(*words)
         finally:
             fluctuations._centered_counts.cache_clear()
             fluctuations._connector_counts.cache_clear()
@@ -407,7 +370,7 @@ class TestFrontierSum:
         # n = 129: 258 positions, but only color 1 has more than one matching
         spec = MonomialSpec(((*range(1, 129),), (1,)))
         assert spec.n == 129
-        assert fluctuations._centered_counts(spec) == _centered_counts_by_walk(spec)
+        assert fluctuations._centered_counts(spec) == _centered_counts_by_scan(spec)[0]
 
     @pytest.mark.parametrize(
         "words, bound",
@@ -511,9 +474,8 @@ class TestLimitFiniteConsistency:
     )
     def test_limit_equals_rescaled_finite(self, words):
         spec = MonomialSpec(words)
-        finite, limit = centered_finite_and_limit(spec)
-        rescaled = finite.substitute({"M": lam * N})
-        assert limit_large_n(rescaled) == limit.value
+        rescaled = centered_trace_moment(spec).substitute({"M": lam * N})
+        assert limit_large_n(rescaled) == centered_trace_moment_limit(spec).value
 
 
 class TestGenusFilter:
@@ -838,14 +800,14 @@ class TestCenteredCountsCache:
         fluctuations._centered_counts.cache_clear()
         fluctuations._centered_counts(spec)
         centered_trace_moment(spec)
-        centered_finite_and_limit(spec)
+        centered_trace_moment(spec, q=1, shape_size=3, scale_dim=2)
         assert fluctuations._centered_counts.cache_info().currsize == 1
 
     def test_bound_still_checked(self):
         with pytest.raises(EnumerationBoundError):
             centered_trace_moment(MonomialSpec(((1,) * 5, (1,) * 5)))
         with pytest.raises(EnumerationBoundError):
-            centered_finite_and_limit(MonomialSpec(((1,) * 5, (1,) * 5)))
+            centered_trace_moment_limit(MonomialSpec(((1,) * 5, (1,) * 5)))
 
 
 # The repeated-addition assembly loops that substitution into the tallies

@@ -16,7 +16,6 @@ import pytest
 
 from qwishart.fluctuations import (
     PolynomialStatistic,
-    centered_finite_and_limit,
     centered_trace_moment,
     centered_trace_moment_limit,
     conditional_variance_check,
@@ -182,6 +181,10 @@ NOT_FINITE_ENTRIES = {
     "mp_moment_check eigenvalue": lambda v: mp_moment_check([v], 2, 3),
     "compound_mp_moment aspect ratio": lambda v: compound_mp_moment(v, [1], 1),
     "compound_mp_moment base moment": lambda v: compound_mp_moment(2, [v], 1),
+    "PolynomialStatistic coefficient": lambda v: PolynomialStatistic(((v, (1,)),)),
+    "PolynomialStatistic.from_terms coefficient": lambda v: PolynomialStatistic.from_terms(
+        [(v, (1,))]
+    ),
 }
 
 
@@ -190,6 +193,19 @@ NOT_FINITE_ENTRIES = {
 def test_zero_denominator_or_infinity_refused(call, value):
     with pytest.raises(ValueError, match=re.escape(f"not a finite rational number: {value!r}")):
         call(value)
+
+
+def test_statistic_coefficients_follow_the_rule():
+    terms = ((2, (1,)), (np.int64(-1), (1, 1)))
+    direct = PolynomialStatistic(terms)
+    assert direct.terms[0][0] == MomentPolynomial.constant(2)
+    from_terms = PolynomialStatistic.from_terms(terms)
+    assert statistic_limit_moments(direct, 4) == statistic_limit_moments(from_terms, 4)
+    half = PolynomialStatistic(((Fraction(1, 2), (1,)),))
+    assert PolynomialStatistic.from_terms([(0.5, (1,))]) == half
+    assert PolynomialStatistic.from_terms([("1/2", (1,))]) == half
+    q, lam = MomentPolynomial.symbol("q"), MomentPolynomial.symbol("lambda")
+    assert statistic_limit_moments(half, 2)[1].value == (1 + q) * lam * Fraction(1, 4)
 
 
 @pytest.mark.parametrize(
@@ -219,7 +235,6 @@ def test_zero_denominator_named(call, message):
 SPEC_ENTRIES = {
     "centered_trace_moment": lambda spec: centered_trace_moment(spec),
     "centered_trace_moment_limit": lambda spec: centered_trace_moment_limit(spec),
-    "centered_finite_and_limit": lambda spec: centered_finite_and_limit(spec),
     "q_wishart_moment": lambda spec: q_wishart_moment(spec),
     "real_wishart_moment": lambda spec: real_wishart_moment(spec),
     "identity_shape_moment": lambda spec: identity_shape_moment(spec, [2]),

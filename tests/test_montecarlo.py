@@ -415,14 +415,15 @@ class TestWorkers:
         init = montecarlo._ChunkWorker.__init__
 
         def counted(self, *args):
-            started.append(threading.get_ident())
+            # the thread itself, not its ident: an ident is reused once its thread ends
+            started.append(threading.current_thread())
             init(self, *args)
 
         monkeypatch.setattr(montecarlo._ChunkWorker, "__init__", counted)
         _cpus(monkeypatch, cpus)
         estimate_monomial(MonomialSpec(spec), config)
         assert len(set(started)) == len(started) == workers
-        assert threading.main_thread().ident in started
+        assert threading.main_thread() in started
 
     def test_worker_exception_reaches_caller(self, monkeypatch):
         # one block per chunk; the thread fails on its second chunk while the

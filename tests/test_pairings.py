@@ -12,7 +12,6 @@ from qwishart.pairings import (
     _crossings_table,
     _cycle_count,
     _iter_tables,
-    _position_blocks,
     Coloring,
     EnumerationBoundError,
     IntegerPartition,
@@ -287,18 +286,15 @@ class TestEnumeration:
             assert isolated
 
 
-def _connecting_tables_by_scan(coloring, base):
-    """The scan-every-table ``connecting_pairings`` the counted walk replaced."""
-    pos_colors = coloring.position_colors()
-    block = _position_blocks(base)
-    r = max(block) + 1
-    for table, _ in _iter_tables(coloring.n, pos_colors):
-        external = bytearray(r)
-        for p, q in enumerate(table):
-            if block[p] != block[q]:
-                external[block[p]] = 1
-        if all(external):
-            yield tuple(table)
+def _connecting_by_definition(coloring, base):
+    """Color-preserving pairings with an edge leaving every traversal cycle of ``base``."""
+    cycles = [set(cycle) for cycle in traverse(base).cycles()]
+    for pp in color_preserving_pairings(coloring):
+        if all(
+            any(abs(pp.match(j)) not in cycle or abs(pp.match(-j)) not in cycle for j in cycle)
+            for cycle in cycles
+        ):
+            yield pp
 
 
 @st.composite
@@ -318,52 +314,49 @@ def block_spec_st(draw, max_n=6):
 
 
 class TestCountedWalk:
-    @given(block_spec_st(), st.booleans())
+    @given(block_spec_st())
     @settings(max_examples=80, deadline=None)
-    def test_matches_scan_per_table(self, case, pruned):
+    def test_matches_scan_per_table(self, case):
         coloring, base = case
         pos_colors = coloring.position_colors()
-        block = _position_blocks(base) if pruned else None
 
         def read(kind, start, table):
             return kind  # one shape (0) or scale (1) entry per closed cycle
 
-        walk = _counted_walk(coloring.n, pos_colors, base.table, block, read)
         got = []
-        for table, cr, c_gamma, c_g, closed in walk:
+        for table, cr, closed in _counted_walk(coloring.n, pos_colors, base.table, read):
             got.append((tuple(table), cr))
             assert cr == _crossings_table(table)
-            assert c_gamma == _cycle_count(table)
-            assert c_g == _cycle_count(_brauer_table(base.table, table))
-            assert sorted(closed) == [0] * c_gamma + [1] * c_g
-        tables = [table for table, _ in got]
-        if pruned:
-            assert tables == list(_connecting_tables_by_scan(coloring, base))
-            assert [pp.table for pp in connecting_pairings(coloring, base)] == tables
-        else:
-            # no pruning: every table of the oracle enumerator, in its order
-            assert got == [(tuple(t), cr) for t, cr in _iter_tables(coloring.n, pos_colors)]
-            assert len(got) == _check_tables(coloring.n, pos_colors)
+            shape, scale = _cycle_count(table), _cycle_count(_brauer_table(base.table, table))
+            assert sorted(closed) == [0] * shape + [1] * scale
+        # every table of the oracle enumerator, in its order
+        assert got == [(tuple(t), cr) for t, cr in _iter_tables(coloring.n, pos_colors)]
+        assert len(got) == _check_tables(coloring.n, pos_colors)
+
+
+class TestConnectingPairings:
+    @given(block_spec_st())
+    @settings(max_examples=80, deadline=None)
+    def test_matches_definition_on_block_bases(self, case):
+        coloring, base = case
+        # the definition filters color_preserving_pairings, so this checks the order too
+        got = list(connecting_pairings(coloring, base))
+        assert got == list(_connecting_by_definition(coloring, base))
 
     @given(permutation_st(max_n=6), st.data())
     @settings(max_examples=40, deadline=None)
-    def test_connecting_matches_scan_for_any_base(self, perm, data):
+    def test_matches_definition_for_any_base(self, perm, data):
         # traversal cycles of a general base are not position intervals
         colors = data.draw(st.lists(st.integers(1, 2), min_size=len(perm), max_size=len(perm)))
         coloring = Coloring.from_colors(colors)
         base = from_permutation(perm)
-        got = [pp.table for pp in connecting_pairings(coloring, base)]
-        assert got == list(_connecting_tables_by_scan(coloring, base))
+        got = list(connecting_pairings(coloring, base))
+        assert got == list(_connecting_by_definition(coloring, base))
 
     @pytest.mark.parametrize("colors", [[1], [1, 1, 1, 1], [1, 2, 2, 1, 1, 2]])
     def test_one_block_yields_nothing(self, colors):
-        n = len(colors)
-        base = block_pairing([n])
-        coloring = Coloring.from_colors(colors)
-        walk = _counted_walk(
-            n, coloring.position_colors(), base.table, _position_blocks(base)
-        )
-        assert list(walk) == []
+        base = block_pairing([len(colors)])
+        assert list(connecting_pairings(Coloring.from_colors(colors), base)) == []
 
 
 class TestNonCrossing:
