@@ -111,20 +111,6 @@ def _scalar_from_json(field: str, value):
     return _exact_from_json(field, value)
 
 
-def _entry_from_json(field: str, value):
-    """A ``--matrices`` entry: exact as ``_exact_from_json``, but a JSON decimal is a float."""
-    if isinstance(value, (str, int)) or value is None:
-        return _exact_from_json(field, value)
-    return float(value)
-
-
-def _json_matrix(field: str, rows):
-    """Parsed entries of a list of lists; anything else is left for the library to name."""
-    if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
-        return rows
-    return [[_entry_from_json(field, x) for x in row] for row in rows]
-
-
 @_reported
 def _parse_matrices(field: str, value: str) -> moments.MatrixBindings:
     from . import moments
@@ -132,8 +118,7 @@ def _parse_matrices(field: str, value: str) -> moments.MatrixBindings:
     data = _parse_json(field, value)
     if isinstance(data, dict):
         data = [data]
-    pairs = [(_json_matrix(field, c["B"]), _json_matrix(field, c["Sigma"])) for c in data]
-    return moments.MatrixBindings.numeric(pairs)
+    return moments.MatrixBindings.numeric([(c["B"], c["Sigma"]) for c in data])
 
 
 @_reported
@@ -320,8 +305,6 @@ def _moment_common(args, q, out) -> int:
         raise CliInputError(field, str(exc)) from exc
     except moments.FloatOverflowError as exc:
         raise CliInputError("--matrices", "the result is not finite (float overflow)") from exc
-    except OverflowError as exc:
-        raise CliInputError("--matrices", f"float overflow: {exc}") from exc
 
     if args.format == "csv":
         if not isinstance(result, MomentPolynomial):

@@ -40,7 +40,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, islice, repeat
 from itertools import product as iter_product
-from typing import Callable, Collection, Iterator, Sequence, Union
+from typing import Callable, Collection, Iterable, Iterator, Sequence, Union
 
 from .pairings import (
     Coloring,
@@ -135,7 +135,7 @@ def _matrix_entry(x, name: str, i: int, j: int):
     raise ValueError(f"{name} entry [{i}][{j}] is not a number: {x!r}")
 
 
-def _to_rows(matrix, name: str = "matrix") -> tuple[tuple, ...]:
+def _to_rows(matrix, name: str) -> tuple[tuple, ...]:
     try:
         raw = [list(row) for row in matrix]
     except TypeError as exc:
@@ -153,14 +153,14 @@ def _to_rows(matrix, name: str = "matrix") -> tuple[tuple, ...]:
     return rows
 
 
-def _is_symmetric(rows, rel_tol=1e-12) -> bool:
+def _is_symmetric(rows) -> bool:
     n = len(rows)
     if any(len(r) != n for r in rows):
         return False
     if any(isinstance(x, float) for row in rows for x in row):
         scale = max((abs(x) for row in rows for x in row), default=0.0) or 1.0
         return all(
-            abs(rows[i][j] - rows[j][i]) <= rel_tol * scale
+            abs(rows[i][j] - rows[j][i]) <= 1e-12 * scale
             for i in range(n)
             for j in range(n)
         )
@@ -386,7 +386,7 @@ def _substitute(
     q,
     const,
 ):
-    """Sum a tally after substituting every atom and q; exact or float.
+    """Sum a tally after substituting every atom and q, exactly.
 
     The atoms are the factors that the tally counts, named by index in its
     cells: the trace atoms of a finite moment, or the sizes M and N of a
@@ -394,19 +394,14 @@ def _substitute(
     name, or to a trace atom itself to keep it; it is called once per atom,
     and each power of a number is computed once.  A cell's factors are
     multiplied once and weighted by the sum of count * q^crossings over its
-    crossing numbers, which at q = 1 is the sum of its counts.  Exact cells
-    are summed in integers over one common denominator D, the lcm over the
+    crossing numbers, which at q = 1 is the sum of its counts.  Cells are
+    summed in integers over one common denominator D, the lcm over the
     numeric atom values: with q = a/b and C the most crossings, a cell of
     numeric degree t adds prod (D v_i)^e_i * sum count * a^c * b^(C - c) to
     the integer accumulator of its output monomial and t, which becomes one
     Fraction over D^t b^C.
     Symbolic factors are summed per cell by integer ids in monomial key
-    order, so every output monomial is built once.  If any atom value is a
-    float, each count is multiplied by the values as given, in the cell's
-    order, and the products are summed with ``math.fsum``: at q = 1 once
-    over every cell, its counts added first, and otherwise once per
-    crossing number; a float product or result that is not finite raises
-    ``FloatOverflowError``.
+    order, so every output monomial is built once.
     """
     values = [atom_value(atom) for atom in atoms]
     keys = sorted(
@@ -415,17 +410,13 @@ def _substitute(
     key_id = {key: s for s, key in enumerate(keys)}
     sym = [key_id[v] if isinstance(v, (str, TraceAtom)) else None for v in values]
     q_sym = key_id["q"]
-    floats: dict[int, list[float]] | None = None
-    if any(isinstance(v, float) for v in values):
-        floats, nums = {}, values
-    else:
-        exact = {i: v for i, v in enumerate(values) if sym[i] is None}
-        den = math.lcm(*(v.denominator for v in exact.values()))
-        nums = {i: v.numerator * (den // v.denominator) for i, v in exact.items()}
+    exact = {i: v for i, v in enumerate(values) if sym[i] is None}
+    den = math.lcm(*(v.denominator for v in exact.values()))
+    nums = {i: v.numerator * (den // v.denominator) for i, v in exact.items()}
     a, b = (1, 1) if isinstance(q, str) else (q.numerator, q.denominator)
     top = max((cr for _, crossings in cells for cr, _ in crossings), default=0)
     q_factors = [a**c * b ** (top - c) for c in range(top + 1)]
-    factors: dict[tuple[int, int], object] = {}
+    factors: dict[tuple[int, int], int] = {}
     acc: dict[tuple[tuple[tuple[int, int], ...], int], int] = {}
     for exps, crossings in cells:
         product, degree = [], 0
@@ -437,24 +428,9 @@ def _substitute(
                 continue
             factor = factors.get((i, e))
             if factor is None:
-                try:
-                    factor = nums[i] ** e
-                except OverflowError as exc:  # only a float power can overflow
-                    raise FloatOverflowError(_FLOAT_OVERFLOW) from exc
-                factors[i, e] = factor
+                factor = factors[i, e] = nums[i] ** e
             product.append(factor)
             degree += e
-        if floats is not None:
-            if powers:
-                raise ValueError("float matrices cannot feed a symbolic result")
-            if q == 1:  # the counts first, then one fsum over every cell
-                crossings = ((0, sum(count for _, count in crossings)),)
-            for cr, count in crossings:
-                value = math.prod(product, start=count)
-                if not math.isfinite(value):  # an atom or a product of atoms overflowed
-                    raise FloatOverflowError(_FLOAT_OVERFLOW)
-                floats.setdefault(cr, []).append(value)
-            continue
         value, rest = math.prod(product), tuple(sorted(powers.items()))
         if isinstance(q, str):  # "q" sorts first, and no atom value is q
             for cr, count in crossings:
@@ -463,19 +439,6 @@ def _substitute(
             continue
         weight = sum(count * q_factors[cr] for cr, count in crossings)  # all 1 at q = 1
         acc[rest, degree] = acc.get((rest, degree), 0) + value * weight
-    if floats is not None:
-        if isinstance(q, str):
-            raise ValueError("float matrices require a numeric q")
-        if isinstance(const, MomentPolynomial):
-            raise ValueError("float matrices cannot be combined with symbolic factors")
-        try:
-            total = sum(math.fsum(cell) * float(q) ** cr for cr, cell in sorted(floats.items()))
-            total *= float(const)
-        except OverflowError as exc:  # fsum, a power of q or a conversion to float
-            raise FloatOverflowError(_FLOAT_OVERFLOW) from exc
-        if not math.isfinite(total):
-            raise FloatOverflowError(_FLOAT_OVERFLOW)
-        return total
     sums: dict[tuple[tuple[int, int], ...], Rational] = {}
     q_den = b**top
     for (key, degree), total in acc.items():
@@ -495,20 +458,40 @@ def _moment(top_table, coloring: Coloring, use_eps: bool, atom_value, q, const):
     return _substitute(atoms, cells, atom_value, q, const)
 
 
-def _evaluator(mats: dict[int, tuple]) -> Callable[[TraceAtom], object]:
-    """``evaluate_atom`` over ``mats``; unless a matrix is float, each is cleared
-    once into integer rows over the lcm d of its entries' denominators, and an
-    atom's integer trace is divided once by the product of d over its letters.
+def _evaluator(mats: dict[int, tuple]) -> Callable[[TraceAtom], Fraction]:
+    """``evaluate_atom`` over ``mats``, exactly: each matrix is cleared once into
+    integer rows over the lcm d of its entries' denominators, a float entry as
+    its exact binary value, and an atom's integer trace is divided once by the
+    product of d over its letters.
     """
-    if any(isinstance(x, float) for rows in mats.values() for row in rows for x in row):
-        return lambda atom: evaluate_atom(atom, mats)
     dens, ints = {}, {}
     for c, rows in mats.items():
-        d = dens[c] = math.lcm(*(x.denominator for row in rows for x in row))
-        ints[c] = [[x.numerator * (d // x.denominator) for x in row] for row in rows]
+        ratios = [[x.as_integer_ratio() for x in row] for row in rows]
+        d = dens[c] = math.lcm(*(den for row in ratios for _, den in row))
+        ints[c] = [[num * (d // den) for num, den in row] for row in ratios]
     return lambda atom: Fraction(
         evaluate_atom(atom, ints), math.prod(dens[c] for c, _ in atom.word)
     )
+
+
+def _is_float(mats: Iterable[tuple]) -> bool:
+    """Whether a matrix is float; ``_to_rows`` makes every entry of a float matrix a float."""
+    return any(isinstance(rows[0][0], float) for rows in mats)
+
+
+def _float_bindings(bindings: MatrixBindings | None) -> bool:
+    numeric = bindings is not None and bindings.mode == "numeric"
+    return numeric and _is_float(bindings.shapes + bindings.scales)
+
+
+def _rounded(value, to_float: bool):
+    """The exact moment ``value``, rounded once to a float when a bound matrix is float."""
+    if not to_float:
+        return value
+    try:
+        return float(value)
+    except OverflowError as exc:
+        raise FloatOverflowError(_FLOAT_OVERFLOW) from exc
 
 
 def _substitution(bindings: MatrixBindings | None, coloring: Coloring):
@@ -552,7 +535,8 @@ def real_wishart_moment_general(
     if not _is_top_to_bottom_table(sigma.table):
         raise ValueError("sigma must be a top-to-bottom pairing")
     atom_value, const = _substitution(bindings, coloring)
-    return _moment(sigma.table, coloring, True, atom_value, 1, const)
+    moment = _moment(sigma.table, coloring, True, atom_value, 1, const)
+    return _rounded(moment, _float_bindings(bindings))
 
 
 def real_wishart_moment(spec: MonomialSpec, bindings: MatrixBindings | None = None):
@@ -575,7 +559,11 @@ def q_wishart_moment(spec: MonomialSpec, bindings: MatrixBindings | None = None,
     q = _q_value(q)
     coloring = spec.coloring()
     atom_value, const = _substitution(bindings, coloring)
-    return _moment(spec.pairing().table, coloring, False, atom_value, q, const)
+    to_float = _float_bindings(bindings)
+    if to_float and isinstance(q, str):
+        raise ValueError("float matrices require a numeric q")
+    moment = _moment(spec.pairing().table, coloring, False, atom_value, q, const)
+    return _rounded(moment, to_float)
 
 
 def identity_shape_moment(
@@ -595,19 +583,22 @@ def identity_shape_moment(
     shape_sizes = [_size(m, "shape size") for m in shape_sizes]
     if len(shape_sizes) < coloring.s:
         raise ValueError("need one shape size per color")
-    scales = None
+    scales, to_float = None, False
     if sigmas is not None:
         rows = [_sigma_rows(m) for m in sigmas]
         if len({len(r) for r in rows}) > 1:
             raise ValueError("all Sigma must share one dimension")
-        scales = _evaluator(dict(enumerate(rows, start=1)))
+        scales, to_float = _evaluator(dict(enumerate(rows, start=1))), _is_float(rows)
+        if to_float and any(isinstance(shape_sizes[c - 1], str) for c in coloring.colors):
+            raise ValueError("float matrices cannot feed a symbolic result")
 
     def atom_value(atom: TraceAtom):
         if atom.kind == "shape":
             return shape_sizes[atom.word[0][0] - 1]
         return atom if scales is None else scales(atom)
 
-    return _moment(spec.pairing().table, coloring, True, atom_value, 1, Fraction(1))
+    moment = _moment(spec.pairing().table, coloring, True, atom_value, 1, Fraction(1))
+    return _rounded(moment, to_float)
 
 
 def single_wishart_moment(spec: MonomialSpec, shape_matrix, scale_matrix):

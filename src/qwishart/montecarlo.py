@@ -119,13 +119,15 @@ def symmetric_root(sigma) -> np.ndarray:
     return root
 
 
-@_record(eq=False)
+@_record
 class SamplerConfig:
     """Seeded sampling plan: per-color (B, Sigma) with derived symmetric roots."""
 
     seed: int
     samples: int
     colors: tuple[tuple[np.ndarray, np.ndarray], ...]
+    # arrays have no equality that is one bool, so configs compare by identity
+    __eq__, __hash__ = object.__eq__, object.__hash__
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "seed", _count(self.seed, "seed", None))
@@ -379,7 +381,7 @@ def estimate_monomial(spec: MonomialSpec, config: SamplerConfig) -> EstimateRepo
     bindings = MatrixBindings.numeric(
         [(b.tolist(), sigma.tolist()) for b, sigma in config.colors[: spec.s]]
     )
-    exact = float(real_wishart_moment(spec, bindings))
+    exact = real_wishart_moment(spec, bindings)
     used = sorted({c - 1 for word in spec.cycle_words for c in word})
     total = total_sq = 0.0
     for chunk_sum, chunk_sq in _chunk_sums(spec, config, used):

@@ -43,7 +43,7 @@ class EnumerationBoundError(ValueError):
         self.bound = bound
 
 
-def _record(cls=None, *, eq: bool = True):
+def _record(cls):
     """Make ``cls`` a frozen record of its own annotated fields, in order.
 
     It gives what ``@dataclass(frozen=True)`` gave, without generating code
@@ -51,13 +51,11 @@ def _record(cls=None, *, eq: bool = True):
     position or keyword (a class attribute of a field's name is its default),
     sets them through ``object.__setattr__`` and then runs ``__post_init__``;
     ``__repr__`` as ``QualName(field=value!r, ...)``; ``__match_args__``;
-    and, unless ``eq=False``, ``__eq__`` (records of one class with equal
-    field tuples) and ``__hash__`` (the hash of the field tuple).  Assigning
-    or deleting an attribute raises ``AttributeError``.  A method the class
-    defines itself is kept.
+    ``__eq__`` (records of one class with equal field tuples) and
+    ``__hash__`` (the hash of the field tuple).  Assigning or deleting an
+    attribute raises ``AttributeError``.  A method the class defines itself
+    is kept.
     """
-    if cls is None:
-        return lambda cls: _record(cls, eq=eq)
     names = tuple(cls.__annotations__)
     defaults = {name: cls.__dict__[name] for name in names if name in cls.__dict__}
     post_init = hasattr(cls, "__post_init__")
@@ -118,10 +116,7 @@ def _record(cls=None, *, eq: bool = True):
     def __hash__(self):
         return hash(values(self))
 
-    methods = [__init__, __setattr__, __delattr__, __repr__]
-    if eq:
-        methods += [__eq__, __hash__]
-    for method in methods:
+    for method in (__init__, __setattr__, __delattr__, __repr__, __eq__, __hash__):
         if method.__name__ not in cls.__dict__:
             setattr(cls, method.__name__, method)
     cls.__match_args__ = names
@@ -461,7 +456,6 @@ def _induced_colors_table(
     top_table: Sequence[int],
     table: Sequence[int],
     pos_colors: Sequence[int],
-    g: Sequence[int] | None = None,
 ) -> list[int]:
     """Colors inherited through the contraction, one per point 1..n.
 
@@ -470,8 +464,7 @@ def _induced_colors_table(
     edge crossed after visiting a top point colors that point.
     """
     size = len(table)
-    if g is None:
-        g = _brauer_table(top_table, table)
+    g = _brauer_table(top_table, table)
     edge_color: dict[int, int] = {}
     for p, q in enumerate(table):
         if p > q:

@@ -315,6 +315,27 @@ class TestMomentErrorsNameTheFlag:
                 numeric_argv("moment", "[[1]]", [1, 2], [[1]]),
                 "--matrices: B must be a list of rows of numbers",
             ),
+            # --matrices entries are read by the library's one reader, which names the entry
+            (
+                numeric_argv("moment", "[[1]]", [["1/0"]], [[1]]),
+                "--matrices: B entry [0][0] is not a number: '1/0'",
+            ),
+            (
+                numeric_argv("moment", "[[1]]", [[True]], [[1]]),
+                "--matrices: B entry [0][0] is not a number: True",
+            ),
+            (
+                numeric_argv("moment", "[[1]]", [[1, None]], [[1]]),
+                "--matrices: B entry [0][1] is not a number: None",
+            ),
+            (
+                numeric_argv("moment", "[[1]]", [["x"]], [[1]]),
+                "--matrices: B entry [0][0] is not a number: 'x'",
+            ),
+            (
+                numeric_argv("q-moment", "[[1]]", [[1]], [[2, 0], [0, "1/0"]]),
+                "--matrices: Sigma entry [1][1] is not a number: '1/0'",
+            ),
             (
                 numeric_argv("moment", "[[1]]", [[1]], 7),
                 "--matrices: Sigma must be a list of rows of numbers",

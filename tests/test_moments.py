@@ -149,7 +149,7 @@ def _pairing_words(top_table, colors, pos_colors, table, use_eps):
         for cyc in cycles
     ]
     g = _brauer_table(top_table, table)
-    induced = _induced_colors_table(top_table, table, pos_colors, g)
+    induced = _induced_colors_table(top_table, table, pos_colors)
     words.extend(
         ("scale", tuple((induced[j - 1], False) for j in cyc))
         for cyc in _traverse_table(g)[0]
@@ -318,6 +318,23 @@ class TestTallyKinds:
         assert walks == [False, True]
         assert moments._walked_tally.cache_info().maxsize == moments._TALLY_CACHE_SIZE
 
+    def test_float_matrices_with_a_symbolic_result_are_refused_before_the_walk(
+        self, monkeypatch
+    ):
+        def spy(*args, **kwargs):
+            raise AssertionError("walked")
+
+        monkeypatch.setattr(moments, "_counted_walk", spy)
+        moments._walked_tally.cache_clear()
+        spec = MonomialSpec(((1, 1, 1), (1, 1, 1, 1)))
+        with pytest.raises(ValueError, match="^float matrices require a numeric q$"):
+            q_wishart_moment(spec, _FLOAT_SYMMETRIC_BINDINGS)
+        with pytest.raises(ValueError, match="^float matrices cannot feed a symbolic result$"):
+            identity_shape_moment(spec, ["M"], [[[1.3, 0.4], [0.4, 0.7]]])
+        # the color-coverage check stays the first error of a call that fails both
+        with pytest.raises(ValueError, match="bindings cover 1 colors, spec needs 2"):
+            q_wishart_moment(MonomialSpec(((1, 2),)), MatrixBindings.numeric([([[0.5]], [[1.5]])]))
+
     @given(st.data(), st.booleans())
     @settings(max_examples=40, deadline=None)
     def test_any_top_kinds_match_the_full_tally(self, data, use_eps):
@@ -413,35 +430,6 @@ def _exact_oracle(cells: dict, atom_value, q, const) -> MomentPolynomial:
     return P(total) * const
 
 
-def _float_oracle(cells: dict, atom_value, q, const) -> float:
-    # the float arithmetic of the monomial-keyed tally: count times each
-    # atom's power in monomial order, math.fsum per crossing number
-    per_cr: dict = {}
-    for (cr, mono), count in cells.items():
-        value = count
-        for atom, e in mono:
-            value = value * atom_value(atom) ** e
-        per_cr.setdefault(cr, []).append(value)
-    total = sum(math.fsum(cell) * float(q) ** cr for cr, cell in sorted(per_cr.items()))
-    return total * float(const)
-
-
-def _summed_float_oracle(cells: dict, atom_value, const) -> float:
-    # the float arithmetic at q = 1: each monomial's counts added over the
-    # crossing numbers, count times each atom's power in monomial order, and
-    # one math.fsum over all monomials
-    counts: dict = {}
-    for (_, mono), count in cells.items():
-        counts[mono] = counts.get(mono, 0) + count
-    values = []
-    for mono, count in counts.items():
-        value = count
-        for atom, e in mono:
-            value = value * atom_value(atom) ** e
-        values.append(value)
-    return math.fsum(values) * float(const)
-
-
 def _engine(spec, use_eps, atom_value, q, const):
     top, colors = spec.pairing().table, spec.coloring().colors
     tally = moments._walked_tally(top, colors, use_eps, False)
@@ -461,6 +449,20 @@ _FLOAT_BINDINGS = MatrixBindings.numeric(
         ([[-0.8, 1.4], [0.5, 0.1]], [[1.3, 0.4], [0.4, 0.7]]),
     ]
 )
+_FLOAT_SYMMETRIC_BINDINGS = MatrixBindings.numeric(
+    [
+        ([[0.3, -1.7], [-1.7, 2.1]], [[1.3, 0.4], [0.4, 0.7]]),
+        ([[1.1, 0.2], [0.2, -0.6]], [[2.0, -0.3], [-0.3, 0.9]]),
+        ([[-0.8, 0.5], [0.5, 0.1]], [[1.3, 0.4], [0.4, 0.7]]),
+    ]
+)
+
+
+def _exact_bindings(bindings: MatrixBindings) -> MatrixBindings:
+    """The same matrices with ``Fraction`` entries: each float's exact binary value."""
+    return MatrixBindings.numeric(
+        [(frac_entries(b), frac_entries(s)) for b, s in zip(bindings.shapes, bindings.scales)]
+    )
 
 
 class TestIndexedSubstitution:
@@ -477,36 +479,49 @@ class TestIndexedSubstitution:
             (_EXACT_BINDINGS, "q"),  # exact numeric
             (_SCALAR_BINDINGS, "q"),  # scalar with polynomial factors
             (None, rational_q),  # rational q
+            (_FLOAT_BINDINGS, rational_q),  # float numeric, before it is rounded
         ):
             atom_value, const = moments._substitution(bindings, spec.coloring())
             got = _engine(spec, use_eps, atom_value, q_value, const)
             got = got if isinstance(got, MomentPolynomial) else P.constant(got)
             assert got == _exact_oracle(cells, atom_value, q_value, const)
-        # float bindings: bit-identical, not merely close; q = 1 adds the counts first
-        atom_value, const = moments._substitution(_FLOAT_BINDINGS, spec.coloring())
-        for q_value in (1, rational_q):
-            got = _engine(spec, use_eps, atom_value, q_value, const)
-            assert isinstance(got, float)
-            if q_value == 1:
-                assert got == _summed_float_oracle(cells, atom_value, const)
-            else:
-                assert got == _float_oracle(cells, atom_value, q_value, const)
 
-    @given(st.data(), st.booleans())
+    @given(st.data(), st.sampled_from([1, 0, Fraction(1, 2), Fraction(-3, 2)]))
     @settings(max_examples=40, deadline=None)
-    def test_float_moment_at_q_one_is_one_fsum(self, data, use_eps):
-        # bit-identical to the summed oracle, which may differ in the last
-        # bit from one fsum per crossing number; the full tally, held against
-        # pairing_term above, gives the cells
+    def test_float_moment_is_the_exact_moment_rounded_once(self, data, q_value):
         spec = _random_spec(data)
-        top, coloring = spec.pairing().table, spec.coloring()
-        cells = _expanded(*moments._walked_tally(top, coloring.colors, use_eps, False))
-        atom_value, const = moments._substitution(_FLOAT_BINDINGS, coloring)
-        got = moments._moment(top, coloring, use_eps, atom_value, 1, const)
-        assert isinstance(got, float)
-        assert got == _summed_float_oracle(cells, atom_value, const)
-        if use_eps:
-            assert real_wishart_moment(spec, _FLOAT_BINDINGS) == got
+        got = q_wishart_moment(spec, _FLOAT_SYMMETRIC_BINDINGS, q=q_value)
+        exact = q_wishart_moment(spec, _exact_bindings(_FLOAT_SYMMETRIC_BINDINGS), q=q_value)
+        assert isinstance(got, float) and got == float(exact)
+        if q_value == 1:  # any shape matrix, through the classical formula
+            got = real_wishart_moment(spec, _FLOAT_BINDINGS)
+            assert got == float(real_wishart_moment(spec, _exact_bindings(_FLOAT_BINDINGS)))
+
+    @pytest.mark.parametrize(
+        "words, pairs, q_value, expected",
+        [
+            (
+                ((1, 1),),
+                [([[0.3, -1.7], [-1.7, 2.1]], [[1.3, 0.4], [0.4, 0.7]])],
+                Fraction(1, 2),
+                68.37,
+            ),
+            (((1, 1),), [([[0.1]], [[0.3]])], 1, 0.0027),
+            (
+                ((1, 2), (1, 2)),
+                [([[0.1]], [[0.3]]), ([[0.2]], [[0.7]])],
+                Fraction(1, 2),
+                7.3040625e-05,
+            ),
+        ],
+        ids=["one color", "1x1", "two colors"],
+    )
+    def test_float_moment_is_correctly_rounded(self, words, pairs, q_value, expected):
+        # a sum of rounded float products missed each of these in the last bits
+        spec, bindings = MonomialSpec(words), MatrixBindings.numeric(pairs)
+        assert q_wishart_moment(spec, bindings, q=q_value) == expected
+        if q_value == 1:
+            assert real_wishart_moment(spec, bindings) == expected
 
 
 def _fraction_substitute(atoms, cells, atom_value, q, const):
