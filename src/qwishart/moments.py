@@ -11,15 +11,13 @@ weight q^crossings.
 
 The engine reads the tally of trace monomial -> (crossings -> count) off the
 counted walk ``pairings._counted_walk``, once per (spec, use_eps,
-noncrossing), into a bounded cache.  The walk reads each trace atom's word
-once, when the edge that closes its cycle is placed.
-q enters only as the weight q^crossings, so one tally serves every q: at
-q = 1 a monomial's counts are added, and at any other q each is weighted by
-its crossings.  Only at q = 0, where the crossing pairings carry no weight,
-does the walk visit the noncrossing pairings alone.
-One reader of the walk's cycles, ``_word_reader``, names every pairing's
-monomial: the tally counts what it reads, and ``_walked_terms`` yields it
-per pairing, for the CLI's table.  Every result is a substitution into the
+noncrossing), into a bounded cache.  The walk carries the id of each open
+path's word and names a cycle by its id when the closing edge is placed;
+the words of the tables it yields become trace atoms, each once, for the
+tally and, per pairing, for the CLI's table (``_walked_terms``).  q enters
+only as the weight q^crossings, so one tally serves every q; only at q = 0,
+where the crossing pairings carry no weight, does the walk visit the
+noncrossing pairings alone.  Every result is a substitution into the
 tally: symbolic mode keeps the atoms, numeric mode evaluates each distinct
 atom once on the bound matrices, scalar mode sends a shape atom to its
 color's size and a scale atom to N, and q enters as q^crossings,
@@ -38,7 +36,7 @@ import sys
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain, islice, repeat
+from itertools import chain, repeat
 from itertools import product as iter_product
 from typing import Callable, Collection, Iterable, Iterator, Sequence, Union
 
@@ -210,7 +208,8 @@ class MatrixBindings:
     positive definite.  Scalar mode binds B_j = I of a symbolic or integer
     size and Sigma_j = c_j * I_N for a rational or Laurent-in-N factor c_j,
     which keeps symbolic computations exact.  A factor in q or lambda is
-    refused: no q is ever substituted into it.
+    refused: no q is ever substituted into it.  The constructor checks and
+    normalises each mode's fields, so the classmethods only arrange them.
     """
 
     mode: str
@@ -218,18 +217,36 @@ class MatrixBindings:
     scales: tuple
     n_dim: Union[int, str, None] = None
 
+    def __post_init__(self) -> None:
+        shapes, scales, n_dim = tuple(self.shapes), tuple(self.scales), self.n_dim
+        if self.mode == "numeric":
+            if len(scales) != len(shapes) or n_dim is not None:
+                raise ValueError("numeric bindings take one Sigma per B, and N from Sigma")
+            shapes = tuple(_to_rows(b, "B") for b in shapes)
+            if any(len(rows) != len(rows[0]) for rows in shapes):
+                raise ValueError("B must be square")
+            scales = tuple(_sigma_rows(sigma) for sigma in scales)
+            if len({len(s) for s in scales}) > 1:
+                raise ValueError("all Sigma must share one dimension")
+        elif self.mode == "scalar":
+            shapes = tuple(_size(m, "shape size") for m in shapes)
+            n_dim = _size("N" if n_dim is None else n_dim, "n_dim")
+            scales = tuple(f if isinstance(f, MomentPolynomial) else _rational(f) for f in scales)
+            if len(scales) != len(shapes):
+                raise ValueError("one scale factor per color required")
+            for f in scales:
+                held = isinstance(f, MomentPolynomial) and sorted(f.symbols() & {"q", "lambda"})
+                if held:
+                    raise ValueError(f"a scale factor may not hold {held[0]}")
+        else:
+            raise ValueError(f"mode must be 'numeric' or 'scalar', got {self.mode!r}")
+        for name, value in (("shapes", shapes), ("scales", scales), ("n_dim", n_dim)):
+            object.__setattr__(self, name, value)
+
     @classmethod
     def numeric(cls, pairs: Sequence[tuple]) -> "MatrixBindings":
-        shapes, scales = [], []
-        for b, sigma in pairs:
-            b_rows = _to_rows(b, "B")
-            if len(b_rows) != len(b_rows[0]):
-                raise ValueError("B must be square")
-            shapes.append(b_rows)
-            scales.append(_sigma_rows(sigma))
-        if len({len(s) for s in scales}) > 1:
-            raise ValueError("all Sigma must share one dimension")
-        return cls("numeric", tuple(shapes), tuple(scales))
+        pairs = [(b, sigma) for b, sigma in pairs]
+        return cls("numeric", tuple(b for b, _ in pairs), tuple(s for _, s in pairs))
 
     @classmethod
     def scalar(
@@ -238,19 +255,8 @@ class MatrixBindings:
         scale_factors: Sequence[Union[Rational, MomentPolynomial]] | None = None,
         n_dim: Union[int, str] = "N",
     ) -> "MatrixBindings":
-        sizes = tuple(_size(m, "shape size") for m in shape_sizes)
-        n_dim = _size(n_dim, "n_dim")
-        if scale_factors is None:
-            scale_factors = [1] * len(sizes)
-        factors = tuple(
-            f if isinstance(f, MomentPolynomial) else _rational(f) for f in scale_factors
-        )
-        if len(factors) != len(sizes):
-            raise ValueError("one scale factor per color required")
-        for f in factors:
-            held = sorted(f.symbols() & {"q", "lambda"}) if isinstance(f, MomentPolynomial) else ()
-            if held:
-                raise ValueError(f"a scale factor may not hold {held[0]}")
+        sizes = tuple(shape_sizes)
+        factors = (1,) * len(sizes) if scale_factors is None else tuple(scale_factors)
         return cls("scalar", sizes, factors, n_dim)
 
     @property
@@ -269,59 +275,25 @@ _TALLY_CACHE_SIZE = 256
 Cell = tuple[tuple[tuple[int, int], ...], tuple[tuple[int, int], ...]]
 
 
-def _word_reader(
-    top_table: Sequence[int], colors: Sequence[int], use_eps: bool
-) -> tuple[dict[tuple, int], Callable[[int, int, list[int]], int]]:
-    """The reader of trace atoms that the counted walk calls, and the raw words it read.
+def _walk(
+    top_table: Sequence[int], colors: Sequence[int], use_eps: bool, words: list, noncrossing: bool
+) -> Iterator[tuple[list[int], int, list[int]]]:
+    """The counted walk over the color-preserving pairings, with trace letters.
 
-    ``read(kind, start, table)`` gets each cycle of the counted walk as it
-    closes and returns the id of its raw ``(kind, word)`` in ``ids``, which
-    numbers each distinct raw word once, in the order first read.  It reads
-    the cycle alternating table steps with V- or F-steps.  A shape letter
-    sits on each V-step, out of y, as ``(colors[y >> 1], use_eps and y
-    odd)``: reading a one-colored shape cycle the other way reverses its
-    word and flips every flag, so any start and direction name the same
-    atom.  A scale letter sits on each table edge, at x, as
-    ``(colors[x >> 1], False)``; the reversal is in general another atom, so
-    the word is read as ``_traverse_table`` walks the contraction, from the
-    smallest even (top) position of the cycle and leaving it along its table
-    edge.
+    A V-step out of y reads ``("shape", its color, use_eps and y odd)``: the
+    other way round, a shape word is reversed and every flag flipped, which
+    names the same atom.  A table step reads ``("scale", its color, False)``.
     """
-    size = 2 * len(colors)
-    shape_letter = [(colors[y >> 1], bool(use_eps and y & 1)) for y in range(size)]
-    scale_letter = [(colors[x >> 1], False) for x in range(size)]
-    f = [top_table[x ^ 1] ^ 1 for x in range(size)]
-    ids: dict[tuple, int] = {}
+    n = len(colors)
+    pos_colors = [colors[x >> 1] for x in range(2 * n)]
+    shape = [("shape", c, bool(use_eps and y & 1)) for y, c in enumerate(pos_colors)]
+    scale = [("scale", c, False) for c in pos_colors]
+    return _counted_walk(n, pos_colors, top_table, shape, scale, words, noncrossing=noncrossing)
 
-    def read(kind: int, start: int, table: list[int]) -> int:
-        if not kind:
-            word = []
-            x = start
-            while True:
-                y = table[x]
-                word.append(shape_letter[y])
-                x = y ^ 1
-                if x == start:
-                    break
-            return ids.setdefault(("shape", tuple(word)), len(ids))
-        # y_i = table[x_i], x_(i+1) = F(y_i); F joins an even to an odd position
-        xs = []
-        x, best, at, forward = start, size, 0, True
-        while True:
-            y = table[x]
-            if x < best and not x & 1:
-                best, at, forward = x, len(xs), True
-            if y < best and not y & 1:
-                best, at, forward = y, len(xs), False
-            xs.append(x)
-            x = f[y]
-            if x == start:
-                break
-        # leave the smallest top along its table edge: from x_at, or back from y_at
-        order = xs[at:] + xs[:at] if forward else xs[at::-1] + xs[:at:-1]
-        return ids.setdefault(("scale", tuple([scale_letter[x] for x in order])), len(ids))
 
-    return ids, read
+def _atom(word: tuple) -> TraceAtom:
+    """The trace atom of a walked word of ``(kind, color, flag)`` letters."""
+    return TraceAtom.make(word[0][0], [letter[1:] for letter in word])
 
 
 def _walked_terms(
@@ -329,16 +301,15 @@ def _walked_terms(
 ) -> Iterator[tuple[list[int], int, Monomial]]:
     """Each color-preserving pairing's table, crossings and trace monomial.
 
-    The tables come in the order of ``_iter_tables``, off the counted walk,
-    and each monomial is read by ``_word_reader``, as the tally reads it;
-    every distinct raw word is made a ``TraceAtom`` once.  The yielded
-    table is the walk's, reused in place.
+    The tables come off the counted walk, in the order of ``_iter_tables``,
+    and each word id is made a ``TraceAtom`` once, as the tally makes it.
+    The yielded table is the walk's, reused in place.
     """
-    ids, read = _word_reader(top_table, colors, use_eps)
-    pos_colors = [colors[x >> 1] for x in range(2 * len(colors))]
-    made: list[TraceAtom] = []
-    for table, cr, closed in _counted_walk(len(colors), pos_colors, top_table, read):
-        made.extend(TraceAtom.make(*raw) for raw in islice(ids, len(made), None))
+    words: list[tuple] = []
+    made: dict[int, TraceAtom] = {}
+    for table, cr, closed in _walk(top_table, colors, use_eps, words, False):
+        for w in set(closed) - made.keys():
+            made[w] = _atom(words[w])
         yield table, cr, _make_monomial(Counter(made[w] for w in closed))
 
 
@@ -351,24 +322,21 @@ def _walked_tally(
     Returns the distinct atoms, sorted in monomial key order, and one cell
     per monomial, which names it by ascending atom indices, so a cell
     expands to its monomial without sorting, and carries its count per
-    crossing number.  The tally is read off the counted walk, which checks
-    its own table count, by ``_word_reader``, and keyed per table by the
-    sorted integer ids of its raw words, so every distinct word is
-    canonicalised once per tally rather than once per table.  With
+    crossing number.  The counted walk checks its own table count and names
+    each closed cycle by its word's id; the counts are keyed by the sorted
+    ids, so only words of yielded tables become atoms, each once.  With
     ``noncrossing`` the walk visits the noncrossing pairings alone, and the
     cells are those of crossings 0: all that q = 0 weighs.
     """
-    ids, read = _word_reader(top_table, colors, use_eps)
-    pos_colors = [colors[x >> 1] for x in range(2 * len(colors))]
+    words: list[tuple] = []
     counts: dict[tuple[int, tuple[int, ...]], int] = {}
-    walk = _counted_walk(len(colors), pos_colors, top_table, read, noncrossing=noncrossing)
-    for _, cr, closed in walk:
+    for _, cr, closed in _walk(top_table, colors, use_eps, words, noncrossing):
         key = (cr, tuple(sorted(closed)))
         counts[key] = counts.get(key, 0) + 1
-    made = [TraceAtom.make(*raw) for raw in ids]
-    atoms = sorted(set(made), key=_key_order)
+    made = {w: _atom(words[w]) for w in {w for _, ids in counts for w in ids}}
+    atoms = sorted(set(made.values()), key=_key_order)
     index = {atom: i for i, atom in enumerate(atoms)}
-    atom_of_word = [index[atom] for atom in made]
+    atom_of_word = {w: index[atom] for w, atom in made.items()}
     cells: dict[tuple[tuple[int, int], ...], dict[int, int]] = {}
     for (cr, word_ids), count in counts.items():
         exps: dict[int, int] = {}

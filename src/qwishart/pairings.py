@@ -17,7 +17,7 @@ are in bijection with permutations; the Brauer product restricted to them is
 permutation composition.
 
 One counted walk, ``_counted_walk``, serves the finite tallies: it keeps the
-crossings and reads each cycle as the edge that closes it is placed.
+crossings and each open path's word id, so a closing edge names its cycle.
 ``_iter_tables`` shares no code with it: it serves the three public
 enumerations and the oracles that check the walk.  ``connecting_pairings``
 keeps the tables that join every base cycle to another one;
@@ -30,7 +30,7 @@ from __future__ import annotations
 import numbers
 from collections import Counter
 from operator import attrgetter
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Hashable, Iterable, Iterator, Sequence
 
 ENUMERATION_BOUND = 9  # the largest degree whose pairings all fit TABLE_BOUND
 
@@ -553,24 +553,34 @@ def _counted_walk(
     n: int,
     pos_colors: Sequence[int],
     top: Sequence[int],
-    read: Callable[[int, int, list[int]], int],
+    shape_letter: Sequence[Hashable],
+    scale_letter: Sequence[Hashable],
+    words: list[tuple],
     noncrossing: bool = False,
 ) -> Iterator[tuple[list[int], int, list[int]]]:
     """Color-preserving tables in the order of ``_iter_tables``, with their counts.
 
-    Yields ``(table, cr, closed)`` per table: the crossings and what ``read``
-    returned for each closed cycle.  Both are kept as edges are placed and
-    undone on backtrack:
+    Yields ``(table, cr, closed)`` per table: the crossings and the id of
+    each closed cycle's word, its index in ``words``, an empty list that the
+    walk fills with every distinct word it forms.  Both are kept as edges
+    are placed and undone on backtrack:
 
     - every placed edge has its left end before p, so the new edge (p, q)
       crosses the placed edges whose right end lies between p and q: the
       matched positions met while scanning q;
     - shape cycles are the cycles of the table joined to V(x) = x ^ 1, scale
       cycles those joined to F(x) = top[x ^ 1] ^ 1 (one vertical step of the
-      contraction).  Each partial union is a set of paths, ``end[x]`` is the
-      other end of the path ending at x, and (p, q) closes a cycle exactly
-      when q is that end of p; then ``read(kind, p, table)`` is pushed onto
-      ``closed``, kind 0 for a shape and 1 for a scale cycle;
+      contraction).  Each partial union is a set of paths: ``end[x]`` is the
+      other end of the path ending at x, and ``word[x]`` the id of the word
+      read from x, a ``shape_letter[y]`` per V-step out of y or a
+      ``scale_letter[y]`` per table step at y, the far end's included.
+      Joining the paths of ends a and b, (p, q) appends q's word to a's and
+      p's to b's, one memo lookup each; when q is p's other end, it closes
+      a cycle and pushes q's word, the cycle read from q, onto ``closed``;
+    - a scale cycle is read leaving its least even (top) position m along
+      m's table step, so an end also keeps 2m, m the least on its path, plus
+      1 if m is left so when read from there, and a closing scale cycle
+      pushes q's word if q's marker is odd and p's otherwise;
     - with ``noncrossing``, the scan for p's partner ends at the first
       matched position, since every later partner would cross that edge, so
       only the noncrossing tables (``cr`` = 0) are walked and yielded, in
@@ -583,8 +593,22 @@ def _counted_walk(
     table = [-1] * size
     end_v = [x ^ 1 for x in range(size)]
     end_f = [top[x ^ 1] ^ 1 for x in range(size)]
+    words.extend(dict.fromkeys((letter,) for letter in (*shape_letter, *scale_letter)))
+    ids = {word: k for k, word in enumerate(words)}
+    joins: dict[tuple[int, int], int] = {}  # (i, j) -> id of words[i] + words[j]; never 0
+
+    def join(i: int, j: int) -> int:
+        word = words[i] + words[j]
+        k = joins[i, j] = ids.setdefault(word, len(words))
+        if k == len(words):
+            words.append(word)
+        return k
+
+    word_v = [ids[shape_letter[x],] for x in range(size)]
+    word_f = [ids[scale_letter[end_f[x]],] for x in range(size)]
+    mark = [2 * x if not x & 1 else 2 * end_f[x] + 1 for x in range(size)]
     closed: list[int] = []
-    stack: list[tuple[int, int, int]] = []
+    stack: list[tuple[int, ...]] = []
     cr = 0
     p, q, inside = 0, 1, 0
     while True:
@@ -594,24 +618,30 @@ def _counted_walk(
                     break  # every later partner of p would cross this edge
                 inside += 1
             elif pos_colors[q] == pos_colors[p]:
-                table[p] = q
-                table[q] = p
-                stack.append((p, q, inside))
+                table[p], table[q] = q, p
                 cr += inside
-                a = end_v[p]
+                a, b = end_v[p], end_v[q]
+                va, vb = word_v[a], word_v[b]
                 if a == q:
-                    closed.append(read(0, p, table))
+                    closed.append(word_v[q])
                 else:
-                    b = end_v[q]
-                    end_v[a] = b
-                    end_v[b] = a
-                a = end_f[p]
+                    end_v[a], end_v[b] = b, a
+                    word_v[a] = joins.get((va, word_v[q])) or join(va, word_v[q])
+                    word_v[b] = joins.get((vb, word_v[p])) or join(vb, word_v[p])
+                a, b = end_f[p], end_f[q]
+                fa, fb = word_f[a], word_f[b]
                 if a == q:
-                    closed.append(read(1, p, table))
+                    closed.append(word_f[q] if mark[q] & 1 else word_f[p])
                 else:
-                    b = end_f[q]
-                    end_f[a] = b
-                    end_f[b] = a
+                    end_f[a], end_f[b] = b, a
+                    word_f[a] = joins.get((fa, word_f[q])) or join(fa, word_f[q])
+                    word_f[b] = joins.get((fb, word_f[p])) or join(fb, word_f[p])
+                    # the smaller marker, flipped at the far end; p's and q's stay
+                    if mark[q] < mark[a]:
+                        mark[a] = mark[q]
+                    else:
+                        mark[b] = mark[p]
+                stack.append((p, q, inside, va, vb, fa, fb))
                 nxt = p + 1
                 while nxt < size and table[nxt] >= 0:
                     nxt += 1
@@ -625,21 +655,20 @@ def _counted_walk(
             if not stack:
                 return
         # undo the last edge; p and q still hold the path ends they linked
-        p, q, inside = stack.pop()
+        p, q, inside, va, vb, fa, fb = stack.pop()
         table[p] = table[q] = -1
         cr -= inside
-        a = end_v[p]
+        a, b = end_v[p], end_v[q]
         if a == q:
             closed.pop()
         else:
-            end_v[a] = p
-            end_v[end_v[q]] = q
-        a = end_f[p]
+            end_v[a], end_v[b], word_v[a], word_v[b] = p, q, va, vb
+        a, b = end_f[p], end_f[q]
         if a == q:
             closed.pop()
         else:
-            end_f[a] = p
-            end_f[end_f[q]] = q
+            end_f[a], end_f[b], word_f[a], word_f[b] = p, q, fa, fb
+            mark[a], mark[b] = mark[p] ^ 1, mark[q] ^ 1
         q += 1
 
 

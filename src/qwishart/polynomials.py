@@ -84,14 +84,17 @@ class TraceAtom:
 
 
 def _canonical_word(word: tuple[tuple[int, bool], ...]) -> tuple[tuple[int, bool], ...]:
-    """Least word over all rotations and the transpose-flipped reversals."""
+    """Least word over all rotations and the transpose-flipped reversals; only
+    a rotation that starts at its word's least letter can be least."""
     reversed_flipped = tuple((c, not t) for c, t in reversed(word))
     best = word
     for w in (word, reversed_flipped):
-        for i in range(len(w)):
-            cand = w[i:] + w[:i]
-            if cand < best:
-                best = cand
+        least = min(w)
+        for i, letter in enumerate(w):
+            if letter == least:
+                cand = w[i:] + w[:i]
+                if cand < best:
+                    best = cand
     return best
 
 

@@ -1,5 +1,6 @@
 import math
 import os
+import random
 import re
 import subprocess
 import sys
@@ -51,6 +52,7 @@ from qwishart.polynomials import (
 )
 from test_fluctuations import _split
 from test_pairings import partitions_of
+from walk_oracle import read_on_close_tally
 
 P = MomentPolynomial
 q = P.symbol("q")
@@ -241,6 +243,48 @@ class TestTally:
         assert info.maxsize == info.currsize == moments._TALLY_CACHE_SIZE
 
 
+def _seeded_specs(seed: int, count: int) -> list:
+    """Random specs of degree 1..7 over 1-3 colors, each word split at random."""
+    rng = random.Random(seed)
+    specs = []
+    for _ in range(count):
+        n, s = rng.randint(1, 7), rng.randint(1, 3)
+        colors = [rng.randint(1, s) for _ in range(n)]
+        specs.append(_split(colors, [rng.random() < 0.4 for _ in range(n - 1)]).cycle_words)
+    return specs
+
+
+# ``((3,), (1, 3, 3, 2, 1))``: at q = 0, cycles closed on dead-end partial tables once left
+# atoms that no cell used
+_WALKED_WORDS = _TALLY_WORDS + [((3,), (1, 3, 3, 2, 1))] + _seeded_specs(28, 60)
+
+
+class TestWalkedWords:
+    """The tally read off word ids against the tally that reads each cycle on closing."""
+
+    @pytest.mark.parametrize("words", _WALKED_WORDS)
+    @pytest.mark.parametrize("use_eps", [True, False])
+    @pytest.mark.parametrize("noncrossing", [False, True])
+    def test_matches_the_read_on_close_tally(self, words, use_eps, noncrossing):
+        sigma, coloring = _top_and_coloring(words)
+        top, colors = sigma.table, coloring.colors
+        atoms, cells = moments._walked_tally(top, colors, use_eps, noncrossing)
+        expected = read_on_close_tally(top, colors, use_eps, noncrossing)
+        assert _expanded(atoms, cells) == _expanded(*expected)
+        # every atom is one that some cell names
+        assert {i for exps, _ in cells for i, _ in exps} == set(range(len(atoms)))
+
+    @given(st.data(), st.booleans(), st.booleans())
+    @settings(max_examples=40, deadline=None)
+    def test_any_top_matches_the_read_on_close_tally(self, data, use_eps, noncrossing):
+        n = data.draw(st.integers(1, 6))
+        colors = tuple(data.draw(st.lists(st.integers(1, 3), min_size=n, max_size=n)))
+        top = from_permutation(data.draw(st.permutations(range(1, n + 1)))).table
+        got = moments._walked_tally(top, colors, use_eps, noncrossing)
+        expected = read_on_close_tally(top, colors, use_eps, noncrossing)
+        assert _expanded(*got) == _expanded(*expected)
+
+
 def _top_and_coloring(words):
     if words is _SIGMA:
         return _SIGMA
@@ -277,8 +321,10 @@ class TestWalkedTerms:
         self.check(sigma, Coloring.from_colors(colors), use_eps)
 
 
-def _no_word(kind, start, table):
-    return 0  # a reader for walks whose tables alone are checked
+def _tables_walk(n: int, pos_colors, top):
+    """The noncrossing counted walk, whose tables alone are checked: every letter is 0."""
+    letters = [0] * (2 * n)
+    return _counted_walk(n, pos_colors, top, letters, letters, [], noncrossing=True)
 
 
 class TestTallyKinds:
@@ -291,7 +337,7 @@ class TestTallyKinds:
         noncrossing = {key: count for key, count in full.items() if key[0] == 0}
         assert _expanded(*moments._walked_tally(top, colors, use_eps, True)) == noncrossing
         pos_colors = coloring.position_colors()
-        walk = _counted_walk(coloring.n, pos_colors, top, _no_word, noncrossing=True)
+        walk = _tables_walk(coloring.n, pos_colors, top)
         tables = [(list(table), cr) for table, cr, _ in walk]
         assert tables == [(list(t), cr) for t, cr in _iter_tables(coloring.n, pos_colors) if not cr]
 
@@ -346,7 +392,7 @@ class TestTallyKinds:
     @pytest.mark.parametrize("n", range(1, 9))
     def test_single_color_noncrossing_counts_are_catalan(self, n):
         top = MonomialSpec(((1,) * n,)).pairing().table
-        walk = _counted_walk(n, (1,) * (2 * n), top, _no_word, noncrossing=True)
+        walk = _tables_walk(n, (1,) * (2 * n), top)
         assert sum(1 for _ in walk) == math.comb(2 * n, n) // (n + 1)
 
     @pytest.mark.parametrize("words", _TALLY_WORDS)
@@ -378,7 +424,7 @@ class TestTallyKinds:
 
     def test_q_zero_walks_only_the_noncrossing_tables(self):
         top, colors = MonomialSpec(((1,) * 6,)).pairing().table, (1,) * 6
-        walk = _counted_walk(6, (1,) * 12, top, _no_word, noncrossing=True)
+        walk = _tables_walk(6, (1,) * 12, top)
         assert sum(1 for _ in walk) == 132
         for noncrossing, tables in ((False, 10395), (True, 132)):
             cells = moments._walked_tally(top, colors, False, noncrossing)[1]
@@ -721,6 +767,42 @@ class TestExactEntries:
         with pytest.raises(ValueError, match="Sigma must be finite"):
             MatrixBindings.numeric([([[1]], [[huge, 0.5], [0.5, 1]])])
 
+
+class TestBindingsConstructor:
+    """``MatrixBindings(mode, ...)`` runs the checks that its classmethods run."""
+
+    def test_sigma_that_is_not_positive_definite_is_refused(self):
+        with pytest.raises(ValueError, match="^Sigma must be positive definite$"):
+            MatrixBindings("numeric", (((1, 0.5), (0.5, 1)),), (((-1,),),))
+        # the float B is normalised, so a moment of these matrices is rounded once
+        bindings = MatrixBindings("numeric", ([[1, 0.5], [0.5, 1]],), ([[2]],))
+        assert bindings == MatrixBindings.numeric([([[1, 0.5], [0.5, 1]], [[2]])])
+        assert real_wishart_moment(MonomialSpec(((1,),)), bindings) == 4.0
+        assert isinstance(real_wishart_moment(MonomialSpec(((1,),)), bindings), float)
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (("numeric", ([[1, 2]],), ([[1]],)), "B must be square"),
+            (("numeric", ([[1]],), ([[1, 2], [3, 1]],)), "Sigma must be symmetric"),
+            (("numeric", ([[1]], [[1]]), ([[1]], [[1, 0], [0, 1]])), "share one dimension"),
+            (("numeric", ([[1]],), ()), "one Sigma per B"),
+            (("numeric", ([[1]],), ([[1]],), 2), "and N from Sigma"),
+            (("scalar", ("M",), (1, 2)), "one scale factor per color"),
+            (("scalar", ("M",), (P.symbol("q"),)), "may not hold q"),
+            (("scalar", (0,), (1,)), "shape size"),
+            (("scalar", ("M",), (1,), 0), "n_dim"),
+            (("mixed", (), ()), "mode must be 'numeric' or 'scalar'"),
+        ],
+    )
+    def test_refusals_match_the_classmethods(self, args, message):
+        with pytest.raises(ValueError, match=message):
+            MatrixBindings(*args)
+
+    def test_scalar_constructor_defaults_n_dim_as_the_classmethod_does(self):
+        assert MatrixBindings("scalar", ("M",), (1,)) == MatrixBindings.scalar(["M"])
+        scalar = MatrixBindings("scalar", (2,), (Fraction(1, 2),), 3)
+        assert MatrixBindings.scalar([2], ["1/2"], 3) == scalar
 
 class TestGeneralSigma:
     def test_non_consecutive_cycles_match_block_form(self):

@@ -1,4 +1,5 @@
 import itertools
+from collections import Counter
 from math import comb
 
 import pytest
@@ -33,6 +34,8 @@ from qwishart.pairings import (
     noncrossing_image,
     traverse,
 )
+from qwishart.polynomials import TraceAtom
+from walk_oracle import _read_on_close_walk, _word_reader
 
 
 def double_factorial(k):
@@ -314,24 +317,38 @@ def block_spec_st(draw, max_n=6):
 
 
 class TestCountedWalk:
-    @given(block_spec_st())
+    @given(block_spec_st(), st.booleans())
     @settings(max_examples=80, deadline=None)
-    def test_matches_scan_per_table(self, case):
+    def test_matches_scan_per_table(self, case, use_eps):
         coloring, base = case
-        pos_colors = coloring.position_colors()
-
-        def read(kind, start, table):
-            return kind  # one shape (0) or scale (1) entry per closed cycle
-
+        n, colors, pos_colors = coloring.n, coloring.colors, coloring.position_colors()
+        shape = [("shape", colors[y >> 1], bool(use_eps and y & 1)) for y in range(2 * n)]
+        scale = [("scale", c, False) for c in pos_colors]
+        words: list = []
         got = []
-        for table, cr, closed in _counted_walk(coloring.n, pos_colors, base.table, read):
-            got.append((tuple(table), cr))
+        for table, cr, closed in _counted_walk(n, pos_colors, base.table, shape, scale, words):
             assert cr == _crossings_table(table)
-            shape, scale = _cycle_count(table), _cycle_count(_brauer_table(base.table, table))
-            assert sorted(closed) == [0] * shape + [1] * scale
-        # every table of the oracle enumerator, in its order
-        assert got == [(tuple(t), cr) for t, cr in _iter_tables(coloring.n, pos_colors)]
+            shapes, scales = _cycle_count(table), _cycle_count(_brauer_table(base.table, table))
+            kinds = sorted(words[w][0][0] for w in closed)
+            assert kinds == ["scale"] * scales + ["shape"] * shapes
+            got.append((tuple(table), cr, list(closed)))
+        # the closed words of every table of the oracle enumerator, in its order
+        ids, read = _word_reader(base.table, colors, use_eps)
+        oracle = _read_on_close_walk(n, pos_colors, base.table, read)
+        expected = [(tuple(table), cr, list(closed)) for table, cr, closed in oracle]
+        assert [row[:2] for row in expected] == [
+            (tuple(t), cr) for t, cr in _iter_tables(n, pos_colors)
+        ]
+        assert [row[:2] for row in got] == [row[:2] for row in expected]
+        raw = list(ids)
+        walked = [Counter(TraceAtom.make(*_word_of(words[w])) for w in c) for *_, c in got]
+        assert walked == [Counter(TraceAtom.make(*raw[w]) for w in c) for *_, c in expected]
         assert len(got) == _check_tables(coloring.n, pos_colors)
+
+
+def _word_of(letters: tuple) -> tuple:
+    """A walked word of (kind, color, flag) letters as the raw ``(kind, word)`` it names."""
+    return letters[0][0], tuple(letter[1:] for letter in letters)
 
 
 class TestConnectingPairings:

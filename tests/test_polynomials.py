@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 from qwishart.polynomials import (
     MomentPolynomial,
     TraceAtom,
+    _canonical_word,
     _make_monomial,
     _term_sort_key,
     evaluate_atom,
@@ -178,6 +180,37 @@ class TestAtoms:
         )
         assert run("2", load, data).split() == ["True", "True"]
 
+
+def _canonical_word_by_all_rotations(word):
+    """Least word over all 2L rotations of the word and its transpose-flipped reversal."""
+    reversed_flipped = tuple((c, not t) for c, t in reversed(word))
+    best = word
+    for w in (word, reversed_flipped):
+        for i in range(len(w)):
+            cand = w[i:] + w[:i]
+            if cand < best:
+                best = cand
+    return best
+
+
+_LETTERS = st.tuples(st.integers(1, 3), st.booleans())
+
+
+class TestCanonicalWord:
+    """Rotations from the least letter alone against all rotations."""
+
+    @given(st.lists(_LETTERS, min_size=1, max_size=12))
+    def test_matches_all_rotations(self, word):
+        word = tuple(word)
+        assert _canonical_word(word) == _canonical_word_by_all_rotations(word)
+
+    def test_matches_all_rotations_on_seeded_words(self):
+        rng = random.Random(28)
+        for _ in range(5000):
+            word = tuple(
+                (rng.randint(1, 3), rng.random() < 0.5) for _ in range(rng.randint(1, 10))
+            )
+            assert _canonical_word(word) == _canonical_word_by_all_rotations(word)
 
 class TestEvaluateAtom:
     def test_identity_word(self):

@@ -148,10 +148,10 @@ def test_positional_and_keyword_construction(record):
 
 
 def test_default_field():
-    bindings = MatrixBindings("scalar", ("M",), (1,))
+    bindings = MatrixBindings("numeric", ([[1]],), ([[2]],))
     assert bindings.n_dim is None
-    assert bindings == MatrixBindings("scalar", ("M",), (1,), None)
-    assert bindings == MatrixBindings(mode="scalar", scales=(1,), shapes=("M",))
+    assert bindings == MatrixBindings("numeric", ([[1]],), ([[2]],), None)
+    assert bindings == MatrixBindings(mode="numeric", scales=([[2]],), shapes=([[1]],))
 
 
 def test_post_init_runs_after_the_fields_are_set():
