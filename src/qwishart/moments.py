@@ -12,16 +12,17 @@ weight q^crossings.
 The engine reads the tally of trace monomial -> (crossings -> count) off the
 counted walk ``pairings._counted_walk``, once per (spec, use_eps,
 noncrossing), into a bounded cache.  The walk carries the id of each open
-path's word and names a cycle by its id when the closing edge is placed;
-the words of the tables it yields become trace atoms, each once, for the
-tally and, per pairing, for the CLI's table (``_walked_terms``).  q enters
-only as the weight q^crossings, so one tally serves every q; only at q = 0,
-where the crossing pairings carry no weight, does the walk visit the
-noncrossing pairings alone.  Every result is a substitution into the
-tally: symbolic mode keeps the atoms, numeric mode evaluates each distinct
-atom once on the bound matrices, scalar mode sends a shape atom to its
-color's size and a scale atom to N, and q enters as q^crossings,
-symbolically or as an exact rational.
+path's word, and the closing edge names a cycle by the id of its atom's
+canonical form, computed once per distinct word, so all the words of one
+atom share one id; the forms of the tables it yields become trace
+atoms, each once, for the tally and, per pairing, for the CLI's table
+(``_walked_terms``).  q enters only as the weight q^crossings, so one tally
+serves every q; only at q = 0, where the crossing pairings carry no
+weight, does the walk visit the noncrossing pairings alone.  Every result
+is a substitution into the tally: symbolic mode keeps the atoms, numeric
+mode evaluates each distinct atom once on the bound matrices, scalar mode
+sends a shape atom to its color's size and a scale atom to N, and q
+enters as q^crossings, symbolically or as an exact rational.
 
 An independent brute-force oracle expands every trace into matrix entries
 and applies the q-Wick rule over all pairings of the 2n entry letters; it
@@ -44,6 +45,7 @@ from .pairings import (
     Coloring,
     IntegerPartition,
     PairPartition,
+    _Memo,
     _check_count,
     _check_tables,
     _colors,
@@ -60,6 +62,7 @@ from .polynomials import (
     Monomial,
     Rational,
     TraceAtom,
+    _canonical_word,
     _key_order,
     _make_monomial,
     _q_value,
@@ -189,14 +192,20 @@ def _is_positive_definite(rows) -> bool:
     return True
 
 
-def _sigma_rows(sigma) -> tuple[tuple, ...]:
-    """Rows of a scale matrix, checked symmetric and positive definite."""
-    rows = _to_rows(sigma, "Sigma")
-    if not _is_symmetric(rows):
-        raise ValueError("Sigma must be symmetric")
-    if not _is_positive_definite(rows):
-        raise ValueError("Sigma must be positive definite")
-    return rows
+def _sigma_rows(sigmas) -> tuple[tuple[tuple, ...], ...]:
+    """Rows of each scale matrix, checked symmetric and positive definite, and
+    all of one dimension: the rule for every Sigma the exact side binds."""
+    out = []
+    for sigma in sigmas:
+        rows = _to_rows(sigma, "Sigma")
+        if not _is_symmetric(rows):
+            raise ValueError("Sigma must be symmetric")
+        if not _is_positive_definite(rows):
+            raise ValueError("Sigma must be positive definite")
+        out.append(rows)
+    if len({len(rows) for rows in out}) > 1:
+        raise ValueError("all Sigma must share one dimension")
+    return tuple(out)
 
 
 @_record
@@ -225,9 +234,7 @@ class MatrixBindings:
             shapes = tuple(_to_rows(b, "B") for b in shapes)
             if any(len(rows) != len(rows[0]) for rows in shapes):
                 raise ValueError("B must be square")
-            scales = tuple(_sigma_rows(sigma) for sigma in scales)
-            if len({len(s) for s in scales}) > 1:
-                raise ValueError("all Sigma must share one dimension")
+            scales = _sigma_rows(scales)
         elif self.mode == "scalar":
             shapes = tuple(_size(m, "shape size") for m in shapes)
             n_dim = _size("N" if n_dim is None else n_dim, "n_dim")
@@ -276,24 +283,32 @@ Cell = tuple[tuple[tuple[int, int], ...], tuple[tuple[int, int], ...]]
 
 
 def _walk(
-    top_table: Sequence[int], colors: Sequence[int], use_eps: bool, words: list, noncrossing: bool
+    top_table: Sequence[int], colors: Sequence[int], use_eps: bool, forms: list, noncrossing: bool
 ) -> Iterator[tuple[list[int], int, list[int]]]:
-    """The counted walk over the color-preserving pairings, with trace letters.
+    """The counted walk over the color-preserving pairings, naming cycles by trace atom.
 
     A V-step out of y reads ``("shape", its color, use_eps and y odd)``: the
     other way round, a shape word is reversed and every flag flipped, which
     names the same atom.  A table step reads ``("scale", its color, False)``.
+    A closed word is named by the index in ``forms``, an empty list that
+    the walk fills, of its atom's ``(kind, canonical word)``, so all the
+    words of one atom, its rotations and a shape word's flipped reversals,
+    share one id.
     """
     n = len(colors)
     pos_colors = [colors[x >> 1] for x in range(2 * n)]
     shape = [("shape", c, bool(use_eps and y & 1)) for y, c in enumerate(pos_colors)]
     scale = [("scale", c, False) for c in pos_colors]
-    return _counted_walk(n, pos_colors, top_table, shape, scale, words, noncrossing=noncrossing)
+    form_ids: dict[tuple, int] = {}
 
+    def name(word: tuple) -> int:
+        form = (word[0][0], _canonical_word(tuple(letter[1:] for letter in word)))
+        k = form_ids.setdefault(form, len(forms))
+        if k == len(forms):
+            forms.append(form)
+        return k
 
-def _atom(word: tuple) -> TraceAtom:
-    """The trace atom of a walked word of ``(kind, color, flag)`` letters."""
-    return TraceAtom.make(word[0][0], [letter[1:] for letter in word])
+    return _counted_walk(n, pos_colors, top_table, shape, scale, name, noncrossing=noncrossing)
 
 
 def _walked_terms(
@@ -302,15 +317,13 @@ def _walked_terms(
     """Each color-preserving pairing's table, crossings and trace monomial.
 
     The tables come off the counted walk, in the order of ``_iter_tables``,
-    and each word id is made a ``TraceAtom`` once, as the tally makes it.
+    and each form id is made a ``TraceAtom`` once, as the tally makes it.
     The yielded table is the walk's, reused in place.
     """
-    words: list[tuple] = []
-    made: dict[int, TraceAtom] = {}
-    for table, cr, closed in _walk(top_table, colors, use_eps, words, False):
-        for w in set(closed) - made.keys():
-            made[w] = _atom(words[w])
-        yield table, cr, _make_monomial(Counter(made[w] for w in closed))
+    forms: list[tuple] = []
+    made = _Memo(lambda f: TraceAtom(*forms[f]))
+    for table, cr, closed in _walk(top_table, colors, use_eps, forms, False):
+        yield table, cr, _make_monomial(Counter(made[f] for f in closed))
 
 
 @lru_cache(maxsize=_TALLY_CACHE_SIZE)
@@ -323,28 +336,30 @@ def _walked_tally(
     per monomial, which names it by ascending atom indices, so a cell
     expands to its monomial without sorting, and carries its count per
     crossing number.  The counted walk checks its own table count and names
-    each closed cycle by its word's id; the counts are keyed by the sorted
-    ids, so only words of yielded tables become atoms, each once.  With
+    each closed cycle by its atom's form id; the counts are keyed by the
+    sorted ids, so each form of a counted table becomes one atom, and each
+    distinct id multiset is turned into exponents once.  With
     ``noncrossing`` the walk visits the noncrossing pairings alone, and the
     cells are those of crossings 0: all that q = 0 weighs.
     """
-    words: list[tuple] = []
+    forms: list[tuple] = []
     counts: dict[tuple[int, tuple[int, ...]], int] = {}
-    for _, cr, closed in _walk(top_table, colors, use_eps, words, noncrossing):
+    for _, cr, closed in _walk(top_table, colors, use_eps, forms, noncrossing):
         key = (cr, tuple(sorted(closed)))
         counts[key] = counts.get(key, 0) + 1
-    made = {w: _atom(words[w]) for w in {w for _, ids in counts for w in ids}}
-    atoms = sorted(set(made.values()), key=_key_order)
-    index = {atom: i for i, atom in enumerate(atoms)}
-    atom_of_word = {w: index[atom] for w, atom in made.items()}
+    made = {f: TraceAtom(*forms[f]) for f in {f for _, ids in counts for f in ids}}
+    order = sorted(made, key=lambda f: _key_order(made[f]))
+    rank = {f: i for i, f in enumerate(order)}
+    exps_of: dict[tuple[int, ...], tuple[tuple[int, int], ...]] = {}
     cells: dict[tuple[tuple[int, int], ...], dict[int, int]] = {}
-    for (cr, word_ids), count in counts.items():
-        exps: dict[int, int] = {}
-        for i in sorted(atom_of_word[w] for w in word_ids):
-            exps[i] = exps.get(i, 0) + 1
-        crossings = cells.setdefault(tuple(exps.items()), {})
+    for (cr, ids), count in counts.items():
+        exps = exps_of.get(ids)
+        if exps is None:
+            exps = exps_of[ids] = tuple(Counter(sorted(rank[f] for f in ids)).items())
+        crossings = cells.setdefault(exps, {})
         crossings[cr] = crossings.get(cr, 0) + count
-    return tuple(atoms), tuple((exps, tuple(crs.items())) for exps, crs in cells.items())
+    atoms = tuple(made[f] for f in order)
+    return atoms, tuple((exps, tuple(crs.items())) for exps, crs in cells.items())
 
 
 def _substitute(
@@ -362,28 +377,44 @@ def _substitute(
     name, or to a trace atom itself to keep it; it is called once per atom,
     and each power of a number is computed once.  A cell's factors are
     multiplied once and weighted by the sum of count * q^crossings over its
-    crossing numbers, which at q = 1 is the sum of its counts.  Cells are
-    summed in integers over one common denominator D, the lcm over the
-    numeric atom values: with q = a/b and C the most crossings, a cell of
-    numeric degree t adds prod (D v_i)^e_i * sum count * a^c * b^(C - c) to
-    the integer accumulator of its output monomial and t, which becomes one
-    Fraction over D^t b^C.
-    Symbolic factors are summed per cell by integer ids in monomial key
-    order, so every output monomial is built once.
+    crossing numbers, which at q = 1 is the sum of its counts.
+
+    When every atom value is a key of its own and the keys rise with the
+    atom index, as in symbolic mode, a cell's exponents are its output
+    monomial's, and no two cells share one: each monomial is built straight
+    from them.  Otherwise cells are summed in integers over one common
+    denominator D, the lcm over the numeric atom values: with q = a/b and C
+    the most crossings, a cell of numeric degree t adds prod (D v_i)^e_i *
+    sum count * a^c * b^(C - c) to the integer accumulator of its output
+    monomial and t, which becomes one Fraction over D^t b^C.  Symbolic
+    factors are summed per cell by integer ids in monomial key order, so
+    every output monomial is built once.
     """
     values = [atom_value(atom) for atom in atoms]
     keys = sorted(
         {v for v in values if isinstance(v, (str, TraceAtom))} | {"q"}, key=_key_order
     )
+    a, b = (1, 1) if isinstance(q, str) else (q.numerator, q.denominator)
+    top = max((cr for _, crossings in cells for cr, _ in crossings), default=0)
+    q_factors = [a**c * b ** (top - c) for c in range(top + 1)]
+    q_den = b**top
+    if keys[1:] == values:  # each atom is its own key, in atom order, after "q"
+        terms: dict[Monomial, Rational] = {}
+        for exps, crossings in cells:
+            mono = tuple([(values[i], e) for i, e in exps])
+            if isinstance(q, str):
+                for cr, count in crossings:
+                    terms[(("q", cr),) + mono if cr else mono] = count
+            else:
+                weight = sum(count * q_factors[cr] for cr, count in crossings)
+                terms[mono] = Fraction(weight, q_den) if q_den != 1 else weight
+        return _scaled(MomentPolynomial(terms), const)
     key_id = {key: s for s, key in enumerate(keys)}
     sym = [key_id[v] if isinstance(v, (str, TraceAtom)) else None for v in values]
     q_sym = key_id["q"]
     exact = {i: v for i, v in enumerate(values) if sym[i] is None}
     den = math.lcm(*(v.denominator for v in exact.values()))
     nums = {i: v.numerator * (den // v.denominator) for i, v in exact.items()}
-    a, b = (1, 1) if isinstance(q, str) else (q.numerator, q.denominator)
-    top = max((cr for _, crossings in cells for cr, _ in crossings), default=0)
-    q_factors = [a**c * b ** (top - c) for c in range(top + 1)]
     factors: dict[tuple[int, int], int] = {}
     acc: dict[tuple[tuple[tuple[int, int], ...], int], int] = {}
     for exps, crossings in cells:
@@ -408,11 +439,15 @@ def _substitute(
         weight = sum(count * q_factors[cr] for cr, count in crossings)  # all 1 at q = 1
         acc[rest, degree] = acc.get((rest, degree), 0) + value * weight
     sums: dict[tuple[tuple[int, int], ...], Rational] = {}
-    q_den = b**top
     for (key, degree), total in acc.items():
         d = den**degree * q_den
         sums[key] = sums.get(key, 0) + (Fraction(total, d) if d != 1 else total)
     poly = MomentPolynomial({tuple((keys[s], e) for s, e in key): v for key, v in sums.items()})
+    return _scaled(poly, const)
+
+
+def _scaled(poly: MomentPolynomial, const):
+    """``poly * const``, as a number when it is constant."""
     if const != 1:
         poly = poly * const
     try:
@@ -553,9 +588,7 @@ def identity_shape_moment(
         raise ValueError("need one shape size per color")
     scales, to_float = None, False
     if sigmas is not None:
-        rows = [_sigma_rows(m) for m in sigmas]
-        if len({len(r) for r in rows}) > 1:
-            raise ValueError("all Sigma must share one dimension")
+        rows = _sigma_rows(sigmas)
         scales, to_float = _evaluator(dict(enumerate(rows, start=1))), _is_float(rows)
         if to_float and any(isinstance(shape_sizes[c - 1], str) for c in coloring.colors):
             raise ValueError("float matrices cannot feed a symbolic result")

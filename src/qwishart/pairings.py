@@ -17,7 +17,8 @@ are in bijection with permutations; the Brauer product restricted to them is
 permutation composition.
 
 One counted walk, ``_counted_walk``, serves the finite tallies: it keeps the
-crossings and each open path's word id, so a closing edge names its cycle.
+crossings and each open path's word id, so a closing edge names its cycle
+with the name its caller gives that word, asked once per distinct word.
 ``_iter_tables`` shares no code with it: it serves the three public
 enumerations and the oracles that check the walk.  ``connecting_pairings``
 keeps the tables that join every base cycle to another one;
@@ -30,7 +31,7 @@ from __future__ import annotations
 import numbers
 from collections import Counter
 from operator import attrgetter
-from typing import Hashable, Iterable, Iterator, Sequence
+from typing import Callable, Hashable, Iterable, Iterator, Sequence
 
 ENUMERATION_BOUND = 9  # the largest degree whose pairings all fit TABLE_BOUND
 
@@ -549,21 +550,33 @@ def _iter_tables(
         q += 1
 
 
+class _Memo(dict):
+    """``fn(key)`` for each key, computed on its first lookup and kept."""
+
+    def __init__(self, fn: Callable):
+        super().__init__()
+        self.fn = fn
+
+    def __missing__(self, key):
+        value = self[key] = self.fn(key)
+        return value
+
+
 def _counted_walk(
     n: int,
     pos_colors: Sequence[int],
     top: Sequence[int],
     shape_letter: Sequence[Hashable],
     scale_letter: Sequence[Hashable],
-    words: list[tuple],
+    name: Callable[[tuple], Hashable],
     noncrossing: bool = False,
-) -> Iterator[tuple[list[int], int, list[int]]]:
+) -> Iterator[tuple[list[int], int, list[Hashable]]]:
     """Color-preserving tables in the order of ``_iter_tables``, with their counts.
 
-    Yields ``(table, cr, closed)`` per table: the crossings and the id of
-    each closed cycle's word, its index in ``words``, an empty list that the
-    walk fills with every distinct word it forms.  Both are kept as edges
-    are placed and undone on backtrack:
+    Yields ``(table, cr, closed)`` per table: the crossings and ``name`` of
+    each closed cycle's word.  The walk interns every distinct word it forms
+    and calls ``name`` once per distinct word that closes a cycle, when it
+    first does.  Both are kept as edges are placed and undone on backtrack:
 
     - every placed edge has its left end before p, so the new edge (p, q)
       crosses the placed edges whose right end lies between p and q: the
@@ -576,11 +589,16 @@ def _counted_walk(
       ``scale_letter[y]`` per table step at y, the far end's included.
       Joining the paths of ends a and b, (p, q) appends q's word to a's and
       p's to b's, one memo lookup each; when q is p's other end, it closes
-      a cycle and pushes q's word, the cycle read from q, onto ``closed``;
+      a cycle and pushes the name of q's word, the cycle read from q, onto
+      ``closed``;
     - a scale cycle is read leaving its least even (top) position m along
       m's table step, so an end also keeps 2m, m the least on its path, plus
       1 if m is left so when read from there, and a closing scale cycle
-      pushes q's word if q's marker is odd and p's otherwise;
+      is read from q if q's marker is odd and from p otherwise;
+    - once n - 1 edges are placed, the last two free positions p < q are
+      the two ends of one shape and one scale path, so placing (p, q)
+      closes both, with every position between them matched, and needs no
+      stack entry;
     - with ``noncrossing``, the scan for p's partner ends at the first
       matched position, since every later partner would cross that edge, so
       only the noncrossing tables (``cr`` = 0) are walked and yielded, in
@@ -589,13 +607,14 @@ def _counted_walk(
     The yielded lists are reused in place, so copy them before storing.
     """
     _check_tables(n, pos_colors)
-    size = 2 * n
+    size, last = 2 * n, n - 1
     table = [-1] * size
     end_v = [x ^ 1 for x in range(size)]
     end_f = [top[x ^ 1] ^ 1 for x in range(size)]
-    words.extend(dict.fromkeys((letter,) for letter in (*shape_letter, *scale_letter)))
+    words = list(dict.fromkeys((letter,) for letter in (*shape_letter, *scale_letter)))
     ids = {word: k for k, word in enumerate(words)}
     joins: dict[tuple[int, int], int] = {}  # (i, j) -> id of words[i] + words[j]; never 0
+    names = _Memo(lambda k: name(words[k]))  # word id -> name, once per closing word
 
     def join(i: int, j: int) -> int:
         word = words[i] + words[j]
@@ -607,7 +626,7 @@ def _counted_walk(
     word_v = [ids[shape_letter[x],] for x in range(size)]
     word_f = [ids[scale_letter[end_f[x]],] for x in range(size)]
     mark = [2 * x if not x & 1 else 2 * end_f[x] + 1 for x in range(size)]
-    closed: list[int] = []
+    closed: list[Hashable] = []
     stack: list[tuple[int, ...]] = []
     cr = 0
     p, q, inside = 0, 1, 0
@@ -619,11 +638,19 @@ def _counted_walk(
                 inside += 1
             elif pos_colors[q] == pos_colors[p]:
                 table[p], table[q] = q, p
+                if len(stack) == last:
+                    # the last free pair: it closes both open paths
+                    closed.append(names[word_v[q]])
+                    closed.append(names[word_f[q] if mark[q] & 1 else word_f[p]])
+                    yield table, cr + inside, closed
+                    del closed[-2:]
+                    table[p] = table[q] = -1
+                    break  # q was p's only free partner
                 cr += inside
                 a, b = end_v[p], end_v[q]
                 va, vb = word_v[a], word_v[b]
                 if a == q:
-                    closed.append(word_v[q])
+                    closed.append(names[word_v[q]])
                 else:
                     end_v[a], end_v[b] = b, a
                     word_v[a] = joins.get((va, word_v[q])) or join(va, word_v[q])
@@ -631,7 +658,7 @@ def _counted_walk(
                 a, b = end_f[p], end_f[q]
                 fa, fb = word_f[a], word_f[b]
                 if a == q:
-                    closed.append(word_f[q] if mark[q] & 1 else word_f[p])
+                    closed.append(names[word_f[q] if mark[q] & 1 else word_f[p]])
                 else:
                     end_f[a], end_f[b] = b, a
                     word_f[a] = joins.get((fa, word_f[q])) or join(fa, word_f[q])
@@ -642,18 +669,14 @@ def _counted_walk(
                     else:
                         mark[b] = mark[p]
                 stack.append((p, q, inside, va, vb, fa, fb))
-                nxt = p + 1
-                while nxt < size and table[nxt] >= 0:
-                    nxt += 1
-                if nxt == size:
-                    yield table, cr, closed
-                    break  # p has no other free partner: undo this edge
-                p, q, inside = nxt, nxt + 1, 0
+                p += 1
+                while table[p] >= 0:  # two free positions are left
+                    p += 1
+                q, inside = p + 1, 0
                 continue
             q += 1
-        else:
-            if not stack:
-                return
+        if not stack:
+            return
         # undo the last edge; p and q still hold the path ends they linked
         p, q, inside, va, vb, fa, fb = stack.pop()
         table[p] = table[q] = -1

@@ -41,10 +41,12 @@ from qwishart.pairings import (
     _traverse_table,
     from_permutation,
 )
+from qwishart.fluctuations import _centered_counts
 from qwishart.mp import mp_moment_check
 from qwishart.polynomials import (
     MomentPolynomial,
     Monomial,
+    Rational,
     TraceAtom,
     _key_order,
     _make_monomial,
@@ -285,6 +287,21 @@ class TestWalkedWords:
         assert _expanded(*got) == _expanded(*expected)
 
 
+class TestForms:
+    """The walk names a closed cycle by the index of its atom's canonical form."""
+
+    @pytest.mark.parametrize("words", _TALLY_WORDS)
+    @pytest.mark.parametrize("use_eps", [True, False])
+    def test_forms_are_distinct_and_canonical(self, words, use_eps):
+        sigma, coloring = _top_and_coloring(words)
+        forms: list = []
+        walk = moments._walk(sigma.table, coloring.colors, use_eps, forms, False)
+        named = {f for _, _, closed in walk for f in closed}
+        assert named == set(range(len(forms)))
+        assert len(set(forms)) == len(forms)
+        assert all(TraceAtom.make(kind, word) == TraceAtom(kind, word) for kind, word in forms)
+
+
 def _top_and_coloring(words):
     if words is _SIGMA:
         return _SIGMA
@@ -322,9 +339,10 @@ class TestWalkedTerms:
 
 
 def _tables_walk(n: int, pos_colors, top):
-    """The noncrossing counted walk, whose tables alone are checked: every letter is 0."""
+    """The noncrossing counted walk, whose tables alone are checked: every letter is 0,
+    and a word is named by its length."""
     letters = [0] * (2 * n)
-    return _counted_walk(n, pos_colors, top, letters, letters, [], noncrossing=True)
+    return _counted_walk(n, pos_colors, top, letters, letters, len, noncrossing=True)
 
 
 class TestTallyKinds:
@@ -604,6 +622,96 @@ def _fraction_substitute(atoms, cells, atom_value, q, const):
         return poly.constant_value()
     except ValueError:  # not constant
         return poly
+
+
+def _merging_substitute(atoms, cells, atom_value, q, const):
+    """``moments._substitute`` before symbolic cells built their monomials directly,
+    kept as its oracle: in every mode, cells are summed in integers over one
+    common denominator, and each cell's symbolic factors are merged by
+    integer ids and sorted.
+    """
+    values = [atom_value(atom) for atom in atoms]
+    keys = sorted(
+        {v for v in values if isinstance(v, (str, TraceAtom))} | {"q"}, key=_key_order
+    )
+    key_id = {key: s for s, key in enumerate(keys)}
+    sym = [key_id[v] if isinstance(v, (str, TraceAtom)) else None for v in values]
+    q_sym = key_id["q"]
+    exact = {i: v for i, v in enumerate(values) if sym[i] is None}
+    den = math.lcm(*(v.denominator for v in exact.values()))
+    nums = {i: v.numerator * (den // v.denominator) for i, v in exact.items()}
+    a, b = (1, 1) if isinstance(q, str) else (q.numerator, q.denominator)
+    top = max((cr for _, crossings in cells for cr, _ in crossings), default=0)
+    q_factors = [a**c * b ** (top - c) for c in range(top + 1)]
+    factors: dict[tuple[int, int], int] = {}
+    acc: dict[tuple[tuple[tuple[int, int], ...], int], int] = {}
+    for exps, crossings in cells:
+        product, degree = [], 0
+        powers: dict[int, int] = {}
+        for i, e in exps:
+            s = sym[i]
+            if s is not None:
+                powers[s] = powers.get(s, 0) + e
+                continue
+            factor = factors.get((i, e))
+            if factor is None:
+                factor = factors[i, e] = nums[i] ** e
+            product.append(factor)
+            degree += e
+        value, rest = math.prod(product), tuple(sorted(powers.items()))
+        if isinstance(q, str):  # "q" sorts first, and no atom value is q
+            for cr, count in crossings:
+                key = (((q_sym, cr),) + rest if cr else rest, degree)
+                acc[key] = acc.get(key, 0) + value * count
+            continue
+        weight = sum(count * q_factors[cr] for cr, count in crossings)  # all 1 at q = 1
+        acc[rest, degree] = acc.get((rest, degree), 0) + value * weight
+    sums: dict[tuple[tuple[int, int], ...], Rational] = {}
+    q_den = b**top
+    for (key, degree), total in acc.items():
+        d = den**degree * q_den
+        sums[key] = sums.get(key, 0) + (Fraction(total, d) if d != 1 else total)
+    poly = MomentPolynomial({tuple((keys[s], e) for s, e in key): v for key, v in sums.items()})
+    if const != 1:
+        poly = poly * const
+    try:
+        return poly.constant_value()
+    except ValueError:  # not constant
+        return poly
+
+
+class TestDirectSubstitution:
+    """Symbolic cells build their monomials directly; every mode equals the merging sum."""
+
+    @staticmethod
+    def check(atoms, cells, atom_value, q, const):
+        got = moments._substitute(atoms, cells, atom_value, q, const)
+        expected = _merging_substitute(atoms, cells, atom_value, q, const)
+        assert type(got) is type(expected)
+        assert got == expected
+        if isinstance(got, MomentPolynomial):  # the same terms in the same order
+            assert list(got._terms.items()) == list(expected._terms.items())
+
+    @given(st.data(), st.booleans(), st.sampled_from(["q", 0, 1, Fraction(1, 2)]))
+    @settings(max_examples=40, deadline=None)
+    def test_matches_the_merging_oracle(self, data, use_eps, q_value):
+        spec = _random_spec(data)
+        top, coloring = spec.pairing().table, spec.coloring()
+        tally = moments._walked_tally(top, coloring.colors, use_eps, q_value == 0)
+        for bindings in (None, _EXACT_BINDINGS, _SCALAR_BINDINGS):
+            atom_value, const = moments._substitution(bindings, coloring)
+            self.check(*tally, atom_value, q_value, const)
+
+    @given(st.data(), st.sampled_from(["q", 0, 1, Fraction(1, 2)]))
+    @settings(max_examples=20, deadline=None)
+    def test_centered_cells(self, data, q_value):
+        spec = _random_spec(data)
+        cells: dict = {}
+        for (cr, c_gamma, c_g), count in _centered_counts(spec).items():
+            cells.setdefault(((0, c_gamma), (1, c_g)), []).append((cr, count))
+        # M before N leaves the merging path; N before M takes the direct one
+        for sizes in (("M", "N"), ("N", "M"), (3, "N"), ("M", 2)):
+            self.check(sizes, cells.items(), lambda size: size, q_value, Fraction(1))
 
 
 @contextmanager
@@ -914,6 +1022,22 @@ class TestIdentityShape:
         # both used to return a number (224 and 12) as if Sigma were a covariance
         with pytest.raises(ValueError, match=message):
             identity_shape_moment(MonomialSpec(((1, 1),)), [2], [sigma])
+
+    @pytest.mark.parametrize(
+        "sigmas, message",
+        [
+            ([[[1, 2], [3, 4]]], "Sigma must be symmetric"),
+            ([[[1, 0], [0, -1]]], "Sigma must be positive definite"),
+            ([[[1]], [[1, 0], [0, 1]]], "all Sigma must share one dimension"),
+        ],
+    )
+    def test_refuses_sigmas_as_the_bindings_do(self, sigmas, message):
+        # one rule for both entry points, so each names the same fault
+        spec = MonomialSpec(tuple((c,) for c in range(1, len(sigmas) + 1)))
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            identity_shape_moment(spec, [2] * len(sigmas), sigmas)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            MatrixBindings.numeric([([[1]], sigma) for sigma in sigmas])
 
 
 class TestPowerTraceMoments:

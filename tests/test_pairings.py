@@ -3,7 +3,7 @@ from collections import Counter
 from math import comb
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qwishart.pairings import (
@@ -317,34 +317,66 @@ def block_spec_st(draw, max_n=6):
 
 
 class TestCountedWalk:
-    @given(block_spec_st(), st.booleans())
+    @given(block_spec_st(), st.booleans(), st.booleans())
+    # n = 1: the first pair is the last; and a noncrossing walk whose last pair
+    # (-1, 2) would cross the edge (1, -2)
+    @example((Coloring.from_colors([1]), block_pairing([1])), True, False)
+    @example((Coloring.from_colors([1, 1]), block_pairing([2])), True, True)
     @settings(max_examples=80, deadline=None)
-    def test_matches_scan_per_table(self, case, use_eps):
+    def test_matches_scan_per_table(self, case, use_eps, noncrossing):
         coloring, base = case
         n, colors, pos_colors = coloring.n, coloring.colors, coloring.position_colors()
         shape = [("shape", colors[y >> 1], bool(use_eps and y & 1)) for y in range(2 * n)]
         scale = [("scale", c, False) for c in pos_colors]
-        words: list = []
+
+        def name(letters: tuple) -> TraceAtom:
+            return TraceAtom.make(*_word_of(letters))
+
         got = []
-        for table, cr, closed in _counted_walk(n, pos_colors, base.table, shape, scale, words):
+        walk = _counted_walk(n, pos_colors, base.table, shape, scale, name, noncrossing)
+        for table, cr, closed in walk:
             assert cr == _crossings_table(table)
             shapes, scales = _cycle_count(table), _cycle_count(_brauer_table(base.table, table))
-            kinds = sorted(words[w][0][0] for w in closed)
+            kinds = sorted(atom.kind for atom in closed)
             assert kinds == ["scale"] * scales + ["shape"] * shapes
-            got.append((tuple(table), cr, list(closed)))
+            got.append((tuple(table), cr, Counter(closed)))
         # the closed words of every table of the oracle enumerator, in its order
         ids, read = _word_reader(base.table, colors, use_eps)
-        oracle = _read_on_close_walk(n, pos_colors, base.table, read)
+        oracle = _read_on_close_walk(n, pos_colors, base.table, read, noncrossing)
         expected = [(tuple(table), cr, list(closed)) for table, cr, closed in oracle]
         assert [row[:2] for row in expected] == [
-            (tuple(t), cr) for t, cr in _iter_tables(n, pos_colors)
+            (tuple(t), cr) for t, cr in _iter_tables(n, pos_colors) if not (noncrossing and cr)
         ]
         assert [row[:2] for row in got] == [row[:2] for row in expected]
         raw = list(ids)
-        walked = [Counter(TraceAtom.make(*_word_of(words[w])) for w in c) for *_, c in got]
-        assert walked == [Counter(TraceAtom.make(*raw[w]) for w in c) for *_, c in expected]
-        assert len(got) == _check_tables(coloring.n, pos_colors)
+        assert [c for *_, c in got] == [
+            Counter(TraceAtom.make(*raw[w]) for w in c) for *_, c in expected
+        ]
+        if not noncrossing:
+            assert len(got) == _check_tables(coloring.n, pos_colors)
 
+
+    @given(block_spec_st(), st.booleans(), st.booleans())
+    @settings(max_examples=40, deadline=None)
+    def test_names_each_word_once(self, case, use_eps, noncrossing):
+        coloring, base = case
+        n, colors, pos_colors = coloring.n, coloring.colors, coloring.position_colors()
+        shape = [("shape", colors[y >> 1], bool(use_eps and y & 1)) for y in range(2 * n)]
+        scale = [("scale", c, False) for c in pos_colors]
+        named: list[tuple] = []
+
+        def name(letters: tuple) -> int:
+            named.append(letters)
+            return len(named) - 1
+
+        walk = _counted_walk(n, pos_colors, base.table, shape, scale, name, noncrossing)
+        pushed = {k for _, _, closed in walk for k in closed}
+        assert len(set(named)) == len(named)
+        # every name pushed is one the spy returned; a noncrossing walk also names
+        # cycles closed on partial tables that no table completes
+        assert pushed <= set(range(len(named)))
+        if not noncrossing:
+            assert pushed == set(range(len(named)))
 
 def _word_of(letters: tuple) -> tuple:
     """A walked word of (kind, color, flag) letters as the raw ``(kind, word)`` it names."""
