@@ -34,11 +34,11 @@ from __future__ import annotations
 import math
 import numbers
 import sys
-from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, repeat
 from itertools import product as iter_product
+from operator import mul
 from typing import Callable, Collection, Iterable, Iterator, Sequence, Union
 
 from .pairings import (
@@ -68,7 +68,6 @@ from .polynomials import (
     _q_value,
     _rational,
     _size,
-    evaluate_atom,
 )
 
 BRUTE_FORCE_GUARD = 10_000_000
@@ -282,23 +281,35 @@ _TALLY_CACHE_SIZE = 256
 Cell = tuple[tuple[tuple[int, int], ...], tuple[tuple[int, int], ...]]
 
 
+def _key_fields(n: int) -> tuple[int, int]:
+    """The bits of a walk key's crossing field and of each form's field, at degree n.
+
+    A table has at most n(n - 1)/2 crossings and closes at most n cycles of
+    one kind, so no field carries into the next.
+    """
+    return (n * (n - 1) // 2).bit_length(), n.bit_length()
+
+
 def _walk(
     top_table: Sequence[int], colors: Sequence[int], use_eps: bool, forms: list, noncrossing: bool
-) -> Iterator[tuple[list[int], int, list[int]]]:
+) -> Iterator[tuple[list[int], int]]:
     """The counted walk over the color-preserving pairings, naming cycles by trace atom.
 
     A V-step out of y reads ``("shape", its color, use_eps and y odd)``: the
     other way round, a shape word is reversed and every flag flipped, which
     names the same atom.  A table step reads ``("scale", its color, False)``.
-    A closed word is named by the index in ``forms``, an empty list that
+    A closed word is named by the index k in ``forms``, an empty list that
     the walk fills, of its atom's ``(kind, canonical word)``, so all the
     words of one atom, its rotations and a shape word's flipped reversals,
-    share one id.
+    share one id.  Its name is ``1 << (cr_bits + width * k)`` with the
+    widths of ``_key_fields``, so each table's key holds its crossings in
+    the low ``cr_bits`` bits and the exponent of form k in the field above.
     """
     n = len(colors)
     pos_colors = [colors[x >> 1] for x in range(2 * n)]
     shape = [("shape", c, bool(use_eps and y & 1)) for y, c in enumerate(pos_colors)]
     scale = [("scale", c, False) for c in pos_colors]
+    cr_bits, width = _key_fields(n)
     form_ids: dict[tuple, int] = {}
 
     def name(word: tuple) -> int:
@@ -306,7 +317,7 @@ def _walk(
         k = form_ids.setdefault(form, len(forms))
         if k == len(forms):
             forms.append(form)
-        return k
+        return 1 << cr_bits + width * k
 
     return _counted_walk(n, pos_colors, top_table, shape, scale, name, noncrossing=noncrossing)
 
@@ -316,14 +327,19 @@ def _walked_terms(
 ) -> Iterator[tuple[list[int], int, Monomial]]:
     """Each color-preserving pairing's table, crossings and trace monomial.
 
-    The tables come off the counted walk, in the order of ``_iter_tables``,
-    and each form id is made a ``TraceAtom`` once, as the tally makes it.
-    The yielded table is the walk's, reused in place.
+    The tables come off the counted walk, in the order of ``_iter_tables``;
+    each key is split into its fields, and each form id is made a
+    ``TraceAtom`` once, as the tally makes it.  The yielded table is the
+    walk's, reused in place.
     """
     forms: list[tuple] = []
-    made = _Memo(lambda f: TraceAtom(*forms[f]))
-    for table, cr, closed in _walk(top_table, colors, use_eps, forms, False):
-        yield table, cr, _make_monomial(Counter(made[f] for f in closed))
+    cr_bits, width = _key_fields(len(colors))
+    mask = (1 << width) - 1
+    made = _Memo(lambda k: TraceAtom(*forms[k]))
+    for table, key in _walk(top_table, colors, use_eps, forms, False):
+        rest = key >> cr_bits
+        powers = {made[k]: e for k in range(len(forms)) if (e := rest >> width * k & mask)}
+        yield table, key & (1 << cr_bits) - 1, _make_monomial(powers)
 
 
 @lru_cache(maxsize=_TALLY_CACHE_SIZE)
@@ -335,31 +351,45 @@ def _walked_tally(
     Returns the distinct atoms, sorted in monomial key order, and one cell
     per monomial, which names it by ascending atom indices, so a cell
     expands to its monomial without sorting, and carries its count per
-    crossing number.  The counted walk checks its own table count and names
-    each closed cycle by its atom's form id; the counts are keyed by the
-    sorted ids, so each form of a counted table becomes one atom, and each
-    distinct id multiset is turned into exponents once.  With
+    crossing number.  The counted walk checks its own table count and
+    yields each table's integer key (``_walk``), which the tally counts as
+    it comes.  Each distinct key is split once into its crossings and the
+    fields above them; a ``TraceAtom`` is made only for the forms whose
+    field is set in some key, and each distinct field set is turned once
+    into exponents of atom indices, read off the field shifts.  With
     ``noncrossing`` the walk visits the noncrossing pairings alone, and the
     cells are those of crossings 0: all that q = 0 weighs.
     """
     forms: list[tuple] = []
-    counts: dict[tuple[int, tuple[int, ...]], int] = {}
-    for _, cr, closed in _walk(top_table, colors, use_eps, forms, noncrossing):
-        key = (cr, tuple(sorted(closed)))
-        counts[key] = counts.get(key, 0) + 1
-    made = {f: TraceAtom(*forms[f]) for f in {f for _, ids in counts for f in ids}}
-    order = sorted(made, key=lambda f: _key_order(made[f]))
-    rank = {f: i for i, f in enumerate(order)}
-    exps_of: dict[tuple[int, ...], tuple[tuple[int, int], ...]] = {}
-    cells: dict[tuple[tuple[int, int], ...], dict[int, int]] = {}
-    for (cr, ids), count in counts.items():
-        exps = exps_of.get(ids)
-        if exps is None:
-            exps = exps_of[ids] = tuple(Counter(sorted(rank[f] for f in ids)).items())
-        crossings = cells.setdefault(exps, {})
-        crossings[cr] = crossings.get(cr, 0) + count
-    atoms = tuple(made[f] for f in order)
-    return atoms, tuple((exps, tuple(crs.items())) for exps, crs in cells.items())
+    counts: dict[int, int] = {}
+    get = counts.get
+    for _, key in _walk(top_table, colors, use_eps, forms, noncrossing):
+        counts[key] = get(key, 0) + 1
+    cr_bits, width = _key_fields(len(colors))
+    low, mask = (1 << cr_bits) - 1, (1 << width) - 1
+    by_fields: dict[int, dict[int, int]] = {}  # the key above its crossings -> {cr: count}
+    seen = 0  # a field set for every form that occurs
+    for key, count in counts.items():
+        rest = key >> cr_bits
+        crossings = by_fields.get(rest)
+        if crossings is None:
+            crossings = by_fields[rest] = {}
+            seen |= rest
+        crossings[key & low] = count
+    made = {k: TraceAtom(*forms[k]) for k in range(len(forms)) if seen >> width * k & mask}
+    order = sorted(made, key=lambda k: _key_order(made[k]))
+    rank = {k * width: i for i, k in enumerate(order)}  # field shift -> atom index
+    cells = []
+    for rest, crossings in by_fields.items():
+        exps = []
+        while rest:  # the lowest set field, then the rest
+            shift = ((rest & -rest).bit_length() - 1) // width * width
+            e = rest >> shift & mask
+            exps.append((rank[shift], e))
+            rest ^= e << shift
+        exps.sort()
+        cells.append((tuple(exps), tuple(crossings.items())))
+    return tuple(made[k] for k in order), tuple(cells)
 
 
 def _substitute(
@@ -462,18 +492,34 @@ def _moment(top_table, coloring: Coloring, use_eps: bool, atom_value, q, const):
 
 
 def _evaluator(mats: dict[int, tuple]) -> Callable[[TraceAtom], Fraction]:
-    """``evaluate_atom`` over ``mats``, exactly: each matrix is cleared once into
-    integer rows over the lcm d of its entries' denominators, a float entry as
-    its exact binary value, and an atom's integer trace is divided once by the
-    product of d over its letters.
+    """``evaluate_atom`` over ``mats``, exactly.
+
+    Each matrix is cleared once into integer rows over the lcm d of its
+    entries' denominators, a float entry as its exact binary value, and
+    kept with its transpose, whose rows are the columns a product takes.
+    The integer product of each word prefix is kept, so atoms that share a
+    prefix multiply it once, and an atom's integer trace is divided once by
+    the product of d over its letters.
     """
-    dens, ints = {}, {}
-    for c, rows in mats.items():
-        ratios = [[x.as_integer_ratio() for x in row] for row in rows]
+    dens, products = {}, {}  # products: word prefix -> its integer product
+    for c, matrix in mats.items():
+        ratios = [[x.as_integer_ratio() for x in row] for row in matrix]
         d = dens[c] = math.lcm(*(den for row in ratios for _, den in row))
-        ints[c] = [[num * (d // den) for num, den in row] for row in ratios]
+        rows = products[(c, False),] = [[num * (d // den) for num, den in row] for row in ratios]
+        products[(c, True),] = [list(col) for col in zip(*rows)]
+
+    def product(word: tuple) -> list:
+        got = products.get(word)
+        if got is None:
+            c, t = word[-1]
+            cols = products[(c, not t),]
+            head = product(word[:-1])
+            got = products[word] = [[sum(map(mul, row, col)) for col in cols] for row in head]
+        return got
+
     return lambda atom: Fraction(
-        evaluate_atom(atom, ints), math.prod(dens[c] for c, _ in atom.word)
+        sum(row[i] for i, row in enumerate(product(atom.word))),
+        math.prod(dens[c] for c, _ in atom.word),
     )
 
 

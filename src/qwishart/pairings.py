@@ -18,12 +18,16 @@ permutation composition.
 
 One counted walk, ``_counted_walk``, serves the finite tallies: it keeps the
 crossings and each open path's word id, so a closing edge names its cycle
-with the name its caller gives that word, asked once per distinct word.
-``_iter_tables`` shares no code with it: it serves the three public
-enumerations and the oracles that check the walk.  ``connecting_pairings``
-keeps the tables that join every base cycle to another one;
-``fluctuations._frontier_counts`` sums over the same tables and is the only
-code that prunes by that rule.
+with the integer name its caller gives that word, asked once per distinct
+word.  Each table comes with one integer key, its crossings plus the names
+of its cycles; a caller that names each atom by a bit field of its own,
+bit_length(n) bits wide above the bit_length(n(n - 1)/2) bits of the
+crossings, reads both back from the key.  The last two pairs of every table
+are completed in closed form.  ``_iter_tables`` shares no code with it: it
+serves the three public enumerations and the oracles that check the walk.
+``connecting_pairings`` keeps the tables that join every base cycle to
+another one; ``fluctuations._frontier_counts`` sums over the same tables and
+is the only code that prunes by that rule.
 """
 
 from __future__ import annotations
@@ -568,15 +572,18 @@ def _counted_walk(
     top: Sequence[int],
     shape_letter: Sequence[Hashable],
     scale_letter: Sequence[Hashable],
-    name: Callable[[tuple], Hashable],
+    name: Callable[[tuple], int],
     noncrossing: bool = False,
-) -> Iterator[tuple[list[int], int, list[Hashable]]]:
-    """Color-preserving tables in the order of ``_iter_tables``, with their counts.
+) -> Iterator[tuple[list[int], int]]:
+    """Color-preserving tables in the order of ``_iter_tables``, each with one integer key.
 
-    Yields ``(table, cr, closed)`` per table: the crossings and ``name`` of
-    each closed cycle's word.  The walk interns every distinct word it forms
-    and calls ``name`` once per distinct word that closes a cycle, when it
-    first does.  Both are kept as edges are placed and undone on backtrack:
+    Yields ``(table, key)`` per table: ``key`` is the crossings plus the sum
+    of ``name`` over the words of the closed cycles, so a ``name`` that puts
+    each word's atom in a bit field of its own above the crossings makes
+    ``key`` say both.  The walk interns every distinct word it forms and
+    calls ``name``, which returns an ``int`` >= 0, once per distinct word
+    that closes a cycle, when it first does.  Each stack entry keeps what
+    its edge added to the key, and undo subtracts it:
 
     - every placed edge has its left end before p, so the new edge (p, q)
       crosses the placed edges whose right end lies between p and q: the
@@ -589,109 +596,154 @@ def _counted_walk(
       ``scale_letter[y]`` per table step at y, the far end's included.
       Joining the paths of ends a and b, (p, q) appends q's word to a's and
       p's to b's, one memo lookup each; when q is p's other end, it closes
-      a cycle and pushes the name of q's word, the cycle read from q, onto
-      ``closed``;
+      a cycle, and the name of q's word, the cycle read from q, goes into
+      the key;
     - a scale cycle is read leaving its least even (top) position m along
       m's table step, so an end also keeps 2m, m the least on its path, plus
-      1 if m is left so when read from there, and a closing scale cycle
-      is read from q if q's marker is odd and from p otherwise;
-    - once n - 1 edges are placed, the last two free positions p < q are
-      the two ends of one shape and one scale path, so placing (p, q)
-      closes both, with every position between them matched, and needs no
-      stack entry;
+      1 if m is left so when read from there; a path's two ends differ in
+      that bit, and a closing scale cycle is read from its odd end;
+    - once n - 2 edges are placed, the four free positions p < x < y < z
+      are completed in closed form, with no stack entry: (p, x)(y, z),
+      (p, y)(x, z) and (p, z)(x, y), in this order, each kept when its
+      colors match.  They add x - p + z - y - 2, y - p + z - x - 3 and
+      z - p + y - x - 4 crossings, since every position between p and z
+      but x and y is matched.  Placing the first edge closes a cycle of
+      each kind or joins its two paths, and the second closes the rest, so
+      each kind costs at most one join;
     - with ``noncrossing``, the scan for p's partner ends at the first
-      matched position, since every later partner would cross that edge, so
-      only the noncrossing tables (``cr`` = 0) are walked and yielded, in
-      the same order.
+      matched position, since every later partner would cross that edge,
+      and skips a q with an odd number of positions of some color between
+      p and q, which no noncrossing completion can pair; the tail keeps
+      the completions that add no crossing.  So only the noncrossing
+      tables (crossings 0) are walked and yielded, in the same order.
 
-    The yielded lists are reused in place, so copy them before storing.
+    The yielded table is reused in place, so copy it before storing.
     """
     _check_tables(n, pos_colors)
-    size, last = 2 * n, n - 1
+    size, tail = 2 * n, n - 2
     table = [-1] * size
     end_v = [x ^ 1 for x in range(size)]
     end_f = [top[x ^ 1] ^ 1 for x in range(size)]
     words = list(dict.fromkeys((letter,) for letter in (*shape_letter, *scale_letter)))
     ids = {word: k for k, word in enumerate(words)}
-    joins: dict[tuple[int, int], int] = {}  # (i, j) -> id of words[i] + words[j]; never 0
+    joins: list[dict[int, int]] = [{} for _ in words]  # [i][j]: id of words[i] + words[j]; not 0
     names = _Memo(lambda k: name(words[k]))  # word id -> name, once per closing word
 
     def join(i: int, j: int) -> int:
         word = words[i] + words[j]
-        k = joins[i, j] = ids.setdefault(word, len(words))
+        k = joins[i][j] = ids.setdefault(word, len(words))
         if k == len(words):
             words.append(word)
+            joins.append({})
         return k
 
     word_v = [ids[shape_letter[x],] for x in range(size)]
     word_f = [ids[scale_letter[end_f[x]],] for x in range(size)]
     mark = [2 * x if not x & 1 else 2 * end_f[x] + 1 for x in range(size)]
-    closed: list[Hashable] = []
+    if n == 1:  # one table, whose one edge closes both paths
+        table[:] = [1, 0]
+        yield table, names[word_v[1]] + names[word_f[1]]
+        return
+    bit = {c: 1 << i for i, c in enumerate(set(pos_colors))}
+    par = [0]  # par[x]: one bit per color, set when it has an odd count before x
+    for c in pos_colors:
+        par.append(par[-1] ^ bit[c])
     stack: list[tuple[int, ...]] = []
-    cr = 0
+    key = 0
     p, q, inside = 0, 1, 0
     while True:
-        while q < size:
-            if table[q] >= 0:
-                if noncrossing:
-                    break  # every later partner of p would cross this edge
-                inside += 1
-            elif pos_colors[q] == pos_colors[p]:
-                table[p], table[q] = q, p
-                if len(stack) == last:
-                    # the last free pair: it closes both open paths
-                    closed.append(names[word_v[q]])
-                    closed.append(names[word_f[q] if mark[q] & 1 else word_f[p]])
-                    yield table, cr + inside, closed
-                    del closed[-2:]
-                    table[p] = table[q] = -1
-                    break  # q was p's only free partner
-                cr += inside
-                a, b = end_v[p], end_v[q]
-                va, vb = word_v[a], word_v[b]
-                if a == q:
-                    closed.append(names[word_v[q]])
-                else:
-                    end_v[a], end_v[b] = b, a
-                    word_v[a] = joins.get((va, word_v[q])) or join(va, word_v[q])
-                    word_v[b] = joins.get((vb, word_v[p])) or join(vb, word_v[p])
-                a, b = end_f[p], end_f[q]
-                fa, fb = word_f[a], word_f[b]
-                if a == q:
-                    closed.append(names[word_f[q] if mark[q] & 1 else word_f[p]])
-                else:
-                    end_f[a], end_f[b] = b, a
-                    word_f[a] = joins.get((fa, word_f[q])) or join(fa, word_f[q])
-                    word_f[b] = joins.get((fb, word_f[p])) or join(fb, word_f[p])
-                    # the smaller marker, flipped at the far end; p's and q's stay
-                    if mark[q] < mark[a]:
-                        mark[a] = mark[q]
+        if len(stack) == tail:
+            x = p + 1
+            while table[x] >= 0:
+                x += 1
+            y = x + 1
+            while table[y] >= 0:
+                y += 1
+            z = y + 1
+            while table[z] >= 0:
+                z += 1
+            color, av, af = pos_colors[p], end_v[p], end_f[p]
+            for b, c, d, added in (
+                (x, y, z, x - p + z - y - 2),
+                (y, x, z, y - p + z - x - 3),
+                (z, x, y, z - p + y - x - 4),
+            ):
+                # then c and d share a color: each color has an even count of free positions
+                if pos_colors[b] != color or noncrossing and added:
+                    continue
+                if b == av:
+                    added += names[word_v[b]] + names[word_v[d]]
+                else:  # read the joined path from av
+                    i, j = word_v[av], word_v[b]
+                    added += names[joins[i].get(j) or join(i, j)]
+                if b == af:
+                    added += names[word_f[b] if mark[b] & 1 else word_f[p]]
+                    added += names[word_f[d] if mark[d] & 1 else word_f[c]]
+                else:  # the joined path's odd end is af, or b's other end
+                    if min(mark[af], mark[b]) & 1:
+                        i, j = word_f[af], word_f[b]
                     else:
-                        mark[b] = mark[p]
-                stack.append((p, q, inside, va, vb, fa, fb))
-                p += 1
-                while table[p] >= 0:  # two free positions are left
+                        i, j = word_f[end_f[b]], word_f[p]
+                    added += names[joins[i].get(j) or join(i, j)]
+                table[p], table[b], table[c], table[d] = b, p, d, c
+                yield table, key + added
+            table[p] = table[x] = table[y] = table[z] = -1
+        else:
+            while q < size:
+                if table[q] >= 0:
+                    if noncrossing:
+                        break  # every later partner of p would cross this edge
+                    inside += 1
+                elif pos_colors[q] == pos_colors[p] and (not noncrossing or par[q] == par[p + 1]):
+                    table[p], table[q] = q, p
+                    added = inside
+                    a, b = end_v[p], end_v[q]
+                    va, vb = word_v[a], word_v[b]
+                    if a == q:
+                        added += names[word_v[q]]
+                    else:
+                        end_v[a], end_v[b] = b, a
+                        word_v[a] = joins[va].get(word_v[q]) or join(va, word_v[q])
+                        word_v[b] = joins[vb].get(word_v[p]) or join(vb, word_v[p])
+                    a, b = end_f[p], end_f[q]
+                    fa, fb = word_f[a], word_f[b]
+                    if a == q:
+                        added += names[word_f[q] if mark[q] & 1 else word_f[p]]
+                    else:
+                        end_f[a], end_f[b] = b, a
+                        word_f[a] = joins[fa].get(word_f[q]) or join(fa, word_f[q])
+                        word_f[b] = joins[fb].get(word_f[p]) or join(fb, word_f[p])
+                        # the smaller marker, flipped at the far end; p's and q's stay
+                        if mark[q] < mark[a]:
+                            mark[a] = mark[q]
+                        else:
+                            mark[b] = mark[p]
+                    stack.append((p, q, inside, added, va, vb, fa, fb))
+                    key += added
                     p += 1
-                q, inside = p + 1, 0
-                continue
-            q += 1
+                    while table[p] >= 0:  # four free positions are left
+                        p += 1
+                    q, inside = p + 1, 0
+                    if len(stack) == tail:
+                        break
+                    continue
+                q += 1
+            if len(stack) == tail:
+                continue  # complete the four free positions
         if not stack:
             return
         # undo the last edge; p and q still hold the path ends they linked
-        p, q, inside, va, vb, fa, fb = stack.pop()
+        p, q, inside, added, va, vb, fa, fb = stack.pop()
         table[p] = table[q] = -1
-        cr -= inside
+        key -= added
         a, b = end_v[p], end_v[q]
-        if a == q:
-            closed.pop()
-        else:
+        if a != q:
             end_v[a], end_v[b], word_v[a], word_v[b] = p, q, va, vb
         a, b = end_f[p], end_f[q]
-        if a == q:
-            closed.pop()
-        else:
+        if a != q:
             end_f[a], end_f[b], word_f[a], word_f[b] = p, q, fa, fb
             mark[a], mark[b] = mark[p] ^ 1, mark[q] ^ 1
+        # the scan for p's next partner goes on after q
         q += 1
 
 

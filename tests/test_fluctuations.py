@@ -35,6 +35,7 @@ from qwishart.pairings import (
     traverse,
 )
 from qwishart.polynomials import MomentPolynomial, limit_large_n
+from bai_silverstein import trace_power_covariance
 
 P = MomentPolynomial
 q = P.symbol("q")
@@ -1184,3 +1185,45 @@ class TestFluctuationTheorem:
             [tuned, mixed, x, tuned],
         ):
             assert fluctuations._product_limit(statistics, q_value) == _wick(statistics, q_value)
+
+
+def _lambda_poly(coefficients: dict[int, int]) -> MomentPolynomial:
+    return sum((c * lam**e for e, c in coefficients.items()), P.zero())
+
+
+class TestBaiSilverstein:
+    """The q = 1 limit against the real sample covariance formula, computed from outside."""
+
+    @pytest.mark.parametrize(
+        "r1, r2", [(r1, r2) for r1 in range(1, 5) for r2 in range(r1, 10 - r1)]
+    )
+    def test_trace_power_covariance(self, r1, r2):
+        spec = MonomialSpec(((1,) * r1, (1,) * r2))
+        got = centered_trace_moment_limit(spec, q=1).value
+        assert got == _lambda_poly(trace_power_covariance(r1, r2))
+        assert trace_power_covariance(r2, r1) == trace_power_covariance(r1, r2)
+
+    @pytest.mark.parametrize(
+        "coefficients, top",
+        [
+            ({1: Fraction(1, 3), 2: Fraction(-1)}, 12),
+            ({1: Fraction(1, 3), 2: Fraction(-1), 3: Fraction(1, 2)}, 8),
+        ],
+    )
+    def test_statistic_moments_are_normal(self, coefficients, top):
+        # sum_r c_r tr(W^r) is normal in the limit, of variance sum_jk c_j c_k Cov(j, k)
+        stat = PolynomialStatistic.from_terms([(c, (1,) * r) for r, c in coefficients.items()])
+        variance = sum(
+            (
+                _lambda_poly(trace_power_covariance(j, k)) * (c_j * c_k)
+                for j, c_j in coefficients.items()
+                for k, c_k in coefficients.items()
+            ),
+            P.zero(),
+        )
+        limits = [lm.value for lm in statistic_limit_moments(stat, top, q=1)]
+        for m, limit in enumerate(limits, start=1):
+            if m % 2:
+                assert limit.is_zero(), m
+            else:
+                assert limit == math.prod(range(1, m, 2)) * variance ** (m // 2), m

@@ -34,8 +34,10 @@ from qwishart.pairings import (
     EnumerationBoundError,
     IntegerPartition,
     _brauer_table,
+    _check_tables,
     _counted_walk,
     _crossings_table,
+    _cycle_count,
     _induced_colors_table,
     _iter_tables,
     _traverse_table,
@@ -54,7 +56,7 @@ from qwishart.polynomials import (
 )
 from test_fluctuations import _split
 from test_pairings import partitions_of
-from walk_oracle import read_on_close_tally
+from walk_oracle import _read_on_close_walk, _word_reader, read_on_close_tally, split_key
 
 P = MomentPolynomial
 q = P.symbol("q")
@@ -287,8 +289,32 @@ class TestWalkedWords:
         assert _expanded(*got) == _expanded(*expected)
 
 
+def _walk_rows(sigma, coloring, use_eps, noncrossing=False) -> list:
+    """``moments._walk``'s tables, each with its key split into crossings and an atom Counter."""
+    forms: list = []
+    walk = moments._walk(sigma.table, coloring.colors, use_eps, forms, noncrossing)
+    rows = [(list(table), *split_key(key, coloring.n)) for table, key in walk]
+    return [
+        (table, cr, Counter({TraceAtom(*forms[k]): e for k, e in fields.items()}))
+        for table, cr, fields in rows
+    ]
+
+
+def _oracle_rows(sigma, coloring, use_eps, noncrossing=False) -> list:
+    """The same rows off the walk that reads each cycle on closing."""
+    ids, read = _word_reader(sigma.table, coloring.colors, use_eps)
+    walk = _read_on_close_walk(
+        coloring.n, coloring.position_colors(), sigma.table, read, noncrossing
+    )
+    rows = [(list(table), cr, list(closed)) for table, cr, closed in walk]
+    raw = list(ids)
+    return [
+        (table, cr, Counter(TraceAtom.make(*raw[w]) for w in closed)) for table, cr, closed in rows
+    ]
+
+
 class TestForms:
-    """The walk names a closed cycle by the index of its atom's canonical form."""
+    """The walk names a closed cycle by the bit field of its atom's canonical form."""
 
     @pytest.mark.parametrize("words", _TALLY_WORDS)
     @pytest.mark.parametrize("use_eps", [True, False])
@@ -296,10 +322,32 @@ class TestForms:
         sigma, coloring = _top_and_coloring(words)
         forms: list = []
         walk = moments._walk(sigma.table, coloring.colors, use_eps, forms, False)
-        named = {f for _, _, closed in walk for f in closed}
+        named = {k for _, key in walk for k in split_key(key, coloring.n)[1]}
         assert named == set(range(len(forms)))
         assert len(set(forms)) == len(forms)
         assert all(TraceAtom.make(kind, word) == TraceAtom(kind, word) for kind, word in forms)
+        # each table, in order, with its crossings and atoms
+        rows = _walk_rows(sigma, coloring, use_eps)
+        assert rows == _oracle_rows(sigma, coloring, use_eps)
+
+    @pytest.mark.parametrize("words", _TALLY_WORDS)
+    @pytest.mark.parametrize("use_eps", [True, False])
+    def test_fields_fit_and_counts_add_up(self, words, use_eps):
+        sigma, coloring = _top_and_coloring(words)
+        n = coloring.n
+        for table, cr, atoms in _walk_rows(sigma, coloring, use_eps):
+            # a field per atom holds at most the n cycles of its kind
+            assert cr <= n * (n - 1) // 2 and max(atoms.values()) <= n
+            shapes = sum(e for atom, e in atoms.items() if atom.kind == "shape")
+            assert shapes == _cycle_count(table) <= n
+            assert sum(atoms.values()) - shapes == _cycle_count(_brauer_table(sigma.table, table))
+        pos_colors = coloring.position_colors()
+        for noncrossing, tables in (
+            (False, _check_tables(n, pos_colors)),
+            (True, sum(1 for _, cr in _iter_tables(n, pos_colors) if not cr)),
+        ):
+            cells = moments._walked_tally(sigma.table, coloring.colors, use_eps, noncrossing)[1]
+            assert sum(count for _, _, count in _flat(cells)) == tables
 
 
 def _top_and_coloring(words):
@@ -339,10 +387,10 @@ class TestWalkedTerms:
 
 
 def _tables_walk(n: int, pos_colors, top):
-    """The noncrossing counted walk, whose tables alone are checked: every letter is 0,
-    and a word is named by its length."""
+    """The noncrossing counted walk, whose tables alone are checked: every letter and
+    every name is 0, so a table's key is its crossings."""
     letters = [0] * (2 * n)
-    return _counted_walk(n, pos_colors, top, letters, letters, len, noncrossing=True)
+    return _counted_walk(n, pos_colors, top, letters, letters, lambda word: 0, noncrossing=True)
 
 
 class TestTallyKinds:
@@ -356,8 +404,11 @@ class TestTallyKinds:
         assert _expanded(*moments._walked_tally(top, colors, use_eps, True)) == noncrossing
         pos_colors = coloring.position_colors()
         walk = _tables_walk(coloring.n, pos_colors, top)
-        tables = [(list(table), cr) for table, cr, _ in walk]
+        tables = [(list(table), key) for table, key in walk]
         assert tables == [(list(t), cr) for t, cr in _iter_tables(coloring.n, pos_colors) if not cr]
+        # each noncrossing table, in order, with its atoms
+        rows = _walk_rows(sigma, coloring, use_eps, noncrossing=True)
+        assert rows == _oracle_rows(sigma, coloring, use_eps, noncrossing=True)
 
     @pytest.mark.parametrize("words", _TALLY_WORDS)
     @pytest.mark.parametrize("use_eps", [True, False])
@@ -825,6 +876,38 @@ class TestIntegerSumOracle:
     def test_mp_moment_check(self, eigenvalues, scale_dim, n_max):
         report = self.check(mp_moment_check, eigenvalues, scale_dim, n_max)
         assert report.all_equal
+
+
+class TestEvaluator:
+    """``_evaluator``, which shares word prefix products, against ``evaluate_atom``."""
+
+    @given(st.data(), st.booleans())
+    @settings(max_examples=40, deadline=None)
+    def test_matches_evaluate_atom(self, data, floats):
+        s, dim = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 3))
+
+        def matrix(size):
+            rows = _rational_matrix(data, size, size, data.draw(_DENOMINATORS))
+            return [[float(x) for x in row] for row in rows] if floats else rows
+
+        # a B size per color, since a shape word has one color; a scale word mixes them
+        shapes = {c: matrix(data.draw(st.integers(1, 3))) for c in range(1, s + 1)}
+        scales = {c: matrix(dim) for c in range(1, s + 1)}
+        letter = st.tuples(st.integers(1, s), st.booleans())
+        words = data.draw(
+            st.lists(st.lists(letter, min_size=1, max_size=5), min_size=1, max_size=6)
+        )
+        words += [word + word[:2] for word in words]  # words that extend others
+        cases = [
+            (shapes, [TraceAtom.make("shape", [(w[0][0], t) for _, t in w]) for w in words]),
+            (scales, [TraceAtom.make("scale", w) for w in words]),
+        ]
+        for mats, atoms in cases:
+            evaluate = moments._evaluator(mats)
+            exact = {c: [[Fraction(x) for x in row] for row in m] for c, m in mats.items()}
+            for atom in atoms + atoms[::-1]:
+                got = evaluate(atom)
+                assert type(got) is Fraction and got == evaluate_atom(atom, exact)
 
 
 class TestExactEntries:

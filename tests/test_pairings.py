@@ -1,6 +1,7 @@
 import itertools
 from collections import Counter
 from math import comb
+from typing import Callable
 
 import pytest
 from hypothesis import example, given, settings
@@ -35,7 +36,7 @@ from qwishart.pairings import (
     traverse,
 )
 from qwishart.polynomials import TraceAtom
-from walk_oracle import _read_on_close_walk, _word_reader
+from walk_oracle import _read_on_close_walk, _word_reader, split_key
 
 
 def double_factorial(k):
@@ -316,30 +317,49 @@ def block_spec_st(draw, max_n=6):
     return Coloring.from_colors(colors), block_pairing(sizes)
 
 
+def _field_namer(n: int, of: Callable = lambda letters: letters):
+    """A ``name`` for the degree-n walk that gives each distinct ``of(word)`` the next
+    bit field above the crossings, as ``split_key`` reads them, and the list it fills."""
+    low, width = (n * (n - 1) // 2).bit_length(), n.bit_length()
+    named: list = []
+
+    def name(letters: tuple) -> int:
+        value = of(letters)
+        if value not in named:
+            named.append(value)
+        return 1 << low + width * named.index(value)
+
+    return name, named
+
+
 class TestCountedWalk:
     @given(block_spec_st(), st.booleans(), st.booleans())
-    # n = 1: the first pair is the last; and a noncrossing walk whose last pair
-    # (-1, 2) would cross the edge (1, -2)
+    # n = 1: one table; and a noncrossing walk whose last pair (-1, 2) would
+    # cross the edge (1, -2)
     @example((Coloring.from_colors([1]), block_pairing([1])), True, False)
     @example((Coloring.from_colors([1, 1]), block_pairing([2])), True, True)
+    # n = 2 and 3, where the tail starts: all three completions apply; only
+    # (p, x)(y, z) keeps the colors; and noncrossing, which drops (p, y)(x, z)
+    @example((Coloring.from_colors([1, 1, 1]), block_pairing([2, 1])), True, False)
+    @example((Coloring.from_colors([1, 2]), block_pairing([2])), False, False)
+    @example((Coloring.from_colors([1, 1, 2]), block_pairing([3])), True, False)
+    @example((Coloring.from_colors([1, 1, 1]), block_pairing([3])), False, True)
     @settings(max_examples=80, deadline=None)
     def test_matches_scan_per_table(self, case, use_eps, noncrossing):
         coloring, base = case
         n, colors, pos_colors = coloring.n, coloring.colors, coloring.position_colors()
         shape = [("shape", colors[y >> 1], bool(use_eps and y & 1)) for y in range(2 * n)]
         scale = [("scale", c, False) for c in pos_colors]
-
-        def name(letters: tuple) -> TraceAtom:
-            return TraceAtom.make(*_word_of(letters))
-
+        name, atoms = _field_namer(n, lambda letters: TraceAtom.make(*_word_of(letters)))
         got = []
-        walk = _counted_walk(n, pos_colors, base.table, shape, scale, name, noncrossing)
-        for table, cr, closed in walk:
+        for table, key in _counted_walk(n, pos_colors, base.table, shape, scale, name, noncrossing):
+            cr, fields = split_key(key, n)
             assert cr == _crossings_table(table)
+            closed = Counter({atoms[k]: e for k, e in fields.items()})
             shapes, scales = _cycle_count(table), _cycle_count(_brauer_table(base.table, table))
-            kinds = sorted(atom.kind for atom in closed)
-            assert kinds == ["scale"] * scales + ["shape"] * shapes
-            got.append((tuple(table), cr, Counter(closed)))
+            kinds = sorted(closed.elements(), key=lambda atom: atom.kind)
+            assert [atom.kind for atom in kinds] == ["scale"] * scales + ["shape"] * shapes
+            got.append((tuple(table), cr, closed))
         # the closed words of every table of the oracle enumerator, in its order
         ids, read = _word_reader(base.table, colors, use_eps)
         oracle = _read_on_close_walk(n, pos_colors, base.table, read, noncrossing)
@@ -355,7 +375,6 @@ class TestCountedWalk:
         if not noncrossing:
             assert len(got) == _check_tables(coloring.n, pos_colors)
 
-
     @given(block_spec_st(), st.booleans(), st.booleans())
     @settings(max_examples=40, deadline=None)
     def test_names_each_word_once(self, case, use_eps, noncrossing):
@@ -363,20 +382,22 @@ class TestCountedWalk:
         n, colors, pos_colors = coloring.n, coloring.colors, coloring.position_colors()
         shape = [("shape", colors[y >> 1], bool(use_eps and y & 1)) for y in range(2 * n)]
         scale = [("scale", c, False) for c in pos_colors]
-        named: list[tuple] = []
+        calls: list[tuple] = []
 
-        def name(letters: tuple) -> int:
-            named.append(letters)
-            return len(named) - 1
+        def spy(letters: tuple) -> int:
+            calls.append(letters)
+            return name(letters)
 
-        walk = _counted_walk(n, pos_colors, base.table, shape, scale, name, noncrossing)
-        pushed = {k for _, _, closed in walk for k in closed}
-        assert len(set(named)) == len(named)
-        # every name pushed is one the spy returned; a noncrossing walk also names
+        name, named = _field_namer(n)
+        walk = _counted_walk(n, pos_colors, base.table, shape, scale, spy, noncrossing)
+        used = {k for _, key in walk for k in split_key(key, n)[1]}
+        assert len(set(calls)) == len(calls) == len(named)
+        # every field set is one that a name gave; a noncrossing walk also names
         # cycles closed on partial tables that no table completes
-        assert pushed <= set(range(len(named)))
+        assert used <= set(range(len(named)))
         if not noncrossing:
-            assert pushed == set(range(len(named)))
+            assert used == set(range(len(named)))
+
 
 def _word_of(letters: tuple) -> tuple:
     """A walked word of (kind, color, flag) letters as the raw ``(kind, word)`` it names."""

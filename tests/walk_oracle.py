@@ -4,7 +4,8 @@
 through a ``read`` callback, when the edge that closes it is placed, and
 ``_word_reader`` is the reader it was given; ``read_on_close_tally`` is the
 tally built from the two.  The tests hold ``pairings._counted_walk`` and
-``moments._walked_tally`` against them.
+``moments._walked_tally`` against them, splitting each integer key of the
+walk with ``split_key``.
 """
 
 from __future__ import annotations
@@ -13,6 +14,23 @@ from typing import Callable, Iterator, Sequence
 
 from qwishart.pairings import _check_tables
 from qwishart.polynomials import TraceAtom, _key_order
+
+
+def split_key(key: int, n: int) -> tuple[int, dict[int, int]]:
+    """A degree-n walk key as its crossings and ``{field index: value}`` of its nonzero fields.
+
+    The fields are laid out as ``moments._walk`` names cycles: the crossings
+    in the low bit_length(n(n - 1)/2) bits, then one field of bit_length(n)
+    bits per name, name k in field k.
+    """
+    low, width = 2 ** (n * (n - 1) // 2).bit_length(), 2 ** n.bit_length()
+    fields, rest, k = {}, key // low, 0
+    while rest:
+        rest, value = divmod(rest, width)
+        if value:
+            fields[k] = value
+        k += 1
+    return key % low, fields
 
 
 def _read_on_close_walk(
