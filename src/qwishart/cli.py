@@ -470,17 +470,8 @@ def _cmd_mc_validate(args, out) -> int:
     spec = _parse_spec(spec_field, spec_text)
     bindings = _parse_matrices(matrices_field, matrices)
     try:
-        config = montecarlo.SamplerConfig(
-            seed=seed,
-            samples=samples,
-            colors=tuple(
-                (
-                    [[float(x) for x in row] for row in b],
-                    [[float(x) for x in row] for row in sigma],
-                )
-                for b, sigma in zip(bindings.shapes, bindings.scales)
-            ),
-        )
+        colors = zip(bindings.shapes, bindings.scales)
+        config = montecarlo.SamplerConfig(seed=seed, samples=samples, colors=colors)
         report = montecarlo.estimate_monomial(spec, config)
     except (TypeError, ValueError) as exc:
         raise CliInputError(matrices_field, str(exc)) from exc

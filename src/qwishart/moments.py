@@ -26,7 +26,7 @@ enters as q^crossings, symbolically or as an exact rational.
 
 An independent brute-force oracle expands every trace into matrix entries
 and applies the q-Wick rule over all pairings of the 2n entry letters; it
-shares only the polynomial arithmetic with the formula path.
+shares only the polynomial arithmetic and the input rules with the engine.
 """
 
 from __future__ import annotations
@@ -153,33 +153,28 @@ def _to_rows(matrix, name: str) -> tuple[tuple, ...]:
     return rows
 
 
+def _square_rows(matrix, name: str) -> tuple[tuple, ...]:
+    """``_to_rows``, refusing a matrix that is not square."""
+    rows = _to_rows(matrix, name)
+    if len(rows) != len(rows[0]):
+        raise ValueError(f"{name} must be square, got {len(rows)}x{len(rows[0])}")
+    return rows
+
+
 def _is_symmetric(rows) -> bool:
+    """Whether square ``rows`` are symmetric; a float entry is its exact binary value."""
     n = len(rows)
-    if any(len(r) != n for r in rows):
-        return False
-    if any(isinstance(x, float) for row in rows for x in row):
-        scale = max((abs(x) for row in rows for x in row), default=0.0) or 1.0
-        return all(
-            abs(rows[i][j] - rows[j][i]) <= 1e-12 * scale
-            for i in range(n)
-            for j in range(n)
-        )
-    return all(rows[i][j] == rows[j][i] for i in range(n) for j in range(n))
+    return all(rows[i][j] == rows[j][i] for i in range(n) for j in range(i))
 
 
 def _is_positive_definite(rows) -> bool:
-    """Float rows: smallest eigenvalue; exact rows: LDL' pivots.
+    """Whether symmetric ``rows`` are positive definite, by their LDL' pivots.
 
     A symmetric matrix is positive definite exactly when every pivot of
-    elimination without row exchanges is positive (Sylvester's criterion),
-    so rational input gets an exact decision.
+    elimination without row exchanges is positive (Sylvester's criterion);
+    a float entry is its exact binary value, so every decision is exact.
     """
-    if any(isinstance(x, float) for row in rows for x in row):
-        # imported here so that exact-only work never loads numpy
-        import numpy as np
-
-        return np.linalg.eigvalsh(np.array(rows, dtype=float))[0] > 0
-    a = [list(row) for row in rows]
+    a = [[Fraction(x) for x in row] for row in rows]
     for k, pivot_row in enumerate(a):
         pivot = pivot_row[k]
         if pivot <= 0:
@@ -192,11 +187,11 @@ def _is_positive_definite(rows) -> bool:
 
 
 def _sigma_rows(sigmas) -> tuple[tuple[tuple, ...], ...]:
-    """Rows of each scale matrix, checked symmetric and positive definite, and
-    all of one dimension: the rule for every Sigma the exact side binds."""
+    """Rows of each scale matrix, checked square, symmetric and positive
+    definite, and all of one dimension: the rule for every Sigma read."""
     out = []
     for sigma in sigmas:
-        rows = _to_rows(sigma, "Sigma")
+        rows = _square_rows(sigma, "Sigma")
         if not _is_symmetric(rows):
             raise ValueError("Sigma must be symmetric")
         if not _is_positive_definite(rows):
@@ -213,11 +208,14 @@ class MatrixBindings:
 
     Numeric mode binds (B_j, Sigma_j) matrices; B sizes may differ per color
     but all Sigma share one dimension, and each Sigma must be symmetric
-    positive definite.  Scalar mode binds B_j = I of a symbolic or integer
-    size and Sigma_j = c_j * I_N for a rational or Laurent-in-N factor c_j,
-    which keeps symbolic computations exact.  A factor in q or lambda is
-    refused: no q is ever substituted into it.  The constructor checks and
-    normalises each mode's fields, so the classmethods only arrange them.
+    positive definite, decided exactly (a float entry is its binary value):
+    the rules ``_square_rows`` and ``_sigma_rows`` that every reader of a B
+    or a Sigma applies, the sampler and the brute force too.  Scalar mode
+    binds B_j = I of a symbolic or integer size and Sigma_j = c_j * I_N for
+    a rational or Laurent-in-N factor c_j, which keeps symbolic computations
+    exact.  A factor in q or lambda is refused: no q is ever substituted
+    into it.  The constructor checks and normalises each mode's fields, so
+    the classmethods only arrange them.
     """
 
     mode: str
@@ -230,9 +228,7 @@ class MatrixBindings:
         if self.mode == "numeric":
             if len(scales) != len(shapes) or n_dim is not None:
                 raise ValueError("numeric bindings take one Sigma per B, and N from Sigma")
-            shapes = tuple(_to_rows(b, "B") for b in shapes)
-            if any(len(rows) != len(rows[0]) for rows in shapes):
-                raise ValueError("B must be square")
+            shapes = tuple(_square_rows(b, "B") for b in shapes)
             scales = _sigma_rows(scales)
         elif self.mode == "scalar":
             shapes = tuple(_size(m, "shape size") for m in shapes)
@@ -653,11 +649,7 @@ def single_wishart_moment(spec: MonomialSpec, shape_matrix, scale_matrix):
     _check_spec(spec)
     if spec.s != 1:
         raise ValueError("single-matrix moment needs a one-color spec")
-    b_rows = _to_rows(shape_matrix, "B")
-    if not _is_symmetric(b_rows):
-        raise ValueError("shape matrix must be symmetric")
-    bindings = MatrixBindings.numeric([(b_rows, scale_matrix)])
-    return real_wishart_moment(spec, bindings)
+    return q_wishart_moment(spec, MatrixBindings.numeric([(shape_matrix, scale_matrix)]), q=1)
 
 
 def white_wishart_power_moment(
@@ -710,18 +702,16 @@ def brute_force_moment(
     Expands every trace factor over all row/column index maps, lays out the
     2n entry letters in the crossing order, and sums the q-Wick weight over
     all pairings of the letters with the factorized covariance.  Independent
-    of the Brauer-contraction path; only the polynomial arithmetic is
-    shared.
+    of the Brauer-contraction path; only the polynomial arithmetic and the
+    rules that read B and Sigma are shared.
     """
     _check_spec(spec)
     q = _q_value(q)
     n = spec.n
-    b_rows = [_to_rows(m, "B") for m in shape_mats]
-    s_rows = [_to_rows(m, "Sigma") for m in scale_mats]
+    b_rows = [_square_rows(m, "B") for m in shape_mats]
+    s_rows = _sigma_rows(scale_mats)
     if len(b_rows) < spec.s or len(s_rows) < spec.s:
         raise ValueError("need one shape and one scale matrix per color")
-    if len({len(r) for r in s_rows}) > 1:
-        raise ValueError("all Sigma must share one dimension")
     big_n = len(s_rows[0])
     max_m = max(len(r) for r in b_rows)
     # pairings times index maps, stopped at the first partial product over the guard

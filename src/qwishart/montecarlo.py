@@ -29,7 +29,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .moments import MatrixBindings, MonomialSpec, _check_spec, _to_rows, real_wishart_moment
+from .moments import MatrixBindings, MonomialSpec, _check_spec, _rounded, _sigma_rows
+from .moments import real_wishart_moment
 from .pairings import _count, _record
 
 _COUNTERS = 2**64  # the stream's counter space; a sample never wraps into it
@@ -99,24 +100,28 @@ def _counter_steps(pairs: np.ndarray) -> np.ndarray:
     return np.stack([even, even + np.uint64(1)]) * np.uint64(_GAMMA)
 
 
-def symmetric_root(sigma) -> np.ndarray:
-    """Symmetric A with A @ A = Sigma, via a symmetric eigendecomposition."""
-    mat = np.asarray(sigma, dtype=float)
-    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-        raise ValueError("Sigma must be square")
-    if not np.isfinite(mat).all():
-        raise ValueError("Sigma must be finite")
+def _float_root(rows) -> np.ndarray:
+    """Symmetric A with A @ A = Sigma in floats, via a symmetric
+    eigendecomposition, for rows that ``_sigma_rows`` accepted.
+
+    A Sigma that is exactly positive definite may be singular or slightly
+    indefinite once rounded to floats, so the float eigenvalues are clipped
+    at zero; the root must still square back to the rounded Sigma.
+    """
+    mat = np.asarray(rows, dtype=float)
     scale = np.max(np.abs(mat)) or 1.0
-    if np.max(np.abs(mat - mat.T)) > 1e-12 * scale:
-        raise ValueError("Sigma must be symmetric")
     eigs, vecs = np.linalg.eigh(mat)
-    if eigs[0] <= 0:
-        raise ValueError("Sigma must be positive definite")
-    root = (vecs * np.sqrt(eigs)) @ vecs.T
+    root = (vecs * np.sqrt(np.maximum(eigs, 0.0))) @ vecs.T
     root = (root + root.T) / 2.0
     if np.max(np.abs(root @ root - mat)) > 1e-10 * scale:
         raise RuntimeError("symmetric root did not reach the required accuracy")
     return root
+
+
+def symmetric_root(sigma) -> np.ndarray:
+    """Symmetric A with A @ A = Sigma for a Sigma read as every Sigma is: square,
+    symmetric and positive definite, decided exactly (``MatrixBindings``)."""
+    return _float_root(_sigma_rows([sigma])[0])
 
 
 @_record
@@ -131,20 +136,17 @@ class SamplerConfig:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "seed", _count(self.seed, "seed", None))
-        normalized = []
-        roots = []
-        for b, sigma in self.colors:
-            # read as the exact side reads them, so what it refuses fails here
-            b_rows = _to_rows(b, "B")
-            if len(b_rows) != len(b_rows[0]):
-                raise ValueError(f"B must be square, got {len(b_rows)}x{len(b_rows[0])}")
-            s_arr = np.array(_to_rows(sigma, "Sigma"), dtype=float)
-            roots.append(symmetric_root(s_arr))
-            normalized.append((np.array(b_rows, dtype=float), s_arr))
-        if len({s_arr.shape[0] for _, s_arr in normalized}) != 1:
+        # read as the exact side reads them, so what it refuses fails here
+        bindings = MatrixBindings.numeric(self.colors)
+        if not bindings.shapes:
             raise ValueError("all Sigma must share one dimension")
-        object.__setattr__(self, "colors", tuple(normalized))
-        object.__setattr__(self, "_roots", tuple(roots))
+        colors = tuple(
+            (np.array(b, dtype=float), np.array(sigma, dtype=float))
+            for b, sigma in zip(bindings.shapes, bindings.scales)
+        )
+        object.__setattr__(self, "colors", colors)
+        object.__setattr__(self, "_bindings", bindings)
+        object.__setattr__(self, "_roots", tuple(_float_root(sigma) for _, sigma in colors))
         samples = _count(self.samples, "samples", 1, self._sample_limit())
         object.__setattr__(self, "samples", samples)
 
@@ -378,10 +380,7 @@ def estimate_monomial(spec: MonomialSpec, config: SamplerConfig) -> EstimateRepo
     _check_spec(spec)
     if spec.s > config.s:
         raise ValueError(f"spec uses {spec.s} colors, config provides {config.s}")
-    bindings = MatrixBindings.numeric(
-        [(b.tolist(), sigma.tolist()) for b, sigma in config.colors[: spec.s]]
-    )
-    exact = real_wishart_moment(spec, bindings)
+    exact = _rounded(real_wishart_moment(spec, config._bindings), True)
     used = sorted({c - 1 for word in spec.cycle_words for c in word})
     total = total_sq = 0.0
     for chunk_sum, chunk_sq in _chunk_sums(spec, config, used):

@@ -319,10 +319,6 @@ class GenusComponent:
 class GenusDecomposition:
     components: tuple[GenusComponent, ...]
 
-    @property
-    def max_defect(self) -> int:
-        return max(c.genus_defect for c in self.components)
-
     def is_pairwise_planar(self) -> bool:
         """True when every component joins exactly two cycles at genus defect zero."""
         return all(c.m == 2 and c.genus_defect == 0 for c in self.components)

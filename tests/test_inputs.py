@@ -5,9 +5,13 @@ values once (``polynomials._q_value``, ``_size``, ``_rational`` and
 ``pairings._count``; colors are counts >= 1).  A numpy integer must give exactly what the same Python int
 gives, since int64 arithmetic would wrap without an error, and a q, size or
 count that is not one raises a named ``ValueError``.  A spec that is not a
-``MonomialSpec`` raises a named ``TypeError`` before any work.
+``MonomialSpec`` raises a named ``TypeError`` before any work.  Every B and
+Sigma is read by one exact rule, so each matrix entry point refuses alike.
 """
 
+import contextlib
+import io
+import json
 import re
 from fractions import Fraction
 
@@ -31,7 +35,8 @@ from qwishart.moments import (
     single_wishart_moment,
     white_wishart_power_moment,
 )
-from qwishart.montecarlo import SamplerConfig, estimate_monomial, sample_family
+from qwishart.cli import run as cli_run
+from qwishart.montecarlo import SamplerConfig, estimate_monomial, sample_family, symmetric_root
 from qwishart.mp import compound_mp_moment, mp_moment_check, nc_partitions
 from qwishart.pairings import Coloring, _count
 from qwishart.polynomials import MomentPolynomial, _q_value, poly_from_json
@@ -355,3 +360,113 @@ class TestSamplerInputs:
         _sampler(samples=2**62)
         with pytest.raises(ValueError, match=f"^samples must be an integer in 1..{2**62}, got"):
             _sampler(samples=2**62 + 1)
+
+
+# ---------------------------------------------------------------------------
+# matrices: one B rule and one Sigma rule (``moments._square_rows`` and
+# ``_sigma_rows``) read every matrix, exactly, so every entry point refuses
+# the same inputs with the same message
+
+
+def _matrices_cli(command: str, pairs) -> tuple[int, str, str]:
+    """Exit code, stdout and stderr of ``command --matrices`` over ``pairs``,
+    with one trace of each color."""
+    spec = json.dumps({"cycle_words": [[c] for c in range(1, len(pairs) + 1)]})
+    matrices = json.dumps([{"B": b, "Sigma": sigma} for b, sigma in pairs])
+    argv = [command, "--spec", spec, "--matrices", matrices]
+    if command == "mc-validate":
+        argv += ["--samples", "1000", "--seed", "7"]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = cli_run(argv, out=out)
+    return code, out.getvalue(), err.getvalue()
+
+
+def _one_sigma(pairs):
+    (_, sigma), = pairs
+    return sigma
+
+
+# each entry point reads (B, Sigma) pairs; the last two read Sigma alone
+MATRIX_ENTRIES = {
+    "MatrixBindings.numeric": MatrixBindings.numeric,
+    "brute_force_moment": lambda pairs: brute_force_moment(
+        MonomialSpec(tuple((c,) for c in range(1, len(pairs) + 1))),
+        [b for b, _ in pairs], [sigma for _, sigma in pairs], q=1,
+    ),
+    "SamplerConfig": lambda pairs: SamplerConfig(seed=1, samples=5, colors=pairs),
+    "moment --matrices": lambda pairs: _matrices_cli("moment", pairs),
+    "mc-validate --matrices": lambda pairs: _matrices_cli("mc-validate", pairs),
+    "identity_shape_moment": lambda pairs: identity_shape_moment(
+        MonomialSpec(tuple((c,) for c in range(1, len(pairs) + 1))),
+        [1] * len(pairs), [sigma for _, sigma in pairs],
+    ),
+    "symmetric_root": lambda pairs: symmetric_root(_one_sigma(pairs)),
+}
+B_READERS = list(MATRIX_ENTRIES)[:5]
+INF = float("inf")
+# exactly positive definite: its determinant is 10^-20, but it rounds to a
+# singular float matrix
+NEAR_SINGULAR = [[1, 1], [1, "100000000000000000001/100000000000000000000"]]
+
+MATRIX_REFUSALS = {
+    "non-square B": ([([[1, 2]], [[1]])], "B must be square, got 1x2", B_READERS),
+    "non-square Sigma": ([([[1]], [[1, 2]])], "Sigma must be square, got 1x2", None),
+    "non-symmetric Sigma": ([([[1]], [[1, 2], [3, 4]])], "Sigma must be symmetric", None),
+    "one-ulp asymmetric float Sigma": (
+        [([[1]], [[1.0, 0.5], [0.5000000000000001, 1.0]])], "Sigma must be symmetric", None
+    ),
+    "indefinite Sigma": ([([[1]], [[1, 0], [0, -1]])], "Sigma must be positive definite", None),
+    "Sigma of two dimensions": (
+        [([[1]], [[1]]), ([[1]], [[1, 0], [0, 1]])],
+        "all Sigma must share one dimension",
+        list(MATRIX_ENTRIES)[:-1],
+    ),
+    "non-finite B": ([([[INF]], [[1]])], "B must be finite", B_READERS),
+    "non-finite Sigma": ([([[1]], [[1.0, 0.0], [0.0, INF]])], "Sigma must be finite", None),
+}
+
+
+@pytest.mark.parametrize(
+    "case, entry",
+    [
+        (case, entry)
+        for case, (_, _, entries) in MATRIX_REFUSALS.items()
+        for entry in entries or MATRIX_ENTRIES
+    ],
+)
+def test_every_matrix_entry_refuses_alike(case, entry):
+    pairs, message, _ = MATRIX_REFUSALS[case]
+    call = MATRIX_ENTRIES[entry]
+    if entry.endswith("--matrices"):
+        assert call(pairs) == (2, "", f"error: --matrices: {message}\n")
+    else:
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            call(pairs)
+
+
+def test_sampler_without_colors_refused():
+    with pytest.raises(ValueError, match="^all Sigma must share one dimension$"):
+        SamplerConfig(seed=1, samples=5, colors=())
+
+
+@pytest.mark.parametrize("entry", MATRIX_ENTRIES)
+def test_exactly_positive_definite_sigma_accepted(entry):
+    got = MATRIX_ENTRIES[entry]([([[1]], NEAR_SINGULAR)])
+    if entry.endswith("--matrices"):
+        code, out, _ = got
+        assert code == 0
+        if entry.startswith("mc-validate"):
+            report = json.loads(out)
+            assert report["exact"] == 2.0 and abs(report["z"]) <= 4
+
+
+def test_sampler_clips_a_float_singular_root():
+    # NEAR_SINGULAR rounds to [[1, 1], [1, 1]], whose float eigenvalues may
+    # fall just below zero: they are clipped, and the root squares back
+    root = symmetric_root(NEAR_SINGULAR)
+    assert np.allclose(root, np.full((2, 2), 0.5**0.5), rtol=0, atol=1e-12)
+    assert np.allclose(root @ root, np.ones((2, 2)), rtol=0, atol=1e-12)
+    config = SamplerConfig(seed=7, samples=20_000, colors=(([[1]], NEAR_SINGULAR),))
+    report = estimate_monomial(MonomialSpec(((1, 1),)), config)
+    assert report.exact == 12.0 and report.z <= 4
