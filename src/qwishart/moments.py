@@ -146,11 +146,15 @@ def _to_rows(matrix, name: str) -> tuple[tuple, ...]:
     if not rows or any(len(r) != len(rows[0]) for r in rows):
         raise ValueError(f"{name} must be a nonempty list of rows of equal length")
     if any(isinstance(x, float) for row in rows for x in row):
-        # exact comparisons: an exact entry beyond the double range is not finite either
-        if not all(abs(x) <= sys.float_info.max for row in rows for x in row):
-            raise ValueError(f"{name} must be finite")
-        rows = tuple(tuple(float(x) for x in row) for row in rows)
+        rows = _float_rows(rows, name)
     return rows
+
+
+def _float_rows(rows, name: str) -> tuple[tuple[float, ...], ...]:
+    """``rows`` as floats; an entry beyond the double range, compared exactly, is not finite."""
+    if not all(abs(x) <= sys.float_info.max for row in rows for x in row):
+        raise ValueError(f"{name} must be finite")
+    return tuple(tuple(float(x) for x in row) for row in rows)
 
 
 def _square_rows(matrix, name: str) -> tuple[tuple, ...]:
@@ -631,6 +635,8 @@ def identity_shape_moment(
     scales, to_float = None, False
     if sigmas is not None:
         rows = _sigma_rows(sigmas)
+        if len(rows) < coloring.s:
+            raise ValueError("need one Sigma per color")
         scales, to_float = _evaluator(dict(enumerate(rows, start=1))), _is_float(rows)
         if to_float and any(isinstance(shape_sizes[c - 1], str) for c in coloring.colors):
             raise ValueError("float matrices cannot feed a symbolic result")

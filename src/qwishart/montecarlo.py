@@ -29,7 +29,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .moments import MatrixBindings, MonomialSpec, _check_spec, _rounded, _sigma_rows
+from .moments import MatrixBindings, MonomialSpec, _check_spec, _float_rows, _rounded, _sigma_rows
 from .moments import real_wishart_moment
 from .pairings import _count, _record
 
@@ -141,7 +141,7 @@ class SamplerConfig:
         if not bindings.shapes:
             raise ValueError("all Sigma must share one dimension")
         colors = tuple(
-            (np.array(b, dtype=float), np.array(sigma, dtype=float))
+            (np.array(_float_rows(b, "B")), np.array(_float_rows(sigma, "Sigma")))
             for b, sigma in zip(bindings.shapes, bindings.scales)
         )
         object.__setattr__(self, "colors", colors)

@@ -16,6 +16,13 @@ pair joins a top point to a bottom point) are exactly the all-plus ones and
 are in bijection with permutations; the Brauer product restricted to them is
 permutation composition.
 
+``_traverse_table`` is the one reader of these paths behind ``traverse``,
+``induced_coloring`` (the signs of the contraction), ``components_and_genus``
+(each cycle in the component of its first point), ``noncrossing_image`` and
+``_position_blocks``.  ``_cycle_count`` only counts the cycles, and it stays
+because it also walks a map that is not an involution, the p -> table[sig[p]]
+of ``moments.white_wishart_power_moment``; the oracles count with it.
+
 One counted walk, ``_counted_walk``, serves the finite tallies: it keeps the
 crossings and each open path's word id, so a closing edge names its cycle
 with the integer name its caller gives that word, asked once per distinct
@@ -461,10 +468,10 @@ def _induced_colors_table(
     """Colors inherited through the contraction, one per point 1..n.
 
     Every contracted edge contains exactly one edge of ``table``; the edge
-    keeps that color.  Walking the contracted diagram, the single contracted
-    edge crossed after visiting a top point colors that point.
+    keeps that color.  A point takes the color of the contracted edge its
+    traversal leaves it by: the one at its top position when its vertical
+    step goes up, at its bottom position when it goes down.
     """
-    size = len(table)
     g = _brauer_table(top_table, table)
     edge_color: dict[int, int] = {}
     for p, q in enumerate(table):
@@ -475,28 +482,9 @@ def _induced_colors_table(
         key = min(a, b)
         assert key not in edge_color  # one source edge per contracted edge
         edge_color[key] = pos_colors[p]
-    out = [0] * (size >> 1)
-    visited = bytearray(size >> 1)
-    for start in range(0, size, 2):
-        if visited[start >> 1]:
-            continue
-        p = start ^ 1
-        last = -1
-        while True:
-            u = p ^ 1
-            if (u & 1) == 0 and not visited[u >> 1]:
-                visited[u >> 1] = 1
-                last = u >> 1
-            w = g[u]
-            out[last] = edge_color[min(u, w)]
-            if (w & 1) == 0 and not visited[w >> 1]:
-                visited[w >> 1] = 1
-                last = w >> 1
-            p = w
-            if p == (start ^ 1):
-                break
-    assert all(out)
-    return out
+    _, signs = _traverse_table(g)
+    ends = [2 * j + (sign < 0) for j, sign in enumerate(signs)]
+    return [edge_color[min(u, g[u])] for u in ends]
 
 
 def _iter_tables(
@@ -895,39 +883,16 @@ def components_and_genus(base: PairPartition, pp: PairPartition) -> GenusDecompo
     comp_of_block = [find(k) for k in range(r)]
     comp_pos = [comp_of_block[b] for b in block]
 
-    gamma_halves = _group_half_cycles(pp.table, comp_pos)
     g_table = _brauer_table(base.table, pp.table)
-    g_halves = _group_half_cycles(g_table, comp_pos)
-
-    roots = sorted(set(comp_of_block))
+    # a_u + b_u: every cycle of pp and of the product lies in one component
+    cycles = Counter(
+        comp_pos[_pos(cyc[0])] for table in (pp.table, g_table) for cyc in _traverse_table(table)[0]
+    )
     components = []
-    for root in roots:
+    for root in sorted(set(comp_of_block)):
         cyc_idx = tuple(k for k in range(r) if comp_of_block[k] == root)
-        positions = tuple(
-            (p >> 1) + 1 for p in range(0, 2 * pp.n, 2) if comp_pos[p] == root
-        )
-        n_u = len(positions)
-        a_u = gamma_halves[root] >> 1
-        b_u = g_halves[root] >> 1
-        h = 2 - (a_u + len(cyc_idx) + b_u - n_u)
+        positions = tuple(j for j in range(1, pp.n + 1) if comp_pos[_pos(j)] == root)
+        h = 2 - (cycles[root] + len(cyc_idx) - len(positions))
         assert h >= 0, "genus defect must be nonnegative"
         components.append(GenusComponent(cyc_idx, positions, h))
     return GenusDecomposition(tuple(components))
-
-
-def _group_half_cycles(table: Sequence[int], comp_pos: Sequence[int]) -> dict[int, int]:
-    """Count cycles of the doubled walk p -> table[p ^ 1] per component."""
-    size = len(table)
-    seen = bytearray(size)
-    counts: dict[int, int] = {}
-    for p0 in range(size):
-        if seen[p0]:
-            continue
-        comp = comp_pos[p0]
-        counts[comp] = counts.get(comp, 0) + 1
-        p = p0
-        while not seen[p]:
-            assert comp_pos[p] == comp
-            seen[p] = 1
-            p = table[p ^ 1]
-    return counts

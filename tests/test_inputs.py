@@ -362,6 +362,25 @@ class TestSamplerInputs:
             _sampler(samples=2**62 + 1)
 
 
+# too few per-color arguments: each is refused by name, not by a KeyError
+# from inside the evaluator
+PER_COLOR_REFUSALS = {
+    "no Sigma": (lambda: identity_shape_moment(MonomialSpec(((1,),)), [2], []), "Sigma"),
+    "one Sigma for two colors": (
+        lambda: identity_shape_moment(MonomialSpec(((1, 2),)), [2, 2], [[[1]]]), "Sigma"
+    ),
+    "one shape size for two colors": (
+        lambda: identity_shape_moment(MonomialSpec(((1, 2),)), [2]), "shape size"
+    ),
+}
+
+
+@pytest.mark.parametrize("call, what", PER_COLOR_REFUSALS.values(), ids=PER_COLOR_REFUSALS.keys())
+def test_too_few_per_color_arguments_refused(call, what):
+    with pytest.raises(ValueError, match=f"^need one {what} per color$"):
+        call()
+
+
 # ---------------------------------------------------------------------------
 # matrices: one B rule and one Sigma rule (``moments._square_rows`` and
 # ``_sigma_rows``) read every matrix, exactly, so every entry point refuses
@@ -424,6 +443,10 @@ MATRIX_REFUSALS = {
     ),
     "non-finite B": ([([[INF]], [[1]])], "B must be finite", B_READERS),
     "non-finite Sigma": ([([[1]], [[1.0, 0.0], [0.0, INF]])], "Sigma must be finite", None),
+    # exact, so only the sampler's float copy of it is out of range
+    "exact B beyond the double range": (
+        [([["1e400"]], [[1]])], "B must be finite", ["SamplerConfig", "mc-validate --matrices"]
+    ),
 }
 
 
@@ -443,6 +466,11 @@ def test_every_matrix_entry_refuses_alike(case, entry):
     else:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             call(pairs)
+
+
+def test_exact_entry_beyond_the_double_range_accepted():
+    bindings = MatrixBindings.numeric([([["1e400"]], [[1]])])
+    assert real_wishart_moment(MonomialSpec(((1,),)), bindings) == 10**400
 
 
 def test_sampler_without_colors_refused():

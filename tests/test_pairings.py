@@ -480,6 +480,20 @@ class TestGenus:
                     decomposition = components_and_genus(base, pp)
                     assert all(c.genus_defect >= 0 for c in decomposition.components)
 
+    def test_defects_sum_to_the_cycle_counts_exhaustive(self):
+        # the per-component counts add up to the whole diagram's, counted apart
+        for n in range(1, 6):
+            for parts in partitions_of(n):
+                base = block_pairing(parts)
+                for pp in all_pairings(n):
+                    components = components_and_genus(base, pp).components
+                    points = sorted(j for c in components for j in c.positions)
+                    assert points == list(range(1, n + 1))
+                    cycles = _cycle_count(pp.table) + len(parts)
+                    cycles += _cycle_count(_brauer_table(base.table, pp.table))
+                    defects = sum(c.genus_defect for c in components)
+                    assert defects == 2 * len(components) - (cycles - n)
+
     def test_noncrossing_full_cycle_is_planar(self):
         # genus zero for non-crossing pairings against the one-cycle base
         for n in range(2, 6):
