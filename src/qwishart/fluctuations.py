@@ -116,15 +116,6 @@ class PolynomialStatistic:
         if not terms or any(not word for _, word in terms):
             raise ValueError("statistic needs nonempty trace words")
         object.__setattr__(self, "terms", terms)
-        # statistics key the limit caches, so hash the field tuple once
-        object.__setattr__(self, "_hash", hash((terms,)))
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __reduce__(self):
-        # rebuilt from the fields: a string hash differs between processes
-        return (type(self), (self.terms,))
 
     @classmethod
     def from_terms(
@@ -192,9 +183,11 @@ def _frontier_counts(spec: MonomialSpec, connectors: bool) -> dict[tuple[int, in
     table can join to another block, gives the empty tally at once.  Keys
     are (crossings, cycles, contraction cycles), or with ``connectors``
     (crossings, cycles, e_AB) over the genus-zero tables, whose cycle counts
-    sum to n: an edge closes a cycle or merges two paths in each involution,
-    so k edges make 2k - c_gamma - c_g merges, and a state with more than n
-    is dropped.
+    sum to n.  One cut keeps just those: an edge closes a cycle or merges two
+    paths in each involution, so k edges make 2k - c_gamma - c_g merges, and
+    a state with more than n is dropped; a finished table joins its two
+    blocks into one component, of defect n - c_gamma - c_g >= 0
+    (``pairings.components_and_genus``), so no other table is left.
     """
     n = spec.n
     pos_colors = [c for word in spec.cycle_words for c in word for _ in (0, 1)]
@@ -274,10 +267,7 @@ def _frontier_counts(spec: MonomialSpec, connectors: bool) -> dict[tuple[int, in
     counts: dict[tuple[int, int, int], int] = {}
     slot = (1 << width) - 1
     for head, weight in done.items():
-        c_gamma, c_g = head >> gamma_at, head >> g_at & mask
-        if connectors and c_gamma + c_g != n:
-            continue
-        last = head >> e_at & mask if connectors else c_g
+        c_gamma, last = head >> gamma_at, head >> (e_at if connectors else g_at) & mask
         cr = 0
         while weight:
             count = weight & slot

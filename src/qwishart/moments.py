@@ -48,10 +48,10 @@ from .pairings import (
     _Memo,
     _check_count,
     _check_tables,
+    _check_top,
     _colors,
     _counted_walk,
     _cycle_count,
-    _is_top_to_bottom_table,
     _iter_tables,
     _record,
     block_pairing,
@@ -579,10 +579,7 @@ def real_wishart_moment_general(
     traversal cycles in canonical order.  With ``bindings=None`` the result is
     a polynomial in shape and scale trace atoms.
     """
-    if sigma.n != coloring.n:
-        raise ValueError("pairing and coloring sizes differ")
-    if not _is_top_to_bottom_table(sigma.table):
-        raise ValueError("sigma must be a top-to-bottom pairing")
+    _check_top(sigma, coloring.n, "sigma")
     atom_value, const = _substitution(bindings, coloring)
     moment = _moment(sigma.table, coloring, True, atom_value, 1, const)
     return _rounded(moment, _float_bindings(bindings))
@@ -707,9 +704,10 @@ def brute_force_moment(
 
     Expands every trace factor over all row/column index maps, lays out the
     2n entry letters in the crossing order, and sums the q-Wick weight over
-    all pairings of the letters with the factorized covariance.  Independent
-    of the Brauer-contraction path; only the polynomial arithmetic and the
-    rules that read B and Sigma are shared.
+    all pairings of the letters with the factorized covariance, reading every
+    entry exactly, as the engines do; a moment of float matrices is rounded
+    once.  Independent of the Brauer-contraction path; only the polynomial
+    arithmetic and the rules that read B and Sigma are shared.
     """
     _check_spec(spec)
     q = _q_value(q)
@@ -718,11 +716,15 @@ def brute_force_moment(
     s_rows = _sigma_rows(scale_mats)
     if len(b_rows) < spec.s or len(s_rows) < spec.s:
         raise ValueError("need one shape and one scale matrix per color")
+    to_float = _is_float([*b_rows, *s_rows])
+    if to_float and isinstance(q, str):
+        raise ValueError("float matrices require a numeric q")
     big_n = len(s_rows[0])
     max_m = max(len(r) for r in b_rows)
     # pairings times index maps, stopped at the first partial product over the guard
     factors = chain(range(1, 2 * n, 2), repeat(big_n * max_m, n))
     _check_count(factors, BRUTE_FORCE_GUARD, "brute-force terms")
+    b, s = ([[list(map(Fraction, r)) for r in rows] for rows in mats] for mats in (b_rows, s_rows))
     t = tuple(c for w in spec.cycle_words for c in w)
 
     # successor within each consecutive block
@@ -731,40 +733,27 @@ def brute_force_moment(
     for w in spec.cycle_words:
         rho[a + len(w) - 2] = a
         a += len(w)
+    # letter 2k is entry (row J(k+1), col I(k+1)) of X for color t(k+1); the
+    # letter at 2k+1 has column I(rho(k+1)): col[p] is the index into I
+    col = [p >> 1 if not p & 1 else rho[p >> 1] - 1 for p in range(2 * n)]
 
-    acc: dict[int, object] = {}
-    m_ranges = [range(len(b_rows[t[i] - 1])) for i in range(n)]
-    for jmap in iter_product(*m_ranges):
-        for imap in iter_product(range(big_n), repeat=n):
-            # letter at position 2k is entry (row J(k+1), col I(k+1)) of X for
-            # color t(k+1); the letter at 2k+1 has column I(rho(k+1)).
-            cols = [0] * (2 * n)
-            for k in range(n):
-                cols[2 * k] = imap[k]
-                cols[2 * k + 1] = imap[rho[k] - 1]
-            for table, cr in _iter_tables(n):
-                prod: object = Fraction(1)
-                for p, pq in enumerate(table):
-                    if p > pq:
-                        continue
-                    k1, k2 = p >> 1, pq >> 1
-                    if t[k1] != t[k2]:
-                        prod = Fraction(0)
+    acc: dict[int, Fraction] = {}
+    m_ranges = [range(len(b[c - 1])) for c in t]
+    for table, cr in _iter_tables(n):
+        pairs = [(p >> 1, pq >> 1, col[p], col[pq]) for p, pq in enumerate(table) if p < pq]
+        for jmap in iter_product(*m_ranges):
+            for imap in iter_product(range(big_n), repeat=n):
+                prod = 1
+                for k1, k2, i1, i2 in pairs:
+                    if t[k1] != t[k2]:  # letters of two colors have zero covariance
                         break
                     c = t[k1] - 1
-                    prod = prod * b_rows[c][jmap[k1]][jmap[k2]]
+                    prod *= b[c][jmap[k1]][jmap[k2]] * s[c][imap[i1]][imap[i2]]
                     if not prod:
                         break
-                    prod = prod * s_rows[c][cols[p]][cols[pq]]
-                    if not prod:
-                        break
-                if prod:
-                    acc[cr] = acc.get(cr, Fraction(0)) + prod
+                else:
+                    acc[cr] = acc.get(cr, 0) + prod
 
-    if any(isinstance(v, float) for v in acc.values()):
-        if isinstance(q, str):
-            raise ValueError("float matrices require a numeric q")
-        return sum(v * float(q) ** cr for cr, v in sorted(acc.items()))
     if isinstance(q, str):
         return MomentPolynomial({_make_monomial({"q": cr}): v for cr, v in acc.items()})
-    return sum((v * q**cr for cr, v in acc.items()), Fraction(0))
+    return _rounded(sum((v * q**cr for cr, v in acc.items()), Fraction(0)), to_float)

@@ -131,8 +131,8 @@ class SamplerConfig:
     seed: int
     samples: int
     colors: tuple[tuple[np.ndarray, np.ndarray], ...]
-    # arrays have no equality that is one bool, so configs compare by identity
-    __eq__, __hash__ = object.__eq__, object.__hash__
+    # arrays have no one-bool equality: compare by identity, copy the exact bindings too
+    __eq__, __hash__, __reduce__ = object.__eq__, object.__hash__, object.__reduce__
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "seed", _count(self.seed, "seed", None))

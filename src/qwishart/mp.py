@@ -104,6 +104,8 @@ class SpectralMeasure:
     @classmethod
     def from_eigenvalues(cls, eigenvalues: Sequence[Rational]) -> "SpectralMeasure":
         values = [_rational(x) for x in eigenvalues]
+        if not values:
+            raise ValueError("need at least one eigenvalue")
         mass = Fraction(1, len(values))
         merged: dict[Rational, Fraction] = {}
         for x in values:

@@ -13,8 +13,9 @@ overlaid with the identity matching.  It yields a permutation of {1..n} (the
 order in which top-row points are visited) plus one sign per point recording
 whether its vertical edge was walked upward.  Top-to-bottom partitions (every
 pair joins a top point to a bottom point) are exactly the all-plus ones and
-are in bijection with permutations; the Brauer product restricted to them is
-permutation composition.
+are in bijection with permutations (one check, ``_permutation``); the Brauer
+product restricted to them is permutation composition.  Every operation that
+takes a left factor or base refuses it by one rule, ``_check_top``.
 
 ``_traverse_table`` is the one reader of these paths behind ``traverse``,
 ``induced_coloring`` (the signs of the contraction), ``components_and_genus``
@@ -63,10 +64,11 @@ def _record(cls):
     position or keyword (a class attribute of a field's name is its default),
     sets them through ``object.__setattr__`` and then runs ``__post_init__``;
     ``__repr__`` as ``QualName(field=value!r, ...)``; ``__match_args__``;
-    ``__eq__`` (records of one class with equal field tuples) and
-    ``__hash__`` (the hash of the field tuple).  Assigning or deleting an
-    attribute raises ``AttributeError``.  A method the class defines itself
-    is kept.
+    ``__eq__`` (records of one class with equal field tuples); ``__hash__``,
+    the field tuple's, computed on first use and kept; ``__reduce__``, which
+    rebuilds a pickled or copied record from its fields, so no hash crosses
+    processes.  Assigning or deleting an attribute raises ``AttributeError``.
+    A method the class defines itself is kept.
     """
     names = tuple(cls.__annotations__)
     defaults = {name: cls.__dict__[name] for name in names if name in cls.__dict__}
@@ -126,9 +128,16 @@ def _record(cls):
         return NotImplemented
 
     def __hash__(self):
-        return hash(values(self))
+        try:
+            return self._hash
+        except AttributeError:  # the first use
+            set_field(self, "_hash", hash(values(self)))
+            return self._hash
 
-    for method in (__init__, __setattr__, __delattr__, __repr__, __eq__, __hash__):
+    def __reduce__(self):
+        return self.__class__, values(self)
+
+    for method in (__init__, __setattr__, __delattr__, __repr__, __eq__, __hash__, __reduce__):
         if method.__name__ not in cls.__dict__:
             setattr(cls, method.__name__, method)
     cls.__match_args__ = names
@@ -206,14 +215,19 @@ class PairPartition:
     table: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if self.n < 1:
+        n = _count(self.n, "n", None)
+        table, size = tuple(self.table), 2 * n
+        if not {int}.issuperset(map(type, table)):  # ints pass at C speed
+            table = tuple(_count(q, "match table entry", None) for q in table)
+        if n < 1:
             raise ValueError("n must be positive")
-        size = 2 * self.n
-        if len(self.table) != size:
+        if len(table) != size:
             raise ValueError("match table has wrong length")
-        for p, q in enumerate(self.table):
-            if not 0 <= q < size or q == p or self.table[q] != p:
+        for p, q in enumerate(table):
+            if not 0 <= q < size or q == p or table[q] != p:
                 raise ValueError("match table is not a fixed-point-free involution")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "table", table)
 
     @classmethod
     def from_pairs(cls, pairs: Sequence[Sequence[int]], n: int | None = None) -> "PairPartition":
@@ -254,10 +268,8 @@ class SignedTraversal:
     signs: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        n = len(self.perm)
-        if sorted(self.perm) != list(range(1, n + 1)):
-            raise ValueError("perm is not a bijection of 1..n")
-        if len(self.signs) != n or any(s not in (1, -1) for s in self.signs):
+        object.__setattr__(self, "perm", _permutation(self.perm))
+        if len(self.signs) != len(self.perm) or any(s not in (1, -1) for s in self.signs):
             raise ValueError("signs must be ±1 per point")
 
     def cycles(self) -> tuple[tuple[int, ...], ...]:
@@ -301,10 +313,12 @@ class IntegerPartition:
     parts: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if not self.parts or any(p < 1 for p in self.parts):
+        parts = tuple(_count(p, "part", None) for p in self.parts)
+        if not parts or any(p < 1 for p in parts):
             raise ValueError("parts must be positive")
-        if any(a < b for a, b in zip(self.parts, self.parts[1:])):
+        if any(a < b for a, b in zip(parts, parts[1:])):
             raise ValueError("parts must be weakly decreasing")
+        object.__setattr__(self, "parts", parts)
 
     @property
     def n(self) -> int:
@@ -332,11 +346,28 @@ class GenusDecomposition:
 
 
 # ---------------------------------------------------------------------------
-# constructors
+# constructors and the two shared input checks
+
+
+def _permutation(perm: Sequence[int]) -> tuple[int, ...]:
+    """``perm`` as ``int``s (``_count``), refused unless it is a bijection of 1..n."""
+    perm = tuple(_count(j, "perm entry", None) for j in perm)
+    if sorted(perm) != list(range(1, len(perm) + 1)):
+        raise ValueError("perm is not a bijection of 1..n")
+    return perm
+
+
+def _check_top(top: PairPartition, n: int, name: str) -> None:
+    """Refuse a left Brauer factor ``top`` not of degree ``n`` or not top-to-bottom."""
+    if top.n != n:
+        raise ValueError("sizes differ")
+    if not _is_top_to_bottom_table(top.table):
+        raise ValueError(f"{name} must be a top-to-bottom pairing")
 
 
 def identity_pairing(n: int) -> PairPartition:
     """The matching that pairs j with -j; left identity for the Brauer product."""
+    n = _count(n, "n", None)
     return PairPartition(n, tuple(p ^ 1 for p in range(2 * n)))
 
 
@@ -346,17 +377,16 @@ def block_pairing(block_sizes: Sequence[int]) -> PairPartition:
     Block of length k starting at a is the cycle (a, a+1, ..., a+k-1): each j
     pairs with -(j+1) inside the block and the last point pairs with -a.
     """
+    block_sizes = [_count(k, "block size", None) for k in block_sizes]
     if not block_sizes or any(k < 1 for k in block_sizes):
         raise ValueError("block sizes must be positive")
     n = sum(block_sizes)
     table = [-1] * (2 * n)
     a = 1
     for k in block_sizes:
-        for j in range(a, a + k - 1):
-            table[_pos(j)] = _pos(-(j + 1))
-            table[_pos(-(j + 1))] = _pos(j)
-        table[_pos(a + k - 1)] = _pos(-a)
-        table[_pos(-a)] = _pos(a + k - 1)
+        for j in range(a, a + k):
+            p, q = _pos(j), _pos(-(j + 1 if j < a + k - 1 else a))
+            table[p], table[q] = q, p
         a += k
     return PairPartition(n, tuple(table))
 
@@ -367,14 +397,11 @@ def cycle_type_pairing(cycle_type: IntegerPartition) -> PairPartition:
 
 def from_permutation(perm: Sequence[int]) -> PairPartition:
     """The unique top-to-bottom pairing whose traversal permutation is ``perm``."""
-    n = len(perm)
-    if sorted(perm) != list(range(1, n + 1)):
-        raise ValueError("perm is not a bijection of 1..n")
-    table = [-1] * (2 * n)
-    for j in range(1, n + 1):
-        table[_pos(j)] = _pos(-perm[j - 1])
-        table[_pos(-perm[j - 1])] = _pos(j)
-    return PairPartition(n, tuple(table))
+    perm = _permutation(perm)
+    table = [-1] * (2 * len(perm))
+    for j, image in enumerate(perm, 1):
+        table[_pos(j)], table[_pos(-image)] = _pos(-image), _pos(j)
+    return PairPartition(len(perm), tuple(table))
 
 
 # ---------------------------------------------------------------------------
@@ -746,10 +773,7 @@ def traverse(pp: PairPartition) -> SignedTraversal:
 
 def brauer(top: PairPartition, other: PairPartition) -> PairPartition:
     """Brauer product; the left factor must be top-to-bottom (no loops arise)."""
-    if top.n != other.n:
-        raise ValueError("sizes differ")
-    if not _is_top_to_bottom_table(top.table):
-        raise ValueError("left factor must be a top-to-bottom pairing")
+    _check_top(top, other.n, "left factor")
     return PairPartition(top.n, tuple(_brauer_table(top.table, other.table)))
 
 
@@ -766,10 +790,9 @@ def is_noncrossing(pp: PairPartition) -> bool:
 
 
 def induced_coloring(top: PairPartition, other: PairPartition, coloring: Coloring) -> Coloring:
-    if coloring.n != other.n or top.n != other.n:
+    if coloring.n != other.n:
         raise ValueError("sizes differ")
-    if not _is_top_to_bottom_table(top.table):
-        raise ValueError("left factor must be a top-to-bottom pairing")
+    _check_top(top, other.n, "left factor")
     pos_colors = coloring.position_colors()
     for p, q in enumerate(other.table):
         if pos_colors[p] != pos_colors[q]:
@@ -780,9 +803,8 @@ def induced_coloring(top: PairPartition, other: PairPartition, coloring: Colorin
 
 def canonical_cycles(perm: Sequence[int]) -> tuple[tuple[int, ...], ...]:
     """Cycles written from their smallest element, ordered by those minima."""
+    perm = _permutation(perm)
     n = len(perm)
-    if sorted(perm) != list(range(1, n + 1)):
-        raise ValueError("perm is not a bijection of 1..n")
     seen = [False] * (n + 1)
     cycles = []
     for start in range(1, n + 1):
@@ -801,6 +823,7 @@ def canonical_cycles(perm: Sequence[int]) -> tuple[tuple[int, ...], ...]:
 
 def all_pairings(n: int) -> Iterator[PairPartition]:
     """Every pair partition of {±1..±n}, in a fixed deterministic order."""
+    n = _count(n, "n", None)
     if n < 0:
         raise ValueError(f"n={n} must be nonnegative")
     for table, _ in _iter_tables(n):
@@ -821,10 +844,7 @@ def connecting_pairings(coloring: Coloring, base: PairPartition) -> Iterator[Pai
     so a single-cycle base admits no such pairing at all.  The pairings come
     in the order of ``color_preserving_pairings``.
     """
-    if base.n != coloring.n:
-        raise ValueError("sizes differ")
-    if not _is_top_to_bottom_table(base.table):
-        raise ValueError("base must be a top-to-bottom pairing")
+    _check_top(base, coloring.n, "base")
     block = _position_blocks(base)
     cycles = max(block) + 1
     for table, _ in _iter_tables(coloring.n, coloring.position_colors()):
@@ -862,10 +882,7 @@ def components_and_genus(base: PairPartition, pp: PairPartition) -> GenusDecompo
     ``pp`` and b_u cycles of the Brauer product, the defect is
     h_u = 2 - (a_u + m_u + b_u - n_u), always a nonnegative integer.
     """
-    if base.n != pp.n:
-        raise ValueError("sizes differ")
-    if not _is_top_to_bottom_table(base.table):
-        raise ValueError("base must be a top-to-bottom pairing")
+    _check_top(base, pp.n, "base")
     block = _position_blocks(base)
     r = max(block) + 1
     parent = list(range(r))

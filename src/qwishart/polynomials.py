@@ -31,7 +31,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Mapping, Sequence, Union
 
-from .pairings import _record
+from .pairings import _count, _record
 
 Rational = Union[int, Fraction]
 
@@ -56,23 +56,14 @@ class TraceAtom:
     def __post_init__(self) -> None:
         if self.kind not in ("shape", "scale"):
             raise ValueError("kind must be 'shape' or 'scale'")
-        if not self.word or any(c < 1 for c, _ in self.word):
-            raise ValueError("word must be a nonempty sequence of 1-based colors")
-        if self.word != _canonical_word(self.word):
+        word = _letters(self.word)
+        if word != _canonical_word(word):
             raise ValueError("word is not in canonical form; use TraceAtom.make")
-        # atoms key every symbolic monomial, so hash once; the field tuple's hash
-        object.__setattr__(self, "_hash", hash((self.kind, self.word)))
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __reduce__(self):
-        # rebuilt from the fields: a string hash differs between processes
-        return (type(self), (self.kind, self.word))
+        object.__setattr__(self, "word", word)
 
     @classmethod
     def make(cls, kind: str, word: Iterable[tuple[int, bool]]) -> "TraceAtom":
-        return cls(kind, _canonical_word(tuple((c, bool(t)) for c, t in word)))
+        return cls(kind, _canonical_word(_letters(word)))
 
     def sort_key(self):
         return (0 if self.kind == "shape" else 1, self.word)
@@ -81,6 +72,15 @@ class TraceAtom:
         letter = "B" if self.kind == "shape" else "S"
         body = " ".join(f"{letter}{c}" + ("'" if t else "") for c, t in self.word)
         return f"tr({body})"
+
+
+def _letters(word: Iterable[tuple[int, bool]]) -> tuple[tuple[int, bool], ...]:
+    """``word`` as (color, flag) letters, each color an ``int`` (``_count``),
+    checked before it is canonicalised."""
+    letters = tuple((_count(c, "color", None), bool(t)) for c, t in word)
+    if not letters or any(c < 1 for c, _ in letters):
+        raise ValueError("word must be a nonempty sequence of 1-based colors")
+    return letters
 
 
 def _canonical_word(word: tuple[tuple[int, bool], ...]) -> tuple[tuple[int, bool], ...]:
@@ -477,9 +477,7 @@ def evaluate_atom(atom: TraceAtom, matrices: Mapping[int, Matrix]):
             rows = _transpose(rows)
         product = rows if first else _matmul(product, rows)
         first = False
-    if len(product) != len(product[0]):
-        raise ValueError("word does not produce a square product")
-    return _trace(product)
+    return _trace(product)  # square: every factor is, and _matmul refuses a mismatch
 
 
 # ---------------------------------------------------------------------------

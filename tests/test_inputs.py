@@ -32,14 +32,42 @@ from qwishart.moments import (
     identity_shape_moment,
     q_wishart_moment,
     real_wishart_moment,
+    real_wishart_moment_general,
     single_wishart_moment,
     white_wishart_power_moment,
 )
 from qwishart.cli import run as cli_run
 from qwishart.montecarlo import SamplerConfig, estimate_monomial, sample_family, symmetric_root
-from qwishart.mp import compound_mp_moment, mp_moment_check, nc_partitions
-from qwishart.pairings import Coloring, _count
-from qwishart.polynomials import MomentPolynomial, _q_value, poly_from_json
+from qwishart.mp import (
+    SetPartition,
+    SpectralMeasure,
+    compound_mp_moment,
+    mp_moment_check,
+    nc_partitions,
+)
+from qwishart.pairings import (
+    Coloring,
+    IntegerPartition,
+    PairPartition,
+    SignedTraversal,
+    _count,
+    all_pairings,
+    block_pairing,
+    brauer,
+    canonical_cycles,
+    components_and_genus,
+    connecting_pairings,
+    from_permutation,
+    identity_pairing,
+    induced_coloring,
+)
+from qwishart.polynomials import (
+    MomentPolynomial,
+    TraceAtom,
+    _q_value,
+    evaluate_atom,
+    poly_from_json,
+)
 
 TRACE = PolynomialStatistic.from_terms([(1, (1,))])
 QUARTIC = MonomialSpec(((1, 1, 1, 1),))
@@ -498,3 +526,267 @@ def test_sampler_clips_a_float_singular_root():
     config = SamplerConfig(seed=7, samples=20_000, colors=(([[1]], NEAR_SINGULAR),))
     report = estimate_monomial(MonomialSpec(((1, 1),)), config)
     assert report.exact == 12.0 and report.z <= 4
+
+
+# ---------------------------------------------------------------------------
+# one row per refusal: the call, its exception type and its whole message.
+# A count goes through ``pairings._count`` wherever it enters, so a float or
+# a bool is refused by name rather than by a bare ``TypeError`` from inside
+
+
+ID2 = identity_pairing(2)
+CROSS2 = PairPartition.from_pairs([(1, 2), (-1, -2)])  # not top-to-bottom
+COLORS2 = Coloring((1, 1), 1)
+B1 = TraceAtom.make("shape", [(1, False)])
+B1B2 = TraceAtom.make("shape", [(1, False), (2, False)])
+
+REFUSALS = {
+    # pairings
+    "PairPartition n": (lambda: PairPartition(0, ()), ValueError, "n must be positive"),
+    "PairPartition float n": (
+        lambda: PairPartition(1.0, (1, 0)), ValueError, "n must be an integer, got 1.0"
+    ),
+    "PairPartition table length": (
+        lambda: PairPartition(2, (1, 0)), ValueError, "match table has wrong length"
+    ),
+    "PairPartition fixed point": (
+        lambda: PairPartition(1, (0, 1)),
+        ValueError,
+        "match table is not a fixed-point-free involution",
+    ),
+    "PairPartition entry out of range": (
+        lambda: PairPartition(1, (2, 0)),
+        ValueError,
+        "match table is not a fixed-point-free involution",
+    ),
+    "PairPartition float entry": (
+        lambda: PairPartition(1, (1.0, 0)),
+        ValueError,
+        "match table entry must be an integer, got 1.0",
+    ),
+    "PairPartition.match zero": (lambda: ID2.match(0), ValueError, "index 0 outside ±1..±2"),
+    "PairPartition.match beyond n": (
+        lambda: ID2.match(-3), ValueError, "index -3 outside ±1..±2"
+    ),
+    "SignedTraversal perm": (
+        lambda: SignedTraversal((1, 1), (1, 1)), ValueError, "perm is not a bijection of 1..n"
+    ),
+    "SignedTraversal bool perm": (
+        lambda: SignedTraversal((True,), (1,)),
+        ValueError,
+        "perm entry must be an integer, got True",
+    ),
+    "SignedTraversal signs": (
+        lambda: SignedTraversal((1,), (0,)), ValueError, "signs must be ±1 per point"
+    ),
+    "SignedTraversal sign count": (
+        lambda: SignedTraversal((2, 1), (1,)), ValueError, "signs must be ±1 per point"
+    ),
+    "IntegerPartition no parts": (
+        lambda: IntegerPartition(()), ValueError, "parts must be positive"
+    ),
+    "IntegerPartition zero part": (
+        lambda: IntegerPartition((2, 0)), ValueError, "parts must be positive"
+    ),
+    "IntegerPartition increasing": (
+        lambda: IntegerPartition((1, 2)), ValueError, "parts must be weakly decreasing"
+    ),
+    "IntegerPartition float part": (
+        lambda: IntegerPartition((1.5,)), ValueError, "part must be an integer, got 1.5"
+    ),
+    "block_pairing no blocks": (
+        lambda: block_pairing([]), ValueError, "block sizes must be positive"
+    ),
+    "block_pairing zero block": (
+        lambda: block_pairing([2, 0]), ValueError, "block sizes must be positive"
+    ),
+    "block_pairing float block": (
+        lambda: block_pairing([1.5]), ValueError, "block size must be an integer, got 1.5"
+    ),
+    "identity_pairing float n": (
+        lambda: identity_pairing(2.0), ValueError, "n must be an integer, got 2.0"
+    ),
+    "all_pairings float n": (
+        lambda: list(all_pairings(2.0)), ValueError, "n must be an integer, got 2.0"
+    ),
+    "all_pairings negative n": (
+        lambda: list(all_pairings(-1)), ValueError, "n=-1 must be nonnegative"
+    ),
+    "from_permutation repeated image": (
+        lambda: from_permutation([2, 2]), ValueError, "perm is not a bijection of 1..n"
+    ),
+    "from_permutation float entry": (
+        lambda: from_permutation([1.0, 2]), ValueError, "perm entry must be an integer, got 1.0"
+    ),
+    "canonical_cycles image beyond n": (
+        lambda: canonical_cycles([3, 1]), ValueError, "perm is not a bijection of 1..n"
+    ),
+    "brauer sizes": (lambda: brauer(ID2, identity_pairing(3)), ValueError, "sizes differ"),
+    "brauer left factor": (
+        lambda: brauer(CROSS2, ID2), ValueError, "left factor must be a top-to-bottom pairing"
+    ),
+    "induced_coloring coloring size": (
+        lambda: induced_coloring(ID2, ID2, Coloring((1,), 1)), ValueError, "sizes differ"
+    ),
+    "induced_coloring left factor size": (
+        lambda: induced_coloring(identity_pairing(3), ID2, COLORS2), ValueError, "sizes differ"
+    ),
+    "induced_coloring left factor": (
+        lambda: induced_coloring(CROSS2, ID2, COLORS2),
+        ValueError,
+        "left factor must be a top-to-bottom pairing",
+    ),
+    "connecting_pairings sizes": (
+        lambda: list(connecting_pairings(COLORS2, identity_pairing(3))), ValueError, "sizes differ"
+    ),
+    "connecting_pairings base": (
+        lambda: list(connecting_pairings(COLORS2, CROSS2)),
+        ValueError,
+        "base must be a top-to-bottom pairing",
+    ),
+    "components_and_genus sizes": (
+        lambda: components_and_genus(ID2, identity_pairing(3)), ValueError, "sizes differ"
+    ),
+    "components_and_genus base": (
+        lambda: components_and_genus(CROSS2, ID2),
+        ValueError,
+        "base must be a top-to-bottom pairing",
+    ),
+    # polynomials
+    "TraceAtom kind": (
+        lambda: TraceAtom("other", ((1, False),)), ValueError, "kind must be 'shape' or 'scale'"
+    ),
+    "TraceAtom empty word": (
+        lambda: TraceAtom("shape", ()),
+        ValueError,
+        "word must be a nonempty sequence of 1-based colors",
+    ),
+    "TraceAtom color zero": (
+        lambda: TraceAtom("scale", ((0, False),)),
+        ValueError,
+        "word must be a nonempty sequence of 1-based colors",
+    ),
+    "TraceAtom canonical form": (
+        lambda: TraceAtom("shape", ((2, False), (1, False))),
+        ValueError,
+        "word is not in canonical form; use TraceAtom.make",
+    ),
+    "TraceAtom.make empty word": (
+        lambda: TraceAtom.make("shape", []),
+        ValueError,
+        "word must be a nonempty sequence of 1-based colors",
+    ),
+    "TraceAtom.make float color": (
+        lambda: TraceAtom.make("shape", [(1.5, False)]),
+        ValueError,
+        "color must be an integer, got 1.5",
+    ),
+    "polynomial key": (
+        lambda: MomentPolynomial.monomial(1, {3: 1}), TypeError, "bad polynomial key: 3"
+    ),
+    "negative atom exponent": (
+        lambda: MomentPolynomial.monomial(1, {B1: -1}),
+        ValueError,
+        "atom exponents must be nonnegative",
+    ),
+    "negative power": (
+        lambda: MomentPolynomial.symbol("q") ** -1,
+        ValueError,
+        "negative powers of polynomials are not defined",
+    ),
+    "evaluate_atom non-square matrix": (
+        lambda: evaluate_atom(B1, {1: [[1, 2]]}), ValueError, "matrix must be square and nonempty"
+    ),
+    "evaluate_atom dimension mismatch": (
+        lambda: evaluate_atom(B1B2, {1: [[1]], 2: [[1, 0], [0, 1]]}),
+        ValueError,
+        "dimension mismatch in matrix product",
+    ),
+    # mp
+    "SetPartition empty block": (
+        lambda: SetPartition(1, (frozenset(), frozenset({1}))),
+        ValueError,
+        "blocks must be nonempty and disjoint",
+    ),
+    "SetPartition overlapping blocks": (
+        lambda: SetPartition(2, (frozenset({1, 2}), frozenset({2}))),
+        ValueError,
+        "blocks must be nonempty and disjoint",
+    ),
+    "SetPartition cover": (
+        lambda: SetPartition(3, (frozenset({1}), frozenset({2}))),
+        ValueError,
+        "blocks must cover 1..n",
+    ),
+    "SetPartition order": (
+        lambda: SetPartition(2, (frozenset({2}), frozenset({1}))),
+        ValueError,
+        "blocks must be ordered by their minima",
+    ),
+    "SpectralMeasure zero mass": (
+        lambda: SpectralMeasure(((1, Fraction(0)), (2, Fraction(1)))),
+        ValueError,
+        "masses must be positive",
+    ),
+    "SpectralMeasure total mass": (
+        lambda: SpectralMeasure(((1, Fraction(1, 2)),)), ValueError, "masses must sum to one"
+    ),
+    "SpectralMeasure.from_eigenvalues none": (
+        lambda: SpectralMeasure.from_eigenvalues([]), ValueError, "need at least one eigenvalue"
+    ),
+    "compound_mp_moment base moments": (
+        lambda: compound_mp_moment(1, [1], 2),
+        ValueError,
+        "need the first 2 moments of the base measure",
+    ),
+    # moments
+    "real_wishart_moment_general sizes": (
+        lambda: real_wishart_moment_general(ID2, Coloring((1,), 1)), ValueError, "sizes differ"
+    ),
+    "real_wishart_moment_general sigma": (
+        lambda: real_wishart_moment_general(CROSS2, COLORS2),
+        ValueError,
+        "sigma must be a top-to-bottom pairing",
+    ),
+    "single_wishart_moment two colors": (
+        lambda: single_wishart_moment(MonomialSpec(((1, 2),)), [[1]], [[1]]),
+        ValueError,
+        "single-matrix moment needs a one-color spec",
+    ),
+    "brute_force_moment too few matrices": (
+        lambda: brute_force_moment(MonomialSpec(((1, 2),)), [[[1]]], [[[1]]]),
+        ValueError,
+        "need one shape and one scale matrix per color",
+    ),
+    "white_wishart_power_moment float part": (
+        lambda: white_wishart_power_moment([1.5]), ValueError, "part must be an integer, got 1.5"
+    ),
+    "white_wishart_power_moment bool parts": (
+        lambda: white_wishart_power_moment([True, True]),
+        ValueError,
+        "part must be an integer, got True",
+    ),
+    # fluctuations
+    "PolynomialStatistic no terms": (
+        lambda: PolynomialStatistic(()), ValueError, "statistic needs nonempty trace words"
+    ),
+}
+
+
+@pytest.mark.parametrize("call, kind, message", REFUSALS.values(), ids=REFUSALS.keys())
+def test_refused_by_name(call, kind, message):
+    with pytest.raises(kind, match=f"^{re.escape(message)}$") as caught:
+        call()
+    assert type(caught.value) is kind
+
+
+def test_counts_through_the_one_rule_become_ints():
+    # numpy integers are counts too, read as Python ints wherever they enter
+    i = np.int64
+    assert type(IntegerPartition((i(2), i(1))).parts[0]) is int
+    assert type(PairPartition(i(1), (i(1), i(0))).table[0]) is int
+    assert from_permutation([i(2), i(1)]) == from_permutation([2, 1])
+    assert block_pairing([i(2), i(1)]) == block_pairing([2, 1])
+    atom = TraceAtom.make("shape", [(i(2), False), (i(1), True)])
+    assert atom.word == ((1, False), (2, True)) and type(atom.word[0][0]) is int
+    assert white_wishart_power_moment([i(1)], 2, 3) == white_wishart_power_moment([1], 2, 3)

@@ -386,6 +386,50 @@ class TestWalkedTerms:
         self.check(sigma, Coloring.from_colors(colors), use_eps)
 
 
+def _unflagged(mono: Monomial) -> Monomial:
+    """``mono`` with every shape atom's transpose flags cleared, re-canonicalised."""
+    powers: Counter = Counter()
+    for key, e in mono:
+        if isinstance(key, TraceAtom) and key.kind == "shape":
+            key = TraceAtom.make("shape", [(c, False) for c, _ in key.word])
+        powers[key] += e
+    return _make_monomial(powers)
+
+
+class TestQTallyIsTheClassicalOne:
+    """The q walk reads what the classical walk reads, with the shape transposes dropped.
+
+    Both walks yield the color-preserving tables in one order; table by table
+    the crossings agree, and the q monomial is the classical one once each
+    shape atom's flags are cleared.  This ties the q walk's reading direction
+    to the classical walk's.
+    """
+
+    @staticmethod
+    def check(words) -> None:
+        sigma, coloring = _top_and_coloring(words)
+        top, colors = sigma.table, coloring.colors
+        q_rows = moments._walked_terms(top, colors, False)
+        real_rows = moments._walked_terms(top, colors, True)
+        count = 0
+        for (q_table, q_cr, q_mono), (table, cr, mono) in zip(q_rows, real_rows, strict=True):
+            assert q_table == table and q_cr == cr
+            assert q_mono == _unflagged(mono)
+            count += 1
+        assert count == _check_tables(coloring.n, coloring.position_colors())
+
+    @pytest.mark.parametrize(
+        "words", [w for w in _WALKED_WORDS if w is not _SIGMA and sum(map(len, w)) <= 6]
+    )
+    def test_every_table_of_the_suite_specs(self, words):
+        self.check(words)
+
+    @given(st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_every_table_of_a_random_spec(self, data):
+        self.check(_random_spec(data).cycle_words)
+
+
 def _tables_walk(n: int, pos_colors, top):
     """The noncrossing counted walk, whose tables alone are checked: every letter and
     every name is 0, so a table's key is its crossings."""
@@ -1202,6 +1246,40 @@ class TestBruteForce:
         one = [[1]]
         with pytest.raises(ValueError, match=f"bound of {moments.BRUTE_FORCE_GUARD}"):
             brute_force_moment(MonomialSpec(((1,) * 10**5,)), [one], [one])
+
+    @pytest.mark.parametrize(
+        "b, sigma, q",
+        [
+            ([[0.5, 0.1], [0.1, 0.5]], [[1.0, 0.0], [0.0, 1.0]], 1),
+            ([[0.1, 0.2], [0.2, 0.3]], [[0.7, 0.1], [0.1, 0.3]], Fraction(1, 2)),
+        ],
+        ids=["q = 1", "q = 1/2"],
+    )
+    def test_float_matrices_read_as_the_engines_read_them(self, b, sigma, q):
+        # each entry is its exact binary value, and the moment is rounded once
+        spec = MonomialSpec(((1, 1, 1, 1),))
+        bindings = MatrixBindings.numeric([(b, sigma)])
+        got = brute_force_moment(spec, [b], [sigma], q=q)
+        assert isinstance(got, float) and got == q_wishart_moment(spec, bindings, q=q)
+        if q == 1:
+            assert got == real_wishart_moment(spec, bindings) == 93.696
+
+    def test_pairings_enumerated_once_and_not_before_a_float_refusal(self, monkeypatch):
+        calls = []
+
+        def spy(*args):
+            calls.append(args)
+            return _iter_tables(*args)
+
+        monkeypatch.setattr(moments, "_iter_tables", spy)
+        spec, b, sigma = MonomialSpec(((1, 1, 1, 1),)), [[0.5, 0.1], [0.1, 0.5]], I2
+        with pytest.raises(ValueError, match="^float matrices require a numeric q$"):
+            brute_force_moment(spec, [b], [[[1.0, 0.0], [0.0, 1.0]]])
+        assert calls == []
+        # the (2n - 1)!! letter pairings, two-color ones included, are enumerated
+        # once, outside the loops over the index maps
+        brute_force_moment(MonomialSpec(((1, 2), (2, 1))), [b, I2], [sigma, sigma], q=1)
+        assert calls == [(4,)]
 
     @given(
         st.sampled_from([((1,),), ((1, 1),), ((1,), (1,)), ((1, 2),), ((1,), (2,))]),
