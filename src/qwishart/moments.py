@@ -9,20 +9,21 @@ B matrices, a scale-side trace monomial in the Sigma matrices read off the
 Brauer contraction with its inherited coloring, and (in the q case) the
 weight q^crossings.
 
-The engine reads the tally of trace monomial -> (crossings -> count) off the
-counted walk ``pairings._counted_walk``, once per (spec, use_eps,
+The engine reads the tally of trace monomial -> (crossings -> count) off
+the counted walk ``pairings._counted_walk``, once per (spec, use_eps,
 noncrossing), into a bounded cache.  The walk carries the id of each open
 path's word, and the closing edge names a cycle by the id of its atom's
 canonical form, computed once per distinct word, so all the words of one
-atom share one id; the forms of the tables it yields become trace
-atoms, each once, for the tally and, per pairing, for the CLI's table
-(``_walked_terms``).  q enters only as the weight q^crossings, so one tally
-serves every q; only at q = 0, where the crossing pairings carry no
-weight, does the walk visit the noncrossing pairings alone.  Every result
-is a substitution into the tally: symbolic mode keeps the atoms, numeric
-mode evaluates each distinct atom once on the bound matrices, scalar mode
-sends a shape atom to its color's size and a scale atom to N, and q
-enters as q^crossings, symbolically or as an exact rational.
+atom share one id; the forms of the tables it yields become trace atoms,
+each once and without a second canonicalisation, for the tally and, per
+pairing, for the CLI's table (``_walked_terms``).  q enters only as the
+weight q^crossings, so one tally serves every q; only at q = 0, where the
+crossing pairings carry no weight, does the walk visit the noncrossing
+pairings alone.  Every result is a substitution into the tally: symbolic
+mode keeps the atoms, numeric mode evaluates each distinct atom once on the
+bound matrices, scalar mode sends a shape atom to its color's size and a
+scale atom to N and folds the scale factors' product into the same integer
+sums, and q enters as q^crossings, symbolically or as an exact rational.
 
 An independent brute-force oracle expands every trace into matrix entries
 and applies the q-Wick rule over all pairings of the 2n entry letters; it
@@ -34,6 +35,7 @@ from __future__ import annotations
 import math
 import numbers
 import sys
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, repeat
@@ -329,13 +331,14 @@ def _walked_terms(
 
     The tables come off the counted walk, in the order of ``_iter_tables``;
     each key is split into its fields, and each form id is made a
-    ``TraceAtom`` once, as the tally makes it.  The yielded table is the
-    walk's, reused in place.
+    ``TraceAtom`` once, as the tally makes it: unchecked, through
+    ``TraceAtom._trusted``, since ``_walk``'s forms are canonical already.
+    The yielded table is the walk's, reused in place.
     """
     forms: list[tuple] = []
     cr_bits, width = _key_fields(len(colors))
     mask = (1 << width) - 1
-    made = _Memo(lambda k: TraceAtom(*forms[k]))
+    made = _Memo(lambda k: TraceAtom._trusted(*forms[k]))
     for table, key in _walk(top_table, colors, use_eps, forms, False):
         rest = key >> cr_bits
         powers = {made[k]: e for k in range(len(forms)) if (e := rest >> width * k & mask)}
@@ -354,9 +357,9 @@ def _walked_tally(
     crossing number.  The counted walk checks its own table count and
     yields each table's integer key (``_walk``), which the tally counts as
     it comes.  Each distinct key is split once into its crossings and the
-    fields above them; a ``TraceAtom`` is made only for the forms whose
-    field is set in some key, and each distinct field set is turned once
-    into exponents of atom indices, read off the field shifts.  With
+    fields above them; a ``TraceAtom`` is made, unchecked, only for the
+    forms whose field is set in some key, and each distinct field set is
+    turned once into exponents of atom indices, read off the field shifts.  With
     ``noncrossing`` the walk visits the noncrossing pairings alone, and the
     cells are those of crossings 0: all that q = 0 weighs.
     """
@@ -376,17 +379,17 @@ def _walked_tally(
             crossings = by_fields[rest] = {}
             seen |= rest
         crossings[key & low] = count
-    made = {k: TraceAtom(*forms[k]) for k in range(len(forms)) if seen >> width * k & mask}
+    made = {k: TraceAtom._trusted(*forms[k]) for k in range(len(forms)) if seen >> width * k & mask}
     order = sorted(made, key=lambda k: _key_order(made[k]))
     rank = {k * width: i for i, k in enumerate(order)}  # field shift -> atom index
     cells = []
     for rest, crossings in by_fields.items():
         exps = []
-        while rest:  # the lowest set field, then the rest
-            shift = ((rest & -rest).bit_length() - 1) // width * width
-            e = rest >> shift & mask
+        while rest:  # the highest set field, which is all that lies above its shift
+            shift = (rest.bit_length() - 1) // width * width
+            e = rest >> shift
             exps.append((rank[shift], e))
-            rest ^= e << shift
+            rest -= e << shift
         exps.sort()
         cells.append((tuple(exps), tuple(crossings.items())))
     return tuple(made[k] for k in order), tuple(cells)
@@ -399,7 +402,7 @@ def _substitute(
     q,
     const,
 ):
-    """Sum a tally after substituting every atom and q, exactly.
+    """Sum a tally after substituting every atom and q, times ``const``, exactly.
 
     The atoms are the factors that the tally counts, named by index in its
     cells: the trace atoms of a finite moment, or the sizes M and N of a
@@ -407,79 +410,152 @@ def _substitute(
     name, or to a trace atom itself to keep it; it is called once per atom,
     and each power of a number is computed once.  A cell's factors are
     multiplied once and weighted by the sum of count * q^crossings over its
-    crossing numbers, which at q = 1 is the sum of its counts.
+    crossing numbers, which at q = 1 is the sum of its counts: at q = 1 and
+    for a symbolic q no most crossings are looked for.  ``const`` is a
+    number or a polynomial in symbols other than q.
 
-    When every atom value is a key of its own and the keys rise with the
-    atom index, as in symbolic mode, a cell's exponents are its output
-    monomial's, and no two cells share one: each monomial is built straight
-    from them.  Otherwise cells are summed in integers over one common
-    denominator D, the lcm over the numeric atom values: with q = a/b and C
-    the most crossings, a cell of numeric degree t adds prod (D v_i)^e_i *
-    sum count * a^c * b^(C - c) to the integer accumulator of its output
-    monomial and t, which becomes one Fraction over D^t b^C.  Symbolic
-    factors are summed per cell by integer ids in monomial key order, so
-    every output monomial is built once.
+    When ``const`` is 1, every atom value is a key of its own and the keys
+    rise with the atom index, as in symbolic mode, a cell's exponents are
+    its output monomial's, and no two cells share one: each monomial is
+    built straight from them.  Otherwise cells are summed in integers over
+    one common denominator D, the lcm over the numeric atom values: with
+    q = a/b and C the most crossings, a cell of numeric degree t adds
+    prod (D v_i)^e_i * sum count * a^c * b^(C - c) to the integer
+    accumulator of its symbolic exponents, packed into one int by key id in
+    monomial key order, its t and its power of q (0 when q is a number).
+    Then each accumulator, lifted to D^T for the highest t, meets each term
+    of ``const``, whose coefficients are integers c over their lcm E: the
+    term's exponents are added to the accumulator's by id, once per
+    distinct set of symbolic exponents, and each output monomial's integer
+    sum becomes one coefficient over D^T b^C E.  The terms come out in the
+    order in which the cells first meet their accumulators.  Both paths
+    store each coefficient as ``MomentPolynomial`` does, so the polynomial
+    is built without its checks.
     """
     values = [atom_value(atom) for atom in atoms]
-    keys = sorted(
-        {v for v in values if isinstance(v, (str, TraceAtom))} | {"q"}, key=_key_order
+    const_terms = (
+        list(const._terms.items()) if isinstance(const, MomentPolynomial) else [((), const)]
     )
-    a, b = (1, 1) if isinstance(q, str) else (q.numerator, q.denominator)
-    top = max((cr for _, crossings in cells for cr, _ in crossings), default=0)
-    q_factors = [a**c * b ** (top - c) for c in range(top + 1)]
-    q_den = b**top
-    if keys[1:] == values:  # each atom is its own key, in atom order, after "q"
+    keys = sorted(
+        {v for v in values if isinstance(v, (str, TraceAtom))}
+        | {k for mono, _ in const_terms for k, _ in mono}
+        | {"q"},
+        key=_key_order,
+    )
+    if isinstance(q, str) or q == 1:  # every q-factor is 1: count the cells alone
+        q_factors, q_den = None, 1
+    else:
+        a, b = q.numerator, q.denominator
+        top = max((cr for _, crossings in cells for cr, _ in crossings), default=0)
+        q_factors, q_den = [a**c * b ** (top - c) for c in range(top + 1)], b**top
+
+    if keys[1:] == values and const_terms == [((), 1)]:  # each atom its own key, after "q"
         terms: dict[Monomial, Rational] = {}
         for exps, crossings in cells:
             mono = tuple([(values[i], e) for i, e in exps])
             if isinstance(q, str):
                 for cr, count in crossings:
                     terms[(("q", cr),) + mono if cr else mono] = count
-            else:
-                weight = sum(count * q_factors[cr] for cr, count in crossings)
-                terms[mono] = Fraction(weight, q_den) if q_den != 1 else weight
-        return _scaled(MomentPolynomial(terms), const)
+            elif w := _weight(crossings, q_factors):
+                terms[mono] = _ratio(w, q_den)
+        return _number_if_constant(MomentPolynomial._trusted(terms))
     key_id = {key: s for s, key in enumerate(keys)}
-    sym = [key_id[v] if isinstance(v, (str, TraceAtom)) else None for v in values]
-    q_sym = key_id["q"]
-    exact = {i: v for i, v in enumerate(values) if sym[i] is None}
+    # a symbolic atom adds its exponent to the field of its key id in an int
+    unit = [1 << _FIELD * key_id[v] if isinstance(v, (str, TraceAtom)) else 0 for v in values]
+    exact = {i: v for i, v in enumerate(values) if not unit[i]}
     den = math.lcm(*(v.denominator for v in exact.values()))
     nums = {i: v.numerator * (den // v.denominator) for i, v in exact.items()}
+    c_den = math.lcm(*(c.denominator for _, c in const_terms))
+    const_ids = [  # each term of const: its exponents by key id, its coefficient times c_den
+        (tuple((key_id[k], e) for k, e in mono), c.numerator * (c_den // c.denominator))
+        for mono, c in const_terms
+    ]
     factors: dict[tuple[int, int], int] = {}
-    acc: dict[tuple[tuple[tuple[int, int], ...], int], int] = {}
+    acc: dict[tuple[int, int, int], int] = {}  # (packed symbolic exponents, t, cr) -> sum
     for exps, crossings in cells:
-        product, degree = [], 0
-        powers: dict[int, int] = {}
+        rest = degree = 0
+        value = 1
         for i, e in exps:
-            s = sym[i]
-            if s is not None:
-                powers[s] = powers.get(s, 0) + e
+            u = unit[i]
+            if u:
+                rest += u * e
                 continue
             factor = factors.get((i, e))
             if factor is None:
                 factor = factors[i, e] = nums[i] ** e
-            product.append(factor)
+            value *= factor
             degree += e
-        value, rest = math.prod(product), tuple(sorted(powers.items()))
-        if isinstance(q, str):  # "q" sorts first, and no atom value is q
+        if isinstance(q, str):  # keyed by the power of q as well
             for cr, count in crossings:
-                key = (((q_sym, cr),) + rest if cr else rest, degree)
+                key = (rest, degree, cr)
                 acc[key] = acc.get(key, 0) + value * count
-            continue
-        weight = sum(count * q_factors[cr] for cr, count in crossings)  # all 1 at q = 1
-        acc[rest, degree] = acc.get((rest, degree), 0) + value * weight
-    sums: dict[tuple[tuple[int, int], ...], Rational] = {}
-    for (key, degree), total in acc.items():
-        d = den**degree * q_den
-        sums[key] = sums.get(key, 0) + (Fraction(total, d) if d != 1 else total)
-    poly = MomentPolynomial({tuple((keys[s], e) for s, e in key): v for key, v in sums.items()})
-    return _scaled(poly, const)
+        else:
+            key = (rest, degree, 0)
+            acc[key] = acc.get(key, 0) + value * _weight(crossings, q_factors)
+    t_top = max((degree for _, degree, _ in acc), default=0)
+    lift = [den ** (t_top - t) for t in range(t_top + 1)]  # each t to the one D^t_top
+    joined: dict[int, list] = {}  # a packed rest times each term of const, as monomials
+    sums: dict[Monomial, int] = {}
+    for (rest, degree, cr), total in acc.items():
+        products = joined.get(rest)
+        if products is None:
+            exps = _fields(rest)
+            products = joined[rest] = [
+                (tuple([(keys[s], e) for s, e in _joined(exps, c_exps)]), c)
+                for c_exps, c in const_ids
+            ]
+        total *= lift[degree]
+        for mono, c_num in products:
+            key = (("q", cr),) + mono if cr else mono  # "q" sorts first; const holds no q
+            sums[key] = sums.get(key, 0) + total * c_num
+    d = den**t_top * q_den * c_den
+    poly = {key: _ratio(v, d) for key, v in sums.items() if v}
+    return _number_if_constant(MomentPolynomial._trusted(poly))
 
 
-def _scaled(poly: MomentPolynomial, const):
-    """``poly * const``, as a number when it is constant."""
-    if const != 1:
-        poly = poly * const
+def _ratio(num: int, den: int) -> Rational:
+    """num / den as a polynomial stores it: an ``int`` when den divides num."""
+    return num // den if num % den == 0 else Fraction(num, den)
+
+
+def _weight(crossings, q_factors) -> int:
+    """Sum of count * q_factors[cr] over a cell's crossings; the counts alone at q = 1."""
+    if q_factors is None:
+        return sum(count for _, count in crossings)
+    return sum(count * q_factors[cr] for cr, count in crossings)
+
+
+# bits per key id in packed exponents: an exponent counts the cycles of a table, so a
+# field, summed over the atoms of one key, stays below 2^64
+_FIELD = 64
+_FIELD_MASK = (1 << _FIELD) - 1
+
+
+def _fields(packed: int) -> tuple[tuple[int, int], ...]:
+    """The ``(key id, exponent)`` pairs of packed exponents, by ascending id."""
+    out, s = [], 0
+    while packed:
+        e = packed & _FIELD_MASK
+        if e:
+            out.append((s, e))
+        packed >>= _FIELD
+        s += 1
+    return tuple(out)
+
+
+def _joined(a: tuple[tuple[int, int], ...], b: tuple[tuple[int, int], ...]):
+    """The exponents of two monomials by ascending key id, multiplied: added
+    per id, with an id whose exponents cancel left out."""
+    if not b:
+        return a
+    powers = dict(a)
+    for s, e in b:
+        powers[s] = powers.get(s, 0) + e
+    return tuple(sorted((s, e) for s, e in powers.items() if e))
+
+
+def _number_if_constant(poly: MomentPolynomial):
+    """``poly``, as a number when it is constant."""
     try:
         return poly.constant_value()
     except ValueError:  # not constant
@@ -548,7 +624,8 @@ def _substitution(bindings: MatrixBindings | None, coloring: Coloring):
 
     Scalar bindings (B_j = I of size M_j, Sigma_j = c_j I_N) send a shape
     atom, which is monochromatic, to its color's size and a scale atom to N,
-    and collect the c_j over all points in the constant.
+    and collect the c_j over all points in the constant, as the product
+    over the colors of c_j to the number of points of color j.
     """
     if bindings is None:
         return (lambda atom: atom), Fraction(1)
@@ -558,10 +635,11 @@ def _substitution(bindings: MatrixBindings | None, coloring: Coloring):
         shape = _evaluator(dict(enumerate(bindings.shapes, start=1)))
         scale = _evaluator(dict(enumerate(bindings.scales, start=1)))
         return (lambda atom: shape(atom) if atom.kind == "shape" else scale(atom)), Fraction(1)
-    sizes, n_dim = bindings.shapes, bindings.n_dim
+    sizes, n_dim, scales = bindings.shapes, bindings.n_dim, bindings.scales
+    points = Counter(coloring.colors)
     return (
         lambda atom: sizes[atom.word[0][0] - 1] if atom.kind == "shape" else n_dim
-    ), math.prod((bindings.scales[c - 1] for c in coloring.colors), start=Fraction(1))
+    ), math.prod((scales[c - 1] ** k for c, k in points.items()), start=Fraction(1))
 
 
 # ---------------------------------------------------------------------------

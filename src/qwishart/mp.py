@@ -3,13 +3,20 @@
 The n-th moment of the compound Marchenko-Pastur law with aspect ratio
 lambda and base measure nu is the sum over non-crossing partitions of
 lambda^(number of blocks) times the product over blocks of the moment of nu
-of the block's size.  The finite-size check compares these moments against
-the q=0 Wishart trace moments of a matrix with the prescribed eigenvalues,
-where equality is exact already at finite size.
+of the block's size.  A term depends on its partition only through the
+block type, the number m_i of blocks of each size i, and Kreweras (Discrete
+Math. 1, 1972) counts the non-crossing partitions of {1..n} with k blocks
+of type m as n! / ((n - k + 1)! prod m_i!), so the sum runs over the integer
+partitions of n.  ``nc_partitions`` enumerates the non-crossing partitions
+themselves; the tests keep the enumerated sum as the oracle of the counted
+one.  The finite-size check compares these moments against the q=0 Wishart
+trace moments of a matrix with the prescribed eigenvalues, where equality
+is exact already at finite size.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Iterator, Sequence, Union
 
@@ -116,6 +123,24 @@ class SpectralMeasure:
         return sum((mass * x**k for x, mass in self.atoms), Fraction(0))
 
 
+def _integer_partitions(n: int, largest: int) -> Iterator[tuple[int, ...]]:
+    """The partitions of n into parts of at most ``largest``, parts weakly decreasing."""
+    if n == 0:
+        yield ()
+        return
+    for part in range(min(n, largest), 0, -1):
+        for rest in _integer_partitions(n - part, part):
+            yield (part,) + rest
+
+
+def _kreweras_count(n: int, parts: tuple[int, ...]) -> int:
+    """The number of non-crossing partitions of {1..n} whose block sizes are ``parts``:
+    n! / ((n - k + 1)! prod m_i!), with k blocks of which m_i have size i."""
+    k = len(parts)
+    ties = math.prod(math.factorial(parts.count(i)) for i in set(parts))
+    return math.factorial(n) // (math.factorial(n - k + 1) * ties)
+
+
 def compound_mp_moment(
     aspect_ratio: Rational,
     base: Union[SpectralMeasure, Sequence[Rational]],
@@ -124,6 +149,10 @@ def compound_mp_moment(
     """n-th moment of the compound Marchenko-Pastur law.
 
     ``base`` is either a spectral measure or its moment sequence (m_1, m_2, ...).
+    The sum over non-crossing partitions is taken by block type: each
+    integer partition of n is weighted by Kreweras' count of the
+    non-crossing partitions of that type (the module docstring).  The
+    enumerated sum over ``nc_partitions`` is kept in the tests as its oracle.
     """
     n = _count(n, "n", 1, NC_BOUND)
     lam = _rational(aspect_ratio)
@@ -134,10 +163,10 @@ def compound_mp_moment(
         if len(moments) < n:
             raise ValueError(f"need the first {n} moments of the base measure")
     total = Fraction(0)
-    for partition in nc_partitions(n):
-        term = lam ** len(partition.blocks)
-        for block in partition.blocks:
-            term *= moments[len(block) - 1]
+    for parts in _integer_partitions(n, n):
+        term = _kreweras_count(n, parts) * lam ** len(parts)
+        for size in parts:
+            term *= moments[size - 1]
         total += term
     return total
 

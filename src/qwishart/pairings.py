@@ -231,9 +231,11 @@ class PairPartition:
 
     @classmethod
     def from_pairs(cls, pairs: Sequence[Sequence[int]], n: int | None = None) -> "PairPartition":
+        pairs = [tuple(_count(j, "pair index", None) for j in pair) for pair in pairs]
         flat = [j for pair in pairs for j in pair]
         if n is None:
             n = max(abs(j) for j in flat) if flat else 0
+        n = _count(n, "n", None)
         if sorted(flat) != [j for j in range(-n, n + 1) if j != 0]:
             raise ValueError("pairs must cover {-n..-1, 1..n} exactly once")
         table = [-1] * (2 * n)
@@ -269,8 +271,13 @@ class SignedTraversal:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "perm", _permutation(self.perm))
-        if len(self.signs) != len(self.perm) or any(s not in (1, -1) for s in self.signs):
+        signs = tuple(self.signs)
+        if len(signs) != len(self.perm) or any(
+            isinstance(s, bool) or not isinstance(s, numbers.Integral) or s not in (1, -1)
+            for s in signs
+        ):
             raise ValueError("signs must be ±1 per point")
+        object.__setattr__(self, "signs", tuple(map(int, signs)))
 
     def cycles(self) -> tuple[tuple[int, ...], ...]:
         return canonical_cycles(self.perm)

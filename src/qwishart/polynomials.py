@@ -65,6 +65,15 @@ class TraceAtom:
     def make(cls, kind: str, word: Iterable[tuple[int, bool]]) -> "TraceAtom":
         return cls(kind, _canonical_word(_letters(word)))
 
+    @classmethod
+    def _trusted(cls, kind: str, word: tuple[tuple[int, bool], ...]) -> "TraceAtom":
+        """The atom of a word of ``(int, bool)`` letters already in canonical
+        form, built without the checks: for the walk's forms, which are."""
+        atom = object.__new__(cls)
+        object.__setattr__(atom, "kind", kind)
+        object.__setattr__(atom, "word", word)
+        return atom
+
     def sort_key(self):
         return (0 if self.kind == "shape" else 1, self.word)
 
@@ -231,6 +240,15 @@ class MomentPolynomial:
         self._terms = clean
 
     # construction -----------------------------------------------------
+
+    @classmethod
+    def _trusted(cls, terms: dict[Monomial, Rational]) -> "MomentPolynomial":
+        """The polynomial of ``terms``, kept as given, without the checks: for
+        sums that store each coefficient already, nonzero, as an ``int`` when
+        integral and else as a ``Fraction``."""
+        poly = object.__new__(cls)
+        poly._terms = terms
+        return poly
 
     @classmethod
     def zero(cls) -> "MomentPolynomial":

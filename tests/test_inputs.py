@@ -582,6 +582,22 @@ REFUSALS = {
     "SignedTraversal sign count": (
         lambda: SignedTraversal((2, 1), (1,)), ValueError, "signs must be ±1 per point"
     ),
+    "SignedTraversal bool sign": (
+        lambda: SignedTraversal((1,), (True,)), ValueError, "signs must be ±1 per point"
+    ),
+    "SignedTraversal float sign": (
+        lambda: SignedTraversal((1,), (-1.0,)), ValueError, "signs must be ±1 per point"
+    ),
+    "PairPartition.from_pairs float index": (
+        lambda: PairPartition.from_pairs([(1.0, -1.0)]),
+        ValueError,
+        "pair index must be an integer, got 1.0",
+    ),
+    "PairPartition.from_pairs float n": (
+        lambda: PairPartition.from_pairs([(1, -1)], n=1.0),
+        ValueError,
+        "n must be an integer, got 1.0",
+    ),
     "IntegerPartition no parts": (
         lambda: IntegerPartition(()), ValueError, "parts must be positive"
     ),
@@ -787,6 +803,10 @@ def test_counts_through_the_one_rule_become_ints():
     assert type(PairPartition(i(1), (i(1), i(0))).table[0]) is int
     assert from_permutation([i(2), i(1)]) == from_permutation([2, 1])
     assert block_pairing([i(2), i(1)]) == block_pairing([2, 1])
+    pairs = PairPartition.from_pairs([(i(1), i(-1))], n=i(1))
+    assert pairs == PairPartition.from_pairs([(1, -1)]) and type(pairs.n) is int
+    signs = SignedTraversal((2, 1), (i(1), i(-1))).signs
+    assert signs == (1, -1) and type(signs[0]) is int
     atom = TraceAtom.make("shape", [(i(2), False), (i(1), True)])
     assert atom.word == ((1, False), (2, True)) and type(atom.word[0][0]) is int
     assert white_wishart_power_moment([i(1)], 2, 3) == white_wishart_power_moment([1], 2, 3)

@@ -43,7 +43,7 @@ from qwishart.pairings import (
     _traverse_table,
     from_permutation,
 )
-from qwishart.fluctuations import _centered_counts
+from qwishart.fluctuations import _centered_counts, centered_trace_moment
 from qwishart.mp import mp_moment_check
 from qwishart.polynomials import (
     MomentPolynomial,
@@ -775,17 +775,23 @@ def _merging_substitute(atoms, cells, atom_value, q, const):
         return poly
 
 
+def _assert_same_result(got, expected) -> None:
+    """Equal results of one type; polynomials with the same terms, in the same
+    order, each coefficient of the same type."""
+    assert type(got) is type(expected)
+    assert got == expected
+    if isinstance(got, MomentPolynomial):
+        assert list(got._terms.items()) == list(expected._terms.items())
+        assert list(map(type, got._terms.values())) == list(map(type, expected._terms.values()))
+
+
 class TestDirectSubstitution:
     """Symbolic cells build their monomials directly; every mode equals the merging sum."""
 
     @staticmethod
     def check(atoms, cells, atom_value, q, const):
         got = moments._substitute(atoms, cells, atom_value, q, const)
-        expected = _merging_substitute(atoms, cells, atom_value, q, const)
-        assert type(got) is type(expected)
-        assert got == expected
-        if isinstance(got, MomentPolynomial):  # the same terms in the same order
-            assert list(got._terms.items()) == list(expected._terms.items())
+        _assert_same_result(got, _merging_substitute(atoms, cells, atom_value, q, const))
 
     @given(st.data(), st.booleans(), st.sampled_from(["q", 0, 1, Fraction(1, 2)]))
     @settings(max_examples=40, deadline=None)
@@ -807,6 +813,140 @@ class TestDirectSubstitution:
         # M before N leaves the merging path; N before M takes the direct one
         for sizes in (("M", "N"), ("N", "M"), (3, "N"), ("M", 2)):
             self.check(sizes, cells.items(), lambda size: size, q_value, Fraction(1))
+
+
+def _pointwise_constant(bindings: MatrixBindings, coloring: Coloring):
+    """The scalar constant as one product per point, as ``_substitution`` built it."""
+    return math.prod((bindings.scales[c - 1] for c in coloring.colors), start=Fraction(1))
+
+
+# every scalar binding the suite uses, the CLI's pinned one-term polynomial
+# scale and multi-term polynomial scales
+_SUITE_SCALAR_BINDINGS = [
+    MatrixBindings.scalar(["M"]),
+    MatrixBindings.scalar(["M1", "M2"]),
+    MatrixBindings.scalar(["M"], [OVER_N]),
+    MatrixBindings.scalar(["M", "M"], [OVER_N, OVER_N]),
+    MatrixBindings.scalar(["M", "M"], [OVER_N, N + P.symbol("M", -1)]),
+    MatrixBindings.scalar([3], [2**20], n_dim=2),
+    MatrixBindings.scalar([10**6], n_dim=10**6),
+    MatrixBindings.scalar([2], ["1/2"], 3),
+    MatrixBindings.scalar([3, "M2"], [3 * OVER_N, Fraction(1, 2)]),
+    MatrixBindings.scalar(["M1", "M2", "M3"], [2, Fraction(1, 2), OVER_N]),
+    _SCALAR_BINDINGS,
+    MatrixBindings.scalar(
+        ["M1", 2, "M3"], [Fraction(1, 3) * N**2 - 2 * OVER_N + M, 7, Fraction(-5, 4) * OVER_N]
+    ),
+]
+
+
+class TestFoldedConstant:
+    """The constant folded into the integer sums against ``poly * const``, the route
+    it replaced, with the constant built point by point."""
+
+    check = staticmethod(_assert_same_result)
+
+    @pytest.mark.parametrize("words", _TALLY_WORDS)
+    @pytest.mark.parametrize("q_value", ["q", 0, 1, Fraction(-3, 2)])
+    def test_every_suite_scalar_binding(self, words, q_value):
+        sigma, coloring = _top_and_coloring(words)
+        use_eps = words is _SIGMA  # a non-block top has only the classical moment
+        tally = moments._walked_tally(sigma.table, coloring.colors, use_eps, q_value == 0)
+        for bindings in _SUITE_SCALAR_BINDINGS:
+            if bindings.num_colors < coloring.s:
+                continue
+            atom_value, const = moments._substitution(bindings, coloring)
+            assert const == _pointwise_constant(bindings, coloring)
+            expected = _merging_substitute(
+                *tally, atom_value, q_value, _pointwise_constant(bindings, coloring)
+            )
+            self.check(moments._substitute(*tally, atom_value, q_value, const), expected)
+            if words is _SIGMA:
+                if q_value == 1:
+                    got = real_wishart_moment_general(sigma, coloring, bindings)
+                    self.check(got, expected)
+            else:
+                got = q_wishart_moment(MonomialSpec(words), bindings, q=q_value)
+                self.check(got, expected)
+
+    @given(st.data(), st.sampled_from(["q", 0, 1, Fraction(1, 2)]))
+    @settings(max_examples=30, deadline=None)
+    def test_random_specs(self, data, q_value):
+        spec = _random_spec(data)
+        coloring = spec.coloring()
+        tally = moments._walked_tally(spec.pairing().table, coloring.colors, False, q_value == 0)
+        bindings = data.draw(
+            st.sampled_from([b for b in _SUITE_SCALAR_BINDINGS if b.num_colors >= spec.s])
+        )
+        atom_value, const = moments._substitution(bindings, coloring)
+        expected = _merging_substitute(
+            *tally, atom_value, q_value, _pointwise_constant(bindings, coloring)
+        )
+        self.check(q_wishart_moment(spec, bindings, q=q_value), expected)
+
+    @pytest.mark.parametrize(
+        "words", [((1, 1), (1,)), ((1, 2), (2, 1)), ((1, 1, 2), (2,), (1, 2)), ((2, 1, 3), (3, 3))]
+    )
+    @pytest.mark.parametrize("sizes", [("M", "N"), (3, "N"), ("M", 2), (3, 5), ("N", "M")])
+    @pytest.mark.parametrize("q_value", ["q", 0, 1, Fraction(2, 3)])
+    def test_centered_moment(self, words, sizes, q_value):
+        spec = MonomialSpec(words)
+        shape_size, scale_dim = sizes
+        cells: dict = {}
+        for (cr, c_gamma, c_g), count in _centered_counts(spec).items():
+            cells.setdefault(((0, c_gamma), (1, c_g)), []).append((cr, count))
+        if isinstance(scale_dim, str):
+            const = P.symbol(scale_dim, -spec.n)
+        else:
+            const = Fraction(1, scale_dim**spec.n)
+        expected = _merging_substitute(sizes, cells.items(), lambda size: size, q_value, const)
+        got = moments._substitute(sizes, cells.items(), lambda size: size, q_value, const)
+        self.check(got, expected)
+        expected = expected if isinstance(expected, MomentPolynomial) else P.constant(expected)
+        assert centered_trace_moment(spec, q_value, shape_size, scale_dim) == expected
+
+
+class TestTrustedAtoms:
+    """The walk's atoms, made without the checks, against ``TraceAtom.make``."""
+
+    @staticmethod
+    def check(atom: TraceAtom):
+        made = TraceAtom.make(atom.kind, atom.word)
+        assert atom == made and hash(atom) == hash(made) and repr(atom) == repr(made)
+        assert all(type(c) is int and type(t) is bool for c, t in atom.word)
+        assert TraceAtom(atom.kind, atom.word) == atom  # the checked constructor takes it
+
+    @pytest.mark.parametrize("words", _WALKED_WORDS)
+    @pytest.mark.parametrize("use_eps", [True, False])
+    def test_tally_atoms(self, words, use_eps):
+        sigma, coloring = _top_and_coloring(words)
+        for noncrossing in (False, True):
+            atoms, _ = moments._walked_tally(sigma.table, coloring.colors, use_eps, noncrossing)
+            assert atoms
+            for atom in atoms:
+                self.check(atom)
+
+    @pytest.mark.parametrize("words", _TALLY_WORDS)
+    @pytest.mark.parametrize("use_eps", [True, False])
+    def test_per_table_atoms(self, words, use_eps):
+        sigma, coloring = _top_and_coloring(words)
+        seen = set()
+        for _, _, mono in moments._walked_terms(sigma.table, coloring.colors, use_eps):
+            seen.update(atom for atom, _ in mono)
+        assert seen
+        for atom in seen:
+            self.check(atom)
+
+    @given(st.data(), st.booleans())
+    @settings(max_examples=30, deadline=None)
+    def test_random_specs(self, data, use_eps):
+        spec = _random_spec(data)
+        top, colors = spec.pairing().table, spec.coloring().colors
+        seen = set(moments._walked_tally(top, colors, use_eps, False)[0])
+        for _, _, mono in moments._walked_terms(top, colors, use_eps):
+            seen.update(atom for atom, _ in mono)
+        for atom in seen:
+            self.check(atom)
 
 
 @contextmanager

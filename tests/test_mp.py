@@ -1,3 +1,4 @@
+from collections import Counter
 from fractions import Fraction
 from math import comb
 
@@ -7,6 +8,8 @@ from qwishart import moments
 from qwishart.mp import (
     SetPartition,
     SpectralMeasure,
+    _integer_partitions,
+    _kreweras_count,
     compound_mp_moment,
     mp_moment_check,
     nc_partitions,
@@ -108,6 +111,46 @@ class TestCompoundMoments:
     def test_measure_validation(self):
         with pytest.raises(ValueError):
             SpectralMeasure(((Fraction(1), Fraction(1, 2)),))
+
+
+def _enumerated_compound_moment(aspect_ratio, base, n):
+    """The sum over every non-crossing partition that block-type counting replaced,
+    kept as its oracle."""
+    lam = Fraction(aspect_ratio)
+    if isinstance(base, SpectralMeasure):
+        moments_ = [base.moment(k) for k in range(1, n + 1)]
+    else:
+        moments_ = [Fraction(x) for x in base]
+    total = Fraction(0)
+    for partition in nc_partitions(n):
+        term = lam ** len(partition.blocks)
+        for block in partition.blocks:
+            term *= moments_[len(block) - 1]
+        total += term
+    return total
+
+
+class TestBlockTypeCount:
+    """Kreweras' count by block type against the enumerated non-crossing partitions."""
+
+    @pytest.mark.parametrize("n", range(1, 10))
+    def test_counts_each_block_type(self, n):
+        by_type = Counter(
+            tuple(sorted((len(b) for b in p.blocks), reverse=True)) for p in nc_partitions(n)
+        )
+        parts = list(_integer_partitions(n, n))
+        assert len(parts) == len(set(parts))  # every block type once, each of them met
+        assert {t: _kreweras_count(n, t) for t in parts} == by_type
+
+    @pytest.mark.parametrize("n", range(1, 10))
+    @pytest.mark.parametrize("lam", [1, Fraction(3, 2), Fraction(-2, 7), 5])
+    def test_equals_the_enumerated_sum(self, n, lam):
+        measure = SpectralMeasure.from_eigenvalues([1, Fraction(5, 2), 3, 3])
+        moment_list = [Fraction(k * k + 1, k + 2) * (-1) ** k for k in range(1, n + 1)]
+        for base in (measure, moment_list, DELTA_ONE):
+            got = compound_mp_moment(lam, base, n)
+            assert type(got) is Fraction
+            assert got == _enumerated_compound_moment(lam, base, n)
 
 
 class TestFiniteSizeCheck:
