@@ -8,7 +8,7 @@ a tally over those pairings, summed forward one edge at a time over frontier
 states rather than over tables (the transfer-matrix method for maps and
 meanders): an edge that would complete a block with no edge leaving it is
 skipped, and q and the sizes are substituted into the tally by the finite
-moments' ``_substitute``.
+moments' ``_substitute``, loaded on first call; the limits never load it.
 
 As N grows with M/N -> lambda, only pairings whose diagram splits the blocks
 into genus-zero pairs survive, contributing q^crossings * lambda^cycles;
@@ -51,9 +51,8 @@ from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product as iter_product
-from typing import Sequence, Union
+from typing import TYPE_CHECKING, Sequence, Union
 
-from .moments import MonomialSpec, _check_spec, _substitute
 from .pairings import (
     TABLE_BOUND,
     _check_count,
@@ -61,8 +60,8 @@ from .pairings import (
     _colors,
     _count,
     _double_factorial,
-    _position_blocks,
     _record,
+    block_pairing,
 )
 from .polynomials import (
     MomentPolynomial,
@@ -72,6 +71,9 @@ from .polynomials import (
     _rational,
     _size,
 )
+
+if TYPE_CHECKING:
+    from .moments import MonomialSpec
 
 # Entries kept by each memo cache below.  The caches are keyed by spec, word
 # pair or statistic pair, so this bounds a long-lived process that walks
@@ -156,14 +158,15 @@ class LimitMoment:
             raise ValueError(f"limit moment contains finite-size symbols {sorted(bad)}")
 
 
-def _frontier_counts(spec: MonomialSpec, connectors: bool) -> dict[tuple[int, int, int], int]:
+def _frontier_counts(words: tuple, connectors: bool) -> dict[tuple[int, int, int], int]:
     """Tally of the color-preserving tables that join every block to another.
 
-    A table joins a block to another when some edge leaves the block's
-    positions.  Its counts are its crossings, its cycles (joined to x ^ 1)
-    and its contraction cycles (joined to top[x ^ 1] ^ 1).  Built edge by
-    edge, each (p, q) placed from the smallest free position p, a partial
-    table's completions depend only on a frontier state: the taken
+    The blocks are the cycle ``words`` on consecutive positions, ``top`` is
+    their ``block_pairing``, and a table joins a block to another when some
+    edge leaves its positions.  Its counts are its crossings, its cycles
+    (joined to x ^ 1) and its contraction cycles (joined to top[x ^ 1] ^ 1).
+    Built edge by edge, each (p, q) placed from the smallest free position p,
+    a partial table's completions depend only on a frontier state: the taken
     positions, the path-end involutions ``end_v`` and ``end_f`` restricted
     to the free positions (a path always ends at free positions) and one
     "has an outside edge" bit per block.  So the tally is summed forward one
@@ -189,14 +192,15 @@ def _frontier_counts(spec: MonomialSpec, connectors: bool) -> dict[tuple[int, in
     blocks into one component, of defect n - c_gamma - c_g >= 0
     (``pairings.components_and_genus``), so no other table is left.
     """
-    n = spec.n
-    pos_colors = [c for word in spec.cycle_words for c in word for _ in (0, 1)]
+    sizes = [len(word) for word in words]
+    n = sum(sizes)
+    pos_colors = [c for word in words for c in word for _ in (0, 1)]
     width = _check_tables(n, pos_colors).bit_length()
-    blocks_of = Counter(c for word in spec.cycle_words for c in set(word))
-    if any(all(blocks_of[c] == 1 for c in word) for word in spec.cycle_words):
+    blocks_of = Counter(c for word in words for c in set(word))
+    if any(all(blocks_of[c] == 1 for c in word) for word in words):
         return {}
-    base = spec.pairing()
-    top, block = base.table, _position_blocks(base)
+    top = block_pairing(sizes).table
+    block = [b for b, k in enumerate(sizes) for _ in range(2 * k)]
     size = 2 * n
     block_bits = [0] * (max(block) + 1)
     for x, b in enumerate(block):
@@ -281,7 +285,7 @@ def _frontier_counts(spec: MonomialSpec, connectors: bool) -> dict[tuple[int, in
 @lru_cache(maxsize=_CACHE_SIZE)
 def _centered_counts(spec: MonomialSpec) -> dict[tuple[int, int, int], int]:
     """The finite centered tally; the sum checks its own bound, so the key is the spec."""
-    return _frontier_counts(spec, connectors=False)
+    return _frontier_counts(spec.cycle_words, connectors=False)
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
@@ -301,7 +305,7 @@ def _connector_counts(
     (word_a, word_b) with e_AB >= 1 edges between the blocks and two cycle
     counts that sum to the degree (genus zero), summed by ``_frontier_counts``.
     """
-    return _frontier_counts(MonomialSpec((word_a, word_b)), connectors=True)
+    return _frontier_counts((word_a, word_b), connectors=True)
 
 
 def centered_trace_moment(
@@ -311,6 +315,8 @@ def centered_trace_moment(
     scale_dim: Union[int, str] = "N",
 ) -> MomentPolynomial:
     """Joint centered moment of the spec's trace blocks at finite size."""
+    from .moments import _check_spec, _substitute
+
     _check_spec(spec)
     q = _q_value(q)
     shape_size, scale_dim = _size(shape_size, "shape_size"), _size(scale_dim, "scale_dim")
@@ -328,6 +334,8 @@ def centered_trace_moment(
 
 def centered_trace_moment_limit(spec: MonomialSpec, q="q") -> LimitMoment:
     """Large-N limit of the centered moment with M/N -> lambda."""
+    from .moments import _check_spec
+
     _check_spec(spec)
     q = _q_value(q)
     blocks = [PolynomialStatistic.from_terms([(1, word)]) for word in spec.cycle_words]

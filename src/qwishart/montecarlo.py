@@ -139,7 +139,7 @@ class SamplerConfig:
         # read as the exact side reads them, so what it refuses fails here
         bindings = MatrixBindings.numeric(self.colors)
         if not bindings.shapes:
-            raise ValueError("all Sigma must share one dimension")
+            raise ValueError("the sampler needs at least one (B, Sigma) pair")
         colors = tuple(
             (np.array(_float_rows(b, "B")), np.array(_float_rows(sigma, "Sigma")))
             for b, sigma in zip(bindings.shapes, bindings.scales)

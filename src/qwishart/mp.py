@@ -21,7 +21,7 @@ from fractions import Fraction
 from typing import Iterator, Sequence, Union
 
 from .moments import MonomialSpec, _moment
-from .pairings import _count, _record
+from .pairings import ENUMERATION_BOUND, _count, _record
 from .polynomials import Rational, TraceAtom, _rational, _size
 
 NC_BOUND = 12
@@ -193,7 +193,8 @@ class MPCheckReport:
 
 
 def _check_n_max(n_max: int) -> int:
-    return _count(n_max, "n_max", 1, 6)
+    """n_max in 1..ENUMERATION_BOUND: past it, TABLE_BOUND refuses the q = 0 walk."""
+    return _count(n_max, "n_max", 1, ENUMERATION_BOUND)
 
 
 def _check_scale_dim(scale_dim: int) -> int:

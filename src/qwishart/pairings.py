@@ -34,8 +34,9 @@ crossings, reads both back from the key.  The last two pairs of every table
 are completed in closed form.  ``_iter_tables`` shares no code with it: it
 serves the three public enumerations and the oracles that check the walk.
 ``connecting_pairings`` keeps the tables that join every base cycle to
-another one; ``fluctuations._frontier_counts`` sums over the same tables and
-is the only code that prunes by that rule.
+another one; ``fluctuations._frontier_counts`` sums over the same tables,
+from the cycle words and their ``block_pairing`` alone, and is the only code
+that prunes by that rule.
 """
 
 from __future__ import annotations
@@ -272,12 +273,12 @@ class SignedTraversal:
     def __post_init__(self) -> None:
         object.__setattr__(self, "perm", _permutation(self.perm))
         signs = tuple(self.signs)
-        if len(signs) != len(self.perm) or any(
-            isinstance(s, bool) or not isinstance(s, numbers.Integral) or s not in (1, -1)
-            for s in signs
-        ):
+        if not {int}.issuperset(map(type, signs)):  # ints pass at C speed
+            integral = all(isinstance(s, numbers.Integral) and not isinstance(s, bool) for s in signs)
+            signs = tuple(map(int, signs)) if integral else None
+        if signs is None or len(signs) != len(self.perm) or not {1, -1}.issuperset(signs):
             raise ValueError("signs must be ±1 per point")
-        object.__setattr__(self, "signs", tuple(map(int, signs)))
+        object.__setattr__(self, "signs", signs)
 
     def cycles(self) -> tuple[tuple[int, ...], ...]:
         return canonical_cycles(self.perm)
@@ -358,7 +359,9 @@ class GenusDecomposition:
 
 def _permutation(perm: Sequence[int]) -> tuple[int, ...]:
     """``perm`` as ``int``s (``_count``), refused unless it is a bijection of 1..n."""
-    perm = tuple(_count(j, "perm entry", None) for j in perm)
+    perm = tuple(perm)
+    if not {int}.issuperset(map(type, perm)):  # ints pass at C speed
+        perm = tuple(_count(j, "perm entry", None) for j in perm)
     if sorted(perm) != list(range(1, len(perm) + 1)):
         raise ValueError("perm is not a bijection of 1..n")
     return perm
@@ -368,7 +371,7 @@ def _check_top(top: PairPartition, n: int, name: str) -> None:
     """Refuse a left Brauer factor ``top`` not of degree ``n`` or not top-to-bottom."""
     if top.n != n:
         raise ValueError("sizes differ")
-    if not _is_top_to_bottom_table(top.table):
+    if not is_top_to_bottom(top):
         raise ValueError(f"{name} must be a top-to-bottom pairing")
 
 
@@ -488,10 +491,6 @@ def _crossings_table(table: Sequence[int]) -> int:
             if a < c < b < d or c < a < d < b:
                 cr += 1
     return cr
-
-
-def _is_top_to_bottom_table(table: Sequence[int]) -> bool:
-    return all((table[p] & 1) == 1 for p in range(0, len(table), 2))
 
 
 def _induced_colors_table(
@@ -789,7 +788,7 @@ def crossings(pp: PairPartition) -> int:
 
 
 def is_top_to_bottom(pp: PairPartition) -> bool:
-    return _is_top_to_bottom_table(pp.table)
+    return all((pp.table[p] & 1) == 1 for p in range(0, 2 * pp.n, 2))
 
 
 def is_noncrossing(pp: PairPartition) -> bool:

@@ -349,6 +349,11 @@ class TestMomentErrorsNameTheFlag:
                 ["moment", "--spec", "[[1,1]]", "--scalar", '{"M":[2],"N":"lambda"}'],
                 "--scalar: n_dim must be a positive integer or a symbol name, got 'lambda'",
             ),
+            # the sampler is refused for want of any pair, not for a dimension mismatch
+            (
+                ["mc-validate", "--spec", "[[1]]", "--matrices", "[]"],
+                "--matrices: the sampler needs at least one (B, Sigma) pair",
+            ),
         ],
     )
     def test_message_and_flag(self, capsys, argv, message):
@@ -635,7 +640,7 @@ class TestMpCheck:
             ("[true]", "2", "3", "--eigenvalues"),
             ("[Infinity]", "2", "3", "--eigenvalues"),
             ('["1"]', "2", "-1", "--n-max"),
-            ('["1"]', "2", "7", "--n-max"),
+            ('["1"]', "2", "10", "--n-max"),
         ],
     )
     def test_names_the_flag(self, capsys, eigenvalues, n_dim, n_max, field):

@@ -121,11 +121,13 @@ def fresh_python(code: str) -> str:
 
 # the submodules each subcommand loads besides cli
 MOMENT_MODULES = ["moments", "pairings", "polynomials"]
+# the limits are transfer sums over connector tallies, with no finite-moment code
+LIMIT_MODULES = ["fluctuations", "pairings", "polynomials"]
 COMMAND_MODULES = {
     "table1": MOMENT_MODULES,
     "enumerate": ["pairings"],
-    "fluctuation-limit": ["fluctuations", *MOMENT_MODULES],
-    "t5-check": ["fluctuations", *MOMENT_MODULES],
+    "fluctuation-limit": LIMIT_MODULES,
+    "t5-check": LIMIT_MODULES,
     "mp-check": ["mp", *MOMENT_MODULES],
     **{name: MOMENT_MODULES for name in EXACT_COMMANDS if "moment-" in name},
 }
@@ -172,6 +174,26 @@ def test_exact_command_leaves_numpy_unloaded(argv):
 def test_command_loads_only_its_modules(name):
     modules = sorted(["cli", *COMMAND_MODULES[name]])
     assert cli_run(EXACT_COMMANDS[name]) == [0, False, modules, []]
+
+
+def test_limits_leave_the_finite_engine_unloaded():
+    # the centered finite moment checks its spec and substitutes through moments,
+    # so its first call loads them, even one that refuses its spec
+    code = (
+        "import json, sys\n"
+        "from qwishart import fluctuations as f\n"
+        "loaded = lambda: 'qwishart.moments' in sys.modules\n"
+        "stat = f.PolynomialStatistic.from_terms([(1, (1, 2)), (-2, (1,))])\n"
+        "f.statistic_limit_moments(stat, 4)\n"
+        "f.conditional_variance_check(stat, 2)\n"
+        "limits = loaded()\n"
+        "try:\n"
+        "    f.centered_trace_moment(None)\n"
+        "except TypeError:\n"
+        "    pass\n"
+        "print(json.dumps([limits, loaded()]))\n"
+    )
+    assert json.loads(fresh_python(code)) == [False, True]
 
 
 def test_records_load_no_dataclass_machinery():

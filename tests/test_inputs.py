@@ -502,7 +502,7 @@ def test_exact_entry_beyond_the_double_range_accepted():
 
 
 def test_sampler_without_colors_refused():
-    with pytest.raises(ValueError, match="^all Sigma must share one dimension$"):
+    with pytest.raises(ValueError, match=r"^the sampler needs at least one \(B, Sigma\) pair$"):
         SamplerConfig(seed=1, samples=5, colors=())
 
 

@@ -15,6 +15,7 @@ from qwishart.mp import (
     nc_partitions,
 )
 from qwishart.pairings import (
+    ENUMERATION_BOUND,
     all_pairings,
     block_pairing,
     canonical_cycles,
@@ -167,6 +168,12 @@ class TestFiniteSizeCheck:
         report = mp_moment_check([1], 1, 4)
         assert [row.lhs for row in report.rows] == [1, 2, 5, 14]
 
+    def test_agrees_up_to_the_enumeration_bound(self):
+        # the q = 0 walks visit the noncrossing tables alone: degree 9 takes tens of ms
+        report = mp_moment_check(["1", "2", "3"], 2, ENUMERATION_BOUND)
+        assert report.all_equal
+        assert [row.n for row in report.rows] == list(range(1, 10))
+
     def test_rejects_nonpositive_eigenvalues(self):
         with pytest.raises(ValueError):
             mp_moment_check([0], 2, 3)
@@ -178,8 +185,8 @@ class TestFiniteSizeCheck:
             ([1], -2, 3, "N must be a positive integer"),
             ([1], 2.0, 3, "N must be a positive integer"),
             ([], 2, 3, "need at least one eigenvalue"),
-            ([1], 2, 0, "n_max must be an integer in 1..6"),
-            ([1], 2, 7, "n_max must be an integer in 1..6"),
+            ([1], 2, 0, "n_max must be an integer in 1..9"),
+            ([1], 2, 10, "n_max must be an integer in 1..9"),
         ],
     )
     def test_rejects_bad_input(self, eigenvalues, scale_dim, n_max, message):
