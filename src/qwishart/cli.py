@@ -80,35 +80,12 @@ def _parse_coloring(field: str, value: str) -> pairings.Coloring:
     return pairings.Coloring.from_colors(colors)
 
 
-def _exact_from_json(field: str, value) -> Fraction:
-    """An exact entry: a JSON integer or a quoted rational such as "1/10".
+def _scalar_from_json(value):
+    """A ``--scalar`` scale or ``--Q`` coefficient: ``{"poly": ...}``, else exact
+    (``polynomials._json_rational``, the rule of every exact field)."""
+    from .polynomials import _json_rational, poly_from_json
 
-    A JSON decimal is refused: it arrives as a binary double, so 0.1 would be
-    read as 3602879701896397/36028797018963968.
-    """
-    if isinstance(value, str):
-        try:
-            return Fraction(value)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise CliInputError(field, f"bad rational {value!r}") from exc
-    if isinstance(value, float):
-        raise CliInputError(
-            field,
-            f"{value!r} is not an exact number; write an integer or a quoted "
-            'rational such as "1/10"',
-        )
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise CliInputError(field, f"bad numeric entry {value!r}")
-    return Fraction(value)
-
-
-def _scalar_from_json(field: str, value):
-    """A ``--scalar`` scale or ``--Q`` coefficient: ``{"poly": ...}``, else exact."""
-    from .polynomials import poly_from_json
-
-    if isinstance(value, dict):
-        return poly_from_json(value["poly"])
-    return _exact_from_json(field, value)
+    return poly_from_json(value["poly"]) if isinstance(value, dict) else _json_rational(value)
 
 
 @_reported
@@ -129,7 +106,7 @@ def _parse_scalar(field: str, value: str) -> moments.MatrixBindings:
     sizes = data["M"]
     if not isinstance(sizes, list):
         raise ValueError("M must be a JSON list")
-    factors = [_scalar_from_json(field, entry) for entry in data.get("scale", ["1"] * len(sizes))]
+    factors = [_scalar_from_json(entry) for entry in data.get("scale", ["1"] * len(sizes))]
     return moments.MatrixBindings.scalar(sizes, factors, data.get("N", "N"))
 
 
@@ -138,20 +115,14 @@ def _parse_statistic(field: str, value: str) -> fluctuations.PolynomialStatistic
     from . import fluctuations
 
     data = _parse_json(field, value)
-    terms = [
-        (_scalar_from_json(field, term["coeff"]), term["word"])
-        for term in data["terms"]
-    ]
+    terms = [(_scalar_from_json(term["coeff"]), term["word"]) for term in data["terms"]]
     return fluctuations.PolynomialStatistic.from_terms(terms)
 
 
 def _parse_q(field: str, value: str):
-    if value in ("sym", "q"):
-        return "q"
-    try:
-        return Fraction(value)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise CliInputError(field, f"bad q value {value!r}") from exc
+    from .polynomials import _rational
+
+    return "q" if value in ("sym", "q") else _checked(field, _rational, value)
 
 
 def _result_json(result):
@@ -399,8 +370,8 @@ def _cmd_mp_check(args, out) -> int:
         eigenvalues = _parse_json("--eigenvalues", args.eigenvalues)
         scale_dim, n_max = args.N, args.n_max
     _checked(n_max_field, mp._check_n_max, n_max)
-    _checked(n_field, mp._check_scale_dim, scale_dim)
-    eigs = _checked(eig_field, _eigenvalues, eig_field, eigenvalues)
+    _checked(n_field, pairings._count, scale_dim, "N", 1)
+    eigs = _checked(eig_field, _eigenvalues, eigenvalues)
     report = mp.mp_moment_check(eigs, scale_dim, n_max)
     payload = {
         "lambda": rational_to_str(report.aspect_ratio),
@@ -432,19 +403,13 @@ def _checked(field: str, check, *args):
         raise CliInputError(field, str(exc)) from exc
 
 
-def _eigenvalues(field: str, values) -> list[Rational]:
+def _eigenvalues(values) -> list[Rational]:
     from . import mp
+    from .polynomials import _json_rational
 
     if not isinstance(values, list):
         raise ValueError("eigenvalues must be a JSON list")
-    return mp._check_eigenvalues([_exact_from_json(field, x) for x in values])
-
-
-def _config_int(data: dict, key: str, default: int) -> int:
-    value = data.get(key, default)
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise CliInputError("--config", f"{key} must be a JSON integer, got {value!r}")
-    return value
+    return mp._check_eigenvalues([_json_rational(x) for x in values])
 
 
 def _cmd_mc_validate(args, out) -> int:
@@ -455,8 +420,9 @@ def _cmd_mc_validate(args, out) -> int:
         if not isinstance(data, dict):
             raise CliInputError("--config", "expected a JSON object")
         spec, matrices = _checked("--config", lambda: (data["spec"], data["matrices"]))
-        seed = _config_int(data, "seed", args.seed)
-        samples = _config_int(data, "samples", args.samples)
+        seed, samples = data.get("seed", args.seed), data.get("samples", args.samples)
+        seed = _checked("--config", pairings._count, seed, "seed", None)
+        samples = _checked("--config", pairings._count, samples, "samples", None)
         spec_field = matrices_field = samples_field = "--config"
         spec_text, matrices = json.dumps(spec), json.dumps(matrices)
     else:

@@ -22,7 +22,7 @@ from typing import Iterator, Sequence, Union
 
 from .moments import MonomialSpec, _moment
 from .pairings import ENUMERATION_BOUND, _count, _record
-from .polynomials import Rational, TraceAtom, _rational, _size
+from .polynomials import Rational, TraceAtom, _rational
 
 NC_BOUND = 12
 
@@ -35,6 +35,10 @@ class SetPartition:
     blocks: tuple[frozenset[int], ...]
 
     def __post_init__(self) -> None:
+        """``n`` and every block element are integers (``_count``)."""
+        object.__setattr__(self, "n", _count(self.n, "n", 0))
+        blocks = tuple(frozenset(_count(x, "block element", None) for x in b) for b in self.blocks)
+        object.__setattr__(self, "blocks", blocks)
         seen: set[int] = set()
         for block in self.blocks:
             if not block or block & seen:
@@ -100,9 +104,12 @@ def nc_partitions(n: int) -> Iterator[SetPartition]:
 class SpectralMeasure:
     """Finitely supported probability measure given by (location, mass) atoms."""
 
-    atoms: tuple[tuple[Rational, Fraction], ...]
+    atoms: tuple[tuple[Rational, Rational], ...]
 
     def __post_init__(self) -> None:
+        """Locations and masses are exact numbers (``_rational``)."""
+        atoms = tuple((_rational(x), _rational(mass)) for x, mass in self.atoms)
+        object.__setattr__(self, "atoms", atoms)
         if any(mass <= 0 for _, mass in self.atoms):
             raise ValueError("masses must be positive")
         if sum(mass for _, mass in self.atoms) != 1:
@@ -197,15 +204,6 @@ def _check_n_max(n_max: int) -> int:
     return _count(n_max, "n_max", 1, ENUMERATION_BOUND)
 
 
-def _check_scale_dim(scale_dim: int) -> int:
-    try:
-        if not isinstance(scale_dim, str):  # N is a number here, never a symbol
-            return _size(scale_dim, "N")
-    except ValueError:
-        pass
-    raise ValueError("N must be a positive integer")
-
-
 def _check_eigenvalues(eigenvalues: Sequence[Rational]) -> list[Rational]:
     eigs = [_rational(x) for x in eigenvalues]
     if not eigs:
@@ -229,7 +227,7 @@ def mp_moment_check(
     built, and the cost does not grow with N.
     """
     n_max = _check_n_max(n_max)
-    scale_dim = _check_scale_dim(scale_dim)
+    scale_dim = _count(scale_dim, "N", 1)  # a number here, never a symbol
     eigs = _check_eigenvalues(eigenvalues)
     lam = Fraction(len(eigs), scale_dim)
     power_sums = [sum(x**k for x in eigs) for k in range(n_max + 1)]

@@ -18,9 +18,12 @@ coefficient is refused.  Public scalar results stay ``Fraction``:
 :meth:`MomentPolynomial.constant_value` returns one for every constant.
 Numbers from outside follow one rule, kept here: each public entry passes its
 q, sizes and exact scalars once through ``_q_value``, ``_size`` and ``_rational``,
-and its counts (orders, degrees, seeds, sample counts, colors) through
-``pairings._count``, which lives in the base module so that colorings need
-nothing else.
+and its counts (orders, degrees, seeds, sample counts, colors, exponents)
+through ``pairings._count``, which lives in the base module so that colorings
+need nothing else.  A transpose flag must be a bool.  An exact number written
+in JSON (a ``poly_from_json`` coefficient and every exact field of the command
+line) goes through ``_json_rational``: an integer or a rational string, read
+by ``_rational``; a float or a bool is refused.
 """
 
 from __future__ import annotations
@@ -84,11 +87,14 @@ class TraceAtom:
 
 
 def _letters(word: Iterable[tuple[int, bool]]) -> tuple[tuple[int, bool], ...]:
-    """``word`` as (color, flag) letters, each color an ``int`` (``_count``),
-    checked before it is canonicalised."""
-    letters = tuple((_count(c, "color", None), bool(t)) for c, t in word)
+    """``word`` as (color, flag) letters, each color an ``int`` (``_count``)
+    and each flag a bool, checked before it is canonicalised."""
+    letters = tuple((_count(c, "color", None), t) for c, t in word)
     if not letters or any(c < 1 for c, _ in letters):
         raise ValueError("word must be a nonempty sequence of 1-based colors")
+    for _, t in letters:
+        if type(t) is not bool:
+            raise ValueError(f"transpose flag must be a bool, got {t!r}")
     return letters
 
 
@@ -133,7 +139,8 @@ def _validate_key(key: Key) -> Key:
 
 
 def _make_monomial(powers: Mapping[Key, int]) -> Monomial:
-    items = [(k, int(e)) for k, e in powers.items() if e != 0]
+    """The monomial of ``powers``, each exponent an integer (``_count``), zeros dropped."""
+    items = [(k, c) for k, e in powers.items() if (c := _count(e, "exponent", None))]
     for k, e in items:
         _validate_key(k)
         if isinstance(k, TraceAtom) and e < 0:
@@ -183,14 +190,30 @@ def _coefficient(value) -> Rational:
 
 def _rational(value) -> Rational:
     """An exact number from outside, as ``_coefficient`` stores it; a float is
-    its exact binary value and a string such as ``"1/10"`` is parsed.  A zero
-    denominator, an infinity or a NaN raises a ``ValueError`` naming the value."""
-    if not isinstance(value, numbers.Rational):
+    its exact binary value and a string such as ``"1/10"`` is parsed.  A bool,
+    a zero denominator, an infinity, a NaN or a value of another type raises a
+    ``ValueError`` naming the value."""
+    if isinstance(value, numbers.Rational):
+        if not isinstance(value, bool):
+            return _coefficient(value)
+    else:
         try:
-            value = Fraction(value)
-        except (ZeroDivisionError, OverflowError, ValueError) as exc:
-            raise ValueError(f"not a finite rational number: {value!r}") from exc
-    return _coefficient(value)
+            return _coefficient(Fraction(value))
+        except (TypeError, ZeroDivisionError, OverflowError, ValueError):
+            pass
+    raise ValueError(f"not a finite rational number: {value!r}")
+
+
+def _json_rational(value) -> Rational:
+    """An exact number written in JSON: an integer or a rational string such as
+    ``"1/10"``, read by ``_rational``.  A float or a bool raises ``TypeError``:
+    a JSON decimal arrives as a binary double, not as the decimal written."""
+    if isinstance(value, (bool, float)):
+        raise TypeError(
+            f"{value!r} is not an exact number; write an integer or a quoted "
+            'rational such as "1/10"'
+        )
+    return _rational(value)
 
 
 def _q_value(q) -> Union[str, Rational]:
@@ -202,7 +225,7 @@ def _q_value(q) -> Union[str, Rational]:
     else:
         try:
             return _rational(q)
-        except (TypeError, ValueError):
+        except ValueError:
             pass
     raise ValueError("q must be the symbol 'q' or a rational number")
 
@@ -305,7 +328,7 @@ class MomentPolynomial:
 
     def coefficient(self, powers: Mapping[Key, int]) -> "MomentPolynomial":
         """Collect terms with exactly the given exponents on the given keys."""
-        keys = {(_validate_key(k)): int(e) for k, e in powers.items()}
+        keys = {_validate_key(k): _count(e, "exponent", None) for k, e in powers.items()}
         out: dict[Monomial, Rational] = {}
         for mono, coeff in self._terms.items():
             mono_map = dict(mono)
@@ -359,11 +382,11 @@ class MomentPolynomial:
         return MomentPolynomial({m: Fraction(c, other) for m, c in self._terms.items()})
 
     def __pow__(self, exponent: int) -> "MomentPolynomial":
-        if exponent < 0:
+        e = _count(exponent, "exponent", None)
+        if e < 0:
             raise ValueError("negative powers of polynomials are not defined")
         result = MomentPolynomial.constant(1)
         base = self
-        e = exponent
         while e:
             if e & 1:
                 result = result * base
@@ -526,27 +549,18 @@ def poly_to_json(poly: MomentPolynomial) -> dict:
 
 
 def poly_from_json(data: Mapping) -> MomentPolynomial:
-    """Inverse of ``poly_to_json``; a coefficient is an integer or a rational string.
-
-    A float coefficient raises ``TypeError``: a JSON decimal arrives as a
-    binary double, not as the decimal that was written.
-    """
+    """Inverse of ``poly_to_json``; a coefficient is read by ``_json_rational``,
+    and the exponents, atom words and flags by the rules of ``_make_monomial``
+    and ``TraceAtom.make``."""
     result: dict[Monomial, Rational] = {}
     for term in data["terms"]:
         powers: dict[Key, int] = {}
         for key, value in term["powers"].items():
             if key == "atoms":
                 for atom in value:
-                    word = tuple((int(c), bool(t)) for c, t in atom["word"])
-                    powers[TraceAtom.make(atom["kind"], word)] = int(atom["power"])
+                    powers[TraceAtom.make(atom["kind"], atom["word"])] = atom["power"]
             else:
-                powers[key] = int(value)
+                powers[key] = value
         mono = _make_monomial(powers)
-        coeff = term["coeff"]
-        if isinstance(coeff, float):
-            raise TypeError(
-                f"coefficient {coeff!r} is a float; write an integer or a "
-                'rational string such as "1/10"'
-            )
-        result[mono] = result.get(mono, 0) + _rational(coeff)
+        result[mono] = result.get(mono, 0) + _json_rational(term["coeff"])
     return MomentPolynomial(result)

@@ -195,6 +195,15 @@ class TestMoment:
         err = capsys.readouterr().err
         assert err.startswith("error: --Q: color must be an integer >= 1, got "), err
 
+    def test_numeric_csv_is_one_value(self):
+        argv = numeric_argv("moment", "[[1,1]]", [["1/2"]], [[3]]) + ["--format", "csv"]
+        assert capture(argv) == (0, "value\n27/4\n")
+
+    def test_one_matrices_object_is_one_color(self):
+        listed = capture_json(numeric_argv("moment", "[[1,1]]", [["1/2"]], [[3]]))
+        argv = ["moment", "--spec", "[[1,1]]", "--matrices", '{"B":[["1/2"]],"Sigma":[[3]]}']
+        assert capture_json(argv) == listed
+
     def test_csv_format(self):
         code, text = capture(
             ["moment", "--spec", '{"cycle_words":[[1,2]]}', "--symbolic", "--format", "csv"]
@@ -250,6 +259,23 @@ class TestQMoment:
 
 def numeric_argv(command, spec, b, sigma):
     return [command, "--spec", spec, "--matrices", json.dumps([{"B": b, "Sigma": sigma}])]
+
+
+def _one_term(powers):
+    """A ``{"poly": ...}`` exact field of one term with coefficient 1 and ``powers``."""
+    return {"poly": {"terms": [{"coeff": "1", "powers": powers}]}}
+
+
+def _atom(word, power):
+    return {"atoms": [{"kind": "shape", "word": word, "power": power}]}
+
+
+def _statistic(powers):
+    return json.dumps({"terms": [{"coeff": _one_term(powers), "word": [1]}]})
+
+
+def _scale(powers):
+    return json.dumps({"M": ["M"], "scale": [_one_term(powers)]})
 
 
 class TestMomentErrorsNameTheFlag:
@@ -354,6 +380,55 @@ class TestMomentErrorsNameTheFlag:
                 ["mc-validate", "--spec", "[[1]]", "--matrices", "[]"],
                 "--matrices: the sampler needs at least one (B, Sigma) pair",
             ),
+            # exponents, atom colors and flags inside a polynomial are read, never truncated
+            (
+                ["fluctuation-limit", "--Q", _statistic({"lambda": 0.5}), "--orders", "2"],
+                "--Q: exponent must be an integer, got 0.5",
+            ),
+            (
+                ["q-moment", "--spec", "[[1]]", "--scalar", _scale({"N": 1.5})],
+                "--scalar: exponent must be an integer, got 1.5",
+            ),
+            (
+                ["q-moment", "--spec", "[[1]]", "--scalar", _scale(_atom([[1.7, False]], 1))],
+                "--scalar: color must be an integer, got 1.7",
+            ),
+            (
+                ["fluctuation-limit", "--Q", _statistic(_atom([[1, "no"]], 1)), "--orders", "2"],
+                "--Q: transpose flag must be a bool, got 'no'",
+            ),
+            (
+                ["q-moment", "--spec", "[[1]]", "--scalar", _scale(_atom([[1, False]], 2.9))],
+                "--scalar: exponent must be an integer, got 2.9",
+            ),
+            # the commands' own checks of which flags go together
+            (
+                ["moment", "--spec", "[[1]]", "--sigma", "[[1,-1]]", "--coloring", "1"]
+                + ["--symbolic"],
+                "--sigma: give either --spec or --sigma, not both",
+            ),
+            (
+                ["moment", "--sigma", "[[1,-1]]", "--symbolic"],
+                "--coloring: --sigma requires --coloring",
+            ),
+            (["moment", "--symbolic"], "--spec: a spec is required"),
+            (
+                ["fluctuation-limit", "--Q", TRACE, "--orders", "0"],
+                "--orders: orders must be at least 1",
+            ),
+            (["t5-check", "--Q", TRACE, "--m", "-1"], "--m: m must be nonnegative"),
+            (
+                ["enumerate", "--n", "2", "--coloring", "1,1,1"],
+                "--coloring: coloring length must equal --n",
+            ),
+            (
+                ["mp-check", "--eigenvalues", '["1"]', "--N", "2"],
+                "--eigenvalues: need --eigenvalues, --N and --n-max (or --input)",
+            ),
+            (
+                ["mc-validate", "--spec", "[[1]]"],
+                "--spec: need --spec and --matrices (or --config)",
+            ),
         ],
     )
     def test_message_and_flag(self, capsys, argv, message):
@@ -454,7 +529,32 @@ class TestExactFieldsRefuseDecimals:
         poly = {"terms": [{"coeff": 0.5, "powers": {}}]}
         q_json = json.dumps({"terms": [{"coeff": {"poly": poly}, "word": [1]}]})
         assert capture(["fluctuation-limit", "--Q", q_json, "--orders", "2"]) == (2, "")
-        assert capsys.readouterr().err.startswith("error: --Q: coefficient 0.5 is a float")
+        assert capsys.readouterr().err == f"error: --Q: 0.5 {_NOT_EXACT}\n"
+
+    @pytest.mark.parametrize(
+        "value, message",
+        [
+            ("1/0", "not a finite rational number: '1/0'"),
+            (0.5, f"0.5 {_NOT_EXACT}"),
+            (True, f"True {_NOT_EXACT}"),
+        ],
+        ids=["zero denominator", "decimal", "bool"],
+    )
+    def test_one_mistake_one_message(self, capsys, value, message):
+        # each exact field reads a bad number alike, bare or inside {"poly": ...}
+        inside = {"poly": {"terms": [{"coeff": value, "powers": {}}]}}
+        argvs = [
+            ["fluctuation-limit", "--orders", "2", "--Q"]
+            + [json.dumps({"terms": [{"coeff": coeff, "word": [1]}]})]
+            for coeff in (value, inside)
+        ] + [
+            ["q-moment", "--spec", "[[1]]", "--scalar", json.dumps({"M": ["M"], "scale": [scale]})]
+            for scale in (value, inside)
+        ]
+        argvs.append(["mp-check", "--N", "2", "--n-max", "2", "--eigenvalues", json.dumps([value])])
+        for argv, field in zip(argvs, ["--Q", "--Q", "--scalar", "--scalar", "--eigenvalues"]):
+            assert capture(argv) == (2, "")
+            assert capsys.readouterr().err == f"error: {field}: {message}\n"
 
     def test_quoted_rational_is_exact(self):
         data = capture_json(
@@ -609,6 +709,10 @@ class TestT5Check:
         )
         assert data["zero"] is True
         assert data["difference"]["terms"] == []
+
+    def test_csv_of_the_zero_difference(self):
+        argv = ["t5-check", "--Q", '{"terms":[{"coeff":"1","word":[1,2]}]}', "--m", "2"]
+        assert capture(argv + ["--format", "csv"]) == (0, "coeff,atoms\n")
 
 
 class TestMpCheck:

@@ -539,6 +539,7 @@ CROSS2 = PairPartition.from_pairs([(1, 2), (-1, -2)])  # not top-to-bottom
 COLORS2 = Coloring((1, 1), 1)
 B1 = TraceAtom.make("shape", [(1, False)])
 B1B2 = TraceAtom.make("shape", [(1, False), (2, False)])
+FLOAT_POWER = {"kind": "shape", "word": [[1, False]], "power": 2.9}  # a JSON atom
 
 REFUSALS = {
     # pairings
@@ -697,8 +698,49 @@ REFUSALS = {
         ValueError,
         "color must be an integer, got 1.5",
     ),
+    "TraceAtom.make int flag": (
+        lambda: TraceAtom.make("shape", [(1, 0)]),
+        ValueError,
+        "transpose flag must be a bool, got 0",
+    ),
+    "TraceAtom.make string flag": (
+        lambda: TraceAtom.make("shape", [(1, "no")]),
+        ValueError,
+        "transpose flag must be a bool, got 'no'",
+    ),
     "polynomial key": (
         lambda: MomentPolynomial.monomial(1, {3: 1}), TypeError, "bad polynomial key: 3"
+    ),
+    # an exponent is a count (``_count``), never truncated to one
+    "symbol float power": (
+        lambda: MomentPolynomial.symbol("N", 1.5),
+        ValueError,
+        "exponent must be an integer, got 1.5",
+    ),
+    "float power of a polynomial": (
+        lambda: MomentPolynomial.symbol("q") ** 1.5,
+        ValueError,
+        "exponent must be an integer, got 1.5",
+    ),
+    "coefficient float exponent": (
+        lambda: MomentPolynomial.symbol("q").coefficient({"q": 1.9}),
+        ValueError,
+        "exponent must be an integer, got 1.9",
+    ),
+    "monomial bool exponent": (
+        lambda: MomentPolynomial.monomial(1, {"q": True}),
+        ValueError,
+        "exponent must be an integer, got True",
+    ),
+    "poly_from_json float atom power": (
+        lambda: poly_from_json({"terms": [{"coeff": 1, "powers": {"atoms": [FLOAT_POWER]}}]}),
+        ValueError,
+        "exponent must be an integer, got 2.9",
+    ),
+    "poly_from_json bool coefficient": (
+        lambda: poly_from_json({"terms": [{"coeff": True, "powers": {}}]}),
+        TypeError,
+        'True is not an exact number; write an integer or a quoted rational such as "1/10"',
     ),
     "negative atom exponent": (
         lambda: MomentPolynomial.monomial(1, {B1: -1}),
@@ -738,6 +780,30 @@ REFUSALS = {
         lambda: SetPartition(2, (frozenset({2}), frozenset({1}))),
         ValueError,
         "blocks must be ordered by their minima",
+    ),
+    "SetPartition bool n": (
+        lambda: SetPartition(True, (frozenset({1}),)),
+        ValueError,
+        "n must be an integer >= 0, got True",
+    ),
+    "SetPartition float n": (
+        lambda: SetPartition(1.0, (frozenset({1}),)),
+        ValueError,
+        "n must be an integer >= 0, got 1.0",
+    ),
+    "SetPartition float element": (
+        lambda: SetPartition(1, (frozenset({1.0}),)),
+        ValueError,
+        "block element must be an integer, got 1.0",
+    ),
+    "SpectralMeasure string location": (
+        lambda: SpectralMeasure((("x", 1),)), ValueError, "not a finite rational number: 'x'"
+    ),
+    "SpectralMeasure bool mass": (
+        lambda: SpectralMeasure(((1, True),)), ValueError, "not a finite rational number: True"
+    ),
+    "mp_moment_check bool eigenvalue": (
+        lambda: mp_moment_check([True], 2, 3), ValueError, "not a finite rational number: True"
     ),
     "SpectralMeasure zero mass": (
         lambda: SpectralMeasure(((1, Fraction(0)), (2, Fraction(1)))),
@@ -794,6 +860,18 @@ def test_refused_by_name(call, kind, message):
     with pytest.raises(kind, match=f"^{re.escape(message)}$") as caught:
         call()
     assert type(caught.value) is kind
+
+
+def test_mp_records_read_their_numbers_by_the_one_rule():
+    # a float mass is its exact binary value, so the moment stays a Fraction
+    moment = compound_mp_moment(1, SpectralMeasure(((1, 1.0),)), 3)
+    assert type(moment) is Fraction and moment == 5
+    measure = SpectralMeasure((("1/2", "1/4"), (np.int64(2), Fraction(3, 4))))
+    assert measure.atoms == ((Fraction(1, 2), Fraction(1, 4)), (2, Fraction(3, 4)))
+    assert type(measure.atoms[1][0]) is int
+    part = SetPartition(np.int64(2), (frozenset({np.int64(1), np.int64(2)}),))
+    assert part == SetPartition(2, (frozenset({1, 2}),)) and type(part.n) is int
+    assert {type(x) for x in part.blocks[0]} == {int}
 
 
 def test_counts_through_the_one_rule_become_ints():

@@ -181,9 +181,9 @@ class TestFiniteSizeCheck:
     @pytest.mark.parametrize(
         "eigenvalues,scale_dim,n_max,message",
         [
-            ([1], 0, 3, "N must be a positive integer"),
-            ([1], -2, 3, "N must be a positive integer"),
-            ([1], 2.0, 3, "N must be a positive integer"),
+            ([1], 0, 3, "N must be an integer >= 1, got 0"),
+            ([1], -2, 3, "N must be an integer >= 1, got -2"),
+            ([1], 2.0, 3, "N must be an integer >= 1, got 2.0"),
             ([], 2, 3, "need at least one eigenvalue"),
             ([1], 2, 0, "n_max must be an integer in 1..9"),
             ([1], 2, 10, "n_max must be an integer in 1..9"),
